@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import ConfigError, ProtocolError
-from repro.metrics.counters import Category
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -85,19 +84,7 @@ class CoherenceBackend:
 
     def label_edge(self, message: "Message", role: str, **entity) -> None:
         """Attach an entity label to a causal message edge (trace only)."""
-        if self.sim.trace_on:
-            self.sim.trace.instant(
-                self.sim.now,
-                "protocol",
-                "pag_edge",
-                self.node_id,
-                msg=f"m{message.msg_id}",
-                role=role,
-                **entity,
-            )
-
-    def _occupy_dsm(self, duration: float):
-        yield from self.node.occupy(duration, Category.DSM)
+        self.host.label_edge(message, role, **entity)
 
     # -- page access (scheduler-facing) ------------------------------------
 

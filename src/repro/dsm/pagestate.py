@@ -1,7 +1,9 @@
 """Per-node, per-page coherence state.
 
 A page on a node is *valid* when, for every other node, the diffs
-applied locally cover every write notice received.  Writes additionally
+applied locally cover every write notice received; the count of writers
+for which they do not (``stale``) is maintained incrementally, so
+validity is one integer test, not a scan over nodes.  Writes additionally
 track a *twin* (clean copy) from which diffs are computed, and a dirty
 flag cleared when a diff is flushed (the page is then "write-protected";
 the next write opens a sub-interval and a fresh twin).
@@ -30,6 +32,9 @@ class PageCoherence:
     applied_upto: list[int] = field(default_factory=list)
     #: Highest interval index per writer for which a write notice exists.
     needed_upto: list[int] = field(default_factory=list)
+    #: Writers with ``needed_upto > applied_upto``; kept by the two
+    #: ``note_*`` methods and ``from_snapshot``, the lists' only writers.
+    stale: int = field(default=0, init=False)
     dirty: bool = False
     twin: Optional[np.ndarray] = None
     #: Set when an interval close announced this (still dirty) page:
@@ -58,7 +63,7 @@ class PageCoherence:
 
     @property
     def valid(self) -> bool:
-        return all(a >= n for a, n in zip(self.applied_upto, self.needed_upto))
+        return not self.stale
 
     @property
     def fetch_in_flight(self) -> bool:
@@ -74,14 +79,21 @@ class PageCoherence:
 
     def note_write_notice(self, proc: int, interval_idx: int) -> bool:
         """Record an invalidation; returns True if the page became stale."""
-        was_valid = self.valid
-        if interval_idx > self.needed_upto[proc]:
-            self.needed_upto[proc] = interval_idx
-        return was_valid and not self.valid
+        needed = self.needed_upto
+        if interval_idx <= needed[proc]:
+            return False
+        newly_stale = needed[proc] <= self.applied_upto[proc] < interval_idx
+        needed[proc] = interval_idx
+        if newly_stale:
+            self.stale += 1
+        return newly_stale and self.stale == 1
 
     def note_diffs_applied(self, proc: int, covers_through: int) -> None:
-        if covers_through > self.applied_upto[proc]:
-            self.applied_upto[proc] = covers_through
+        applied = self.applied_upto
+        if covers_through > applied[proc]:
+            if applied[proc] < self.needed_upto[proc] <= covers_through:
+                self.stale -= 1
+            applied[proc] = covers_through
 
     # -- checkpoint / recovery -------------------------------------------
 
@@ -103,6 +115,7 @@ class PageCoherence:
         state = cls(page_id, num_nodes)
         state.applied_upto = list(snap["applied_upto"])
         state.needed_upto = list(snap["needed_upto"])
+        state.stale = len(state.stale_writers())
         state.dirty = snap["dirty"]
         state.twin = None if snap["twin"] is None else snap["twin"].copy()
         state.write_protected = snap["write_protected"]

@@ -130,10 +130,6 @@ class DsmNode:
                 **entity,
             )
 
-    # ``occupy_dsm`` is used heavily by the subsystems.
-    def _occupy_dsm(self, duration: float):
-        yield from self.node.occupy(duration, Category.DSM)
-
     # -- delegated protocol surface ----------------------------------------
 
     def close_interval_charged(self) -> Generator:
@@ -333,27 +329,39 @@ class LrcBackend(CoherenceBackend):
                     count=len(notices),
                     full=advance_vc,
                 )
+        # Hot loop (145 k notices per SOR/64 run): resolve the attribute
+        # chains (``prefetch`` is a property) once.
+        node_id = self.node_id
         san = self.sim.sanitizer
+        san_on = san.enabled
+        vc = self.vc
+        add_notice = self.wn_log.add
+        observe_lamport = self.intervals.observe_lamport
+        coherence = self.coherence
+        prefetch = self.prefetch
         for notice in notices:
-            if notice.proc == self.node_id:
+            proc = notice.proc
+            if proc == node_id:
                 continue
-            if san.enabled:
-                san.on_write_notice(
-                    self.node_id, notice.proc, notice.interval_idx, notice.page_id
-                )
+            interval_idx = notice.interval_idx
+            page_id = notice.page_id
+            if san_on:
+                san.on_write_notice(node_id, proc, interval_idx, page_id)
             # Page-filtered sets stay out of the per-proc log (see
             # WriteNoticeLog.add): they must not be forwarded by grants
             # nor advance any vector clock.
-            self.wn_log.add(notice, full=advance_vc)
+            add_notice(notice, full=advance_vc)
             if advance_vc:
-                old = self.vc[notice.proc]
-                self.vc.observe(notice.proc, notice.interval_idx)
-                if san.enabled:
-                    san.on_vc_update(self.node_id, notice.proc, old, self.vc[notice.proc])
-            self.intervals.observe_lamport(notice.lamport)
-            self.coherence(notice.page_id).note_write_notice(notice.proc, notice.interval_idx)
-            if self.prefetch is not None:
-                self.prefetch.on_invalidation(notice.page_id)
+                if san_on:
+                    old = vc[proc]
+                    vc.observe(proc, interval_idx)
+                    san.on_vc_update(node_id, proc, old, vc[proc])
+                else:
+                    vc.observe(proc, interval_idx)
+            observe_lamport(notice.lamport)
+            coherence(page_id).note_write_notice(proc, interval_idx)
+            if prefetch is not None:
+                prefetch.on_invalidation(page_id)
 
     # -- write path ------------------------------------------------------------
 

@@ -10,6 +10,7 @@ yet" queries that drive lazy propagation.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 __all__ = ["WriteNotice", "WriteNoticeLog", "WIRE_BYTES_PER_NOTICE"]
@@ -57,7 +58,11 @@ class WriteNoticeLog:
         key = (notice.proc, notice.interval_idx, notice.page_id)
         if key not in self._seen_page:
             self._seen_page.add(key)
-            self._by_page.setdefault(notice.page_id, []).append(notice)
+            history = self._by_page.get(notice.page_id)
+            if history is None:
+                self._by_page[notice.page_id] = [notice]
+            else:
+                history.append(notice)
         if not full:
             return False
         if key in self._seen_full:
@@ -66,8 +71,6 @@ class WriteNoticeLog:
         known = self._by_proc[notice.proc]
         if known and known[-1].interval_idx > notice.interval_idx:
             # Out-of-order arrival of a missed older notice.
-            import bisect
-
             bisect.insort(known, notice, key=lambda n: n.interval_idx)
         else:
             known.append(notice)
@@ -85,8 +88,6 @@ class WriteNoticeLog:
 
     def unseen_by(self, vc_snapshot: tuple[int, ...]) -> list[WriteNotice]:
         """All notices the holder of ``vc_snapshot`` has not yet seen."""
-        import bisect
-
         missing: list[WriteNotice] = []
         for proc, known in enumerate(self._by_proc):
             threshold = vc_snapshot[proc]

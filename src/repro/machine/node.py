@@ -22,7 +22,7 @@ from repro.machine.timing import CostModel
 from repro.memory import PageStore
 from repro.metrics.counters import Category, EventCounters, TimeBreakdown
 from repro.network import Message, Network
-from repro.sim import Event, Simulator, spawn
+from repro.sim import Event, Resource, Simulator, spawn
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.transport import ReliableTransport
@@ -44,8 +44,6 @@ class Node:
         costs: CostModel,
         page_size: int,
     ) -> None:
-        from repro.sim import Resource  # local import to keep module deps flat
-
         self.sim = sim
         self.node_id = node_id
         self.network = network
@@ -79,8 +77,6 @@ class Node:
         waiters behind; a fresh resource discards them wholesale instead
         of unwinding the queue entry by entry.
         """
-        from repro.sim import Resource
-
         self.cpu = Resource(self.sim, capacity=1, name=f"cpu[{self.node_id}]")
 
     # -- CPU charging -----------------------------------------------------
@@ -94,7 +90,13 @@ class Node:
         """
         if duration <= 0:
             return
-        yield self.cpu.acquire(priority)
+        # Read per call (crash rollback swaps the resource); the release
+        # below goes to the one that granted.  A free CPU is granted in
+        # place; only contention allocates an acquire event, whose
+        # priority lets handlers overtake queued threads.
+        cpu = self.cpu
+        if not cpu.try_acquire():
+            yield cpu.acquire(priority)
         try:
             started = self.sim.now
             yield self.sim.timeout(duration)
@@ -109,7 +111,7 @@ class Node:
                 # boundaries against message timestamps bit-exactly.
                 tr.slice(started, duration, "cpu", category.value, self.node_id)
         finally:
-            self.cpu.release()
+            cpu.release()
 
     # -- messaging ---------------------------------------------------------
 
@@ -157,12 +159,15 @@ class Node:
             group=f"node{self.node_id}",
         )
 
-    def _discard_corrupt(self, message: Message) -> Generator[Event, Any, None]:
+    def _charge_receive(self) -> Generator[Event, Any, None]:
         recv_cost = self.costs.msg_recv_cpu
         if self.mt_mode:
             recv_cost += self.costs.async_arrival_extra
+        return self.occupy(recv_cost, Category.DSM, priority=HANDLER_PRIORITY)
+
+    def _discard_corrupt(self, message: Message) -> Generator[Event, Any, None]:
         # The frame must be read to be checksummed: pay the receive cost.
-        yield from self.occupy(recv_cost, Category.DSM, priority=HANDLER_PRIORITY)
+        yield from self._charge_receive()
         self.events.corruption_detected += 1
         if self.sim.trace_on:
             tr = self.sim.trace
@@ -176,10 +181,7 @@ class Node:
             )
 
     def _handle(self, message: Message) -> Generator[Event, Any, None]:
-        recv_cost = self.costs.msg_recv_cpu
-        if self.mt_mode:
-            recv_cost += self.costs.async_arrival_extra
-        yield from self.occupy(recv_cost, Category.DSM, priority=HANDLER_PRIORITY)
+        yield from self._charge_receive()
         if self.transport is not None:
             deliver = yield from self.transport.on_receive(message)
             if not deliver:

@@ -10,11 +10,12 @@ reliable messages are modelled as never lost, only delayed).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable
 
 from repro.errors import NetworkError
 from repro.network.message import Message
-from repro.sim import Simulator, Store, spawn
+from repro.sim import Simulator
 
 __all__ = ["LinkConfig", "Link"]
 
@@ -63,8 +64,25 @@ class LinkConfig:
         return bits / self.bandwidth_mbps  # Mbps == bits per microsecond
 
 
+def _settled(name: str) -> property:
+    """A ``Link`` counter, read after booking the departures due by now."""
+
+    def read(link: "Link"):
+        link._settle()
+        return getattr(link, name)
+
+    return property(read)
+
+
 class Link:
-    """One simplex link: FIFO queue + transmitter + propagation delay."""
+    """One simplex link: FIFO queue + transmitter + propagation delay.
+
+    An output-queued FIFO with the wire to itself: a message's departure
+    is known the moment it is accepted (``max(now, busy_until) +
+    serialization``), so ``send`` computes it and schedules the one
+    delivery.  Queue occupancy and the statistics are settled lazily
+    from a deque of pending departures.
+    """
 
     def __init__(
         self,
@@ -72,24 +90,39 @@ class Link:
         config: LinkConfig,
         sink: Callable[[Message], None],
         name: str = "",
+        sink_latency_us: float = 0.0,
     ) -> None:
         self.sim = sim
         self.config = config
         self.sink = sink
         self.name = name
-        self._queue: Store = Store(sim, name=f"linkq({name})")
+        #: Fixed latency between the far end of the wire and ``sink`` (an
+        #: uplink's one delivery event carries the switch's forwarding delay).
+        self.sink_latency_us = sink_latency_us
+        self._busy_until = 0.0
+        #: Accepted, not yet departed: (depart_time, wire_bytes, serialization).
+        self._pending: deque[tuple[float, int, float]] = deque()
         self._queued_bytes = 0
-        self._transmitting = False
-        # Statistics.
-        self.messages_sent = 0
+        self._messages_sent = 0
+        self._bytes_sent = 0
+        self._busy_time = 0.0
         self.messages_dropped = 0
-        self.bytes_sent = 0
-        self.busy_time = 0.0
-        spawn(sim, self._transmitter(), name=f"link({name})", daemon=True)
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
+    def _settle(self) -> None:
+        """Book every departure up to and including the current time."""
+        pending = self._pending
+        now = self.sim.now
+        while pending and pending[0][0] <= now:
+            _depart, wire, serialization = pending.popleft()
+            self._queued_bytes -= wire
+            self._messages_sent += 1
+            self._bytes_sent += wire
+            self._busy_time += serialization
+
+    queued_bytes = _settled("_queued_bytes")
+    messages_sent = _settled("_messages_sent")
+    bytes_sent = _settled("_bytes_sent")
+    busy_time = _settled("_busy_time")
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the transmitter was busy."""
@@ -105,21 +138,23 @@ class Link:
         their delay simply grows — modelling the retransmitting
         transport that TreadMarks layers over UDP.
         """
-        wire = self.config.wire_bytes(message.size_bytes)
-        if not message.reliable and self._queued_bytes + wire > self.config.queue_capacity_bytes:
+        config = self.config
+        wire = config.wire_bytes(message.size_bytes)
+        now = self.sim.now
+        if self._pending:
+            self._settle()
+        if not message.reliable and self._queued_bytes + wire > config.queue_capacity_bytes:
             self.messages_dropped += 1
             return False
+        serialization = config.serialization_us(message.size_bytes)
+        # The same float additions, in the same order, as a transmitter
+        # that slept ``serialization`` and then scheduled the delivery.
+        busy_until = self._busy_until
+        depart = (busy_until if busy_until > now else now) + serialization
+        self._busy_until = depart
         self._queued_bytes += wire
-        self._queue.put(message)
+        self._pending.append((depart, wire, serialization))
+        self.sim.schedule_at(
+            (depart + config.propagation_us) + self.sink_latency_us, self.sink, message
+        )
         return True
-
-    def _transmitter(self):
-        while True:
-            message: Message = yield self._queue.get()
-            serialization = self.config.serialization_us(message.size_bytes)
-            yield self.sim.timeout(serialization)
-            self.busy_time += serialization
-            self._queued_bytes -= self.config.wire_bytes(message.size_bytes)
-            self.messages_sent += 1
-            self.bytes_sent += self.config.wire_bytes(message.size_bytes)
-            self.sim.schedule(self.config.propagation_us, self.sink, message)

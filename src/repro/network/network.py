@@ -62,7 +62,7 @@ class Network:
             on_drop=self._on_switch_drop,
         )
         self.uplinks: list[Link] = [
-            Link(sim, self.link_config, self.switch.accept, name=f"up[{node}]")
+            Link(sim, self.link_config, self.switch.forward, f"up[{node}]", switch_latency_us)
             for node in range(num_nodes)
         ]
 

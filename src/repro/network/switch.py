@@ -3,7 +3,10 @@
 The paper's testbed uses a single FORE ASX-200WG switch in a star
 topology.  We model it as an output-queued crossbar: a message arriving
 from any uplink is forwarded — after a small fixed switching latency —
-onto the downlink queue of its destination port.  Congestion therefore
+onto the downlink queue of its destination port.  The latency is a
+constant, so an uplink folds it into its one delivery event
+(``Link.sink_latency_us``); the downlink's drop decision still happens
+in :meth:`Switch.forward`, at forwarding time.  Congestion therefore
 appears exactly where it did in the paper: on the downlink of a hot node
 (e.g. the master during initialization) and on uplinks during bursty
 all-to-all phases.
@@ -38,29 +41,19 @@ class Switch:
         self.sim = sim
         self.num_ports = num_ports
         self.latency_us = latency_us
-        self._deliver = deliver
         self._on_drop = on_drop
         self.downlinks: list[Link] = [
             Link(sim, link_config, deliver, name=f"down[{port}]")
             for port in range(num_ports)
         ]
-        self.forwarded = 0
         self.dropped = 0
 
-    def accept(self, message: Message) -> None:
-        """Entry point for messages arriving from node uplinks."""
+    def forward(self, message: Message) -> None:
+        """Queue a message on its destination's downlink; the uplink's
+        delivery event calls this ``latency_us`` after the switch got it."""
         if not 0 <= message.dst < self.num_ports:
             raise NetworkError(f"message to unknown port {message.dst}")
-        self.sim.schedule(self.latency_us, self._forward, message)
-
-    def _forward(self, message: Message) -> None:
-        accepted = self.downlinks[message.dst].send(message)
-        if accepted:
-            self.forwarded += 1
-        else:
+        if not self.downlinks[message.dst].send(message):
             self.dropped += 1
             if self._on_drop is not None:
                 self._on_drop(message)
-
-    def port_queue_bytes(self, port: int) -> int:
-        return self.downlinks[port].queued_bytes

@@ -382,12 +382,10 @@ class ReliableTransport:
         # links.  Given a RandomSource, each destination gets its own
         # named stream; a bare numpy Generator (direct construction in
         # tests) falls back to node-wide draws.
-        if isinstance(rng, np.random.Generator):
-            self._random = None
-            self._shared_rng = rng
-        else:
-            self._random = rng
-            self._shared_rng = None
+        self._rng_source = rng
+        #: destination -> its jitter generator (a timer is armed per
+        #: reliable send; naming the stream each time costs an f-string).
+        self._jitter_rngs: dict[int, np.random.Generator] = {}
         self._adaptive = config.adaptive
         self._next_seq: dict[int, int] = {}  # destination -> next seq
         self._pending: dict[tuple[int, int], _Pending] = {}  # (dst, seq) -> state
@@ -533,9 +531,13 @@ class ReliableTransport:
             self._arm_timer(key[0], key[1], pending)
 
     def _jitter_rng(self, dst: int) -> np.random.Generator:
-        if self._random is None:
-            return self._shared_rng
-        return self._random.stream(f"transport[{self.node.node_id}->{dst}]")
+        rng = self._jitter_rngs.get(dst)
+        if rng is None:
+            rng = self._rng_source
+            if not isinstance(rng, np.random.Generator):
+                rng = rng.stream(f"transport[{self.node.node_id}->{dst}]")
+            self._jitter_rngs[dst] = rng
+        return rng
 
     def _timeout_us(self, dst: int, attempts: int) -> float:
         if self._adaptive:

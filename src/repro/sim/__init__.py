@@ -2,7 +2,7 @@
 
 from repro.sim.core import AllOf, AnyOf, Condition, Event, Simulator, Timeout
 from repro.sim.process import Process, spawn
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomSource
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "RandomSource",
     "Resource",
     "Simulator",
-    "Store",
     "Timeout",
     "spawn",
 ]

@@ -47,10 +47,10 @@ class Event:
     callbacks added afterwards run immediately.
     """
 
-    # Slot layout: the first five are the event machinery; the last four
+    # Slot layout: the first six are the event machinery; the last three
     # are *stash* slots — instrumentation state that other layers pin on
-    # events crossing process boundaries (resource wait start, profiler
-    # span start, remote-miss classification).  They are left unset
+    # events crossing process boundaries (profiler span start,
+    # remote-miss classification).  They are left unset
     # until first assignment; readers use ``getattr(event, ..., default)``.
     __slots__ = (
         "sim",
@@ -59,7 +59,6 @@ class Event:
         "_value",
         "_exception",
         "_callbacks",
-        "_requested_at",
         "profile_t0",
         "needed_remote",
         "miss_counted",
@@ -139,12 +138,10 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
         # A static name: formatting the delay per instance would cost an
         # f-string on one of the hottest allocation sites in a run.
         super().__init__(sim, name="timeout")
-        sim.schedule(delay, self.succeed, value)
+        sim.schedule(delay, self.succeed, value)  # rejects a negative delay
 
 
 class Condition(Event):
@@ -332,6 +329,17 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (self.now + delay, next(self._sequence), fn, args))
 
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute time ``time``, for callers that
+        computed the timestamp themselves (``now + (time - now)`` does not
+        round-trip in floats).  Ordered exactly like ``schedule``."""
+        if time > self.now:
+            heapq.heappush(self._heap, (time, next(self._sequence), fn, args))
+        elif time == self.now:
+            self._nowq.append((next(self._sequence), fn, args))
+        else:
+            raise SimulationError(f"cannot schedule into the past (time={time}, now={self.now})")
+
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
@@ -353,13 +361,6 @@ class Simulator:
 
     def _unregister_process(self, handle: int) -> None:
         self._processes.pop(handle, None)
-
-    def live_processes(self, group: Optional[str] = None) -> list:
-        """Live processes, optionally restricted to one spawn group."""
-        procs = list(self._processes.values())
-        if group is None:
-            return procs
-        return [p for p in procs if p.group == group]
 
     def cancel_group(self, group: str) -> int:
         """Cancel every live process in ``group``; returns the count."""

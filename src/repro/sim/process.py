@@ -40,7 +40,7 @@ ProcessGenerator = Generator[Event, Any, Any]
 class Process(Event):
     """Wraps a generator; succeeds with the generator's return value."""
 
-    __slots__ = ("_generator", "_waiting_on", "_cancelled", "group", "daemon", "_handle")
+    __slots__ = ("_generator", "_waiting_on", "_cancelled", "group", "daemon", "_handle", "_wake")
 
     def __init__(
         self,
@@ -57,11 +57,14 @@ class Process(Event):
         #: Cancellation group (e.g. ``node3`` for everything a crash of
         #: node 3 must silence); empty string means ungrouped.
         self.group = group
-        #: Daemon processes (infinite service loops, e.g. link
-        #: transmitters) are expected to outlive the workload and do not
-        #: count as deadlocked when the event heap drains.
+        #: Daemon processes (infinite service loops, e.g. the failure
+        #: detector's watch loop) are expected to outlive the workload
+        #: and do not count as deadlocked when the event heap drains.
         self.daemon = daemon
         self._handle = sim._register_process(self)
+        # One bound wake-up method for the process's whole life, not one
+        # per wait; dropped at the end so it leaves no reference cycle.
+        self._wake = self._on_event
         # Start on the next scheduler tick so the creator finishes its
         # own setup first (matches SimPy semantics).
         sim.schedule(0.0, self._resume, None, None)
@@ -69,10 +72,6 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return not self.triggered and not self._cancelled
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
     def waiting_on_name(self) -> str:
         """Human-readable description of what blocks this process."""
@@ -82,43 +81,46 @@ class Process(Event):
 
     def _dispatch(self) -> None:
         self.sim._unregister_process(self._handle)
+        self._wake = None
         super()._dispatch()
 
     def _resume(self, value: Any, exception: BaseException | None) -> None:
-        if self.triggered or self._cancelled:
-            return
-        try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            # Propagate to waiters; a fire-and-forget process (nobody
-            # waiting) must not die silently — crash the simulation.
-            if self._callbacks:
-                self.fail(exc)
+        generator = self._generator
+        # Loop, not recurse: a process that yields an already-triggered
+        # event continues in place with that event's outcome.
+        while not (self.triggered or self._cancelled):
+            try:
+                if exception is not None:
+                    target = generator.throw(exception)
+                else:
+                    target = generator.send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
                 return
-            self.sim._unregister_process(self._handle)
-            raise
-        if not isinstance(target, Event):
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+            except BaseException as exc:
+                # Propagate to waiters; a fire-and-forget process (nobody
+                # waiting) must not die silently — crash the simulation.
+                if self._callbacks:
+                    self.fail(exc)
+                    return
+                self.sim._unregister_process(self._handle)
+                raise
+            if not isinstance(target, Event):
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+                    )
                 )
-            )
-            return
-        self._waiting_on = target
-        target.add_callback(self._on_event)
+                return
+            if not target.triggered:
+                self._waiting_on = target
+                target._callbacks.append(self._wake)
+                return
+            value, exception = target._value, target._exception
 
     def _on_event(self, event: Event) -> None:
         self._waiting_on = None
-        if event._exception is not None:
-            self._resume(None, event._exception)
-        else:
-            self._resume(event.value, None)
+        self._resume(event._value, event._exception)
 
     def interrupt(self, exception: BaseException | None = None) -> None:
         """Throw an exception into the process at its current yield point."""
@@ -146,6 +148,7 @@ class Process(Event):
             return
         self._cancelled = True
         self._waiting_on = None
+        self._wake = None
         self.sim._unregister_process(self._handle)
 
     def _close_generator(self) -> None:

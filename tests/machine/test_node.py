@@ -126,3 +126,120 @@ def test_cost_model_helpers():
     assert costs.cycles_us(133.0) == pytest.approx(1.0)
     assert costs.diff_create_us(4096, 0) > 0
     assert costs.diff_apply_us(100) > costs.diff_apply_us(0)
+
+
+def _occupy_via_events(node, duration, category, priority):
+    """``Node.occupy`` as it was before the in-place grant: always an
+    acquire event, even on a free CPU."""
+    yield node.cpu.acquire(priority)
+    try:
+        yield node.sim.timeout(duration)
+        node.breakdown.charge(category, duration)
+    finally:
+        node.cpu.release()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_in_place_grant_matches_event_grant(seed):
+    """The same random mix of idle-CPU and contended charges, once through
+    ``occupy`` and once through an always-an-event reference: identical
+    grant counts, wait time, breakdown and per-worker finish times."""
+    import random
+
+    from repro.machine.node import HANDLER_PRIORITY, THREAD_PRIORITY
+
+    def run(occupy):
+        rng = random.Random(seed)
+        cluster = Cluster(num_nodes=2)
+        node = cluster.node(0)
+        finished = []
+
+        def worker(tag):
+            for _ in range(rng.randrange(1, 6)):
+                yield cluster.sim.timeout(rng.choice([0.0, 5.0, 40.0, 300.0]))
+                category = rng.choice([Category.BUSY, Category.DSM])
+                priority = rng.choice([HANDLER_PRIORITY, THREAD_PRIORITY])
+                yield from occupy(node, rng.choice([1.0, 25.0, 60.0]), category, priority)
+            finished.append((tag, cluster.sim.now))
+
+        for tag in range(6):
+            spawn(cluster.sim, worker(tag))
+        cluster.run()
+        cpu = node.cpu
+        return finished, cpu.total_grants, cpu.total_wait_time, dict(node.breakdown.times), cpu.in_use
+
+    fast = run(lambda node, *args: node.occupy(*args))
+    reference = run(_occupy_via_events)
+    assert fast == reference
+    assert fast[2] > 0  # the mix did contend
+
+
+def test_uncontended_occupy_allocates_no_acquire_event(monkeypatch):
+    cluster = Cluster(num_nodes=2)
+    node = cluster.node(0)
+    monkeypatch.setattr(node.cpu, "acquire", lambda priority=0: pytest.fail("acquire on a free CPU"))
+
+    def work():
+        yield from node.occupy(10.0, Category.BUSY)
+        yield from node.occupy(5.0, Category.DSM)
+
+    spawn(cluster.sim, work())
+    cluster.run()
+    assert node.cpu.total_grants == 2 and node.cpu.total_wait_time == 0.0
+    assert node.cpu.in_use == 0
+
+
+def test_handler_overtakes_a_queued_thread():
+    from repro.machine.node import HANDLER_PRIORITY
+
+    cluster = Cluster(num_nodes=2)
+    node = cluster.node(0)
+    order = []
+
+    def work(tag, start, priority=None):
+        yield cluster.sim.timeout(start)
+        if priority is None:
+            yield from node.occupy(50.0, Category.BUSY)
+        else:
+            yield from node.occupy(50.0, Category.DSM, priority=priority)
+        order.append((tag, cluster.sim.now))
+
+    spawn(cluster.sim, work("holder", 0.0))  # takes the free CPU in place
+    spawn(cluster.sim, work("thread", 1.0))  # queues
+    spawn(cluster.sim, work("handler", 2.0, HANDLER_PRIORITY))  # queues later, served first
+    cluster.run()
+    assert order == [("holder", 50.0), ("handler", 100.0), ("thread", 150.0)]
+    assert node.cpu.total_wait_time == pytest.approx(48.0 + 99.0)
+
+
+@pytest.mark.parametrize("cancel_first", [True, False])
+def test_reset_cpu_mid_hold_leaves_the_new_resource_clean(cancel_first):
+    """Crash rollback cancels a node's processes and swaps its CPU.  A
+    charge that was holding (or queueing for) the old CPU must release
+    the old one, whichever of the two steps runs first."""
+    cluster = Cluster(num_nodes=2)
+    node = cluster.node(0)
+    sim = cluster.sim
+
+    def work():
+        yield from node.occupy(100.0, Category.BUSY)
+
+    spawn(sim, work(), group="node0")  # holds, granted in place
+    spawn(sim, work(), group="node0")  # queues behind it
+    sim.run(until=30.0)
+    old = node.cpu
+    assert old.in_use == 1 and old.queue_length == 1
+    if cancel_first:
+        sim.cancel_group("node0")
+        node.reset_cpu()
+    else:
+        node.reset_cpu()
+        sim.cancel_group("node0")
+    assert node.cpu is not old
+    assert (node.cpu.in_use, node.cpu.total_grants, node.cpu.queue_length) == (0, 0, 0)
+
+    spawn(sim, work(), group="node0")
+    cluster.run()
+    assert (node.cpu.in_use, node.cpu.total_grants) == (0, 1)
+    # Only the post-rollback charge completed.
+    assert node.breakdown.times[Category.BUSY] == pytest.approx(100.0)

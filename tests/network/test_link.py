@@ -1,11 +1,14 @@
 """Unit tests for the link model: serialization, queueing, drops."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.errors import NetworkError
 from repro.network import LinkConfig, Message, MessageKind
 from repro.network.link import ATM_CELL_PAYLOAD, ATM_CELL_SIZE, Link
-from repro.sim import Simulator
+from repro.sim import Simulator, spawn
 
 
 def make_msg(size, reliable=True):
@@ -127,3 +130,136 @@ def test_utilization_under_back_to_back_sends():
     assert link.utilization(sim.now) == pytest.approx(1.0)
     # Half as much idle time again halves the utilization figure.
     assert link.utilization(sim.now * 2) == pytest.approx(0.5)
+
+
+def test_sink_latency_is_added_after_propagation():
+    sim = Simulator()
+    cfg = LinkConfig(bandwidth_mbps=100.0, propagation_us=2.0, header_bytes=0)
+    times = []
+    link = Link(sim, cfg, lambda m: times.append(sim.now), sink_latency_us=10.0)
+    link.send(make_msg(100))
+    sim.run()
+    assert times == [(cfg.serialization_us(100) + 2.0) + 10.0]
+    assert sim.events_handled == 1  # one delivery event, nothing else
+
+
+def test_accounting_settles_at_departure_not_at_delivery():
+    sim = Simulator()
+    cfg = LinkConfig(bandwidth_mbps=100.0, propagation_us=50.0, header_bytes=0)
+    link = Link(sim, cfg, lambda m: None)
+    link.send(make_msg(1000))
+    wire, ser = cfg.wire_bytes(1000), cfg.serialization_us(1000)
+    assert (link.queued_bytes, link.messages_sent, link.busy_time) == (wire, 0, 0.0)
+    sim.run(until=ser / 2)
+    assert (link.queued_bytes, link.messages_sent) == (wire, 0)
+    sim.run(until=ser)  # the last bit is on the wire; delivery is 50 us away
+    assert (link.queued_bytes, link.messages_sent, link.bytes_sent) == (0, 1, wire)
+    assert link.busy_time == ser
+
+
+class ReferenceLink:
+    """The model ``Link`` computes in closed form, spelled out as events:
+    a transmitter process sleeps each message's serialization time, books
+    the departure, and schedules the arrival and then the sink."""
+
+    def __init__(self, sim, config, sink, sink_latency_us):
+        self.sim, self.config, self.sink, self.latency = sim, config, sink, sink_latency_us
+        self.queue, self.idle, self.departs_at = deque(), None, 0.0
+        self.queued_bytes = self.messages_sent = self.bytes_sent = self.messages_dropped = 0
+        self.busy_time = 0.0
+        spawn(sim, self._transmitter(), daemon=True)
+
+    def send(self, message):
+        wire = self.config.wire_bytes(message.size_bytes)
+        if not message.reliable and self.queued_bytes + wire > self.config.queue_capacity_bytes:
+            self.messages_dropped += 1
+            return False
+        self.queued_bytes += wire
+        self.queue.append(message)
+        if self.idle is not None and not self.idle.triggered:
+            self.idle.succeed()
+        return True
+
+    def _transmitter(self):
+        while True:
+            if not self.queue:
+                self.idle = self.sim.event()
+                yield self.idle
+            message = self.queue.popleft()
+            serialization = self.config.serialization_us(message.size_bytes)
+            self.departs_at = self.sim.now + serialization
+            yield self.sim.timeout(serialization)
+            wire = self.config.wire_bytes(message.size_bytes)
+            self.queued_bytes -= wire
+            self.messages_sent += 1
+            self.bytes_sent += wire
+            self.busy_time += serialization
+            self.sim.schedule(self.config.propagation_us, self._arrive, message)
+
+    def _arrive(self, message):
+        self.sim.schedule(self.latency, self.sink, message)
+
+
+@pytest.mark.parametrize("latency", [0.0, 10.0])
+@pytest.mark.parametrize("seed", range(12))
+def test_closed_form_link_matches_reference_fifo(seed, latency):
+    """Random traffic (mixed sizes, reliable and not, bursts into a small
+    queue, sends at exactly a departure timestamp) through the reference
+    model, then the recorded script through ``Link``: delivery times must
+    be bit-equal, and drops, occupancy and final statistics equal."""
+    rng = random.Random(seed)
+    cfg = LinkConfig(
+        bandwidth_mbps=rng.choice([10.0, 155.0, 622.0]),
+        propagation_us=rng.choice([0.0, 1.0, 3.7]),
+        header_bytes=rng.choice([0, 60]),
+        queue_capacity_bytes=6000,
+    )
+
+    # Phase A: drive the reference, recording what was sent and when.  Every
+    # send runs from the zero-delay queue, i.e. after all heap events of its
+    # timestamp: a send at a departure time sees that message gone.
+    sim = Simulator()
+    ref_log = []
+    ref = ReferenceLink(sim, cfg, lambda m: ref_log.append((m.msg_id, sim.now)), latency)
+    script, ref_seen, ties = [], [], []
+
+    def step(remaining):
+        msg = make_msg(rng.choice([0, 1, 40, 48, 400, 1500, 4096]), reliable=rng.random() < 0.4)
+        script.append((sim.now, msg))
+        ref_seen.append((ref.queued_bytes, ref.send(msg)))
+        if remaining == 0:
+            return
+        roll = rng.random()
+        if roll < 0.45:
+            when = sim.now  # burst
+        elif roll < 0.65 and ref.departs_at > sim.now:
+            when = ref.departs_at  # exactly as the message in service departs
+            ties.append(when)
+        elif roll < 0.92:
+            when = sim.now + rng.uniform(0.0, 60.0)
+        else:
+            when = sim.now + rng.uniform(500.0, 5000.0)  # let the queue drain
+        sim.schedule_at(when, sim.schedule, 0.0, step, remaining - 1)
+
+    sim.schedule(0.0, step, 300)
+    sim.run()
+
+    # Phase B: the same script through the closed-form link.
+    sim2 = Simulator()
+    log = []
+    link = Link(sim2, cfg, lambda m: log.append((m.msg_id, sim2.now)), sink_latency_us=latency)
+    seen = []
+    for when, msg in script:
+        sim2.schedule_at(
+            when, sim2.schedule, 0.0, lambda m=msg: seen.append((link.queued_bytes, link.send(m)))
+        )
+    sim2.run()
+
+    assert seen == ref_seen
+    assert log == ref_log  # same messages, same order, bit-equal times
+    # The traffic did hit capacity, and did send at departure timestamps.
+    assert 0 < ref.messages_dropped < len(script) and len(ties) > 10
+    assert (link.messages_sent, link.bytes_sent, link.messages_dropped, link.queued_bytes) == (
+        ref.messages_sent, ref.bytes_sent, ref.messages_dropped, 0
+    )
+    assert link.busy_time == ref.busy_time

@@ -283,3 +283,63 @@ def test_zero_delay_entries_count_as_handled_events():
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_handled == 2
+
+
+def test_schedule_at_runs_at_the_absolute_time():
+    sim = Simulator()
+    seen = []
+    sim.schedule(2.0, lambda: sim.schedule_at(7.5, lambda: seen.append(sim.now)))
+    sim.run()
+    # 7.5, not 2.0 + 7.5: the argument is a timestamp, not a delay.
+    assert seen == [7.5]
+
+
+def test_schedule_at_is_fifo_among_equal_times_and_with_schedule():
+    sim = Simulator()
+    order = []
+    sim.schedule_at(3.0, order.append, "at-1")
+    sim.schedule(3.0, order.append, "delay-2")
+    sim.schedule_at(3.0, order.append, "at-3")
+    sim.schedule_at(1.0, order.append, "early")
+    sim.run()
+    assert order == ["early", "at-1", "delay-2", "at-3"]
+
+
+def test_schedule_at_now_interleaves_with_the_zero_delay_queue():
+    sim = Simulator()
+    order = []
+
+    def at_t5():
+        order.append("heap@5")
+        sim.schedule(0.0, order.append, "now-a")
+        sim.schedule_at(sim.now, order.append, "now-b")
+        sim.schedule(0.0, order.append, "now-c")
+
+    sim.schedule_at(5.0, at_t5)
+    # Queued for t=5 before any of the "now" entries existed: runs first.
+    sim.schedule_at(5.0, order.append, "heap@5-later")
+    sim.run()
+    assert order == ["heap@5", "heap@5-later", "now-a", "now-b", "now-c"]
+    assert sim.events_handled == 5
+
+
+def test_schedule_at_rejects_the_past():
+    sim = Simulator()
+    sim.schedule(4.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(3.999, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    sim.schedule_at(4.0, lambda: None)  # the present is fine
+
+
+def test_schedule_at_honours_run_until():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(5.0, seen.append, "in")
+    sim.schedule_at(15.0, seen.append, "out")
+    assert sim.run(until=10.0) == 10.0
+    assert seen == ["in"]
+    sim.run()
+    assert seen == ["in", "out"] and sim.now == 15.0

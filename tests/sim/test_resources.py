@@ -1,9 +1,17 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, Store, spawn
+from repro.sim import Resource, Simulator, spawn
+
+
+def hold(res, duration, priority=0):
+    yield res.acquire(priority)
+    try:
+        yield res.sim.timeout(duration)
+    finally:
+        res.release()
 
 
 def test_resource_grants_immediately_when_free():
@@ -45,7 +53,7 @@ def test_resource_capacity_allows_parallel_holders():
     done = []
 
     def worker(tag):
-        yield from res.use(10.0)
+        yield from hold(res, 10.0)
         done.append((tag, sim.now))
 
     for tag in ("a", "b", "c"):
@@ -96,7 +104,7 @@ def test_resource_wait_statistics():
     res = Resource(sim, capacity=1)
 
     def worker():
-        yield from res.use(4.0)
+        yield from hold(res, 4.0)
 
     spawn(sim, worker())
     spawn(sim, worker())
@@ -105,60 +113,25 @@ def test_resource_wait_statistics():
     assert res.total_wait_time == pytest.approx(4.0)
 
 
-def test_store_put_then_get():
+def test_try_acquire_takes_a_free_unit_in_place():
     sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = store.get()
-    assert got.triggered and got.value == "x"
-    assert len(store) == 0
+    res = Resource(sim, capacity=1)
+    assert res.try_acquire()
+    assert res.in_use == 1 and res.total_grants == 1 and res.total_wait_time == 0.0
+    # Busy: refused, and nothing changes.
+    assert not res.try_acquire()
+    assert res.in_use == 1 and res.total_grants == 1 and res.queue_length == 0
+    res.release()
+    assert res.in_use == 0
 
 
-def test_store_get_blocks_until_put():
+def test_try_acquire_does_not_jump_the_queue():
     sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def consumer():
-        item = yield store.get()
-        received.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(6.0)
-        store.put("late")
-
-    spawn(sim, consumer())
-    spawn(sim, producer())
-    sim.run()
-    assert received == [("late", 6.0)]
-
-
-def test_store_fifo_order_for_items_and_getters():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert store.get().value == 1
-    assert store.get().value == 2
-
-    results = []
-
-    def consumer(tag):
-        item = yield store.get()
-        results.append((tag, item))
-
-    spawn(sim, consumer("first"))
-    spawn(sim, consumer("second"))
-    sim.schedule(1.0, store.put, "a")
-    sim.schedule(2.0, store.put, "b")
-    sim.run()
-    assert results == [("first", "a"), ("second", "b")]
-
-
-def test_store_peek_all_is_a_snapshot():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    snapshot = store.peek_all()
-    snapshot.append(2)
-    assert store.peek_all() == [1]
+    res = Resource(sim, capacity=2)
+    assert res.try_acquire() and res.try_acquire()
+    waiter = res.acquire()
+    assert not waiter.triggered
+    # A unit frees up, but it belongs to the queued waiter.
+    res.release()
+    assert waiter.triggered and res.in_use == 2
+    assert not res.try_acquire()
