@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.dsm.writenotice import WriteNoticeLog
 from repro.errors import ProtocolError
 from repro.network import Message, MessageKind
 from repro.sim import Event
@@ -112,8 +113,6 @@ class BarrierSubsystem:
                 barrier_id, self._episode[barrier_id], self.dsm.node_id, vc_snapshot, own_new
             )
         else:
-            from repro.dsm.writenotice import WriteNoticeLog
-
             out = Message(
                 src=self.dsm.node_id,
                 dst=BARRIER_MANAGER,
@@ -158,9 +157,7 @@ class BarrierSubsystem:
             skipped.discard(src)
             if not skipped:
                 del self._bug_skipped[key]
-            self.dsm.wn_log.add_all(notices)
-            from repro.dsm.writenotice import WriteNoticeLog
-
+            self.dsm.wn_log.merge(notices)
             missing = self.dsm.wn_log.unseen_by(vc_snapshot)
             out = Message(
                 src=self.dsm.node_id,
@@ -190,7 +187,7 @@ class BarrierSubsystem:
         # own vector clock must NOT advance here: these notices are only
         # *applied* (clock + invalidations) by its own release, so its
         # release computation below still sees them as unseen.
-        self.dsm.wn_log.add_all(notices)
+        self.dsm.wn_log.merge(notices)
         if state.arrivals < self.dsm.num_nodes:
             return
         yield from self._complete(barrier_id, episode, state)
@@ -255,8 +252,6 @@ class BarrierSubsystem:
                 barrier=barrier_id,
                 episode=episode,
             )
-        from repro.dsm.writenotice import WriteNoticeLog
-
         for node_id, node_vc in state.node_vcs.items():
             missing = self.dsm.wn_log.unseen_by(node_vc)
             if node_id == self.dsm.node_id:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dsm.writenotice import WriteNotice
 from repro.memory import Diff
 
 __all__ = ["StoredDiff", "IntervalManager", "DiffStore"]
@@ -73,17 +72,6 @@ class DiffStore:
         self.total_flushes = snap["flushes"]
         self.total_diff_bytes = snap["bytes"]
 
-    def garbage_collect_before(self, page_id: int, interval_idx: int) -> int:
-        """Drop diffs every node already has; returns bytes reclaimed."""
-        diffs = self._by_page.get(page_id)
-        if not diffs:
-            return 0
-        keep = [d for d in diffs if d.covers_through > interval_idx]
-        reclaimed = sum(d.diff.size_bytes for d in diffs) - sum(d.diff.size_bytes for d in keep)
-        self._by_page[page_id] = keep
-        self.total_diff_bytes -= reclaimed
-        return reclaimed
-
 
 class IntervalManager:
     """Tracks the node's current interval and its dirty-page set."""
@@ -92,7 +80,6 @@ class IntervalManager:
         self.owner = owner
         self.lamport = 0
         self._dirty_pages: set[int] = set()
-        self._closed_intervals = 0
 
     @property
     def dirty_pages(self) -> frozenset[int]:
@@ -111,36 +98,13 @@ class IntervalManager:
             self.lamport = lamport
 
     def snapshot_state(self) -> dict:
-        return {
-            "lamport": self.lamport,
-            "dirty": set(self._dirty_pages),
-            "closed": self._closed_intervals,
-        }
+        return {"lamport": self.lamport, "dirty": set(self._dirty_pages)}
 
     def restore_state(self, snap: dict) -> None:
         self.lamport = snap["lamport"]
         self._dirty_pages = set(snap["dirty"])
-        self._closed_intervals = snap["closed"]
 
     def take_dirty(self) -> set[int]:
         """Return and clear the open interval's dirty-page set."""
         pages, self._dirty_pages = self._dirty_pages, set()
-        self._closed_intervals += 1
         return pages
-
-    def close(self, new_interval_idx: int) -> list[WriteNotice]:
-        """Close the current interval, emitting its write notices.
-
-        ``new_interval_idx`` is the vector-clock component after the
-        caller bumped it.  Returns the notices for the interval just
-        closed (empty when nothing was written — callers should avoid
-        bumping the clock in that case).
-        """
-        self.lamport += 1
-        notices = [
-            WriteNotice(self.owner, new_interval_idx, self.lamport, page_id)
-            for page_id in sorted(self._dirty_pages)
-        ]
-        self._dirty_pages.clear()
-        self._closed_intervals += 1
-        return notices

@@ -293,7 +293,7 @@ class LrcBackend(CoherenceBackend):
         notices = [
             WriteNotice(self.node_id, new_idx, lamport, page_id) for page_id in sorted(pages)
         ]
-        self.wn_log.add_all(notices)
+        self.wn_log.merge(notices)
         # TreadMarks write-protects dirty pages at interval creation: a
         # later write to a still-dirty page must announce itself under a
         # NEW write notice, or its modifications would be invisible to
@@ -330,35 +330,41 @@ class LrcBackend(CoherenceBackend):
                     full=advance_vc,
                 )
         # Hot loop (145 k notices per SOR/64 run): resolve the attribute
-        # chains (``prefetch`` is a property) once.
+        # chains (``prefetch`` is a property) once, and do the interval's
+        # share of the work — log insertion, clocks — once per run of
+        # equal ``(proc, interval_idx)``, not once per notice.
         node_id = self.node_id
         san = self.sim.sanitizer
         san_on = san.enabled
         vc = self.vc
-        add_notice = self.wn_log.add
         observe_lamport = self.intervals.observe_lamport
         coherence = self.coherence
         prefetch = self.prefetch
+        # Page-filtered sets stay out of the per-proc log (see
+        # WriteNoticeLog.merge): they must not be forwarded by grants
+        # nor advance any vector clock.
+        self.wn_log.merge(notices, full=advance_vc, skip_proc=node_id)
+        run_proc = run_idx = -1
         for notice in notices:
             proc = notice.proc
             if proc == node_id:
                 continue
             interval_idx = notice.interval_idx
             page_id = notice.page_id
+            new_run = interval_idx != run_idx or proc != run_proc
             if san_on:
+                # Per notice, so the check count and the transition ring
+                # read as they always have.
                 san.on_write_notice(node_id, proc, interval_idx, page_id)
-            # Page-filtered sets stay out of the per-proc log (see
-            # WriteNoticeLog.add): they must not be forwarded by grants
-            # nor advance any vector clock.
-            add_notice(notice, full=advance_vc)
-            if advance_vc:
-                if san_on:
+                if advance_vc:
                     old = vc[proc]
                     vc.observe(proc, interval_idx)
                     san.on_vc_update(node_id, proc, old, vc[proc])
-                else:
-                    vc.observe(proc, interval_idx)
-            observe_lamport(notice.lamport)
+            elif new_run and advance_vc:
+                vc.observe(proc, interval_idx)
+            if new_run:
+                run_proc, run_idx = proc, interval_idx
+                observe_lamport(notice.lamport)
             coherence(page_id).note_write_notice(proc, interval_idx)
             if prefetch is not None:
                 prefetch.on_invalidation(page_id)
@@ -424,8 +430,8 @@ class LrcBackend(CoherenceBackend):
         fault_started = self.sim.now
         if pf.enabled:
             pf.entity_add("page", page_id, "faults")
-        fault_id = f"n{self.node_id}:f{self.host.faults}"
         if tr.enabled:
+            fault_id = f"n{self.node_id}:f{self.host.faults}"
             tr.async_begin(
                 self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
             )

@@ -43,45 +43,63 @@ class WriteNoticeLog:
         # grant forwarding the holey knowledge advances the receiver's
         # clock past a notice it never saw, losing it permanently.
         self._by_proc: list[list[WriteNotice]] = [[] for _ in range(num_nodes)]
-        #: per-page history (full + page-filtered) for reply closure.
-        self._by_page: dict[int, list[WriteNotice]] = {}
-        # O(1) duplicate detection per structure.
-        self._seen_full: set[tuple[int, int, int]] = set()
-        self._seen_page: set[tuple[int, int, int]] = set()
+        #: interval indices held in ``_by_proc``, per proc.  The interval
+        #: is the unit of a full transfer: every source of one
+        #: (``unseen_by``, ``own_notices_after``, an interval close) hands
+        #: over whole intervals, contiguous in the batch, so holding an
+        #: index means holding all of its notices.
+        self._full: list[set[int]] = [set() for _ in range(num_nodes)]
+        #: per-page history (full + page-filtered) for reply closure:
+        #: page -> (proc, interval_idx) -> notice, in arrival order.
+        self._by_page: dict[int, dict[tuple[int, int], WriteNotice]] = {}
 
-    def add(self, notice: WriteNotice, full: bool = True) -> bool:
-        """Insert a notice; returns False if it was already known.
+    def merge(self, notices: list[WriteNotice], full: bool = True, skip_proc: int = -1) -> None:
+        """Insert a batch, deciding once per run of equal ``(proc, interval_idx)``.
 
         ``full=False`` marks a page-filtered source (a diff reply): the
-        notice enters only the per-page history, never the per-proc log.
+        notices enter only the per-page history, never the per-proc log.
+        Runs from ``skip_proc`` (the receiver's own notices) are ignored.
         """
-        key = (notice.proc, notice.interval_idx, notice.page_id)
-        if key not in self._seen_page:
-            self._seen_page.add(key)
-            history = self._by_page.get(notice.page_id)
-            if history is None:
-                self._by_page[notice.page_id] = [notice]
+        # A hand-rolled run scan: ``itertools.groupby`` reads better but
+        # builds a key tuple per notice and measured 8-30 % slower here.
+        by_page = self._by_page
+        count = len(notices)
+        start = 0
+        while start < count:
+            first = notices[start]
+            proc = first.proc
+            idx = first.interval_idx
+            end = start + 1
+            while end < count:
+                notice = notices[end]
+                if notice.interval_idx != idx or notice.proc != proc:
+                    break
+                end += 1
+            run = notices[start:end]
+            start = end
+            if proc == skip_proc:
+                continue
+            key = (proc, idx)
+            for notice in run:
+                history = by_page.get(notice.page_id)
+                if history is None:
+                    by_page[notice.page_id] = {key: notice}
+                elif key not in history:
+                    history[key] = notice
+            if not full or idx in self._full[proc]:
+                continue
+            self._full[proc].add(idx)
+            known = self._by_proc[proc]
+            if known and known[-1].interval_idx > idx:
+                # Out-of-order arrival of a missed older interval.
+                at = bisect.bisect_right(known, idx, key=lambda n: n.interval_idx)
+                known[at:at] = run
             else:
-                history.append(notice)
-        if not full:
-            return False
-        if key in self._seen_full:
-            return False
-        self._seen_full.add(key)
-        known = self._by_proc[notice.proc]
-        if known and known[-1].interval_idx > notice.interval_idx:
-            # Out-of-order arrival of a missed older notice.
-            bisect.insort(known, notice, key=lambda n: n.interval_idx)
-        else:
-            known.append(notice)
-        return True
+                known.extend(run)
 
     def notices_for_page(self, page_id: int) -> list[WriteNotice]:
         """Every notice known for one page (all writers)."""
-        return list(self._by_page.get(page_id, ()))
-
-    def add_all(self, notices: list[WriteNotice]) -> int:
-        return sum(1 for notice in notices if self.add(notice))
+        return list(self._by_page.get(page_id, {}).values())
 
     def notices_from(self, proc: int) -> list[WriteNotice]:
         return list(self._by_proc[proc])
@@ -103,19 +121,16 @@ class WriteNoticeLog:
         return sum(len(known) for known in self._by_proc)
 
     def snapshot_state(self) -> dict:
-        # WriteNotice is frozen: lists/sets are copied, entries shared.
+        # WriteNotice is frozen: containers are copied, entries shared.
         return {
             "by_proc": [list(known) for known in self._by_proc],
-            "by_page": {pid: list(ns) for pid, ns in self._by_page.items()},
-            "seen_full": set(self._seen_full),
-            "seen_page": set(self._seen_page),
+            "by_page": {pid: dict(ns) for pid, ns in self._by_page.items()},
         }
 
     def restore_state(self, snap: dict) -> None:
         self._by_proc = [list(known) for known in snap["by_proc"]]
-        self._by_page = {pid: list(ns) for pid, ns in snap["by_page"].items()}
-        self._seen_full = set(snap["seen_full"])
-        self._seen_page = set(snap["seen_page"])
+        self._full = [{n.interval_idx for n in known} for known in self._by_proc]
+        self._by_page = {pid: dict(ns) for pid, ns in snap["by_page"].items()}
 
     @staticmethod
     def wire_bytes(notices: list[WriteNotice]) -> int:

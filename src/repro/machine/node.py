@@ -52,6 +52,10 @@ class Node:
         self.breakdown = TimeBreakdown()
         self.events = EventCounters()
         self.cpu = Resource(sim, capacity=1, name=f"cpu[{node_id}]")
+        # The handler processes' name and cancellation group, built once
+        # rather than per arriving message.
+        self._group = f"node{node_id}"
+        self._handler_name = f"handler[{node_id}]"
         #: Set by the scheduler: multithreaded nodes pay an extra signal
         #: cost per asynchronous message arrival.
         self.mt_mode = False
@@ -99,13 +103,15 @@ class Node:
             yield cpu.acquire(priority)
         try:
             started = self.sim.now
-            yield self.sim.timeout(duration)
+            # A hold: one heap entry, no event object.  The kernel takes
+            # floats only; callers may charge an int (``Compute(100)``).
+            yield float(duration)
             self.breakdown.charge(category, duration)
             if self.sim.trace_on:
                 tr = self.sim.trace
                 # One cpu slice per charge: the PhaseTimeline audit
                 # rebuilds the TimeBreakdown from exactly these events.
-                # The start is captured *before* the timeout, not derived
+                # The start is captured *before* the hold, not derived
                 # as ``now - duration``: float subtraction would not
                 # round-trip, and the critical-path builder matches slice
                 # boundaries against message timestamps bit-exactly.
@@ -147,17 +153,12 @@ class Node:
                 self.sim,
                 self._discard_corrupt(message),
                 name=f"checksum[{self.node_id}]",
-                group=f"node{self.node_id}",
+                group=self._group,
             )
             return
         if self.message_observer is not None:
             self.message_observer(message)
-        spawn(
-            self.sim,
-            self._handle(message),
-            name=f"handler[{self.node_id}]",
-            group=f"node{self.node_id}",
-        )
+        spawn(self.sim, self._handle(message), name=self._handler_name, group=self._group)
 
     def _charge_receive(self) -> Generator[Event, Any, None]:
         recv_cost = self.costs.msg_recv_cpu

@@ -146,7 +146,7 @@ class Link:
         if not message.reliable and self._queued_bytes + wire > config.queue_capacity_bytes:
             self.messages_dropped += 1
             return False
-        serialization = config.serialization_us(message.size_bytes)
+        serialization = wire * 8 / config.bandwidth_mbps  # = config.serialization_us(size)
         # The same float additions, in the same order, as a transmitter
         # that slept ``serialization`` and then scheduled the delivery.
         busy_until = self._busy_until

@@ -16,7 +16,7 @@ cannot buy back —
 
 - heap entries are plain ``(time, seq, fn, args)`` tuples; ``schedule``
   never allocates a closure per call;
-- zero-delay scheduling (process starts, interrupts, same-tick wakeups)
+- zero-delay scheduling (process starts, same-tick wakeups)
   bypasses the heap entirely via a FIFO of "run at the current time"
   entries, preserving exact global (time, seq) ordering;
 - :class:`Event` and its subclasses are ``__slots__``-based, and
@@ -141,7 +141,7 @@ class Timeout(Event):
         # A static name: formatting the delay per instance would cost an
         # f-string on one of the hottest allocation sites in a run.
         super().__init__(sim, name="timeout")
-        sim.schedule(delay, self.succeed, value)  # rejects a negative delay
+        sim.schedule(delay, self.succeed, value)  # rejects a negative or NaN delay
 
 
 class Condition(Event):
@@ -319,15 +319,15 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` microseconds of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0:
+        if delay > 0:
+            heapq.heappush(self._heap, (self.now + delay, next(self._sequence), fn, args))
+        elif delay == 0:
             # Fast path: runs at the current time, after everything
             # already queued for it (the fresh sequence number is larger
             # than every pending entry's), so FIFO order is exact.
             self._nowq.append((next(self._sequence), fn, args))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, next(self._sequence), fn, args))
+        else:  # negative, or NaN (which would corrupt the heap's order)
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time ``time``, for callers that

@@ -2,14 +2,17 @@
 
 A *process* is a Python generator that yields :class:`~repro.sim.core.Event`
 objects; the process resumes — receiving the event's value — when the
-event triggers.  Processes are themselves events, succeeding with the
-generator's return value, so they compose (a process can wait on another
-process, or on ``AllOf`` over several).
+event triggers.  It may also yield a plain non-negative ``float``, a
+*hold*: "resume me after this many microseconds", costing one heap entry
+and no event object (``sim.timeout`` stays for waits that need a value
+or take part in ``AnyOf``/``AllOf``).  Processes are themselves events,
+succeeding with the generator's return value, so they compose (a process
+can wait on another process, or on ``AllOf`` over several).
 
 Example::
 
     def worker(sim):
-        yield sim.timeout(5)
+        yield 5.0
         result = yield sim.timeout(3, value="done")
         return result
 
@@ -34,13 +37,22 @@ from repro.sim.core import Event, Simulator
 
 __all__ = ["Process", "spawn"]
 
-ProcessGenerator = Generator[Event, Any, Any]
+ProcessGenerator = Generator[Event | float, Any, Any]
 
 
 class Process(Event):
     """Wraps a generator; succeeds with the generator's return value."""
 
-    __slots__ = ("_generator", "_waiting_on", "_cancelled", "group", "daemon", "_handle", "_wake")
+    __slots__ = (
+        "_generator",
+        "_waiting_on",
+        "_cancelled",
+        "group",
+        "daemon",
+        "_handle",
+        "_wake",
+        "_step",
+    )
 
     def __init__(
         self,
@@ -62,12 +74,14 @@ class Process(Event):
         #: and do not count as deadlocked when the event heap drains.
         self.daemon = daemon
         self._handle = sim._register_process(self)
-        # One bound wake-up method for the process's whole life, not one
-        # per wait; dropped at the end so it leaves no reference cycle.
+        # One bound wake-up and one bound step method for the process's
+        # whole life, not one per wait or hold; dropped at the end so they
+        # leave no reference cycle.
         self._wake = self._on_event
+        self._step = self._resume
         # Start on the next scheduler tick so the creator finishes its
         # own setup first (matches SimPy semantics).
-        sim.schedule(0.0, self._resume, None, None)
+        sim.schedule(0.0, self._step, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -81,7 +95,7 @@ class Process(Event):
 
     def _dispatch(self) -> None:
         self.sim._unregister_process(self._handle)
-        self._wake = None
+        self._wake = self._step = None
         super()._dispatch()
 
     def _resume(self, value: Any, exception: BaseException | None) -> None:
@@ -105,36 +119,38 @@ class Process(Event):
                     return
                 self.sim._unregister_process(self._handle)
                 raise
-            if not isinstance(target, Event):
-                self.fail(
-                    SimulationError(
-                        f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
-                    )
+            if isinstance(target, float):
+                # A hold takes its sequence number here, where the
+                # ``Timeout`` it replaces took its own: same (time, seq).
+                if target >= 0.0:  # false for NaN
+                    self.sim.schedule(target, self._step, None, None)
+                    return
+            elif isinstance(target, Event):
+                if not target.triggered:
+                    self._waiting_on = target
+                    target._callbacks.append(self._wake)
+                    return
+                value, exception = target._value, target._exception
+                continue
+            self.fail(
+                SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must yield "
+                    "an Event or a non-negative float"
                 )
-                return
-            if not target.triggered:
-                self._waiting_on = target
-                target._callbacks.append(self._wake)
-                return
-            value, exception = target._value, target._exception
+            )
+            return
 
     def _on_event(self, event: Event) -> None:
         self._waiting_on = None
         self._resume(event._value, event._exception)
 
-    def interrupt(self, exception: BaseException | None = None) -> None:
-        """Throw an exception into the process at its current yield point."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        exc = exception if exception is not None else SimulationError("interrupted")
-        self.sim.schedule(0.0, self._resume, None, exc)
-
     def cancel(self) -> None:
         """Stop the process without triggering it as an event.
 
         The generator is closed *now* so its ``finally`` blocks run at a
-        deterministic point; any callbacks those blocks fire land on a
-        process already marked cancelled, whose ``_resume`` is a no-op.
+        deterministic point; any callbacks those blocks fire — and the
+        pending step of a hold — land on a process already marked
+        cancelled, whose ``_resume`` is a no-op.
         The process never succeeds nor fails — waiters are abandoned, so
         cancellation is reserved for teardown paths (crash rollback)
         where the waiters are being discarded too.  Group teardown uses
@@ -148,7 +164,7 @@ class Process(Event):
             return
         self._cancelled = True
         self._waiting_on = None
-        self._wake = None
+        self._wake = self._step = None
         self.sim._unregister_process(self._handle)
 
     def _close_generator(self) -> None:

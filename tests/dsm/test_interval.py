@@ -27,13 +27,23 @@ def test_take_dirty_clears():
 
 
 def test_close_emits_sorted_notices_and_bumps_lamport():
-    manager = IntervalManager(owner=2)
+    from repro.api.runtime import DsmRuntime, RunConfig
+
+    backend = DsmRuntime(RunConfig(num_nodes=4)).dsm_nodes[2].backend
+    manager = backend.intervals
     manager.record_write(9)
     manager.record_write(3)
     before = manager.lamport
-    notices = manager.close(new_interval_idx=4)
-    assert manager.lamport == before + 1
-    assert [(n.proc, n.interval_idx, n.page_id) for n in notices] == [(2, 4, 3), (2, 4, 9)]
+    notices = backend._close_interval()
+    assert manager.lamport == before + 1 and not manager.has_modifications
+    assert [(n.proc, n.interval_idx, n.lamport, n.page_id) for n in notices] == [
+        (2, 1, before + 1, 3),
+        (2, 1, before + 1, 9),
+    ]
+    assert backend.vc[2] == 1
+    assert backend.wn_log.own_notices_after(2, 0) == notices  # logged as one whole interval
+    assert backend._close_interval() == []  # nothing written: no interval, no clock bump
+    assert backend.vc[2] == 1 and manager.lamport == before + 1
 
 
 def test_observe_lamport_keeps_max():
@@ -58,14 +68,3 @@ def test_diff_store_latest_coverage():
     assert store.latest_coverage(0) == 0
     store.add(stored(0, covers=2, lamport=1))
     assert store.latest_coverage(0) == 2
-
-
-def test_diff_store_garbage_collection():
-    store = DiffStore()
-    store.add(stored(0, covers=1, lamport=1))
-    store.add(stored(0, covers=5, lamport=2))
-    bytes_before = store.total_diff_bytes
-    reclaimed = store.garbage_collect_before(0, 1)
-    assert reclaimed > 0
-    assert store.total_diff_bytes == bytes_before - reclaimed
-    assert len(store.diffs_after(0, 0)) == 1

@@ -129,12 +129,15 @@ def test_cost_model_helpers():
 
 
 def _occupy_via_events(node, duration, category, priority):
-    """``Node.occupy`` as it was before the in-place grant: always an
-    acquire event, even on a free CPU."""
+    """``Node.occupy`` as it was before the in-place grant and the hold:
+    always an acquire event, even on a free CPU, and a ``Timeout`` object
+    per charge."""
     yield node.cpu.acquire(priority)
     try:
+        started = node.sim.now
         yield node.sim.timeout(duration)
         node.breakdown.charge(category, duration)
+        node.sim.trace.slice(started, duration, "cpu", category.value, node.node_id)
     finally:
         node.cpu.release()
 
@@ -143,14 +146,17 @@ def _occupy_via_events(node, duration, category, priority):
 def test_in_place_grant_matches_event_grant(seed):
     """The same random mix of idle-CPU and contended charges, once through
     ``occupy`` and once through an always-an-event reference: identical
-    grant counts, wait time, breakdown and per-worker finish times."""
+    grant counts, wait time, breakdown, per-worker finish times, cpu trace
+    slices and handled-event count."""
     import random
 
     from repro.machine.node import HANDLER_PRIORITY, THREAD_PRIORITY
+    from repro.trace import Tracer
 
     def run(occupy):
         rng = random.Random(seed)
         cluster = Cluster(num_nodes=2)
+        cluster.sim.trace = Tracer()
         node = cluster.node(0)
         finished = []
 
@@ -166,12 +172,21 @@ def test_in_place_grant_matches_event_grant(seed):
             spawn(cluster.sim, worker(tag))
         cluster.run()
         cpu = node.cpu
-        return finished, cpu.total_grants, cpu.total_wait_time, dict(node.breakdown.times), cpu.in_use
+        slices = [(e.ts, e.dur, e.name, e.node) for e in cluster.sim.trace]
+        return (
+            finished,
+            cpu.total_grants,
+            cpu.total_wait_time,
+            dict(node.breakdown.times),
+            cpu.in_use,
+            slices,
+        )
 
     fast = run(lambda node, *args: node.occupy(*args))
     reference = run(_occupy_via_events)
     assert fast == reference
     assert fast[2] > 0  # the mix did contend
+    assert len(fast[5]) == fast[1]  # one slice per charge
 
 
 def test_uncontended_occupy_allocates_no_acquire_event(monkeypatch):
@@ -187,6 +202,50 @@ def test_uncontended_occupy_allocates_no_acquire_event(monkeypatch):
     cluster.run()
     assert node.cpu.total_grants == 2 and node.cpu.total_wait_time == 0.0
     assert node.cpu.in_use == 0
+
+
+def test_occupy_holds_without_a_timeout_object(monkeypatch):
+    cluster = Cluster(num_nodes=2)
+    node = cluster.node(0)
+    monkeypatch.setattr(cluster.sim, "timeout", lambda *a, **k: pytest.fail("Timeout per charge"))
+
+    def work():
+        yield from node.occupy(10.0, Category.BUSY)
+        yield from node.occupy(5, Category.DSM)  # callers may charge an int
+
+    proc = spawn(cluster.sim, work())
+    cluster.run()
+    assert proc.ok and cluster.sim.now == 15.0
+    assert node.breakdown.times[Category.BUSY] == 10.0
+    assert node.breakdown.times[Category.DSM] == 5
+    assert cluster.sim.events_handled == 3  # the start tick and one entry per hold
+
+
+def test_cancel_group_on_a_holding_charge_releases_the_cpu_once(monkeypatch):
+    cluster = Cluster(num_nodes=2)
+    node = cluster.node(0)
+    sim = cluster.sim
+    releases = []
+    release = node.cpu.release
+    monkeypatch.setattr(node.cpu, "release", lambda: (releases.append(sim.now), release()))
+
+    def work():
+        yield from node.occupy(100.0, Category.BUSY)
+
+    spawn(sim, work(), group="node0")
+    sim.run(until=30.0)
+    assert node.cpu.in_use == 1
+    sim.cancel_group("node0")
+    assert releases == [30.0] and node.cpu.in_use == 0
+    handled = sim.events_handled
+    cluster.run()  # the cancelled hold's step pops at t=100 and does nothing
+    assert sim.events_handled == handled + 1
+    assert releases == [30.0]
+    assert node.breakdown.times[Category.BUSY] == 0.0  # the charge never completed
+
+    spawn(sim, work(), group="node0")  # the same CPU serves the next charge
+    cluster.run()
+    assert releases == [30.0, 200.0] and node.cpu.total_grants == 2
 
 
 def test_handler_overtakes_a_queued_thread():

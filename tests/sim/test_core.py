@@ -37,6 +37,18 @@ def test_schedule_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+def test_schedule_nan_delay_rejected():
+    """``nan < 0`` and ``nan == 0`` are both false: a NaN delay used to be
+    heap-pushed at time NaN, which compares false against everything and
+    silently breaks the heap's ordering."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.timeout(float("nan"))
+    assert not sim._heap and not sim._nowq
+
+
 def test_run_until_stops_before_future_events():
     sim = Simulator()
     fired = []

@@ -123,32 +123,128 @@ def test_yielding_non_event_fails_the_process():
         _ = proc.value
 
 
-def test_interrupt_throws_into_process():
+@pytest.mark.parametrize(
+    "bad", [True, -1.0, float("nan"), float("-inf"), "5.0", None], ids=repr
+)
+def test_bad_yields_fail_the_process(bad):
+    """The contract is "an Event or a non-negative float": ``bool`` and
+    ``int`` are not holds, and a negative or NaN hold never reaches the
+    heap."""
+    sim = Simulator()
+
+    def body():
+        yield bad
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert proc.triggered and not proc.ok
+    with pytest.raises(SimulationError, match="non-negative float"):
+        _ = proc.value
+    assert sim.events_handled == 1  # the start tick only: nothing was scheduled
+
+
+def test_hold_resumes_after_the_delay_with_no_value():
     sim = Simulator()
     log = []
 
     def body():
-        try:
-            yield sim.timeout(100.0)
-        except SimulationError:
-            log.append(("interrupted", sim.now))
-
-    proc = spawn(sim, body())
-    sim.schedule(5.0, proc.interrupt)
-    sim.run(until=20.0)
-    assert log == [("interrupted", 5.0)]
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(1.0)
+        got = yield 5.0
+        log.append((sim.now, got))
+        got = yield 0.0  # a zero hold is one same-tick step, like timeout(0)
+        log.append((sim.now, got))
+        return "done"
 
     proc = spawn(sim, body())
     sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
+    assert log == [(5.0, None), (5.0, None)]
+    assert proc.value == "done"
+    assert sim.events_handled == 3  # start + two holds: one entry per hold
+
+
+def _mixed_run(seed, wait):
+    """A seeded mix of processes whose pure delays go through ``wait``,
+    interleaved with zero-delay schedules, ``schedule_at`` ties on the
+    instants the processes wake at, event hand-offs and bounded runs."""
+    import random
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    log = []
+    delays = [0.0, 0.0, 1.0, 2.5, 2.5, 7.0]  # repeats make same-instant ties common
+
+    def poke(tag):
+        log.append((sim.now, "poke", tag))
+
+    def worker(tag, mailbox):
+        for step in range(rng.randrange(2, 7)):
+            choice = rng.random()
+            if choice < 0.6:
+                yield wait(sim, rng.choice(delays))
+            elif choice < 0.75:
+                got = yield sim.timeout(rng.choice(delays), value=(tag, step))
+                log.append((sim.now, "value", got))
+            elif choice < 0.9:
+                sim.schedule(0.0, poke, (tag, step))
+                sim.schedule_at(sim.now + rng.choice(delays), poke, (tag, step, "at"))
+            else:
+                yield mailbox
+            log.append((sim.now, "step", tag, step))
+        return tag
+
+    mailbox = sim.event()
+    procs = [spawn(sim, worker(tag, mailbox)) for tag in range(8)]
+    sim.schedule(4.0, mailbox.succeed, "mail")
+    for bound in (1.0, 2.5, 6.0):
+        sim.run(until=bound)
+        log.append((sim.now, "bound", sim.events_handled))
+    sim.run()
+    return log, sim.events_handled, sim.now, [p.value for p in procs]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hold_takes_the_sequence_slot_of_the_timeout_it_replaces(seed):
+    """``yield d`` and ``yield sim.timeout(d)`` order identically against
+    everything else on the heap and the zero-delay queue, and cost the
+    same number of handled events."""
+    held = _mixed_run(seed, lambda sim, delay: delay)
+    timed = _mixed_run(seed, lambda sim, delay: sim.timeout(delay))
+    assert held == timed
+    assert any(entry[1] == "poke" for entry in held[0])
+
+
+def test_cancel_group_turns_a_pending_hold_into_a_no_op():
+    sim = Simulator()
+    log = []
+
+    def body(tag):
+        try:
+            yield 10.0
+            log.append(("resumed", tag))
+        finally:
+            log.append(("closed", tag, sim.now))
+
+    victim = spawn(sim, body("victim"), group="node0")
+    spawn(sim, body("bystander"), group="node1")
+    sim.run(until=4.0)
+    assert sim.cancel_groups(["node0"]) == 1
+    assert log == [("closed", "victim", 4.0)]  # the finally ran at the cancel
+    assert not victim.is_alive and not victim.triggered
+    before = sim.events_handled
+    sim.run()
+    # The victim's step still pops at t=10 and does nothing.
+    assert sim.events_handled == before + 2
+    assert log == [("closed", "victim", 4.0), ("resumed", "bystander"), ("closed", "bystander", 10.0)]
+
+
+def test_finished_process_keeps_no_bound_methods():
+    sim = Simulator()
+
+    def body():
+        yield 1.0
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert proc._wake is None and proc._step is None  # no reference cycle
 
 
 def test_is_alive_tracks_lifecycle():
