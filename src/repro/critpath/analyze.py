@@ -8,21 +8,28 @@ retransmission wait), or — if nothing in the trace explains the gap —
 an ``unattributed`` filler that keeps the path contiguous instead of
 inventing causality.  The resulting path is a time-contiguous partition
 of ``[0, wall]``, so its length telescopes to the wall clock *exactly*
-(all arithmetic over :class:`fractions.Fraction` of the float
-timestamps, which are exact rationals) and the per-category blame sums
-to the path length by construction.  The same graph, with edge weights
-reduced, yields the what-if projections: a longest-path DP whose
-weights never exceed the measured ones, so every projection is a lower
+and the per-category blame sums to the path length by construction.
+
+Exactness is kept on integer *ticks* (:mod:`repro.critpath.ticks`):
+every float timestamp is a dyadic rational, so one trace has a common
+power-of-two denominator, and on that grid every width, sum and
+comparison below is a plain ``int`` operation.  A result leaves as
+``ticks / 2**shift``, which is the correctly rounded float of the exact
+value.  The same graph, built once as a flat DAG with integer weights,
+yields the what-if projections: a longest-path DP per scenario in which
+some wires or slices weigh nothing, so every projection is a lower
 bound on the run it was computed from.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.critpath.pag import ProgramActivityGraph, Slice, WireEdge, build_pag
+from repro.critpath.ticks import TickScale
 
 __all__ = ["PathSegment", "CritpathResult", "analyze_events", "analyze_pag"]
 
@@ -47,10 +54,6 @@ class PathSegment:
     node: Optional[int] = None
     dst: Optional[int] = None
     entity: Optional[str] = None
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.t1) - Fraction(self.t0)
 
 
 def _walk(pag: ProgramActivityGraph) -> list[PathSegment]:
@@ -123,145 +126,184 @@ def _timeout_source(pag: ProgramActivityGraph, node: int, t: float) -> Optional[
         sends = pag.sends_by_key.get((node, dst, seq))
         if not sends:
             continue
-        from bisect import bisect_left
-
         i = bisect_left(sends, t) - 1
         if i >= 0 and sends[i] < t:
             return sends[i]
     return None
 
 
+# -- the tick grid ---------------------------------------------------------
+
+
+def _tick_scale(pag: ProgramActivityGraph) -> TickScale:
+    """One pass over every timestamp the walk, the DP or the epochs read."""
+    stamps: list[float] = [0.0, pag.wall]
+    for chain in pag.slices.values():
+        stamps += [sl.start for sl in chain]
+        stamps += [sl.end for sl in chain]
+    stamps += [w.send_ts for w in pag.wires]
+    stamps += [w.deliver_ts for w in pag.wires]
+    for by_ts in pag.timeouts.values():
+        stamps += by_ts
+    for sends in pag.sends_by_key.values():
+        stamps += sends
+    stamps += pag.barrier_releases
+    stamps += pag.finish_ts.values()
+    return TickScale(stamps)
+
+
 # -- what-if projections (forward longest-path DP) -------------------------
 
 
-def _longest_path(
-    pag: ProgramActivityGraph,
-    wire_weight,
-    slice_weight,
-) -> Fraction:
-    """Longest path through the PAG under the given edge weights.
+@dataclass(slots=True)
+class _Dag:
+    """The PAG flattened for the DP: slices by position in one
+    topological order, weights in ticks, in-edges already resolved.
 
     Slices sorted by original start time are a valid topological order:
     every in-edge of a slice comes from a strictly earlier-starting
     slice (same-node predecessor, a sender whose charge ended at or
-    before this slice's start, or a previous transmission).  Weights
-    must never exceed the real intervals, which keeps every projection
-    a lower bound on the measured wall clock.
+    before this slice's start, or a previous transmission).
     """
-    order: list[tuple[float, int, int]] = []
-    for node, chain in pag.slices.items():
-        for i, sl in enumerate(chain):
-            order.append((sl.start, node, i))
-    order.sort()
 
-    # Map each delivery/timeout to the first slice with start >= its ts.
-    from bisect import bisect_left
+    #: position -> the slice, its node and its width.
+    slices: list[Slice] = field(default_factory=list)
+    nodes: list[int] = field(default_factory=list)
+    slice_w: list[int] = field(default_factory=list)
+    #: position -> position of the previous slice on the same node (-1: none).
+    prev: list[int] = field(default_factory=list)
+    #: position -> ``(source position, send instant, edge index)`` per
+    #: delivery or timeout landing on that slice.  Source -1 means the
+    #: sender boundary is unknown (e.g. an uncharged control send): the
+    #: edge anchors at its absolute send instant, which can only make a
+    #: projection larger, never smaller.
+    in_edges: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
+    #: edge index -> width, and the wire (None for a timeout wait).
+    edge_w: list[int] = field(default_factory=list)
+    edge_wire: list[Optional[WireEdge]] = field(default_factory=list)
+    #: positions the run ends at: each node's scheduler-finish anchor.
+    targets: list[int] = field(default_factory=list)
 
-    incoming_wires: dict[tuple[int, int], list[WireEdge]] = {}
-    for wire in pag.wires:
-        starts = pag.starts.get(wire.dst)
-        if not starts:
-            continue
-        j = bisect_left(starts, wire.deliver_ts)
-        if j < len(starts):
-            incoming_wires.setdefault((wire.dst, j), []).append(wire)
-    incoming_timeouts: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+def _build_dag(pag: ProgramActivityGraph, ticks: TickScale) -> _Dag:
+    of = ticks.of
+    order = sorted(
+        (sl.start, node, i)
+        for node, chain in pag.slices.items()
+        for i, sl in enumerate(chain)
+    )
+    dag = _Dag()
+    pos_of: dict[int, list[int]] = {node: [0] * len(c) for node, c in pag.slices.items()}
+    last: dict[int, int] = {}
+    for p, (_start, node, i) in enumerate(order):
+        sl = pag.slices[node][i]
+        pos_of[node][i] = p
+        dag.slices.append(sl)
+        dag.nodes.append(node)
+        dag.slice_w.append(of[sl.end] - of[sl.start])
+        dag.prev.append(last.get(node, -1))
+        last[node] = p
+
+    # Every delivery, and every timeout with the earlier transmission
+    # it waited on: (dst, src, sent, landed, wire).
+    edges = [(w.dst, w.src, w.send_ts, w.deliver_ts, w) for w in pag.wires]
     for node, by_ts in pag.timeouts.items():
-        starts = pag.starts.get(node)
-        if not starts:
-            continue
         for ts in by_ts:
             prev_tx = _timeout_source(pag, node, ts)
-            if prev_tx is None:
-                continue
-            j = bisect_left(starts, ts)
-            if j < len(starts):
-                incoming_timeouts.setdefault((node, j), []).append((prev_tx, ts))
+            if prev_tx is not None:
+                edges.append((node, node, prev_tx, ts, None))
+    for dst, src, sent, landed, wire in edges:
+        # The edge enters the first slice on ``dst`` starting at or
+        # after ``landed``; its source is the slice whose charge ended
+        # exactly at ``sent`` on ``src``.
+        starts = pag.starts.get(dst)
+        if not starts:
+            continue
+        j = bisect_left(starts, landed)
+        if j == len(starts):
+            continue
+        src_idx = pag.ends_index.get(src, {}).get(sent)
+        src_pos = -1 if src_idx is None else pos_of[src][src_idx]
+        dag.in_edges.setdefault(pos_of[dst][j], []).append(
+            (src_pos, of[sent], len(dag.edge_w))
+        )
+        dag.edge_w.append(of[landed] - of[sent])
+        dag.edge_wire.append(wire)
 
-    dist_end: dict[tuple[int, int], Fraction] = {}
-    chain_dist: dict[int, Fraction] = {}
-    zero = Fraction(0)
-    for _start, node, i in order:
-        sl = pag.slices[node][i]
-        d = chain_dist.get(node, zero)  # same-node order edge, weight 0
-        for wire in incoming_wires.get((node, i), ()):
-            src_idx = pag.ends_index.get(wire.src, {}).get(wire.send_ts)
-            if src_idx is None:
-                # Sender boundary unknown (e.g. an uncharged control
-                # send): anchor at its absolute timestamp, which can
-                # only make the projection larger, never smaller.
-                src_d = Fraction(wire.send_ts)
-            else:
-                src_d = dist_end.get((wire.src, src_idx), Fraction(wire.send_ts))
-            cand = src_d + wire_weight(wire)
-            if cand > d:
-                d = cand
-        for prev_tx, ts in incoming_timeouts.get((node, i), ()):
-            src_idx = pag.ends_index.get(node, {}).get(prev_tx)
-            src_d = (
-                dist_end[(node, src_idx)] if src_idx is not None else Fraction(prev_tx)
-            )
-            cand = src_d + (Fraction(ts) - Fraction(prev_tx))
-            if cand > d:
-                d = cand
-        de = d + slice_weight(sl)
-        dist_end[(node, i)] = de
-        chain_dist[node] = de
     # The run ends at the scheduler-finish anchors, NOT at the latest
     # charge: trailing transport acks run after the wall clock and are
     # off-path by definition.  Each finish instant is the end of that
     # node's last scheduler-side charge, so anchor the target there.
-    best = zero
-    anchored = False
     for node, finish in pag.finish_ts.items():
         idx = pag.ends_index.get(node, {}).get(finish)
         if idx is None:
             idx = pag.slice_index_before(node, finish)
-        d = dist_end.get((node, idx))
-        if d is not None:
-            anchored = True
-            if d > best:
-                best = d
-    if not anchored and dist_end:  # old trace without sched_finish markers
-        best = max(dist_end.values())
-    return best
+        if idx >= 0:
+            dag.targets.append(pos_of[node][idx])
+    if not dag.targets:  # old trace without sched_finish markers
+        dag.targets = list(range(len(order)))
+    return dag
 
 
-def _real_wire(w: WireEdge) -> Fraction:
-    return Fraction(w.deliver_ts) - Fraction(w.send_ts)
+def _longest_path(
+    dag: _Dag,
+    wire_free: Optional[Callable[[WireEdge], bool]] = None,
+    slice_free: Optional[Callable[[Slice], bool]] = None,
+) -> int:
+    """Longest path through the DAG, in ticks, with the wires and slices
+    the predicates select weighing nothing (``None`` frees none).
+
+    Weights never exceed the real intervals, which keeps every
+    projection a lower bound on the measured wall clock.  Timeout waits
+    are never free: no latency-tolerance technique shortens an RTO.
+    """
+    edge_w = dag.edge_w
+    if wire_free is not None:
+        edge_w = [
+            0 if wire is not None and wire_free(wire) else w
+            for wire, w in zip(dag.edge_wire, edge_w)
+        ]
+    slice_w = dag.slice_w
+    if slice_free is not None:
+        slice_w = [0 if slice_free(sl) else w for sl, w in zip(dag.slices, slice_w)]
+    in_edges = dag.in_edges.get
+    dist_end: list[int] = []
+    for p, q in enumerate(dag.prev):
+        d = dist_end[q] if q >= 0 else 0  # same-node order edge, weight 0
+        for src, sent, k in in_edges(p, ()):
+            # A source at or after p (equal starts) is not computed
+            # yet: anchor at the send instant, like an unknown one.
+            cand = (dist_end[src] if 0 <= src < p else sent) + edge_w[k]
+            if cand > d:
+                d = cand
+        dist_end.append(d + slice_w[p])
+    return max((dist_end[p] for p in dag.targets), default=0)
 
 
-def _real_slice(s: Slice) -> Fraction:
-    return Fraction(s.end) - Fraction(s.start)
+#: scenario -> ("this wire is free", "this slice is free"); ``measured``
+#: frees nothing and must reproduce the wall clock.
+_SCENARIOS: dict[str, tuple[Optional[Callable], Optional[Callable]]] = {
+    "measured": (None, None),
+    "zero_latency_network": (lambda wire: True, None),
+    # Prefetch hides demand data movement: diff round trips under
+    # LRC, whole-page fetch legs under HLRC/SC.  Invalidations stay
+    # — no amount of prefetching removes an ownership transfer.
+    "perfect_prefetch": (lambda wire: wire.category in ("diff_rtt", "page_fetch"), None),
+    "zero_cost_switch": (None, lambda sl: sl.name == "mt_overhead"),
+}
 
 
-def _projections(pag: ProgramActivityGraph) -> tuple[dict[str, Fraction], bool]:
-    zero = Fraction(0)
-    measured = _longest_path(pag, _real_wire, _real_slice)
-    scenarios = {
-        "zero_latency_network": _longest_path(pag, lambda w: zero, _real_slice),
-        # Prefetch hides demand data movement: diff round trips under
-        # LRC, whole-page fetch legs under HLRC/SC.  Invalidations stay
-        # — no amount of prefetching removes an ownership transfer.
-        "perfect_prefetch": _longest_path(
-            pag,
-            lambda w: zero if w.category in ("diff_rtt", "page_fetch") else _real_wire(w),
-            _real_slice,
-        ),
-        "zero_cost_switch": _longest_path(
-            pag,
-            _real_wire,
-            lambda s: zero if s.name == "mt_overhead" else _real_slice(s),
-        ),
-    }
-    floor = zero
-    for chain in pag.slices.values():
-        busy = sum((_real_slice(s) for s in chain if s.name == "busy"), zero)
-        if busy > floor:
-            floor = busy
-    scenarios["compute_floor"] = floor
-    dp_identity = measured == Fraction(pag.wall)
-    return scenarios, dp_identity
+def _projections(pag: ProgramActivityGraph, ticks: TickScale) -> tuple[dict[str, int], bool]:
+    """What-if lengths in ticks, and whether ``measured`` hit the wall."""
+    dag = _build_dag(pag, ticks)
+    scenarios = {name: _longest_path(dag, *free) for name, free in _SCENARIOS.items()}
+    measured = scenarios.pop("measured")
+    busy: dict[int, int] = {}
+    for node, sl, w in zip(dag.nodes, dag.slices, dag.slice_w):
+        if sl.name == "busy":
+            busy[node] = busy.get(node, 0) + w
+    scenarios["compute_floor"] = max(busy.values(), default=0)
+    return scenarios, measured == ticks.of[pag.wall]
 
 
 # -- result assembly -------------------------------------------------------
@@ -283,14 +325,12 @@ class CritpathResult:
     dp_identity_exact: bool = False
     epochs_exact: bool = False
     wall_from_finish: bool = True
-
-    @property
-    def path_length(self) -> Fraction:
-        return sum((s.width for s in self.segments), Fraction(0))
+    #: sum of the segments' widths; equals ``wall`` iff the path is exact.
+    path_length: Fraction = field(default_factory=Fraction)
 
     @property
     def unattributed(self) -> Fraction:
-        return self.blame.get("unattributed", Fraction(0))
+        return self.blame.get("unattributed", Fraction())
 
     @property
     def hops(self) -> int:
@@ -328,7 +368,7 @@ class CritpathResult:
         per_node = []
         wall_f = Fraction(self.wall)
         for node in range(self.pag.num_nodes):
-            on = self.on_path.get(node, Fraction(0))
+            on = self.on_path.get(node, 0)
             per_node.append(
                 {
                     "node": node,
@@ -363,36 +403,34 @@ class CritpathResult:
 
 
 def _split_epochs(
-    segments: list[PathSegment], bounds: list[float], wall: float
+    segments: list[PathSegment], bounds: list[float], wall: float, ticks: TickScale
 ) -> tuple[list[dict[str, Any]], bool]:
     """Per-epoch blame tables; exact iff each epoch's blame sums to its span."""
+    of = ticks.of
     edges = [0.0] + [b for b in bounds if 0.0 < b < wall] + [wall]
-    tables: list[dict[str, Fraction]] = [dict() for _ in range(len(edges) - 1)]
-    ent_tables: list[dict[str, Fraction]] = [dict() for _ in range(len(edges) - 1)]
-    from bisect import bisect_right
-
+    edge_t = [of[e] for e in edges]
+    epochs = len(edges) - 1
+    tables: list[dict[str, int]] = [dict() for _ in range(epochs)]
+    ent_tables: list[dict[str, int]] = [dict() for _ in range(epochs)]
     for seg in segments:
-        lo, hi = Fraction(seg.t0), Fraction(seg.t1)
+        lo, hi = of[seg.t0], of[seg.t1]
         # First epoch whose right edge exceeds seg.t0.
-        e = max(0, bisect_right(edges, seg.t0) - 1)
-        e = min(e, len(tables) - 1)
-        while lo < hi and e < len(tables):
-            right = Fraction(edges[e + 1])
-            take = min(hi, right) - lo
+        e = max(0, bisect_right(edge_t, lo) - 1)
+        e = min(e, epochs - 1)
+        while lo < hi and e < epochs:
+            cut = min(hi, edge_t[e + 1])
+            take = cut - lo
             if take > 0:
-                tables[e][seg.category] = tables[e].get(seg.category, Fraction(0)) + take
+                tables[e][seg.category] = tables[e].get(seg.category, 0) + take
                 if seg.entity is not None:
-                    ent_tables[e][seg.entity] = (
-                        ent_tables[e].get(seg.entity, Fraction(0)) + take
-                    )
-            lo = min(hi, right)
+                    ent_tables[e][seg.entity] = ent_tables[e].get(seg.entity, 0) + take
+            lo = cut
             e += 1
     out: list[dict[str, Any]] = []
     exact = True
     for i, table in enumerate(tables):
-        span = Fraction(edges[i + 1]) - Fraction(edges[i])
-        total = sum(table.values(), Fraction(0))
-        if total != span:
+        span = edge_t[i + 1] - edge_t[i]
+        if sum(table.values()) != span:
             exact = False
         waits = {
             k: v for k, v in table.items() if k not in ("cpu", "unattributed")
@@ -413,8 +451,8 @@ def _split_epochs(
                 "epoch": i,
                 "start": edges[i],
                 "end": edges[i + 1],
-                "span_us": float(span),
-                "blame_us": {k: float(v) for k, v in sorted(table.items())},
+                "span_us": ticks.to_float(span),
+                "blame_us": {k: ticks.to_float(v) for k, v in sorted(table.items())},
                 "top_wait": top_wait,
                 "top_entity": top_entity,
             }
@@ -424,30 +462,44 @@ def _split_epochs(
 
 def analyze_pag(pag: ProgramActivityGraph) -> CritpathResult:
     """Run the full analysis over an already-built PAG."""
+    ticks = _tick_scale(pag)
+    of = ticks.of
     segments = _walk(pag)
-    result = CritpathResult(
+    blame: dict[str, int] = {}
+    entities: dict[str, int] = {}
+    on_path: dict[int, int] = {}
+    path = 0
+    for seg in segments:
+        w = of[seg.t1] - of[seg.t0]
+        path += w
+        blame[seg.category] = blame.get(seg.category, 0) + w
+        if seg.entity is not None:
+            entities[seg.entity] = entities.get(seg.entity, 0) + w
+        if seg.dst is None and seg.node is not None:
+            on_path[seg.node] = on_path.get(seg.node, 0) + w
+    wall = of[pag.wall]
+    epochs, epochs_exact = _split_epochs(segments, pag.barrier_releases, pag.wall, ticks)
+    what_if, dp_identity_exact = _projections(pag, ticks)
+    exact = ticks.to_fraction
+    return CritpathResult(
         wall=pag.wall,
         segments=segments,
         pag=pag,
+        blame={k: exact(v) for k, v in blame.items()},
+        entities={k: exact(v) for k, v in entities.items()},
+        on_path={k: exact(v) for k, v in on_path.items()},
+        epochs=epochs,
+        what_if={k: exact(v) for k, v in what_if.items()},
+        identity_exact=(
+            path == wall
+            and sum(blame.values()) == wall
+            and _contiguous(segments, pag.wall)
+        ),
+        dp_identity_exact=dp_identity_exact,
+        epochs_exact=epochs_exact,
         wall_from_finish=bool(pag.finish_ts),
+        path_length=exact(path),
     )
-    for seg in segments:
-        w = seg.width
-        result.blame[seg.category] = result.blame.get(seg.category, Fraction(0)) + w
-        if seg.entity is not None:
-            result.entities[seg.entity] = result.entities.get(seg.entity, Fraction(0)) + w
-        if seg.dst is None and seg.node is not None:
-            result.on_path[seg.node] = result.on_path.get(seg.node, Fraction(0)) + w
-    result.identity_exact = (
-        result.path_length == Fraction(pag.wall)
-        and sum(result.blame.values(), Fraction(0)) == Fraction(pag.wall)
-        and _contiguous(segments, pag.wall)
-    )
-    result.epochs, result.epochs_exact = _split_epochs(
-        segments, pag.barrier_releases, pag.wall
-    )
-    result.what_if, result.dp_identity_exact = _projections(pag)
-    return result
 
 
 def _contiguous(segments: list[PathSegment], wall: float) -> bool:

@@ -177,12 +177,6 @@ class ProgramActivityGraph:
         return bisect_left(self.starts.get(node, []), t) - 1
 
 
-def _field(ev: Any, name: str, default: Any = None) -> Any:
-    if isinstance(ev, dict):
-        return ev.get(name, default)
-    return getattr(ev, name, default)
-
-
 def _entity_of(args: dict) -> Optional[str]:
     for kind in ("page", "lock", "barrier"):
         if kind in args:
@@ -210,16 +204,18 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
     max_node = -1
 
     for ev in events:
-        ph = _field(ev, "ph")
-        name = _field(ev, "name")
-        cat = _field(ev, "cat")
-        node = _field(ev, "node", 0)
-        ts = _field(ev, "ts", 0.0)
-        args = _field(ev, "args") or {}
+        if isinstance(ev, dict):  # a JSONL row: absent keys take the defaults
+            get = ev.get
+            ph, name, cat = get("ph"), get("name"), get("cat")
+            node, ts, dur = get("node", 0), get("ts", 0.0), get("dur", 0.0)
+            eid, args = get("id"), get("args") or {}
+        else:  # a TraceEvent
+            ph, name, cat = ev.ph, ev.name, ev.cat
+            node, ts, dur = ev.node, ev.ts, ev.dur
+            eid, args = ev.id, ev.args or {}
         if node > max_node:
             max_node = node
         if ph == "X" and cat == "cpu":
-            dur = _field(ev, "dur", 0.0)
             if name in IDLE_NAMES:
                 pag.idle_us[node] = pag.idle_us.get(node, 0.0) + dur
                 continue
@@ -228,8 +224,7 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
                 Slice(ts, ts + dur, name, SLICE_CATEGORY.get(name, "cpu"))
             )
         elif ph == "b" and cat == "network" and name.startswith("msg:"):
-            mid = _field(ev, "id")
-            rec = recs.setdefault(mid, {})
+            rec = recs.setdefault(eid, {})
             rec.update(
                 kind=name[4:], src=node, send=ts,
                 dst=args.get("dst"), seq=args.get("seq", -1),
@@ -238,8 +233,7 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
             if seq is not None and seq >= 0 and args.get("dst") is not None:
                 insort(pag.sends_by_key.setdefault((node, args["dst"], seq), []), ts)
         elif ph == "e" and cat == "network" and name.startswith("msg:"):
-            mid = _field(ev, "id")
-            rec = recs.setdefault(mid, {})
+            rec = recs.setdefault(eid, {})
             rec.setdefault("kind", name[4:])
             rec["deliver"] = ts
             rec["dst"] = node
@@ -249,7 +243,7 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
                 if "sent_at" in args and args["sent_at"] >= 0 and "src" in args:
                     rec["send"] = args["sent_at"]
                     rec["src"] = args["src"]
-            deliveries.append((node, ts, mid))
+            deliveries.append((node, ts, eid))
         elif ph == "i":
             if name == "pag_edge":
                 entity = _entity_of(args)
@@ -269,9 +263,9 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
                 if prev is None or ts > prev:
                     pag.finish_ts[node] = ts
         elif ph == "b" and name == "page_fault":
-            open_faults.setdefault(node, {})[_field(ev, "id")] = (ts, args.get("page"))
+            open_faults.setdefault(node, {})[eid] = (ts, args.get("page"))
         elif ph == "e" and name == "page_fault":
-            opened = open_faults.get(node, {}).pop(_field(ev, "id"), None)
+            opened = open_faults.get(node, {}).pop(eid, None)
             if opened is not None:
                 faults.setdefault(node, []).append((opened[0], ts, opened[1]))
 

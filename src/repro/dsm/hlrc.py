@@ -371,8 +371,8 @@ class HlrcBackend(LrcBackend):
         fault_started = self.sim.now
         if pf.enabled:
             pf.entity_add("page", page_id, "faults")
-        fault_id = f"n{self.node_id}:f{self.host.faults}"
         if tr.enabled:
+            fault_id = f"n{self.node_id}:f{self.host.faults}"
             tr.async_begin(
                 self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
             )

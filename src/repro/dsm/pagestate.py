@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ProtocolError
+from repro.memory.diff import Diff
 from repro.sim import Event
 
 __all__ = ["PageCoherence"]
@@ -41,16 +43,9 @@ class PageCoherence:
     #: the next local write must open a fresh write notice, exactly as
     #: TreadMarks' per-interval write protection forces a fault.
     write_protected: bool = False
-    #: Per-byte lamport watermark of applied remote diffs (lazy).  A
-    #: diff byte is applied only if its interval's timestamp is at least
-    #: the watermark — enforcing happened-before-1 ordering regardless
-    #: of how fetch batches interleave.
-    byte_lamports: Optional[np.ndarray] = None
-
-    def lamport_watermarks(self, page_size: int) -> np.ndarray:
-        if self.byte_lamports is None:
-            self.byte_lamports = np.zeros(page_size, dtype=np.int64)
-        return self.byte_lamports
+    #: Per-word lamport watermark of applied remote diffs (lazy); see
+    #: :meth:`apply_diff`.
+    word_lamports: Optional[np.ndarray] = None
     #: In-flight fault/fetch completion event (shared by all local
     #: threads faulting on the page — request combining).
     fetch_event: Optional[Event] = None
@@ -95,6 +90,37 @@ class PageCoherence:
                 self.stale -= 1
             applied[proc] = covers_through
 
+    def apply_diff(self, page: np.ndarray, diff: Diff, lamport: int) -> None:
+        """Apply a remote diff made at ``lamport`` to ``page`` (and to the
+        twin of a dirty page) in happened-before-1 order.
+
+        A word is written only if no LATER interval's diff already
+        supplied it, whatever order the diffs arrive in.  One stamp per
+        8-byte word is enough: ``make_diff``, the only diff producer,
+        emits whole words, so the bytes of a word are always stamped
+        together, and page, twin and run are handled as ``uint64`` views.
+        """
+        if self.word_lamports is None:
+            self.word_lamports = np.zeros(len(page) // 8, dtype=np.int64)
+        marks = self.word_lamports
+        targets = [page.view(np.uint64)]
+        if self.dirty and self.twin is not None:
+            targets.append(self.twin.view(np.uint64))
+        for offset, data in diff.runs:
+            if offset & 7:
+                raise ProtocolError(f"diff run at byte {offset} is not word-aligned")
+            words = data.view(np.uint64)
+            window = slice(offset >> 3, (offset >> 3) + len(words))
+            stamps = marks[window]
+            mask = stamps <= lamport
+            if mask.all():
+                for target in targets:
+                    target[window] = words
+            else:
+                for target in targets:
+                    target[window][mask] = words[mask]
+            np.maximum(stamps, lamport, out=stamps)
+
     # -- checkpoint / recovery -------------------------------------------
 
     def snapshot_state(self) -> dict:
@@ -107,7 +133,7 @@ class PageCoherence:
             "dirty": self.dirty,
             "twin": None if self.twin is None else self.twin.copy(),
             "write_protected": self.write_protected,
-            "byte_lamports": None if self.byte_lamports is None else self.byte_lamports.copy(),
+            "word_lamports": None if self.word_lamports is None else self.word_lamports.copy(),
         }
 
     @classmethod
@@ -119,7 +145,7 @@ class PageCoherence:
         state.dirty = snap["dirty"]
         state.twin = None if snap["twin"] is None else snap["twin"].copy()
         state.write_protected = snap["write_protected"]
-        state.byte_lamports = (
-            None if snap["byte_lamports"] is None else snap["byte_lamports"].copy()
+        state.word_lamports = (
+            None if snap["word_lamports"] is None else snap["word_lamports"].copy()
         )
         return state

@@ -590,23 +590,10 @@ class LrcBackend(CoherenceBackend):
                     writer=item.proc,
                     bytes=item.diff.modified_bytes,
                 )
-            # Per-byte happened-before enforcement: a byte is written
-            # only if no LATER interval's diff already supplied it —
-            # fetch batches interleave arbitrarily (each apply yields
-            # for the CPU), so ordering cannot rely on batching alone.
-            marks = state.lamport_watermarks(len(page))
-            for offset, data in item.diff.runs:
-                window = slice(offset, offset + len(data))
-                mask = marks[window] <= item.lamport
-                if mask.all():
-                    page[window] = data
-                    if state.dirty and state.twin is not None:
-                        state.twin[window] = data
-                else:
-                    page[window][mask] = data[mask]
-                    if state.dirty and state.twin is not None:
-                        state.twin[window][mask] = data[mask]
-                np.maximum(marks[window], item.lamport, out=marks[window])
+            # Fetch batches interleave arbitrarily (each apply yields for
+            # the CPU), so ordering cannot rely on batching alone: the
+            # page's stamps keep a later interval's words in place.
+            state.apply_diff(page, item.diff, item.lamport)
             state.note_diffs_applied(item.proc, item.covers_through)
             self.intervals.observe_lamport(item.lamport)
 

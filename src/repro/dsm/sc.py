@@ -241,8 +241,8 @@ class ScBackend(CoherenceBackend):
             pf.entity_add("page", page_id, "faults")
             if mode == "write":
                 pf.entity_add("page", page_id, "write_faults")
-        fault_id = f"n{self.node_id}:f{self.host.faults}"
         if tr.enabled:
+            fault_id = f"n{self.node_id}:f{self.host.faults}"
             tr.async_begin(
                 self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
             )

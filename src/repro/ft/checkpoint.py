@@ -70,8 +70,10 @@ class NodeCheckpoint:
         for snap in self.dsm.get("coherence", {}).values():
             if snap["twin"] is not None:
                 total += snap["twin"].nbytes
-            if snap["byte_lamports"] is not None:
-                total += snap["byte_lamports"].nbytes
+            if snap["word_lamports"] is not None:
+                # The modelled stable-storage format holds one stamp
+                # per byte; the in-memory array keeps one per 8-byte word.
+                total += 8 * snap["word_lamports"].nbytes
         diff_store = self.dsm.get("diff_store")
         if diff_store is not None:
             for diffs in diff_store["by_page"].values():

@@ -304,7 +304,7 @@ class FtManager:
                 "ft",
                 "rejoin",
                 COORDINATOR,
-                node=node_id,
+                member=node_id,
                 fenced_us=round(fenced_for, 3),
             )
         for peer in range(self.num_nodes):
@@ -489,7 +489,7 @@ class FtManager:
                     "ft",
                     "declare_dead",
                     COORDINATOR,
-                    node=node_id,
+                    suspect=node_id,
                     latency_us=t_detect - self._crash_time.get(node_id, t_detect),
                 )
         # Reboot + rejoin of the crashed machines.

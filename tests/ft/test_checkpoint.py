@@ -9,7 +9,7 @@ def _dsm_snapshot(page_bytes=4096):
     return {
         "pages": {0: np.zeros(page_bytes, dtype=np.uint8)},
         "coherence": {
-            0: {"twin": np.zeros(page_bytes, dtype=np.uint8), "byte_lamports": None}
+            0: {"twin": np.zeros(page_bytes, dtype=np.uint8), "word_lamports": None}
         },
         "diff_store": {"by_page": {}},
         "wn_log": {"by_proc": [[], []]},
