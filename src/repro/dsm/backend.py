@@ -1,12 +1,10 @@
-"""The coherence-backend strategy interface.
+"""The coherence-backend strategy interface and the page-fault plane.
 
 ``DsmNode`` (repro.dsm.protocol) is the per-node *host*: it owns the
 pieces every protocol shares — the lock and barrier subsystems, the
 prefetch engine and FT manager hooks, message dispatch, and the fault
-counters.  Everything protocol-*specific* — fault handling, the
-release/acquire consistency actions, notice propagation, and the
-checkpoint snapshot/restore pair — lives behind this narrow
-:class:`CoherenceBackend` interface, selected by ``RunConfig.protocol``:
+counters.  :class:`CoherenceBackend` is one protocol's *policy* over a
+shared *mechanism*, selected by ``RunConfig.protocol``:
 
 - ``lrc`` — TreadMarks-style lazy release consistency (the default;
   :class:`~repro.dsm.protocol.LrcBackend`), multiple writers with
@@ -26,20 +24,44 @@ write-notice sets on their messages.  SC satisfies them with *inert*
 instances (a never-advancing clock, an empty log), which keeps the
 synchronization code paths — and their message sizes — identical
 across protocols without per-protocol branches in locks/barriers.
+
+Writing a backend
+-----------------
+The paper's fault -> fetch -> validate sequence is the same under every
+protocol, so the base class owns it and a backend supplies four things:
+
+1. a *usability predicate*: ``ensure_valid`` returns ``None`` for a page
+   usable now, else ``self.start_fault(page_id, record, ...)``, where
+   ``record`` is its own per-page state (anything with a ``fetch_event``;
+   local threads faulting together share it);
+2. ``service_fault(page_id, done, ...)``: what makes the page usable —
+   LRC gathers diffs, HLRC asks the home, SC runs an ownership
+   transaction — setting ``done.needed_remote`` when it sends a request.
+   Round trips go through ``open_request``/``close_request``, whole pages
+   through ``copy_page_out``/``copy_page_in``.  The fault count, the
+   ``page_fault`` span, the ``fault_handler``/``page_validate`` charges,
+   prefetch-hit accounting and stall attribution wrap it, once;
+3. ``handlers``: the message kinds it serves, each a method of the
+   message — a generator, or a plain method when nothing has to wait;
+4. ``snapshot_state``/``restore_state`` for its policy state (request
+   ids are not: they stay monotone across a rollback).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import ConfigError, ProtocolError
+from repro.memory import apply_diff
+from repro.metrics.counters import Category
+from repro.sim import Event, spawn
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from repro.dsm.pagestate import PageCoherence
+    from repro.memory.diff import Diff
     from repro.network import Message
-    from repro.sim import Event
 
 __all__ = ["BACKEND_NAMES", "CoherenceBackend", "make_backend"]
 
@@ -63,6 +85,11 @@ class CoherenceBackend:
     #: servers get early-binding prefetch instead: the engine starts
     #: the backend's own fetch ahead of the access.
     supports_diff_prefetch = False
+    #: ``MessageKind -> method`` for the kinds this backend serves; the
+    #: host binds them into its routing table.
+    handlers: dict = {}
+    #: Names the fault process and its event (watchdog text only).
+    fault_name = "fetch"
 
     def __init__(self, host) -> None:
         self.host = host
@@ -70,6 +97,12 @@ class CoherenceBackend:
         self.sim = host.sim
         self.node_id = host.node_id
         self.num_nodes = host.num_nodes
+        #: Open round trips: request id -> (reply event, send instant, span).
+        self._pending_requests: dict[int, tuple] = {}
+        #: Names trace correlation ids, so like the host's counters it is
+        #: never rolled back: an id re-used after a recovery would pair a
+        #: pre-crash span that never closed with a post-recovery one.
+        self._next_request_id = 0
 
     # -- shared helpers (identical across backends) ------------------------
 
@@ -85,6 +118,142 @@ class CoherenceBackend:
     def label_edge(self, message: "Message", role: str, **entity) -> None:
         """Attach an entity label to a causal message edge (trace only)."""
         self.host.label_edge(message, role, **entity)
+
+    # -- the fault envelope -------------------------------------------------
+
+    def start_fault(self, page_id: int, record, *args) -> Event:
+        """The completion event of the fault on an unusable page.
+
+        All local threads faulting on the page share it (request
+        combining for remote memory accesses); ``args`` go to
+        :meth:`service_fault`.
+        """
+        done = record.fetch_event
+        if done is not None and not done.triggered:
+            return done
+        done = Event(self.sim, name=f"{self.fault_name}(p{page_id})@{self.node_id}")
+        record.fetch_event = done
+        spawn(
+            self.sim,
+            self._fault(page_id, done, *args),
+            name=f"{self.fault_name}[{self.node_id}]",
+            group=f"node{self.node_id}",
+        )
+        return done
+
+    def _fault(self, page_id: int, done: Event, *args) -> Generator:
+        """The fault handler: everything around :meth:`service_fault`."""
+        self.host.faults += 1
+        costs = self.node.costs
+        tr = self.sim.trace
+        pf = self.sim.profile
+        fault_started = self.sim.now
+        if pf.enabled:
+            pf.entity_add("page", page_id, "faults")
+        if tr.enabled:
+            fault_id = f"n{self.node_id}:f{self.host.faults}"
+            tr.async_begin(
+                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
+            )
+        yield from self.node.occupy(costs.fault_handler, Category.DSM)
+        from_cache = yield from self.service_fault(page_id, done, *args)
+        yield from self.node.occupy(costs.page_validate, Category.DSM)
+        # Read at the end: the scheduler classifies the stall (remote
+        # miss vs locally satisfied fault) off this flag at wake.
+        remote = bool(getattr(done, "needed_remote", False))
+        if self.prefetch is not None:
+            # After the validate charge: a hit is stamped when the page
+            # becomes usable, not when the heap was read.
+            if from_cache and not remote:
+                self.prefetch.count_hit(page_id)
+            self.prefetch.on_page_validated(page_id)
+        if tr.enabled:
+            tr.async_end(
+                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, remote=remote
+            )
+        if pf.enabled:
+            service = self.sim.now - fault_started
+            pf.observe(self.node_id, "page_fault_us", service)
+            pf.entity_add("page", page_id, "stall_us", service)
+            if remote:
+                pf.entity_add("page", page_id, "remote_faults")
+        done.succeed(None)
+
+    def service_fault(self, page_id: int, done: Event, *args) -> Generator:
+        """The protocol's share of a fault: make the page usable.
+        Returns whether the prefetch heap contributed data (a prefetch
+        hit, if nothing remote was needed as well)."""
+        raise NotImplementedError
+
+    # -- the request registry -------------------------------------------------
+
+    def new_request_id(self) -> int:
+        """A fresh correlation id, unique on this node for the whole run."""
+        request_id = self._next_request_id
+        self._next_request_id = request_id + 1
+        return request_id
+
+    def open_request(
+        self, what: str, span: Optional[tuple[str, str]] = None, **args: Any
+    ) -> tuple[int, Event]:
+        """Register a round trip: its id, and the event its reply fires.
+
+        ``span`` — ``(name, id tag)`` — renders it as an async trace span
+        linking the two sides in Perfetto, begun here with ``args`` and
+        ended by :meth:`close_request`, which runs in another process.
+        """
+        request_id = self.new_request_id()
+        reply = Event(self.sim, name=f"{what}{request_id}")
+        self._pending_requests[request_id] = (reply, self.sim.now, span)
+        if span is not None and self.sim.trace_on:
+            self._request_span(self.sim.trace.async_begin, span, request_id, args)
+        return request_id, reply
+
+    def close_request(
+        self, request_id: int, value: Any, what: str, metric: Optional[str] = None, **args: Any
+    ) -> None:
+        """Hand the reply's ``value`` to the process waiting on the
+        request; ``metric`` names the round-trip histogram."""
+        pending = self._pending_requests.pop(request_id, None)
+        if pending is None:
+            raise ProtocolError(f"unexpected {what} {request_id}")
+        reply, sent_at, span = pending
+        if metric is not None and self.sim.profile_on:
+            self.sim.profile.observe(self.node_id, metric, self.sim.now - sent_at)
+        if span is not None and self.sim.trace_on:
+            self._request_span(self.sim.trace.async_end, span, request_id, args)
+        reply.succeed(value)
+
+    def _request_span(self, edge, span: tuple[str, str], request_id: int, args: dict) -> None:
+        name, tag = span
+        span_id = f"n{self.node_id}:{tag}{request_id}"
+        edge(self.sim.now, "protocol", name, self.node_id, span_id, **args)
+
+    # -- whole-page transfer ----------------------------------------------------
+
+    def copy_page_out(self, page_id: int, source: "np.ndarray") -> Generator:
+        """Copy a page (or its twin) for the wire; returns the copy.
+        Charged as a diff creation that finds nothing modified."""
+        data = source.copy()
+        if self.sim.profile_on:
+            self.sim.profile.entity_add("page", page_id, "pages_served")
+        yield from self.node.occupy(self.node.costs.diff_create_us(len(data), 0), Category.DSM)
+        return data
+
+    def copy_page_in(
+        self, page_id: int, data: "np.ndarray", keep: Optional["Diff"] = None
+    ) -> Generator:
+        """Overwrite the local page with served contents, laying the
+        runs of ``keep`` (local stores not yet flushed) back on top."""
+        page = self.node.pages.page(page_id)
+        page[:] = data
+        if keep is not None:
+            apply_diff(page, keep)
+        if self.sim.profile_on:
+            pf = self.sim.profile
+            pf.entity_add("page", page_id, "page_fetches")
+            pf.entity_add("page", page_id, "bytes", len(data))
+        yield from self.node.occupy(self.node.costs.diff_apply_us(len(data)), Category.DSM)
 
     # -- page access (scheduler-facing) ------------------------------------
 
@@ -127,13 +296,6 @@ class CoherenceBackend:
         """Make a locally dirty page servable (LRC diff creation); a
         no-protocol-action default for backends without diff servers."""
         return
-        yield  # pragma: no cover
-
-    # -- message dispatch --------------------------------------------------
-
-    def handle_message(self, msg: "Message") -> Generator:
-        """Handle a protocol-kind message the host did not route."""
-        raise ProtocolError(f"unhandled message kind {msg.kind}")
         yield  # pragma: no cover
 
     # -- checkpoint / verification -----------------------------------------

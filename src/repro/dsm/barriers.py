@@ -82,7 +82,7 @@ class BarrierSubsystem:
         if self.dsm.sim.profile_on:
             pf = self.dsm.sim.profile
             # Closed in _apply_release when the release wakes this thread.
-            wake.profile_t0 = self.dsm.sim.now  # type: ignore[attr-defined]
+            wake.profile_t0 = self.dsm.sim.now
         episode.waiters.append(wake)
         if self.dsm.sim.trace_on:
             tr = self.dsm.sim.trace

@@ -39,7 +39,7 @@ LRC flush would have put it.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.errors import ProtocolError
 from repro.memory import make_diff
 from repro.metrics.counters import Category
 from repro.network import PRIORITY_DEMAND, Message, MessageKind
-from repro.sim import Event
+from repro.sim import Event, spawn
 
 __all__ = ["HlrcBackend"]
 
@@ -153,10 +153,7 @@ class HlrcBackend(LrcBackend):
                 if self.sim.profile_on:
                     self.sim.profile.entity_add("page", page_id, "home_updates")
                 continue
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            ack = Event(self.sim, name=f"homeack{request_id}")
-            self._pending_requests[request_id] = ack
+            request_id, ack = self.open_request("homeack")
             acks.append(ack)
             out = Message(
                 src=self.node_id,
@@ -221,15 +218,8 @@ class HlrcBackend(LrcBackend):
         self.label_edge(out, "home_ack", page=page_id)
         yield from self.send(out)
 
-    def handle_home_update_ack(self, msg: Message) -> Generator:
-        pending = self._pending_requests.pop(msg.payload["request_id"], None)
-        if pending is None:
-            raise ProtocolError(
-                f"unexpected home-update ack {msg.payload['request_id']}"
-            )
-        pending.succeed(None)
-        return
-        yield  # pragma: no cover
+    def handle_home_update_ack(self, msg: Message) -> None:
+        self.close_request(msg.payload["request_id"], None, "home-update ack")
 
     def _pump_parked(self, page_id: int) -> None:
         """Re-check parked fetches after coverage grew."""
@@ -263,8 +253,6 @@ class HlrcBackend(LrcBackend):
                 del self._parked_local[page_id]
 
     def _spawn_serve(self, page_id: int, requester: int, request_id: int) -> None:
-        from repro.sim import spawn
-
         spawn(
             self.sim,
             self._serve_page(page_id, requester, request_id),
@@ -285,14 +273,10 @@ class HlrcBackend(LrcBackend):
             self.sim.sanitizer.on_page_served(
                 self.node_id, page_id, self.home_of(page_id), covers
             )
-        if self.sim.profile_on:
-            self.sim.profile.entity_add("page", page_id, "pages_served")
         source = state.twin if (state.dirty and state.twin is not None) else None
         if source is None:
             source = self.node.pages.page(page_id)
-        data = source.copy()
-        cost = self.node.costs.diff_create_us(len(data), 0)
-        yield from self.node.occupy(cost, Category.DSM)
+        data = yield from self.copy_page_out(page_id, source)
         out = Message(
             src=self.node_id,
             dst=requester,
@@ -337,46 +321,19 @@ class HlrcBackend(LrcBackend):
                     requester=msg.src,
                 )
 
-    def handle_page_reply(self, msg: Message) -> Generator:
-        pending = self._pending_requests.pop(msg.payload["request_id"], None)
-        if pending is None:
-            raise ProtocolError(f"unexpected page reply {msg.payload['request_id']}")
-        if self.sim.profile_on:
-            t0 = getattr(pending, "profile_t0", None)
-            if t0 is not None:
-                self.sim.profile.observe(self.node_id, "home_fetch_us", self.sim.now - t0)
-        if self.sim.trace_on:
-            self.sim.trace.async_end(
-                self.sim.now,
-                "protocol",
-                "home_fetch",
-                self.node_id,
-                f"n{self.node_id}:hr{msg.payload['request_id']}",
-                home=msg.src,
-            )
-        pending.succeed(
-            (msg.payload["data"], msg.payload["covers"], msg.payload["lamport"])
+    def handle_page_reply(self, msg: Message) -> None:
+        self.close_request(
+            msg.payload["request_id"],
+            (msg.payload["data"], msg.payload["covers"], msg.payload["lamport"]),
+            "page reply",
+            "home_fetch_us",
+            home=msg.src,
         )
-        return
-        yield  # pragma: no cover
 
     # -- fault / fetch path ------------------------------------------------
 
-    def _fetch(self, page_id: int, done: Event) -> Generator:
-        """The fault handler: one whole-page round trip to the home."""
-        self.host.faults += 1
-        costs = self.node.costs
-        tr = self.sim.trace
-        pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
-        if tr.enabled:
-            fault_id = f"n{self.node_id}:f{self.host.faults}"
-            tr.async_begin(
-                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
-            )
-        yield from self.node.occupy(costs.fault_handler, Category.DSM)
+    def service_fault(self, page_id: int, done: Event) -> Generator:
+        """One whole-page round trip to the home per iteration."""
         state = self.coherence(page_id)
         home = self.home_of(page_id)
         guard = 0
@@ -394,26 +351,14 @@ class HlrcBackend(LrcBackend):
                 )
                 yield ready
                 continue
-            done.needed_remote = True  # type: ignore[attr-defined]
+            done.needed_remote = True
             if self.prefetch is not None:
                 self.prefetch.classify_remote_fault(page_id)
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            reply = Event(self.sim, name=f"pagereq{request_id}")
-            if pf.enabled:
-                reply.profile_t0 = self.sim.now  # type: ignore[attr-defined]
-                pf.entity_add("page", page_id, "home_fetches")
-            self._pending_requests[request_id] = reply
-            if tr.enabled:
-                tr.async_begin(
-                    self.sim.now,
-                    "protocol",
-                    "home_fetch",
-                    self.node_id,
-                    f"n{self.node_id}:hr{request_id}",
-                    page=page_id,
-                    home=home,
-                )
+            request_id, reply = self.open_request(
+                "pagereq", ("home_fetch", "hr"), page=page_id, home=home
+            )
+            if self.sim.profile_on:
+                self.sim.profile.entity_add("page", page_id, "home_fetches")
             # Our own component of ``needed`` is the flush watermark,
             # never the notice count (nodes are not notified of their
             # own intervals): the serve must wait out our in-flight
@@ -437,52 +382,21 @@ class HlrcBackend(LrcBackend):
             yield from self.send(out)
             data, covers, lamport = yield reply
             yield from self._install_page(page_id, data, covers, lamport)
-        yield from self.node.occupy(costs.page_validate, Category.DSM)
-        if self.prefetch is not None:
-            self.prefetch.on_page_validated(page_id)
-        if tr.enabled:
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "page_fault",
-                self.node_id,
-                fault_id,
-                remote=bool(getattr(done, "needed_remote", False)),
-            )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if getattr(done, "needed_remote", False):
-                pf.entity_add("page", page_id, "remote_faults")
-        done.succeed(None)
 
     def _install_page(
         self, page_id: int, data: np.ndarray, covers: tuple, lamport: int
     ) -> Generator:
         """Install a home-served page, preserving local dirty writes."""
         state = self.coherence(page_id)
-        page = self.node.pages.page(page_id)
         local_diff = None
         if state.dirty and state.twin is not None:
             # Our own unflushed stores must survive the wholesale
             # install: lift them off the twin first, lay them back on
             # top after.  The twin itself takes the home data, so the
             # next flush's diff still isolates exactly our writes.
-            local_diff = make_diff(page_id, state.twin, page)
-        page[:] = data
-        if state.dirty and state.twin is not None:
+            local_diff = make_diff(page_id, state.twin, self.node.pages.page(page_id))
             state.twin[:] = data
-        if local_diff is not None:
-            for offset, run in local_diff.runs:
-                page[offset : offset + len(run)] = run
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            pf.entity_add("page", page_id, "page_fetches")
-            pf.entity_add("page", page_id, "bytes", len(data))
-        yield from self.node.occupy(
-            self.node.costs.diff_apply_us(len(data)), Category.DSM
-        )
+        yield from self.copy_page_in(page_id, data, keep=local_diff)
         for proc in range(self.num_nodes):
             if proc != self.node_id:
                 state.note_diffs_applied(proc, covers[proc])
@@ -491,20 +405,13 @@ class HlrcBackend(LrcBackend):
         # the replay's happened-before order.
         self.intervals.observe_lamport(lamport)
 
-    # -- dispatch ----------------------------------------------------------
-
-    def handle_message(self, msg: Message) -> Generator:
-        kind = msg.kind
-        if kind is MessageKind.PAGE_REQUEST:
-            yield from self.handle_page_request(msg)
-        elif kind is MessageKind.PAGE_REPLY:
-            yield from self.handle_page_reply(msg)
-        elif kind is MessageKind.HOME_UPDATE:
-            yield from self.handle_home_update(msg)
-        elif kind is MessageKind.HOME_UPDATE_ACK:
-            yield from self.handle_home_update_ack(msg)
-        else:
-            yield from super().handle_message(msg)
+    handlers = {
+        **LrcBackend.handlers,
+        MessageKind.PAGE_REQUEST: handle_page_request,
+        MessageKind.PAGE_REPLY: handle_page_reply,
+        MessageKind.HOME_UPDATE: handle_home_update,
+        MessageKind.HOME_UPDATE_ACK: handle_home_update_ack,
+    }
 
     # -- checkpoint / recovery ---------------------------------------------
 

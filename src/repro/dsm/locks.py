@@ -110,7 +110,7 @@ class LockSubsystem:
         if pf.enabled:
             # The wait closes wherever this waiter is woken (local
             # handoff or remote grant) — stash the start on the event.
-            wake.profile_t0 = self.dsm.sim.now  # type: ignore[attr-defined]
+            wake.profile_t0 = self.dsm.sim.now
         state.local_waiters.append(wake)
         if not state.has_token and not state.request_outstanding:
             state.request_outstanding = True

@@ -24,6 +24,7 @@ modifications announced under a later notice.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.machine.node import Node
 from repro.memory import apply_diff, make_diff
 from repro.metrics.counters import Category
 from repro.network import PRIORITY_DEMAND, Message, MessageKind
-from repro.sim import Event, spawn
+from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.prefetch.engine import PrefetchEngine
@@ -69,6 +70,22 @@ class DsmNode:
         self.backend: CoherenceBackend = make_backend(protocol, self)
         self.locks = LockSubsystem(self)
         self.barriers = BarrierSubsystem(self)
+        #: The routing table: every kind this node can receive.
+        self._handlers = {
+            MessageKind.LOCK_REQUEST: self.locks.handle_request,
+            MessageKind.LOCK_FORWARD: self.locks.handle_forward,
+            MessageKind.LOCK_GRANT: self.locks.handle_grant,
+            MessageKind.BARRIER_ARRIVE: self.barriers.handle_arrive,
+            MessageKind.BARRIER_RELEASE: self.barriers.handle_release,
+            MessageKind.HEARTBEAT: self._handle_ft,
+            MessageKind.FT_DOWN: self._handle_ft,
+            MessageKind.FT_UP: self._handle_ft,
+            MessageKind.FT_REJOIN: self._handle_ft,
+            MessageKind.PREFETCH_REQUEST: self._handle_prefetch,
+            MessageKind.PREFETCH_REPLY: self._handle_prefetch,
+            # Coherence-protocol kinds (diff/page/invalidate traffic).
+            **{kind: MethodType(fn, self.backend) for kind, fn in self.backend.handlers.items()},
+        }
         node.set_message_handler(self.dispatch)
 
     @property
@@ -161,34 +178,23 @@ class DsmNode:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def dispatch(self, msg: Message) -> Generator:
-        """Route an arriving message to its handler (runs as a process)."""
-        kind = msg.kind
-        if kind is MessageKind.LOCK_REQUEST:
-            yield from self.locks.handle_request(msg)
-        elif kind is MessageKind.LOCK_FORWARD:
-            yield from self.locks.handle_forward(msg)
-        elif kind is MessageKind.LOCK_GRANT:
-            yield from self.locks.handle_grant(msg)
-        elif kind is MessageKind.BARRIER_ARRIVE:
-            yield from self.barriers.handle_arrive(msg)
-        elif kind is MessageKind.BARRIER_RELEASE:
-            yield from self.barriers.handle_release(msg)
-        elif kind in (
-            MessageKind.HEARTBEAT,
-            MessageKind.FT_DOWN,
-            MessageKind.FT_UP,
-            MessageKind.FT_REJOIN,
-        ):
-            if self.ft is not None:
-                yield from self.ft.handle_message(self.node_id, msg)
-        elif kind.is_prefetch:
-            if self.prefetch is None:
-                raise ProtocolError("prefetch message with no prefetch engine installed")
-            yield from self.prefetch.dispatch(msg)
-        else:
-            # Coherence-protocol kinds (diff/page/invalidate traffic).
-            yield from self.backend.handle_message(msg)
+    def dispatch(self, msg: Message):
+        """The handler's generator for an arriving message (the node runs
+        it as a process); empty when the handler had nothing to wait for."""
+        handler = self._handlers.get(msg.kind)
+        if handler is None:
+            raise ProtocolError(f"unhandled message kind {msg.kind}")
+        return handler(msg) or ()
+
+    # The FT manager and the prefetch engine are installed after
+    # construction, hence looked up per message.
+    def _handle_ft(self, msg: Message):
+        return self.ft.handle_message(self.node_id, msg) if self.ft is not None else None
+
+    def _handle_prefetch(self, msg: Message):
+        if self.prefetch is None:
+            raise ProtocolError("prefetch message with no prefetch engine installed")
+        return self.prefetch.dispatch(msg)
 
     # -- checkpoint / recovery ------------------------------------------------
 
@@ -240,11 +246,8 @@ class LrcBackend(CoherenceBackend):
         #: pages flushed during the currently open interval (forces a
         #: sub-interval on re-dirty).
         self._flushed_in_open: set[int] = set()
-        #: outstanding diff request completion events, by request id.
-        self._pending_requests: dict[int, Event] = {}
         #: in-progress flush per page (serializes concurrent handlers).
         self._flush_events: dict[int, Event] = {}
-        self._next_request_id = 0
 
     # -- small helpers -----------------------------------------------------
 
@@ -399,43 +402,13 @@ class LrcBackend(CoherenceBackend):
     # -- fault / fetch path ------------------------------------------------------
 
     def ensure_valid(self, page_id: int, for_write: bool = False) -> Optional[Event]:
-        """Return None if the page is usable now, else a fetch event.
-
-        All local threads faulting on the same page share one event
-        (request combining for remote memory accesses).  ``for_write``
-        is ignored: under LRC any valid page accepts stores once
-        :meth:`op_write_touch` has made a twin.
-        """
+        """``for_write`` is ignored: under LRC any valid page accepts
+        stores once :meth:`op_write_touch` has made a twin."""
         state = self.coherence(page_id)
-        if state.valid:
-            return None
-        if state.fetch_in_flight:
-            return state.fetch_event
-        fetch_done = Event(self.sim, name=f"fetch(p{page_id})@{self.node_id}")
-        state.fetch_event = fetch_done
-        spawn(
-            self.sim,
-            self._fetch(page_id, fetch_done),
-            name=f"fetch[{self.node_id}]",
-            group=f"node{self.node_id}",
-        )
-        return fetch_done
+        return None if state.valid else self.start_fault(page_id, state)
 
-    def _fetch(self, page_id: int, done: Event) -> Generator:
-        """The fault handler: gather diffs until the page is valid."""
-        self.host.faults += 1
-        costs = self.node.costs
-        tr = self.sim.trace
-        pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
-        if tr.enabled:
-            fault_id = f"n{self.node_id}:f{self.host.faults}"
-            tr.async_begin(
-                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
-            )
-        yield from self.node.occupy(costs.fault_handler, Category.DSM)
+    def service_fault(self, page_id: int, done: Event) -> Generator:
+        """Gather diffs until the page is valid; true if the prefetch heap gave any."""
         state = self.coherence(page_id)
         consumed_cache = False
         guard = 0
@@ -479,34 +452,17 @@ class LrcBackend(CoherenceBackend):
                 ]
                 if not writers:
                     break
-                done.needed_remote = True  # type: ignore[attr-defined]
+                done.needed_remote = True
                 if self.prefetch is not None:
                     self.prefetch.classify_remote_fault(page_id)
                 replies = []
                 for writer in writers:
                     requested[writer] = state.needed_upto[writer]
-                    request_id = self._next_request_id
-                    self._next_request_id += 1
-                    reply_event = Event(self.sim, name=f"diffreq{request_id}")
-                    if pf.enabled:
-                        # Stashed on the event itself: the RTT closes in
-                        # handle_diff_reply, a different process.
-                        reply_event.profile_t0 = self.sim.now  # type: ignore[attr-defined]
-                    self._pending_requests[request_id] = reply_event
+                    # The round trip closes in handle_diff_reply.
+                    request_id, reply_event = self.open_request(
+                        "diffreq", ("diff_rtt", "dr"), page=page_id, writer=writer
+                    )
                     replies.append(reply_event)
-                    if tr.enabled:
-                        # The request/reply round trip: closed by
-                        # handle_diff_reply, rendered as an async span
-                        # linking the two sides in Perfetto.
-                        tr.async_begin(
-                            self.sim.now,
-                            "protocol",
-                            "diff_rtt",
-                            self.node_id,
-                            f"n{self.node_id}:dr{request_id}",
-                            page=page_id,
-                            writer=writer,
-                        )
                     out = Message(
                         src=self.node_id,
                         dst=writer,
@@ -537,27 +493,7 @@ class LrcBackend(CoherenceBackend):
             yield from self.apply_stored_diffs(page_id, batch)
             for writer, covers in covers_updates.items():
                 state.note_diffs_applied(writer, covers)
-        yield from self.node.occupy(costs.page_validate, Category.DSM)
-        if self.prefetch is not None:
-            if consumed_cache and not getattr(done, "needed_remote", False):
-                self.prefetch.count_hit(page_id)
-            self.prefetch.on_page_validated(page_id)
-        if tr.enabled:
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "page_fault",
-                self.node_id,
-                fault_id,
-                remote=bool(getattr(done, "needed_remote", False)),
-            )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if getattr(done, "needed_remote", False):
-                pf.entity_add("page", page_id, "remote_faults")
-        done.succeed(None)
+        return consumed_cache
 
     def apply_stored_diffs(self, page_id: int, stored: list[StoredDiff]) -> Generator:
         """Apply incoming diffs in happened-before (lamport) order."""
@@ -738,36 +674,18 @@ class LrcBackend(CoherenceBackend):
         # re-propagate them (transitive closure of happened-before).
         # advance_vc=False: these are page-filtered.
         yield from self.apply_notices_charged(msg.payload["notices"], advance_vc=False)
-        pending = self._pending_requests.pop(msg.payload["request_id"], None)
-        if pending is None:
-            raise ProtocolError(f"unexpected diff reply {msg.payload['request_id']}")
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            t0 = getattr(pending, "profile_t0", None)
-            if t0 is not None:
-                pf.observe(self.node_id, "diff_rtt_us", self.sim.now - t0)
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "diff_rtt",
-                self.node_id,
-                f"n{self.node_id}:dr{msg.payload['request_id']}",
-                writer=msg.src,
-            )
-        pending.succeed((msg.src, msg.payload["diffs"], msg.payload["covers_through"]))
+        self.close_request(
+            msg.payload["request_id"],
+            (msg.src, msg.payload["diffs"], msg.payload["covers_through"]),
+            "diff reply",
+            "diff_rtt_us",
+            writer=msg.src,
+        )
 
-    # -- dispatch -------------------------------------------------------------------
-
-    def handle_message(self, msg: Message) -> Generator:
-        kind = msg.kind
-        if kind is MessageKind.DIFF_REQUEST:
-            yield from self.handle_diff_request(msg)
-        elif kind is MessageKind.DIFF_REPLY:
-            yield from self.handle_diff_reply(msg)
-        else:
-            yield from super().handle_message(msg)
+    handlers = {
+        MessageKind.DIFF_REQUEST: handle_diff_request,
+        MessageKind.DIFF_REPLY: handle_diff_reply,
+    }
 
     # -- checkpoint / recovery ------------------------------------------------
 
@@ -777,7 +695,9 @@ class LrcBackend(CoherenceBackend):
         Taken at a barrier cut (all threads cluster-wide blocked at the
         barrier), so no fetch, flush, or diff request can be in flight;
         the pending-request and flush-event maps are therefore not part
-        of the snapshot and are simply cleared on restore.
+        of the snapshot and are simply cleared on restore.  Nor is the
+        request-id counter: it stays monotone (snapshots written before
+        that carry a ``next_request_id`` key, which is ignored).
         """
         return {
             "vc": self.vc.snapshot(),
@@ -788,7 +708,6 @@ class LrcBackend(CoherenceBackend):
                 pid: state.snapshot_state() for pid, state in self._coherence.items()
             },
             "flushed_in_open": set(self._flushed_in_open),
-            "next_request_id": self._next_request_id,
         }
 
     def restore_state(self, snap: dict) -> None:
@@ -801,7 +720,6 @@ class LrcBackend(CoherenceBackend):
             for pid, page_snap in snap["coherence"].items()
         }
         self._flushed_in_open = set(snap["flushed_in_open"])
-        self._next_request_id = snap["next_request_id"]
         # Any in-flight request/flush belongs to the discarded execution.
         self._pending_requests.clear()
         self._flush_events.clear()

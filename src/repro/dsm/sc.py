@@ -106,6 +106,7 @@ class ScBackend(CoherenceBackend):
 
     name = "sc"
     supports_diff_prefetch = False
+    fault_name = "scfetch"
 
     def __init__(self, host) -> None:
         super().__init__(host)
@@ -121,7 +122,6 @@ class ScBackend(CoherenceBackend):
         self._pages: dict[int, _ScPage] = {}
         #: Directory entries for pages this node manages (lazy).
         self._directory: dict[int, _Directory] = {}
-        self._next_request_id = 0
 
     # -- topology ----------------------------------------------------------
 
@@ -207,76 +207,50 @@ class ScBackend(CoherenceBackend):
                 )
             yield state.unpin_event
 
+    @staticmethod
+    def _usable(state: _ScPage, mode: str) -> bool:
+        return state.mode == EXCLUSIVE or (mode == "read" and state.mode != INVALID)
+
     def ensure_valid(self, page_id: int, for_write: bool = False) -> Optional[Event]:
         state = self._page(page_id)
-        satisfied = state.mode == EXCLUSIVE or (not for_write and state.mode != INVALID)
-        if satisfied:
-            return None
-        if state.fetch_event is not None and not state.fetch_event.triggered:
-            # Request combining.  A concurrent read fault may complete
-            # with SHARED while a writer needs EXCLUSIVE: the waiter
-            # re-checks on wake and re-issues (scheduler guard loop).
-            return state.fetch_event
-        done = Event(self.sim, name=f"scfetch(p{page_id})@{self.node_id}")
-        state.fetch_event = done
         mode = "write" if for_write else "read"
-        spawn(
-            self.sim,
-            self._acquire(page_id, mode, done),
-            name=f"scfetch[{self.node_id}]",
-            group=f"node{self.node_id}",
-        )
-        return done
+        if self._usable(state, mode):
+            return None
+        # A combined read fault may complete with SHARED while a writer
+        # needs EXCLUSIVE: the waiter re-checks on wake and re-issues
+        # (scheduler guard loop).
+        return self.start_fault(page_id, state, mode)
 
     # -- requester side ----------------------------------------------------
 
-    def _acquire(self, page_id: int, mode: str, done: Event) -> Generator:
-        """The fault handler: one ownership transaction per iteration."""
-        self.host.faults += 1
-        costs = self.node.costs
+    def service_fault(self, page_id: int, done: Event, mode: str) -> Generator:
+        """One ownership transaction per iteration."""
         tr = self.sim.trace
-        pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
-            if mode == "write":
-                pf.entity_add("page", page_id, "write_faults")
-        if tr.enabled:
-            fault_id = f"n{self.node_id}:f{self.host.faults}"
-            tr.async_begin(
-                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
-            )
-        yield from self.node.occupy(costs.fault_handler, Category.DSM)
+        if mode == "write" and self.sim.profile_on:
+            self.sim.profile.entity_add("page", page_id, "write_faults")
         state = self._page(page_id)
-        needed_remote = False
         guard = 0
-        while not (state.mode == EXCLUSIVE or (mode == "read" and state.mode != INVALID)):
+        while not self._usable(state, mode):
             guard += 1
             if guard > 64:
                 raise ProtocolError(f"sc acquire of page {page_id} cannot converge")
-            request_id = self._next_request_id
-            self._next_request_id = request_id + 1
+            request_id = self.new_request_id()
             state.data_event = Event(self.sim, name=f"scdata(p{page_id})@{self.node_id}")
             state.data_installed = False
             grant = Event(self.sim, name=f"scgrant(p{page_id})@{self.node_id}")
             manager = self.manager_of(page_id)
             if tr.enabled:
-                tr.async_begin(
-                    self.sim.now,
-                    "protocol",
-                    "sc_txn",
-                    self.node_id,
-                    f"n{self.node_id}:sr{request_id}",
-                    page=page_id,
-                    mode=mode,
-                )
+                txn = ("protocol", "sc_txn", self.node_id, f"n{self.node_id}:sr{request_id}")
+                tr.async_begin(self.sim.now, *txn, page=page_id, mode=mode)
             if manager == self.node_id:
                 # Local directory: admit the request in a separate
                 # process — the transaction waits for data/acks that
                 # this very process must consume.
                 self._admit(page_id, self.node_id, mode, grant)
             else:
-                needed_remote = True
+                # Table-1 accounting: the scheduler classifies the stall
+                # as a remote miss (vs a locally-satisfied fault) off this.
+                done.needed_remote = True
                 out = Message(
                     src=self.node_id,
                     dst=manager,
@@ -305,13 +279,7 @@ class ScBackend(CoherenceBackend):
             if self.sim.sanitizer_on:
                 self.sim.sanitizer.on_sc_install(self.node_id, page_id, mode)
             if tr.enabled:
-                tr.async_end(
-                    self.sim.now,
-                    "protocol",
-                    "sc_txn",
-                    self.node_id,
-                    f"n{self.node_id}:sr{request_id}",
-                )
+                tr.async_end(self.sim.now, *txn)
             # Fire-and-forget completion notice releases the directory.
             if manager == self.node_id:
                 self._txn_done(page_id)
@@ -330,29 +298,6 @@ class ScBackend(CoherenceBackend):
             # Hold the page until the faulting store lands — released
             # by op_write_touch (see _unpinned for why this must exist).
             state.pins += 1
-        yield from self.node.occupy(costs.page_validate, Category.DSM)
-        if self.prefetch is not None:
-            self.prefetch.on_page_validated(page_id)
-        if tr.enabled:
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "page_fault",
-                self.node_id,
-                fault_id,
-                remote=needed_remote,
-            )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if needed_remote:
-                pf.entity_add("page", page_id, "remote_faults")
-        if needed_remote:
-            # Table-1 accounting: the scheduler classifies the stall as
-            # a remote miss (vs a locally-satisfied fault) off this flag.
-            done.needed_remote = True  # type: ignore[attr-defined]
-        done.succeed(None)
 
     def _await_data(self, state: _ScPage) -> Generator:
         event = state.data_event
@@ -361,15 +306,9 @@ class ScBackend(CoherenceBackend):
 
     def _install_data(self, page_id: int, data: np.ndarray) -> Generator:
         """Copy served page contents in and charge the install cost."""
-        page = self.node.pages.page(page_id)
-        page[:] = data
         state = self._page(page_id)
         state.data_installed = True
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            pf.entity_add("page", page_id, "page_fetches")
-            pf.entity_add("page", page_id, "bytes", len(data))
-        yield from self.node.occupy(self.node.costs.diff_apply_us(len(data)), Category.DSM)
+        yield from self.copy_page_in(page_id, data)
         if state.data_event is not None:
             state.data_event.succeed(None)
 
@@ -411,17 +350,12 @@ class ScBackend(CoherenceBackend):
             state = self._page(page_id)
             if state.mode == EXCLUSIVE:
                 state.mode = SHARED
-        costs = self.node.costs
-        page = self.node.pages.page(page_id)
-        data = page.copy()
-        yield from self.node.occupy(costs.diff_create_us(len(page), 0), Category.DSM)
-        if self.sim.profile_on:
-            self.sim.profile.entity_add("page", page_id, "pages_served")
+        data = yield from self.copy_page_out(page_id, self.node.pages.page(page_id))
         out = Message(
             src=self.node_id,
             dst=requester,
             kind=MessageKind.SC_DATA,
-            size_bytes=24 + len(page),
+            size_bytes=24 + len(data),
             priority=PRIORITY_DEMAND,
             payload={"page_id": page_id, "data": data},
         )
@@ -578,59 +512,60 @@ class ScBackend(CoherenceBackend):
         return
         yield  # pragma: no cover
 
-    # -- message dispatch --------------------------------------------------
+    # -- message handlers --------------------------------------------------
 
-    def handle_message(self, msg: Message) -> Generator:
-        kind = msg.kind
+    def handle_req(self, msg: Message) -> None:
         payload = msg.payload
-        if kind is MessageKind.SC_REQ:
-            self._admit(
-                payload["page_id"], payload["requester"], payload["mode"], payload["grant"]
-            )
-            return
-            yield  # pragma: no cover
-        if kind is MessageKind.SC_FETCH:
-            yield from self._serve_fetch(
-                payload["page_id"], payload["requester"], payload["mode"]
-            )
-            if payload["mode"] == "write":
-                out = Message(
-                    src=self.node_id,
-                    dst=msg.src,
-                    kind=MessageKind.SC_INVAL_ACK,
-                    size_bytes=16,
-                    priority=PRIORITY_DEMAND,
-                    payload={"page_id": payload["page_id"]},
-                )
-                yield from self.send(out)
-        elif kind is MessageKind.SC_DATA:
-            yield from self._install_data(payload["page_id"], payload["data"])
-        elif kind is MessageKind.SC_INVAL:
-            yield from self._unpinned(payload["page_id"])
-            self._invalidate_local(payload["page_id"])
-            yield from self.node.occupy(
-                self.node.costs.write_notice_apply, Category.DSM
-            )
-            out = Message(
-                src=self.node_id,
-                dst=msg.src,
-                kind=MessageKind.SC_INVAL_ACK,
-                size_bytes=16,
-                priority=PRIORITY_DEMAND,
-                payload={"page_id": payload["page_id"]},
-            )
-            yield from self.send(out)
-        elif kind is MessageKind.SC_INVAL_ACK:
-            entry = self._dir(payload["page_id"])
-            entry.acks_pending -= 1
-            if entry.acks_pending == 0 and entry.ack_event is not None:
-                entry.ack_event.succeed(None)
-        elif kind is MessageKind.SC_GRANT:
-            payload["grant"].succeed({"data_sent": payload["data_sent"]})
-        elif kind is MessageKind.SC_DONE:
-            self._txn_done(payload["page_id"])
-        else:
-            yield from super().handle_message(msg)
+        self._admit(payload["page_id"], payload["requester"], payload["mode"], payload["grant"])
+
+    def handle_fetch(self, msg: Message) -> Generator:
+        payload = msg.payload
+        yield from self._serve_fetch(payload["page_id"], payload["requester"], payload["mode"])
+        if payload["mode"] == "write":
+            yield from self._send_inval_ack(msg)
+
+    def handle_data(self, msg: Message) -> Generator:
+        return self._install_data(msg.payload["page_id"], msg.payload["data"])
+
+    def handle_inval(self, msg: Message) -> Generator:
+        yield from self._unpinned(msg.payload["page_id"])
+        self._invalidate_local(msg.payload["page_id"])
+        yield from self.node.occupy(self.node.costs.write_notice_apply, Category.DSM)
+        yield from self._send_inval_ack(msg)
+
+    def _send_inval_ack(self, msg: Message) -> Generator:
+        """Tell the manager our copy of the page it named is gone."""
+        out = Message(
+            src=self.node_id,
+            dst=msg.src,
+            kind=MessageKind.SC_INVAL_ACK,
+            size_bytes=16,
+            priority=PRIORITY_DEMAND,
+            payload={"page_id": msg.payload["page_id"]},
+        )
+        return self.send(out)
+
+    def handle_inval_ack(self, msg: Message) -> None:
+        entry = self._dir(msg.payload["page_id"])
+        entry.acks_pending -= 1
+        if entry.acks_pending == 0 and entry.ack_event is not None:
+            entry.ack_event.succeed(None)
+
+    def handle_grant(self, msg: Message) -> None:
+        msg.payload["grant"].succeed({"data_sent": msg.payload["data_sent"]})
+
+    def handle_done(self, msg: Message) -> None:
+        self._txn_done(msg.payload["page_id"])
+
+    handlers = {
+        MessageKind.SC_REQ: handle_req,
+        MessageKind.SC_FETCH: handle_fetch,
+        MessageKind.SC_DATA: handle_data,
+        MessageKind.SC_INVAL: handle_inval,
+        MessageKind.SC_INVAL_ACK: handle_inval_ack,
+        MessageKind.SC_GRANT: handle_grant,
+        MessageKind.SC_DONE: handle_done,
+    }
 
     # -- checkpoint / recovery ---------------------------------------------
 
@@ -661,7 +596,6 @@ class ScBackend(CoherenceBackend):
                 pid: {"owner": entry.owner, "copyset": sorted(entry.copyset)}
                 for pid, entry in self._directory.items()
             },
-            "next_request_id": self._next_request_id,
         }
 
     def restore_state(self, snap: dict) -> None:
@@ -676,7 +610,6 @@ class ScBackend(CoherenceBackend):
             entry = _Directory(owner=entry_snap["owner"], num_nodes=self.num_nodes)
             entry.copyset = set(entry_snap["copyset"])
             self._directory[pid] = entry
-        self._next_request_id = snap["next_request_id"]
         if self.sim.sanitizer_on:
             # Re-seed the sanitizer's copy mirror (cleared on rollback)
             # from the restored page modes — see on_sc_restore.

@@ -41,7 +41,6 @@ from __future__ import annotations
 import statistics
 from typing import Optional
 
-from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
 from repro.experiments.formatting import render_rows
 from repro.experiments.runner import ExperimentRunner
@@ -128,10 +127,8 @@ def adaptive_matrix(runner: ExperimentRunner, apps: Optional[list[str]] = None):
             plan = scenario_plan(scenario, walls[app_name])
             for adaptive in (False, True):
                 for rep in range(REPEATS):
-                    config = RunConfig(
-                        num_nodes=runner.num_nodes,
-                        threads_per_node=1,
-                        prefetch=True,
+                    config = runner.config(
+                        label,
                         seed=runner.seed + rep,
                         fault_plan=plan,
                         transport=TransportConfig(adaptive=adaptive),

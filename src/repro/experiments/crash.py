@@ -12,7 +12,7 @@ invariant sweep of the recovery path.
 
 from __future__ import annotations
 
-from repro.api.runtime import DsmRuntime, RunConfig
+from repro.api.runtime import DsmRuntime
 from repro.apps.registry import APP_ORDER, make_app
 from repro.experiments.formatting import render_rows
 from repro.experiments.runner import ExperimentRunner
@@ -52,12 +52,7 @@ def crash_matrix(runner: ExperimentRunner):
             drop_prob=loss,
             crashes=(NodeCrash(node=node, at_us=baseline.wall_time_us * frac),),
         )
-        config = RunConfig(
-            num_nodes=runner.num_nodes,
-            seed=runner.seed,
-            fault_plan=plan,
-            sanitizer=True,
-        )
+        config = runner.config("O", fault_plan=plan, sanitizer=True)
         if runner.verbose:
             print(f"  running {app_name} [O + crash n{node}@{frac:.0%}] ...", flush=True)
         report = DsmRuntime(config).execute(

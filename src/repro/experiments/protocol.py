@@ -29,16 +29,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
 from repro.dsm.backend import BACKEND_NAMES
 from repro.experiments.formatting import render_rows
-from repro.experiments.runner import ExperimentRunner, parse_label
+from repro.experiments.runner import ExperimentRunner
 
-__all__ = ["protocol_matrix", "PROTOCOL_ORDER", "PROTOCOL_CONFIGS"]
-
-#: Presentation order: the paper's protocol first, then the two zoo members.
-PROTOCOL_ORDER = ("lrc", "hlrc", "sc")
+__all__ = ["protocol_matrix", "PROTOCOL_CONFIGS"]
 
 #: The four technique configurations every protocol is swept across.
 PROTOCOL_CONFIGS = ("O", "P", "4T", "4TP")
@@ -60,22 +56,15 @@ def protocol_matrix(
     # top-level import would be circular in spawned workers.
     from repro.parallel import RunSpec, run_specs
 
-    assert set(PROTOCOL_ORDER) == set(BACKEND_NAMES)
     apps = list(apps or APP_ORDER)
     configs = list(configs or PROTOCOL_CONFIGS)
     specs = []
     cells = []
     for app_name in apps:
         for label in configs:
-            threads_per_node, prefetch = parse_label(label)
-            for protocol in PROTOCOL_ORDER:
-                config = RunConfig(
-                    num_nodes=runner.num_nodes,
-                    threads_per_node=threads_per_node,
-                    prefetch=prefetch,
-                    seed=runner.seed,
-                    protocol=protocol,
-                )
+            # BACKEND_NAMES is in presentation order: the paper's
+            # protocol first, then the two zoo members.
+            for protocol in BACKEND_NAMES:
                 cells.append((app_name, label, protocol))
                 specs.append(
                     RunSpec(
@@ -83,7 +72,7 @@ def protocol_matrix(
                         app_name=app_name,
                         preset=runner.preset,
                         label=label,
-                        config=config,
+                        config=runner.config(label, protocol=protocol),
                         verify=runner.verify,
                     )
                 )
@@ -122,7 +111,7 @@ def protocol_matrix(
         for label in configs:
             data[app_name][label] = {}
             lrc_wall = by_cell[(app_name, label, "lrc")].wall_time_us
-            for protocol in PROTOCOL_ORDER:
+            for protocol in BACKEND_NAMES:
                 report = by_cell[(app_name, label, protocol)]
                 entry = {
                     "wall_time_us": report.wall_time_us,

@@ -113,24 +113,36 @@ class ExperimentRunner:
             f"{template.stem}.{app_name}-{label}{template.suffix or '.json'}"
         )
 
-    def run(self, app_name: str, label: str) -> RunReport:
-        key = (app_name, label)
-        if key in self._cache:
-            return self._cache[key]
+    def config(self, label: str, **overrides) -> RunConfig:
+        """This runner's ``RunConfig`` for one configuration label — the
+        one place a label, the node count and the seed become a config;
+        ``overrides`` set or replace fields."""
         threads_per_node, prefetch = parse_label(label)
-        app = make_configured_app(app_name, self.preset, label)
-        config = RunConfig(
-            num_nodes=self.num_nodes,
-            threads_per_node=threads_per_node,
-            prefetch=prefetch,
-            seed=self.seed,
+        fields = {
+            "num_nodes": self.num_nodes,
+            "threads_per_node": threads_per_node,
+            "prefetch": prefetch,
+            "seed": self.seed,
+        }
+        return RunConfig(**{**fields, **overrides})
+
+    def _grid_config(self, label: str) -> RunConfig:
+        """The config of a cached (app, label) cell: the runner's planes on."""
+        return self.config(
+            label,
             trace=TraceConfig() if self.trace_template else None,
             profile=bool(self.profile_template),
             critpath=self.critpath,
         )
+
+    def run(self, app_name: str, label: str) -> RunReport:
+        key = (app_name, label)
+        if key in self._cache:
+            return self._cache[key]
+        app = make_configured_app(app_name, self.preset, label)
         if self.verbose:
             print(f"  running {app_name} [{label}] ...", flush=True)
-        runtime = DsmRuntime(config)
+        runtime = DsmRuntime(self._grid_config(label))
         report = runtime.execute(app, verify=self.verify)
         if self.trace_template:
             self._export_trace(runtime, report, app_name, label)
@@ -188,22 +200,14 @@ class ExperimentRunner:
             for label in labels:
                 if (app_name, label) in self._cache:
                     continue
-                threads_per_node, prefetch = parse_label(label)
-                config = RunConfig(
-                    num_nodes=self.num_nodes,
-                    threads_per_node=threads_per_node,
-                    prefetch=prefetch,
-                    seed=self.seed,
-                    profile=bool(self.profile_template),
-                    critpath=self.critpath,
-                )
                 specs.append(
                     RunSpec(
                         index=len(specs),
                         app_name=app_name,
                         preset=self.preset,
                         label=label,
-                        config=config,
+                        # No tracer here: run_many fans out only untraced grids.
+                        config=self._grid_config(label),
                         verify=self.verify,
                     )
                 )

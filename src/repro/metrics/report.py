@@ -18,16 +18,10 @@ if TYPE_CHECKING:
 
 __all__ = ["RunReport"]
 
-#: Bumped whenever the serialized layout changes incompatibly.
-#: v2 added the optional ``profile`` section (repro.profile); v3 the
-#: optional ``critpath`` section (repro.critpath); v4 the optional
-#: ``transport_health`` section (adaptive transport) and the
-#: paced/shed event counters; v5 the optional ``telemetry`` section
-#: (repro.telemetry) and the transport_health ``extremes`` watermarks.
-#: Older payloads are still readable (the sections are simply absent
-#: and the counters default to zero).
+#: Bumped whenever the serialized layout changes incompatibly.  Only
+#: the current layout is read: no committed artifact carries an older
+#: one (the bench trajectory files are ``repro-bench-1`` documents).
 _SCHEMA_VERSION = 6
-_COMPAT_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 
 @dataclass
@@ -72,8 +66,7 @@ class RunReport:
     #: ``telemetry=`` on, else None.  Same contract as profile/critpath:
     #: not part of the core, reports are otherwise byte-identical.
     telemetry: Optional[dict] = None
-    #: Coherence protocol the run used (``RunConfig.protocol``).  v6+;
-    #: older payloads read back as the then-only protocol, ``lrc``.
+    #: Coherence protocol the run used (``RunConfig.protocol``).
     protocol: str = "lrc"
 
     # -- aggregation ----------------------------------------------------------
@@ -169,14 +162,14 @@ class RunReport:
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
         version = data.get("schema")
-        if version not in _COMPAT_VERSIONS:
+        if version != _SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported RunReport schema {version!r} "
-                f"(this build reads schemas {_COMPAT_VERSIONS})"
+                f"(this build reads schema {_SCHEMA_VERSION})"
             )
         breakdowns = [TimeBreakdown.from_dict(times) for times in data["node_breakdowns"]]
         prefetch_stats = None
-        if data.get("prefetch_stats") is not None:
+        if data["prefetch_stats"] is not None:
             from repro.prefetch.engine import PrefetchStats
 
             prefetch_stats = PrefetchStats(**data["prefetch_stats"])
@@ -192,19 +185,15 @@ class RunReport:
             total_kbytes=data["total_kbytes"],
             message_drops=data["message_drops"],
             prefetch_stats=prefetch_stats,
-            retransmissions=data.get("retransmissions", 0),
-            injected_faults={
-                str(k): int(v) for k, v in data.get("injected_faults", {}).items()
-            },
-            traffic_by_kind={
-                str(k): dict(v) for k, v in data.get("traffic_by_kind", {}).items()
-            },
-            extra=dict(data.get("extra", {})),
-            profile=data.get("profile"),  # absent in v1 payloads
-            critpath=data.get("critpath"),  # absent in v1/v2 payloads
-            transport_health=data.get("transport_health"),  # v4+
-            telemetry=data.get("telemetry"),  # v5+
-            protocol=data.get("protocol", "lrc"),  # v6+
+            retransmissions=data["retransmissions"],
+            injected_faults={str(k): int(v) for k, v in data["injected_faults"].items()},
+            traffic_by_kind={str(k): dict(v) for k, v in data["traffic_by_kind"].items()},
+            extra=dict(data["extra"]),
+            profile=data["profile"],
+            critpath=data["critpath"],
+            transport_health=data["transport_health"],
+            telemetry=data["telemetry"],
+            protocol=data["protocol"],
         )
 
     @classmethod

@@ -234,7 +234,7 @@ class NodeScheduler:
                 # Table 2 accounting.
                 return
             if event is not None:
-                event.miss_counted = True  # type: ignore[attr-defined]
+                event.miss_counted = True
             events.remote_misses += 1
             events.remote_miss_stall += stall
         elif kind is StallKind.LOCK:

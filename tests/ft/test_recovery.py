@@ -2,10 +2,13 @@
 back to the last coordinated barrier checkpoint, and the application
 still verifies — deterministically."""
 
+from collections import Counter
+
 import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
+from repro.dsm.backend import BACKEND_NAMES
 from repro.metrics.counters import Category
 from repro.network.faults import FaultPlan, NodeCrash
 
@@ -98,3 +101,27 @@ def test_two_crashes_two_recoveries():
     ft = report.extra["ft"]
     assert ft["crashes"] == 2
     assert ft["recoveries"] == 2
+
+
+@pytest.mark.parametrize("protocol", BACKEND_NAMES)
+@pytest.mark.parametrize("frac", [0.5, 0.7])
+def test_span_ids_stay_unique_across_a_rollback(protocol, frac):
+    """Perfetto pairs async ``b``/``e`` by ``(name, id)``: a span left
+    open by the crash must not share its id with a post-recovery one,
+    so the request-id counter is not part of the rolled-back state."""
+
+    def traced(plan=None):
+        config = RunConfig(
+            num_nodes=NODES, seed=11, protocol=protocol, fault_plan=plan, trace=True
+        )
+        runtime = DsmRuntime(config)
+        report = runtime.execute(make_app("SOR", "small"))  # verify=True inside
+        return report, runtime.tracer.events
+
+    baseline, _ = traced()
+    plan = crash_plan(baseline, frac=frac)
+    report, events = traced(plan)
+    assert report.extra["ft"]["recoveries"] == 1
+    begun = Counter((event.name, event.id) for event in events if event.ph == "b")
+    assert [key for key, count in begun.items() if count > 1] == []
+    assert traced(plan)[0].to_json() == report.to_json()

@@ -145,18 +145,14 @@ def test_from_dict_rejects_unknown_schema():
         RunReport.from_dict(data)
 
 
-def test_from_dict_accepts_v1_documents():
-    """Schema v2 still loads v1 files (no ``profile`` key, untyped
-    fault/traffic maps)."""
-    data = make_report(
-        injected_faults={"drop": 2}, traffic_by_kind={"ack": {"sends": 9}}
-    ).to_dict()
-    data["schema"] = 1
-    del data["profile"]
-    clone = RunReport.from_dict(data)
-    assert clone.profile is None
-    assert clone.injected_faults == {"drop": 2}
-    assert clone.traffic_by_kind == {"ack": {"sends": 9}}
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+def test_from_dict_rejects_older_schemas(version):
+    """Only the current layout is read: no committed artifact carries an
+    older one, so the upgrade paths went with the v1-v5 readers."""
+    data = make_report().to_dict()
+    data["schema"] = version
+    with pytest.raises(ValueError, match=f"unsupported RunReport schema {version}"):
+        RunReport.from_dict(data)
 
 
 def test_typed_dicts_coerced_on_serialization():
@@ -232,98 +228,3 @@ def test_telemetry_section_round_trips():
     # Absent by default (telemetry off): the key serializes as None.
     assert make_report().telemetry is None
     assert "telemetry" in make_report().to_dict()
-
-
-def test_v2_document_reads_as_v6_with_absent_critpath():
-    """A v2 file (profile era, no critpath key) loads cleanly and
-    upgrades to a stable v6 document."""
-    import json
-
-    data = make_report(profile={"version": 1}).to_dict()
-    data["schema"] = 2
-    del data["critpath"]
-    del data["transport_health"]
-    del data["telemetry"]
-    upgraded = RunReport.from_json(json.dumps(data))
-    assert upgraded.critpath is None
-    assert upgraded.transport_health is None
-    assert upgraded.telemetry is None
-    assert upgraded.profile == {"version": 1}
-    v6 = json.loads(upgraded.to_json())
-    assert v6["schema"] == 6
-    assert v6["critpath"] is None
-    assert v6["transport_health"] is None
-    assert v6["telemetry"] is None
-    assert RunReport.from_dict(v6).to_json() == upgraded.to_json()
-
-
-def test_v3_document_reads_as_v6_with_absent_transport_health():
-    """A v3 file (critpath era, no transport_health/telemetry keys, no
-    paced/shed event counters) loads cleanly and upgrades to a stable
-    v6 document with the new counters defaulting to zero."""
-    import json
-
-    data = make_report(critpath={"version": 1}).to_dict()
-    data["schema"] = 3
-    del data["transport_health"]
-    del data["telemetry"]
-    for entry in data["node_events"]:
-        del entry["messages_paced"]
-        del entry["prefetch_shed"]
-    upgraded = RunReport.from_json(json.dumps(data))
-    assert upgraded.transport_health is None
-    assert upgraded.telemetry is None
-    assert upgraded.critpath == {"version": 1}
-    assert upgraded.events.messages_paced == 0
-    assert upgraded.events.prefetch_shed == 0
-    v6 = json.loads(upgraded.to_json())
-    assert v6["schema"] == 6
-    assert v6["transport_health"] is None
-    assert RunReport.from_dict(v6).to_json() == upgraded.to_json()
-
-
-def test_v4_document_reads_as_v6_with_absent_telemetry():
-    """A v4 file (adaptive-transport era, no telemetry key, no
-    transport_health extremes) loads cleanly and upgrades to a stable
-    v6 document."""
-    import json
-
-    health = {"per_node": {"0": {"unacked": 0}}, "cwnd_max": 64, "paced": 2}
-    data = make_report(transport_health=health).to_dict()
-    data["schema"] = 4
-    del data["telemetry"]
-    upgraded = RunReport.from_json(json.dumps(data))
-    assert upgraded.telemetry is None
-    assert upgraded.transport_health == health
-    v6 = json.loads(upgraded.to_json())
-    assert v6["schema"] == 6
-    assert v6["telemetry"] is None
-    assert RunReport.from_dict(v6).to_json() == upgraded.to_json()
-
-
-def test_v1_document_round_trips_stably_through_json():
-    """v1 -> from_json -> to_json(v6) -> from_json is a fixed point:
-    the upgraded document re-loads to an identical report."""
-    import json
-
-    data = make_report(
-        injected_faults={"drop": 2}, traffic_by_kind={"ack": {"sends": 9}}
-    ).to_dict()
-    data["schema"] = 1
-    del data["profile"]
-    del data["critpath"]
-    del data["transport_health"]
-    del data["telemetry"]
-    # v1 files also predate the transport/fault fields' guarantees;
-    # from_dict fills them via .get defaults.
-    v1_json = json.dumps(data)
-
-    upgraded = RunReport.from_json(v1_json)
-    v6_json = upgraded.to_json()
-    assert json.loads(v6_json)["schema"] == 6
-    reloaded = RunReport.from_json(v6_json)
-    assert reloaded.to_dict() == upgraded.to_dict()
-    assert reloaded.to_json() == v6_json
-    assert reloaded.profile is None
-    assert reloaded.critpath is None
-    assert reloaded.injected_faults == {"drop": 2}
