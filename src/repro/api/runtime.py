@@ -128,33 +128,20 @@ class RunConfig:
             # a partition without membership would strand the cut-off
             # nodes: both need the FT layer.
             object.__setattr__(self, "ft", FtConfig())
-        if self.trace is not None and not isinstance(self.trace, TraceConfig):
-            if self.trace is True:
-                object.__setattr__(self, "trace", TraceConfig())
-            elif self.trace is False:
-                object.__setattr__(self, "trace", None)
-            else:
-                raise ConfigError(f"trace must be a TraceConfig or bool, got {self.trace!r}")
+        # ``True`` means the plane's default config, ``False`` means off.
+        for name, cls in (
+            ("trace", TraceConfig),
+            ("profile", ProfileConfig),
+            ("telemetry", TelemetryConfig),
+        ):
+            value = getattr(self, name)
+            if value is None or isinstance(value, cls):
+                continue
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a {cls.__name__} or bool, got {value!r}")
+            object.__setattr__(self, name, cls() if value else None)
         if not isinstance(self.critpath, bool):
             object.__setattr__(self, "critpath", bool(self.critpath))
-        if self.profile is not None and not isinstance(self.profile, ProfileConfig):
-            if self.profile is True:
-                object.__setattr__(self, "profile", ProfileConfig())
-            elif self.profile is False:
-                object.__setattr__(self, "profile", None)
-            else:
-                raise ConfigError(
-                    f"profile must be a ProfileConfig or bool, got {self.profile!r}"
-                )
-        if self.telemetry is not None and not isinstance(self.telemetry, TelemetryConfig):
-            if self.telemetry is True:
-                object.__setattr__(self, "telemetry", TelemetryConfig())
-            elif self.telemetry is False:
-                object.__setattr__(self, "telemetry", None)
-            else:
-                raise ConfigError(
-                    f"telemetry must be a TelemetryConfig or bool, got {self.telemetry!r}"
-                )
 
     @property
     def total_threads(self) -> int:

@@ -37,8 +37,10 @@ protocol, so the base class owns it and a backend supplies four things:
 2. ``service_fault(page_id, done, ...)``: what makes the page usable —
    LRC gathers diffs, HLRC asks the home, SC runs an ownership
    transaction — setting ``done.needed_remote`` when it sends a request.
-   Round trips go through ``open_request``/``close_request``, whole pages
-   through ``copy_page_out``/``copy_page_in``.  The fault count, the
+   Every message leaves through ``self.post`` (the host's: it builds,
+   labels and sends; never construct a ``Message`` here), round trips go
+   through ``open_request``/``close_request``, whole pages through
+   ``copy_page_out``/``copy_page_in``.  The fault count, the
    ``page_fault`` span, the ``fault_handler``/``page_validate`` charges,
    prefetch-hit accounting and stall attribution wrap it, once;
 3. ``handlers``: the message kinds it serves, each a method of the
@@ -61,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.dsm.pagestate import PageCoherence
     from repro.memory.diff import Diff
-    from repro.network import Message
 
 __all__ = ["BACKEND_NAMES", "CoherenceBackend", "make_backend"]
 
@@ -97,6 +98,8 @@ class CoherenceBackend:
         self.sim = host.sim
         self.node_id = host.node_id
         self.num_nodes = host.num_nodes
+        #: The one way a protocol message leaves the node (``DsmNode.post``).
+        self.post = host.post
         #: Open round trips: request id -> (reply event, send instant, span).
         self._pending_requests: dict[int, tuple] = {}
         #: Names trace correlation ids, so like the host's counters it is
@@ -110,14 +113,6 @@ class CoherenceBackend:
     def prefetch(self):
         """The host's prefetch engine (installed after construction)."""
         return self.host.prefetch
-
-    def send(self, message: "Message"):
-        """Generator: charge the send cost and inject the message."""
-        return self.node.send_message(message)
-
-    def label_edge(self, message: "Message", role: str, **entity) -> None:
-        """Attach an entity label to a causal message edge (trace only)."""
-        self.host.label_edge(message, role, **entity)
 
     # -- the fault envelope -------------------------------------------------
 

@@ -104,33 +104,30 @@ class BarrierSubsystem:
                 f"{local_thread_count} local threads"
             )
         # Last local thread: LRC release, then notify the manager.
-        yield from self.dsm.close_interval_charged()
-        own_new = self.dsm.wn_log.own_notices_after(self.dsm.node_id, self._own_sent_upto)
-        self._own_sent_upto = self.dsm.vc[self.dsm.node_id]
-        vc_snapshot = self.dsm.vc.snapshot()
+        backend = self.dsm.backend
+        yield from backend.close_interval_charged()
+        own_new = backend.wn_log.own_notices_after(self.dsm.node_id, self._own_sent_upto)
+        self._own_sent_upto = backend.vc[self.dsm.node_id]
+        vc_snapshot = backend.vc.snapshot()
         if self.is_manager:
             yield from self._manager_arrival(
                 barrier_id, self._episode[barrier_id], self.dsm.node_id, vc_snapshot, own_new
             )
         else:
-            out = Message(
-                src=self.dsm.node_id,
-                dst=BARRIER_MANAGER,
-                kind=MessageKind.BARRIER_ARRIVE,
-                size_bytes=16
-                + self.dsm.vc.size_bytes
-                + WriteNoticeLog.wire_bytes(own_new),
-                payload={
+            yield from self.dsm.post(
+                BARRIER_MANAGER,
+                MessageKind.BARRIER_ARRIVE,
+                16 + backend.vc.size_bytes + WriteNoticeLog.wire_bytes(own_new),
+                {
                     "barrier_id": barrier_id,
                     "episode": self._episode[barrier_id],
                     "vc": vc_snapshot,
                     "notices": own_new,
                 },
+                "arrive",
+                barrier=barrier_id,
+                episode=self._episode[barrier_id],
             )
-            self.dsm.label_edge(
-                out, "arrive", barrier=barrier_id, episode=self._episode[barrier_id]
-            )
-            yield from self.dsm.send(out)
         return wake
 
     # -- message handlers ----------------------------------------------------
@@ -157,21 +154,9 @@ class BarrierSubsystem:
             skipped.discard(src)
             if not skipped:
                 del self._bug_skipped[key]
-            self.dsm.wn_log.merge(notices)
-            missing = self.dsm.wn_log.unseen_by(vc_snapshot)
-            out = Message(
-                src=self.dsm.node_id,
-                dst=src,
-                kind=MessageKind.BARRIER_RELEASE,
-                size_bytes=24 + WriteNoticeLog.wire_bytes(missing),
-                payload={
-                    "barrier_id": barrier_id,
-                    "episode": episode,
-                    "notices": missing,
-                },
-            )
-            self.dsm.label_edge(out, "release", barrier=barrier_id, episode=episode)
-            yield from self.dsm.send(out)
+            wn_log = self.dsm.backend.wn_log
+            wn_log.merge(notices)
+            yield from self._post_release(src, barrier_id, episode, wn_log.unseen_by(vc_snapshot))
             return
         state = self._manager.setdefault(key, _ManagerEpisode())
         if src in state.node_vcs:
@@ -187,7 +172,7 @@ class BarrierSubsystem:
         # own vector clock must NOT advance here: these notices are only
         # *applied* (clock + invalidations) by its own release, so its
         # release computation below still sees them as unseen.
-        self.dsm.wn_log.merge(notices)
+        self.dsm.backend.wn_log.merge(notices)
         if state.arrivals < self.dsm.num_nodes:
             return
         yield from self._complete(barrier_id, episode, state)
@@ -252,28 +237,33 @@ class BarrierSubsystem:
                 barrier=barrier_id,
                 episode=episode,
             )
+        wn_log = self.dsm.backend.wn_log
         for node_id, node_vc in state.node_vcs.items():
-            missing = self.dsm.wn_log.unseen_by(node_vc)
+            # Per iteration, not hoisted: a send yields, and the log can
+            # grow meanwhile (the manager's own threads may be running).
+            missing = wn_log.unseen_by(node_vc)
             if node_id == self.dsm.node_id:
                 yield from self._apply_release(barrier_id, episode, missing)
             else:
-                out = Message(
-                    src=self.dsm.node_id,
-                    dst=node_id,
-                    kind=MessageKind.BARRIER_RELEASE,
-                    size_bytes=24 + WriteNoticeLog.wire_bytes(missing),
-                    payload={
-                        "barrier_id": barrier_id,
-                        "episode": episode,
-                        "notices": missing,
-                    },
-                )
-                # One labelled edge per waiter: the release fan-out is
-                # fully enumerated in the trace, so the PAG knows every
-                # message this barrier episode unblocked.
-                self.dsm.label_edge(out, "release", barrier=barrier_id, episode=episode)
-                yield from self.dsm.send(out)
+                yield from self._post_release(node_id, barrier_id, episode, missing)
         del self._manager[(barrier_id, episode)]
+
+    def _post_release(self, dst: int, barrier_id: int, episode: int, missing: list):
+        """Send ``dst`` its release with the notices it has not seen.
+
+        One labelled edge per waiter: the release fan-out is fully
+        enumerated in the trace, so the PAG knows every message this
+        barrier episode unblocked.
+        """
+        return self.dsm.post(
+            dst,
+            MessageKind.BARRIER_RELEASE,
+            24 + WriteNoticeLog.wire_bytes(missing),
+            {"barrier_id": barrier_id, "episode": episode, "notices": missing},
+            "release",
+            barrier=barrier_id,
+            episode=episode,
+        )
 
     def resume_release(self, barrier_id: int, episode: int):
         """Replay the release fan-out after a rollback to this episode's cut."""
@@ -292,7 +282,7 @@ class BarrierSubsystem:
 
     def _apply_release(self, barrier_id: int, episode: int, notices):
         """Apply invalidations and wake every local thread."""
-        yield from self.dsm.apply_notices_charged(notices)
+        yield from self.dsm.backend.apply_notices_charged(notices)
         key = (barrier_id, episode)
         state = self._local.get(key)
         if state is None:

@@ -48,7 +48,7 @@ from repro.dsm.protocol import LrcBackend
 from repro.errors import ProtocolError
 from repro.memory import make_diff
 from repro.metrics.counters import Category
-from repro.network import PRIORITY_DEMAND, Message, MessageKind
+from repro.network import Message, MessageKind
 from repro.sim import Event, spawn
 
 __all__ = ["HlrcBackend"]
@@ -113,34 +113,16 @@ class HlrcBackend(LrcBackend):
             state = self._coherence.get(page_id)
             if state is None or not state.dirty or state.twin is None:
                 continue
-            page = self.node.pages.page(page_id)
-            if self.sim.sanitizer_on:
-                self.sim.sanitizer.on_flush(self.node_id, page_id, had_twin=True)
-            diff = make_diff(page_id, state.twin, page)
-            state.dirty = False
-            state.twin = None
+            diff = self._seal_twin(state)
             state.write_protected = False
-            stored = StoredDiff(
-                proc=self.node_id,
-                covers_through=self.vc[self.node_id],
-                lamport=self.intervals.lamport,
-                diff=diff,
-            )
             # Archived locally as well: the replay verifier and the
             # checkpoint sizer read the writer's own diff store, same
             # as under flat LRC.
-            self.diff_store.add(stored)
+            stored = self._archive_diff(diff)
             self._flushed_upto[page_id] = stored.covers_through
-            if self.sim.trace_on:
-                self.sim.trace.instant(
-                    self.sim.now,
-                    "protocol",
-                    "diff_create",
-                    self.node_id,
-                    page=page_id,
-                    bytes=diff.modified_bytes,
-                )
-            flush_cost += self.node.costs.diff_create_us(len(page), diff.modified_bytes)
+            flush_cost += self.node.costs.diff_create_us(
+                self.node.pages.page_size, diff.modified_bytes
+            )
             flushed.append((page_id, stored))
         if flush_cost:
             yield from self.node.occupy(flush_cost, Category.DSM)
@@ -155,20 +137,15 @@ class HlrcBackend(LrcBackend):
                 continue
             request_id, ack = self.open_request("homeack")
             acks.append(ack)
-            out = Message(
-                src=self.node_id,
-                dst=home,
-                kind=MessageKind.HOME_UPDATE,
-                size_bytes=24 + stored.diff.size_bytes + 12,
-                priority=PRIORITY_DEMAND,
-                payload={
-                    "page_id": page_id,
-                    "stored": stored,
-                    "request_id": request_id,
-                },
+            yield from self.post(
+                home,
+                MessageKind.HOME_UPDATE,
+                24 + stored.diff.size_bytes + 12,
+                {"page_id": page_id, "stored": stored, "request_id": request_id},
+                "home_update",
+                page=page_id,
+                request_id=request_id,
             )
-            self.label_edge(out, "home_update", page=page_id, request_id=request_id)
-            yield from self.send(out)
         # Any fetch parked on our newly closed interval can go now.
         for page_id, _stored in flushed:
             if self.home_of(page_id) == self.node_id:
@@ -207,16 +184,14 @@ class HlrcBackend(LrcBackend):
         # order conflicting arrivals by per-byte lamport watermark.
         yield from self.apply_stored_diffs(page_id, [stored])
         self._pump_parked(page_id)
-        out = Message(
-            src=self.node_id,
-            dst=msg.src,
-            kind=MessageKind.HOME_UPDATE_ACK,
-            size_bytes=16,
-            priority=PRIORITY_DEMAND,
-            payload={"request_id": msg.payload["request_id"]},
+        yield from self.post(
+            msg.src,
+            MessageKind.HOME_UPDATE_ACK,
+            16,
+            {"request_id": msg.payload["request_id"]},
+            "home_ack",
+            page=page_id,
         )
-        self.label_edge(out, "home_ack", page=page_id)
-        yield from self.send(out)
 
     def handle_home_update_ack(self, msg: Message) -> None:
         self.close_request(msg.payload["request_id"], None, "home-update ack")
@@ -277,22 +252,21 @@ class HlrcBackend(LrcBackend):
         if source is None:
             source = self.node.pages.page(page_id)
         data = yield from self.copy_page_out(page_id, source)
-        out = Message(
-            src=self.node_id,
-            dst=requester,
-            kind=MessageKind.PAGE_REPLY,
-            size_bytes=24 + len(data) + 4 * self.num_nodes,
-            priority=PRIORITY_DEMAND,
-            payload={
+        yield from self.post(
+            requester,
+            MessageKind.PAGE_REPLY,
+            24 + len(data) + 4 * self.num_nodes,
+            {
                 "page_id": page_id,
                 "request_id": request_id,
                 "data": data,
                 "covers": covers,
                 "lamport": self.intervals.lamport,
             },
+            "reply",
+            page=page_id,
+            request_id=request_id,
         )
-        self.label_edge(out, "reply", page=page_id, request_id=request_id)
-        yield from self.send(out)
 
     def handle_page_request(self, msg: Message) -> Generator:
         page_id = msg.payload["page_id"]
@@ -366,20 +340,15 @@ class HlrcBackend(LrcBackend):
             # own committed writes.
             needed = list(state.needed_upto)
             needed[self.node_id] = self._flushed_upto.get(page_id, 0)
-            out = Message(
-                src=self.node_id,
-                dst=home,
-                kind=MessageKind.PAGE_REQUEST,
-                size_bytes=24 + self.vc.size_bytes,
-                priority=PRIORITY_DEMAND,
-                payload={
-                    "page_id": page_id,
-                    "needed": tuple(needed),
-                    "request_id": request_id,
-                },
+            yield from self.post(
+                home,
+                MessageKind.PAGE_REQUEST,
+                24 + self.vc.size_bytes,
+                {"page_id": page_id, "needed": tuple(needed), "request_id": request_id},
+                "request",
+                page=page_id,
+                request_id=request_id,
             )
-            self.label_edge(out, "request", page=page_id, request_id=request_id)
-            yield from self.send(out)
             data, covers, lamport = yield reply
             yield from self._install_page(page_id, data, covers, lamport)
 

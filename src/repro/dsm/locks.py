@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.dsm.writenotice import WriteNoticeLog
 from repro.errors import ProtocolError
 from repro.network import Message, MessageKind
 from repro.sim import Event
@@ -127,6 +128,7 @@ class LockSubsystem:
                     lock=lock_id,
                 )
             manager = self.manager_of(lock_id)
+            vc = self.dsm.backend.vc
             if manager == self.dsm.node_id:
                 # The manager requests its own lock back: do the queue
                 # bookkeeping locally and ask the tail to grant to us.
@@ -137,29 +139,23 @@ class LockSubsystem:
                     raise ProtocolError(
                         f"lock {lock_id}: manager is queue tail but has no token"
                     )
-                out = Message(
-                    src=self.dsm.node_id,
-                    dst=previous,
-                    kind=MessageKind.LOCK_FORWARD,
-                    size_bytes=16 + self.dsm.vc.size_bytes,
-                    payload={
-                        "lock_id": lock_id,
-                        "requester": self.dsm.node_id,
-                        "vc": self.dsm.vc.snapshot(),
-                    },
+                yield from self.dsm.post(
+                    previous,
+                    MessageKind.LOCK_FORWARD,
+                    16 + vc.size_bytes,
+                    {"lock_id": lock_id, "requester": self.dsm.node_id, "vc": vc.snapshot()},
+                    "request",
+                    lock=lock_id,
                 )
-                self.dsm.label_edge(out, "request", lock=lock_id)
-                yield from self.dsm.send(out)
             else:
-                out = Message(
-                    src=self.dsm.node_id,
-                    dst=manager,
-                    kind=MessageKind.LOCK_REQUEST,
-                    size_bytes=16 + self.dsm.vc.size_bytes,
-                    payload={"lock_id": lock_id, "vc": self.dsm.vc.snapshot()},
+                yield from self.dsm.post(
+                    manager,
+                    MessageKind.LOCK_REQUEST,
+                    16 + vc.size_bytes,
+                    {"lock_id": lock_id, "vc": vc.snapshot()},
+                    "request",
+                    lock=lock_id,
                 )
-                self.dsm.label_edge(out, "request", lock=lock_id)
-                yield from self.dsm.send(out)
         return wake
 
     def op_release(self, lock_id: int):
@@ -175,7 +171,7 @@ class LockSubsystem:
             pf.entity_add("lock", lock_id, "hold_us", held_for)
         # LRC release: close the current interval so the modifications
         # become visible to the next acquirer.
-        yield from self.dsm.close_interval_charged()
+        yield from self.dsm.backend.close_interval_charged()
         if state.local_waiters:
             # Hand off between local threads without any messages.
             yield from self.dsm.occupy_dsm(costs.lock_local_handoff)
@@ -207,15 +203,15 @@ class LockSubsystem:
             # locally delivered forward.
             yield from self._accept_forward(lock_id, msg.src, msg.payload["vc"])
         else:
-            out = Message(
-                src=self.dsm.node_id,
-                dst=previous,
-                kind=MessageKind.LOCK_FORWARD,
-                size_bytes=16 + self.dsm.vc.size_bytes,
-                payload={"lock_id": lock_id, "requester": msg.src, "vc": msg.payload["vc"]},
+            yield from self.dsm.post(
+                previous,
+                MessageKind.LOCK_FORWARD,
+                16 + self.dsm.backend.vc.size_bytes,
+                {"lock_id": lock_id, "requester": msg.src, "vc": msg.payload["vc"]},
+                "forward",
+                lock=lock_id,
+                requester=msg.src,
             )
-            self.dsm.label_edge(out, "forward", lock=lock_id, requester=msg.src)
-            yield from self.dsm.send(out)
 
     def handle_forward(self, msg: Message):
         yield from self.dsm.occupy_dsm(self.dsm.node.costs.lock_handler)
@@ -249,21 +245,19 @@ class LockSubsystem:
         state.has_token = False
         # The grant is an LRC release towards the successor: close the
         # interval so every local modification is announced.
-        yield from self.dsm.close_interval_charged()
-        notices = self.dsm.wn_log.unseen_by(requester_vc)
-        from repro.dsm.writenotice import WriteNoticeLog
-
-        out = Message(
-            src=self.dsm.node_id,
-            dst=requester,
-            kind=MessageKind.LOCK_GRANT,
-            size_bytes=24 + WriteNoticeLog.wire_bytes(notices),
-            payload={"lock_id": state.lock_id, "notices": notices},
+        yield from self.dsm.backend.close_interval_charged()
+        notices = self.dsm.backend.wn_log.unseen_by(requester_vc)
+        # The granting handoff: the label names which node releases the
+        # token to which requester, keyed by the grant's correlation id.
+        yield from self.dsm.post(
+            requester,
+            MessageKind.LOCK_GRANT,
+            24 + WriteNoticeLog.wire_bytes(notices),
+            {"lock_id": state.lock_id, "notices": notices},
+            "grant",
+            lock=state.lock_id,
+            requester=requester,
         )
-        # The granting handoff: names which node releases the token to
-        # which requester, keyed by the grant message's correlation id.
-        self.dsm.label_edge(out, "grant", lock=state.lock_id, requester=requester)
-        yield from self.dsm.send(out)
 
     def handle_grant(self, msg: Message):
         """Requester-side: token arrives with consistency information."""
@@ -271,7 +265,7 @@ class LockSubsystem:
         state = self.state(lock_id)
         costs = self.dsm.node.costs
         yield from self.dsm.occupy_dsm(costs.lock_handler)
-        yield from self.dsm.apply_notices_charged(msg.payload["notices"])
+        yield from self.dsm.backend.apply_notices_charged(msg.payload["notices"])
         if self.dsm.sim.trace_on:
             tr = self.dsm.sim.trace
             tr.async_end(

@@ -72,6 +72,17 @@ class PageCoherence:
             if needed > applied
         ]
 
+    def missing_writers(self, held: dict[int, int]) -> list[tuple[int, int]]:
+        """``(writer, have)`` per stale writer that ``held`` — writer ->
+        interval covered by diffs gathered or cached, not yet applied —
+        does not satisfy either; ``have`` is the ``t_have`` to ask from."""
+        missing = []
+        for writer in self.stale_writers():
+            have = max(self.applied_upto[writer], held.get(writer, 0))
+            if self.needed_upto[writer] > have:
+                missing.append((writer, have))
+        return missing
+
     def note_write_notice(self, proc: int, interval_idx: int) -> bool:
         """Record an invalidation; returns True if the page became stale."""
         needed = self.needed_upto

@@ -2,8 +2,8 @@
 
 ``DsmNode`` is the protocol *host* for one node: it owns what every
 coherence protocol shares — the lock and barrier subsystems, the
-prefetch/FT hooks, message dispatch, and the fault counters — and
-delegates everything protocol-specific to a
+prefetch/FT hooks, message posting and dispatch, and the fault counters
+— and leaves everything protocol-specific to a
 :class:`~repro.dsm.backend.CoherenceBackend` strategy selected by
 ``RunConfig.protocol`` (``lrc`` / ``hlrc`` / ``sc``).
 
@@ -38,9 +38,9 @@ from repro.dsm.vclock import VectorClock
 from repro.dsm.writenotice import WriteNotice, WriteNoticeLog
 from repro.errors import ProtocolError
 from repro.machine.node import Node
-from repro.memory import apply_diff, make_diff
+from repro.memory import Diff, apply_diff, make_diff
 from repro.metrics.counters import Category
-from repro.network import PRIORITY_DEMAND, Message, MessageKind
+from repro.network import Message, MessageKind
 from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,8 +70,9 @@ class DsmNode:
         self.backend: CoherenceBackend = make_backend(protocol, self)
         self.locks = LockSubsystem(self)
         self.barriers = BarrierSubsystem(self)
-        #: The routing table: every kind this node can receive.
-        self._handlers = {
+        #: The routing table: every kind this node can receive (the
+        #: prefetch engine adds its two when installed).
+        self.routes = {
             MessageKind.LOCK_REQUEST: self.locks.handle_request,
             MessageKind.LOCK_FORWARD: self.locks.handle_forward,
             MessageKind.LOCK_GRANT: self.locks.handle_grant,
@@ -81,8 +82,6 @@ class DsmNode:
             MessageKind.FT_DOWN: self._handle_ft,
             MessageKind.FT_UP: self._handle_ft,
             MessageKind.FT_REJOIN: self._handle_ft,
-            MessageKind.PREFETCH_REQUEST: self._handle_prefetch,
-            MessageKind.PREFETCH_REPLY: self._handle_prefetch,
             # Coherence-protocol kinds (diff/page/invalidate traffic).
             **{kind: MethodType(fn, self.backend) for kind, fn in self.backend.handlers.items()},
         }
@@ -92,38 +91,30 @@ class DsmNode:
     def protocol(self) -> str:
         return self.backend.name
 
-    # -- protocol-state views (backend-owned; SC serves inert instances) ----
+    # -- the message plane -------------------------------------------------
 
-    @property
-    def vc(self) -> VectorClock:
-        return self.backend.vc
+    def post(
+        self,
+        dst: int,
+        kind: MessageKind,
+        size_bytes: int,
+        payload: dict,
+        role: Optional[str] = None,
+        reliable: bool = True,
+        **entity,
+    ):
+        """The one way a protocol message leaves this node: build it,
+        label its causal edge, return ``node.send_message``'s generator.
 
-    @property
-    def intervals(self) -> IntervalManager:
-        return self.backend.intervals
-
-    @property
-    def wn_log(self) -> WriteNoticeLog:
-        return self.backend.wn_log
-
-    @property
-    def diff_store(self) -> DiffStore:
-        return self.backend.diff_store
-
-    # -- small helpers -----------------------------------------------------
-
-    def coherence(self, page_id: int) -> PageCoherence:
-        return self.backend.coherence(page_id)
-
-    def page_valid(self, page_id: int) -> bool:
-        return self.backend.page_valid(page_id)
-
-    def page_writable(self, page_id: int) -> bool:
-        return self.backend.page_writable(page_id)
-
-    def send(self, message: Message):
-        """Generator: charge the send cost and inject the message."""
-        return self.node.send_message(message)
+        Source and backpressure class (the kind's default) are not the
+        caller's business; ``role``/``entity`` go to :meth:`label_edge`
+        (``None``: no label).  The order is load-bearing: message ids
+        are allocated at construction, the label precedes the send charge.
+        """
+        out = Message(self.node_id, dst, kind, size_bytes, payload, reliable)
+        if role is not None:
+            self.label_edge(out, role, **entity)
+        return self.node.send_message(out)
 
     def label_edge(self, message: Message, role: str, **entity) -> None:
         """Attach an entity label to a causal message edge (trace only).
@@ -147,54 +138,20 @@ class DsmNode:
                 **entity,
             )
 
-    # -- delegated protocol surface ----------------------------------------
-
-    def close_interval_charged(self) -> Generator:
-        """The release action (protocol-specific)."""
-        return self.backend.close_interval_charged()
-
-    def apply_notices_charged(
-        self, notices: list[WriteNotice], advance_vc: bool = True
-    ) -> Generator:
-        """The acquire action (protocol-specific)."""
-        return self.backend.apply_notices_charged(notices, advance_vc)
-
-    def op_write_touch(self, page_id: int) -> Generator:
-        return self.backend.op_write_touch(page_id)
-
-    def ensure_valid(self, page_id: int, for_write: bool = False) -> Optional[Event]:
-        return self.backend.ensure_valid(page_id, for_write)
-
-    def flush_page_if_dirty(self, page_id: int) -> Generator:
-        return self.backend.flush_page_if_dirty(page_id)
-
-    def apply_stored_diffs(self, page_id: int, stored: list[StoredDiff]) -> Generator:
-        return self.backend.apply_stored_diffs(page_id, stored)
-
-    def reply_notices(
-        self, page_id: int, t_have: int, requester_vc: Optional[tuple[int, ...]] = None
-    ) -> list[WriteNotice]:
-        return self.backend.reply_notices(page_id, t_have, requester_vc)
-
     # -- dispatch -------------------------------------------------------------------
 
     def dispatch(self, msg: Message):
         """The handler's generator for an arriving message (the node runs
         it as a process); empty when the handler had nothing to wait for."""
-        handler = self._handlers.get(msg.kind)
+        handler = self.routes.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"unhandled message kind {msg.kind}")
         return handler(msg) or ()
 
-    # The FT manager and the prefetch engine are installed after
-    # construction, hence looked up per message.
+    # The FT manager is installed after construction, hence looked up
+    # per message.
     def _handle_ft(self, msg: Message):
         return self.ft.handle_message(self.node_id, msg) if self.ft is not None else None
-
-    def _handle_prefetch(self, msg: Message):
-        if self.prefetch is None:
-            raise ProtocolError("prefetch message with no prefetch engine installed")
-        return self.prefetch.dispatch(msg)
 
     # -- checkpoint / recovery ------------------------------------------------
 
@@ -430,14 +387,6 @@ class LrcBackend(CoherenceBackend):
                     covers_updates.update(cached.covers)
                     consumed_cache = True
 
-            def missing_writers() -> list[int]:
-                return [
-                    writer
-                    for writer in state.stale_writers()
-                    if state.needed_upto[writer]
-                    > max(state.applied_upto[writer], covers_updates.get(writer, 0))
-                ]
-
             # Gather until the writer set is stable: a reply's interval
             # records may reveal further writers — or NEWER intervals of
             # already-queried writers — whose diffs must land in the
@@ -446,8 +395,8 @@ class LrcBackend(CoherenceBackend):
             requested: dict[int, int] = {}
             while True:
                 writers = [
-                    w
-                    for w in missing_writers()
+                    (w, have)
+                    for w, have in state.missing_writers(covers_updates)
                     if requested.get(w, -1) < state.needed_upto[w]
                 ]
                 if not writers:
@@ -456,33 +405,29 @@ class LrcBackend(CoherenceBackend):
                 if self.prefetch is not None:
                     self.prefetch.classify_remote_fault(page_id)
                 replies = []
-                for writer in writers:
+                for writer, t_have in writers:
                     requested[writer] = state.needed_upto[writer]
                     # The round trip closes in handle_diff_reply.
                     request_id, reply_event = self.open_request(
                         "diffreq", ("diff_rtt", "dr"), page=page_id, writer=writer
                     )
                     replies.append(reply_event)
-                    out = Message(
-                        src=self.node_id,
-                        dst=writer,
-                        kind=MessageKind.DIFF_REQUEST,
-                        size_bytes=36 + self.vc.size_bytes,
-                        # A faulting thread is stalled on this round
-                        # trip: demand class, never shed, paced last.
-                        priority=PRIORITY_DEMAND,
-                        payload={
+                    # A faulting thread is stalled on this round trip:
+                    # demand class, never shed, paced last.
+                    yield from self.post(
+                        writer,
+                        MessageKind.DIFF_REQUEST,
+                        36 + self.vc.size_bytes,
+                        {
                             "page_id": page_id,
-                            "t_have": max(
-                                state.applied_upto[writer],
-                                covers_updates.get(writer, 0),
-                            ),
+                            "t_have": t_have,
                             "vc": self.vc.snapshot(),
                             "request_id": request_id,
                         },
+                        "request",
+                        page=page_id,
+                        request_id=request_id,
                     )
-                    self.label_edge(out, "request", page=page_id, request_id=request_id)
-                    yield from self.send(out)
                 reply_payloads = yield self.sim.all_of(replies)
                 for src, diffs, covers in reply_payloads:
                     batch.extend(diffs)
@@ -567,38 +512,47 @@ class LrcBackend(CoherenceBackend):
             # diff creation, write-protection, interval seal, and store
             # happen atomically, so a local write racing the flush lands
             # cleanly in the *next* interval with a fresh twin.
-            page = self.node.pages.page(page_id)
-            if self.sim.sanitizer_on:
-                san = self.sim.sanitizer
-                san.on_flush(self.node_id, page_id, had_twin=state.twin is not None)
-            diff = make_diff(page_id, state.twin, page)
-            state.dirty = False
-            state.twin = None
+            diff = self._seal_twin(state)
             self._flushed_in_open.add(page_id)
             self._close_interval()
-            self.diff_store.add(
-                StoredDiff(
-                    proc=self.node_id,
-                    covers_through=self.vc[self.node_id],
-                    lamport=self.intervals.lamport,
-                    diff=diff,
-                )
-            )
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "protocol",
-                    "diff_create",
-                    self.node_id,
-                    page=page_id,
-                    bytes=diff.modified_bytes,
-                )
+            self._archive_diff(diff)
             # Service time is charged after the fact; the reply waits.
-            cost = self.node.costs.diff_create_us(len(page), diff.modified_bytes)
+            cost = self.node.costs.diff_create_us(self.node.pages.page_size, diff.modified_bytes)
             yield from self.node.occupy(cost, Category.DSM)
         finally:
             flush_done.succeed(None)
+
+    def _seal_twin(self, state: PageCoherence) -> Diff:
+        """Turn a dirty page's twin into its diff; the page is clean
+        after (no yields: see the callers for why that matters)."""
+        if self.sim.sanitizer_on:
+            san = self.sim.sanitizer
+            san.on_flush(self.node_id, state.page_id, had_twin=state.twin is not None)
+        diff = make_diff(state.page_id, state.twin, self.node.pages.page(state.page_id))
+        state.dirty = False
+        state.twin = None
+        return diff
+
+    def _archive_diff(self, diff: Diff) -> StoredDiff:
+        """File a sealed diff as covering through the interval closed last."""
+        stored = StoredDiff(
+            proc=self.node_id,
+            covers_through=self.vc[self.node_id],
+            lamport=self.intervals.lamport,
+            diff=diff,
+        )
+        self.diff_store.add(stored)
+        if self.sim.trace_on:
+            tr = self.sim.trace
+            tr.instant(
+                self.sim.now,
+                "protocol",
+                "diff_create",
+                self.node_id,
+                page=diff.page_id,
+                bytes=diff.modified_bytes,
+            )
+        return stored
 
     def reply_notices(
         self, page_id: int, t_have: int, requester_vc: Optional[tuple[int, ...]] = None
@@ -629,8 +583,23 @@ class LrcBackend(CoherenceBackend):
         if self.sim.profile_on:
             pf = self.sim.profile
             pf.entity_add("page", msg.payload["page_id"], "diffs_served")
+        # The requester's fault is blocked on this reply: demand class,
+        # ahead of any notice/prefetch backlog on the link.
+        return self.serve_diffs(msg, MessageKind.DIFF_REPLY, "reply")
+
+    def serve_diffs(
+        self, msg: Message, kind: MessageKind, role: str, reliable: bool = True
+    ) -> Generator:
+        """The diff server: answer ``msg`` with the page's diffs past its
+        ``t_have`` and the interval records that go with them.
+
+        One server for demand and prefetch requests, sub-interval
+        machinery included: the paper's prefetch (Section 3.1) *is* the
+        diff request, its reply a droppable datagram (``reliable=False``).
+        """
         page_id = msg.payload["page_id"]
         t_have = msg.payload["t_have"]
+        request_id = msg.payload["request_id"]
         yield from self.flush_page_if_dirty(page_id)
         stored = self.diff_store.diffs_after(page_id, t_have)
         # The coverage claim must be PAGE-specific: an empty reply means
@@ -645,24 +614,22 @@ class LrcBackend(CoherenceBackend):
         size = 24 + sum(s.diff.size_bytes + 12 for s in stored) + WriteNoticeLog.wire_bytes(
             notices
         )
-        out = Message(
-            src=self.node_id,
-            dst=msg.src,
-            kind=MessageKind.DIFF_REPLY,
-            size_bytes=size,
-            # The requester's fault is blocked on this reply: demand
-            # class, ahead of any notice/prefetch backlog on the link.
-            priority=PRIORITY_DEMAND,
-            payload={
+        yield from self.post(
+            msg.src,
+            kind,
+            size,
+            {
                 "page_id": page_id,
-                "request_id": msg.payload["request_id"],
+                "request_id": request_id,
                 "diffs": stored,
                 "covers_through": covers,
                 "notices": notices,
             },
+            role,
+            reliable,
+            page=page_id,
+            request_id=request_id,
         )
-        self.label_edge(out, "reply", page=page_id, request_id=msg.payload["request_id"])
-        yield from self.send(out)
 
     def handle_diff_reply(self, msg: Message) -> Generator:
         """Hand the reply's diffs to the waiting fetch process.

@@ -55,7 +55,7 @@ from repro.dsm.vclock import VectorClock
 from repro.dsm.writenotice import WriteNoticeLog
 from repro.errors import ProtocolError
 from repro.metrics.counters import Category
-from repro.network import PRIORITY_DEMAND, Message, MessageKind
+from repro.network import Message, MessageKind
 from repro.sim import Event, spawn
 
 __all__ = ["ScBackend"]
@@ -251,21 +251,15 @@ class ScBackend(CoherenceBackend):
                 # Table-1 accounting: the scheduler classifies the stall
                 # as a remote miss (vs a locally-satisfied fault) off this.
                 done.needed_remote = True
-                out = Message(
-                    src=self.node_id,
-                    dst=manager,
-                    kind=MessageKind.SC_REQ,
-                    size_bytes=24,
-                    priority=PRIORITY_DEMAND,
-                    payload={
-                        "page_id": page_id,
-                        "mode": mode,
-                        "requester": self.node_id,
-                        "grant": grant,
-                    },
+                yield from self.post(
+                    manager,
+                    MessageKind.SC_REQ,
+                    24,
+                    {"page_id": page_id, "mode": mode, "requester": self.node_id, "grant": grant},
+                    "request",
+                    page=page_id,
+                    request_id=request_id,
                 )
-                self.label_edge(out, "request", page=page_id, request_id=request_id)
-                yield from self.send(out)
             # The grant closes the transaction from the requester's
             # side: for reads it is sent with the fetch (completion is
             # data arrival), for writes after every invalidation acked.
@@ -284,16 +278,15 @@ class ScBackend(CoherenceBackend):
             if manager == self.node_id:
                 self._txn_done(page_id)
             else:
-                out = Message(
-                    src=self.node_id,
-                    dst=manager,
-                    kind=MessageKind.SC_DONE,
-                    size_bytes=16,
-                    priority=PRIORITY_DEMAND,
-                    payload={"page_id": page_id},
+                yield from self.post(
+                    manager,
+                    MessageKind.SC_DONE,
+                    16,
+                    {"page_id": page_id},
+                    "done",
+                    page=page_id,
+                    request_id=request_id,
                 )
-                self.label_edge(out, "done", page=page_id, request_id=request_id)
-                yield from self.send(out)
         if mode == "write":
             # Hold the page until the faulting store lands — released
             # by op_write_touch (see _unpinned for why this must exist).
@@ -351,16 +344,14 @@ class ScBackend(CoherenceBackend):
             if state.mode == EXCLUSIVE:
                 state.mode = SHARED
         data = yield from self.copy_page_out(page_id, self.node.pages.page(page_id))
-        out = Message(
-            src=self.node_id,
-            dst=requester,
-            kind=MessageKind.SC_DATA,
-            size_bytes=24 + len(data),
-            priority=PRIORITY_DEMAND,
-            payload={"page_id": page_id, "data": data},
+        yield from self.post(
+            requester,
+            MessageKind.SC_DATA,
+            24 + len(data),
+            {"page_id": page_id, "data": data},
+            "data",
+            page=page_id,
         )
-        self.label_edge(out, "data", page=page_id)
-        yield from self.send(out)
 
     # -- manager side ------------------------------------------------------
 
@@ -414,16 +405,7 @@ class ScBackend(CoherenceBackend):
         if owner == self.node_id:
             yield from self._serve_fetch(page_id, requester, "read")
         else:
-            out = Message(
-                src=self.node_id,
-                dst=owner,
-                kind=MessageKind.SC_FETCH,
-                size_bytes=24,
-                priority=PRIORITY_DEMAND,
-                payload={"page_id": page_id, "requester": requester, "mode": "read"},
-            )
-            self.label_edge(out, "fetch", page=page_id)
-            yield from self.send(out)
+            yield from self._post_fetch(owner, page_id, requester, "read")
         # Bookkeeping at issue time (not at DONE): the directory is
         # consistent at any barrier cut — see the module docstring.
         entry.copyset.add(requester)
@@ -449,26 +431,12 @@ class ScBackend(CoherenceBackend):
                 continue
             entry.acks_pending += 1
             if serve:
-                out = Message(
-                    src=self.node_id,
-                    dst=target,
-                    kind=MessageKind.SC_FETCH,
-                    size_bytes=24,
-                    priority=PRIORITY_DEMAND,
-                    payload={"page_id": page_id, "requester": requester, "mode": "write"},
-                )
-                self.label_edge(out, "fetch", page=page_id)
+                yield from self._post_fetch(target, page_id, requester, "write")
             else:
-                out = Message(
-                    src=self.node_id,
-                    dst=target,
-                    kind=MessageKind.SC_INVAL,
-                    size_bytes=16,
-                    priority=PRIORITY_DEMAND,
-                    payload={"page_id": page_id},
+                inval = {"page_id": page_id}
+                yield from self.post(
+                    target, MessageKind.SC_INVAL, 16, inval, "invalidate", page=page_id
                 )
-                self.label_edge(out, "invalidate", page=page_id)
-            yield from self.send(out)
         if entry.acks_pending:
             entry.ack_event = Event(self.sim, name=f"scacks(p{page_id})@{self.node_id}")
             yield entry.ack_event
@@ -479,16 +447,19 @@ class ScBackend(CoherenceBackend):
         if requester == self.node_id:
             grant.succeed({"data_sent": data_sent})
         else:
-            out = Message(
-                src=self.node_id,
-                dst=requester,
-                kind=MessageKind.SC_GRANT,
-                size_bytes=16,
-                priority=PRIORITY_DEMAND,
-                payload={"page_id": page_id, "grant": grant, "data_sent": data_sent},
+            yield from self.post(
+                requester,
+                MessageKind.SC_GRANT,
+                16,
+                {"page_id": page_id, "grant": grant, "data_sent": data_sent},
+                "grant",
+                page=page_id,
             )
-            self.label_edge(out, "grant", page=page_id)
-            yield from self.send(out)
+
+    def _post_fetch(self, owner: int, page_id: int, requester: int, mode: str):
+        """Have the (remote) owner serve the page to the requester."""
+        payload = {"page_id": page_id, "requester": requester, "mode": mode}
+        return self.post(owner, MessageKind.SC_FETCH, 24, payload, "fetch", page=page_id)
 
     def _txn_done(self, page_id: int) -> None:
         entry = self._dir(page_id)
@@ -535,15 +506,9 @@ class ScBackend(CoherenceBackend):
 
     def _send_inval_ack(self, msg: Message) -> Generator:
         """Tell the manager our copy of the page it named is gone."""
-        out = Message(
-            src=self.node_id,
-            dst=msg.src,
-            kind=MessageKind.SC_INVAL_ACK,
-            size_bytes=16,
-            priority=PRIORITY_DEMAND,
-            payload={"page_id": msg.payload["page_id"]},
+        return self.post(
+            msg.src, MessageKind.SC_INVAL_ACK, 16, {"page_id": msg.payload["page_id"]}
         )
-        return self.send(out)
 
     def handle_inval_ack(self, msg: Message) -> None:
         entry = self._dir(msg.payload["page_id"])

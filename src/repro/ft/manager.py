@@ -394,7 +394,7 @@ class FtManager:
         vcs = [
             list(node_vcs[n])
             if n in node_vcs
-            else list(self.runtime.dsm_nodes[n].vc.snapshot())
+            else list(self.runtime.dsm_nodes[n].backend.vc.snapshot())
             for n in range(self.num_nodes)
         ]
         ckpt = self._build_checkpoint("barrier", barrier_id, episode, vcs)

@@ -229,10 +229,6 @@ class ProtocolSanitizer:
             )
         self._twinned.discard(key)
 
-    def on_twin_dropped(self, node_id: int, page_id: int) -> None:
-        self._twinned.discard((node_id, page_id))
-        self.note(node_id, "twin", f"drop twin for page {page_id}")
-
     # -- hooks (HLRC) ----------------------------------------------------
 
     def on_home_update(self, node_id: int, page_id: int, home: int) -> None:

@@ -24,6 +24,7 @@ from repro.network import (
     ReliableTransport,
     TransportConfig,
 )
+from repro.network.message import restart_message_ids
 from repro.sim import RandomSource, Simulator
 from repro.trace.tracer import Tracer
 
@@ -49,6 +50,7 @@ class Cluster:
         if page_size <= 0 or page_size % 8:
             raise ConfigError(f"page size must be a positive multiple of 8, got {page_size}")
         self.sim = Simulator()
+        restart_message_ids()
         if tracer is not None:
             self.sim.trace = tracer
         self.num_nodes = num_nodes

@@ -23,6 +23,19 @@ __all__ = [
 
 _message_ids = itertools.count()
 
+
+def restart_message_ids() -> None:
+    """Number the next message 0 again; a ``Cluster`` does so when built.
+
+    Ids name a trace's ``msg:*`` spans and ``pag_edge`` labels, so they
+    have to be a function of the run and not of whatever the process
+    simulated before it.  One counter per process still: build a
+    cluster, run it, then build the next.
+    """
+    global _message_ids
+    _message_ids = itertools.count()
+
+
 #: Traffic classes for the adaptive transport's backpressure machinery
 #: (repro.network.transport).  Lower value = more urgent.  Demand
 #: traffic — page faults, diffs, synchronization — is paced but never

@@ -424,24 +424,19 @@ class ReliableTransport:
         self._next_seq[message.dst] = seq + 1
         message.seq = seq
         message.reliable = False
+        pending = _Pending(message)
+        self._pending[(message.dst, seq)] = pending
+        self.stats.data_sent += 1
         if self._adaptive:
-            pending = _Pending(message, deadline_at=self.sim.now + self.config.give_up_us)
-            self._pending[(message.dst, seq)] = pending
-            self.stats.data_sent += 1
+            pending.deadline_at = self.sim.now + self.config.give_up_us
             peer = self._peer(message.dst)
             if peer.in_flight >= int(peer.cwnd):
                 self._enqueue(peer, message.dst, seq, pending)
                 return True
             self._admit(peer)
-            pending.first_sent_at = self.sim.now
             message.attempt = 1
             pending.send_times[1] = self.sim.now
-            self.network.send(message)
-            self._arm_timer(message.dst, seq, pending)
-            return True
-        pending = _Pending(message, first_sent_at=self.sim.now)
-        self._pending[(message.dst, seq)] = pending
-        self.stats.data_sent += 1
+        pending.first_sent_at = self.sim.now
         self.network.send(message)
         self._arm_timer(message.dst, seq, pending)
         return True

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.api.ops import Prefetch
 from repro.dsm.interval import StoredDiff
-from repro.errors import ProtocolError
 from repro.metrics.counters import Category
 from repro.network import Message, MessageKind
 
@@ -114,6 +113,8 @@ class PrefetchEngine:
         self._drop_streak = 0
         self._cooloff_until = -1.0
         dsm.prefetch = self
+        dsm.routes[MessageKind.PREFETCH_REQUEST] = self._handle_request
+        dsm.routes[MessageKind.PREFETCH_REPLY] = self._handle_reply
 
     def reset_volatile(self) -> None:
         """Drop all transient state at a crash rollback.
@@ -151,7 +152,8 @@ class PrefetchEngine:
     def _prefetch_page(self, page_id: int) -> Generator:
         self.stats.issued += 1
         costs = self.dsm.node.costs
-        if not self.dsm.backend.supports_diff_prefetch:
+        backend = self.dsm.backend
+        if not backend.supports_diff_prefetch:
             # Page-mode prefetch (hlrc/sc): those protocols have no diff
             # traffic to cache, so the only latency to hide is the whole
             # fetch — start the protocol's own demand fetch *now* and
@@ -160,7 +162,7 @@ class PrefetchEngine:
             # real coherence transaction, so the data is never stale and
             # invalidations need no special casing; the cost is that an
             # early-bound fetch counts in the fault statistics.
-            if self.dsm.page_valid(page_id):
+            if backend.page_valid(page_id):
                 self.stats.unnecessary += 1
                 yield from self.dsm.node.occupy(
                     costs.prefetch_issue_local, Category.PREFETCH
@@ -170,9 +172,9 @@ class PrefetchEngine:
             yield from self.dsm.node.occupy(
                 costs.prefetch_issue_remote, Category.PREFETCH
             )
-            self.dsm.ensure_valid(page_id)
+            backend.ensure_valid(page_id)
             return
-        state = self.dsm.coherence(page_id)
+        state = backend.coherence(page_id)
         record = self._records.get(page_id)
         already_working = (
             state.fetch_in_flight or (record is not None and record.outstanding > 0)
@@ -183,7 +185,9 @@ class PrefetchEngine:
             self.stats.unnecessary += 1
             yield from self.dsm.node.occupy(costs.prefetch_issue_local, Category.PREFETCH)
             return
-        writers = self._writers_not_cached(page_id, state)
+        # Writers whose missing intervals are neither applied nor cached.
+        cached = self._cache.get(page_id)
+        writers = state.missing_writers(cached.covers if cached is not None else {})
         if not writers:
             # Everything missing is already in the prefetch heap.
             self.stats.unnecessary += 1
@@ -241,12 +245,12 @@ class PrefetchEngine:
                 src=self.dsm.node_id,
                 dst=writer,
                 kind=MessageKind.PREFETCH_REQUEST,
-                size_bytes=36 + self.dsm.vc.size_bytes,
+                size_bytes=36 + backend.vc.size_bytes,
                 reliable=False,
                 payload={
                     "page_id": page_id,
                     "t_have": t_have,
-                    "vc": self.dsm.vc.snapshot(),
+                    "vc": backend.vc.snapshot(),
                     "request_id": request_id,
                 },
             )
@@ -320,18 +324,6 @@ class PrefetchEngine:
                 cooloff_us=cooloff,
             )
 
-    def _writers_not_cached(self, page_id: int, state) -> list[tuple[int, int]]:
-        """Writers whose missing intervals are not yet cached/applied."""
-        cached = self._cache.get(page_id)
-        writers = []
-        for writer in state.stale_writers():
-            have = state.applied_upto[writer]
-            if cached is not None:
-                have = max(have, cached.covers.get(writer, 0))
-            if state.needed_upto[writer] > have:
-                writers.append((writer, have))
-        return writers
-
     # -- protocol hooks --------------------------------------------------------
 
     def take_cached(self, page_id: int) -> Optional[CachedPage]:
@@ -397,67 +389,23 @@ class PrefetchEngine:
         """The miss epoch ended: forget this page's prefetch record."""
         self._records.pop(page_id, None)
 
-    def on_fault_stall(self, page_id: int) -> None:
-        """Scheduler hook: a thread stalled on this page (kept for
-        symmetry and future statistics; classification happens in the
-        fetch path)."""
-
     # -- message handlers ----------------------------------------------------------
 
-    def dispatch(self, msg: Message) -> Generator:
-        if msg.kind is MessageKind.PREFETCH_REQUEST:
-            yield from self._handle_request(msg)
-        elif msg.kind is MessageKind.PREFETCH_REPLY:
-            yield from self._handle_reply(msg)
-        else:  # pragma: no cover - dispatch guarded by is_prefetch
-            raise ProtocolError(f"not a prefetch message: {msg.kind}")
-
     def _handle_request(self, msg: Message) -> Generator:
-        """Server side: flush and ship diffs, without any reliability.
-
-        Servicing mirrors the normal diff server — including the
-        sub-interval machinery — but the reply is a droppable datagram.
-        """
-        page_id = msg.payload["page_id"]
-        t_have = msg.payload["t_have"]
-        yield from self.dsm.flush_page_if_dirty(page_id)
-        stored = self.dsm.diff_store.diffs_after(page_id, t_have)
-        # Page-specific coverage claim (see handle_diff_request).
-        covers = max(
-            (s.covers_through for s in stored),
-            default=max(t_have, self.dsm.diff_store.latest_coverage(page_id)),
+        """Server side: the ordinary diff server, minus any reliability —
+        the reply is a droppable datagram."""
+        return self.dsm.backend.serve_diffs(
+            msg, MessageKind.PREFETCH_REPLY, "prefetch_reply", reliable=False
         )
-        notices = self.dsm.reply_notices(page_id, t_have, msg.payload.get("vc"))
-        from repro.dsm.writenotice import WriteNoticeLog
-
-        size = (
-            24
-            + sum(s.diff.size_bytes + 12 for s in stored)
-            + WriteNoticeLog.wire_bytes(notices)
-        )
-        out = Message(
-            src=self.dsm.node_id,
-            dst=msg.src,
-            kind=MessageKind.PREFETCH_REPLY,
-            size_bytes=size,
-            reliable=False,
-            payload={
-                "page_id": page_id,
-                "request_id": msg.payload["request_id"],
-                "diffs": stored,
-                "covers_through": covers,
-                "notices": notices,
-            },
-        )
-        self.dsm.label_edge(out, "prefetch_reply", page=page_id, request_id=msg.payload["request_id"])
-        yield from self.dsm.send(out)
 
     def _handle_reply(self, msg: Message) -> Generator:
         """Client side: file the diffs in the prefetch heap (not applied)."""
         # Interval records still propagate immediately (consistency
         # information is never cached, only data); advance_vc=False
         # because the set is page-filtered.
-        yield from self.dsm.apply_notices_charged(msg.payload["notices"], advance_vc=False)
+        yield from self.dsm.backend.apply_notices_charged(
+            msg.payload["notices"], advance_vc=False
+        )
         request_id = msg.payload["request_id"]
         pending = self._pending.pop(request_id, None)
         if pending is None:

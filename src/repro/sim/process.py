@@ -144,20 +144,10 @@ class Process(Event):
         self._waiting_on = None
         self._resume(event._value, event._exception)
 
-    def cancel(self) -> None:
-        """Stop the process without triggering it as an event.
-
-        The generator is closed *now* so its ``finally`` blocks run at a
-        deterministic point; any callbacks those blocks fire — and the
-        pending step of a hold — land on a process already marked
-        cancelled, whose ``_resume`` is a no-op.
-        The process never succeeds nor fails — waiters are abandoned, so
-        cancellation is reserved for teardown paths (crash rollback)
-        where the waiters are being discarded too.  Group teardown uses
-        the two split phases directly (see ``Simulator.cancel_groups``).
-        """
-        self._mark_cancelled()
-        self._close_generator()
+    # Cancellation is two phases, driven by ``Simulator.cancel_groups``:
+    # mark, then close.  The process never succeeds nor fails — waiters
+    # are abandoned, so it is reserved for teardown paths (crash
+    # rollback) where the waiters are being discarded too.
 
     def _mark_cancelled(self) -> None:
         if self.triggered or self._cancelled:
@@ -168,6 +158,10 @@ class Process(Event):
         self.sim._unregister_process(self._handle)
 
     def _close_generator(self) -> None:
+        """Close the generator *now*, so its ``finally`` blocks run at a
+        deterministic point; any callbacks those blocks fire — and the
+        pending step of a hold — land on a process already marked
+        cancelled, whose ``_resume`` is a no-op."""
         if not self._cancelled:
             return
         with contextlib.suppress(Exception):

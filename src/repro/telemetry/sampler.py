@@ -230,9 +230,9 @@ class TelemetrySampler:
                     6,
                 )
             )
-            gauges["dsm.wn_backlog"].append(dsm.wn_log.total())
-            gauges["dsm.diff_bytes_stored"].append(dsm.diff_store.total_diff_bytes)
-            gauges["dsm.intervals"].append(dsm.vc[dsm.node_id])
+            gauges["dsm.wn_backlog"].append(dsm.backend.wn_log.total())
+            gauges["dsm.diff_bytes_stored"].append(dsm.backend.diff_store.total_diff_bytes)
+            gauges["dsm.intervals"].append(dsm.backend.vc[dsm.node_id])
             transport = transports[node_id] if transports else None
             if transport is not None:
                 gauges["transport.unacked"].append(len(transport._pending))

@@ -198,10 +198,16 @@ class NodeScheduler:
         yield self._ready_signal
         woken = self._last_woken
         self._ready_signal = None
+        kind = woken.stall_kind if woken is not None and woken.stall_kind else StallKind.MEMORY
+        self._charge_idle(t_start, charged_start, kind)
+
+    def _charge_idle(self, t_start: float, charged_start: float, kind: StallKind) -> None:
+        """Attribute the wait since ``t_start``, minus the CPU time
+        message handlers consumed during it, to ``kind``'s idle category."""
+        sim = self.node.sim
         interval = sim.now - t_start
         handler_time = self.node.breakdown.charged_cpu - charged_start
         idle = max(0.0, interval - handler_time)
-        kind = woken.stall_kind if woken is not None and woken.stall_kind else StallKind.MEMORY
         self.node.breakdown.charge(kind.idle_category, idle)
         tr = sim.trace
         if tr.enabled and idle > 0:
@@ -294,12 +300,7 @@ class NodeScheduler:
         if tr.enabled:
             tr.end(sim.now, "sched", stall_name, self.node.node_id, tid=thread.tid)
             self._open_stalls.remove((stall_name, thread.tid))
-        interval = sim.now - t_start
-        handler_time = self.node.breakdown.charged_cpu - charged_start
-        idle = max(0.0, interval - handler_time)
-        self.node.breakdown.charge(request.kind.idle_category, idle)
-        if tr.enabled and idle > 0:
-            tr.slice(sim.now - idle, idle, "cpu", request.kind.idle_category.value, self.node.node_id)
+        self._charge_idle(t_start, charged_start, request.kind)
 
     def _should_switch(self, kind: StallKind) -> bool:
         if len(self.threads) <= 1:
@@ -410,14 +411,12 @@ class NodeScheduler:
         for page_id in self.node.pages.pages_in_range(addr, nbytes):
             guard = 0
             while True:
-                fetch = self.dsm.ensure_valid(page_id, write)
+                fetch = self.dsm.backend.ensure_valid(page_id, write)
                 if fetch is None:
                     break
                 guard += 1
                 if guard > 128:
                     raise ProgramError(f"page {page_id} never becomes valid")
-                if self.prefetch is not None:
-                    self.prefetch.on_fault_stall(page_id)
                 if self.history is not None:
                     self.history.on_fault(page_id)
                 yield WaitRequest(fetch, StallKind.MEMORY)
@@ -439,7 +438,7 @@ class NodeScheduler:
         # successful check and the write.
         guard = 0
         while True:
-            ready = all(self.dsm.page_writable(page_id) for page_id in pages)
+            ready = all(self.dsm.backend.page_writable(page_id) for page_id in pages)
             if ready:
                 break
             guard += 1
@@ -450,8 +449,8 @@ class NodeScheduler:
                 # A concurrent invalidation (e.g. a lock grant to another
                 # local thread) may strike while touching a neighbour;
                 # skip it now — the loop re-ensures before the store.
-                if self.dsm.page_valid(page_id):
-                    yield from self.dsm.op_write_touch(page_id)
+                if self.dsm.backend.page_valid(page_id):
+                    yield from self.dsm.backend.op_write_touch(page_id)
         self.node.pages.write(op.addr, data)
 
     def _execute_acquire(self, thread: DsmThread, op: Acquire) -> Generator:

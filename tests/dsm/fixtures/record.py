@@ -19,7 +19,6 @@ import os
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.dsm.backend import BACKEND_NAMES
 from repro.experiments.runner import make_configured_app, parse_label
-from repro.network import message
 from repro.trace.export import jsonl_lines
 
 APPS = ("SOR", "RADIX", "WATER-NSQ")
@@ -45,10 +44,6 @@ def traced_run(app_name: str, label: str, protocol: str, **overrides):
             **overrides,
         }
     )
-    # Message ids come from a process-wide counter and name the trace's
-    # wire spans: restart it, so a stream is a function of the run and
-    # not of what the process simulated before.
-    message._message_ids = itertools.count()
     runtime = DsmRuntime(config)
     report = runtime.execute(make_configured_app(app_name, "small", label))
     return runtime, report

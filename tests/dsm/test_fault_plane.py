@@ -72,7 +72,7 @@ def test_an_unrouted_message_kind_is_a_protocol_error(protocol):
     # No prefetch engine, no other protocol's kinds, and ACKs never get
     # past the transport: none of these has a route.
     foreign = {"lrc": MessageKind.SC_REQ, "hlrc": MessageKind.SC_DATA, "sc": MessageKind.DIFF_REPLY}
-    for kind in (foreign[protocol], MessageKind.ACK):
+    for kind in (foreign[protocol], MessageKind.ACK, MessageKind.PREFETCH_REQUEST):
         with pytest.raises(ProtocolError, match=f"(?i)unhandled message kind .*{kind.value}"):
             runtime.dsm_nodes[0].dispatch(Message(src=1, dst=0, kind=kind, size_bytes=16))
 

@@ -101,6 +101,14 @@ def test_stale_count_tracks_the_scan_under_any_interleaving():
             scan_valid = all(a >= n for a, n in zip(state.applied_upto, state.needed_upto))
             assert state.valid == scan_valid
             assert state.stale == len(state.stale_writers())
+            # ``missing_writers`` against its definition: a writer is
+            # missing while neither the applied diffs nor the ones held
+            # (gathered or cached) reach its latest notice.
+            held = {w: rng.randrange(idx + 3) for w in range(nodes) if rng.random() < 0.5}
+            have = [max(a, held.get(w, 0)) for w, a in enumerate(state.applied_upto)]
+            assert state.missing_writers(held) == [
+                (w, have[w]) for w in range(nodes) if state.needed_upto[w] > have[w]
+            ]
 
 
 def _apply_per_byte(page, twin, marks, diff, lamport):

@@ -118,32 +118,17 @@ def test_tracing_does_not_perturb_the_simulation():
 
 
 def test_tracing_is_deterministic_itself():
-    """Same seed => the same event stream.
-
-    Correlation ids embed Message.msg_id, which is unique per *process*
-    (a global counter), not per run — so compare with ids canonically
-    renumbered by first occurrence; everything else must be identical.
-    The same renumbering covers ``args.msg``, the causal-edge labels
-    that reference a message's correlation id from instant events.
-    """
+    """Same seed => the same event stream, raw: message ids, which name
+    the wire spans and the causal-edge labels, restart with each
+    cluster, so the second run in a process numbers like the first."""
 
     def stream():
         runtime, _ = run("SOR", seed=7)
-        mapping = {}
-        rows = []
-        for event in runtime.tracer:
-            row = event.as_dict()
-            if "id" in row:
-                row["id"] = mapping.setdefault(row["id"], f"#{len(mapping)}")
-            args = row.get("args")
-            if args and "msg" in args:
-                args = dict(args)
-                args["msg"] = mapping.setdefault(args["msg"], f"#{len(mapping)}")
-                row["args"] = args
-            rows.append(row)
-        return rows
+        return [event.as_dict() for event in runtime.tracer]
 
-    assert stream() == stream()
+    first = stream()
+    assert any("msg" in (row.get("args") or {}) for row in first)
+    assert first == stream()
 
 
 def test_ring_sink_survives_overflow_and_flags_incomplete():
