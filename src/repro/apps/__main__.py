@@ -18,7 +18,7 @@ import time
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps.registry import APP_ORDER, make_app
 from repro.dsm.backend import BACKEND_NAMES
-from repro.experiments.runner import parse_label
+from repro.experiments.runner import make_configured_app, parse_label
 from repro.network.faults import FaultPlan, NodeCrash
 from repro.network.transport import TransportConfig
 from repro.telemetry import TelemetryConfig
@@ -138,12 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         args.telemetry = "-"  # strict grading implies collection
 
     threads_per_node, prefetch = parse_label(args.config)
-    app = make_app(args.app, args.preset)
-    app.use_prefetch = prefetch
-    if prefetch and threads_per_node > 1:
-        app.prefetch_dedup = True
-        if args.app == "RADIX":
-            app.throttle_prefetch = True
+    app = make_configured_app(args.app, args.preset, args.config)
 
     def build_config(
         fault_plan=None,

@@ -16,11 +16,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
-from repro.experiments.runner import parse_label
+from repro.experiments.runner import ExperimentRunner
 from repro.metrics.report import RunReport
-from repro.parallel import RunSpec, run_specs
 from repro.profile import ProfileConfig
 
 __all__ = ["BENCH_SCHEMA", "DEFAULT_CONFIGS", "QUICK_CONFIGS", "run_bench", "bench_filename"]
@@ -91,41 +89,18 @@ def run_bench(
     every run is still fully deterministic, so the document is
     byte-identical for any jobs count — only the wall clock changes.
     """
-    specs = []
-    for app_name in [normalize_app(name) for name in apps]:
-        for label in configs:
-            threads_per_node, prefetch = parse_label(label)
-            config = RunConfig(
-                num_nodes=num_nodes,
-                threads_per_node=threads_per_node,
-                prefetch=prefetch,
-                seed=seed,
-                protocol=protocol,
-                profile=ProfileConfig(top_n=top_n),
+    runner = ExperimentRunner(
+        num_nodes=num_nodes, preset=preset, seed=seed, verify=verify, verbose=verbose, jobs=jobs
+    )
+    reports = runner.run_cells(
+        {
+            (app_name, label): runner.config(
+                label, protocol=protocol, profile=ProfileConfig(top_n=top_n)
             )
-            specs.append(
-                RunSpec(
-                    index=len(specs),
-                    app_name=app_name,
-                    preset=preset,
-                    label=label,
-                    config=config,
-                    verify=verify,
-                )
-            )
-
-    started = time.time()
-
-    def on_done(spec: RunSpec, report: RunReport) -> None:
-        if verbose:
-            print(
-                f"  {spec.app_name:10s} [{spec.label:4s}] "
-                f"wall {report.wall_time_us / 1000:9.2f} ms simulated "
-                f"({time.time() - started:5.1f}s elapsed)",
-                flush=True,
-            )
-
-    reports = run_specs(specs, jobs=jobs, on_done=on_done)
+            for app_name in map(normalize_app, apps)
+            for label in configs
+        }
+    )
     return {
         "schema": BENCH_SCHEMA,
         "created": time.strftime("%Y-%m-%d"),
@@ -134,5 +109,5 @@ def run_bench(
         "seed": seed,
         "protocol": protocol,
         "configs": list(configs),
-        "runs": [_run_entry(report) for report in reports],
+        "runs": [_run_entry(report) for report in reports.values()],
     }

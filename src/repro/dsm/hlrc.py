@@ -39,6 +39,7 @@ LRC flush would have put it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator
 
 import numpy as np
@@ -64,12 +65,10 @@ class HlrcBackend(LrcBackend):
 
     def __init__(self, host) -> None:
         super().__init__(host)
-        #: Home side: fetches waiting for coverage, per hosted page.
-        #: Remote entries are ``(needed, requester, request_id)``;
-        #: local ones (the home faulting on its own page) ``(needed,
-        #: event)``.
+        #: Home side: fetches waiting for coverage, per hosted page, as
+        #: ``(needed, resume)``: ``resume()`` spawns a remote requester's
+        #: serve, or wakes the home's own fault on its own page.
         self._parked: dict[int, list] = {}
-        self._parked_local: dict[int, list] = {}
         #: Per page, the interval index (our vc component) of our last
         #: flushed diff.  A fetch carries it as our own ``needed``
         #: component so the home parks the serve until our update has
@@ -198,34 +197,21 @@ class HlrcBackend(LrcBackend):
 
     def _pump_parked(self, page_id: int) -> None:
         """Re-check parked fetches after coverage grew."""
-        covers = None
-        remote = self._parked.get(page_id)
-        if remote:
-            covers = self._home_covers(page_id)
-            still = []
-            for needed, requester, request_id in remote:
-                if self._covers_dominates(covers, needed):
-                    self._spawn_serve(page_id, requester, request_id)
-                else:
-                    still.append((needed, requester, request_id))
-            if still:
-                self._parked[page_id] = still
+        parked = self._parked.pop(page_id, None)
+        if not parked:
+            return
+        covers = self._home_covers(page_id)
+        still = []
+        for needed, resume in parked:
+            if self._covers_dominates(covers, needed):
+                resume()
             else:
-                del self._parked[page_id]
-        local = self._parked_local.get(page_id)
-        if local:
-            if covers is None:
-                covers = self._home_covers(page_id)
-            still = []
-            for needed, event in local:
-                if self._covers_dominates(covers, needed):
-                    event.succeed(None)
-                else:
-                    still.append((needed, event))
-            if still:
-                self._parked_local[page_id] = still
-            else:
-                del self._parked_local[page_id]
+                still.append((needed, resume))
+        # A woken local fault runs at once and can park again during
+        # the pump: the survivors go back in front of it.
+        still += self._parked.get(page_id, ())
+        if still:
+            self._parked[page_id] = still
 
     def _spawn_serve(self, page_id: int, requester: int, request_id: int) -> None:
         spawn(
@@ -284,7 +270,9 @@ class HlrcBackend(LrcBackend):
             # flushed (or will flush, blocking their release) at the
             # interval close that minted the notices the requester saw,
             # so the updates are already committed or en route.
-            self._parked.setdefault(page_id, []).append((needed, msg.src, request_id))
+            self._parked.setdefault(page_id, []).append(
+                (needed, partial(self._spawn_serve, page_id, msg.src, request_id))
+            )
             if self.sim.trace_on:
                 self.sim.trace.instant(
                     self.sim.now,
@@ -320,8 +308,8 @@ class HlrcBackend(LrcBackend):
                 # missing writers' updates are applied locally — park on
                 # our own coverage pump, nothing to install.
                 ready = Event(self.sim, name=f"homewait(p{page_id})@{self.node_id}")
-                self._parked_local.setdefault(page_id, []).append(
-                    (tuple(state.needed_upto), ready)
+                self._parked.setdefault(page_id, []).append(
+                    (tuple(state.needed_upto), ready.succeed)
                 )
                 yield ready
                 continue
@@ -389,7 +377,7 @@ class HlrcBackend(LrcBackend):
         ack-blocking release guarantees no update is in flight at a
         barrier cut, and a cut cannot have parked fetches (every thread
         is blocked at the barrier)."""
-        if self._parked or self._parked_local:
+        if self._parked:
             raise ProtocolError("hlrc home has parked fetches at a checkpoint cut")
         snap = super().snapshot_state()
         snap["flushed_upto"] = dict(self._flushed_upto)
@@ -398,5 +386,4 @@ class HlrcBackend(LrcBackend):
     def restore_state(self, snap: dict) -> None:
         super().restore_state(snap)
         self._parked.clear()
-        self._parked_local.clear()
         self._flushed_upto = dict(snap.get("flushed_upto", {}))

@@ -22,8 +22,28 @@ ALL_EXPERIMENTS = {
     "protocol": protocol_matrix,
 }
 
+#: The grid labels each experiment reads through ``runner.run`` (its
+#: other runs are its own ``run_cells`` matrix).  The CLI fans the union
+#: out across ``--jobs`` workers before tabulating; a label missing
+#: here is still run, serially, and ``tests/experiments/test_runner.py``
+#: fails.
+GRID_LABELS = {
+    "fig1": ("O",),
+    "fig2": ("O", "P"),
+    "fig3": ("P",),
+    "fig4": ("O", "2T", "4T", "8T"),
+    "fig5": tuple(CONFIG_LABELS),
+    "tab1": ("O", "P"),
+    "tab2": ("O", "2T", "4T", "8T"),
+    "crash": ("O",),
+    "critpath": ("P", "4T", "4TP"),
+    "adaptive": ("P",),
+    "protocol": (),
+}
+
 __all__ = [
     "ALL_EXPERIMENTS",
+    "GRID_LABELS",
     "CONFIG_LABELS",
     "ExperimentRunner",
     "adaptive_matrix",

@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from repro.experiments import ALL_EXPERIMENTS, ExperimentRunner
+from repro.experiments import ALL_EXPERIMENTS, CONFIG_LABELS, GRID_LABELS, ExperimentRunner
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,9 +82,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="fan the run matrix across up to N worker processes "
+        help="fan every experiment's runs across up to N worker processes "
         "(0 = one per CPU core); results are identical for any N. "
-        "Ignored when --trace is set (the timeline audit is in-process)",
+        "Under --trace the (app, config) grid stays serial (the timeline "
+        "audit is in-process)",
     )
     parser.add_argument(
         "--trace",
@@ -142,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         crash_loss=args.crash_loss,
         jobs=jobs,
         critpath=args.critpath,
+    )
+    runner.prefetch_grid(
+        [label for label in CONFIG_LABELS if any(label in GRID_LABELS[e] for e in wanted)]
     )
     for experiment_id in wanted:
         started = time.time()

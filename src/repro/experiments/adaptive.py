@@ -111,50 +111,26 @@ def adaptive_matrix(runner: ExperimentRunner, apps: Optional[list[str]] = None):
     configuration (``P``) so the backpressure path — shedding
     speculative traffic under pressure — is actually exercised.
     """
-    # Imported here, not at module scope: repro.parallel itself imports
-    # the experiments package (workers rebuild apps by name), so a
-    # top-level import would be circular in spawned workers.
-    from repro.parallel import RunSpec, run_specs
-
     apps = list(apps or APP_ORDER)
     label = "P"
     # Clean static baselines set each app's time scale for fault onsets.
     walls = {app_name: runner.run(app_name, label).wall_time_us for app_name in apps}
-    specs = []
-    cells = []
-    for app_name in apps:
-        for scenario in ADAPTIVE_SCENARIOS:
-            plan = scenario_plan(scenario, walls[app_name])
-            for adaptive in (False, True):
-                for rep in range(REPEATS):
-                    config = runner.config(
-                        label,
-                        seed=runner.seed + rep,
-                        fault_plan=plan,
-                        transport=TransportConfig(adaptive=adaptive),
-                    )
-                    cells.append((app_name, scenario, adaptive, rep))
-                    specs.append(
-                        RunSpec(
-                            index=len(specs),
-                            app_name=app_name,
-                            preset=runner.preset,
-                            label=label,
-                            config=config,
-                            verify=runner.verify,
-                        )
-                    )
-
-    def on_done(spec, report) -> None:
-        if runner.verbose:
-            app_name, scenario, adaptive, rep = cells[spec.index]
-            arm = "adaptive" if adaptive else "static"
-            print(f"  finished {app_name} [{scenario}/{arm}/seed+{rep}]", flush=True)
-
-    reports = run_specs(specs, jobs=runner.jobs, on_done=on_done)
-
+    reports = runner.run_cells(
+        {
+            (app_name, scenario, arm, rep): runner.config(
+                label,
+                seed=runner.seed + rep,
+                fault_plan=scenario_plan(scenario, walls[app_name]),
+                transport=TransportConfig(adaptive=arm == "adaptive"),
+            )
+            for app_name in apps
+            for scenario in ADAPTIVE_SCENARIOS
+            for arm in ("static", "adaptive")
+            for rep in range(REPEATS)
+        }
+    )
     grouped: dict[tuple, list] = {}
-    for cell, report in zip(cells, reports):
+    for cell, report in reports.items():
         grouped.setdefault(cell[:3], []).append(report)
 
     def median_of(reports_, metric) -> float:
@@ -178,8 +154,8 @@ def adaptive_matrix(runner: ExperimentRunner, apps: Optional[list[str]] = None):
     for app_name in apps:
         data[app_name] = {}
         for scenario in ADAPTIVE_SCENARIOS:
-            static = grouped[(app_name, scenario, False)]
-            adaptive = grouped[(app_name, scenario, True)]
+            static = grouped[(app_name, scenario, "static")]
+            adaptive = grouped[(app_name, scenario, "adaptive")]
             static_wall = median_of(static, lambda r: r.wall_time_us)
             adaptive_wall = median_of(adaptive, lambda r: r.wall_time_us)
             entry = {

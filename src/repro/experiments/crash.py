@@ -12,8 +12,7 @@ invariant sweep of the recovery path.
 
 from __future__ import annotations
 
-from repro.api.runtime import DsmRuntime
-from repro.apps.registry import APP_ORDER, make_app
+from repro.apps.registry import APP_ORDER
 from repro.experiments.formatting import render_rows
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.counters import Category
@@ -46,18 +45,22 @@ def crash_matrix(runner: ExperimentRunner):
     ]
     rows = []
     data = {}
-    for app_name in APP_ORDER:
-        baseline = runner.baseline(app_name)
-        plan = FaultPlan(
-            drop_prob=loss,
-            crashes=(NodeCrash(node=node, at_us=baseline.wall_time_us * frac),),
-        )
-        config = runner.config("O", fault_plan=plan, sanitizer=True)
-        if runner.verbose:
-            print(f"  running {app_name} [O + crash n{node}@{frac:.0%}] ...", flush=True)
-        report = DsmRuntime(config).execute(
-            make_app(app_name, runner.preset), verify=runner.verify
-        )
+    baselines = {app_name: runner.run(app_name, "O") for app_name in APP_ORDER}
+    crashed = runner.run_cells(
+        {
+            (app_name, f"crash n{node}@{frac:.0%}"): runner.config(
+                "O",
+                fault_plan=FaultPlan(
+                    drop_prob=loss,
+                    crashes=(NodeCrash(node=node, at_us=baseline.wall_time_us * frac),),
+                ),
+                sanitizer=True,
+            )
+            for app_name, baseline in baselines.items()
+        }
+    )
+    for (app_name, _), report in crashed.items():
+        baseline = baselines[app_name]
         ft = report.extra["ft"]
         times = report.breakdown.times
         entry = {

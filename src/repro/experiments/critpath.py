@@ -18,17 +18,9 @@ from repro.experiments.runner import ExperimentRunner
 
 __all__ = ["critpath_matrix"]
 
-#: measured scheme -> the projection that upper-bounds its benefit.
-_SCHEME_BOUND = {
-    "P": "perfect_prefetch",
-    "4T": "zero_cost_switch",
-    "4TP": "zero_latency_network",
-}
-
 
 def critpath_matrix(runner: ExperimentRunner):
     """What-if projections vs the measured O/P/4T/4TP matrix."""
-    runner.critpath = True
     headers = [
         "app",
         "O(ms)",
@@ -43,13 +35,12 @@ def critpath_matrix(runner: ExperimentRunner):
     ]
     rows = []
     data = {}
-    for app_name in APP_ORDER:
-        base = runner.run(app_name, "O")
-        if base.critpath is None:
-            # Cached by an earlier experiment before critpath was on:
-            # rerun the cell (deterministic, so the core is unchanged).
-            runner._cache.pop((app_name, "O"), None)
-            base = runner.run(app_name, "O")
+    # The O runs carry the critpath section whatever the grid's planes
+    # are, so they are this matrix's own cells, not the cached grid's.
+    bases = runner.run_cells(
+        {(app_name, "critpath"): runner.config("O", critpath=True) for app_name in APP_ORDER}
+    )
+    for (app_name, _), base in bases.items():
         section = base.critpath or {}
         what_if = section.get("what_if_us", {})
         blame = section.get("blame_us", {})
@@ -59,8 +50,11 @@ def critpath_matrix(runner: ExperimentRunner):
         top_wait = max(sorted(waits), key=lambda k: waits[k]) if waits else "-"
         entry = {
             "measured_us": {
-                label: runner.run(app_name, label).wall_time_us
-                for label in ("O", "P", "4T", "4TP")
+                "O": base.wall_time_us,
+                **{
+                    label: runner.run(app_name, label).wall_time_us
+                    for label in ("P", "4T", "4TP")
+                },
             },
             "what_if_us": dict(what_if),
             "top_wait": top_wait,

@@ -13,7 +13,7 @@ from repro.experiments.formatting import (
     render_breakdown_table,
     render_rows,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CONFIG_LABELS, ExperimentRunner
 
 __all__ = ["figure1", "figure2", "figure3", "figure4", "figure5"]
 
@@ -93,9 +93,8 @@ def figure3(runner: ExperimentRunner):
     return text, data
 
 
-def figure4(runner: ExperimentRunner):
-    """Figure 4: multithreading with 2, 4, 8 threads per node."""
-    labels = ["O", "2T", "4T", "8T"]
+def _normalized_figure(runner: ExperimentRunner, title: str, labels: list[str]):
+    """Per app, every label's breakdown normalized to O, and the best one."""
     sections = []
     data = {}
     for app_name in APP_ORDER:
@@ -107,28 +106,19 @@ def figure4(runner: ExperimentRunner):
         best = min(labels, key=lambda lab: columns[lab]["Total"])
         data[app_name] = {"columns": columns, "best": best}
         sections.append(render_breakdown_table(f"{app_name} (best: {best})", columns))
-    text = "Figure 4: impact of multithreading (normalized to O = 100)\n\n" + "\n\n".join(
-        sections
-    )
+    text = f"{title} (normalized to O = 100)\n\n" + "\n\n".join(sections)
     return text, data
+
+
+def figure4(runner: ExperimentRunner):
+    """Figure 4: multithreading with 2, 4, 8 threads per node."""
+    return _normalized_figure(
+        runner, "Figure 4: impact of multithreading", ["O", "2T", "4T", "8T"]
+    )
 
 
 def figure5(runner: ExperimentRunner):
     """Figure 5: prefetching and multithreading combined."""
-    labels = ["O", "2T", "4T", "8T", "P", "2TP", "4TP", "8TP"]
-    sections = []
-    data = {}
-    for app_name in APP_ORDER:
-        baseline = runner.run(app_name, "O")
-        columns = {
-            label: breakdown_column(runner.run(app_name, label), baseline)
-            for label in labels
-        }
-        best = min(labels, key=lambda lab: columns[lab]["Total"])
-        data[app_name] = {"columns": columns, "best": best}
-        sections.append(render_breakdown_table(f"{app_name} (best: {best})", columns))
-    text = (
-        "Figure 5: combining prefetching and multithreading "
-        "(normalized to O = 100)\n\n" + "\n\n".join(sections)
+    return _normalized_figure(
+        runner, "Figure 5: combining prefetching and multithreading", CONFIG_LABELS
     )
-    return text, data

@@ -16,7 +16,7 @@ backend (see ``repro.dsm.backend``):
 
 Every cell verifies the application's answer: the matrix is only
 meaningful if all three protocols compute the same result.  Runs are
-fanned out with :func:`repro.parallel.run_specs`, so the table is
+fanned out with :meth:`ExperimentRunner.run_cells`, so the table is
 byte-identical for any ``--jobs N``.
 
 The per-protocol activity columns tell the mechanism story: LRC moves
@@ -51,42 +51,18 @@ def protocol_matrix(
     configs: Optional[list[str]] = None,
 ):
     """The full (app x configuration x protocol) comparison matrix."""
-    # Imported here, not at module scope: repro.parallel itself imports
-    # the experiments package (workers rebuild apps by name), so a
-    # top-level import would be circular in spawned workers.
-    from repro.parallel import RunSpec, run_specs
-
     apps = list(apps or APP_ORDER)
     configs = list(configs or PROTOCOL_CONFIGS)
-    specs = []
-    cells = []
-    for app_name in apps:
-        for label in configs:
-            # BACKEND_NAMES is in presentation order: the paper's
-            # protocol first, then the two zoo members.
-            for protocol in BACKEND_NAMES:
-                cells.append((app_name, label, protocol))
-                specs.append(
-                    RunSpec(
-                        index=len(specs),
-                        app_name=app_name,
-                        preset=runner.preset,
-                        label=label,
-                        config=runner.config(label, protocol=protocol),
-                        verify=runner.verify,
-                    )
-                )
-
-    def on_done(spec, report) -> None:
-        if runner.verbose:
-            app_name, label, protocol = cells[spec.index]
-            print(
-                f"  finished {app_name} [{label}/{protocol}] "
-                f"wall {report.wall_time_us / 1000:.2f} ms",
-                flush=True,
-            )
-
-    reports = run_specs(specs, jobs=runner.jobs, on_done=on_done)
+    # BACKEND_NAMES is in presentation order: the paper's protocol
+    # first, then the two zoo members.
+    by_cell = runner.run_cells(
+        {
+            (app_name, label, protocol): runner.config(label, protocol=protocol)
+            for app_name in apps
+            for label in configs
+            for protocol in BACKEND_NAMES
+        }
+    )
 
     headers = [
         "app",
@@ -105,7 +81,6 @@ def protocol_matrix(
     ]
     rows = []
     data: dict[str, dict[str, dict[str, dict]]] = {}
-    by_cell = dict(zip(cells, reports))
     for app_name in apps:
         data[app_name] = {}
         for label in configs:

@@ -92,9 +92,8 @@ class ExperimentRunner:
         #: (repro.critpath): exact critical-path blame and what-if
         #: projections, consumed by the ``critpath`` experiment.
         self.critpath = critpath
-        #: Worker processes for grid fan-out (see :meth:`run_many`);
-        #: 1 = serial.  Tracing forces serial: the timeline audit needs
-        #: the in-process tracer, which cannot cross a process boundary.
+        #: Worker processes :meth:`run_cells` fans a matrix across; 1 =
+        #: serial.  Tracing keeps the grid serial (see :meth:`prefetch_grid`).
         self.jobs = jobs
         self._cache: dict[tuple[str, str], RunReport] = {}
 
@@ -146,14 +145,18 @@ class ExperimentRunner:
         report = runtime.execute(app, verify=self.verify)
         if self.trace_template:
             self._export_trace(runtime, report, app_name, label)
+        self._store(key, report)
+        return report
+
+    def _store(self, key: tuple[str, str], report: RunReport) -> None:
+        """Cache a grid cell, writing its profile dump when one is asked for."""
         if self.profile_template and self.profile_template != "-":
-            path = self.profile_path(app_name, label)
+            path = self.profile_path(*key)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(report.to_json(indent=2) + "\n")
             if self.verbose:
                 print(f"    profile report -> {path}", flush=True)
         self._cache[key] = report
-        return report
 
     def _export_trace(
         self, runtime: DsmRuntime, report: RunReport, app_name: str, label: str
@@ -174,54 +177,46 @@ class ExperimentRunner:
                 + "; ".join(mismatches)
             )
 
-    def baseline(self, app_name: str) -> RunReport:
-        return self.run(app_name, "O")
+    def run_cells(self, cells: dict[tuple, RunConfig]) -> dict[tuple, RunReport]:
+        """Run a matrix of cells across ``jobs`` workers: the one place a
+        run becomes a :class:`~repro.parallel.RunSpec`.
 
-    def run_many(self, labels: list[str], apps: Optional[list[str]] = None):
-        """Yield (app, label, report) over the full grid.
-
-        With ``jobs > 1`` the not-yet-cached cells are fanned out across
-        worker processes first (deterministic runs make the result
-        independent of the job count), then yielded in grid order.
+        A key is any tuple that starts with the app name; the app is
+        configured for the config's own label (``config.label``).
+        Reports come back under their keys in the dict's order whatever
+        the job count — runs are deterministic and independent.
         """
-        apps = list(apps or APP_ORDER)
-        if self.jobs > 1 and not self.trace_template:
-            self._prefetch_grid(labels, apps)
-        for app_name in apps:
-            for label in labels:
-                yield app_name, label, self.run(app_name, label)
-
-    def _prefetch_grid(self, labels: list[str], apps: list[str]) -> None:
-        """Fill the cache for every missing (app, label) cell in parallel."""
+        # Imported here, not at module scope: repro.parallel imports this
+        # module (workers rebuild apps by name).
         from repro.parallel import RunSpec, run_specs
 
-        specs = []
-        for app_name in apps:
-            for label in labels:
-                if (app_name, label) in self._cache:
-                    continue
-                specs.append(
-                    RunSpec(
-                        index=len(specs),
-                        app_name=app_name,
-                        preset=self.preset,
-                        label=label,
-                        # No tracer here: run_many fans out only untraced grids.
-                        config=self._grid_config(label),
-                        verify=self.verify,
-                    )
-                )
-        if not specs:
-            return
+        keys = list(cells)
+        specs = [
+            RunSpec(index, key[0], self.preset, cells[key].label, cells[key], self.verify)
+            for index, key in enumerate(keys)
+        ]
 
         def on_done(spec, report) -> None:
             if self.verbose:
-                print(f"  finished {spec.app_name} [{spec.label}]", flush=True)
+                cell = "/".join(str(part) for part in keys[spec.index])
+                print(f"  finished {cell}: wall {report.wall_time_us / 1000:.2f} ms", flush=True)
 
-        reports = run_specs(specs, jobs=self.jobs, on_done=on_done)
-        for spec, report in zip(specs, reports):
-            if self.profile_template and self.profile_template != "-":
-                path = self.profile_path(spec.app_name, spec.label)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(report.to_json(indent=2) + "\n")
-            self._cache[(spec.app_name, spec.label)] = report
+        return dict(zip(keys, run_specs(specs, jobs=self.jobs, on_done=on_done)))
+
+    def prefetch_grid(self, labels, apps=APP_ORDER) -> None:
+        """Fan the (app, label) grid cells not yet cached out across the
+        workers, so the :meth:`run` calls that follow are cache hits.
+
+        A no-op when serial, and under tracing: the timeline audit needs
+        the in-process tracer, which cannot cross a process boundary.
+        """
+        if self.jobs <= 1 or self.trace_template:
+            return
+        missing = {
+            (app_name, label): self._grid_config(label)
+            for app_name in apps
+            for label in labels
+            if (app_name, label) not in self._cache
+        }
+        for key, report in self.run_cells(missing).items():
+            self._store(key, report)

@@ -47,11 +47,20 @@ from repro.network.message import Message, MessageKind
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ft.manager import FtManager
 
-__all__ = ["FailureDetector", "COORDINATOR"]
+__all__ = ["FailureDetector", "COORDINATOR", "mark"]
 
 #: The failure-detection coordinator (co-located with the barrier
 #: manager, which is why crashing node 0 is rejected).
 COORDINATOR = 0
+
+
+def mark(sim, name: str, node: int, **args) -> None:
+    """The FT layer's one trace emitter (detector and manager): an
+    ``ft`` instant at ``sim.now``.  It holds the tracer's guard, because
+    its callers run once per membership change or checkpoint, never per
+    message; keyword order is the event's ``args`` order."""
+    if sim.trace_on:
+        sim.trace.instant(sim.now, "ft", name, node, **args)
 
 
 @dataclass
@@ -102,16 +111,13 @@ class FailureDetector:
                 # Evidence of life always wins: the suspect spoke.
                 del self.suspects[message.src]
                 self.suspicions_cleared += 1
-                if self.sim.trace_on:
-                    tr = self.sim.trace
-                    tr.instant(
-                        self.sim.now,
-                        "ft",
-                        "suspicion_cleared",
-                        COORDINATOR,
-                        suspect=message.src,
-                        kind=message.kind.value,
-                    )
+                mark(
+                    self.sim,
+                    "suspicion_cleared",
+                    COORDINATOR,
+                    suspect=message.src,
+                    kind=message.kind.value,
+                )
 
     def on_give_up(self, reporter: int, dst: int, message: Message) -> None:
         """A transport exhausted its retries against ``dst``.
@@ -124,16 +130,7 @@ class FailureDetector:
         if dst == COORDINATOR or dst in self.down:
             return
         self._suspect(dst).reporters.add(reporter)
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                self.sim.now,
-                "ft",
-                "suspicion_reported",
-                reporter,
-                suspect=dst,
-                kind=message.kind.value,
-            )
+        mark(self.sim, "suspicion_reported", reporter, suspect=dst, kind=message.kind.value)
 
     def _suspect(self, node: int) -> _Suspicion:
         suspicion = self.suspects.get(node)
@@ -141,11 +138,7 @@ class FailureDetector:
             suspicion = _Suspicion(since=self.sim.now)
             self.suspects[node] = suspicion
             self.suspicions += 1
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now, "ft", "suspicion_opened", COORDINATOR, suspect=node
-                )
+            mark(self.sim, "suspicion_opened", COORDINATOR, suspect=node)
         return suspicion
 
     def has_quorum(self) -> bool:

@@ -50,7 +50,7 @@ import numpy as np
 from repro.errors import CheckpointError, ConfigError, FailureError
 from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
 from repro.ft.config import FtConfig
-from repro.ft.detector import COORDINATOR, FailureDetector
+from repro.ft.detector import COORDINATOR, FailureDetector, mark
 from repro.metrics.counters import Category
 from repro.network.message import Message, MessageKind
 from repro.sim import spawn
@@ -179,16 +179,11 @@ class FtManager:
         network = self.cluster.network
         if not self.active or network.is_down(node_id):
             return
-        now = self.sim.now
         self.crashes += 1
-        self._crash_time[node_id] = now
+        self._crash_time[node_id] = self.sim.now
         network.mark_down(node_id)
         cancelled = self.sim.cancel_group(f"node{node_id}")
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                now, "ft", "crash", node_id, cancelled_processes=cancelled
-            )
+        mark(self.sim, "crash", node_id, cancelled_processes=cancelled)
 
     # -- membership state machine ------------------------------------------
 
@@ -206,16 +201,13 @@ class FtManager:
         """
         if (dead or self.fenced_at) and not self.detector.has_quorum():
             self.stand_downs += 1
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "ft",
-                    "stand_down",
-                    COORDINATOR,
-                    pending=sorted(dead),
-                    fenced=sorted(self.fenced_at),
-                )
+            mark(
+                self.sim,
+                "stand_down",
+                COORDINATOR,
+                pending=sorted(dead),
+                fenced=sorted(self.fenced_at),
+            )
             return
         for node_id in dead:
             self.fence(node_id)
@@ -250,36 +242,41 @@ class FtManager:
         messages still flow, so a partitioned-not-dead node can later
         prove it healed.  Survivors learn via ``FT_DOWN``.
         """
-        network = self.cluster.network
         now = self.sim.now
         self.detections += 1
         self.fences += 1
         self.fenced_at[node_id] = now
         self.detector.mark_dead(node_id)
-        network.fence_node(node_id)
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                now,
-                "ft",
-                "fence",
-                COORDINATOR,
-                suspect=node_id,
-                latency_us=now - self._crash_time.get(node_id, now),
+        self.cluster.network.fence_node(node_id)
+        mark(
+            self.sim,
+            "fence",
+            COORDINATOR,
+            suspect=node_id,
+            latency_us=now - self._crash_time.get(node_id, now),
+        )
+        self._announce(MessageKind.FT_DOWN, node_id)
+
+    def _tell(self, peer: int, kind: MessageKind, payload: dict) -> None:
+        """One membership datagram from the coordinator (unreliable, like
+        the heartbeats: a lost one is repaired by the next verdict)."""
+        self.cluster.network.send(
+            Message(
+                src=COORDINATOR,
+                dst=peer,
+                kind=kind,
+                size_bytes=_ANNOUNCE_BYTES,
+                payload=payload,
+                reliable=False,
             )
+        )
+
+    def _announce(self, kind: MessageKind, node_id: int) -> None:
+        """Tell every other survivor that ``node_id`` left (``FT_DOWN``)
+        or is back (``FT_UP``)."""
         for peer in range(self.num_nodes):
-            if peer == COORDINATOR or peer == node_id:
-                continue
-            network.send(
-                Message(
-                    src=COORDINATOR,
-                    dst=peer,
-                    kind=MessageKind.FT_DOWN,
-                    size_bytes=_ANNOUNCE_BYTES,
-                    payload={"node": node_id},
-                    reliable=False,
-                )
-            )
+            if peer != COORDINATOR and peer != node_id:
+                self._tell(peer, kind, {"node": node_id})
 
     def _rejoin(self, node_id: int) -> None:
         """A fenced node spoke after its fencing: take it back.
@@ -291,45 +288,13 @@ class FtManager:
         data lazily and no barrier completed without the node, so the
         retried traffic is exactly what it missed.
         """
-        network = self.cluster.network
-        now = self.sim.now
         self.rejoins += 1
-        fenced_for = now - self.fenced_at.pop(node_id)
-        network.unfence_node(node_id)
+        fenced_for = self.sim.now - self.fenced_at.pop(node_id)
+        self.cluster.network.unfence_node(node_id)
         self.detector.mark_alive(node_id)
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                now,
-                "ft",
-                "rejoin",
-                COORDINATOR,
-                member=node_id,
-                fenced_us=round(fenced_for, 3),
-            )
-        for peer in range(self.num_nodes):
-            if peer == COORDINATOR or peer == node_id:
-                continue
-            network.send(
-                Message(
-                    src=COORDINATOR,
-                    dst=peer,
-                    kind=MessageKind.FT_UP,
-                    size_bytes=_ANNOUNCE_BYTES,
-                    payload={"node": node_id},
-                    reliable=False,
-                )
-            )
-        network.send(
-            Message(
-                src=COORDINATOR,
-                dst=node_id,
-                kind=MessageKind.FT_REJOIN,
-                size_bytes=_ANNOUNCE_BYTES,
-                payload={"down": sorted(self.detector.down)},
-                reliable=False,
-            )
-        )
+        mark(self.sim, "rejoin", COORDINATOR, member=node_id, fenced_us=round(fenced_for, 3))
+        self._announce(MessageKind.FT_UP, node_id)
+        self._tell(node_id, MessageKind.FT_REJOIN, {"down": sorted(self.detector.down)})
         transports = self.cluster.transports
         if transports:
             for transport in transports:
@@ -374,17 +339,14 @@ class FtManager:
         if self.fenced_at or not self.detector.has_quorum():
             if not self.config.split_brain_bug:
                 self.checkpoints_stood_down += 1
-                if self.sim.trace_on:
-                    tr = self.sim.trace
-                    tr.instant(
-                        self.sim.now,
-                        "ft",
-                        "checkpoint_stood_down",
-                        COORDINATOR,
-                        barrier=barrier_id,
-                        episode=episode,
-                        fenced=sorted(self.fenced_at),
-                    )
+                mark(
+                    self.sim,
+                    "checkpoint_stood_down",
+                    COORDINATOR,
+                    barrier=barrier_id,
+                    episode=episode,
+                    fenced=sorted(self.fenced_at),
+                )
                 return
             if self.fenced_at:
                 self.split_brain_checkpoints += 1
@@ -401,32 +363,29 @@ class FtManager:
         self.checkpoint = ckpt
         self.checkpoints += 1
         self.checkpoint_bytes += ckpt.size_bytes
-        tr = self.sim.trace
-        now = self.sim.now
-        if tr.enabled:
-            tr.instant(
-                now,
-                "ft",
-                "checkpoint",
-                COORDINATOR,
-                barrier=barrier_id,
-                episode=episode,
-                bytes=ckpt.size_bytes,
-            )
-        max_cost = 0.0
-        for node_ckpt in ckpt.nodes:
-            cost = self.config.checkpoint_cpu_per_byte * node_ckpt.size_bytes
-            if cost <= 0:
-                continue
-            node = self.cluster.nodes[node_ckpt.node_id]
-            node.breakdown.charge(Category.CHECKPOINT, cost)
-            if tr.enabled:
-                tr.slice(now, cost, "cpu", Category.CHECKPOINT.value, node_ckpt.node_id)
-            max_cost = max(max_cost, cost)
-        if max_cost > 0:
+        mark(
+            self.sim,
+            "checkpoint",
+            COORDINATOR,
+            barrier=barrier_id,
+            episode=episode,
+            bytes=ckpt.size_bytes,
+        )
+        costs = self._charge_all(ckpt, Category.CHECKPOINT, self.config.checkpoint_cpu_per_byte)
+        slowest = max(costs)
+        if slowest > 0:
             # Every node writes its snapshot in parallel; the barrier
             # release waits for the slowest writer.
-            yield self.sim.timeout(max_cost)
+            yield self.sim.timeout(slowest)
+
+    def _charge_all(self, ckpt: ClusterCheckpoint, category: Category, per_byte: float) -> list:
+        """Every node pays for its share of ``ckpt``, all in parallel
+        from now; returns the costs in node order."""
+        now = self.sim.now
+        costs = [per_byte * node_ckpt.size_bytes for node_ckpt in ckpt.nodes]
+        for node_ckpt, cost in zip(ckpt.nodes, costs):
+            self.cluster.nodes[node_ckpt.node_id].charge(category, cost, now)
+        return costs
 
     def _build_checkpoint(
         self, kind: str, barrier_id: int, episode: int, node_vcs: list
@@ -476,69 +435,44 @@ class FtManager:
         if ckpt is None:  # pragma: no cover - start() guarantees one
             raise CheckpointError("failure detected with no checkpoint to roll back to")
         sim = self.sim
-        network = self.cluster.network
-        tr = sim.trace
         t_detect = sim.now
         for node_id in dead:
-            network.unfence_node(node_id)
+            self.cluster.network.unfence_node(node_id)
             self.fenced_at.pop(node_id, None)
             self.detector.mark_dead(node_id)
-            if tr.enabled:
-                tr.instant(
-                    t_detect,
-                    "ft",
-                    "declare_dead",
-                    COORDINATOR,
-                    suspect=node_id,
-                    latency_us=t_detect - self._crash_time.get(node_id, t_detect),
-                )
+            mark(
+                sim,
+                "declare_dead",
+                COORDINATOR,
+                suspect=node_id,
+                latency_us=t_detect - self._crash_time.get(node_id, t_detect),
+            )
         # Reboot + rejoin of the crashed machines.
         yield sim.timeout(self.config.restart_delay_us)
-        t_rollback = sim.now
-        if tr.enabled:
-            tr.instant(
-                t_rollback,
-                "ft",
-                "recover",
-                COORDINATOR,
-                nodes=list(dead),
-                checkpoint=ckpt.kind,
-                barrier=ckpt.barrier_id,
-                episode=ckpt.episode,
-            )
-        self._rollback(ckpt, dead, t_rollback)
+        mark(
+            sim,
+            "recover",
+            COORDINATOR,
+            nodes=list(dead),
+            checkpoint=ckpt.kind,
+            barrier=ckpt.barrier_id,
+            episode=ckpt.episode,
+        )
+        self._rollback(ckpt, dead, sim.now)
         # The slowest node's state restore gates the resume.
-        max_cost = 0.0
-        for node_ckpt in ckpt.nodes:
-            cost = self.config.restore_cpu_per_byte * node_ckpt.size_bytes
-            if cost <= 0:
-                continue
-            node = self.cluster.nodes[node_ckpt.node_id]
-            node.breakdown.charge(Category.RECOVERY, cost)
+        costs = self._charge_all(ckpt, Category.RECOVERY, self.config.restore_cpu_per_byte)
+        for cost in costs:
+            # Not ``sum``: it compensates float error from Python 3.12 on,
+            # and the report keeps this addition order on every version.
             self.recovery_us += cost
-            if tr.enabled:
-                tr.slice(t_rollback, cost, "cpu", Category.RECOVERY.value, node_ckpt.node_id)
-            max_cost = max(max_cost, cost)
-        if max_cost > 0:
-            yield sim.timeout(max_cost)
+        if max(costs) > 0:
+            yield sim.timeout(max(costs))
         # Detection state: everyone just restarted, all silence excused.
         self._spawn_heartbeats()
         self.detector.reset_liveness()
         for node_id in dead:
             self.detector.mark_alive(node_id)
-            for peer in range(self.num_nodes):
-                if peer == COORDINATOR or peer == node_id:
-                    continue
-                network.send(
-                    Message(
-                        src=COORDINATOR,
-                        dst=peer,
-                        kind=MessageKind.FT_UP,
-                        size_bytes=_ANNOUNCE_BYTES,
-                        payload={"node": node_id},
-                        reliable=False,
-                    )
-                )
+            self._announce(MessageKind.FT_UP, node_id)
         self.recoveries += 1
         if ckpt.kind == "barrier":
             # Replay the barrier release fan-out from the cut: every node
@@ -555,7 +489,6 @@ class FtManager:
         """Rewind the whole cluster to the checkpoint cut (synchronous)."""
         sim = self.sim
         network = self.cluster.network
-        tr = sim.trace
         # New incarnation first: anything still in flight — including
         # deliveries scheduled for this very timestamp — belongs to the
         # discarded execution and must be fenced out.
@@ -567,13 +500,12 @@ class FtManager:
         # against half-restored structures (two-phase, see cancel_groups).
         sim.cancel_groups([f"node{n}" for n in range(self.num_nodes)])
         transports = self.cluster.transports
-        if sim.sanitizer_on:
-            sanitizer = sim.sanitizer
-            # Interval ceilings rewind to each node's vc at the cut as
-            # *snapshotted* — not the vcs the barrier arrivals carried: a
-            # node can close one more interval after its own arrival
-            # (serving a mid-interval flush) and before the cut.
-            sanitizer.on_rollback([list(nc.dsm["vc"]) for nc in ckpt.nodes])
+        # Interval ceilings rewind to each node's vc at the cut as
+        # *snapshotted* — not the vcs the barrier arrivals carried: a
+        # node can close one more interval after its own arrival
+        # (serving a mid-interval flush) and before the cut.  (Once per
+        # rollback, so unguarded: the null sanitizer's is a no-op.)
+        sim.sanitizer.on_rollback([list(nc.dsm["vc"]) for nc in ckpt.nodes])
         for node_ckpt in ckpt.nodes:
             node_id = node_ckpt.node_id
             node = self.cluster.nodes[node_id]
@@ -600,17 +532,8 @@ class FtManager:
             # were cancelled mid-measurement; see README.)
             if node_id in self._crash_time:
                 down = t_rollback - self._crash_time[node_id]
-                node.breakdown.charge(Category.DOWNTIME, down)
+                node.charge(Category.DOWNTIME, down, self._crash_time.pop(node_id))
                 self.downtime_us += down
-                if tr.enabled:
-                    tr.slice(
-                        self._crash_time[node_id],
-                        down,
-                        "cpu",
-                        Category.DOWNTIME.value,
-                        node_id,
-                    )
-                del self._crash_time[node_id]
             # Rebuild the threads from fresh bodies + logged inputs.
             threads = [
                 scheduler.rebuild_thread(

@@ -106,11 +106,12 @@ class Node:
             # A hold: one heap entry, no event object.  The kernel takes
             # floats only; callers may charge an int (``Compute(100)``).
             yield float(duration)
+            # The charge and its slice, inline: ``charge`` is this pair's
+            # twin for time that did not hold the CPU, and the hottest
+            # function of a run does not pay a call to share it.
             self.breakdown.charge(category, duration)
             if self.sim.trace_on:
                 tr = self.sim.trace
-                # One cpu slice per charge: the PhaseTimeline audit
-                # rebuilds the TimeBreakdown from exactly these events.
                 # The start is captured *before* the hold, not derived
                 # as ``now - duration``: float subtraction would not
                 # round-trip, and the critical-path builder matches slice
@@ -118,6 +119,18 @@ class Node:
                 tr.slice(started, duration, "cpu", category.value, self.node_id)
         finally:
             cpu.release()
+
+    def charge(self, category: Category, duration: float, started: float) -> None:
+        """Charge ``duration`` us that began at ``started`` without holding
+        the CPU (idle, checkpoint, recovery, downtime).
+
+        One cpu slice per charge, here and in :meth:`occupy`: the
+        PhaseTimeline audit rebuilds the TimeBreakdown from exactly
+        these events.  A zero charge leaves no slice.
+        """
+        self.breakdown.charge(category, duration)
+        if duration > 0 and self.sim.trace_on:
+            self.sim.trace.slice(started, duration, "cpu", category.value, self.node_id)
 
     # -- messaging ---------------------------------------------------------
 

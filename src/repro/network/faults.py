@@ -589,18 +589,7 @@ class FaultyNetwork(Network):
             # (and of this link's traffic outside the window) is
             # byte-identical with and without the partition.
             self.stats.record_injected("partition", message)
-            self.stats.record_drop(message)
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    now,
-                    "network",
-                    "msg_drop",
-                    message.src,
-                    kind=message.kind.value,
-                    dst=message.dst,
-                    at="partition",
-                )
+            self._drop(message, "partition")
             return False
         in_scope = plan.only_links is None or (message.src, message.dst) in plan.only_links
         rng = self._link_rng(message.src, message.dst) if in_scope else None
@@ -611,18 +600,7 @@ class FaultyNetwork(Network):
             and rng.random() < plan.drop_prob
         ):
             self.stats.record_injected("drop", message)
-            self.stats.record_drop(message)
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    now,
-                    "network",
-                    "msg_drop",
-                    message.src,
-                    kind=message.kind.value,
-                    dst=message.dst,
-                    at="fault",
-                )
+            self._drop(message, "fault")
             return False
         delay = 0.0
         if in_scope and plan.reorder_prob > 0 and rng.random() < plan.reorder_prob:
@@ -645,40 +623,34 @@ class FaultyNetwork(Network):
             prob = plan.corruption_prob(message.src, message.dst, now)
             if prob > 0 and rng.random() < prob:
                 message.corrupted = True
-                self.stats.record_injected("corrupt", message)
-                if self.sim.trace_on:
-                    tr = self.sim.trace
-                    tr.instant(
-                        now,
-                        "network",
-                        "msg_corrupt",
-                        message.src,
-                        kind=message.kind.value,
-                        dst=message.dst,
-                    )
+                self._inject_fault("corrupt", message)
         if (
             in_scope
             and not message.reliable
             and plan.duplicate_prob > 0
             and rng.random() < plan.duplicate_prob
         ):
-            self.stats.record_injected("duplicate", message)
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    now,
-                    "network",
-                    "msg_duplicate",
-                    message.src,
-                    kind=message.kind.value,
-                    dst=message.dst,
-                )
+            self._inject_fault("duplicate", message)
             ghost_delay = delay + float(rng.uniform(0.0, max(plan.jitter_us, 1.0)))
             self.sim.schedule(ghost_delay, self._inject, message.clone())
         if delay > 0:
             self.sim.schedule(delay, self._inject_delayed, message, now)
             return True  # fate decided later; injection faults are not drops
         return self._inject(message)
+
+    def _inject_fault(self, fault: str, message: Message) -> None:
+        """Count a fault that leaves the datagram on the wire (``corrupt``,
+        ``duplicate``) and trace it as ``msg_<fault>``."""
+        self.stats.record_injected(fault, message)
+        if self.sim.trace_on:
+            self.sim.trace.instant(
+                self.sim.now,
+                "network",
+                f"msg_{fault}",
+                message.src,
+                kind=message.kind.value,
+                dst=message.dst,
+            )
 
     def _inject_delayed(self, message: Message, sent_at: float) -> None:
         """Inject a fault-delayed message, backdating ``sent_at`` to the

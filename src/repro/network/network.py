@@ -142,34 +142,29 @@ class Network:
                     seq=message.seq,
                 )
         else:
-            self.stats.record_drop(message)
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "network",
-                    "msg_drop",
-                    message.src,
-                    kind=message.kind.value,
-                    dst=message.dst,
-                    at="uplink",
-                )
+            self._drop(message, "uplink")
         return accepted
 
-    def _on_switch_drop(self, message: Message) -> None:
+    def _drop(self, message: Message, at: str, **span) -> None:
+        """The one reporter of a lost datagram, wherever the fabric lost
+        it: the drop counter and the ``msg_drop`` instant.  ``span``
+        carries ``msg=`` when the in-flight span had opened (the drop
+        leaves it unterminated)."""
         self.stats.record_drop(message)
         if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
+            self.sim.trace.instant(
                 self.sim.now,
                 "network",
                 "msg_drop",
                 message.src,
                 kind=message.kind.value,
                 dst=message.dst,
-                at="switch",
-                msg=f"m{message.msg_id}",
+                at=at,
+                **span,
             )
+
+    def _on_switch_drop(self, message: Message) -> None:
+        self._drop(message, "switch", msg=f"m{message.msg_id}")
 
     def _deliver(self, message: Message) -> None:
         fenced = (
@@ -191,19 +186,7 @@ class Network:
                 reason = "fenced"
             else:
                 reason = "down"
-            self.stats.record_drop(message)
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "network",
-                    "msg_drop",
-                    message.src,
-                    kind=message.kind.value,
-                    dst=message.dst,
-                    at=reason,
-                    msg=f"m{message.msg_id}",
-                )
+            self._drop(message, reason, msg=f"m{message.msg_id}")
             return
         message.delivered_at = self.sim.now
         self.stats.record_delivery(message)

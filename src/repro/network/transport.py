@@ -409,6 +409,15 @@ class ReliableTransport:
     def adaptive(self) -> bool:
         return self._adaptive
 
+    def _mark(self, name: str, **args) -> None:
+        """Trace one loss-driven transport fact: a timeout, give-up,
+        retransmission, park probe or suppressed duplicate.  It holds
+        the tracer's guard because those run once per datagram the
+        fabric lost or doubled; ``rto_update`` and ``transport_paced``
+        grow with the traffic and keep theirs at the site."""
+        if self.sim.trace_on:
+            self.sim.trace.instant(self.sim.now, "transport", name, self.node.node_id, **args)
+
     # -- sender side -------------------------------------------------------
 
     def send_tracked(self, message: Message) -> bool:
@@ -566,19 +575,14 @@ class ReliableTransport:
             return  # acked (or resent) in the meantime
         self.stats.timeouts += 1
         self.node.events.transport_timeouts += 1
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                self.sim.now,
-                "transport",
-                "transport_timeout",
-                self.node.node_id,
-                dst=dst,
-                seq=seq,
-                attempts=pending.attempts,
-                kind=pending.message.kind.value,
-                msg=f"m{pending.message.msg_id}",
-            )
+        self._mark(
+            "transport_timeout",
+            dst=dst,
+            seq=seq,
+            attempts=pending.attempts,
+            kind=pending.message.kind.value,
+            msg=f"m{pending.message.msg_id}",
+        )
         if self._give_up_due(pending):
             # Give up gracefully: the message is parked, the give-up is
             # recorded, and the peer is reported as suspect.  Raising
@@ -599,18 +603,7 @@ class ReliableTransport:
                 # compare CLI, per kind and in total.
                 pf.count(self.node.node_id, "transport_retries_exhausted")
                 pf.count(self.node.node_id, f"transport_retries_exhausted:{kind}")
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "transport",
-                    "retries_exhausted",
-                    self.node.node_id,
-                    dst=dst,
-                    seq=seq,
-                    attempts=pending.attempts,
-                    kind=kind,
-                )
+            self._mark("retries_exhausted", dst=dst, seq=seq, attempts=pending.attempts, kind=kind)
             if self._adaptive:
                 peer = self._peer(dst)
                 peer.in_flight = max(0, peer.in_flight - 1)
@@ -643,15 +636,7 @@ class ReliableTransport:
             # and its sample re-seeds the estimator at the true value.
             peer.rto = min(self.config.max_rto_us, peer.rto * self.config.backoff)
             self.extremes.observe_rto(peer.rto)
-            if self.sim.trace_on:
-                self.sim.trace.instant(
-                    self.sim.now,
-                    "transport",
-                    "cwnd_halved",
-                    self.node.node_id,
-                    dst=dst,
-                    cwnd=round(peer.cwnd, 3),
-                )
+            self._mark("cwnd_halved", dst=dst, cwnd=round(peer.cwnd, 3))
         pending.attempts += 1
         # Re-arm before the resend process runs: a retransmission stuck
         # behind a busy CPU must still be covered by a live timer.
@@ -680,22 +665,17 @@ class ReliableTransport:
                 self.node.node_id, "retransmit_delay_us", self.sim.now - pending.first_sent_at
             )
         copy = pending.message.clone()
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                self.sim.now,
-                "transport",
-                "retransmit",
-                self.node.node_id,
-                dst=dst,
-                seq=seq,
-                attempts=pending.attempts,
-                kind=copy.kind.value,
-                # The wire copy's own correlation id: its msg:* async
-                # span in the trace belongs to a retransmission, which
-                # the critical-path analyzer blames as such.
-                msg=f"m{copy.msg_id}",
-            )
+        self._mark(
+            "retransmit",
+            dst=dst,
+            seq=seq,
+            attempts=pending.attempts,
+            kind=copy.kind.value,
+            # The wire copy's own correlation id: its msg:* async
+            # span in the trace belongs to a retransmission, which
+            # the critical-path analyzer blames as such.
+            msg=f"m{copy.msg_id}",
+        )
         self.network.stats.record_retransmit(copy)
         if self._adaptive:
             copy.attempt = pending.attempts
@@ -715,10 +695,7 @@ class ReliableTransport:
         if self.network.is_down(dst) or self.network.is_fenced(dst):
             return
         self.stats.park_probes += 1
-        if self.sim.trace_on:
-            self.sim.trace.instant(
-                self.sim.now, "transport", "park_probe", self.node.node_id, dst=dst, seq=seq
-            )
+        self._mark("park_probe", dst=dst, seq=seq)
         self._revive_keys(dst, [(dst, seq)])
 
     def _on_peer_evidence(self, src: int) -> None:
@@ -957,17 +934,9 @@ class ReliableTransport:
         if not first:
             self.stats.duplicates_suppressed += 1
             self.node.events.duplicates_suppressed += 1
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "transport",
-                    "duplicate_suppressed",
-                    self.node.node_id,
-                    src=message.src,
-                    seq=message.seq,
-                    kind=message.kind.value,
-                )
+            self._mark(
+                "duplicate_suppressed", src=message.src, seq=message.seq, kind=message.kind.value
+            )
         # Ack every arrival, duplicate or not: the duplicate usually
         # means our previous ack was lost.
         yield from self.node.occupy(

@@ -61,9 +61,9 @@ def execute_spec(spec: RunSpec) -> RunReport:
     return DsmRuntime(spec.config).execute(app, verify=spec.verify)
 
 
-def _worker(spec: RunSpec) -> tuple[int, str]:
-    """Pool entry point: returns (index, RunReport JSON)."""
-    return spec.index, execute_spec(spec).to_json()
+def _worker(spec: RunSpec) -> str:
+    """Pool entry point: the finished RunReport as JSON."""
+    return execute_spec(spec).to_json()
 
 
 def _fan_out_entry(packed):
@@ -75,8 +75,9 @@ def _fan_out_entry(packed):
 def fan_out(items, worker, jobs: int = 1, on_done=None) -> list:
     """Apply ``worker`` to every item; return results in item order.
 
-    The generic sibling of :func:`run_specs` for work that is not a
-    :class:`RunSpec` (the chaos harness fans out whole search samples).
+    The one pool loop: :func:`run_specs` runs through it, and so does
+    work that is not a :class:`RunSpec` (the chaos harness fans out
+    whole search samples).
     ``worker`` must be a module-level function and both items and
     results must pickle — with ``jobs > 1`` they cross a spawn-context
     process boundary.  ``on_done(index, result)`` fires in *completion*
@@ -110,27 +111,22 @@ def run_specs(
     """Execute every spec; return reports in spec-index order.
 
     With ``jobs <= 1`` runs serially in-process (no pickling, cheapest
-    for a single core).  With more, fans out over a spawn-context
-    process pool; ``on_done`` fires in *completion* order (progress
-    reporting), while the returned list is always in spec order.
+    for a single core).  With more, fans out through :func:`fan_out`
+    and reports cross the process boundary as JSON; ``on_done`` fires in
+    *completion* order (progress reporting), while the returned list is
+    always in spec order.
     """
     if sorted(spec.index for spec in specs) != list(range(len(specs))):
         raise ValueError("spec indices must be exactly 0..N-1")
-    results: list[Optional[RunReport]] = [None] * len(specs)
-    if jobs <= 1 or len(specs) <= 1:
-        for spec in specs:
-            report = execute_spec(spec)
-            results[spec.index] = report
-            if on_done is not None:
-                on_done(spec, report)
-        return results  # type: ignore[return-value]
+    in_process = jobs <= 1 or len(specs) <= 1
+    reports: list[Optional[RunReport]] = [None] * len(specs)
 
-    by_index = {spec.index: spec for spec in specs}
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(jobs, len(specs))) as pool:
-        for index, payload in pool.imap_unordered(_worker, specs):
-            report = RunReport.from_json(payload)
-            results[index] = report
-            if on_done is not None:
-                on_done(by_index[index], report)
-    return results  # type: ignore[return-value]
+    def done(position: int, result) -> None:
+        spec = specs[position]
+        report = result if in_process else RunReport.from_json(result)
+        reports[spec.index] = report
+        if on_done is not None:
+            on_done(spec, report)
+
+    fan_out(specs, execute_spec if in_process else _worker, jobs=jobs, on_done=done)
+    return reports  # type: ignore[return-value]

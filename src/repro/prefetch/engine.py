@@ -217,15 +217,7 @@ class PrefetchEngine:
             # prefetches back and let the demand fetch (reliable) do the
             # work — burning 140us per doomed request only adds load.
             self.stats.throttled += 1
-            if self.dsm.sim.trace_on:
-                tr = self.dsm.sim.trace
-                tr.instant(
-                    self.dsm.sim.now,
-                    "prefetch",
-                    "prefetch_throttled",
-                    self.dsm.node_id,
-                    page=page_id,
-                )
+            self._mark("prefetch_throttled", page=page_id)
             yield from self.dsm.node.occupy(costs.prefetch_issue_local, Category.PREFETCH)
             return
         record = self._records.setdefault(page_id, _PageRecord())
@@ -281,14 +273,16 @@ class PrefetchEngine:
         self.dsm.node.network.stats.record_shed(MessageKind.PREFETCH_REQUEST)
         if self.dsm.sim.profile_on:
             self.dsm.sim.profile.count(self.dsm.node_id, "prefetch_shed")
+        self._mark("prefetch_shed", page=page_id, writer=writer)
+
+    def _mark(self, name: str, **args) -> None:
+        """Trace one loss-driven prefetch fact (throttled, shed, drop):
+        each follows a request the fabric refused or a peer under
+        pressure, so the emitter holds the tracer's guard; issues and
+        outcomes grow with the work and keep theirs at the site."""
         if self.dsm.sim.trace_on:
             self.dsm.sim.trace.instant(
-                self.dsm.sim.now,
-                "prefetch",
-                "prefetch_shed",
-                self.dsm.node_id,
-                page=page_id,
-                writer=writer,
+                self.dsm.sim.now, "prefetch", name, self.dsm.node_id, **args
             )
 
     def _note_drop(self) -> None:
@@ -297,15 +291,7 @@ class PrefetchEngine:
         if transport is not None and transport.adaptive:
             # Closed-loop mode: drops feed the transport's own RTT and
             # window signals; no hand-tuned cool-off on top.
-            if self.dsm.sim.trace_on:
-                self.dsm.sim.trace.instant(
-                    self.dsm.sim.now,
-                    "prefetch",
-                    "prefetch_drop",
-                    self.dsm.node_id,
-                    streak=0,
-                    cooloff_us=0.0,
-                )
+            self._mark("prefetch_drop", streak=0, cooloff_us=0.0)
             return
         self._drop_streak += 1
         cooloff = min(
@@ -313,16 +299,7 @@ class PrefetchEngine:
             self.THROTTLE_BASE_US * 2.0 ** (self._drop_streak - 1),
         )
         self._cooloff_until = max(self._cooloff_until, self.dsm.sim.now + cooloff)
-        if self.dsm.sim.trace_on:
-            tr = self.dsm.sim.trace
-            tr.instant(
-                self.dsm.sim.now,
-                "prefetch",
-                "prefetch_drop",
-                self.dsm.node_id,
-                streak=self._drop_streak,
-                cooloff_us=cooloff,
-            )
+        self._mark("prefetch_drop", streak=self._drop_streak, cooloff_us=cooloff)
 
     # -- protocol hooks --------------------------------------------------------
 

@@ -102,9 +102,9 @@ class NodeScheduler:
         #: it starts, so offline analysis can link thread segments into
         #: causal chains.  Touched only under trace_on.
         self._segments: dict[int, int] = {}
-        #: Trace stall spans currently open, as (name, tid) pairs, so a
+        #: Trace stall spans currently open, as (kind, tid) pairs, so a
         #: crash rollback can close the spans its cancellations orphan.
-        self._open_stalls: list[tuple[str, int]] = []
+        self._open_stalls: list[tuple[StallKind, int]] = []
 
     # -- setup -------------------------------------------------------------
 
@@ -136,14 +136,11 @@ class NodeScheduler:
         threads) were cancelled: the rebuilt threads take over and a new
         ``done_event`` supersedes the abandoned one.
         """
-        if self.node.sim.trace_on:
-            tr = self.node.sim.trace
-            # Close the stall spans the discarded threads left open
-            # (their wake callbacks will never fire), so exported
-            # traces keep balanced begin/end pairs.
-            for name, tid in self._open_stalls:
-                tr.end(self.node.sim.now, "sched", name, self.node.node_id, tid=tid)
-        self._open_stalls.clear()
+        # Close the stall spans the discarded threads left open (their
+        # wake callbacks will never fire), so exported traces keep
+        # balanced begin/end pairs.  None is open unless tracing is on.
+        for kind, tid in list(self._open_stalls):
+            self._trace_stall(False, kind, tid)
         self._segments = {}
         self.threads = threads
         self._last_run = None
@@ -208,10 +205,7 @@ class NodeScheduler:
         interval = sim.now - t_start
         handler_time = self.node.breakdown.charged_cpu - charged_start
         idle = max(0.0, interval - handler_time)
-        self.node.breakdown.charge(kind.idle_category, idle)
-        tr = sim.trace
-        if tr.enabled and idle > 0:
-            tr.slice(sim.now - idle, idle, "cpu", kind.idle_category.value, self.node.node_id)
+        self.node.charge(kind.idle_category, idle, sim.now - idle)
 
     # -- blocking/waking -------------------------------------------------------
 
@@ -250,34 +244,30 @@ class NodeScheduler:
             events.barrier_waits += 1
             events.barrier_stall += stall
 
+    def _trace_stall(self, begin: bool, kind: StallKind, tid: int) -> None:
+        """Open or close thread ``tid``'s ``stall:<kind>`` span, keeping
+        ``_open_stalls`` in step (callers hold the tracer's guard)."""
+        sim = self.node.sim
+        emit, track = (
+            (sim.trace.begin, self._open_stalls.append)
+            if begin
+            else (sim.trace.end, self._open_stalls.remove)
+        )
+        emit(sim.now, "sched", f"stall:{kind.value}", self.node.node_id, tid=tid)
+        track((kind, tid))
+
     def _block(self, thread: DsmThread, request: WaitRequest) -> None:
         self._begin_stall(thread)
         thread.block(request.event, request.kind, self.node.sim.now)
         if self.node.sim.trace_on:
-            tr = self.node.sim.trace
-            tr.begin(
-                self.node.sim.now,
-                "sched",
-                f"stall:{request.kind.value}",
-                self.node.node_id,
-                tid=thread.tid,
-            )
-            self._open_stalls.append((f"stall:{request.kind.value}", thread.tid))
+            self._trace_stall(True, request.kind, thread.tid)
 
         def on_wake(_event: Event) -> None:
             started = thread.block_start
             thread.unblock()
             self._end_stall(thread, request.kind, started, request.event)
             if self.node.sim.trace_on:
-                tr = self.node.sim.trace
-                tr.end(
-                    self.node.sim.now,
-                    "sched",
-                    f"stall:{request.kind.value}",
-                    self.node.node_id,
-                    tid=thread.tid,
-                )
-                self._open_stalls.remove((f"stall:{request.kind.value}", thread.tid))
+                self._trace_stall(False, request.kind, thread.tid)
             if self._ready_signal is not None and not self._ready_signal.triggered:
                 self._last_woken = thread
                 self._ready_signal.succeed(None)
@@ -290,16 +280,12 @@ class NodeScheduler:
         sim = self.node.sim
         t_start = sim.now
         charged_start = self.node.breakdown.charged_cpu
-        tr = sim.trace
-        stall_name = f"stall:{request.kind.value}"
-        if tr.enabled:
-            tr.begin(t_start, "sched", stall_name, self.node.node_id, tid=thread.tid)
-            self._open_stalls.append((stall_name, thread.tid))
+        if sim.trace_on:
+            self._trace_stall(True, request.kind, thread.tid)
         yield request.event
         self._end_stall(thread, request.kind, t_start, request.event)
-        if tr.enabled:
-            tr.end(sim.now, "sched", stall_name, self.node.node_id, tid=thread.tid)
-            self._open_stalls.remove((stall_name, thread.tid))
+        if sim.trace_on:
+            self._trace_stall(False, request.kind, thread.tid)
         self._charge_idle(t_start, charged_start, request.kind)
 
     def _should_switch(self, kind: StallKind) -> bool:

@@ -17,10 +17,14 @@ from repro.network import (
     NodeStall,
 )
 from repro.sim import RandomSource, Simulator
+from repro.trace import Tracer
+
+from tests.network.test_network import msg_drops
 
 
 def build(plan, num_nodes=4, seed=11, **link_kwargs):
     sim = Simulator()
+    sim.trace = Tracer()
     net = FaultyNetwork(
         sim,
         num_nodes,
@@ -94,6 +98,12 @@ def test_drops_hit_roughly_the_configured_rate():
     assert net.stats.drops_by_kind[MessageKind.PREFETCH_REQUEST] == dropped
     # A fault-dropped message is never counted as sent.
     assert net.stats.messages_by_kind[MessageKind.PREFETCH_REQUEST] == 400 - dropped
+    # Each reported once, before any in-flight span: no ``msg``.
+    assert net.total_drops() == dropped == len(msg_drops(sim))
+    assert all(
+        drop.args == {"kind": "prefetch_request", "dst": 1, "at": "fault"}
+        for drop in msg_drops(sim)
+    )
 
 
 def test_reliable_messages_exempt_from_drop_and_duplicate():
@@ -289,6 +299,12 @@ def test_node_partition_severs_boundary_both_ways_only():
     assert len(inboxes[2]) == 0 and len(inboxes[0]) == 0
     assert len(inboxes[1]) == 1 and len(inboxes[3]) == 1
     assert net.stats.injected_count("partition") == 2
+    # Each severed send is one drop, reported once, with no span to name.
+    assert net.total_drops() == 2
+    assert [(drop.node, drop.args) for drop in msg_drops(sim)] == [
+        (0, {"kind": "prefetch_request", "dst": 2, "at": "partition"}),
+        (2, {"kind": "prefetch_request", "dst": 0, "at": "partition"}),
+    ]
 
 
 def test_link_partition_is_directed():

@@ -5,10 +5,17 @@ import pytest
 from repro.errors import NetworkError
 from repro.network import LinkConfig, Message, MessageKind, Network
 from repro.sim import Simulator
+from repro.trace import Tracer
+
+
+def msg_drops(sim):
+    """The ``msg_drop`` instants traced so far (``build`` installs a tracer)."""
+    return [event for event in sim.trace.events if event.name == "msg_drop"]
 
 
 def build(num_nodes=4, **link_kwargs):
     sim = Simulator()
+    sim.trace = Tracer()
     net = Network(sim, num_nodes, link_config=LinkConfig(**link_kwargs))
     inboxes = {n: [] for n in range(num_nodes)}
     for n in range(num_nodes):
@@ -130,6 +137,11 @@ def test_uplink_rejected_message_not_counted_as_sent():
     assert net.stats.messages_by_kind.get(MessageKind.PREFETCH_REQUEST, 0) == 0
     assert net.stats.drops_by_kind[MessageKind.PREFETCH_REQUEST] == 1
     assert net.stats.total_messages == 1
+    # Reported once, and before the in-flight span opened: no ``msg``.
+    assert net.total_drops() == 1
+    (drop,) = msg_drops(sim)
+    assert drop.node == 0
+    assert drop.args == {"kind": "prefetch_request", "dst": 1, "at": "uplink"}
     sim.run()
     assert len(inboxes[1]) == 1  # only the accepted message arrived
 
@@ -159,6 +171,39 @@ def test_switch_downlink_drop_recorded_and_invisible_to_sender():
     assert net.stats.messages_by_kind[MessageKind.PREFETCH_REPLY] == 30
     assert len(inboxes[0]) == 30 - dropped
     assert net.stats.delivered_by_kind[MessageKind.PREFETCH_REPLY] == 30 - dropped
+    # Each reported once, naming the in-flight span it leaves open.
+    assert net.total_drops() == dropped == len(msg_drops(sim))
+    spans = {e.id for e in sim.trace.events if e.ph == "b"} - {
+        e.id for e in sim.trace.events if e.ph == "e"
+    }
+    assert all(drop.args["at"] == "switch" for drop in msg_drops(sim))
+    assert {drop.args["msg"] for drop in msg_drops(sim)} == spans
+
+
+@pytest.mark.parametrize("reason", ["stale", "fenced", "down"])
+def test_delivery_time_drop_is_reported_once(reason):
+    """Traffic of a rolled-back incarnation, or touching a fenced or a
+    crashed node, is eaten where it would have been delivered."""
+    sim, net, inboxes = build()
+    message = msg(0, 1)
+    net.send(message)
+    if reason == "stale":
+        net.incarnation += 1
+    elif reason == "fenced":
+        net.fence_node(1)
+    else:
+        net.mark_down(1)
+    sim.run()
+    assert not inboxes[1]
+    assert net.total_drops() == 1
+    (drop,) = msg_drops(sim)
+    assert drop.node == 0
+    assert drop.args == {
+        "kind": "diff_request",
+        "dst": 1,
+        "at": reason,
+        "msg": f"m{message.msg_id}",
+    }
 
 
 def test_kind_breakdown_reconciles_sent_delivered_dropped():

@@ -63,7 +63,10 @@ def test_experiment_runner_grid_prefetch_matches_serial():
     kwargs = dict(num_nodes=2, preset="small", seed=42, verify=True)
     serial = ExperimentRunner(jobs=1, **kwargs)
     fanned = ExperimentRunner(jobs=2, **kwargs)
-    grid_a = list(serial.run_many(["O"], apps=["SOR"]))
-    grid_b = list(fanned.run_many(["O"], apps=["SOR"]))
-    assert [(a, l) for a, l, _ in grid_a] == [(a, l) for a, l, _ in grid_b]
-    assert [r.to_json() for *_, r in grid_a] == [r.to_json() for *_, r in grid_b]
+    for runner in (serial, fanned):
+        runner.prefetch_grid(["O", "P"], apps=["SOR"])
+    # Serial runs on demand; fanned out, the grid is cached up front.
+    assert not serial._cache
+    assert list(fanned._cache) == [("SOR", "O"), ("SOR", "P")]
+    for label in ("O", "P"):
+        assert fanned.run("SOR", label).to_json() == serial.run("SOR", label).to_json()

@@ -6,8 +6,12 @@ import pytest
 
 from repro import DsmRuntime, RunConfig
 from repro.apps import APP_ORDER, make_app
+from repro.ft import detector, manager
 from repro.metrics.counters import Category
 from repro.network import FaultPlan, TransportConfig
+from repro.network.faults import FaultyNetwork
+from repro.network.transport import ReliableTransport
+from repro.prefetch.engine import PrefetchEngine
 from repro.trace import PhaseTimeline, TraceConfig, validate_chrome_trace
 
 CHAOS_PLAN = FaultPlan(drop_prob=0.05, duplicate_prob=0.02, reorder_prob=0.2, jitter_us=200.0)
@@ -115,6 +119,43 @@ def test_tracing_does_not_perturb_the_simulation():
     _, untraced = run("SOR", trace=False, threads_per_node=2, prefetch=True)
     assert traced.to_json() == untraced.to_json()
     assert traced.wall_time_us == untraced.wall_time_us
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+def test_emitters_that_hold_the_guard_run_once_per_loss_not_per_message(loss, monkeypatch):
+    """The guard rule (DESIGN.md, reporting): a site may leave its
+    ``trace_on`` check to a shared emitter only if it runs per datagram
+    the fabric lost or doubled, or per membership change.  With tracing
+    off, a clean run therefore never enters one, and a lossy run enters
+    them no more often than it timed out, retransmitted, suppressed a
+    duplicate or had a prefetch request refused."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__qualname__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(detector, "mark", counted(detector.mark))
+    monkeypatch.setattr(manager, "mark", detector.mark)
+    for owner in (ReliableTransport, PrefetchEngine):
+        monkeypatch.setattr(owner, "_mark", counted(owner._mark))
+    monkeypatch.setattr(FaultyNetwork, "_inject_fault", counted(FaultyNetwork._inject_fault))
+
+    _, report = run(
+        "RADIX", trace=False, prefetch=True, fault_plan=FaultPlan(drop_prob=loss) if loss else None
+    )
+    events = report.events
+    bound = (
+        events.transport_timeouts
+        + events.retransmissions
+        + events.duplicates_suppressed
+        + report.prefetch_stats.drops_observed
+    )
+    assert (bound > 0) == (loss > 0)
+    assert len(calls) <= bound, calls
 
 
 def test_tracing_is_deterministic_itself():
