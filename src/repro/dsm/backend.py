@@ -283,8 +283,8 @@ class CoherenceBackend:
         """The release action (lock release, barrier arrival)."""
         raise NotImplementedError
 
-    def apply_notices_charged(self, notices: list, advance_vc: bool = True) -> Generator:
-        """The acquire action: merge received write notices."""
+    def apply_notices_charged(self, records: list, advance_vc: bool = True) -> Generator:
+        """The acquire action: merge received interval records."""
         raise NotImplementedError
 
     def flush_page_if_dirty(self, page_id: int) -> Generator:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.dsm.writenotice import WriteNoticeLog
+from repro.dsm.writenotice import wire_bytes
 from repro.errors import ProtocolError
 from repro.network import Message, MessageKind
 from repro.sim import Event
@@ -117,7 +117,7 @@ class BarrierSubsystem:
             yield from self.dsm.post(
                 BARRIER_MANAGER,
                 MessageKind.BARRIER_ARRIVE,
-                16 + backend.vc.size_bytes + WriteNoticeLog.wire_bytes(own_new),
+                16 + backend.vc.size_bytes + wire_bytes(own_new),
                 {
                     "barrier_id": barrier_id,
                     "episode": self._episode[barrier_id],
@@ -258,7 +258,7 @@ class BarrierSubsystem:
         return self.dsm.post(
             dst,
             MessageKind.BARRIER_RELEASE,
-            24 + WriteNoticeLog.wire_bytes(missing),
+            24 + wire_bytes(missing),
             {"barrier_id": barrier_id, "episode": episode, "notices": missing},
             "release",
             barrier=barrier_id,

@@ -91,10 +91,7 @@ class HlrcBackend(LrcBackend):
         dirtied page, sent to the page's home, the release blocking
         until every home has applied and acked.
         """
-        if not self.intervals.has_modifications and not self._flushed_in_open:
-            return
-        yield from self.node.occupy(self.node.costs.interval_close, Category.DSM)
-        notices = self._close_interval()
+        announced = yield from super().close_interval_charged()
         flushed = []
         # Diff creation is synchronous across ALL dirtied pages (no
         # yields until every twin is sealed): the moment the vector
@@ -108,7 +105,7 @@ class HlrcBackend(LrcBackend):
         # with a fresh twin.)  The CPU costs are charged in one lump
         # after the seals.
         flush_cost = 0.0
-        for page_id in sorted({n.page_id for n in notices}):
+        for page_id in announced:
             state = self._coherence.get(page_id)
             if state is None or not state.dirty or state.twin is None:
                 continue

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.dsm.writenotice import WriteNoticeLog
+from repro.dsm.writenotice import wire_bytes
 from repro.errors import ProtocolError
 from repro.network import Message, MessageKind
 from repro.sim import Event
@@ -252,7 +252,7 @@ class LockSubsystem:
         yield from self.dsm.post(
             requester,
             MessageKind.LOCK_GRANT,
-            24 + WriteNoticeLog.wire_bytes(notices),
+            24 + wire_bytes(notices),
             {"lock_id": state.lock_id, "notices": notices},
             "grant",
             lock=state.lock_id,

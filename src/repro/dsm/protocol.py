@@ -35,7 +35,7 @@ from repro.dsm.interval import DiffStore, IntervalManager, StoredDiff
 from repro.dsm.locks import LockSubsystem
 from repro.dsm.pagestate import PageCoherence
 from repro.dsm.vclock import VectorClock
-from repro.dsm.writenotice import WriteNotice, WriteNoticeLog
+from repro.dsm.writenotice import IntervalRecord, WriteNoticeLog, notice_count, wire_bytes
 from repro.errors import ProtocolError
 from repro.machine.node import Node
 from repro.memory import Diff, apply_diff, make_diff
@@ -209,15 +209,21 @@ class LrcBackend(CoherenceBackend):
     # -- small helpers -----------------------------------------------------
 
     def coherence(self, page_id: int) -> PageCoherence:
+        """The page's state; the first touch (a fault, write, prefetch or
+        serve) builds it from the log.  A logged record has been *applied*
+        exactly when the vector clock covers it: the barrier manager's
+        merged arrivals lie above it until its own release applies them."""
         state = self._coherence.get(page_id)
         if state is None:
-            state = PageCoherence(page_id, self.num_nodes)
-            self._coherence[page_id] = state
+            state = self._coherence[page_id] = PageCoherence(page_id, self.num_nodes)
+            for record in self.wn_log.history(page_id).values():
+                proc = record.proc
+                if proc != self.node_id and record.interval_idx <= self.vc[proc]:
+                    state.note_write_notice(proc, record.interval_idx)
         return state
 
     def page_valid(self, page_id: int) -> bool:
-        state = self._coherence.get(page_id)
-        return state is None or state.valid
+        return self.coherence(page_id).valid
 
     def page_writable(self, page_id: int) -> bool:
         # Valid + dirty with a live twin that is not write-protected:
@@ -228,32 +234,29 @@ class LrcBackend(CoherenceBackend):
     # -- consistency actions -------------------------------------------------
 
     def close_interval_charged(self) -> Generator:
-        """LRC release: close the open interval if it has modifications."""
+        """LRC release: close the open interval if it has modifications;
+        returns the pages :meth:`_close_interval` announced, if any."""
         if not self.intervals.has_modifications and not self._flushed_in_open:
-            return
+            return ()
         yield from self.node.occupy(self.node.costs.interval_close, Category.DSM)
-        self._close_interval()
+        return self._close_interval()
 
-    def _close_interval(self) -> list[WriteNotice]:
-        """Close the open interval; emit and log its write notices.
-
-        Notices cover pages written during the interval: those currently
-        dirty plus those whose diffs were flushed mid-interval.
-        """
+    def _close_interval(self) -> tuple[int, ...]:
+        """Close the open interval; log its record and return the pages it
+        names, ascending (none: nothing to close): those currently dirty
+        plus those whose diffs were flushed mid-interval."""
         pages = self.intervals.take_dirty() | self._flushed_in_open
         if not pages:
-            return []
+            return ()
         new_idx = self.vc.advance_own()
         if self.sim.sanitizer_on:
             san = self.sim.sanitizer
             san.on_interval_closed(self.node_id, new_idx)
         self.intervals.lamport += 1
-        lamport = self.intervals.lamport
         self._flushed_in_open.clear()
-        notices = [
-            WriteNotice(self.node_id, new_idx, lamport, page_id) for page_id in sorted(pages)
-        ]
-        self.wn_log.merge(notices)
+        stamp = self.intervals.lamport
+        record = IntervalRecord(self.node_id, new_idx, stamp, tuple(sorted(pages)))
+        self.wn_log.merge([record])
         # TreadMarks write-protects dirty pages at interval creation: a
         # later write to a still-dirty page must announce itself under a
         # NEW write notice, or its modifications would be invisible to
@@ -262,22 +265,23 @@ class LrcBackend(CoherenceBackend):
             state = self._coherence.get(page_id)
             if state is not None and state.dirty:
                 state.write_protected = True
-        return notices
+        return record.pages
 
     def apply_notices_charged(
-        self, notices: list[WriteNotice], advance_vc: bool = True
+        self, records: list[IntervalRecord], advance_vc: bool = True
     ) -> Generator:
-        """Merge received write notices; invalidate named pages.
+        """Merge received records; invalidate the named pages held here.
 
-        ``advance_vc=False`` is for *page-filtered* notice sets (diff
+        ``advance_vc=False`` is for *page-filtered* records (diff
         replies): a vector clock component may only advance when the
-        FULL interval has been transferred — a write notice names one
-        page, and an interval may have dirtied several.  Advancing on a
+        FULL interval has been transferred — a filtered record names one
+        page, and the interval may have dirtied several.  Advancing on a
         partial set would make later grants/releases skip the other
         pages' invalidations entirely.
         """
-        if notices:
-            cost = self.node.costs.write_notice_apply * len(notices)
+        if records:
+            count = notice_count(records)
+            cost = self.node.costs.write_notice_apply * count
             yield from self.node.occupy(cost, Category.DSM)
             if self.sim.trace_on:
                 tr = self.sim.trace
@@ -286,48 +290,47 @@ class LrcBackend(CoherenceBackend):
                     "protocol",
                     "write_notices",
                     self.node_id,
-                    count=len(notices),
+                    count=count,
                     full=advance_vc,
                 )
-        # Hot loop (145 k notices per SOR/64 run): resolve the attribute
-        # chains (``prefetch`` is a property) once, and do the interval's
-        # share of the work — log insertion, clocks — once per run of
-        # equal ``(proc, interval_idx)``, not once per notice.
+        # Hot loop (104 k records naming 142 k pages per SOR/64 run): log
+        # insertion and clocks are per record, and a page this node does
+        # not hold costs one failed lookup here and one in ``merge``.
         node_id = self.node_id
         san = self.sim.sanitizer
         san_on = san.enabled
         vc = self.vc
         observe_lamport = self.intervals.observe_lamport
-        coherence = self.coherence
+        # A filtered record answers a request about its page, which is
+        # thereby held (``coherence`` tracks it if need be); it stays out
+        # of the per-proc log (see WriteNoticeLog.merge): it must not be
+        # forwarded by grants nor advance any vector clock.
+        held = self._coherence.get if advance_vc else self.coherence
         prefetch = self.prefetch
-        # Page-filtered sets stay out of the per-proc log (see
-        # WriteNoticeLog.merge): they must not be forwarded by grants
-        # nor advance any vector clock.
-        self.wn_log.merge(notices, full=advance_vc, skip_proc=node_id)
-        run_proc = run_idx = -1
-        for notice in notices:
-            proc = notice.proc
+        self.wn_log.merge(records, full=advance_vc, skip_proc=node_id)
+        for record in records:
+            proc = record.proc
             if proc == node_id:
                 continue
-            interval_idx = notice.interval_idx
-            page_id = notice.page_id
-            new_run = interval_idx != run_idx or proc != run_proc
+            interval_idx = record.interval_idx
             if san_on:
                 # Per notice, so the check count and the transition ring
                 # read as they always have.
-                san.on_write_notice(node_id, proc, interval_idx, page_id)
-                if advance_vc:
-                    old = vc[proc]
-                    vc.observe(proc, interval_idx)
-                    san.on_vc_update(node_id, proc, old, vc[proc])
-            elif new_run and advance_vc:
+                for page_id in record.pages:
+                    san.on_write_notice(node_id, proc, interval_idx, page_id)
+                    if advance_vc:
+                        old = vc[proc]
+                        vc.observe(proc, interval_idx)
+                        san.on_vc_update(node_id, proc, old, vc[proc])
+            elif advance_vc:
                 vc.observe(proc, interval_idx)
-            if new_run:
-                run_proc, run_idx = proc, interval_idx
-                observe_lamport(notice.lamport)
-            coherence(page_id).note_write_notice(proc, interval_idx)
-            if prefetch is not None:
-                prefetch.on_invalidation(page_id)
+            observe_lamport(record.lamport)
+            for page_id in record.pages:
+                state = held(page_id)
+                if state is not None:
+                    state.note_write_notice(proc, interval_idx)
+                    if prefetch is not None:
+                        prefetch.on_invalidation(page_id)
 
     # -- write path ------------------------------------------------------------
 
@@ -555,9 +558,9 @@ class LrcBackend(CoherenceBackend):
         return stored
 
     def reply_notices(
-        self, page_id: int, t_have: int, requester_vc: Optional[tuple[int, ...]] = None
-    ) -> list[WriteNotice]:
-        """The page's interval records the requester may be missing.
+        self, page_id: int, t_have: int, requester_vc: tuple[int, ...]
+    ) -> list[IntervalRecord]:
+        """The page's records the requester may be missing, cut to it.
 
         Diff replies must carry the page's consistency history, for two
         reasons: (a) a flush seals a *sub-interval* whose write notice
@@ -569,14 +572,12 @@ class LrcBackend(CoherenceBackend):
         requester's vector clock (piggybacked on the request) bounds
         other writers' records.
         """
-        notices = []
-        for notice in self.wn_log.notices_for_page(page_id):
-            if notice.proc == self.node_id:
-                if notice.interval_idx > t_have:
-                    notices.append(notice)
-            elif requester_vc is None or notice.interval_idx > requester_vc[notice.proc]:
-                notices.append(notice)
-        return notices
+        return [
+            record.only(page_id)
+            for record in self.wn_log.history(page_id).values()
+            if record.interval_idx
+            > (t_have if record.proc == self.node_id else requester_vc[record.proc])
+        ]
 
     def handle_diff_request(self, msg: Message) -> Generator:
         self.host.diff_requests_served += 1
@@ -610,10 +611,8 @@ class LrcBackend(CoherenceBackend):
             (s.covers_through for s in stored),
             default=max(t_have, self.diff_store.latest_coverage(page_id)),
         )
-        notices = self.reply_notices(page_id, t_have, msg.payload.get("vc"))
-        size = 24 + sum(s.diff.size_bytes + 12 for s in stored) + WriteNoticeLog.wire_bytes(
-            notices
-        )
+        notices = self.reply_notices(page_id, t_have, msg.payload["vc"])
+        size = 24 + sum(s.diff.size_bytes + 12 for s in stored) + wire_bytes(notices)
         yield from self.post(
             msg.src,
             kind,
@@ -706,6 +705,7 @@ class LrcBackend(CoherenceBackend):
         for dsm in runtime.dsm_nodes:
             backend = dsm.backend
             deltas.extend(backend.diff_store.diffs_after(page_id, 0))
+            # ``get``: the verifier must not make every node hold every page.
             coherence = backend._coherence.get(page_id)
             if coherence is not None and coherence.dirty and coherence.twin is not None:
                 virtual = make_diff(

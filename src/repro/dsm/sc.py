@@ -474,10 +474,10 @@ class ScBackend(CoherenceBackend):
         return
         yield  # pragma: no cover
 
-    def apply_notices_charged(self, notices: list, advance_vc: bool = True) -> Generator:
-        if notices:
+    def apply_notices_charged(self, records: list, advance_vc: bool = True) -> Generator:
+        if records:
             raise ProtocolError(
-                f"sc backend received {len(notices)} write notices; "
+                f"sc backend received {len(records)} interval records; "
                 "the inert log should never produce any"
             )
         return

@@ -1,137 +1,141 @@
 """Write notices: which pages were modified in which interval.
 
 At each synchronization point a node closes its current interval and
-emits one :class:`WriteNotice` per page dirtied during it.  Notices
-travel piggybacked on lock grants and barrier releases; the receiver
-invalidates the named pages.  :class:`WriteNoticeLog` is the per-node
-archive of every notice seen, supporting the "what does node X not know
-yet" queries that drive lazy propagation.
+emits one :class:`IntervalRecord` naming every page dirtied during it; a
+*write notice* is one ``(record, page)`` pair, the unit the wire, the CPU
+charge, the trace and the sanitizer count in.  Records travel piggybacked
+on lock grants and barrier releases, shared by reference; the receiver
+invalidates the named pages it holds.  :class:`WriteNoticeLog` is the
+per-node archive of every record seen, supporting the "what does node X
+not know yet" queries that drive lazy propagation.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
-__all__ = ["WriteNotice", "WriteNoticeLog", "WIRE_BYTES_PER_NOTICE"]
+__all__ = ["IntervalRecord", "WriteNoticeLog", "WIRE_BYTES_PER_NOTICE"]
 
 # Encoded as (proc, interval_idx, lamport, page_id): four 4-byte fields.
 WIRE_BYTES_PER_NOTICE = 16
 
+_interval_idx = attrgetter("interval_idx")
+
 
 @dataclass(frozen=True, slots=True)
-class WriteNotice:
-    """Page ``page_id`` was modified by ``proc`` during interval ``interval_idx``."""
+class IntervalRecord:
+    """``proc`` modified ``pages`` (ascending) during interval ``interval_idx``."""
 
     proc: int
     interval_idx: int
     lamport: int
-    page_id: int
+    pages: tuple[int, ...]
+
+    def only(self, page_id: int) -> "IntervalRecord":
+        """The page-filtered form a diff reply carries."""
+        if len(self.pages) == 1:
+            return self
+        return IntervalRecord(self.proc, self.interval_idx, self.lamport, (page_id,))
+
+
+def notice_count(records: list[IntervalRecord]) -> int:
+    """Write notices in ``records``: one per page named."""
+    return sum([len(record.pages) for record in records])
+
+
+def wire_bytes(records: list[IntervalRecord]) -> int:
+    return WIRE_BYTES_PER_NOTICE * notice_count(records)
 
 
 class WriteNoticeLog:
-    """Every write notice a node has seen, indexed for lazy propagation."""
+    """Every interval record a node has seen, indexed for lazy propagation."""
 
     def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        # notices[proc] is ordered by interval_idx (appended in order).
-        # CONTAINS ONLY FULLY-TRANSFERRED NOTICES: this log drives
-        # unseen_by and (indirectly) vector clocks, whose semantics
-        # require per-proc prefix-closure — knowing interval k implies
-        # knowing every notice of intervals <= k.  Page-filtered notice
-        # sets (diff replies) would punch holes in the prefix; a later
+        # _by_proc[proc] is ordered by interval_idx, one record each, and
+        # CONTAINS ONLY FULLY-TRANSFERRED RECORDS: it drives unseen_by and
+        # (indirectly) vector clocks, which need per-proc prefix-closure —
+        # knowing interval k implies knowing every notice of intervals <= k.
+        # A page-filtered record (diff reply) would punch a hole; a later
         # grant forwarding the holey knowledge advances the receiver's
         # clock past a notice it never saw, losing it permanently.
-        self._by_proc: list[list[WriteNotice]] = [[] for _ in range(num_nodes)]
-        #: interval indices held in ``_by_proc``, per proc.  The interval
-        #: is the unit of a full transfer: every source of one
-        #: (``unseen_by``, ``own_notices_after``, an interval close) hands
-        #: over whole intervals, contiguous in the batch, so holding an
-        #: index means holding all of its notices.
-        self._full: list[set[int]] = [set() for _ in range(num_nodes)]
-        #: per-page history (full + page-filtered) for reply closure:
-        #: page -> (proc, interval_idx) -> notice, in arrival order.
-        self._by_page: dict[int, dict[tuple[int, int], WriteNotice]] = {}
+        self._by_proc: list[list[IntervalRecord]] = [[] for _ in range(num_nodes)]
+        #: page -> (proc, interval_idx) -> a record naming the page (full or
+        #: page-filtered), for reply closure; held pages only (:meth:`history`).
+        self._by_page: dict[int, dict[tuple[int, int], IntervalRecord]] = {}
+        self._total = 0  # write notices (pages named) in ``_by_proc``
 
-    def merge(self, notices: list[WriteNotice], full: bool = True, skip_proc: int = -1) -> None:
-        """Insert a batch, deciding once per run of equal ``(proc, interval_idx)``.
+    def merge(
+        self, records: list[IntervalRecord], full: bool = True, skip_proc: int = -1
+    ) -> None:
+        """Insert a batch: O(1) per record plus one lookup per page named.
 
         ``full=False`` marks a page-filtered source (a diff reply): the
-        notices enter only the per-page history, never the per-proc log.
-        Runs from ``skip_proc`` (the receiver's own notices) are ignored.
+        records enter only their page's history (held from then on), never
+        the per-proc log.  ``skip_proc``'s (the receiver's own) are ignored.
         """
-        # A hand-rolled run scan: ``itertools.groupby`` reads better but
-        # builds a key tuple per notice and measured 8-30 % slower here.
         by_page = self._by_page
-        count = len(notices)
-        start = 0
-        while start < count:
-            first = notices[start]
-            proc = first.proc
-            idx = first.interval_idx
-            end = start + 1
-            while end < count:
-                notice = notices[end]
-                if notice.interval_idx != idx or notice.proc != proc:
-                    break
-                end += 1
-            run = notices[start:end]
-            start = end
+        for record in records:
+            proc = record.proc
             if proc == skip_proc:
                 continue
+            idx = record.interval_idx
+            if full:
+                known = self._by_proc[proc]
+                at = len(known)
+                if at and known[-1].interval_idx >= idx:
+                    # A duplicate, or a missed older interval come late.
+                    at = bisect_left(known, idx, key=_interval_idx)
+                    if known[at].interval_idx == idx:
+                        continue  # held, so already in every tracked history
+                known.insert(at, record)
+                self._total += len(record.pages)
             key = (proc, idx)
-            for notice in run:
-                history = by_page.get(notice.page_id)
-                if history is None:
-                    by_page[notice.page_id] = {key: notice}
-                elif key not in history:
-                    history[key] = notice
-            if not full or idx in self._full[proc]:
-                continue
-            self._full[proc].add(idx)
-            known = self._by_proc[proc]
-            if known and known[-1].interval_idx > idx:
-                # Out-of-order arrival of a missed older interval.
-                at = bisect.bisect_right(known, idx, key=lambda n: n.interval_idx)
-                known[at:at] = run
-            else:
-                known.extend(run)
+            for page_id in record.pages:
+                history = by_page.get(page_id) if full else self.history(page_id)
+                if history is not None and key not in history:
+                    history[key] = record
 
-    def notices_for_page(self, page_id: int) -> list[WriteNotice]:
-        """Every notice known for one page (all writers)."""
-        return list(self._by_page.get(page_id, {}).values())
+    def history(self, page_id: int) -> dict[tuple[int, int], IntervalRecord]:
+        """Every record known to name one page (all writers), read-only.
+        Asking makes the page *held*: the first call builds this from the
+        per-proc log (in per-proc, not arrival, order), ``merge`` keeps it."""
+        history = self._by_page.get(page_id)
+        if history is None:
+            history = self._by_page[page_id] = {
+                (record.proc, record.interval_idx): record
+                for known in self._by_proc
+                for record in known
+                if page_id in record.pages
+            }
+        return history
 
-    def notices_from(self, proc: int) -> list[WriteNotice]:
-        return list(self._by_proc[proc])
-
-    def unseen_by(self, vc_snapshot: tuple[int, ...]) -> list[WriteNotice]:
-        """All notices the holder of ``vc_snapshot`` has not yet seen."""
-        missing: list[WriteNotice] = []
-        for proc, known in enumerate(self._by_proc):
-            threshold = vc_snapshot[proc]
-            start = bisect.bisect_right(known, threshold, key=lambda n: n.interval_idx)
-            missing.extend(known[start:])
+    def unseen_by(self, vc_snapshot: tuple[int, ...]) -> list[IntervalRecord]:
+        """All records the holder of ``vc_snapshot`` has not yet seen."""
+        missing: list[IntervalRecord] = []
+        for known, threshold in zip(self._by_proc, vc_snapshot):
+            if known and known[-1].interval_idx > threshold:
+                missing.extend(known[bisect_right(known, threshold, key=_interval_idx):])
         return missing
 
-    def own_notices_after(self, proc: int, interval_idx: int) -> list[WriteNotice]:
-        """Notices from ``proc`` with interval index above ``interval_idx``."""
-        return [n for n in self._by_proc[proc] if n.interval_idx > interval_idx]
+    def own_notices_after(self, proc: int, interval_idx: int) -> list[IntervalRecord]:
+        """Records from ``proc`` with interval index above ``interval_idx``."""
+        known = self._by_proc[proc]
+        return known[bisect_right(known, interval_idx, key=_interval_idx):]
 
     def total(self) -> int:
-        return sum(len(known) for known in self._by_proc)
+        return self._total
 
     def snapshot_state(self) -> dict:
-        # WriteNotice is frozen: containers are copied, entries shared.
+        # IntervalRecord is frozen: containers are copied, entries shared.
         return {
             "by_proc": [list(known) for known in self._by_proc],
-            "by_page": {pid: dict(ns) for pid, ns in self._by_page.items()},
+            "by_page": {pid: dict(history) for pid, history in self._by_page.items()},
+            "total": self._total,
         }
 
     def restore_state(self, snap: dict) -> None:
         self._by_proc = [list(known) for known in snap["by_proc"]]
-        self._full = [{n.interval_idx for n in known} for known in self._by_proc]
-        self._by_page = {pid: dict(ns) for pid, ns in snap["by_page"].items()}
-
-    @staticmethod
-    def wire_bytes(notices: list[WriteNotice]) -> int:
-        return WIRE_BYTES_PER_NOTICE * len(notices)
+        self._by_page = {pid: dict(history) for pid, history in snap["by_page"].items()}
+        self._total = snap["total"]

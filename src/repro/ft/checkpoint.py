@@ -80,8 +80,7 @@ class NodeCheckpoint:
                 total += sum(d.diff.size_bytes for d in diffs)
         wn_log = self.dsm.get("wn_log")
         if wn_log is not None:
-            for known in wn_log["by_proc"]:
-                total += WIRE_BYTES_PER_NOTICE * len(known)
+            total += WIRE_BYTES_PER_NOTICE * wn_log["total"]
         # SC: one byte per recorded page mode, one word per directory
         # owner plus one per copyset member.
         total += len(self.dsm.get("page_modes", ()))

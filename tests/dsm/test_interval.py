@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.dsm import DiffStore, IntervalManager, StoredDiff
+from repro.dsm import DiffStore, IntervalManager, IntervalRecord, StoredDiff
 from repro.memory import Diff
 
 
@@ -34,15 +34,12 @@ def test_close_emits_sorted_notices_and_bumps_lamport():
     manager.record_write(9)
     manager.record_write(3)
     before = manager.lamport
-    notices = backend._close_interval()
+    assert backend._close_interval() == (3, 9)
     assert manager.lamport == before + 1 and not manager.has_modifications
-    assert [(n.proc, n.interval_idx, n.lamport, n.page_id) for n in notices] == [
-        (2, 1, before + 1, 3),
-        (2, 1, before + 1, 9),
-    ]
     assert backend.vc[2] == 1
-    assert backend.wn_log.own_notices_after(2, 0) == notices  # logged as one whole interval
-    assert backend._close_interval() == []  # nothing written: no interval, no clock bump
+    # Logged as one record for the whole interval.
+    assert backend.wn_log.own_notices_after(2, 0) == [IntervalRecord(2, 1, before + 1, (3, 9))]
+    assert backend._close_interval() == ()  # nothing written: no interval, no clock bump
     assert backend.vc[2] == 1 and manager.lamport == before + 1
 
 

@@ -1,8 +1,8 @@
 """Tests for the write-notice log's prefix-closure discipline.
 
 The per-proc log (which feeds ``unseen_by`` and, through grants, every
-vector clock) may only contain FULLY-transferred notices; page-filtered
-sets from diff replies live in the per-page history only.  Violating
+vector clock) may only contain FULLY-transferred records; page-filtered
+ones from diff replies live in the per-page history only.  Violating
 this punches holes in a proc's interval prefix, and a later grant
 forwards the holey knowledge — the receiver's clock then skips past a
 notice it never saw, losing the invalidation forever.
@@ -12,92 +12,91 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import APP_ORDER, make_app
-from repro.dsm import WriteNotice, WriteNoticeLog
+from repro.dsm import WriteNoticeLog
 from repro.network.faults import FaultPlan, NodeCrash
 
-
-def wn(proc, idx, page):
-    return WriteNotice(proc, idx, idx, page)
+from tests.dsm.test_writenotice import notices_for_page, rec
 
 
 def test_full_notices_enter_both_structures():
     log = WriteNoticeLog(4)
-    log.merge([wn(1, 1, 7)], full=True)
-    assert log.notices_from(1) == [wn(1, 1, 7)]
-    assert log.notices_for_page(7) == [wn(1, 1, 7)]
+    log.merge([rec(1, 1, 7)], full=True)
+    assert log.own_notices_after(1, 0) == [rec(1, 1, 7)]
+    assert notices_for_page(log, 7) == [rec(1, 1, 7)]
 
 
 def test_page_filtered_notices_stay_out_of_proc_log():
     log = WriteNoticeLog(4)
-    log.merge([wn(1, 5, 7)], full=False)
-    assert log.notices_from(1) == []          # not forwardable
-    assert log.notices_for_page(7) == [wn(1, 5, 7)]  # but reply-visible
+    log.merge([rec(1, 5, 7)], full=False)
+    assert log.own_notices_after(1, 0) == []          # not forwardable
+    assert notices_for_page(log, 7) == [rec(1, 5, 7)]  # but reply-visible
     assert log.unseen_by((0, 0, 0, 0)) == []  # grants never ship it
+    assert log.total() == 0
 
 
 def test_page_filtered_then_full_upgrade():
     """A notice first seen page-filtered must still enter the proc log
-    when it later arrives via a full transfer."""
+    when its whole interval later arrives via a full transfer."""
     log = WriteNoticeLog(4)
-    log.merge([wn(1, 5, 7)], full=False)
-    log.merge([wn(1, 5, 7)], full=True)
-    assert log.notices_from(1) == [wn(1, 5, 7)]
+    log.merge([rec(1, 5, 7)], full=False)
+    log.merge([rec(1, 5, 7, 8)], full=True)
+    assert log.own_notices_after(1, 0) == [rec(1, 5, 7, 8)]
     # No duplicate in the page history.
-    assert log.notices_for_page(7) == [wn(1, 5, 7)]
+    assert notices_for_page(log, 7) == [rec(1, 5, 7)]
 
 
 def test_full_then_page_filtered_is_deduped():
     log = WriteNoticeLog(4)
-    log.merge([wn(1, 5, 7)], full=True)
-    log.merge([wn(1, 5, 7)], full=False)
-    assert log.notices_from(1) == [wn(1, 5, 7)]
-    assert log.notices_for_page(7) == [wn(1, 5, 7)]
+    log.merge([rec(1, 5, 7, 8)], full=True)
+    log.merge([rec(1, 5, 7)], full=False)
+    assert log.own_notices_after(1, 0) == [rec(1, 5, 7, 8)]
+    assert notices_for_page(log, 7) == [rec(1, 5, 7, 8)]
 
 
 def test_unseen_by_never_exposes_holes():
-    """unseen_by ships every full notice above the threshold; a
-    page-filtered notice in between is invisible (the receiver's clock
+    """unseen_by ships every full record above the threshold; a
+    page-filtered one in between is invisible (the receiver's clock
     must not be advanced past it by proxy)."""
     log = WriteNoticeLog(2)
-    log.merge([wn(1, 1, 0)], full=True)
-    log.merge([wn(1, 2, 0)], full=False)  # hole at 2 in the full prefix
-    log.merge([wn(1, 3, 0)], full=True)
-    shipped = [n.interval_idx for n in log.unseen_by((0, 0))]
+    log.merge([rec(1, 1, 0)], full=True)
+    log.merge([rec(1, 2, 0)], full=False)  # hole at 2 in the full prefix
+    log.merge([rec(1, 3, 0)], full=True)
+    shipped = [r.interval_idx for r in log.unseen_by((0, 0))]
     assert shipped == [1, 3]
     # The page history still knows all three.
-    assert [n.interval_idx for n in log.notices_for_page(0)] == [1, 2, 3]
+    assert sorted(r.interval_idx for r in notices_for_page(log, 0)) == [1, 2, 3]
 
 
 # -- the invariant interval-level dedupe rests on ----------------------------------
+#
+# A record IS a whole interval, so "a full transfer moves whole intervals,
+# contiguous in its batch" now holds by construction.  What is left to
+# watch is the other half: a record arriving for an interval already held
+# names exactly the pages of the held copy (they are one shared object,
+# except across a rollback, where the interval is closed a second time).
 
 
 def _watch_full_merges(monkeypatch):
-    """Wrap ``merge``: every full run must be a whole interval, contiguous
-    in its batch, and a run for an interval already held must bring no
-    page the held copy lacks.  Returns the counters the wrapper fills."""
-    seen = {"runs": 0, "held": 0}
+    """Wrap ``merge``; returns the counters the wrapper fills."""
+    seen = {"runs": 0, "held": 0, "reclosed": 0}
     merge = WriteNoticeLog.merge
 
-    def checked(log, notices, full=True, skip_proc=-1):
+    def checked(log, records, full=True, skip_proc=-1):
         if full:
-            runs = {}
-            last = None
-            for notice in notices:
-                key = (notice.proc, notice.interval_idx)
-                if key != last:
-                    assert key not in runs, f"interval {key} split across one batch"
-                    runs[key] = set()
-                    last = key
-                runs[key].add(notice.page_id)
-            for (proc, idx), pages in runs.items():
+            keys = [(r.proc, r.interval_idx) for r in records]
+            assert len(keys) == len(set(keys)), "an interval twice in one batch"
+            for record in records:
+                proc, idx = record.proc, record.interval_idx
+                assert record.pages == tuple(sorted(set(record.pages))) and record.pages
                 if proc == skip_proc:
                     continue
                 seen["runs"] += 1
-                if idx in log._full[proc]:
+                if idx in {r.interval_idx for r in log._by_proc[proc]}:
                     seen["held"] += 1
-                    held = {n.page_id for n in log._by_proc[proc] if n.interval_idx == idx}
-                    assert pages <= held, f"held interval {(proc, idx)} gained pages {pages - held}"
-        merge(log, notices, full, skip_proc)
+                    (held,) = [r for r in log._by_proc[proc] if r.interval_idx == idx]
+                    assert record == held, f"held interval {(proc, idx)} changed"
+                    seen["reclosed"] += record is not held
+        merge(log, records, full, skip_proc)
 
     monkeypatch.setattr(WriteNoticeLog, "merge", checked)
     return seen
@@ -110,6 +109,7 @@ def test_full_transfers_move_whole_intervals(monkeypatch, app_name, protocol):
     config = RunConfig(num_nodes=4, protocol=protocol)
     DsmRuntime(config).execute(make_app(app_name, "small"))
     assert seen["runs"] > 0 and seen["held"] > 0  # duplicates do arrive
+    assert seen["reclosed"] == 0  # ... and each is the held object itself
 
 
 def test_full_transfers_move_whole_intervals_across_a_rollback(monkeypatch):

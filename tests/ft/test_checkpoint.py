@@ -12,7 +12,7 @@ def _dsm_snapshot(page_bytes=4096):
             0: {"twin": np.zeros(page_bytes, dtype=np.uint8), "word_lamports": None}
         },
         "diff_store": {"by_page": {}},
-        "wn_log": {"by_proc": [[], []]},
+        "wn_log": {"by_proc": [[], []], "by_page": {}, "total": 0},
         "vc": [3, 1],
     }
 
