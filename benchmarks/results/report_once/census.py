@@ -17,7 +17,7 @@ what they watch.  Definitions, all syntactic (`ast` + `tokenize`):
 
 Prints the totals, the per-file table, the facts more than one plane sees,
 and the size of all instrumentation (lines and `tokenize` code tokens inside
-guarded blocks, counted like `message_plane/code_tokens.py`) against `src/`.
+guarded blocks, counted like `benchmarks/contract/run.py numbers`) against `src/`.
 """
 
 from __future__ import annotations

@@ -68,7 +68,6 @@ class RunConfig:
     #: Seed-driven fault injection (drops, duplicates, reordering,
     #: degradation and stall windows); ``None`` = pristine network.
     fault_plan: Optional[FaultPlan] = None
-    compute_quantum: float = 250.0
     #: Structured event tracing (``repro.trace``): ``None`` (default)
     #: disables collection entirely; a :class:`TraceConfig` (or ``True``
     #: for the defaults) records every instrumented event for export and
@@ -200,12 +199,7 @@ class DsmRuntime:
         if config.prefetch or config.history_prefetch:
             self.prefetch_engines = [PrefetchEngine(dsm) for dsm in self.dsm_nodes]
         self.schedulers: list[NodeScheduler] = [
-            NodeScheduler(
-                node,
-                dsm,
-                policy=config.policy,
-                compute_quantum=config.compute_quantum,
-            )
+            NodeScheduler(node, dsm, policy=config.policy)
             for node, dsm in zip(self.cluster.nodes, self.dsm_nodes)
         ]
         for scheduler, engine in zip(self.schedulers, self.prefetch_engines):

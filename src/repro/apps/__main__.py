@@ -16,7 +16,7 @@ import sys
 import time
 
 from repro.api.runtime import DsmRuntime, RunConfig
-from repro.apps.registry import APP_ORDER, make_app
+from repro.apps.registry import APP_ORDER
 from repro.dsm.backend import BACKEND_NAMES
 from repro.experiments.runner import make_configured_app, parse_label
 from repro.network.faults import FaultPlan, NodeCrash
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     plan = None
     if args.crash is not None:
         baseline = DsmRuntime(build_config()).execute(
-            make_app(args.app, args.preset), verify=False
+            make_configured_app(args.app, args.preset, args.config), verify=False
         )
         crash_at = baseline.wall_time_us * args.crash
         plan = FaultPlan(

@@ -48,7 +48,7 @@ def _run_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         budget=args.budget,
         apps=tuple(name.strip() for name in args.apps.split(",") if name.strip()),
-        num_nodes=args.num_nodes,
+        num_nodes=args.nodes,
         preset=args.preset,
         jobs=args.jobs,
         split_brain_bug=args.split_brain_bug,
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
         help="comma-separated app names (default %(default)s)",
     )
     parser.add_argument("--preset", default="small", help="app size preset")
-    parser.add_argument("--num-nodes", type=int, default=4)
+    parser.add_argument("--nodes", type=int, default=4)
     parser.add_argument(
         "--protocol",
         default="lrc",

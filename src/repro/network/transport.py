@@ -27,7 +27,7 @@ Adaptive mode (``TransportConfig.adaptive``) replaces the static
 timeout/retry policy with a feedback-driven one, per peer:
 
 - **RTT estimation** — SRTT/RTTVAR via Jacobson's algorithm, giving
-  ``RTO = SRTT + 4*RTTVAR`` clamped to ``[min_rto_us, max_rto_us]``.
+  ``RTO = SRTT + 4*RTTVAR`` clamped to ``[min_rto_us, MAX_RTO_US]``.
   Each wire copy is stamped with its attempt number and the ack echoes
   it back (TCP timestamps in miniature), so even retransmitted
   messages yield unambiguous samples; echo-less acks fall back to
@@ -89,6 +89,69 @@ _HANDLER_PRIORITY = 0
 #: the link model like any other datagram).
 ACK_BYTES = 16
 
+#: Multiplier applied to the timeout after every expiry.
+BACKOFF = 2.0
+
+#: Dedup horizon, in sequence numbers per peer: the receive window
+#: remembers at most this many seqs below the highest seen, so long
+#: chaos runs don't grow the table without bound.  A duplicate older
+#: than the horizon would be re-delivered — the window must exceed
+#: the per-link pipeline depth (a handful of messages) plus any
+#: parked-and-revived backlog, which this covers by orders of magnitude.
+DEDUP_WINDOW = 4096
+
+#: RTO clamp ceiling (adaptive): also caps the per-attempt backoff,
+#: so a degraded peer is probed at least this often.  The ceiling
+#: bounds the worst post-heal wait after an outage (a retry timer
+#: armed just before the fabric heals burns at most one ceiling
+#: before probing again), so it is set as low as the slowest
+#: *learnable* fabric allows: it must stay above the estimator's
+#: converged RTO on the committed degraded fabric (~15 ms each way
+#: -> ~35-40 ms RTO), or every message there would retransmit
+#: spuriously forever.
+MAX_RTO_US = 45_000.0
+
+#: Parked messages toward a live, unfenced peer are re-probed this
+#: long after the give-up (adaptive): a partition that healed
+#: before any fence/rejoin cycle must not strand them forever.
+#: Deliberately short (the RTO floor): toward a peer that still
+#: looks alive, a park is then just one more ladder step with a
+#: fresh give-up deadline — the ``on_give_up`` suspicion report
+#: still fires every deadline burn — while dead or fenced peers
+#: are guarded by the probe's down/fenced check and stay parked
+#: for rollback/rejoin.  A long interval here would turn every
+#: post-heal park into a stall an order of magnitude above the
+#: RTO ceiling.
+PARK_PROBE_US = 5_000.0
+
+#: Receiver-pressure signal (adaptive): a peer whose current RTO
+#: has inflated to at least this multiple of what the estimator
+#: alone would set is reported congested to
+#: :meth:`ReliableTransport.under_pressure` (the prefetch engine
+#: sheds speculative traffic on it).  Measuring *retained backoff*
+#: — not the RTO's absolute value — separates congestion from a
+#: fabric that is merely slow: a sustained latency shift re-derives
+#: the RTO from clean samples (no backoff retained, no pressure),
+#: while loss or an outage walks the RTO up multiplicatively past
+#: the estimate.  This fires after one retained doubling.
+PRESSURE_RTT_FACTOR = 2.0
+
+#: Headroom multiplier over the decayed peak RTT (adaptive).  The
+#: RTO must cover the recent *tail* of the RTT distribution, and
+#: ``SRTT + 4*RTTVAR`` structurally underestimates it when spikes
+#: are bursty: the variance term decays between bursts, so the
+#: second burst retransmits spuriously even though the first one
+#: was observed in full.  A decaying per-peer maximum — the same
+#: max-filter idea BBR applies to its bandwidth estimate — keeps
+#: the RTO above recently seen worst-case round trips.
+PEAK_MARGIN = 1.25
+
+#: Per-sample decay of the peak-RTT filter.  After a degradation
+#: episode ends, a few dozen clean samples walk the peak back down
+#: so both the RTO and the pressure signal recover instead of
+#: remembering the worst round trip forever.
+PEAK_DECAY = 0.95
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -100,8 +163,6 @@ class TransportConfig:
     #: this is only the *initial* RTO, replaced by the Jacobson
     #: estimate after the first clean sample.
     timeout_us: float = 10_000.0
-    #: Multiplier applied to the timeout after every expiry.
-    backoff: float = 2.0
     #: Retransmissions per message before the transport gives up on it.
     #: (Adaptive mode gives up on the ``give_up_us`` deadline instead;
     #: the retry count remains a backstop for checkpoint-restored
@@ -110,15 +171,6 @@ class TransportConfig:
     #: Timeout jitter: each timer is stretched by up to this fraction,
     #: drawn from the experiment's seeded RNG (decorrelates senders).
     jitter_frac: float = 0.1
-    #: Dedup horizon, in sequence numbers per peer: the receive window
-    #: remembers at most this many seqs below the highest seen, so long
-    #: chaos runs don't grow the table without bound.  A duplicate older
-    #: than the horizon would be re-delivered — the window must exceed
-    #: the per-link pipeline depth (a handful of messages) plus any
-    #: parked-and-revived backlog, which the default covers by orders of
-    #: magnitude.  This config field is the single source of truth:
-    #: :meth:`_ReceiveWindow.accept` takes it as a required argument.
-    dedup_window: int = 4096
     #: Enable the adaptive layer: RTT-estimated RTO, AIMD windowing,
     #: pacing, and deadline-based give-up.  Off by default — the static
     #: path is byte-identical to the pre-adaptive transport.
@@ -130,16 +182,6 @@ class TransportConfig:
     #: decays between rare spikes, so ``SRTT + 4*RTTVAR`` alone would
     #: retransmit spuriously on a clean fabric.
     min_rto_us: float = 5_000.0
-    #: RTO clamp ceiling (adaptive): also caps the per-attempt backoff,
-    #: so a degraded peer is probed at least this often.  The ceiling
-    #: bounds the worst post-heal wait after an outage (a retry timer
-    #: armed just before the fabric heals burns at most one ceiling
-    #: before probing again), so it is set as low as the slowest
-    #: *learnable* fabric allows: it must stay above the estimator's
-    #: converged RTO on the committed degraded fabric (~15 ms each way
-    #: -> ~35-40 ms RTO), or every message there would retransmit
-    #: spuriously forever.
-    max_rto_us: float = 45_000.0
     #: Initial AIMD window, in messages, per peer (adaptive).
     cwnd_init: int = 4
     #: AIMD window ceiling (adaptive); also the bound the chaos
@@ -153,60 +195,16 @@ class TransportConfig:
     #: riding out a fully backed-off ladder) at the cost of more
     #: suspicion reports during a real outage.
     give_up_us: float = 100_000.0
-    #: Parked messages toward a live, unfenced peer are re-probed this
-    #: long after the give-up (adaptive): a partition that healed
-    #: before any fence/rejoin cycle must not strand them forever.
-    #: Deliberately short (the RTO floor): toward a peer that still
-    #: looks alive, a park is then just one more ladder step with a
-    #: fresh give-up deadline — the ``on_give_up`` suspicion report
-    #: still fires every deadline burn — while dead or fenced peers
-    #: are guarded by the probe's down/fenced check and stay parked
-    #: for rollback/rejoin.  A long interval here would turn every
-    #: post-heal park into a stall an order of magnitude above the
-    #: RTO ceiling.
-    park_probe_us: float = 5_000.0
-    #: Receiver-pressure signal (adaptive): a peer whose current RTO
-    #: has inflated to at least this multiple of what the estimator
-    #: alone would set is reported congested to
-    #: :meth:`ReliableTransport.under_pressure` (the prefetch engine
-    #: sheds speculative traffic on it).  Measuring *retained backoff*
-    #: — not the RTO's absolute value — separates congestion from a
-    #: fabric that is merely slow: a sustained latency shift re-derives
-    #: the RTO from clean samples (no backoff retained, no pressure),
-    #: while loss or an outage walks the RTO up multiplicatively past
-    #: the estimate.  The default fires after one retained doubling.
-    pressure_rtt_factor: float = 2.0
-    #: Headroom multiplier over the decayed peak RTT (adaptive).  The
-    #: RTO must cover the recent *tail* of the RTT distribution, and
-    #: ``SRTT + 4*RTTVAR`` structurally underestimates it when spikes
-    #: are bursty: the variance term decays between bursts, so the
-    #: second burst retransmits spuriously even though the first one
-    #: was observed in full.  A decaying per-peer maximum — the same
-    #: max-filter idea BBR applies to its bandwidth estimate — keeps
-    #: the RTO above recently seen worst-case round trips.
-    peak_margin: float = 1.25
-    #: Per-sample decay of the peak-RTT filter.  After a degradation
-    #: episode ends, a few dozen clean samples walk the peak back down
-    #: so both the RTO and the pressure signal recover instead of
-    #: remembering the worst round trip forever.
-    peak_decay: float = 0.95
 
     def __post_init__(self) -> None:
         if self.timeout_us <= 0:
             raise ConfigError(f"timeout_us must be positive, got {self.timeout_us}")
-        if self.backoff < 1.0:
-            raise ConfigError(f"backoff must be >= 1, got {self.backoff}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if not 0.0 <= self.jitter_frac <= 1.0:
             raise ConfigError(f"jitter_frac must be in [0, 1], got {self.jitter_frac}")
-        if self.dedup_window < 1:
-            raise ConfigError(f"dedup_window must be >= 1, got {self.dedup_window}")
-        if self.min_rto_us <= 0 or self.max_rto_us < self.min_rto_us:
-            raise ConfigError(
-                f"need 0 < min_rto_us <= max_rto_us, got "
-                f"{self.min_rto_us}/{self.max_rto_us}"
-            )
+        if not 0 < self.min_rto_us <= MAX_RTO_US:
+            raise ConfigError(f"need 0 < min_rto_us <= {MAX_RTO_US:g}, got {self.min_rto_us}")
         if self.cwnd_init < 1 or self.cwnd_max < self.cwnd_init:
             raise ConfigError(
                 f"need 1 <= cwnd_init <= cwnd_max, got "
@@ -214,21 +212,11 @@ class TransportConfig:
             )
         if self.give_up_us <= 0:
             raise ConfigError(f"give_up_us must be positive, got {self.give_up_us}")
-        if self.park_probe_us <= 0:
-            raise ConfigError(f"park_probe_us must be positive, got {self.park_probe_us}")
-        if self.pressure_rtt_factor < 1.0:
-            raise ConfigError(
-                f"pressure_rtt_factor must be >= 1, got {self.pressure_rtt_factor}"
-            )
-        if self.peak_margin < 1.0:
-            raise ConfigError(f"peak_margin must be >= 1, got {self.peak_margin}")
-        if not 0.0 < self.peak_decay < 1.0:
-            raise ConfigError(f"peak_decay must be in (0, 1), got {self.peak_decay}")
 
     @property
     def initial_rto_us(self) -> float:
         """The adaptive estimator's pre-sample RTO (clamped base timeout)."""
-        return min(self.max_rto_us, max(self.min_rto_us, self.timeout_us))
+        return min(MAX_RTO_US, max(self.min_rto_us, self.timeout_us))
 
 
 @dataclass
@@ -308,7 +296,7 @@ class _PeerState:
     #: Smallest clean sample ever (the RTT-inflation baseline).
     min_rtt: float = -1.0
     #: Decaying maximum of recent samples (the burst tail the RTO must
-    #: cover; see ``TransportConfig.peak_margin``).
+    #: cover; see :data:`PEAK_MARGIN`).
     peak_rtt: float = 0.0
     cwnd: float = 1.0
     in_flight: int = 0
@@ -339,9 +327,7 @@ class _ReceiveWindow:
     def accept(self, seq: int, window: int) -> bool:
         """Record ``seq``; True if this is its first arrival.
 
-        ``window`` is the caller's ``TransportConfig.dedup_window`` —
-        deliberately not defaulted here, so the config stays the single
-        source of truth for the horizon.
+        ``window`` is the horizon: :data:`DEDUP_WINDOW` from the transport.
         """
         if seq <= self.upto or seq in self.above:
             return False
@@ -461,7 +447,7 @@ class ReliableTransport:
             peer = _PeerState(
                 rto=self.config.initial_rto_us,
                 cwnd=float(self.config.cwnd_init),
-                peak_rtt=self.config.initial_rto_us / self.config.peak_margin**2,
+                peak_rtt=self.config.initial_rto_us / PEAK_MARGIN**2,
             )
             self._peers[dst] = peer
         return peer
@@ -546,14 +532,14 @@ class ReliableTransport:
     def _timeout_us(self, dst: int, attempts: int) -> float:
         if self._adaptive:
             # The peer RTO alone — every timeout already multiplies it
-            # by ``backoff`` (Karn retention in :meth:`_on_timeout`), so
+            # by ``BACKOFF`` (Karn retention in :meth:`_on_timeout`), so
             # stacking an attempts exponent on top would back off
             # *doubly*: the ladder would blow past the give-up deadline
             # during an outage the singly-backed-off ladder (capped at
-            # ``max_rto_us``) rides out and delivers through.
-            base = min(self.config.max_rto_us, self._peer(dst).rto)
+            # ``MAX_RTO_US``) rides out and delivers through.
+            base = min(MAX_RTO_US, self._peer(dst).rto)
         else:
-            base = self.config.timeout_us * self.config.backoff ** (attempts - 1)
+            base = self.config.timeout_us * BACKOFF ** (attempts - 1)
         jitter = 1.0 + self.config.jitter_frac * float(self._jitter_rng(dst).random())
         return base * jitter
 
@@ -614,9 +600,7 @@ class ReliableTransport:
                 # fence (so no rejoin ever revives this message).  The
                 # probe re-flights it if the peer still looks alive;
                 # crashed/fenced peers are left to rollback/rejoin.
-                self.sim.schedule(
-                    self.config.park_probe_us, self._probe_parked, dst, seq
-                )
+                self.sim.schedule(PARK_PROBE_US, self._probe_parked, dst, seq)
             if self.on_give_up is not None:
                 self.on_give_up(dst, message)
             return
@@ -634,7 +618,7 @@ class ReliableTransport:
             # learns.  With it, a few timeouts walk the peer RTO up
             # past the new RTT, the next message survives un-resent,
             # and its sample re-seeds the estimator at the true value.
-            peer.rto = min(self.config.max_rto_us, peer.rto * self.config.backoff)
+            peer.rto = min(MAX_RTO_US, peer.rto * BACKOFF)
             self.extremes.observe_rto(peer.rto)
             self._mark("cwnd_halved", dst=dst, cwnd=round(peer.cwnd, 3))
         pending.attempts += 1
@@ -814,11 +798,11 @@ class ReliableTransport:
         if peer.srtt < 0:
             return self.config.initial_rto_us
         return min(
-            self.config.max_rto_us,
+            MAX_RTO_US,
             max(
                 self.config.min_rto_us,
                 peer.srtt + 4.0 * peer.rttvar,
-                self.config.peak_margin * peer.peak_rtt,
+                PEAK_MARGIN * peer.peak_rtt,
             ),
         )
 
@@ -833,7 +817,7 @@ class ReliableTransport:
             peer.srtt = 0.875 * peer.srtt + 0.125 * sample
         if peer.min_rtt < 0 or sample < peer.min_rtt:
             peer.min_rtt = sample
-        peer.peak_rtt = max(sample, peer.peak_rtt * self.config.peak_decay)
+        peer.peak_rtt = max(sample, peer.peak_rtt * PEAK_DECAY)
         peer.rto = self._estimator_rto(peer)
         self.extremes.observe_rto(peer.rto)
         if self.sim.profile_on:
@@ -873,7 +857,7 @@ class ReliableTransport:
             return False
         if peer.queued:
             return True
-        return peer.rto >= self.config.pressure_rtt_factor * self._estimator_rto(peer)
+        return peer.rto >= PRESSURE_RTT_FACTOR * self._estimator_rto(peer)
 
     def health_snapshot(self) -> dict:
         """Adaptive-layer health for ``RunReport.transport_health``.
@@ -930,7 +914,7 @@ class ReliableTransport:
         if message.seq < 0:
             return True  # untracked datagram (prefetch traffic)
         window = self._windows.setdefault(message.src, _ReceiveWindow())
-        first = window.accept(message.seq, self.config.dedup_window)
+        first = window.accept(message.seq, DEDUP_WINDOW)
         if not first:
             self.stats.duplicates_suppressed += 1
             self.node.events.duplicates_suppressed += 1

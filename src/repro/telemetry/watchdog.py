@@ -32,14 +32,15 @@ from dataclasses import dataclass
 
 __all__ = ["WatchdogConfig", "run_watchdogs"]
 
+#: cwnd values at or below this count as "at the floor" (the AIMD
+#: multiplicative decrease clamps at 1.0).
+CWND_FLOOR = 1.0
+
 
 @dataclass(frozen=True)
 class WatchdogConfig:
     """Deterministic grading thresholds."""
 
-    #: cwnd values at or below this count as "at the floor" (the AIMD
-    #: multiplicative decrease clamps at 1.0).
-    cwnd_floor: float = 1.0
     #: Consecutive floor windows before a cwnd_pinned finding.
     cwnd_floor_windows: int = 4
     #: Consecutive strictly-increasing backlog windows before a
@@ -115,7 +116,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
         # cwnd pinned at the AIMD floor for N consecutive windows.
         for peer_key in sorted(entry.get("peers", {}), key=int):
             cwnd = entry["peers"][peer_key].get("cwnd", [])
-            flags = [0.0 < value <= config.cwnd_floor for value in cwnd]
+            flags = [0.0 < value <= CWND_FLOOR for value in cwnd]
             for start, end in _coalesce(flags, config.cwnd_floor_windows):
                 findings.append(
                     _finding(
@@ -125,7 +126,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
                         start,
                         end,
                         end - start + 1,
-                        f"cwnd <= {config.cwnd_floor:g} toward peer {peer_key} "
+                        f"cwnd <= {CWND_FLOOR:g} toward peer {peer_key} "
                         f"for {end - start + 1} windows",
                         peer=int(peer_key),
                     )

@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SchedulingPolicy", "WaitRequest", "NodeScheduler"]
 
+#: Longest stretch (us) of a ``Compute`` op a thread holds the CPU for
+#: before message handlers queued behind it get their turn.
+COMPUTE_QUANTUM = 250.0
+
 
 @dataclass(frozen=True)
 class SchedulingPolicy:
@@ -78,12 +82,10 @@ class NodeScheduler:
         node: Node,
         dsm: "DsmNode",
         policy: SchedulingPolicy,
-        compute_quantum: float = 250.0,
     ) -> None:
         self.node = node
         self.dsm = dsm
         self.policy = policy
-        self.compute_quantum = compute_quantum
         self.threads: list[DsmThread] = []
         self.prefetch: Optional["PrefetchEngine"] = None
         #: optional runtime-driven prefetcher (Bianchini-style ablation).
@@ -385,7 +387,7 @@ class NodeScheduler:
     def _execute_compute(self, thread: DsmThread, op: Compute) -> Generator:
         remaining = op.us
         while remaining > 0:
-            chunk = min(self.compute_quantum, remaining)
+            chunk = min(COMPUTE_QUANTUM, remaining)
             yield from self.node.occupy(chunk, Category.BUSY)
             thread.run_accum += chunk
             remaining -= chunk

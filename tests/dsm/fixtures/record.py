@@ -1,10 +1,9 @@
-"""Record the digests ``test_fault_plane.py`` holds the three backends to.
+"""The cells and digests ``test_fault_plane.py`` holds the three backends to.
 
-    PYTHONPATH=<checkout>/src python tests/dsm/fixtures/record.py
-
-Run it against the commit whose behaviour is the contract (the parent of
-a change to the coherence data plane, or to how a fact is traced) and
-commit the file it rewrites.  Each cell is a ``small`` 4-node run with
+``python3 benchmarks/contract/run.py rebaseline`` re-records the fixture;
+run it on the commit whose behaviour is the contract (the parent of a
+change to the coherence data plane, or to how a fact is traced) and commit
+the file it rewrites.  Each cell is a ``small`` 4-node run with
 trace, profile, telemetry, critpath and sanitizer all on; the fixture
 keeps the sha256 of the full ``RunReport.to_dict()`` — with the
 ``profile``/``critpath``/``telemetry`` sections the ledger's
@@ -12,8 +11,10 @@ keeps the sha256 of the full ``RunReport.to_dict()`` — with the
 other gate looks at under hlrc/sc.
 
 The fault cells (SOR, ``P``, lrc, seed 7, one per plan in ``FAULTS`` and
-transport) are the only gate on the bytes of the membership, corruption,
-duplication, park and throttle trace events: a clean run emits none.
+transport) are the only tier-1 gate on the bytes of the membership,
+corruption, duplication, park and throttle trace events: a clean run emits
+none.  ``run.py digest`` runs the same plans, and this module's hashing,
+over its wider cell set.
 """
 
 import hashlib
@@ -65,8 +66,8 @@ CELLS = tuple(itertools.product(APPS, LABELS, BACKEND_NAMES)) + tuple(
 FIXTURE = os.path.join(os.path.dirname(__file__), "plane-digests.json")
 
 
-def traced_run(app_name: str, label: str, protocol: str, **overrides):
-    """One all-planes-on small run: ``(runtime, report)``."""
+def traced_run(app_name: str, label: str, protocol: str, preset: str = "small", **overrides):
+    """One all-planes-on run (4 nodes unless overridden): ``(runtime, report)``."""
     threads_per_node, prefetch = parse_label(label)
     config = RunConfig(
         **{
@@ -83,7 +84,7 @@ def traced_run(app_name: str, label: str, protocol: str, **overrides):
         }
     )
     runtime = DsmRuntime(config)
-    report = runtime.execute(make_configured_app(app_name, "small", label))
+    report = runtime.execute(make_configured_app(app_name, preset, label))
     return runtime, report
 
 
@@ -93,26 +94,23 @@ def fault_overrides(fault: str) -> dict:
     return {"seed": 7, "fault_plan": FAULTS[plan], "transport": TRANSPORTS[transport]}
 
 
-def cell_digests(app_name: str, label: str, protocol: str, fault: str = "") -> dict[str, str]:
-    overrides = fault_overrides(fault) if fault else {}
-    runtime, report = traced_run(app_name, label, protocol, **overrides)
+def run_digests(runtime, report) -> tuple[str, str, int]:
+    """sha256 of the whole ``RunReport.to_dict()``, sha256 of the JSONL trace, event count."""
     report_text = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
     trace = hashlib.sha256()
+    count = 0
     for line in jsonl_lines(runtime.tracer.events):
         trace.update(line.encode() + b"\n")
-    return {
-        "report": hashlib.sha256(report_text.encode()).hexdigest(),
-        "trace": trace.hexdigest(),
-    }
+        count += 1
+    return hashlib.sha256(report_text.encode()).hexdigest(), trace.hexdigest(), count
+
+
+def cell_digests(app_name: str, label: str, protocol: str, fault: str = "") -> dict[str, str]:
+    overrides = fault_overrides(fault) if fault else {}
+    report_sha, trace_sha, _ = run_digests(*traced_run(app_name, label, protocol, **overrides))
+    return {"report": report_sha, "trace": trace_sha}
 
 
 def cell_key(*cell: str) -> str:
     return ":".join(cell)
 
-
-if __name__ == "__main__":
-    digests = {cell_key(*cell): cell_digests(*cell) for cell in CELLS}
-    with open(FIXTURE, "w", encoding="utf-8") as handle:
-        json.dump(digests, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print("wrote", FIXTURE, f"({len(digests)} cells)")

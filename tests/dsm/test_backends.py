@@ -21,7 +21,7 @@ BACKEND_CLASSES = {"lrc": LrcBackend, "hlrc": HlrcBackend, "sc": ScBackend}
 
 
 def run(program, protocol, **config_kwargs):
-    config = RunConfig(num_nodes=4, protocol=protocol, **config_kwargs)
+    config = RunConfig(**{"num_nodes": 4, "protocol": protocol, **config_kwargs})
     runtime = DsmRuntime(config)
     report = runtime.execute(program)
     return runtime, report
@@ -130,6 +130,36 @@ def test_all_protocols_compute_the_same_answer(sor_reports):
     # (the protocols really took different paths) yet all verified.
     walls = {p: r.wall_time_us for p, r in sor_reports.items()}
     assert len(set(walls.values())) == 3, walls
+
+
+# -- HLRC fetch parking ------------------------------------------------------
+# A fetch that reaches the home before the ``HOME_UPDATE`` it needs waits
+# there.  The 4-node cells never lose that race; these two 8-node ones do.
+
+
+def traced_hlrc_events(app_name, preset):
+    runtime, _ = run(make_app(app_name, preset), "hlrc", num_nodes=8, trace=True)
+    return list(runtime.tracer.events)  # execute() verified the answer
+
+
+def test_hlrc_home_parks_a_remote_fetch_until_the_update_lands():
+    events = traced_hlrc_events("OCEAN", "small")
+    parked = [e for e in events if e.name == "fetch_parked"]
+    assert parked
+    # Each parked request was pumped and served: its requester's fault closed.
+    faults = [e for e in events if e.name == "page_fault"]
+    ended = {e.id for e in faults if e.ph == "e"}
+    closed = {(e.node, e.args["page"]) for e in faults if e.ph == "b" and e.id in ended}
+    assert {(e.args["requester"], e.args["page"]) for e in parked} <= closed
+
+
+def test_hlrc_home_waits_on_its_own_stale_page():
+    events = traced_hlrc_events("WATER-SP", "default")
+    faults = [e for e in events if e.name == "page_fault"]
+    own = {e.id for e in faults if e.ph == "b" and e.args["page"] % 8 == e.node}
+    assert own
+    # Nothing to fetch: the home's copy turns valid when the updates apply.
+    assert all(e.args["remote"] is False for e in faults if e.ph == "e" and e.id in own)
 
 
 # -- the inert-LRC-state contract of SC --------------------------------------

@@ -21,7 +21,7 @@ with open(FIXTURE, encoding="utf-8") as _handle:
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell_key(*cell))
 def test_report_and_trace_equal_the_recorded_digests(cell):
-    """Regenerate with ``fixtures/record.py`` (see its docstring) only
+    """Regenerate with ``benchmarks/contract/run.py rebaseline`` only
     for a change that is *meant* to move a report or a trace."""
     got, want = cell_digests(*cell), RECORDED[cell_key(*cell)]
     moved = [part for part in want if got[part] != want[part]]

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigError, TransportError
 from repro.machine import Cluster
 from repro.network import FaultPlan, Message, MessageKind, TransportConfig
-from repro.network.transport import _ReceiveWindow
+from repro.network.transport import DEDUP_WINDOW, _ReceiveWindow
 from repro.sim import RandomSource, spawn
 
 
@@ -37,8 +37,6 @@ def msg(src, dst, size=64, kind=MessageKind.DIFF_REQUEST, payload=None):
 def test_config_validation():
     with pytest.raises(ConfigError):
         TransportConfig(timeout_us=0)
-    with pytest.raises(ConfigError):
-        TransportConfig(backoff=0.5)
     with pytest.raises(ConfigError):
         TransportConfig(max_retries=-1)
     with pytest.raises(ConfigError):
@@ -92,7 +90,7 @@ def test_retransmit_timing_uses_exponential_backoff():
     # 100% drop: nothing is ever delivered; watch the retry clock.
     cluster, _ = build(
         plan=FaultPlan(drop_prob=1.0),
-        transport=TransportConfig(timeout_us=1000.0, backoff=2.0, max_retries=3, jitter_frac=0.0),
+        transport=TransportConfig(timeout_us=1000.0, max_retries=3, jitter_frac=0.0),
     )
     send_from(cluster, 0, msg(0, 1))
     cluster.run()
@@ -141,14 +139,13 @@ def test_unreliable_messages_bypass_the_transport():
 
 def test_receive_window_dedups_out_of_order():
     window = _ReceiveWindow()
-    dedup = TransportConfig().dedup_window
-    assert window.accept(0, dedup)
-    assert window.accept(2, dedup)
-    assert not window.accept(0, dedup)
-    assert not window.accept(2, dedup)
-    assert window.accept(1, dedup)
+    assert window.accept(0, DEDUP_WINDOW)
+    assert window.accept(2, DEDUP_WINDOW)
+    assert not window.accept(0, DEDUP_WINDOW)
+    assert not window.accept(2, DEDUP_WINDOW)
+    assert window.accept(1, DEDUP_WINDOW)
     assert window.upto == 2 and window.above == set()
-    assert not window.accept(1, dedup)
+    assert not window.accept(1, DEDUP_WINDOW)
 
 
 def test_transport_determinism_under_loss():
@@ -196,9 +193,8 @@ def test_receive_window_duplicates_inside_window_still_suppressed():
 
 def test_receive_window_contiguous_stream_never_grows():
     window = _ReceiveWindow()
-    dedup = TransportConfig().dedup_window
     for seq in range(5_000):
-        assert window.accept(seq, dedup)
+        assert window.accept(seq, DEDUP_WINDOW)
         assert not window.above  # compaction keeps it empty
     assert window.upto == 4_999
-    assert not window.accept(123, dedup)
+    assert not window.accept(123, DEDUP_WINDOW)

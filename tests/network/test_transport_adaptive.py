@@ -13,6 +13,7 @@ from repro.machine import Cluster
 from repro.network import FaultPlan, Message, MessageKind, TransportConfig
 from repro.network.faults import BitCorruption, LinkDegradation, LinkPartition
 from repro.network.link import LinkConfig
+from repro.network.transport import MAX_RTO_US
 from repro.sim import RandomSource, spawn
 
 
@@ -52,21 +53,13 @@ def test_adaptive_config_validation():
     with pytest.raises(ConfigError):
         TransportConfig(min_rto_us=0.0)
     with pytest.raises(ConfigError):
-        TransportConfig(min_rto_us=100.0, max_rto_us=50.0)
+        TransportConfig(min_rto_us=2 * MAX_RTO_US)
     with pytest.raises(ConfigError):
         TransportConfig(cwnd_init=0)
     with pytest.raises(ConfigError):
         TransportConfig(cwnd_init=8, cwnd_max=4)
     with pytest.raises(ConfigError):
         TransportConfig(give_up_us=0.0)
-    with pytest.raises(ConfigError):
-        TransportConfig(park_probe_us=-1.0)
-    with pytest.raises(ConfigError):
-        TransportConfig(pressure_rtt_factor=0.5)
-    with pytest.raises(ConfigError):
-        TransportConfig(peak_margin=0.9)
-    with pytest.raises(ConfigError):
-        TransportConfig(peak_decay=1.0)
 
 
 def test_rto_converges_near_link_latency_on_clean_link():
@@ -160,8 +153,7 @@ def test_karn_backoff_retained_until_clean_sample():
     cluster.run(until=120_000.0)
     transport = cluster.transports[0]
     peer = transport._peers[1]
-    config = transport.config
-    assert peer.rto == config.max_rto_us  # ladder reached the clamp
+    assert peer.rto == MAX_RTO_US  # ladder reached the clamp
     assert peer.srtt < 0  # Karn: no sample was ever taken
     assert transport.stats.rtt_samples == 0
 
