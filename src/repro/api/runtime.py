@@ -35,6 +35,7 @@ from repro.machine import Cluster, CostModel
 from repro.memory import SharedAddressSpace, Segment
 from repro.metrics.report import RunReport
 from repro.network import FaultPlan, LinkConfig, TransportConfig
+from repro.network import transport as reliable
 from repro.prefetch.engine import PrefetchEngine, PrefetchStats
 from repro.profile import NULL_PROFILER, ProfileConfig, Profiler
 from repro.sim import RandomSource
@@ -316,8 +317,7 @@ class DsmRuntime:
             per_node = {}
             parked_live = 0
             for transport in transports:
-                snapshot = transport.health_snapshot()
-                per_node[str(transport.node.node_id)] = snapshot
+                per_node[str(transport.node.node_id)] = transport.health_snapshot()
                 # Parked messages toward peers that are neither down nor
                 # fenced at end of run: the no-livelock invariant's
                 # numerator (down/fenced peers are legitimately parked —
@@ -325,15 +325,15 @@ class DsmRuntime:
                 # workload finished without needing).
                 parked_live += sum(
                     count
-                    for dst, count in snapshot["parked_by_peer"].items()
-                    if not network.is_down(int(dst)) and not network.is_fenced(int(dst))
+                    for dst, count in transport.parked_by_peer().items()
+                    if not network.is_down(dst) and not network.is_fenced(dst)
                 )
             min_cwnds = [
                 t.extremes.min_cwnd for t in transports if t.extremes.min_cwnd >= 0
             ]
             transport_health = {
                 "per_node": per_node,
-                "cwnd_max": transports[0].config.cwnd_max,
+                "cwnd_max": reliable.CWND_MAX,
                 # Worst-case excursions across all nodes: the end-of-run
                 # gauges only show where the run *landed*, the extremes
                 # show where it *went*.

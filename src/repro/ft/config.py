@@ -4,72 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
-
 __all__ = ["FtConfig"]
 
 
 @dataclass(frozen=True)
 class FtConfig:
-    """Knobs for failure detection, checkpointing, and recovery.
+    """Turns the fault-tolerance layer on (``RunConfig(ft=FtConfig())``).
 
-    The defaults are deliberately aggressive relative to the transport's
-    retry budget (first timeout 10 ms, exponential backoff): a heartbeat
-    every 5 ms with a 50 ms suspicion timeout detects a crash long
-    before any retransmit sequence gives up.
+    Its timings are module constants: detection in
+    :mod:`repro.ft.detector`, checkpointing and recovery in
+    :mod:`repro.ft.manager`.
     """
 
-    #: Period of each node's heartbeat datagram to the coordinator.
-    heartbeat_period_us: float = 5_000.0
-    #: Silence (no message of any kind — heartbeats piggyback on regular
-    #: traffic) after which the coordinator opens a suspicion.
-    suspicion_timeout_us: float = 50_000.0
-    #: How long a suspicion must age, with the suspect still silent,
-    #: before it is confirmed.  The grace period that lets a slow or
-    #: briefly partitioned node talk its way out of a false death.
-    suspicion_ttl_us: float = 25_000.0
-    #: Distinct reporters (transport give-ups; the coordinator's own
-    #: silence observation counts) required to confirm a suspicion.
-    suspicion_quorum: int = 1
-    #: How long a fenced node may stay fenced awaiting a partition heal
-    #: before the coordinator gives up and rolls the cluster back.
-    partition_grace_us: float = 100_000.0
     #: TEST-ONLY: plant the split-brain bug the chaos harness must
     #: catch — the barrier manager treats fenced nodes as arrived
     #: (completing barriers without them) and the checkpoint stand-down
     #: guard is skipped, so a cut spanning the membership split can
     #: commit.  Never enable outside the chaos/invariant tests.
     split_brain_bug: bool = False
-    #: Take a coordinated checkpoint every Nth global barrier release.
-    checkpoint_every: int = 1
-    #: Delay between declaring a node dead and restarting the cluster
-    #: from the checkpoint (models reboot + rejoin).
-    restart_delay_us: float = 20_000.0
-    #: CPU cost per byte snapshotted at a checkpoint (models copying
-    #: pages/twins/diffs to stable storage).
-    checkpoint_cpu_per_byte: float = 0.0005
-    #: CPU cost per byte restored during recovery.
-    restore_cpu_per_byte: float = 0.001
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_period_us <= 0:
-            raise ConfigError(f"heartbeat period must be positive, got {self.heartbeat_period_us}")
-        if self.suspicion_timeout_us <= 2 * self.heartbeat_period_us:
-            raise ConfigError(
-                "suspicion timeout must exceed two heartbeat periods "
-                f"({self.suspicion_timeout_us} vs {self.heartbeat_period_us})"
-            )
-        if self.suspicion_ttl_us < 0:
-            raise ConfigError(f"suspicion_ttl_us must be >= 0, got {self.suspicion_ttl_us}")
-        if self.suspicion_quorum < 1:
-            raise ConfigError(f"suspicion_quorum must be >= 1, got {self.suspicion_quorum}")
-        if self.partition_grace_us < 0:
-            raise ConfigError(
-                f"partition_grace_us must be >= 0, got {self.partition_grace_us}"
-            )
-        if self.checkpoint_every < 1:
-            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
-        if self.restart_delay_us < 0:
-            raise ConfigError(f"restart delay must be >= 0, got {self.restart_delay_us}")
-        if self.checkpoint_cpu_per_byte < 0 or self.restore_cpu_per_byte < 0:
-            raise ConfigError("checkpoint/restore costs must be >= 0")

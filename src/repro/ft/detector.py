@@ -2,16 +2,16 @@
 
 Node 0 (which already hosts the barrier manager) doubles as the
 *coordinator*: every other node sends it a small unreliable heartbeat
-datagram each ``heartbeat_period_us``.  Declaring a node dead is
+datagram each ``HEARTBEAT_PERIOD_US``.  Declaring a node dead is
 deliberately a two-step affair, because silence is ambiguous — a
 crashed node, a partitioned node, and a stalled node all go quiet:
 
-- **Suspicion** — silence beyond ``suspicion_timeout_us``, or a peer's
+- **Suspicion** — silence beyond ``SUSPICION_TIMEOUT_US``, or a peer's
   transport exhausting its retries (``on_give_up``), opens a suspicion
   record: who reported it, and when.  Any delivered message from the
   suspect clears the record — evidence of life always wins.
 - **Confirmation** — a suspicion only matures once it has aged
-  ``suspicion_ttl_us`` *and* gathered ``suspicion_quorum`` distinct
+  ``SUSPICION_TTL_US`` *and* gathered ``SUSPICION_QUORUM`` distinct
   reporters (the coordinator's own silence observation counts as one).
   A reachable-but-slow node — a long NodeStall, a congested link —
   resumes talking inside the TTL and is never declared dead, where the
@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.ft.config import FtConfig
 from repro.network.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,6 +51,29 @@ __all__ = ["FailureDetector", "COORDINATOR", "mark"]
 #: The failure-detection coordinator (co-located with the barrier
 #: manager, which is why crashing node 0 is rejected).
 COORDINATOR = 0
+
+# Detection timings are deliberately aggressive relative to the
+# transport's retry budget (first timeout 10 ms, exponential backoff):
+# a heartbeat every 5 ms with a 50 ms suspicion timeout detects a crash
+# long before any retransmit sequence gives up.  They are read at use
+# time, so a test can ``monkeypatch`` one.
+
+#: Period of each node's heartbeat datagram to the coordinator.
+HEARTBEAT_PERIOD_US = 5_000.0
+
+#: Silence (no message of any kind — heartbeats piggyback on regular
+#: traffic) after which the coordinator opens a suspicion.  It must
+#: exceed two heartbeat periods, or every node is permanently suspect.
+SUSPICION_TIMEOUT_US = 50_000.0
+
+#: How long a suspicion must age, with the suspect still silent,
+#: before it is confirmed.  The grace period that lets a slow or
+#: briefly partitioned node talk its way out of a false death.
+SUSPICION_TTL_US = 25_000.0
+
+#: Distinct reporters (transport give-ups; the coordinator's own
+#: silence observation counts) required to confirm a suspicion.
+SUSPICION_QUORUM = 1
 
 
 def mark(sim, name: str, node: int, **args) -> None:
@@ -74,17 +96,16 @@ class _Suspicion:
 class FailureDetector:
     """Coordinator-side liveness tracking plus per-node membership views."""
 
-    def __init__(self, ft: "FtManager", config: FtConfig) -> None:
+    def __init__(self, ft: "FtManager") -> None:
         self.ft = ft
-        self.config = config
         self.sim = ft.sim
         self.num_nodes = ft.num_nodes
-        #: Effective silence threshold.  Starts at the configured value;
-        #: the manager raises it to the adaptive transport's give-up
+        #: Effective silence threshold.  Starts at the constant; the
+        #: manager raises it to the adaptive transport's give-up
         #: deadline when one is in use — suspicion must key off when
         #: transports actually stop trying, not a fixed retry count
         #: calibrated for the static 10 ms timeout ladder.
-        self.suspicion_timeout_us = config.suspicion_timeout_us
+        self.silence_timeout_us = SUSPICION_TIMEOUT_US
         #: Last time the coordinator heard *anything* from each node.
         self.last_heard: dict[int, float] = {
             n: 0.0 for n in range(self.num_nodes) if n != COORDINATOR
@@ -123,8 +144,8 @@ class FailureDetector:
         """A transport exhausted its retries against ``dst``.
 
         One reporter's give-up is a *vote*, not a verdict: the suspicion
-        still has to age ``suspicion_ttl_us`` and reach
-        ``suspicion_quorum`` reporters while the suspect stays silent at
+        still has to age ``SUSPICION_TTL_US`` and reach
+        ``SUSPICION_QUORUM`` reporters while the suspect stays silent at
         the coordinator.  A slow-but-alive peer clears it by talking.
         """
         if dst == COORDINATOR or dst in self.down:
@@ -160,7 +181,7 @@ class FailureDetector:
         heard = sum(
             1
             for node in members
-            if now - self.last_heard[node] <= self.suspicion_timeout_us
+            if now - self.last_heard[node] <= self.silence_timeout_us
         )
         return (heard + 1) * 2 > len(members) + 1
 
@@ -170,7 +191,7 @@ class FailureDetector:
         """One node's heartbeat sender (cancelled when the node crashes)."""
         network = self.ft.cluster.network
         while self.ft.active:
-            yield self.sim.timeout(self.config.heartbeat_period_us)
+            yield self.sim.timeout(HEARTBEAT_PERIOD_US)
             if not self.ft.active:
                 return
             self.heartbeats_sent += 1
@@ -187,7 +208,7 @@ class FailureDetector:
     def watch_loop(self):
         """The coordinator's suspicion clock (never cancelled)."""
         while self.ft.active:
-            yield self.sim.timeout(self.config.heartbeat_period_us)
+            yield self.sim.timeout(HEARTBEAT_PERIOD_US)
             if not self.ft.active:
                 return
             yield from self.ft.membership_tick(self._collect_dead())
@@ -196,25 +217,24 @@ class FailureDetector:
         """Mature the suspicion records; return confirmed deaths.
 
         A node is confirmed dead only when all three hold at once: it is
-        silent beyond ``suspicion_timeout_us``, its suspicion has aged
-        ``suspicion_ttl_us``, and at least ``suspicion_quorum`` distinct
+        silent beyond the suspicion timeout, its suspicion has aged
+        ``SUSPICION_TTL_US``, and at least ``SUSPICION_QUORUM`` distinct
         reporters vouch (the coordinator's own silence observation is a
         reporter).
         """
         now = self.sim.now
-        config = self.config
         dead = []
         for node in range(self.num_nodes):
             if node == COORDINATOR or node in self.down:
                 continue
-            silent = now - self.last_heard[node] > self.suspicion_timeout_us
+            silent = now - self.last_heard[node] > self.silence_timeout_us
             if not silent:
                 continue
             suspicion = self._suspect(node)
             suspicion.reporters.add(COORDINATOR)
             if (
-                now - suspicion.since >= config.suspicion_ttl_us
-                and len(suspicion.reporters) >= config.suspicion_quorum
+                now - suspicion.since >= SUSPICION_TTL_US
+                and len(suspicion.reporters) >= SUSPICION_QUORUM
             ):
                 dead.append(node)
         return dead

@@ -20,7 +20,7 @@ The :class:`FtManager` is the runtime's fault-tolerance brain.  It
   ``FT_REJOIN`` to the node), and every message the transports had
   given up on is revived.  That is the whole re-sync: the LRC protocol
   pulls state lazily, and no barrier completed without the node, so
-  nothing else was missed.  Only when ``partition_grace_us`` expires
+  nothing else was missed.  Only when ``PARTITION_GRACE_US`` expires
   with no sign of life is the node treated as crashed for real;
 - drives **recovery**: after the restart delay the coordinator rolls
   *every* node back to the last checkpoint (a new cluster incarnation
@@ -52,6 +52,7 @@ from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
 from repro.ft.config import FtConfig
 from repro.ft.detector import COORDINATOR, FailureDetector, mark
 from repro.metrics.counters import Category
+from repro.network import transport as reliable
 from repro.network.message import Message, MessageKind
 from repro.sim import spawn
 
@@ -63,6 +64,27 @@ __all__ = ["FtManager"]
 #: Payload bytes of a membership announcement.
 _ANNOUNCE_BYTES = 32
 
+# Checkpoint and recovery timings, read at use time so a test can
+# ``monkeypatch`` one.
+
+#: How long a fenced node may stay fenced awaiting a partition heal
+#: before the coordinator gives up and rolls the cluster back.
+PARTITION_GRACE_US = 100_000.0
+
+#: Take a coordinated checkpoint every Nth global barrier release.
+CHECKPOINT_EVERY = 1
+
+#: Delay between declaring a node dead and restarting the cluster
+#: from the checkpoint (models reboot + rejoin).
+RESTART_DELAY_US = 20_000.0
+
+#: CPU cost per byte snapshotted at a checkpoint (models copying
+#: pages/twins/diffs to stable storage).
+CHECKPOINT_CPU_PER_BYTE = 0.0005
+
+#: CPU cost per byte restored during recovery.
+RESTORE_CPU_PER_BYTE = 0.001
+
 
 class FtManager:
     """Owns crash injection, the checkpoint store, and recovery."""
@@ -73,7 +95,7 @@ class FtManager:
         self.cluster = runtime.cluster
         self.sim = runtime.cluster.sim
         self.num_nodes = runtime.cluster.num_nodes
-        self.detector = FailureDetector(self, config)
+        self.detector = FailureDetector(self)
         #: Most recent coordinated checkpoint (rollback target).
         self.checkpoint: Optional[ClusterCheckpoint] = None
         self._barrier_count = 0
@@ -127,13 +149,12 @@ class FtManager:
         if self.cluster.transports and self.cluster.transports[0].adaptive:
             # Suspicion must key off when transports actually stop
             # trying.  The adaptive give-up is a wall deadline
-            # (give_up_us), not the static retry ladder the configured
-            # suspicion timeout was calibrated against — a node silent
-            # for less than the give-up deadline may simply be behind a
+            # (GIVE_UP_US), not the static retry ladder the suspicion
+            # timeout was calibrated against — a node silent for less
+            # than the give-up deadline may simply be behind a
             # congested link the transports are still probing.
-            self.detector.suspicion_timeout_us = max(
-                config.suspicion_timeout_us,
-                self.cluster.transports[0].config.give_up_us,
+            self.detector.silence_timeout_us = max(
+                self.detector.silence_timeout_us, reliable.GIVE_UP_US
             )
         for scheduler in runtime.schedulers:
             scheduler.record_values = True
@@ -194,7 +215,7 @@ class FtManager:
         *fenced*, not executed: a fenced node that speaks again (the
         partition healed, the stall ended) rejoins with a targeted
         re-sync, and only a fence left silent past
-        ``partition_grace_us`` becomes a real recovery.  Everything is
+        ``PARTITION_GRACE_US`` becomes a real recovery.  Everything is
         gated on the coordinator holding a quorum — stranded in a
         minority partition it stands down and waits for the heal
         instead of fencing the healthy majority.
@@ -228,7 +249,7 @@ class FtManager:
         expired = [
             node_id
             for node_id, at in sorted(self.fenced_at.items())
-            if now - at >= self.config.partition_grace_us
+            if now - at >= PARTITION_GRACE_US
         ]
         if expired:
             yield from self.recover(expired)
@@ -308,7 +329,7 @@ class FtManager:
     def wants_checkpoint(self, barrier_id: int, episode: int) -> bool:
         """Barrier-manager callback at each complete global arrival."""
         self._barrier_count += 1
-        return self._barrier_count % self.config.checkpoint_every == 0
+        return self._barrier_count % CHECKPOINT_EVERY == 0
 
     def take_initial_checkpoint(self) -> None:
         """Checkpoint the pristine cluster before the schedulers start.
@@ -371,7 +392,7 @@ class FtManager:
             episode=episode,
             bytes=ckpt.size_bytes,
         )
-        costs = self._charge_all(ckpt, Category.CHECKPOINT, self.config.checkpoint_cpu_per_byte)
+        costs = self._charge_all(ckpt, Category.CHECKPOINT, CHECKPOINT_CPU_PER_BYTE)
         slowest = max(costs)
         if slowest > 0:
             # Every node writes its snapshot in parallel; the barrier
@@ -448,7 +469,7 @@ class FtManager:
                 latency_us=t_detect - self._crash_time.get(node_id, t_detect),
             )
         # Reboot + rejoin of the crashed machines.
-        yield sim.timeout(self.config.restart_delay_us)
+        yield sim.timeout(RESTART_DELAY_US)
         mark(
             sim,
             "recover",
@@ -460,7 +481,7 @@ class FtManager:
         )
         self._rollback(ckpt, dead, sim.now)
         # The slowest node's state restore gates the resume.
-        costs = self._charge_all(ckpt, Category.RECOVERY, self.config.restore_cpu_per_byte)
+        costs = self._charge_all(ckpt, Category.RECOVERY, RESTORE_CPU_PER_BYTE)
         for cost in costs:
             # Not ``sum``: it compensates float error from Python 3.12 on,
             # and the report keeps this addition order on every version.

@@ -126,7 +126,7 @@ class EventCounters:
     transport_timeouts: int = 0
     acks_sent: int = 0
     duplicates_suppressed: int = 0
-    #: Reliable messages the transport abandoned after max_retries.
+    #: Reliable messages the transport abandoned (give-ups).
     retries_exhausted: int = 0
     #: Arrivals discarded by the end-to-end checksum (injected bit
     #: corruption); each one costs a receive and provokes a retransmit.

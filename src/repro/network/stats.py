@@ -196,13 +196,3 @@ class TrafficStats:
                 row["shed"] = shed
             table[kind.value] = row
         return table
-
-    def summary(self) -> dict[str, float]:
-        """Flat dict used by reports and tests."""
-        return {
-            "messages": self.total_messages,
-            "kbytes": self.total_bytes / 1024.0,
-            "drops": self.total_drops,
-            "retransmits": self.total_retransmits,
-            "injected_faults": self.total_injected_faults,
-        }

@@ -27,7 +27,7 @@ Adaptive mode (``TransportConfig.adaptive``) replaces the static
 timeout/retry policy with a feedback-driven one, per peer:
 
 - **RTT estimation** — SRTT/RTTVAR via Jacobson's algorithm, giving
-  ``RTO = SRTT + 4*RTTVAR`` clamped to ``[min_rto_us, MAX_RTO_US]``.
+  ``RTO = SRTT + 4*RTTVAR`` clamped to ``[MIN_RTO_US, MAX_RTO_US]``.
   Each wire copy is stamped with its attempt number and the ack echoes
   it back (TCP timestamps in miniature), so even retransmitted
   messages yield unambiguous samples; echo-less acks fall back to
@@ -41,7 +41,7 @@ timeout/retry policy with a feedback-driven one, per peer:
   never reaches the transport — the prefetch engine sheds it at the
   source under pressure, see :mod:`repro.prefetch.engine`).
 - **Deadline give-up** — a message is abandoned once it has been
-  unacked for ``give_up_us`` (wall deadline, not a retry count);
+  unacked for ``GIVE_UP_US`` (wall deadline, not a retry count);
   parked messages toward a live, unfenced peer are re-probed so a
   transient partition that never matured into a fence cannot strand
   them forever.
@@ -60,13 +60,12 @@ second send charge: the CPU cost was spent preparing the message at
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.network.message import (
     Message,
     MessageKind,
@@ -89,8 +88,31 @@ _HANDLER_PRIORITY = 0
 #: the link model like any other datagram).
 ACK_BYTES = 16
 
+# The timer policy's numbers are module constants.  Other modules read
+# them through this module (``transport.CWND_MAX``), never through a
+# ``from`` import that copies the value, so a test can ``monkeypatch``
+# one for a single scenario.
+
+#: Base retransmission timeout.  Generous relative to the fabric's
+#: RTT (a 4 KB diff costs ~230 us of serialization each way) so a
+#: fault-free run never retransmits spuriously.  In adaptive mode
+#: this is only the *initial* RTO, replaced by the Jacobson
+#: estimate after the first clean sample, so it must lie inside the
+#: ``[MIN_RTO_US, MAX_RTO_US]`` clamp.
+TIMEOUT_US = 10_000.0
+
 #: Multiplier applied to the timeout after every expiry.
 BACKOFF = 2.0
+
+#: Retransmissions per message before the transport gives up on it.
+#: (Adaptive mode gives up on the ``GIVE_UP_US`` deadline instead;
+#: the retry count remains a backstop for checkpoint-restored
+#: pendings whose original send time predates the rollback.)
+MAX_RETRIES = 10
+
+#: Timeout jitter: each timer is stretched by up to this fraction,
+#: drawn from the experiment's seeded RNG (decorrelates senders).
+JITTER_FRAC = 0.1
 
 #: Dedup horizon, in sequence numbers per peer: the receive window
 #: remembers at most this many seqs below the highest seen, so long
@@ -110,6 +132,30 @@ DEDUP_WINDOW = 4096
 #: -> ~35-40 ms RTO), or every message there would retransmit
 #: spuriously forever.
 MAX_RTO_US = 45_000.0
+
+#: RTO clamp floor (adaptive): the estimator never retransmits
+#: faster than this, whatever the variance says.  The floor must
+#: cover the fabric's benign queuing tail (an ack serialized behind
+#: a multi-KB diff transfer), not just the smoothed RTT — variance
+#: decays between rare spikes, so ``SRTT + 4*RTTVAR`` alone would
+#: retransmit spuriously on a clean fabric.
+MIN_RTO_US = 5_000.0
+
+#: Initial AIMD window, in messages, per peer (adaptive).
+CWND_INIT = 4
+
+#: AIMD window ceiling (adaptive); also the bound the chaos
+#: harness's bounded-in-flight invariant checks against.
+CWND_MAX = 64
+
+#: Unacked-age deadline after which an adaptive transport abandons
+#: a message (parks it and reports the peer to ``on_give_up``).
+#: With the park probe below, the deadline is the cadence at which
+#: an unreachable peer is re-probed *and* re-reported — shorter
+#: means faster post-outage recovery (park -> short probe beats
+#: riding out a fully backed-off ladder) at the cost of more
+#: suspicion reports during a real outage.
+GIVE_UP_US = 100_000.0
 
 #: Parked messages toward a live, unfenced peer are re-probed this
 #: long after the give-up (adaptive): a partition that healed
@@ -155,68 +201,12 @@ PEAK_DECAY = 0.95
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Timeout/retry policy for the reliable transport."""
+    """Which timer policy the reliable transport runs."""
 
-    #: Base retransmission timeout.  Generous relative to the fabric's
-    #: RTT (a 4 KB diff costs ~230 us of serialization each way) so a
-    #: fault-free run never retransmits spuriously.  In adaptive mode
-    #: this is only the *initial* RTO, replaced by the Jacobson
-    #: estimate after the first clean sample.
-    timeout_us: float = 10_000.0
-    #: Retransmissions per message before the transport gives up on it.
-    #: (Adaptive mode gives up on the ``give_up_us`` deadline instead;
-    #: the retry count remains a backstop for checkpoint-restored
-    #: pendings whose original send time predates the rollback.)
-    max_retries: int = 10
-    #: Timeout jitter: each timer is stretched by up to this fraction,
-    #: drawn from the experiment's seeded RNG (decorrelates senders).
-    jitter_frac: float = 0.1
     #: Enable the adaptive layer: RTT-estimated RTO, AIMD windowing,
     #: pacing, and deadline-based give-up.  Off by default — the static
     #: path is byte-identical to the pre-adaptive transport.
     adaptive: bool = False
-    #: RTO clamp floor (adaptive): the estimator never retransmits
-    #: faster than this, whatever the variance says.  The floor must
-    #: cover the fabric's benign queuing tail (an ack serialized behind
-    #: a multi-KB diff transfer), not just the smoothed RTT — variance
-    #: decays between rare spikes, so ``SRTT + 4*RTTVAR`` alone would
-    #: retransmit spuriously on a clean fabric.
-    min_rto_us: float = 5_000.0
-    #: Initial AIMD window, in messages, per peer (adaptive).
-    cwnd_init: int = 4
-    #: AIMD window ceiling (adaptive); also the bound the chaos
-    #: harness's bounded-in-flight invariant checks against.
-    cwnd_max: int = 64
-    #: Unacked-age deadline after which an adaptive transport abandons
-    #: a message (parks it and reports the peer to ``on_give_up``).
-    #: With the park probe below, the deadline is the cadence at which
-    #: an unreachable peer is re-probed *and* re-reported — shorter
-    #: means faster post-outage recovery (park -> short probe beats
-    #: riding out a fully backed-off ladder) at the cost of more
-    #: suspicion reports during a real outage.
-    give_up_us: float = 100_000.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_us <= 0:
-            raise ConfigError(f"timeout_us must be positive, got {self.timeout_us}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ConfigError(f"jitter_frac must be in [0, 1], got {self.jitter_frac}")
-        if not 0 < self.min_rto_us <= MAX_RTO_US:
-            raise ConfigError(f"need 0 < min_rto_us <= {MAX_RTO_US:g}, got {self.min_rto_us}")
-        if self.cwnd_init < 1 or self.cwnd_max < self.cwnd_init:
-            raise ConfigError(
-                f"need 1 <= cwnd_init <= cwnd_max, got "
-                f"{self.cwnd_init}/{self.cwnd_max}"
-            )
-        if self.give_up_us <= 0:
-            raise ConfigError(f"give_up_us must be positive, got {self.give_up_us}")
-
-    @property
-    def initial_rto_us(self) -> float:
-        """The adaptive estimator's pre-sample RTO (clamped base timeout)."""
-        return min(MAX_RTO_US, max(self.min_rto_us, self.timeout_us))
 
 
 @dataclass
@@ -229,7 +219,7 @@ class TransportStats:
     acks_sent: int = 0
     acks_received: int = 0
     duplicates_suppressed: int = 0
-    #: Messages abandoned after max_retries, by message kind.  The
+    #: Messages abandoned after MAX_RETRIES, by message kind.  The
     #: transport no longer raises out of the sim loop on exhaustion: it
     #: records the give-up here and notifies ``on_give_up`` (the failure
     #: detector, when FT is on) so the peer can be suspected.  The
@@ -359,7 +349,6 @@ class ReliableTransport:
         self.node = node
         self.sim = node.sim
         self.network = node.network
-        self.config = config
         self.stats = TransportStats()
         self.extremes = TransportExtremes()
         # Timeout jitter must be deterministic *per endpoint pair*: with
@@ -375,7 +364,7 @@ class ReliableTransport:
         self._adaptive = config.adaptive
         self._next_seq: dict[int, int] = {}  # destination -> next seq
         self._pending: dict[tuple[int, int], _Pending] = {}  # (dst, seq) -> state
-        #: Messages abandoned after max_retries, keyed like _pending.
+        #: Messages abandoned after MAX_RETRIES, keyed like _pending.
         #: They keep their seq: on revive the receiver's dedup window
         #: either delivers them (first arrival) or re-acks (the original
         #: did land before the give-up).
@@ -423,7 +412,7 @@ class ReliableTransport:
         self._pending[(message.dst, seq)] = pending
         self.stats.data_sent += 1
         if self._adaptive:
-            pending.deadline_at = self.sim.now + self.config.give_up_us
+            pending.deadline_at = self.sim.now + GIVE_UP_US
             peer = self._peer(message.dst)
             if peer.in_flight >= int(peer.cwnd):
                 self._enqueue(peer, message.dst, seq, pending)
@@ -445,9 +434,7 @@ class ReliableTransport:
             # SRTT, but incast queuing an order of magnitude above it)
             # is covered without spurious retransmissions.
             peer = _PeerState(
-                rto=self.config.initial_rto_us,
-                cwnd=float(self.config.cwnd_init),
-                peak_rtt=self.config.initial_rto_us / PEAK_MARGIN**2,
+                rto=TIMEOUT_US, cwnd=float(CWND_INIT), peak_rtt=TIMEOUT_US / PEAK_MARGIN**2
             )
             self._peers[dst] = peer
         return peer
@@ -516,7 +503,7 @@ class ReliableTransport:
             # a message that sat out an outage in the pacing queue gets
             # its full deadline on the wire, instead of parking on its
             # first timeout after the fabric already healed.
-            pending.deadline_at = self.sim.now + self.config.give_up_us
+            pending.deadline_at = self.sim.now + GIVE_UP_US
             self.network.send(message)
             self._arm_timer(key[0], key[1], pending)
 
@@ -539,8 +526,8 @@ class ReliableTransport:
             # ``MAX_RTO_US``) rides out and delivers through.
             base = min(MAX_RTO_US, self._peer(dst).rto)
         else:
-            base = self.config.timeout_us * BACKOFF ** (attempts - 1)
-        jitter = 1.0 + self.config.jitter_frac * float(self._jitter_rng(dst).random())
+            base = TIMEOUT_US * BACKOFF ** (attempts - 1)
+        jitter = 1.0 + JITTER_FRAC * float(self._jitter_rng(dst).random())
         return base * jitter
 
     def _arm_timer(self, dst: int, seq: int, pending: _Pending) -> None:
@@ -553,7 +540,7 @@ class ReliableTransport:
     def _give_up_due(self, pending: _Pending) -> bool:
         if self._adaptive and pending.deadline_at >= 0:
             return self.sim.now >= pending.deadline_at
-        return pending.attempts > self.config.max_retries
+        return pending.attempts > MAX_RETRIES
 
     def _on_timeout(self, dst: int, seq: int, epoch: int) -> None:
         pending = self._pending.get((dst, seq))
@@ -622,13 +609,19 @@ class ReliableTransport:
             self.extremes.observe_rto(peer.rto)
             self._mark("cwnd_halved", dst=dst, cwnd=round(peer.cwnd, 3))
         pending.attempts += 1
-        # Re-arm before the resend process runs: a retransmission stuck
-        # behind a busy CPU must still be covered by a live timer.
+        self._resend(dst, seq, pending, "rexmit")
+
+    def _resend(self, dst: int, seq: int, pending: _Pending, name: str) -> None:
+        """Re-arm the timer, then spawn a ``name`` process that sends a copy.
+
+        The timer goes first: a retransmission stuck behind a busy CPU
+        must still be covered by a live timer.
+        """
         self._arm_timer(dst, seq, pending)
         spawn(
             self.sim,
             self._retransmit(dst, seq),
-            name=f"rexmit[{self.node.node_id}]",
+            name=f"{name}[{self.node.node_id}]",
             group=f"node{self.node.node_id}",
         )
 
@@ -723,13 +716,7 @@ class ReliableTransport:
                 continue
             self.stats.fast_reflights += 1
             pending.attempts += 1
-            self._arm_timer(src, key[1], pending)
-            spawn(
-                self.sim,
-                self._retransmit(src, key[1]),
-                name=f"reflight[{self.node.node_id}]",
-                group=f"node{self.node.node_id}",
-            )
+            self._resend(src, key[1], pending, "reflight")
 
     def _revive_keys(self, dst: int, keys: list[tuple[int, int]]) -> int:
         """Re-flight parked messages (shared by revive and the probe)."""
@@ -745,19 +732,13 @@ class ReliableTransport:
                 pending.first_sent_at = -1.0
                 pending.send_times.clear()
                 pending.halved = 0
-                pending.deadline_at = self.sim.now + self.config.give_up_us
+                pending.deadline_at = self.sim.now + GIVE_UP_US
                 peer = self._peer(dst)
                 if peer.in_flight >= int(peer.cwnd):
                     self._enqueue(peer, dst, key[1], pending)
                     continue
                 self._admit(peer)
-            self._arm_timer(dst, key[1], pending)
-            spawn(
-                self.sim,
-                self._retransmit(dst, key[1]),
-                name=f"revive[{self.node.node_id}]",
-                group=f"node{self.node.node_id}",
-            )
+            self._resend(dst, key[1], pending, "revive")
         return len(keys)
 
     def revive(self, dst: int) -> int:
@@ -796,11 +777,11 @@ class ReliableTransport:
         remembers the tail long enough to cover the next one.
         """
         if peer.srtt < 0:
-            return self.config.initial_rto_us
+            return TIMEOUT_US
         return min(
             MAX_RTO_US,
             max(
-                self.config.min_rto_us,
+                MIN_RTO_US,
                 peer.srtt + 4.0 * peer.rttvar,
                 PEAK_MARGIN * peer.peak_rtt,
             ),
@@ -859,31 +840,52 @@ class ReliableTransport:
             return True
         return peer.rto >= PRESSURE_RTT_FACTOR * self._estimator_rto(peer)
 
+    def gauges(self) -> dict[str, int]:
+        """Messages unacked, waiting in a pacing queue, and parked, now."""
+        return {
+            "unacked": len(self._pending),
+            "backlog": sum(len(p.queued) for p in self._peers.values()),
+            "parked": len(self._parked),
+        }
+
+    def parked_by_peer(self) -> dict[int, int]:
+        """Parked messages per destination, in destination order."""
+        return dict(sorted(Counter(dst for dst, _seq in self._parked).items()))
+
+    def peer_gauges(self, dst: int) -> dict:
+        """Adaptive estimator and window state toward ``dst``, rounded
+        for reports (placeholders before the first send to it)."""
+        peer = self._peers.get(dst)
+        if peer is None:
+            return {
+                "srtt_us": -1.0,
+                "rttvar_us": 0.0,
+                "rto_us": 0.0,
+                "cwnd": 0.0,
+                "in_flight": 0,
+                "queued": 0,
+            }
+        return {
+            "srtt_us": round(peer.srtt, 3),
+            "rttvar_us": round(peer.rttvar, 3),
+            "rto_us": round(peer.rto, 3),
+            "cwnd": round(peer.cwnd, 3),
+            "in_flight": peer.in_flight,
+            "queued": len(peer.queued),
+        }
+
     def health_snapshot(self) -> dict:
         """Adaptive-layer health for ``RunReport.transport_health``.
 
         Keys are JSON-safe (peer ids as strings); values are rounded so
         the section is stable under serialization.
         """
-        peers = {}
-        for dst in sorted(self._peers):
-            peer = self._peers[dst]
-            peers[str(dst)] = {
-                "srtt_us": round(peer.srtt, 3),
-                "rttvar_us": round(peer.rttvar, 3),
-                "rto_us": round(peer.rto, 3),
-                "cwnd": round(peer.cwnd, 3),
-                "in_flight": peer.in_flight,
-                "queued": len(peer.queued),
-            }
-        parked_by_peer: dict[str, int] = {}
-        for dst, _seq in sorted(self._parked):
-            parked_by_peer[str(dst)] = parked_by_peer.get(str(dst), 0) + 1
+        gauges = self.gauges()
         return {
-            "peers": peers,
-            "parked_by_peer": parked_by_peer,
-            "unacked": len(self._pending),
-            "pacing_backlog": sum(len(p.queued) for p in self._peers.values()),
+            "peers": {str(dst): self.peer_gauges(dst) for dst in sorted(self._peers)},
+            "parked_by_peer": {str(dst): n for dst, n in self.parked_by_peer().items()},
+            "unacked": gauges["unacked"],
+            "pacing_backlog": gauges["backlog"],
             "max_in_flight": self.stats.max_in_flight,
             "paced": self.stats.paced,
             "rtt_samples": self.stats.rtt_samples,
@@ -983,18 +985,15 @@ class ReliableTransport:
                     # are reverted.  The sample above already re-derived
                     # the RTO from the new round trip.
                     self.stats.spurious_timeouts += pending.halved
-                    peer.cwnd = min(
-                        float(self.config.cwnd_max),
-                        peer.cwnd * (2.0 ** pending.halved),
-                    )
+                    peer.cwnd = min(float(CWND_MAX), peer.cwnd * (2.0 ** pending.halved))
             elif pending.attempts == 1 and pending.first_sent_at >= 0:
                 # Echo-less ack (e.g. for a copy predating a checkpoint
                 # rollback): fall back to Karn's rule — only frames
                 # transmitted exactly once yield an unambiguous sample.
                 self._rtt_sample(dst, peer, self.sim.now - pending.first_sent_at)
-            if peer.cwnd < self.config.cwnd_max:
+            if peer.cwnd < CWND_MAX:
                 # Additive increase: ~one window per RTT of clean acks.
-                peer.cwnd = min(float(self.config.cwnd_max), peer.cwnd + 1.0 / peer.cwnd)
+                peer.cwnd = min(float(CWND_MAX), peer.cwnd + 1.0 / peer.cwnd)
         self._drain(dst, peer)
 
     # -- checkpoint/recovery ----------------------------------------------
@@ -1042,7 +1041,7 @@ class ReliableTransport:
         for (dst, seq), (message, attempts) in state["pending"].items():
             pending = _Pending(message, attempts=attempts)
             if self._adaptive:
-                pending.deadline_at = self.sim.now + self.config.give_up_us
+                pending.deadline_at = self.sim.now + GIVE_UP_US
                 self._admit(self._peer(dst))
             self._pending[(dst, seq)] = pending
             self._arm_timer(dst, seq, pending)

@@ -61,9 +61,6 @@ class ProfileConfig:
 
     #: Entries per hot-entity table in the report's profile section.
     top_n: int = 10
-    #: Embed raw bucket maps (mergeable across reports) in addition to
-    #: the quantile summaries.  Off trims the report for large runs.
-    include_buckets: bool = True
 
     def __post_init__(self) -> None:
         if self.top_n < 1:
@@ -160,8 +157,6 @@ class Profiler:
                 p99=histogram.quantile(0.99),
                 mean=histogram.mean,
             )
-            if not self.config.include_buckets:
-                del entry["buckets"]
             histograms[name] = entry
         return {
             "version": PROFILE_SCHEMA_VERSION,

@@ -23,14 +23,13 @@ from repro.telemetry.sampler import (
     TelemetryConfig,
     TelemetrySampler,
 )
-from repro.telemetry.watchdog import WatchdogConfig, run_watchdogs
+from repro.telemetry.watchdog import run_watchdogs
 
 __all__ = [
     "TelemetryConfig",
     "TelemetrySampler",
     "NullTelemetry",
     "NULL_TELEMETRY",
-    "WatchdogConfig",
     "run_watchdogs",
     "TELEMETRY_SCHEMA_VERSION",
     "GAUGE_METRICS",

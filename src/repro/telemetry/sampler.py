@@ -32,7 +32,7 @@ Series taxonomy (one list per metric per node, one entry per window):
   bit-for-bit; float counters deliberately stay on the gauge side.
 - *peers* — per-destination adaptive estimator state (srtt, rttvar,
   rto, cwnd, in-flight, pacing backlog, parked), present only on
-  adaptive runs with ``TelemetryConfig(transport_peers=True)``.
+  adaptive runs.
 - *epochs* — per-barrier-episode stall/switch accounting, closed by the
   barrier-release hook rather than the sampling clock.
 """
@@ -107,6 +107,9 @@ PEER_METRICS = (
 #: Cluster-wide integer traffic deltas.
 NETWORK_METRICS = ("net.messages", "net.bytes", "net.drops", "net.retransmits")
 
+#: ``ReliableTransport.gauges()`` of a run without a transport.
+_NO_TRANSPORT = {"unacked": 0, "backlog": 0, "parked": 0}
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -114,12 +117,6 @@ class TelemetryConfig:
 
     #: Window width in simulated microseconds.
     interval_us: float = 5_000.0
-    #: Record per-peer adaptive estimator series (srtt/rto/cwnd/...).
-    #: Only meaningful on adaptive-transport runs; dropping it shrinks
-    #: the section by O(nodes^2) series.
-    transport_peers: bool = True
-    #: Record per-barrier-episode stall/switch accounting.
-    epochs: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_us <= 0:
@@ -173,11 +170,6 @@ class TelemetrySampler:
             for _ in range(count)
         ]
 
-    @property
-    def _adaptive(self) -> bool:
-        transports = self._runtime.cluster.transports
-        return bool(transports) and transports[0].adaptive
-
     # -- sampling --------------------------------------------------------
 
     def advance_to(self, time: float) -> None:
@@ -198,8 +190,6 @@ class TelemetrySampler:
     def _sample(self, boundary: float) -> None:
         self._window_ts.append(boundary)
         runtime = self._runtime
-        adaptive = self._adaptive
-        peers_on = adaptive and self.config.transport_peers
         transports = runtime.cluster.transports
         num_nodes = runtime.config.num_nodes
         for node_id in range(num_nodes):
@@ -234,16 +224,9 @@ class TelemetrySampler:
             gauges["dsm.diff_bytes_stored"].append(dsm.backend.diff_store.total_diff_bytes)
             gauges["dsm.intervals"].append(dsm.backend.vc[dsm.node_id])
             transport = transports[node_id] if transports else None
-            if transport is not None:
-                gauges["transport.unacked"].append(len(transport._pending))
-                gauges["transport.backlog"].append(
-                    sum(len(p.queued) for p in transport._peers.values())
-                )
-                gauges["transport.parked"].append(len(transport._parked))
-            else:
-                gauges["transport.unacked"].append(0)
-                gauges["transport.backlog"].append(0)
-                gauges["transport.parked"].append(0)
+            queues = transport.gauges() if transport is not None else _NO_TRANSPORT
+            for name, value in queues.items():
+                gauges["transport." + name].append(value)
             engine = None
             if runtime.prefetch_engines:
                 engine = runtime.prefetch_engines[node_id]
@@ -265,7 +248,7 @@ class TelemetrySampler:
             for name in DELTA_METRICS:
                 series.deltas[name].append(current[name] - last[name])
             series.last = current
-            if peers_on:
+            if transport is not None and transport.adaptive:
                 self._sample_peers(series, transport, node_id, num_nodes)
         net = runtime.cluster.network.stats
         current_net = {
@@ -279,38 +262,20 @@ class TelemetrySampler:
         self._net_last = current_net
 
     def _sample_peers(self, series, transport, node_id: int, num_nodes: int) -> None:
-        parked_by_peer: dict[int, int] = {}
-        for (dst, _seq) in transport._parked:
-            parked_by_peer[dst] = parked_by_peer.get(dst, 0) + 1
+        parked = transport.parked_by_peer()
         for dst in range(num_nodes):
             if dst == node_id:
                 continue
-            key = str(dst)
-            track = series.peers.get(key)
+            # Every peer's track opens at the first sample, so all of
+            # them stay window-aligned.
+            track = series.peers.get(str(dst))
             if track is None:
-                track = {name: [] for name in PEER_METRICS}
-                # Back-fill windows from before this sample so every
-                # series stays window-aligned (peers never appear late:
-                # all are registered up front, but be defensive).
-                for name in PEER_METRICS:
-                    track[name].extend([0] * (len(self._window_ts) - 1))
-                series.peers[key] = track
-            peer = transport._peers.get(dst)
-            if peer is None:
-                track["srtt_us"].append(-1.0)
-                track["rttvar_us"].append(0.0)
-                track["rto_us"].append(0.0)
-                track["cwnd"].append(0.0)
-                track["in_flight"].append(0)
-                track["backlog"].append(0)
-            else:
-                track["srtt_us"].append(round(peer.srtt, 3))
-                track["rttvar_us"].append(round(peer.rttvar, 3))
-                track["rto_us"].append(round(peer.rto, 3))
-                track["cwnd"].append(round(peer.cwnd, 3))
-                track["in_flight"].append(peer.in_flight)
-                track["backlog"].append(len(peer.queued))
-            track["parked"].append(parked_by_peer.get(dst, 0))
+                track = series.peers[str(dst)] = {name: [] for name in PEER_METRICS}
+            # ``peer_gauges`` lists its values in PEER_METRICS order
+            # (its ``queued`` is our ``backlog``); ``parked`` comes last.
+            values = (*transport.peer_gauges(dst).values(), parked.get(dst, 0))
+            for name, value in zip(PEER_METRICS, values):
+                track[name].append(value)
 
     # -- barrier epochs --------------------------------------------------
 
@@ -320,10 +285,7 @@ class TelemetrySampler:
         Called from the barrier subsystem's release path (behind the
         sim's cached ``telemetry_on`` flag); pure observation.
         """
-        if not self.config.epochs:
-            return
-        now = self._runtime.cluster.sim.now
-        self._close_epoch(node_id, now, barrier_id, episode)
+        self._close_epoch(node_id, self._runtime.cluster.sim.now, barrier_id, episode)
 
     def _close_epoch(self, node_id: int, now: float, barrier_id, episode) -> None:
         node = self._runtime.cluster.nodes[node_id]
@@ -378,9 +340,8 @@ class TelemetrySampler:
         # end-of-run totals with no gap.
         tail = max(wall, self._runtime.cluster.sim.now)
         self._sample(tail)
-        if self.config.epochs:
-            for node_id in range(len(self._nodes)):
-                self._close_epoch(node_id, tail, -1, -1)
+        for node_id in range(len(self._nodes)):
+            self._close_epoch(node_id, tail, -1, -1)
         nodes = {}
         for node_id, series in enumerate(self._nodes):
             entry: dict = {
@@ -391,8 +352,7 @@ class TelemetrySampler:
                 entry["peers"] = {
                     key: series.peers[key] for key in sorted(series.peers, key=int)
                 }
-            if self.config.epochs:
-                entry["epochs"] = series.epochs
+            entry["epochs"] = series.epochs
             nodes[str(node_id)] = entry
         section = {
             "version": TELEMETRY_SCHEMA_VERSION,

@@ -20,42 +20,41 @@ and emit *findings* for mid-run pathologies:
   a node while its transport kept timing out or retransmitting:
   livelock evidence.
 
-Every threshold lives in :class:`WatchdogConfig` and every input is a
-deterministic series, so the findings are identical across repeats and
-``--jobs N``.  Consecutive flagged windows coalesce into one finding;
-findings are sorted by (monitor, node, peer, start window).
+Every threshold is a module constant (read at use time, so a test can
+``monkeypatch`` one) and every input is a deterministic series, so the
+findings are identical across repeats and ``--jobs N``.  Consecutive
+flagged windows coalesce into one finding; findings are sorted by
+(monitor, node, peer, start window).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["WatchdogConfig", "run_watchdogs"]
+__all__ = ["run_watchdogs"]
 
 #: cwnd values at or below this count as "at the floor" (the AIMD
 #: multiplicative decrease clamps at 1.0).
 CWND_FLOOR = 1.0
 
+#: Consecutive floor windows before a cwnd_pinned finding.
+CWND_FLOOR_WINDOWS = 4
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Deterministic grading thresholds."""
+#: Consecutive strictly-increasing backlog windows before a
+#: backlog_growth finding.
+BACKLOG_GROWTH_WINDOWS = 4
 
-    #: Consecutive floor windows before a cwnd_pinned finding.
-    cwnd_floor_windows: int = 4
-    #: Consecutive strictly-increasing backlog windows before a
-    #: backlog_growth finding.
-    backlog_growth_windows: int = 4
-    #: A window's stall time must exceed ``median * factor`` ...
-    stall_spike_factor: float = 8.0
-    #: ... and this absolute floor (us) to count as a spike — a 9 us
-    #: window over a 1 us median is noise, not a convoy.
-    stall_spike_min_us: float = 20_000.0
-    #: Prefetches shed in one window at/above this is a shed storm.
-    shed_storm: int = 25
-    #: Consecutive zero-busy windows (with transport distress) before a
-    #: zero_progress finding.
-    zero_progress_windows: int = 3
+#: A window's stall time must exceed ``median * factor`` ...
+STALL_SPIKE_FACTOR = 8.0
+
+#: ... and this absolute floor (us) to count as a spike — a 9 us
+#: window over a 1 us median is noise, not a convoy.
+STALL_SPIKE_MIN_US = 20_000.0
+
+#: Prefetches shed in one window at/above this is a shed storm.
+SHED_STORM = 25
+
+#: Consecutive zero-busy windows (with transport distress) before a
+#: zero_progress finding.
+ZERO_PROGRESS_WINDOWS = 3
 
 
 def _coalesce(flags: list[bool], min_run: int) -> list[tuple[int, int]]:
@@ -100,9 +99,8 @@ def _finding(monitor, node, ts, start, end, value, detail, peer=None):
     return record
 
 
-def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[dict]:
+def run_watchdogs(section: dict) -> list[dict]:
     """Grade a telemetry section; returns the (possibly empty) findings."""
-    config = config or WatchdogConfig()
     ts = section.get("windows") or []
     if not ts:
         return []
@@ -117,7 +115,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
         for peer_key in sorted(entry.get("peers", {}), key=int):
             cwnd = entry["peers"][peer_key].get("cwnd", [])
             flags = [0.0 < value <= CWND_FLOOR for value in cwnd]
-            for start, end in _coalesce(flags, config.cwnd_floor_windows):
+            for start, end in _coalesce(flags, CWND_FLOOR_WINDOWS):
                 findings.append(
                     _finding(
                         "cwnd_pinned",
@@ -137,7 +135,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
         flags = [False] * len(backlog)
         for index in range(1, len(backlog)):
             flags[index] = backlog[index] > backlog[index - 1]
-        for start, end in _coalesce(flags, config.backlog_growth_windows):
+        for start, end in _coalesce(flags, BACKLOG_GROWTH_WINDOWS):
             findings.append(
                 _finding(
                     "backlog_growth",
@@ -158,7 +156,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
             for i in range(len(stall_total))
         ]
         median = _median([value for value in stall_windows if value > 0])
-        threshold = max(config.stall_spike_min_us, median * config.stall_spike_factor)
+        threshold = max(STALL_SPIKE_MIN_US, median * STALL_SPIKE_FACTOR)
         flags = [value >= threshold and median > 0 for value in stall_windows]
         for start, end in _coalesce(flags, 1):
             peak = max(stall_windows[start : end + 1])
@@ -177,7 +175,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
 
         # Prefetch-shed storms.
         shed = deltas.get("prefetch.shed", [])
-        flags = [value >= config.shed_storm for value in shed]
+        flags = [value >= SHED_STORM for value in shed]
         for start, end in _coalesce(flags, 1):
             peak = max(shed[start : end + 1])
             findings.append(
@@ -189,7 +187,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
                     end,
                     peak,
                     f"{peak} prefetches shed in one window "
-                    f"(storm threshold {config.shed_storm})",
+                    f"(storm threshold {SHED_STORM})",
                 )
             )
 
@@ -210,7 +208,7 @@ def run_watchdogs(section: dict, config: WatchdogConfig | None = None) -> list[d
             > 0
             for i in range(len(busy_windows))
         ]
-        for start, end in _coalesce(flags, config.zero_progress_windows):
+        for start, end in _coalesce(flags, ZERO_PROGRESS_WINDOWS):
             churn = sum(timeouts[start : end + 1]) + sum(rexmits[start : end + 1])
             findings.append(
                 _finding(

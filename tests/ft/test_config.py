@@ -1,35 +1,30 @@
-"""Validation of the fault-tolerance configuration surface."""
+"""Validation of the fault-tolerance configuration surface, and the
+relations the FT and transport timing constants keep."""
 
 import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.errors import ConfigError, FailureError, FaultConfigError
-from repro.ft import FtConfig
+from repro.ft import FtConfig, detector, manager
+from repro.network import transport
 from repro.network.faults import FaultPlan, NodeCrash
 
 
 def test_defaults_are_valid():
-    config = FtConfig()
-    assert config.suspicion_timeout_us > 2 * config.heartbeat_period_us
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"heartbeat_period_us": 0.0},
-        {"heartbeat_period_us": -5.0},
-        # Suspicion must exceed two heartbeat periods or every node is
-        # permanently suspect.
-        {"heartbeat_period_us": 5_000.0, "suspicion_timeout_us": 10_000.0},
-        {"checkpoint_every": 0},
-        {"restart_delay_us": -1.0},
-        {"checkpoint_cpu_per_byte": -0.1},
-        {"restore_cpu_per_byte": -0.1},
-    ],
-)
-def test_bad_ft_config_rejected(kwargs):
-    with pytest.raises(ConfigError):
-        FtConfig(**kwargs)
+    """The relations the FT and transport timing constants must keep."""
+    # Suspicion must exceed two heartbeat periods or every node is
+    # permanently suspect.
+    assert 0 < detector.HEARTBEAT_PERIOD_US
+    assert detector.SUSPICION_TIMEOUT_US > 2 * detector.HEARTBEAT_PERIOD_US
+    assert detector.SUSPICION_TTL_US >= 0 and detector.SUSPICION_QUORUM >= 1
+    assert manager.PARTITION_GRACE_US >= 0 and manager.RESTART_DELAY_US >= 0
+    assert manager.CHECKPOINT_EVERY >= 1
+    assert manager.CHECKPOINT_CPU_PER_BYTE >= 0 and manager.RESTORE_CPU_PER_BYTE >= 0
+    # The base timeout is also the adaptive estimator's first RTO.
+    assert 0 < transport.MIN_RTO_US <= transport.TIMEOUT_US <= transport.MAX_RTO_US
+    assert 1 <= transport.CWND_INIT <= transport.CWND_MAX
+    assert transport.MAX_RETRIES >= 0 and transport.GIVE_UP_US > 0
+    assert 0.0 <= transport.JITTER_FRAC <= 1.0
 
 
 def test_crash_event_validation():

@@ -1,12 +1,12 @@
 """Unit tests for the failure detector's evidence handling.
 
 Death is a two-step verdict: silence opens a suspicion, and only a
-suspicion that ages ``suspicion_ttl_us`` with ``suspicion_quorum``
+suspicion that ages ``SUSPICION_TTL_US`` with ``SUSPICION_QUORUM``
 reporters — while the suspect stays silent — matures into a death.  Any
 delivered message clears the record.
 """
 
-from repro.ft.config import FtConfig
+from repro.ft import detector
 from repro.ft.detector import COORDINATOR, FailureDetector
 from repro.network.message import Message, MessageKind
 
@@ -31,9 +31,9 @@ class FakeFt:
         self.active = True
 
 
-def make_detector(**config_kwargs):
+def make_detector():
     ft = FakeFt()
-    return ft, FailureDetector(ft, FtConfig(**config_kwargs))
+    return ft, FailureDetector(ft)
 
 
 def heartbeat(src):
@@ -54,7 +54,7 @@ def test_any_delivered_traffic_is_liveness_evidence():
 
 
 def test_silence_opens_suspicion_then_matures_into_death():
-    ft, det = make_detector(suspicion_timeout_us=50_000.0, suspicion_ttl_us=25_000.0)
+    ft, det = make_detector()  # 50 ms suspicion timeout, 25 ms TTL
     ft.sim.now = 60_000.0
     det.observe(COORDINATOR, heartbeat(1))
     det.observe(COORDINATOR, heartbeat(2))
@@ -88,10 +88,10 @@ def test_retry_exhaustion_alone_never_kills_a_live_node():
     assert det.suspicions_cleared == 1
 
 
-def test_suspicion_needs_quorum_of_reporters():
-    ft, det = make_detector(
-        suspicion_timeout_us=50_000.0, suspicion_ttl_us=0.0, suspicion_quorum=3
-    )
+def test_suspicion_needs_quorum_of_reporters(monkeypatch):
+    monkeypatch.setattr(detector, "SUSPICION_TTL_US", 0.0)
+    monkeypatch.setattr(detector, "SUSPICION_QUORUM", 3)
+    ft, det = make_detector()
     ft.sim.now = 60_000.0
     det.observe(COORDINATOR, heartbeat(1))
     det.observe(COORDINATOR, heartbeat(2))
@@ -130,7 +130,7 @@ def test_mark_alive_and_reset_clear_suspicion():
 
 
 def test_has_quorum_tracks_recently_heard_majority():
-    ft, det = make_detector(suspicion_timeout_us=50_000.0)
+    ft, det = make_detector()  # 50 ms suspicion timeout
     ft.sim.now = 60_000.0
     # Everyone silent beyond the timeout: the coordinator is alone.
     assert not det.has_quorum()

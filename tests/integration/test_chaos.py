@@ -13,6 +13,7 @@ import pytest
 from repro import DsmRuntime, RunConfig
 from repro.apps import APP_ORDER, make_app
 from repro.network import FaultPlan, TransportConfig
+from repro.network import transport as reliable
 
 #: A plainly hostile network: one in twenty datagrams vanishes, some are
 #: duplicated, a fifth are jittered enough to reorder.
@@ -97,19 +98,15 @@ def test_transport_disabled_still_works_on_clean_network():
     assert report.events.acks_sent == 0
 
 
-def test_prefetch_chaos_loses_requests_but_stays_correct():
+def test_prefetch_chaos_loses_requests_but_stays_correct(monkeypatch):
     """Prefetch traffic is unreliable end-to-end: drops are never
     retransmitted by the transport; the real access retries (once,
     reliably) and the miss is classified 'too late'."""
-    plan = FaultPlan(drop_prob=0.3)
-    runtime, report = run(
-        "SOR",
-        fault_plan=plan,
-        prefetch=True,
-        # At 30% loss each attempt succeeds with ~half probability
-        # (request and ack must both survive); give retries headroom.
-        transport=TransportConfig(timeout_us=3_000.0, max_retries=30),
-    )
+    # At 30% loss each attempt succeeds with ~half probability
+    # (request and ack must both survive); give retries headroom.
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 3_000.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 30)
+    runtime, report = run("SOR", fault_plan=FaultPlan(drop_prob=0.3), prefetch=True)
     stats = report.prefetch_stats
     assert stats is not None
     # Losses were observed by the senders (injected drops are
@@ -121,17 +118,13 @@ def test_prefetch_chaos_loses_requests_but_stays_correct():
     assert stats.late > 0
 
 
-def test_prefetch_throttle_reduces_requests_under_heavy_loss():
+def test_prefetch_throttle_reduces_requests_under_heavy_loss(monkeypatch):
     """The drop-driven cool-off measurably cuts prefetch requests when
     the network is eating them (the paper's RADIX mitigation)."""
-    deep_retries = TransportConfig(timeout_us=3_000.0, max_retries=40)
     _, clean = run("SOR", prefetch=True)
-    _, lossy = run(
-        "SOR",
-        fault_plan=FaultPlan(drop_prob=0.5),
-        prefetch=True,
-        transport=deep_retries,
-    )
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 3_000.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 40)
+    _, lossy = run("SOR", fault_plan=FaultPlan(drop_prob=0.5), prefetch=True)
     assert lossy.prefetch_stats.throttled > 0
     assert lossy.prefetch_stats.request_messages < clean.prefetch_stats.request_messages
 
@@ -152,14 +145,12 @@ def test_degradation_and_stall_windows_slow_but_do_not_break():
     assert slowed.injected_faults.get("stall", 0) > 0
 
 
-def test_tight_timeout_budget_still_converges():
+def test_tight_timeout_budget_still_converges(monkeypatch):
     """An aggressive timeout with many retries trades extra duplicate
     suppression for liveness — and stays correct."""
-    _, report = run(
-        "SOR",
-        fault_plan=CHAOS_PLAN,
-        transport=TransportConfig(timeout_us=1_500.0, max_retries=20),
-    )
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 1_500.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 20)
+    _, report = run("SOR", fault_plan=CHAOS_PLAN)
     assert report.retransmissions > 0
 
 

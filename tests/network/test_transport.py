@@ -6,9 +6,10 @@ underneath, so loss/duplication comes from the real injection layer.
 
 import pytest
 
-from repro.errors import ConfigError, TransportError
+from repro.errors import TransportError
 from repro.machine import Cluster
 from repro.network import FaultPlan, Message, MessageKind, TransportConfig
+from repro.network import transport as reliable
 from repro.network.transport import DEDUP_WINDOW, _ReceiveWindow
 from repro.sim import RandomSource, spawn
 
@@ -34,15 +35,6 @@ def msg(src, dst, size=64, kind=MessageKind.DIFF_REQUEST, payload=None):
     return Message(src=src, dst=dst, kind=kind, size_bytes=size, payload=payload or {})
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        TransportConfig(timeout_us=0)
-    with pytest.raises(ConfigError):
-        TransportConfig(max_retries=-1)
-    with pytest.raises(ConfigError):
-        TransportConfig(jitter_frac=2.0)
-
-
 def test_clean_network_delivers_once_with_ack_and_no_retransmit():
     cluster, inboxes = build()
     send_from(cluster, 0, msg(0, 1))
@@ -58,11 +50,10 @@ def test_clean_network_delivers_once_with_ack_and_no_retransmit():
     assert not inboxes[0]
 
 
-def test_reliable_message_survives_heavy_loss():
-    cluster, inboxes = build(
-        plan=FaultPlan(drop_prob=0.5),
-        transport=TransportConfig(timeout_us=500.0, max_retries=30),
-    )
+def test_reliable_message_survives_heavy_loss(monkeypatch):
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 500.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 30)
+    cluster, inboxes = build(plan=FaultPlan(drop_prob=0.5))
     for i in range(20):
         send_from(cluster, 0, msg(0, 1, payload={"i": i}))
     cluster.run()
@@ -86,12 +77,12 @@ def test_duplicates_are_suppressed_not_dispatched():
     assert cluster.node(1).events.duplicates_suppressed >= 5
 
 
-def test_retransmit_timing_uses_exponential_backoff():
+def test_retransmit_timing_uses_exponential_backoff(monkeypatch):
     # 100% drop: nothing is ever delivered; watch the retry clock.
-    cluster, _ = build(
-        plan=FaultPlan(drop_prob=1.0),
-        transport=TransportConfig(timeout_us=1000.0, max_retries=3, jitter_frac=0.0),
-    )
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 1000.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 3)
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
+    cluster, _ = build(plan=FaultPlan(drop_prob=1.0))
     send_from(cluster, 0, msg(0, 1))
     cluster.run()
     stats = cluster.transports[0].stats
@@ -100,13 +91,12 @@ def test_retransmit_timing_uses_exponential_backoff():
     assert cluster.sim.now == pytest.approx(15_000.0, rel=0.01)
 
 
-def test_exhausted_retries_give_up_gracefully():
+def test_exhausted_retries_give_up_gracefully(monkeypatch):
     # A dead peer no longer crashes the run with a raw TransportError:
     # the message is abandoned and the give-up is recorded per kind.
-    cluster, inboxes = build(
-        plan=FaultPlan(drop_prob=1.0),
-        transport=TransportConfig(timeout_us=200.0, max_retries=2),
-    )
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 200.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 2)
+    cluster, inboxes = build(plan=FaultPlan(drop_prob=1.0))
     suspected = []
     cluster.transports[0].on_give_up = lambda dst, message: suspected.append(
         (dst, message.kind)
@@ -148,11 +138,13 @@ def test_receive_window_dedups_out_of_order():
     assert not window.accept(1, DEDUP_WINDOW)
 
 
-def test_transport_determinism_under_loss():
+def test_transport_determinism_under_loss(monkeypatch):
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 500.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 30)
+
     def run_once():
         cluster, inboxes = build(
             plan=FaultPlan(drop_prob=0.3, duplicate_prob=0.1, reorder_prob=0.5, jitter_us=300.0),
-            transport=TransportConfig(timeout_us=500.0, max_retries=30),
             seed=123,
         )
         for i in range(30):

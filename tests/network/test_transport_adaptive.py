@@ -6,14 +6,12 @@ and evidence-driven fast re-flight — exercised on a real cluster with
 the fault-injection layer underneath, like tests/network/test_transport.
 """
 
-import pytest
-
-from repro.errors import ConfigError
+from repro import Compute, DsmRuntime, Program, RunConfig
 from repro.machine import Cluster
 from repro.network import FaultPlan, Message, MessageKind, TransportConfig
-from repro.network.faults import BitCorruption, LinkDegradation, LinkPartition
+from repro.network import transport as reliable
+from repro.network.faults import BitCorruption, LinkDegradation, LinkPartition, NodeStall
 from repro.network.link import LinkConfig
-from repro.network.transport import MAX_RTO_US
 from repro.sim import RandomSource, spawn
 
 
@@ -49,26 +47,13 @@ def payloads(inbox):
     return sorted(m.payload["i"] for _t, m in inbox)
 
 
-def test_adaptive_config_validation():
-    with pytest.raises(ConfigError):
-        TransportConfig(min_rto_us=0.0)
-    with pytest.raises(ConfigError):
-        TransportConfig(min_rto_us=2 * MAX_RTO_US)
-    with pytest.raises(ConfigError):
-        TransportConfig(cwnd_init=0)
-    with pytest.raises(ConfigError):
-        TransportConfig(cwnd_init=8, cwnd_max=4)
-    with pytest.raises(ConfigError):
-        TransportConfig(give_up_us=0.0)
-
-
-def test_rto_converges_near_link_latency_on_clean_link():
+def test_rto_converges_near_link_latency_on_clean_link(monkeypatch):
     # Drop the RTO floor out of the way so the estimator itself is
     # visible, and space the sends out so each round trip is queue-free.
+    monkeypatch.setattr(reliable, "MIN_RTO_US", 1.0)
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
     link = LinkConfig()
-    cluster, inboxes = build(
-        transport=TransportConfig(adaptive=True, min_rto_us=1.0, jitter_frac=0.0),
-    )
+    cluster, inboxes = build()
     for i in range(60):
         send_at(cluster, 2_000.0 * i, 0, msg(0, 1, payload={"i": i}))
     cluster.run()
@@ -105,10 +90,10 @@ def test_clean_burst_has_no_spurious_retransmits_with_default_floor():
     assert stats.timeouts == 0
 
 
-def test_window_bounds_in_flight_and_paces_excess():
-    cluster, inboxes = build(
-        transport=TransportConfig(adaptive=True, cwnd_init=2, cwnd_max=8),
-    )
+def test_window_bounds_in_flight_and_paces_excess(monkeypatch):
+    monkeypatch.setattr(reliable, "CWND_INIT", 2)
+    monkeypatch.setattr(reliable, "CWND_MAX", 8)
+    cluster, inboxes = build()
     for i in range(50):
         send_from(cluster, 0, msg(0, 1, payload={"i": i}))
     cluster.run()
@@ -119,9 +104,10 @@ def test_window_bounds_in_flight_and_paces_excess():
     assert cluster.transports[0]._peers[1].queued == set()
 
 
-def test_acks_grow_window_and_timeouts_halve_it():
+def test_acks_grow_window_and_timeouts_halve_it(monkeypatch):
     # Clean run: additive increase lifts cwnd above its initial value.
-    cluster, _ = build(transport=TransportConfig(adaptive=True, cwnd_init=2))
+    monkeypatch.setattr(reliable, "CWND_INIT", 2)
+    cluster, _ = build()
     for i in range(80):
         send_from(cluster, 0, msg(0, 1, payload={"i": i}))
     cluster.run()
@@ -139,21 +125,18 @@ def test_acks_grow_window_and_timeouts_halve_it():
     assert stats.retransmissions > 0
 
 
-def test_karn_backoff_retained_until_clean_sample():
+def test_karn_backoff_retained_until_clean_sample(monkeypatch):
     # 100% loss: no ack ever arrives, so every timeout both halves the
     # window and walks the retained RTO up the multiplicative ladder,
     # clamped at the ceiling.
-    cluster, _ = build(
-        plan=FaultPlan(drop_prob=1.0),
-        transport=TransportConfig(
-            adaptive=True, jitter_frac=0.0, give_up_us=200_000.0
-        ),
-    )
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
+    monkeypatch.setattr(reliable, "GIVE_UP_US", 200_000.0)
+    cluster, _ = build(plan=FaultPlan(drop_prob=1.0))
     send_from(cluster, 0, msg(0, 1))
     cluster.run(until=120_000.0)
     transport = cluster.transports[0]
     peer = transport._peers[1]
-    assert peer.rto == MAX_RTO_US  # ladder reached the clamp
+    assert peer.rto == reliable.MAX_RTO_US  # ladder reached the clamp
     assert peer.srtt < 0  # Karn: no sample was ever taken
     assert transport.stats.rtt_samples == 0
 
@@ -222,10 +205,10 @@ def test_combined_hazards_on_one_link_stay_bounded():
     # ~26% of transmissions vanish (drop or checksum discard); a
     # bounded recovery needs a small constant factor, not a storm.
     assert stats.retransmissions <= 3 * 60
-    assert stats.max_in_flight <= cluster.transports[0].config.cwnd_max
+    assert stats.max_in_flight <= reliable.CWND_MAX
 
 
-def test_give_up_parks_then_probe_delivers_after_heal():
+def test_give_up_parks_then_probe_delivers_after_heal(monkeypatch):
     # The peer is unreachable from t=0; the give-up deadline parks the
     # message (reporting the peer as suspect), and the short park probe
     # keeps re-flighting it until the fabric heals.  No FT stack runs
@@ -235,10 +218,9 @@ def test_give_up_parks_then_probe_delivers_after_heal():
             LinkPartition(start_us=0.0, end_us=50_000.0, nodes=frozenset({1})),
         )
     )
-    cluster, inboxes = build(
-        plan=plan,
-        transport=TransportConfig(adaptive=True, give_up_us=20_000.0, jitter_frac=0.0),
-    )
+    monkeypatch.setattr(reliable, "GIVE_UP_US", 20_000.0)
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
+    cluster, inboxes = build(plan=plan)
     suspected = []
     cluster.transports[0].on_give_up = lambda dst, m: suspected.append(dst)
     send_from(cluster, 0, msg(0, 1, payload={"i": 0}))
@@ -254,7 +236,7 @@ def test_give_up_parks_then_probe_delivers_after_heal():
     assert cluster.transports[0]._pending == {}
 
 
-def test_peer_evidence_triggers_fast_reflight_after_heal():
+def test_peer_evidence_triggers_fast_reflight_after_heal(monkeypatch):
     # A pending on a fully backed-off timer spans the heal.  The first
     # arrival from the healed peer is proof the path works, and must
     # trigger an immediate re-flight instead of waiting out the timer.
@@ -263,10 +245,8 @@ def test_peer_evidence_triggers_fast_reflight_after_heal():
             LinkPartition(start_us=0.0, end_us=50_000.0, nodes=frozenset({1})),
         )
     )
-    cluster, inboxes = build(
-        plan=plan,
-        transport=TransportConfig(adaptive=True, jitter_frac=0.0),
-    )
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
+    cluster, inboxes = build(plan=plan)
     send_from(cluster, 0, msg(0, 1, payload={"i": 0}))
     # Unprompted traffic from the healed peer, just after the heal.
     send_at(cluster, 51_000.0, 1, msg(1, 0, payload={"i": 100}))
@@ -316,14 +296,13 @@ def test_under_pressure_tracks_retained_backoff_not_latency():
     assert not any(samples)
 
 
-def test_static_mode_is_inert():
+def test_static_mode_is_inert(monkeypatch):
     # With the adaptive layer off nothing leaks into the wire format or
     # the backpressure signal: attempts are unstamped and pressure is
     # never reported, whatever the fabric does.
-    cluster, inboxes = build(
-        plan=FaultPlan(drop_prob=0.5),
-        transport=TransportConfig(timeout_us=500.0, max_retries=30),
-    )
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 500.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 30)
+    cluster, inboxes = build(plan=FaultPlan(drop_prob=0.5), transport=TransportConfig())
     for i in range(10):
         send_from(cluster, 0, msg(0, 1, payload={"i": i}))
     cluster.run()
@@ -377,3 +356,115 @@ def test_adaptive_determinism_under_combined_hazards():
         )
 
     assert run_once() == run_once()
+
+
+def test_restore_state_readmits_an_unacked_message_with_fresh_peer_state(monkeypatch):
+    # A checkpoint cut while a message is unacked (the peer's NIC is
+    # stalled): the restore drops the estimator state, re-admits the
+    # pending into the in-flight count and gives it a fresh deadline.
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
+    cluster, inboxes = build(plan=FaultPlan(stalls=(NodeStall(1, 0.0, 12_000.0),)))
+    transport = cluster.transports[0]
+    send_from(cluster, 0, msg(0, 1, payload={"i": 0}))
+    cluster.run(until=5_000.0)
+    state = transport.snapshot_state()
+    transport._peers[1].cwnd = 7.0  # state of the execution the restore discards
+    cluster.run(until=6_000.0)
+    transport.restore_state(state)
+    assert transport.peer_gauges(1) == {
+        "srtt_us": -1.0,
+        "rttvar_us": 0.0,
+        "rto_us": reliable.TIMEOUT_US,
+        "cwnd": float(reliable.CWND_INIT),
+        "in_flight": 1,
+        "queued": 0,
+    }
+    assert transport._pending[(1, 0)].deadline_at == 6_000.0 + reliable.GIVE_UP_US
+    cluster.run()
+    assert payloads(inboxes[1]) == [0]
+    # The pre-cut copy's ack retires the restored pending before its
+    # re-armed timer fires, and its send time is unknown: no sample.
+    assert transport.stats.retransmissions == 0
+    assert transport.stats.rtt_samples == 0
+    assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 0}
+    assert transport.peer_gauges(1)["in_flight"] == 0
+
+
+def test_parked_messages_show_in_health_and_revive_all_reflights_them(monkeypatch):
+    # Fenced peers refuse data-plane traffic: every message burns its
+    # give-up deadline and stays parked (the park probe leaves fenced
+    # peers to the membership layer) until the parking node rejoins.
+    monkeypatch.setattr(reliable, "GIVE_UP_US", 20_000.0)
+    cluster, inboxes = build(num_nodes=3)
+    transport = cluster.transports[0]
+    cluster.network.fence_node(1)
+    cluster.network.fence_node(2)
+    send_from(cluster, 0, msg(0, 2, payload={"i": 2}))
+    for i in range(2):
+        send_from(cluster, 0, msg(0, 1, payload={"i": i}))
+    cluster.run()
+    assert transport.parked_by_peer() == {1: 2, 2: 1}
+    assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 3}
+    assert transport.health_snapshot()["parked_by_peer"] == {"1": 2, "2": 1}
+    cluster.network.unfence_node(1)
+    cluster.network.unfence_node(2)
+    assert transport.revive_all() == 3
+    cluster.run()
+    assert payloads(inboxes[1]) == [0, 1]
+    assert payloads(inboxes[2]) == [2]
+    assert transport.stats.revived == 3
+    assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 0}
+
+
+def test_late_ack_retires_a_revival_still_in_the_pacing_queue(monkeypatch):
+    # The peer's NIC stalls until 40 ms, so message 0 is acked only
+    # then: after it gave up (30 ms) and the park probe revived it
+    # (35 ms) into a pacing queue that message 1 holds full.  The late
+    # ack of its first copy retires the queued revival unsent.
+    monkeypatch.setattr(reliable, "GIVE_UP_US", 20_000.0)
+    monkeypatch.setattr(reliable, "JITTER_FRAC", 0.0)
+    monkeypatch.setattr(reliable, "CWND_INIT", 1)
+    cluster, inboxes = build(plan=FaultPlan(stalls=(NodeStall(1, 0.0, 40_000.0),)))
+    transport = cluster.transports[0]
+    send_from(cluster, 0, msg(0, 1, payload={"i": 0}))
+    send_at(cluster, 31_000.0, 0, msg(0, 1, payload={"i": 1}))
+    cluster.run(until=36_000.0)
+    assert transport.gauges() == {"unacked": 2, "backlog": 1, "parked": 0}
+    assert transport.stats.park_probes == 1
+    cluster.run()
+    assert payloads(inboxes[1]) == [0, 1]
+    assert transport.stats.retransmissions == 1  # the 10 ms timeout's copy only
+    assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 0}
+    # The queued revival never held a window slot, so its ack neither
+    # freed one nor grew the window: only message 1's ack did (1 -> 2).
+    assert transport.peer_gauges(1)["in_flight"] == 0
+    assert transport.peer_gauges(1)["cwnd"] == 2.0
+
+
+class _Idle(Program):
+    name = "idle"
+
+    def setup(self, runtime):
+        pass
+
+    def thread_body(self, runtime, tid):
+        yield Compute(1_000.0)
+
+    def verify(self, runtime):
+        pass
+
+
+def test_runtime_counts_parked_messages_toward_live_peers_only(monkeypatch):
+    # Node 0 parks one message toward each of two fenced peers.  Node 1
+    # is unfenced before the run ends, node 2 is not: only the park
+    # toward node 1 counts toward the no-livelock invariant.
+    monkeypatch.setattr(reliable, "GIVE_UP_US", 20_000.0)
+    runtime = DsmRuntime(RunConfig(num_nodes=3, transport=TransportConfig(adaptive=True)))
+    network = runtime.cluster.network
+    for dst in (1, 2):
+        network.fence_node(dst)
+        send_from(runtime.cluster, 0, msg(0, dst))
+    runtime.cluster.sim.schedule(50_000.0, network.unfence_node, 1)
+    health = runtime.execute(_Idle()).transport_health
+    assert health["per_node"]["0"]["parked_by_peer"] == {"1": 1, "2": 1}
+    assert health["parked_live"] == 1

@@ -55,14 +55,6 @@ def test_null_profiler_is_inert():
     assert NULL_PROFILER.merged().to_dict() == {"histograms": {}, "counters": {}}
 
 
-def test_to_dict_include_buckets_off():
-    profiler = Profiler(ProfileConfig(include_buckets=False), num_nodes=1)
-    profiler.observe(0, "x_us", 5.0)
-    entry = profiler.to_dict()["histograms"]["x_us"]
-    assert "buckets" not in entry
-    assert entry["p99"] == 5.0
-
-
 # -- end-to-end ---------------------------------------------------------------
 
 

@@ -142,15 +142,6 @@ def test_barrier_epochs_recorded(sampled):
         assert real and all(e["episode"] >= 0 for e in real)
 
 
-def test_epochs_and_peers_opt_out():
-    report = run_sor(
-        telemetry=TelemetryConfig(interval_us=2000.0, epochs=False, transport_peers=False)
-    )
-    for entry in report.telemetry["nodes"].values():
-        assert "epochs" not in entry
-        assert "peers" not in entry
-
-
 def test_adaptive_run_records_peer_series():
     report = run_sor(
         telemetry=TelemetryConfig(interval_us=2000.0),

@@ -1,6 +1,6 @@
 """Watchdog monitor units over synthetic telemetry sections."""
 
-from repro.telemetry import WatchdogConfig, run_watchdogs
+from repro.telemetry import run_watchdogs
 
 
 def section(nodes, windows=None):
@@ -30,27 +30,25 @@ def test_cwnd_pinned_requires_consecutive_floor_windows():
     make = lambda cwnd: section(
         {"0": {"gauges": {}, "deltas": {}, "peers": {"1": {"cwnd": cwnd}}}}
     )
-    config = WatchdogConfig(cwnd_floor_windows=4)
     # Three floor windows: below the threshold.
-    assert run_watchdogs(make([8, 1.0, 1.0, 1.0, 8, 8]), config) == []
+    assert run_watchdogs(make([8, 1.0, 1.0, 1.0, 8, 8])) == []
     # Four consecutive: one finding with the coalesced window range.
-    findings = run_watchdogs(make([8, 1.0, 1.0, 1.0, 1.0, 8]), config)
+    findings = run_watchdogs(make([8, 1.0, 1.0, 1.0, 1.0, 8]))
     assert [f["monitor"] for f in findings] == ["cwnd_pinned"]
     assert findings[0]["window_start"] == 1 and findings[0]["window_end"] == 4
     assert findings[0]["peer"] == 1
     assert findings[0]["t_start_us"] == 2000.0
     # cwnd 0.0 means "never contacted", not "pinned at the floor".
-    assert run_watchdogs(make([0.0, 0.0, 0.0, 0.0, 0.0]), config) == []
+    assert run_watchdogs(make([0.0, 0.0, 0.0, 0.0, 0.0])) == []
 
 
 def test_backlog_growth_requires_monotone_run():
     make = lambda backlog: section(
         {"0": {"gauges": {"transport.backlog": backlog}, "deltas": {}}}
     )
-    config = WatchdogConfig(backlog_growth_windows=4)
     # Growth with a plateau breaks the run.
-    assert run_watchdogs(make([0, 1, 2, 2, 3, 4]), config) == []
-    findings = run_watchdogs(make([0, 1, 2, 3, 4, 4]), config)
+    assert run_watchdogs(make([0, 1, 2, 2, 3, 4])) == []
+    findings = run_watchdogs(make([0, 1, 2, 3, 4, 4]))
     assert [f["monitor"] for f in findings] == ["backlog_growth"]
     assert findings[0]["value"] == 4
 
@@ -62,8 +60,7 @@ def test_stall_spike_compares_against_median():
         acc += delta
         totals.append(acc)
     findings = run_watchdogs(
-        section({"0": {"gauges": {"sched.stall_us_total": totals}, "deltas": {}}}),
-        WatchdogConfig(stall_spike_factor=8.0, stall_spike_min_us=20_000.0),
+        section({"0": {"gauges": {"sched.stall_us_total": totals}, "deltas": {}}})
     )
     assert [f["monitor"] for f in findings] == ["stall_spike"]
     assert findings[0]["window_start"] == 3
@@ -80,9 +77,8 @@ def test_stall_spike_compares_against_median():
 
 def test_shed_storm_threshold():
     make = lambda shed: section({"0": {"gauges": {}, "deltas": {"prefetch.shed": shed}}})
-    config = WatchdogConfig(shed_storm=25)
-    assert run_watchdogs(make([0, 24, 0]), config) == []
-    findings = run_watchdogs(make([0, 25, 40, 0]), config)
+    assert run_watchdogs(make([0, 24, 0])) == []
+    findings = run_watchdogs(make([0, 25, 40, 0]))
     assert [f["monitor"] for f in findings] == ["shed_storm"]
     assert findings[0]["value"] == 40  # peak of the coalesced storm
 
@@ -105,15 +101,14 @@ def test_zero_progress_needs_transport_churn():
             }
         )
 
-    config = WatchdogConfig(zero_progress_windows=3)
     # Stalled but quiet transport: blocked on something else, not livelock.
-    assert run_watchdogs(make([100, 0, 0, 0, 100], [0, 0, 0, 0, 0]), config) == []
+    assert run_watchdogs(make([100, 0, 0, 0, 100], [0, 0, 0, 0, 0])) == []
     # Stalled while the transport churns: livelock evidence.
-    findings = run_watchdogs(make([100, 0, 0, 0, 100], [0, 2, 1, 3, 0]), config)
+    findings = run_watchdogs(make([100, 0, 0, 0, 100], [0, 2, 1, 3, 0]))
     assert [f["monitor"] for f in findings] == ["zero_progress"]
     assert "livelock" in findings[0]["detail"]
     # Two windows only: below the run threshold.
-    assert run_watchdogs(make([100, 0, 0, 100], [0, 2, 1, 0]), config) == []
+    assert run_watchdogs(make([100, 0, 0, 100], [0, 2, 1, 0])) == []
 
 
 def test_findings_sorted_deterministically():
@@ -124,10 +119,10 @@ def test_findings_sorted_deterministically():
             "deltas": {"prefetch.shed": [0, 99, 0, 0, 0]},
         },
     }
-    findings = run_watchdogs(section(nodes), WatchdogConfig(backlog_growth_windows=4))
+    findings = run_watchdogs(section(nodes))
     assert [(f["monitor"], f["node"]) for f in findings] == [
         ("backlog_growth", 0),
         ("backlog_growth", 1),
         ("shed_storm", 0),
     ]
-    assert findings == run_watchdogs(section(nodes), WatchdogConfig(backlog_growth_windows=4))
+    assert findings == run_watchdogs(section(nodes))

@@ -8,7 +8,8 @@ from repro import DsmRuntime, RunConfig
 from repro.apps import APP_ORDER, make_app
 from repro.ft import detector, manager
 from repro.metrics.counters import Category
-from repro.network import FaultPlan, TransportConfig
+from repro.network import FaultPlan
+from repro.network import transport as reliable
 from repro.network.faults import FaultyNetwork
 from repro.network.transport import ReliableTransport
 from repro.prefetch.engine import PrefetchEngine
@@ -81,15 +82,13 @@ def test_multithreaded_prefetch_run_reconciles_too():
     assert tracer.timeline().verify_against(report) == []
 
 
-def test_chaos_run_traces_drops_and_retransmits_with_async_arrows():
+def test_chaos_run_traces_drops_and_retransmits_with_async_arrows(monkeypatch):
     """Fault-injection runs must show the loss/recovery story: drop and
     retransmit instants, and in-flight message spans where a dropped
     message is exactly an unterminated async begin."""
-    runtime, report = run(
-        "SOR",
-        fault_plan=CHAOS_PLAN,
-        transport=TransportConfig(timeout_us=3_000.0, max_retries=20),
-    )
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 3_000.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 20)
+    runtime, report = run("SOR", fault_plan=CHAOS_PLAN)
     tracer = runtime.tracer
     names = [event.name for event in tracer]
     assert "msg_drop" in names
