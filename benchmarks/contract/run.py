@@ -46,9 +46,7 @@ LOSS_EVENTS = (
     "cpu/memory_idle cpu/sync_idle cpu/checkpoint cpu/recovery cpu/downtime"
 ).split()
 END_TO_END = ("host_s", "peak_rss_mb", "setup_s", "sim_wall_ms")
-HOOK_SITE = re.compile(
-    r"trace_on|profile_on|sanitizer_on|telemetry_on|tr\.enabled|pf\.enabled|san\.enabled"
-)
+HOOK_SITE = re.compile(r"trace_on|sanitizer_on|telemetry_on|tr\.enabled|san\.enabled")
 NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,

@@ -4,12 +4,15 @@
 
 ROADMAP item 3 proposed a typed probe bus on the premise that four observers
 (tracer, profiler, sanitizer, telemetry) watch one event stream.  This counts
-what they watch.  Definitions, all syntactic (`ast` + `tokenize`):
+what they watch.  The profiler has since become a fold over the trace and
+holds no guards, so its flags are no longer matched (a tree that still has
+them counts its profiler guards under no plane).  Definitions, all syntactic
+(`ast` + `tokenize`):
 
 - a *guarded block* is an `if` statement whose test reads a plane's flag
-  (`trace_on`, `profile_on`, `sanitizer_on`, `telemetry_on`, or `.enabled` /
-  a cached `*_on` local of a tracer, profiler or sanitizer) together with its
-  body; a block nested in another counts with the outer one;
+  (`trace_on`, `sanitizer_on`, `telemetry_on`, or `.enabled` / a cached
+  `*_on` local of a tracer or sanitizer) together with its body; a block
+  nested in another counts with the outer one;
 - a *fact* is a run of guarded blocks in one function, each starting at most
   two lines after the one before ends: the same protocol event reported to
   several planes, or to one plane in several steps;
@@ -31,7 +34,6 @@ from pathlib import Path
 
 FLAGS = {
     "trace_on": "trace",
-    "profile_on": "profile",
     "sanitizer_on": "sanitizer",
     "telemetry_on": "telemetry",
     "san_on": "sanitizer",
@@ -41,9 +43,6 @@ RECEIVERS = {
     "tr": "trace",
     "tracer": "trace",
     "trace": "trace",
-    "pf": "profile",
-    "profile": "profile",
-    "profiler": "profile",
     "san": "sanitizer",
     "sanitizer": "sanitizer",
 }
@@ -142,7 +141,7 @@ def main() -> None:
     print(f"guarded blocks           {blocks_total}")
     print(f"facts                    {len(facts)}")
     print(f"  seen by > 1 plane      {len(shared)} ({len(shared) / len(facts):.0%})")
-    for plane in ("trace", "profile", "sanitizer", "telemetry"):
+    for plane in ("trace", "sanitizer", "telemetry"):
         print(f"  {plane + '-only':22s} {only[plane]}")
     print(f"subscribers per fact     {sum(len(fact[4]) for fact in facts) / len(facts):.2f}")
     print(

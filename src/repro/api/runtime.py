@@ -37,7 +37,7 @@ from repro.metrics.report import RunReport
 from repro.network import FaultPlan, LinkConfig, TransportConfig
 from repro.network import transport as reliable
 from repro.prefetch.engine import PrefetchEngine, PrefetchStats
-from repro.profile import NULL_PROFILER, ProfileConfig, Profiler
+from repro.profile import ProfileConfig, profile_from_events
 from repro.sim import RandomSource
 from repro.telemetry import NULL_TELEMETRY, TelemetryConfig, TelemetrySampler
 from repro.threads import DsmThread, NodeScheduler, SchedulingPolicy
@@ -84,8 +84,9 @@ class RunConfig:
     #: Deep profiling (``repro.profile``): latency histograms and
     #: hot-entity attribution.  ``None`` (default) collects nothing; a
     #: :class:`ProfileConfig` (or ``True`` for the defaults) adds a
-    #: versioned ``profile`` section to the report.  The profiler only
-    #: observes (no RNG, no scheduling), so the RunReport core is
+    #: versioned ``profile`` section to the report, folded from the
+    #: run's events after the run (an internal tracer is created when
+    #: none is configured, as for ``critpath``), so the RunReport core is
     #: byte-identical with it on or off.
     profile: Optional[ProfileConfig] = None
     #: Causal critical-path analysis (``repro.critpath``): rebuild the
@@ -173,12 +174,10 @@ class DsmRuntime:
         self.random = RandomSource(config.seed)
         #: The run's tracer: a collecting Tracer when config.trace is
         #: set, else the shared null tracer (zero collection overhead).
-        #: Critical-path analysis needs the event stream, so it forces
-        #: an internal tracer when none was requested explicitly.
-        if config.trace is not None:
-            self.tracer: Tracer = Tracer(config.trace)
-        elif config.critpath:
-            self.tracer = Tracer(TraceConfig())
+        #: The profile and critical-path analysis read the event stream,
+        #: so either forces an internal tracer when none was requested.
+        if config.trace is not None or config.profile is not None or config.critpath:
+            self.tracer: Tracer = Tracer()
         else:
             self.tracer = NULL_TRACER
         self.cluster = Cluster(
@@ -210,18 +209,10 @@ class DsmRuntime:
 
             for scheduler, engine in zip(self.schedulers, self.prefetch_engines):
                 scheduler.history = HistoryPrefetcher(engine, config.page_size)
-        #: The run's profiler: collecting when config.profile is set,
-        #: else the shared null profiler (zero collection overhead).
-        self.profiler: Profiler = (
-            Profiler(config.profile, config.num_nodes)
-            if config.profile is not None
-            else NULL_PROFILER
-        )
-        self.cluster.sim.profile = self.profiler
         if config.sanitizer:
-            sanitizer = ProtocolSanitizer(config.num_nodes, protocol=config.protocol)
-            sanitizer.profile = self.profiler
-            self.cluster.sim.sanitizer = sanitizer
+            self.cluster.sim.sanitizer = ProtocolSanitizer(
+                config.num_nodes, protocol=config.protocol
+            )
         #: The run's telemetry sampler: collecting when config.telemetry
         #: is set, else the shared null sampler (one cached-boolean check
         #: in the run loop).
@@ -302,14 +293,16 @@ class DsmRuntime:
         extra = {}
         if self.ft is not None:
             extra["ft"] = self.ft.summary()
-        profile = self.profiler.to_dict(self.space) if self.profiler.enabled else None
+        profile = None
+        if self.config.profile is not None:
+            profile = profile_from_events(
+                self.tracer.events, self.space, self.config.num_nodes, self.config.profile.top_n
+            )
         critpath = None
         if self.config.critpath:
             from repro.critpath import analyze_events
 
-            critpath = analyze_events(
-                self.tracer.events, events_dropped=self.tracer.dropped_events
-            ).to_dict()
+            critpath = analyze_events(self.tracer.events).to_dict()
         transport_health = None
         transports = self.cluster.transports
         if transports and transports[0].adaptive:

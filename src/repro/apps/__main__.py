@@ -312,8 +312,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.trace, critpath=report.critpath, telemetry=report.telemetry
             )
         print(f"  trace: {len(tracer)} events -> {args.trace}")
-        if not tracer.complete:
-            print(f"  trace: WARNING {tracer.dropped_events} events discarded (ring full)")
         # The accounting audit: the event stream must reproduce the
         # aggregate breakdown exactly.
         mismatches = PhaseTimeline.from_events(tracer.events).verify_against(report)

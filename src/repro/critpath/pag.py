@@ -141,10 +141,10 @@ class ProgramActivityGraph:
     # -- health metrics ----------------------------------------------------
     #: overlapping occupancy detected (should be 0 in supported runs).
     overlap_us: float = 0.0
-    #: deliveries whose send timestamp could not be recovered (the ring
-    #: sink dropped the async begin and the end carried no ``sent_at``).
+    #: deliveries whose send timestamp could not be recovered (a truncated
+    #: trace lost the async begin and the end carried no ``sent_at``).
     dangling_arrivals: int = 0
-    #: events the tracer's ring sink discarded before we saw them.
+    #: events a trace file says its recorder discarded before we saw them.
     events_dropped: int = 0
 
     @property
@@ -238,7 +238,7 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
             rec["deliver"] = ts
             rec["dst"] = node
             if "send" not in rec:
-                # The ring sink dropped the begin; fall back to the
+                # A truncated trace lost the begin; fall back to the
                 # redundant sent_at/src stamped on the end event.
                 if "sent_at" in args and args["sent_at"] >= 0 and "src" in args:
                     rec["send"] = args["sent_at"]

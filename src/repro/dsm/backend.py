@@ -100,7 +100,7 @@ class CoherenceBackend:
         self.num_nodes = host.num_nodes
         #: The one way a protocol message leaves the node (``DsmNode.post``).
         self.post = host.post
-        #: Open round trips: request id -> (reply event, send instant, span).
+        #: Open round trips: request id -> (reply event, span).
         self._pending_requests: dict[int, tuple] = {}
         #: Names trace correlation ids, so like the host's counters it is
         #: never rolled back: an id re-used after a recovery would pair a
@@ -141,10 +141,6 @@ class CoherenceBackend:
         self.host.faults += 1
         costs = self.node.costs
         tr = self.sim.trace
-        pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
         if tr.enabled:
             fault_id = f"n{self.node_id}:f{self.host.faults}"
             tr.async_begin(
@@ -166,12 +162,6 @@ class CoherenceBackend:
             tr.async_end(
                 self.sim.now, "protocol", "page_fault", self.node_id, fault_id, remote=remote
             )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if remote:
-                pf.entity_add("page", page_id, "remote_faults")
         done.succeed(None)
 
     def service_fault(self, page_id: int, done: Event, *args) -> Generator:
@@ -199,22 +189,18 @@ class CoherenceBackend:
         """
         request_id = self.new_request_id()
         reply = Event(self.sim, name=f"{what}{request_id}")
-        self._pending_requests[request_id] = (reply, self.sim.now, span)
+        self._pending_requests[request_id] = (reply, span)
         if span is not None and self.sim.trace_on:
             self._request_span(self.sim.trace.async_begin, span, request_id, args)
         return request_id, reply
 
-    def close_request(
-        self, request_id: int, value: Any, what: str, metric: Optional[str] = None, **args: Any
-    ) -> None:
+    def close_request(self, request_id: int, value: Any, what: str, **args: Any) -> None:
         """Hand the reply's ``value`` to the process waiting on the
-        request; ``metric`` names the round-trip histogram."""
+        request (its span's end is the round trip's profile sample)."""
         pending = self._pending_requests.pop(request_id, None)
         if pending is None:
             raise ProtocolError(f"unexpected {what} {request_id}")
-        reply, sent_at, span = pending
-        if metric is not None and self.sim.profile_on:
-            self.sim.profile.observe(self.node_id, metric, self.sim.now - sent_at)
+        reply, span = pending
         if span is not None and self.sim.trace_on:
             self._request_span(self.sim.trace.async_end, span, request_id, args)
         reply.succeed(value)
@@ -224,14 +210,23 @@ class CoherenceBackend:
         span_id = f"n{self.node_id}:{tag}{request_id}"
         edge(self.sim.now, "protocol", name, self.node_id, span_id, **args)
 
+    def _mark(self, name: str, page_id: int, **args: Any) -> None:
+        """Trace one page fact that only the profile reads: a twin made,
+        a whole page served or installed, a home update, a diff request
+        served.  It holds the tracer's guard for its six callers; each
+        sits next to a CPU charge for a page-sized copy, diff or twin,
+        so the call costs an untraced run nothing it would notice."""
+        if self.sim.trace_on:
+            tr = self.sim.trace
+            tr.instant(self.sim.now, "protocol", name, self.node_id, page=page_id, **args)
+
     # -- whole-page transfer ----------------------------------------------------
 
     def copy_page_out(self, page_id: int, source: "np.ndarray") -> Generator:
         """Copy a page (or its twin) for the wire; returns the copy.
         Charged as a diff creation that finds nothing modified."""
         data = source.copy()
-        if self.sim.profile_on:
-            self.sim.profile.entity_add("page", page_id, "pages_served")
+        self._mark("page_serve", page_id)
         yield from self.node.occupy(self.node.costs.diff_create_us(len(data), 0), Category.DSM)
         return data
 
@@ -244,10 +239,7 @@ class CoherenceBackend:
         page[:] = data
         if keep is not None:
             apply_diff(page, keep)
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            pf.entity_add("page", page_id, "page_fetches")
-            pf.entity_add("page", page_id, "bytes", len(data))
+        self._mark("page_install", page_id, bytes=len(data))
         yield from self.node.occupy(self.node.costs.diff_apply_us(len(data)), Category.DSM)
 
     # -- page access (scheduler-facing) ------------------------------------

@@ -79,10 +79,6 @@ class BarrierSubsystem:
         key, episode = self._local_episode(barrier_id)
         episode.arrived += 1
         wake = Event(self.dsm.sim, name=f"barrier{barrier_id}@{self.dsm.node_id}")
-        if self.dsm.sim.profile_on:
-            pf = self.dsm.sim.profile
-            # Closed in _apply_release when the release wakes this thread.
-            wake.profile_t0 = self.dsm.sim.now
         episode.waiters.append(wake)
         if self.dsm.sim.trace_on:
             tr = self.dsm.sim.trace
@@ -161,10 +157,17 @@ class BarrierSubsystem:
         state = self._manager.setdefault(key, _ManagerEpisode())
         if src in state.node_vcs:
             raise ProtocolError(f"duplicate barrier arrival from node {src}")
-        if self.dsm.sim.profile_on:
-            pf = self.dsm.sim.profile
-            # First arrival opens the skew window (first-begin wins).
-            pf.span_begin(("barrier_skew",) + key, self.dsm.sim.now)
+        if self.dsm.sim.trace_on:
+            # The episode's first gather opens its arrival-skew window.
+            self.dsm.sim.trace.instant(
+                self.dsm.sim.now,
+                "protocol",
+                "barrier_gather",
+                self.dsm.node_id,
+                barrier=barrier_id,
+                episode=episode,
+                src=src,
+            )
         state.arrivals += 1
         state.node_vcs[src] = vc_snapshot
         # Merge the arriving notices into the manager's log (free of
@@ -178,18 +181,12 @@ class BarrierSubsystem:
         yield from self._complete(barrier_id, episode, state)
 
     def _complete(self, barrier_id, episode, state):
-        """Checkpoint (maybe) and fan out the release for a full episode."""
-        key = (barrier_id, episode)
-        if self.dsm.sim.profile_on:
-            pf = self.dsm.sim.profile
-            # Pop-on-record: a recovery replay re-enters via
-            # resume_release, never here, so the skew of an episode is
-            # recorded exactly once even if its release is redone.
-            skew = pf.span_end(("barrier_skew",) + key, self.dsm.sim.now)
-            if skew is not None:
-                pf.observe(self.dsm.node_id, "barrier_skew_us", skew)
-                pf.entity_add("barrier", barrier_id, "skew_us", skew)
-                pf.entity_add("barrier", barrier_id, "episodes")
+        """Checkpoint (maybe) and fan out the release for a full episode.
+
+        The first instant this emits (the checkpoint's or its stand-down's,
+        else ``barrier_release``) closes the episode's arrival-skew window;
+        a recovery replay re-enters via :meth:`resume_release`, never here.
+        """
         # Everyone is (provably) blocked at the barrier, cluster-wide:
         # this is the one globally quiescent instant, which makes it the
         # consistent cut for coordinated checkpoints.
@@ -301,15 +298,7 @@ class BarrierSubsystem:
                 episode=episode,
                 waiters=len(waiters),
             )
-        pf = self.dsm.sim.profile
         for wake in waiters:
-            if pf.enabled:
-                t0 = getattr(wake, "profile_t0", None)
-                if t0 is not None:
-                    waited = self.dsm.sim.now - t0
-                    pf.observe(self.dsm.node_id, "barrier_wait_us", waited)
-                    pf.entity_add("barrier", barrier_id, "wait_us", waited)
-                    pf.entity_add("barrier", barrier_id, "waits")
             wake.succeed(None)
         if self.dsm.sim.telemetry_on:
             # Per-node epoch boundary for the flight recorder: the

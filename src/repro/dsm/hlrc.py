@@ -128,8 +128,7 @@ class HlrcBackend(LrcBackend):
             if home == self.node_id:
                 # The home's own copy of the page IS current; the local
                 # close already raised the coverage it certifies.
-                if self.sim.profile_on:
-                    self.sim.profile.entity_add("page", page_id, "home_updates")
+                self._mark("home_update", page_id)
                 continue
             request_id, ack = self.open_request("homeack")
             acks.append(ack)
@@ -173,8 +172,7 @@ class HlrcBackend(LrcBackend):
         home = self.home_of(page_id)
         if self.sim.sanitizer_on:
             self.sim.sanitizer.on_home_update(self.node_id, page_id, home)
-        if self.sim.profile_on:
-            self.sim.profile.entity_add("page", page_id, "home_updates")
+        self._mark("home_update", page_id)
         # The shared LRC applier does everything the home needs: charge
         # the apply, update page AND twin, advance applied_upto, and
         # order conflicting arrivals by per-byte lamport watermark.
@@ -285,7 +283,6 @@ class HlrcBackend(LrcBackend):
             msg.payload["request_id"],
             (msg.payload["data"], msg.payload["covers"], msg.payload["lamport"]),
             "page reply",
-            "home_fetch_us",
             home=msg.src,
         )
 
@@ -316,8 +313,6 @@ class HlrcBackend(LrcBackend):
             request_id, reply = self.open_request(
                 "pagereq", ("home_fetch", "hr"), page=page_id, home=home
             )
-            if self.sim.profile_on:
-                self.sim.profile.entity_add("page", page_id, "home_fetches")
             # Our own component of ``needed`` is the flush watermark,
             # never the notice count (nodes are not notified of their
             # own intervals): the serve must wait out our in-flight

@@ -38,7 +38,7 @@ class LockState:
     has_token: bool = False
     #: A local thread currently holds the lock.
     held: bool = False
-    #: Local threads waiting for the lock (their wake events).
+    #: Local threads waiting for the lock: (wake event, when it queued).
     local_waiters: deque = field(default_factory=deque)
     #: Remote node to grant to after the local release (at most one:
     #: the distributed queue gives each holder a single successor).
@@ -52,7 +52,7 @@ class LockState:
     # statistics
     remote_acquires: int = 0
     local_handoffs: int = 0
-    #: When the current holder acquired (profiling only; locks are
+    #: When the current holder acquired (traced at release; locks are
     #: quiescent at checkpoint cuts, so this never enters a snapshot).
     acquired_at: float = -1.0
 
@@ -91,7 +91,6 @@ class LockSubsystem:
         """
         state = self.state(lock_id)
         costs = self.dsm.node.costs
-        pf = self.dsm.sim.profile
         if state.has_token and not state.held and not state.local_waiters:
             # Claim synchronously (before any yield): a concurrent
             # forward-handler must not observe the token as free and
@@ -99,20 +98,21 @@ class LockSubsystem:
             state.held = True
             state.acquired_at = self.dsm.sim.now
             yield from self.dsm.occupy_dsm(costs.lock_local_handoff)
-            if pf.enabled:
-                pf.observe(
-                    self.dsm.node_id, "lock_acquire_us", self.dsm.sim.now - state.acquired_at
+            if self.dsm.sim.trace_on:
+                self.dsm.sim.trace.instant(
+                    self.dsm.sim.now,
+                    "protocol",
+                    "lock_acquire",
+                    self.dsm.node_id,
+                    lock=lock_id,
+                    since=state.acquired_at,
                 )
-                pf.entity_add("lock", lock_id, "acquires")
             return None
         # Queue locally; send one request if the token is absent and not
-        # already on its way (request combining).
+        # already on its way (request combining).  The wait closes
+        # wherever this waiter is woken (local handoff or remote grant).
         wake = Event(self.dsm.sim, name=f"lock{lock_id}@{self.dsm.node_id}")
-        if pf.enabled:
-            # The wait closes wherever this waiter is woken (local
-            # handoff or remote grant) — stash the start on the event.
-            wake.profile_t0 = self.dsm.sim.now
-        state.local_waiters.append(wake)
+        state.local_waiters.append((wake, self.dsm.sim.now))
         if not state.has_token and not state.request_outstanding:
             state.request_outstanding = True
             if self.dsm.sim.trace_on:
@@ -164,11 +164,15 @@ class LockSubsystem:
         if not state.held:
             raise ProtocolError(f"release of unheld lock {lock_id} on node {self.dsm.node_id}")
         costs = self.dsm.node.costs
-        pf = self.dsm.sim.profile
-        if pf.enabled and state.acquired_at >= 0:
-            held_for = self.dsm.sim.now - state.acquired_at
-            pf.observe(self.dsm.node_id, "lock_hold_us", held_for)
-            pf.entity_add("lock", lock_id, "hold_us", held_for)
+        if self.dsm.sim.trace_on:
+            self.dsm.sim.trace.instant(
+                self.dsm.sim.now,
+                "protocol",
+                "lock_release",
+                self.dsm.node_id,
+                lock=lock_id,
+                since=state.acquired_at,
+            )
         # LRC release: close the current interval so the modifications
         # become visible to the next acquirer.
         yield from self.dsm.backend.close_interval_charged()
@@ -179,9 +183,14 @@ class LockSubsystem:
             if self.dsm.sim.trace_on:
                 tr = self.dsm.sim.trace
                 tr.instant(
-                    self.dsm.sim.now, "protocol", "lock_handoff", self.dsm.node_id, lock=lock_id
+                    self.dsm.sim.now,
+                    "protocol",
+                    "lock_handoff",
+                    self.dsm.node_id,
+                    lock=lock_id,
+                    since=state.local_waiters[0][1],
                 )
-            self._wake_next(state, handoff=True)  # stays held
+            self._wake_next(state)  # stays held
             return
         state.held = False
         if state.pending_remote_grant is not None:
@@ -266,6 +275,10 @@ class LockSubsystem:
         costs = self.dsm.node.costs
         yield from self.dsm.occupy_dsm(costs.lock_handler)
         yield from self.dsm.backend.apply_notices_charged(msg.payload["notices"])
+        if not state.local_waiters:
+            # Everyone gave up?  Impossible: requests are only sent when a
+            # waiter queued, and waiters never abandon the queue.
+            raise ProtocolError(f"lock {lock_id} granted to node with no waiters")
         if self.dsm.sim.trace_on:
             tr = self.dsm.sim.trace
             tr.async_end(
@@ -276,33 +289,18 @@ class LockSubsystem:
                 f"n{self.dsm.node_id}:L{lock_id}:{state.remote_acquires}",
                 lock=lock_id,
                 granted_by=msg.src,
+                since=state.local_waiters[0][1],
             )
         state.has_token = True
         state.request_outstanding = False
         state.remote_acquires += 1
-        if not state.local_waiters:
-            # Everyone gave up?  Impossible: requests are only sent when a
-            # waiter queued, and waiters never abandon the queue.
-            raise ProtocolError(f"lock {lock_id} granted to node with no waiters")
         state.held = True
-        self._wake_next(state, handoff=False)
+        self._wake_next(state)
 
-    def _wake_next(self, state: LockState, handoff: bool) -> None:
+    def _wake_next(self, state: LockState) -> None:
         """Wake the next local waiter; it is the lock holder from now."""
-        wake = state.local_waiters.popleft()
-        now = self.dsm.sim.now
-        state.acquired_at = now
-        if self.dsm.sim.profile_on:
-            pf = self.dsm.sim.profile
-            t0 = getattr(wake, "profile_t0", None)
-            if t0 is not None:
-                waited = now - t0
-                pf.observe(self.dsm.node_id, "lock_wait_us", waited)
-                pf.observe(self.dsm.node_id, "lock_acquire_us", waited)
-                pf.entity_add("lock", state.lock_id, "wait_us", waited)
-            pf.entity_add("lock", state.lock_id, "acquires")
-            if handoff:
-                pf.entity_add("lock", state.lock_id, "handoffs")
+        wake, _queued_at = state.local_waiters.popleft()
+        state.acquired_at = self.dsm.sim.now
         wake.succeed(None)
 
     # -- checkpoint / recovery --------------------------------------------

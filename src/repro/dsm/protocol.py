@@ -351,9 +351,7 @@ class LrcBackend(CoherenceBackend):
         yield from self.node.occupy(self.node.costs.twin_create, Category.DSM)
         state.twin = self.node.pages.snapshot(page_id)
         state.dirty = True
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            pf.entity_add("page", page_id, "twins")
+        self._mark("twin_create", page_id)
         if self.sim.sanitizer_on:
             san = self.sim.sanitizer
             san.on_twin_created(self.node_id, page_id)
@@ -459,10 +457,6 @@ class LrcBackend(CoherenceBackend):
                 )
             cost = self.node.costs.diff_apply_us(item.diff.modified_bytes)
             yield from self.node.occupy(cost, Category.DSM)
-            if self.sim.profile_on:
-                pf = self.sim.profile
-                pf.entity_add("page", page_id, "diffs")
-                pf.entity_add("page", page_id, "bytes", item.diff.modified_bytes)
             if self.sim.trace_on:
                 tr = self.sim.trace
                 tr.instant(
@@ -581,9 +575,7 @@ class LrcBackend(CoherenceBackend):
 
     def handle_diff_request(self, msg: Message) -> Generator:
         self.host.diff_requests_served += 1
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            pf.entity_add("page", msg.payload["page_id"], "diffs_served")
+        self._mark("diff_serve", msg.payload["page_id"])
         # The requester's fault is blocked on this reply: demand class,
         # ahead of any notice/prefetch backlog on the link.
         return self.serve_diffs(msg, MessageKind.DIFF_REPLY, "reply")
@@ -644,7 +636,6 @@ class LrcBackend(CoherenceBackend):
             msg.payload["request_id"],
             (msg.src, msg.payload["diffs"], msg.payload["covers_through"]),
             "diff reply",
-            "diff_rtt_us",
             writer=msg.src,
         )
 

@@ -226,8 +226,6 @@ class ScBackend(CoherenceBackend):
     def service_fault(self, page_id: int, done: Event, mode: str) -> Generator:
         """One ownership transaction per iteration."""
         tr = self.sim.trace
-        if mode == "write" and self.sim.profile_on:
-            self.sim.profile.entity_add("page", page_id, "write_faults")
         state = self._page(page_id)
         guard = 0
         while not self._usable(state, mode):
@@ -312,8 +310,6 @@ class ScBackend(CoherenceBackend):
         state.mode = INVALID
         if self.sim.sanitizer_on:
             self.sim.sanitizer.on_sc_invalidate(self.node_id, page_id)
-        if self.sim.profile_on:
-            self.sim.profile.entity_add("page", page_id, "invalidations")
         if self.sim.trace_on:
             self.sim.trace.instant(
                 self.sim.now, "protocol", "sc_invalidate", self.node_id, page=page_id

@@ -93,9 +93,6 @@ class ProtocolSanitizer:
         self._ring: deque[str] = deque(maxlen=_RING_CAPACITY)
         self.checks = 0
         self.violations = 0
-        #: Optional profiler (set by the runtime when both are on):
-        #: violations surface as a named counter in compare output.
-        self.profile = None
 
     # -- recording -------------------------------------------------------
 
@@ -104,9 +101,6 @@ class ProtocolSanitizer:
 
     def _violate(self, node_id: int, invariant: str, detail: str) -> None:
         self.violations += 1
-        if self.profile is not None and self.profile.enabled:
-            self.profile.count(node_id, "sanitizer_violations")
-            self.profile.count(node_id, f"sanitizer_violations:{invariant}")
         recent = "\n    ".join(self._ring) or "<none>"
         raise ProtocolError(
             f"sanitizer: {invariant} violated on node {node_id}: {detail}\n"

@@ -48,7 +48,7 @@ class RunReport:
     #: separates prefetch drops from protocol retransmits in output.
     traffic_by_kind: dict[str, dict] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-    #: Versioned deep-profiling section (Profiler.to_dict) when the run
+    #: Versioned deep-profiling section (profile_from_events) when the run
     #: had ``profile=`` on, else None.  Deliberately NOT part of the
     #: "core": two runs differing only in profiling produce identical
     #: reports apart from this field.

@@ -200,7 +200,7 @@ class Network:
                 f"m{message.msg_id}",
                 src=message.src,
                 # Redundant with the matching async b, but lets the PAG
-                # reconstruct the wire edge even when the ring sink
+                # reconstruct the wire edge even when a truncated trace
                 # dropped the begin event (the validator flags that).
                 sent_at=message.sent_at,
             )

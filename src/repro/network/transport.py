@@ -453,8 +453,6 @@ class ReliableTransport:
         self.stats.paced += 1
         self.node.events.messages_paced += 1
         self.network.stats.record_paced(pending.message)
-        if self.sim.profile_on:
-            self.sim.profile.count(self.node.node_id, "transport_paced")
         if self.sim.trace_on:
             self.sim.trace.instant(
                 self.sim.now,
@@ -570,12 +568,6 @@ class ReliableTransport:
             kind = message.kind.value
             self.stats.retries_exhausted[kind] = self.stats.retries_exhausted.get(kind, 0) + 1
             self.node.events.retries_exhausted += 1
-            if self.sim.profile_on:
-                pf = self.sim.profile
-                # Named counters so chaos runs surface give-ups in the
-                # compare CLI, per kind and in total.
-                pf.count(self.node.node_id, "transport_retries_exhausted")
-                pf.count(self.node.node_id, f"transport_retries_exhausted:{kind}")
             self._mark("retries_exhausted", dst=dst, seq=seq, attempts=pending.attempts, kind=kind)
             if self._adaptive:
                 peer = self._peer(dst)
@@ -636,11 +628,6 @@ class ReliableTransport:
             return  # acked while waiting for the CPU
         self.stats.retransmissions += 1
         self.node.events.retransmissions += 1
-        pf = self.sim.profile
-        if pf.enabled and pending.first_sent_at >= 0:
-            pf.observe(
-                self.node.node_id, "retransmit_delay_us", self.sim.now - pending.first_sent_at
-            )
         copy = pending.message.clone()
         self._mark(
             "retransmit",
@@ -652,6 +639,9 @@ class ReliableTransport:
             # span in the trace belongs to a retransmission, which
             # the critical-path analyzer blames as such.
             msg=f"m{copy.msg_id}",
+            # When the message first left (the retransmit delay's
+            # start); -1 once a revival cleared it.
+            since=pending.first_sent_at,
         )
         self.network.stats.record_retransmit(copy)
         if self._adaptive:
@@ -801,10 +791,6 @@ class ReliableTransport:
         peer.peak_rtt = max(sample, peer.peak_rtt * PEAK_DECAY)
         peer.rto = self._estimator_rto(peer)
         self.extremes.observe_rto(peer.rto)
-        if self.sim.profile_on:
-            pf = self.sim.profile
-            pf.observe(self.node.node_id, "transport_rtt_us", sample)
-            pf.observe(self.node.node_id, "transport_rto_us", peer.rto)
         if self.sim.trace_on:
             self.sim.trace.instant(
                 self.sim.now,
@@ -816,6 +802,9 @@ class ReliableTransport:
                 srtt_us=round(peer.srtt, 3),
                 rttvar_us=round(peer.rttvar, 3),
                 rto_us=round(peer.rto, 3),
+                # Unrounded, for the profile's histograms.
+                sample=sample,
+                rto=peer.rto,
             )
 
     def under_pressure(self, dst: int) -> bool:

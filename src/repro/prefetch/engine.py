@@ -271,8 +271,6 @@ class PrefetchEngine:
         self.stats.shed += 1
         self.dsm.node.events.prefetch_shed += 1
         self.dsm.node.network.stats.record_shed(MessageKind.PREFETCH_REQUEST)
-        if self.dsm.sim.profile_on:
-            self.dsm.sim.profile.count(self.dsm.node_id, "prefetch_shed")
         self._mark("prefetch_shed", page=page_id, writer=writer)
 
     def _mark(self, name: str, **args) -> None:
@@ -306,14 +304,17 @@ class PrefetchEngine:
     def take_cached(self, page_id: int) -> Optional[CachedPage]:
         """Consume the prefetch heap's contents for a faulting page."""
         cached = self._cache.pop(page_id, None)
-        if cached is not None:
-            pf = self.dsm.sim.profile
-            if pf.enabled and cached.filed_at >= 0:
-                # Lead time: how far ahead of the consuming fault the
-                # prefetched data landed.
-                pf.observe(
-                    self.dsm.node_id, "prefetch_lead_us", self.dsm.sim.now - cached.filed_at
-                )
+        if cached is not None and self.dsm.sim.trace_on:
+            # The lead time: how far ahead of the consuming fault the
+            # prefetched data landed.
+            self.dsm.sim.trace.instant(
+                self.dsm.sim.now,
+                "prefetch",
+                "prefetch_take",
+                self.dsm.node_id,
+                page=page_id,
+                since=cached.filed_at,
+            )
         return cached
 
     def on_invalidation(self, page_id: int) -> None:

@@ -1,40 +1,54 @@
-"""The run profiler: latency distributions plus hot-entity attribution.
+"""The run profile: latency distributions plus hot-entity attribution,
+folded from the run's trace.
 
 The aggregate counters (:mod:`repro.metrics`) answer "how much time",
-the tracer (:mod:`repro.trace`) answers "in what order"; this module
+the tracer (:mod:`repro.trace`) answers "in what order"; the profile
 answers the paper's attribution questions — *which* pages miss, *which*
 locks serialize, *which* barriers skew, and what the latency
 distributions look like — without hand-reading a Perfetto trace.
 
-A :class:`Profiler` is attached to the :class:`~repro.sim.Simulator`
-(as ``sim.profile``), mirroring the ``NULL_TRACER`` / ``NULL_SANITIZER``
-pattern: the default is :data:`NULL_PROFILER` whose ``enabled`` is
-False, so unprofiled runs pay one attribute check per hook site and
-build nothing.  When enabled it collects:
+It is a reader of the trace, like :mod:`repro.critpath`: the simulator
+holds no profiling hooks, and :func:`fold_events` reads a run's event
+stream once, in stream order, into
 
 - **per-node** :class:`~repro.profile.registry.MetricsRegistry` objects
   holding log-bucketed latency histograms (page-fault service time,
-  diff-fetch RTT, lock acquire/hold/wait, barrier arrival skew and
-  waits, prefetch lead time, transport retransmit delay) and named
-  counters (sanitizer violations, transport give-ups);
+  diff-fetch and home-fetch round trips, stalls, lock acquire/hold/wait,
+  barrier arrival skew and waits, prefetch lead time, transport
+  retransmit delay, RTT and RTO) and named counters (transport pacing
+  and give-ups, shed prefetches);
 - **hot-entity tables** keyed by page id / lock id / barrier id:
   faults, diffs and bytes fetched, twin creations, and wait time per
   entity — the data behind the paper's per-application analyses (OCEAN
   boundary pages, RADIX permutation-phase traffic, ...).
 
-Observation discipline: hooks only read ``sim.now`` and append to plain
-Python structures — no RNG draws, no simulator scheduling, no protocol
-state.  A profiled run therefore produces a byte-identical
-:class:`~repro.metrics.report.RunReport` core (determinism guard test).
-Profiler state is *monotone*: a crash rollback never rewinds it, so the
-profile of a recovered run includes the discarded execution's work —
-redone work is real work, exactly like the event counters.
+``RunConfig(profile=...)`` records an in-memory trace for it, the way
+``critpath=True`` does.  Each sample is taken at the event emitted where
+the fact happened, and a duration is one subtraction of two instants the
+trace carries (an instant's ``since`` argument, or its span's begin), so
+every float sum accumulates in the order the run produced its terms.
+
+The profile is *monotone*: a crash rollback never rewinds it, so a
+recovered run's profile includes the discarded execution's work — redone
+work is real work, exactly like the event counters.  What a rollback
+does to a sample in progress:
+
+- a stall span still open at the ``recover`` instant (the rollback) is
+  not sampled; the restart closes it in the trace after that instant;
+- a barrier arrival still waiting at ``recover`` is not sampled: its
+  thread rejoins the restored episode without arriving again;
+- a page fault, round trip or lock wait cut off by the rollback never
+  emits its closing event, so it is not sampled either (a lock wait's
+  start rides on its close);
+- a barrier's skew window is *kept*: opened by the episode's first
+  gather, it closes when the episode completes, so an episode re-run
+  after a rollback measures its skew from the first gather before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.errors import ConfigError
 from repro.profile.registry import MetricsRegistry
@@ -42,9 +56,9 @@ from repro.profile.registry import MetricsRegistry
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "ProfileConfig",
-    "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
+    "Profile",
+    "fold_events",
+    "profile_from_events",
 ]
 
 #: Version of the ``profile`` section embedded in RunReport JSON.
@@ -57,7 +71,7 @@ _RANK_METRIC = {"page": "stall_us", "lock": "wait_us", "barrier": "wait_us"}
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    """How a run's profiler reports its data."""
+    """How a run's profile is reported."""
 
     #: Entries per hot-entity table in the report's profile section.
     top_n: int = 10
@@ -67,13 +81,10 @@ class ProfileConfig:
             raise ConfigError(f"top_n must be >= 1, got {self.top_n}")
 
 
-class Profiler:
-    """Collects distributions and per-entity attribution for one run."""
+class Profile:
+    """Distributions and per-entity attribution of one run."""
 
-    enabled = True
-
-    def __init__(self, config: Optional[ProfileConfig] = None, num_nodes: int = 1) -> None:
-        self.config = config or ProfileConfig()
+    def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
         self.registries = [MetricsRegistry() for _ in range(num_nodes)]
         #: kind -> entity id -> metric -> value; kinds are "page",
@@ -83,62 +94,23 @@ class Profiler:
             "lock": {},
             "barrier": {},
         }
-        #: Open measurement spans (first-begin wins), e.g. barrier
-        #: episode arrival windows.  Transient bookkeeping only — a span
-        #: orphaned by a crash rollback simply never records.
-        self._spans: dict[Hashable, float] = {}
-
-    # -- recording ---------------------------------------------------------
-
-    def node(self, node_id: int) -> MetricsRegistry:
-        return self.registries[node_id]
-
-    def observe(self, node_id: int, name: str, value: float) -> None:
-        self.registries[node_id].observe(name, value)
-
-    def count(self, node_id: int, name: str, n: int = 1) -> None:
-        self.registries[node_id].count(name, n)
-
-    def entity_add(self, kind: str, entity_id: int, metric: str, amount: float = 1.0) -> None:
-        table = self.entities[kind]
-        stats = table.get(entity_id)
-        if stats is None:
-            stats = {}
-            table[entity_id] = stats
-        stats[metric] = stats.get(metric, 0.0) + amount
-
-    def span_begin(self, key: Hashable, now: float) -> None:
-        """Open a measurement span; the first begin for a key wins."""
-        self._spans.setdefault(key, now)
-
-    def span_end(self, key: Hashable, now: float) -> Optional[float]:
-        """Close a span; returns its duration, or None if never opened."""
-        started = self._spans.pop(key, None)
-        if started is None:
-            return None
-        return now - started
-
-    # -- queries -----------------------------------------------------------
 
     def merged(self) -> MetricsRegistry:
         """Cluster-wide registry: the per-node registries folded in node
         order (the result is order-independent; see the merge tests)."""
         return MetricsRegistry.merge(self.registries)
 
-    def top(self, kind: str, n: Optional[int] = None) -> list[tuple[int, dict[str, float]]]:
+    def top(self, kind: str, n: int = 10) -> list[tuple[int, dict[str, float]]]:
         """The top-n entities of a kind, ranked by the kind's primary
         metric descending, deterministic under ties."""
         metric = _RANK_METRIC[kind]
-        table = self.entities[kind]
         ranked = sorted(
-            table.items(),
+            self.entities[kind].items(),
             key=lambda item: (-item[1].get(metric, 0.0), item[0]),
         )
-        return ranked[: n if n is not None else self.config.top_n]
+        return ranked[:n]
 
-    # -- report section ----------------------------------------------------
-
-    def to_dict(self, space: Any = None) -> dict:
+    def to_dict(self, space: Any = None, top_n: int = 10) -> dict:
         """The versioned ``profile`` section for :class:`RunReport`.
 
         ``space`` (a :class:`~repro.memory.address.SharedAddressSpace`)
@@ -165,14 +137,14 @@ class Profiler:
             "counters": merged.to_dict()["counters"],
             "hot_pages": [
                 {"page": page_id, "segment": _segment_name(space, page_id), **_rounded(stats)}
-                for page_id, stats in self.top("page")
+                for page_id, stats in self.top("page", top_n)
             ],
             "hot_locks": [
-                {"lock": lock_id, **_rounded(stats)} for lock_id, stats in self.top("lock")
+                {"lock": lock_id, **_rounded(stats)} for lock_id, stats in self.top("lock", top_n)
             ],
             "hot_barriers": [
                 {"barrier": barrier_id, **_rounded(stats)}
-                for barrier_id, stats in self.top("barrier")
+                for barrier_id, stats in self.top("barrier", top_n)
             ],
         }
 
@@ -196,42 +168,115 @@ def _segment_name(space: Any, page_id: int) -> Optional[str]:
     return None
 
 
-class NullProfiler(Profiler):
-    """The default profiler: collects nothing, costs one attribute check.
-
-    Hook sites are written as::
-
-        pf = self.sim.profile
-        if pf.enabled:
-            pf.observe(...)
-
-    so with the null profiler installed the per-hook cost is a boolean
-    load and branch.  The recording methods are still no-ops (not
-    errors) as a second line of defence.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(ProfileConfig(), num_nodes=1)
-
-    def observe(self, node_id: int, name: str, value: float) -> None:  # pragma: no cover
-        pass
-
-    def count(self, node_id: int, name: str, n: int = 1) -> None:  # pragma: no cover
-        pass
-
-    def entity_add(  # pragma: no cover - defensive
-        self, kind: str, entity_id: int, metric: str, amount: float = 1.0
-    ) -> None:
-        pass
-
-    def span_begin(self, key: Hashable, now: float) -> None:  # pragma: no cover
-        pass
-
-    def span_end(self, key: Hashable, now: float) -> Optional[float]:  # pragma: no cover
-        return None
+#: Async spans whose length is a histogram of the same name (``<span>_us``).
+_SPANS = ("page_fault", "diff_rtt", "home_fetch")
+#: Instants that close a duration begun at their ``since`` argument, and
+#: the histogram it is sampled into (``since < 0``: nothing to sample).
+_SINCE = {
+    "lock_acquire": "lock_acquire_us",
+    "lock_release": "lock_hold_us",
+    "retransmit": "retransmit_delay_us",
+    "prefetch_take": "prefetch_lead_us",
+}
+#: Instants that count one page fact, and the hot-page metric it adds to.
+_PAGE_COUNTS = {
+    "twin_create": "twins",
+    "diff_serve": "diffs_served",
+    "page_serve": "pages_served",
+    "home_update": "home_updates",
+    "sc_invalidate": "invalidations",
+}
+#: A barrier episode's completion instants: the first closes its skew window.
+_COMPLETIONS = ("barrier_release", "checkpoint", "checkpoint_stood_down")
 
 
-#: Shared do-nothing profiler; installed on every Simulator by default.
-NULL_PROFILER = NullProfiler()
+def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
+    """Fold a run's trace events, in stream order."""
+    profile = Profile(num_nodes)
+    tables = profile.entities
+    opened: dict = {}  # open async spans (faults, round trips): id -> (begin, args)
+    stalls: dict = {}  # open stall spans: (node, tid) -> begin
+    arrivals: dict = {}  # waiting barrier arrivals: (node, barrier, episode) -> instants
+    gathers: dict = {}  # open skew windows: (barrier, episode) -> first gather
+
+    def add(kind: str, entity_id: int, metric: str, amount: float = 1.0) -> None:
+        stats = tables[kind].setdefault(entity_id, {})
+        stats[metric] = stats.get(metric, 0.0) + amount
+
+    for event in events:
+        if event.ph == "X":  # CPU slices: the profile reads none
+            continue
+        ph, name, ts, args = event.ph, event.name, event.ts, event.args or {}
+        registry = profile.registries[event.node]
+        if name in _SPANS and ph == "b":
+            opened[event.id] = (ts, args)
+            if name != "diff_rtt":
+                add("page", args["page"], "faults" if name == "page_fault" else "home_fetches")
+        elif name in _SPANS:
+            begun, begin_args = opened.pop(event.id)
+            registry.observe(f"{name}_us", ts - begun)
+            if name == "page_fault":
+                add("page", begin_args["page"], "stall_us", ts - begun)
+                if args["remote"]:
+                    add("page", begin_args["page"], "remote_faults")
+        elif name.startswith("stall:"):
+            key = (event.node, event.tid)
+            if ph == "B":
+                stalls[key] = ts
+            elif key in stalls:  # else closed by the restart after ``recover``
+                registry.observe(f"stall_{name[6:]}_us", ts - stalls.pop(key))
+        elif name in _PAGE_COUNTS:
+            add("page", args["page"], _PAGE_COUNTS[name])
+        elif name in ("diff_apply", "page_install"):
+            add("page", args["page"], "diffs" if name == "diff_apply" else "page_fetches")
+            add("page", args["page"], "bytes", args["bytes"])
+        elif name == "sc_txn" and ph == "b" and args["mode"] == "write":
+            # A write fault runs exactly one ownership transaction.
+            add("page", args["page"], "write_faults")
+        elif name in _SINCE and args["since"] >= 0:
+            registry.observe(_SINCE[name], ts - args["since"])
+            if name == "lock_acquire":
+                add("lock", args["lock"], "acquires")
+            elif name == "lock_release":
+                add("lock", args["lock"], "hold_us", ts - args["since"])
+        elif (name == "lock_wait" and ph == "e") or name == "lock_handoff":
+            waited = ts - args["since"]
+            registry.observe("lock_wait_us", waited)
+            registry.observe("lock_acquire_us", waited)
+            add("lock", args["lock"], "wait_us", waited)
+            add("lock", args["lock"], "acquires")
+            if name == "lock_handoff":
+                add("lock", args["lock"], "handoffs")
+        elif name == "barrier_arrive":
+            arrivals.setdefault((event.node, args["barrier"], args["episode"]), []).append(ts)
+        elif name == "barrier_resume":
+            for arrived in arrivals.pop((event.node, args["barrier"], args["episode"]), ()):
+                registry.observe("barrier_wait_us", ts - arrived)
+                add("barrier", args["barrier"], "wait_us", ts - arrived)
+                add("barrier", args["barrier"], "waits")
+        elif name == "barrier_gather":
+            gathers.setdefault((args["barrier"], args["episode"]), ts)
+        elif name in _COMPLETIONS and (args["barrier"], args["episode"]) in gathers:
+            skew = ts - gathers.pop((args["barrier"], args["episode"]))
+            registry.observe("barrier_skew_us", skew)
+            add("barrier", args["barrier"], "skew_us", skew)
+            add("barrier", args["barrier"], "episodes")
+        elif name == "recover":
+            stalls.clear()
+            arrivals.clear()
+        elif name in ("transport_paced", "prefetch_shed"):
+            registry.count(name)
+        elif name == "retries_exhausted":
+            registry.count("transport_retries_exhausted")
+            registry.count(f"transport_retries_exhausted:{args['kind']}")
+        elif name == "rto_update":
+            registry.observe("transport_rtt_us", args["sample"])
+            registry.observe("transport_rto_us", args["rto"])
+    return profile
+
+
+def profile_from_events(
+    events: Iterable[Any], space: Any = None, num_nodes: int = 1, top_n: int = 10
+) -> dict:
+    """The ``profile`` report section of a run, folded from its trace."""
+    return fold_events(events, num_nodes).to_dict(space, top_n)

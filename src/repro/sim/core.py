@@ -21,9 +21,9 @@ cannot buy back —
   entries, preserving exact global (time, seq) ordering;
 - :class:`Event` and its subclasses are ``__slots__``-based, and
   ``triggered`` is a plain attribute rather than a property;
-- the run's tracer/sanitizer/profiler hang off the simulator behind
-  cached ``trace_on``/``sanitizer_on``/``profile_on`` booleans, so a
-  disabled instrument costs one attribute read per hook site.
+- the run's tracer, sanitizer and telemetry sampler hang off the
+  simulator behind cached ``*_on`` booleans, so a disabled instrument
+  costs one attribute read per hook site.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ class Event:
     callbacks added afterwards run immediately.
     """
 
-    # Slot layout: the first six are the event machinery; the last three
-    # are *stash* slots — instrumentation state that other layers pin on
-    # events crossing process boundaries (profiler span start,
-    # remote-miss classification).  They are left unset
-    # until first assignment; readers use ``getattr(event, ..., default)``.
+    # Slot layout: the first six are the event machinery; the last two
+    # are *stash* slots — the remote-miss classification other layers
+    # pin on fetch events crossing process boundaries.  They are left
+    # unset until first assignment; readers use
+    # ``getattr(event, ..., default)``.
     __slots__ = (
         "sim",
         "name",
@@ -59,7 +59,6 @@ class Event:
         "_value",
         "_exception",
         "_callbacks",
-        "profile_t0",
         "needed_remote",
         "miss_counted",
     )
@@ -246,16 +245,15 @@ class Simulator:
     common scheduling pattern (process starts and same-tick callbacks).
 
     The simulator also carries the run's tracer (``self.trace``),
-    sanitizer and profiler: every layer owns a ``sim`` reference, so
-    attaching them here gives the whole stack an instrumentation point
-    without extra plumbing.  Each is paired with a cached ``*_on``
+    sanitizer and telemetry sampler: every layer owns a ``sim``
+    reference, so attaching them here gives the whole stack an
+    instrumentation point without extra plumbing.  Each is paired with a cached ``*_on``
     boolean (kept in sync by the property setters), so the shared null
     defaults cost hook sites a single attribute read.
     """
 
     def __init__(self) -> None:
         from repro.ft.sanitizer import NULL_SANITIZER  # deferred: keep sim dep-free
-        from repro.profile.profiler import NULL_PROFILER  # deferred: keep sim dep-free
         from repro.telemetry.sampler import NULL_TELEMETRY  # deferred: keep sim dep-free
         from repro.trace.tracer import NULL_TRACER  # deferred: keep sim dep-free
 
@@ -267,7 +265,6 @@ class Simulator:
         self._handled = 0
         self.trace = NULL_TRACER
         self.sanitizer = NULL_SANITIZER
-        self.profile = NULL_PROFILER
         self.telemetry = NULL_TELEMETRY
         #: Live (spawned, not yet finished/cancelled) processes, in spawn
         #: order.  Powers group cancellation and the deadlock watchdog.
@@ -293,15 +290,6 @@ class Simulator:
     def sanitizer(self, sanitizer) -> None:
         self._sanitizer = sanitizer
         self.sanitizer_on = bool(sanitizer.enabled)
-
-    @property
-    def profile(self):
-        return self._profile
-
-    @profile.setter
-    def profile(self, profiler) -> None:
-        self._profile = profiler
-        self.profile_on = bool(profiler.enabled)
 
     @property
     def telemetry(self):

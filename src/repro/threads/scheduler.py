@@ -141,6 +141,8 @@ class NodeScheduler:
         # Close the stall spans the discarded threads left open (their
         # wake callbacks will never fire), so exported traces keep
         # balanced begin/end pairs.  None is open unless tracing is on.
+        # These ends follow the rollback's ``recover`` instant, and the
+        # profile never samples a stall still open there.
         for kind, tid in list(self._open_stalls):
             self._trace_stall(False, kind, tid)
         self._segments = {}
@@ -219,11 +221,6 @@ class NodeScheduler:
         self, thread: DsmThread, kind: StallKind, started: float, event: Optional[Event] = None
     ) -> None:
         stall = self.node.sim.now - started
-        if self.node.sim.profile_on:
-            pf = self.node.sim.profile
-            # Per-thread stall distributions, before the miss/fault
-            # classification below (which early-returns for some kinds).
-            pf.observe(self.node.node_id, f"stall_{kind.value}_us", stall)
         events = self.node.events
         if kind is StallKind.MEMORY:
             if event is not None and not getattr(event, "needed_remote", False):

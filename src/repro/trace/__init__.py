@@ -11,7 +11,6 @@ from repro.trace.timeline import PhaseSegment, PhaseTimeline
 from repro.trace.tracer import (
     NULL_TRACER,
     NullTracer,
-    TraceCategory,
     TraceConfig,
     TraceEvent,
     Tracer,
@@ -23,7 +22,6 @@ __all__ = [
     "NullTracer",
     "PhaseSegment",
     "PhaseTimeline",
-    "TraceCategory",
     "TraceConfig",
     "TraceEvent",
     "Tracer",

@@ -121,7 +121,6 @@ def _telemetry_rows(
 def chrome_trace(
     events: Iterable[TraceEvent],
     critpath: dict[str, Any] | None = None,
-    dropped_events: int = 0,
     telemetry: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Render events into a Chrome trace_event JSON object.
@@ -134,8 +133,6 @@ def chrome_trace(
     ``telemetry`` is a telemetry report section
     (``repro.telemetry.TelemetrySampler.finalize``): its windowed
     series become counter tracks overlaid on the same timeline.
-    ``dropped_events`` (the tracer's ring-sink discard count) is
-    surfaced in ``otherData`` for the validator.
     """
     rows: list[dict[str, Any]] = []
     #: (pid, tid) -> thread name, discovered from the event stream.
@@ -238,8 +235,6 @@ def chrome_trace(
             }
         )
     other: dict[str, Any] = {"producer": "repro.trace", "time_unit": "us"}
-    if dropped_events:
-        other["events_dropped"] = dropped_events
     if telemetry is not None:
         other["telemetry_version"] = telemetry.get("version", 1)
     return {
@@ -253,19 +248,10 @@ def write_chrome_trace(
     events: Iterable[TraceEvent],
     path: str,
     critpath: dict[str, Any] | None = None,
-    dropped_events: int = 0,
     telemetry: dict[str, Any] | None = None,
 ) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            chrome_trace(
-                events,
-                critpath=critpath,
-                dropped_events=dropped_events,
-                telemetry=telemetry,
-            ),
-            handle,
-        )
+        json.dump(chrome_trace(events, critpath=critpath, telemetry=telemetry), handle)
 
 
 def jsonl_lines(events: Iterable[TraceEvent]) -> Iterable[str]:

@@ -15,10 +15,13 @@ Design constraints:
   an untraced run pays one boolean load per potential event and builds
   no event objects.
 - **Observe, never perturb.**  Emitting an event appends to a Python
-  list (or bounded deque); no RNG draws, no simulator scheduling, no
-  shared mutable protocol state.  A traced run must produce a
-  bit-identical :class:`~repro.metrics.report.RunReport` (there is a
-  determinism guard test for this).
+  list; no RNG draws, no simulator scheduling, no shared mutable
+  protocol state.  A traced run must produce a bit-identical
+  :class:`~repro.metrics.report.RunReport` (there is a determinism
+  guard test for this).
+- **Keep everything.**  The profile (:mod:`repro.profile`) and the
+  critical path (:mod:`repro.critpath`) are folds over the whole
+  stream, so the tracer never filters or discards an event.
 
 Phases follow the Chrome ``trace_event`` vocabulary so export is a
 straight mapping: ``X`` complete slices (with duration), ``B``/``E``
@@ -29,14 +32,10 @@ arrows/spans in Perfetto).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.errors import ConfigError
-
 __all__ = [
-    "TraceCategory",
     "TraceConfig",
     "TraceEvent",
     "Tracer",
@@ -45,51 +44,10 @@ __all__ = [
 ]
 
 
-class TraceCategory:
-    """The category vocabulary (mirrors :class:`repro.metrics.Category`
-    for CPU-charge events, plus the subsystem categories)."""
-
-    #: CPU/idle time charges — names carry the metrics category value.
-    CPU = "cpu"
-    #: Coherence protocol: page faults, diffs, write notices, locks, barriers.
-    PROTOCOL = "protocol"
-    #: Wire-level message lifecycle: send, deliver, drop, duplicate.
-    NETWORK = "network"
-    #: Reliable-transport activity: timeouts, retransmits, dedup.
-    TRANSPORT = "transport"
-    #: Thread scheduling: stalls, context switches, idle.
-    SCHED = "sched"
-    #: Prefetch engine outcomes.
-    PREFETCH = "prefetch"
-    #: Fault tolerance: crash, detection, checkpoint, recovery.
-    FT = "ft"
-
-    ALL = (CPU, PROTOCOL, NETWORK, TRANSPORT, SCHED, PREFETCH, FT)
-
-
 @dataclass(frozen=True)
 class TraceConfig:
-    """How a run's tracer collects events."""
-
-    #: ``"memory"`` keeps every event; ``"ring"`` keeps the newest
-    #: ``ring_capacity`` (older events are discarded and counted).
-    sink: str = "memory"
-    ring_capacity: int = 1_000_000
-    #: Restrict collection to these categories (``None`` = everything).
-    #: Note: the :class:`~repro.trace.timeline.PhaseTimeline` consistency
-    #: audit needs the ``cpu`` category.
-    categories: Optional[frozenset[str]] = None
-
-    def __post_init__(self) -> None:
-        if self.sink not in ("memory", "ring"):
-            raise ConfigError(f"trace sink must be 'memory' or 'ring', got {self.sink!r}")
-        if self.ring_capacity < 1:
-            raise ConfigError(f"ring_capacity must be >= 1, got {self.ring_capacity}")
-        if self.categories is not None:
-            object.__setattr__(self, "categories", frozenset(self.categories))
-            unknown = set(self.categories) - set(TraceCategory.ALL)
-            if unknown:
-                raise ConfigError(f"unknown trace categories: {sorted(unknown)}")
+    """``RunConfig(trace=TraceConfig())`` (or ``trace=True``) records
+    every instrumented event of the run in memory."""
 
 
 @dataclass(slots=True)
@@ -99,7 +57,12 @@ class TraceEvent:
     Attributes:
         ts: simulated time in microseconds.
         ph: Chrome trace phase (``X``, ``B``, ``E``, ``i``, ``b``, ``e``).
-        cat: one of :class:`TraceCategory`.
+        cat: ``cpu`` (CPU/idle time charges, named by their metrics
+            category), ``protocol`` (faults, diffs, notices, locks,
+            barriers), ``network`` (message lifecycle), ``transport``
+            (timeouts, retransmits, dedup), ``sched`` (stalls, context
+            switches), ``prefetch`` or ``ft`` (crash, detection,
+            checkpoint, recovery).
         name: event name (e.g. ``page_fault``, ``busy``, ``msg:diff_request``).
         node: originating node id.
         tid: application thread id for thread-scoped events, else ``None``
@@ -150,16 +113,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, config: Optional[TraceConfig] = None) -> None:
-        self.config = config or TraceConfig()
-        self._events: Any
-        if self.config.sink == "ring":
-            self._events = deque(maxlen=self.config.ring_capacity)
-        else:
-            self._events = []
-        #: Events discarded by a full ring sink (0 for memory sinks).
-        self.dropped_events = 0
-        self._categories = self.config.categories
+    def __init__(self) -> None:
+        self._events: list[TraceEvent] = []
 
     # -- collection --------------------------------------------------------
 
@@ -173,18 +128,8 @@ class Tracer:
     def events(self) -> Iterable[TraceEvent]:
         return self._events
 
-    @property
-    def complete(self) -> bool:
-        """True when no event was discarded (safe for the timeline audit)."""
-        return self.dropped_events == 0
-
     def emit(self, event: TraceEvent) -> None:
-        if self._categories is not None and event.cat not in self._categories:
-            return
-        events = self._events
-        if isinstance(events, deque) and len(events) == events.maxlen:
-            self.dropped_events += 1
-        events.append(event)
+        self._events.append(event)
 
     # -- typed emit helpers ------------------------------------------------
 
@@ -267,12 +212,7 @@ class Tracer:
     ) -> dict[str, Any]:
         from repro.trace.export import chrome_trace
 
-        return chrome_trace(
-            self.events,
-            critpath=critpath,
-            dropped_events=self.dropped_events,
-            telemetry=telemetry,
-        )
+        return chrome_trace(self.events, critpath=critpath, telemetry=telemetry)
 
     def write_chrome(
         self,
@@ -282,13 +222,7 @@ class Tracer:
     ) -> None:
         from repro.trace.export import write_chrome_trace
 
-        write_chrome_trace(
-            self.events,
-            path,
-            critpath=critpath,
-            dropped_events=self.dropped_events,
-            telemetry=telemetry,
-        )
+        write_chrome_trace(self.events, path, critpath=critpath, telemetry=telemetry)
 
     def write_jsonl(self, path: str) -> None:
         from repro.trace.export import write_jsonl
@@ -316,9 +250,6 @@ class NullTracer(Tracer):
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(TraceConfig())
 
     def emit(self, event: TraceEvent) -> None:  # pragma: no cover - defensive
         pass

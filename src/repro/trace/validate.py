@@ -21,9 +21,9 @@ Checks:
 
 Exit codes: 0 valid, 1 format violations, 2 load errors, dangling
 causal edges, *or* malformed counter payloads — an orphan async ``e``
-means a program-activity-graph wire edge references an event the ring
-sink dropped (the trace's ``otherData.events_dropped`` count, surfaced
-in the output, says how many were discarded), so critical-path
+means a program-activity-graph wire edge references an event the file
+does not hold (a recorder that discarded events says how many in
+``otherData.events_dropped``, surfaced in the output), so critical-path
 analysis of the file would be reconstructing from partial causality;
 a malformed counter payload means the telemetry overlay cannot be
 trusted, so dashboards rebuilt from the trace would be wrong.
@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(other, dict):
             dropped = int(other.get("events_dropped", 0) or 0)
     if dropped:
-        print(f"WARNING: {dropped} events dropped at collection (ring full)")
+        print(f"WARNING: {dropped} events dropped at collection")
     dangling = [e for e in errors if "async e with no open b" in e]
     bad_counters = [e for e in errors if "C counter" in e]
     if errors:

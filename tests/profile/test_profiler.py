@@ -1,4 +1,4 @@
-"""Profiler behaviour: unit semantics, end-to-end runs, the determinism
+"""Profile behaviour: the fold's rules, end-to-end runs, the determinism
 guard, hot-entity attribution, and survival across FT recovery."""
 
 import json
@@ -7,18 +7,14 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
-from repro.errors import ConfigError, ProtocolError
-from repro.ft.sanitizer import ProtocolSanitizer
+from repro.errors import ConfigError
 from repro.network.faults import FaultPlan, NodeCrash
-from repro.profile import (
-    NULL_PROFILER,
-    MetricsRegistry,
-    NullProfiler,
-    ProfileConfig,
-    Profiler,
-)
+from repro.profile import MetricsRegistry, ProfileConfig, fold_events
+from repro.trace import TraceEvent
 
-# -- unit semantics -----------------------------------------------------------
+from tests.dsm.fixtures.record import FAULTS
+
+# -- the fold's rules ---------------------------------------------------------
 
 
 def test_config_validation():
@@ -26,33 +22,50 @@ def test_config_validation():
         ProfileConfig(top_n=0)
 
 
-def test_span_first_begin_wins_and_pops_on_end():
-    profiler = Profiler(num_nodes=1)
-    profiler.span_begin("k", 10.0)
-    profiler.span_begin("k", 50.0)  # ignored: first begin wins
-    assert profiler.span_end("k", 110.0) == 100.0
-    assert profiler.span_end("k", 200.0) is None  # popped: no double record
+def fault(page, start, end, remote=True):
+    span = f"n0:f{page}"
+    return [
+        TraceEvent(start, "b", "protocol", "page_fault", 0, id=span, args={"page": page}),
+        TraceEvent(end, "e", "protocol", "page_fault", 0, id=span, args={"remote": remote}),
+    ]
 
 
 def test_top_ranks_by_primary_metric_with_deterministic_ties():
-    profiler = Profiler(ProfileConfig(top_n=2), num_nodes=1)
-    profiler.entity_add("page", 7, "stall_us", 100.0)
-    profiler.entity_add("page", 3, "stall_us", 100.0)
-    profiler.entity_add("page", 5, "stall_us", 900.0)
-    top = profiler.top("page")
-    assert [page_id for page_id, _ in top] == [5, 3]  # ties break by id
-    assert profiler.top("page", n=3)[-1][0] == 7
+    profile = fold_events(fault(7, 0.0, 100.0) + fault(3, 0.0, 100.0) + fault(5, 0.0, 900.0), 1)
+    assert [page_id for page_id, _ in profile.top("page", 2)] == [5, 3]  # ties break by id
+    assert profile.top("page", 3)[-1][0] == 7
+    assert profile.top("page")[0][1] == {"faults": 1.0, "stall_us": 900.0, "remote_faults": 1.0}
 
 
-def test_null_profiler_is_inert():
-    assert NULL_PROFILER.enabled is False
-    assert isinstance(NULL_PROFILER, NullProfiler)
-    NULL_PROFILER.observe(0, "x", 1.0)
-    NULL_PROFILER.count(0, "x")
-    NULL_PROFILER.entity_add("page", 1, "faults")
-    NULL_PROFILER.span_begin("k", 0.0)
-    assert NULL_PROFILER.span_end("k", 1.0) is None
-    assert NULL_PROFILER.merged().to_dict() == {"histograms": {}, "counters": {}}
+def test_rollback_discards_open_waits_but_keeps_skew_windows():
+    """At ``recover`` an open stall and a waiting barrier arrival are
+    dropped; a skew window opened before it closes after it."""
+
+    def instant(ts, name, cat="protocol", **args):
+        return TraceEvent(ts, "i", cat, name, 0, args=args)
+
+    episode = {"barrier": 0, "episode": 1}
+    events = [
+        instant(10.0, "barrier_gather", src=1, **episode),
+        instant(11.0, "barrier_arrive", arrived=1, **episode),
+        TraceEvent(11.0, "B", "sched", "stall:barrier", 0, tid=0),
+        instant(50.0, "recover", "ft", nodes=[1]),
+        TraceEvent(50.0, "E", "sched", "stall:barrier", 0, tid=0),  # the restart's close
+        instant(90.0, "barrier_resume", waiters=1, **episode),
+        instant(95.0, "barrier_release", **episode),
+    ]
+    merged = fold_events(events, 1).merged()
+    assert "stall_barrier_us" not in merged.histograms
+    assert "barrier_wait_us" not in merged.histograms
+    assert merged.histograms["barrier_skew_us"].total == 85.0
+
+
+def test_a_saved_trace_holds_the_whole_profile():
+    """The JSONL rows of a run fold to the profile the run reported."""
+    runtime, report = run_once("WATER-NSQ", nodes=2)
+    rows = [json.loads(json.dumps(event.as_dict())) for event in runtime.tracer.events]
+    profile = fold_events([TraceEvent(**row) for row in rows], 2)
+    assert json.loads(json.dumps(profile.to_dict(runtime.space))) == report.profile
 
 
 # -- end-to-end ---------------------------------------------------------------
@@ -159,8 +172,9 @@ def test_profile_survives_rollback():
     assert faults_profiled > 0
     assert profile["hot_pages"], "attribution survives the rollback"
     # The per-node registries still merge associatively afterwards.
-    forward = MetricsRegistry.merge(runtime.profiler.registries)
-    backward = MetricsRegistry.merge(list(reversed(runtime.profiler.registries)))
+    registries = fold_events(runtime.tracer.events, 4).registries
+    forward = MetricsRegistry.merge(registries)
+    backward = MetricsRegistry.merge(list(reversed(registries)))
     assert forward.to_dict() == backward.to_dict()
 
 
@@ -172,23 +186,11 @@ def test_crashed_profile_deterministic():
     )
 
 
-# -- sanitizer wiring ---------------------------------------------------------
-
-
-def test_sanitizer_violations_counted_in_profiler():
-    sanitizer = ProtocolSanitizer(num_nodes=2)
-    profiler = Profiler(num_nodes=2)
-    sanitizer.profile = profiler
-    sanitizer.on_twin_created(0, 7)
-    with pytest.raises(ProtocolError):
-        sanitizer.on_twin_created(0, 7)  # twin over twin: invariant broken
-    merged = profiler.merged()
-    assert merged.counters["sanitizer_violations"] == 1
-    assert any(key.startswith("sanitizer_violations:") for key in merged.counters)
-
-
-def test_runtime_wires_sanitizer_to_profiler():
-    runtime, report = run_once(sanitizer=True)
-    assert runtime.cluster.sim.sanitizer.profile is runtime.profiler
-    # A clean run profiles zero violations (no counter at all).
-    assert "sanitizer_violations" not in (report.profile["counters"])
+def test_profile_survives_fence_expiry_rollback():
+    """partition900 recovers through an expired fence, not a crash: the
+    rollback rules are the same, and so is determinism."""
+    first = run_once(prefetch=True, plan=FAULTS["partition900"], seed=7)[1]
+    second = run_once(prefetch=True, plan=FAULTS["partition900"], seed=7)[1]
+    assert first.extra["ft"]["recoveries"] >= 1 and first.extra["ft"]["crashes"] == 0
+    assert first.profile["histograms"]["stall_barrier_us"]["count"] > 0
+    assert first.to_json() == second.to_json()

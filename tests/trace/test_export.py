@@ -146,7 +146,7 @@ def test_validator_cli(tmp_path, capsys):
 
 
 def test_validator_cli_exits_2_on_dangling_causal_edge(tmp_path, capsys):
-    """An orphan async e is a PAG wire edge whose begin the ring sink
+    """An orphan async e is a PAG wire edge whose begin the recorder
     dropped: worse than a format nit, so it gets its own exit code."""
     from repro.trace.validate import main
 
@@ -163,7 +163,8 @@ def test_validator_cli_exits_2_on_dangling_causal_edge(tmp_path, capsys):
 def test_validator_cli_reports_drop_count_on_valid_trace(tmp_path, capsys):
     from repro.trace.validate import main
 
-    doc = chrome_trace(sample_tracer().events, dropped_events=3)
+    doc = chrome_trace(sample_tracer().events)
+    doc["otherData"]["events_dropped"] = 3  # a file whose recorder discarded events
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
     assert main([str(path)]) == 0
@@ -171,7 +172,7 @@ def test_validator_cli_reports_drop_count_on_valid_trace(tmp_path, capsys):
     assert "3 events dropped" in out
 
 
-def test_chrome_trace_surfaces_dropped_events_and_critpath_overlay():
+def test_chrome_trace_critpath_overlay():
     from repro.trace.export import CRITPATH_TID
 
     section = {
@@ -180,8 +181,7 @@ def test_chrome_trace_surfaces_dropped_events_and_critpath_overlay():
             {"src": 0, "src_ts": 5.0, "dst": 1, "dst_ts": 6.0, "category": "diff_rtt"}
         ],
     }
-    doc = chrome_trace(sample_tracer().events, critpath=section, dropped_events=2)
-    assert doc["otherData"]["events_dropped"] == 2
+    doc = chrome_trace(sample_tracer().events, critpath=section)
     rows = [e for e in doc["traceEvents"] if e.get("cat") == "critpath"]
     phases = sorted(r["ph"] for r in rows)
     assert phases == ["X", "f", "s"]
@@ -197,9 +197,8 @@ def test_chrome_trace_surfaces_dropped_events_and_critpath_overlay():
         and e["args"] == {"name": "critical path"}
         for e in meta
     )
-    # No events_dropped key when nothing was dropped (byte-stability).
-    clean = chrome_trace(sample_tracer().events)
-    assert "events_dropped" not in clean["otherData"]
+    # The tracer keeps every event, so the writer reports no drops.
+    assert "events_dropped" not in doc["otherData"]
     assert validate_chrome_trace(doc) == []
 
 

@@ -34,7 +34,7 @@ def test_every_app_traces_validates_and_reconciles(app_name):
     matches TimeBreakdown per node and per category."""
     runtime, report = run(app_name)
     tracer = runtime.tracer
-    assert len(tracer) > 0 and tracer.complete
+    assert len(tracer) > 0
     assert validate_chrome_trace(tracer.chrome_trace()) == []
     assert tracer.timeline().verify_against(report) == []
 
@@ -169,24 +169,6 @@ def test_tracing_is_deterministic_itself():
     first = stream()
     assert any("msg" in (row.get("args") or {}) for row in first)
     assert first == stream()
-
-
-def test_ring_sink_survives_overflow_and_flags_incomplete():
-    runtime, report = run("SOR", trace=TraceConfig(sink="ring", ring_capacity=100))
-    tracer = runtime.tracer
-    assert len(tracer) == 100
-    assert not tracer.complete
-    assert tracer.dropped_events > 0
-    # A truncated stream cannot reconcile — and says so.
-    assert tracer.timeline().verify_against(report) != []
-
-
-def test_category_filter_limits_collection_but_keeps_audit():
-    runtime, report = run("SOR", trace=TraceConfig(categories=frozenset({"cpu"})))
-    tracer = runtime.tracer
-    assert all(event.cat == "cpu" for event in tracer)
-    # cpu events alone still carry the full accounting.
-    assert tracer.timeline().verify_against(report) == []
 
 
 def test_runconfig_coerces_and_rejects_trace_values():
