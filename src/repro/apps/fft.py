@@ -132,4 +132,5 @@ class Fft(AppBase):
             worst = np.abs(actual - expected).max()
             raise AssertionError(f"FFT mismatch: max abs error {worst}")
         reference = six_step_reference(self._input, self.m)
-        assert np.allclose(reference, expected, rtol=1e-8, atol=1e-8)
+        if not np.allclose(reference, expected, rtol=1e-8, atol=1e-8):
+            raise AssertionError("FFT six-step reference disagrees with np.fft.fft")

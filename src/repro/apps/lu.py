@@ -258,7 +258,8 @@ class Lu(AppBase):
         # Independent check: L*U reconstructs the input matrix.
         lower = np.tril(actual, -1) + np.eye(self.n)
         upper = np.triu(actual)
-        assert np.allclose(lower @ upper, self._initial, rtol=1e-6, atol=1e-6)
+        if not np.allclose(lower @ upper, self._initial, rtol=1e-6, atol=1e-6):
+            raise AssertionError(f"{self.name}: L*U does not reconstruct the input")
 
 
 class LuContiguous(Lu):

@@ -241,7 +241,8 @@ class Ocean(AppBase):
         )
         actual_residuals = runtime.read_vector(self.resid)
         for step, expected_value in enumerate(expected_residuals):
-            assert np.isclose(actual_residuals[step], expected_value, rtol=1e-9), (
-                f"residual mismatch at step {step}: "
-                f"{actual_residuals[step]} vs {expected_value}"
-            )
+            if not np.isclose(actual_residuals[step], expected_value, rtol=1e-9):
+                raise AssertionError(
+                    f"residual mismatch at step {step}: "
+                    f"{actual_residuals[step]} vs {expected_value}"
+                )

@@ -149,4 +149,5 @@ class Radix(AppBase):
     def verify(self, runtime) -> None:
         final = self.arr_a if self.passes % 2 == 0 else self.arr_b
         result = runtime.read_vector(final)
-        assert np.array_equal(np.sort(self._input), result), "RADIX output not sorted"
+        if not np.array_equal(np.sort(self._input), result):
+            raise AssertionError("RADIX output not sorted")

@@ -4,9 +4,10 @@ Two size presets per application:
 
 - ``default`` — scaled down so the full experiment suite runs in
   minutes under CPython (the simulator executes every page fault, diff
-  and message; the paper's full sizes are impractical in pure Python);
-- ``paper`` — the original parameters from Section 2.3, for users with
-  patience.
+  and message);
+- ``paper`` — the original parameters from Section 2.3.  One run takes
+  tens of seconds: WATER-SP, 8 nodes, ``O``, 14 s on one x86_64 core
+  (Python 3.11).
 """
 
 from __future__ import annotations

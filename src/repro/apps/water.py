@@ -33,7 +33,7 @@ import numpy as np
 from repro.api.ops import Acquire, Barrier, Compute, Prefetch, Read, Release, Write
 from repro.apps.base import BARRIER_MAIN, AppBase, block_range
 
-__all__ = ["WaterNsquared", "WaterSpatial", "pair_force"]
+__all__ = ["WaterNsquared", "WaterSpatial", "pair_forces"]
 
 #: Lock ids 8.. are partition locks (0..7 reserved for app scalars).
 PARTITION_LOCK_BASE = 8
@@ -42,32 +42,47 @@ PARTITION_LOCK_BASE = 8
 PAIR_FLOPS = 30
 
 
-def pair_force(pos_i: np.ndarray, pos_j: np.ndarray) -> np.ndarray:
-    """Soft central force between two molecules (no singularity)."""
-    delta = pos_i - pos_j
-    r2 = float(delta @ delta) + 0.05
-    return delta / (r2 * r2)
+def pair_forces(
+    positions: np.ndarray, firsts: np.ndarray, seconds: np.ndarray, out: np.ndarray
+) -> int:
+    """Soft central forces (no singularity) of a batch of molecule pairs.
+
+    Adds ``+f`` to ``out[first]`` and then ``-f`` to ``out[second]``,
+    pair by pair, and returns the number of pairs.  Bit-equal to a loop
+    of scalar evaluations (DESIGN.md §6.16): the stacked ``matmul``
+    takes the ``ddot`` path a scalar ``delta @ delta`` takes, and
+    ``np.add.at`` over interleaved targets adds in the loop's order.
+    """
+    delta = positions[firsts] - positions[seconds]
+    r2 = (delta[:, None, :] @ delta[:, :, None])[:, 0, 0] + 0.05
+    force = delta / (r2 * r2)[:, None]
+    targets = np.column_stack((firsts, seconds)).ravel()
+    np.add.at(out, targets, np.hstack((force, -force)).reshape(-1, 3))
+    return len(delta)
 
 
-def nsq_pairs(n: int):
-    """The SPLASH-2 NSQ pair enumeration: i with the next n//2 molecules."""
+def nsq_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The SPLASH-2 NSQ pair enumeration, i with the next n//2 molecules,
+    as ``(firsts, seconds)`` index arrays in i-major, step-minor order."""
     half = n // 2
-    for i in range(n):
-        for step in range(1, half + 1):
-            j = (i + step) % n
-            if step == half and n % 2 == 0 and i >= j:
-                continue  # each diametrical pair once
-            yield i, j
+    firsts = np.repeat(np.arange(n), half)
+    steps = np.tile(np.arange(1, half + 1), n)
+    seconds = (firsts + steps) % n
+    # Each diametrical pair once.
+    keep = ~((steps == half) & (n % 2 == 0) & (firsts >= seconds))
+    return firsts[keep], seconds[keep]
 
 
 def nsq_reference(positions: np.ndarray) -> np.ndarray:
     """Sequential force computation for WATER-NSQ."""
     n = positions.shape[0]
     forces = np.zeros((n, 3))
-    for i, j in nsq_pairs(n):
-        f = pair_force(positions[i], positions[j])
-        forces[i] += f
-        forces[j] -= f
+    firsts, seconds = nsq_pairs(n)
+    # One molecule's pairs per batch: all n²/2 at once would hold
+    # megabytes of temporaries for no gain.
+    bounds = np.searchsorted(firsts, np.arange(n + 1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        pair_forces(positions, firsts[lo:hi], seconds[lo:hi], forces)
     return forces
 
 
@@ -93,6 +108,7 @@ class WaterNsquared(AppBase):
         self.force = runtime.alloc_matrix("water.force", np.float64, self.n, 3)
         rng = runtime.random.stream("water.init")
         self._initial = rng.random((self.n, 3))
+        self._pairs = nsq_pairs(self.n)
         #: per-processor shared accumulation buffers (Section 4.2: the
         #: paper modified WATER-NSQ to keep one shared copy of the data
         #: structure per processor, merging co-located threads' work
@@ -108,6 +124,15 @@ class WaterNsquared(AppBase):
         yield Barrier(BARRIER_MAIN)
 
         lo, hi = block_range(self.n, threads, tid)
+        # The thread's pairs are those whose first molecule it owns.
+        firsts, seconds = self._pairs
+        start, stop = np.searchsorted(firsts, (lo, hi))
+        firsts, seconds = firsts[start:stop], seconds[start:stop]
+        inside = (lo <= seconds) & (seconds < hi)
+        # Phase A walks (i, j) lexicographically, phase B in SPLASH order.
+        order = np.lexsort((seconds[inside], firsts[inside]))
+        own_firsts, own_seconds = firsts[inside][order] - lo, seconds[inside][order] - lo
+        cross_firsts, cross_seconds = firsts[~inside], seconds[~inside]
         for _step in range(self.steps):
             # Read all positions (the n^2 algorithm touches everyone).
             if self.use_prefetch:
@@ -121,27 +146,10 @@ class WaterNsquared(AppBase):
                 (yield self.pos.read_rows(lo, hi - lo))
             ).reshape(hi - lo, 3)
             local = np.zeros((self.n, 3))
-            half = self.n // 2
-
-            def in_window(i, j):
-                step_ = (j - i) % self.n
-                if not 1 <= step_ <= half:
-                    return False
-                if step_ == half and self.n % 2 == 0 and i >= j:
-                    return False
-                return True
 
             # Phase A: pairs fully inside the thread's own block (the
             # position rows are local — written here last step).
-            pair_count = 0
-            for i in range(lo, hi):
-                for j in range(lo, hi):
-                    if not in_window(i, j):
-                        continue
-                    f = pair_force(own[i - lo], own[j - lo])
-                    local[i] += f
-                    local[j] -= f
-                    pair_count += 1
+            pair_count = pair_forces(own, own_firsts, own_seconds, local[lo:hi])
             yield Compute(self.flops_us(PAIR_FLOPS * pair_count))
 
             # Phase B: cross-block pairs; by now the prefetched remote
@@ -149,18 +157,7 @@ class WaterNsquared(AppBase):
             positions = np.asarray(
                 (yield self.pos.read_rows(0, self.n))
             ).reshape(self.n, 3)
-            pair_count = 0
-            for i in range(lo, hi):
-                for step_ in range(1, half + 1):
-                    j = (i + step_) % self.n
-                    if lo <= j < hi:
-                        continue  # handled in phase A
-                    if step_ == half and self.n % 2 == 0 and i >= j:
-                        continue
-                    f = pair_force(positions[i], positions[j])
-                    local[i] += f
-                    local[j] -= f
-                    pair_count += 1
+            pair_count = pair_forces(positions, cross_firsts, cross_seconds, local)
             yield Compute(self.flops_us(PAIR_FLOPS * pair_count))
 
             # Merge into the per-processor shared buffer (Section 4.2's
@@ -240,30 +237,44 @@ def spatial_cells(positions: np.ndarray, cells_per_dim: int):
     return index[:, 0] * cells_per_dim**2 + index[:, 1] * cells_per_dim + index[:, 2]
 
 
+def neighbour_cells(cell: int, c: int) -> list[int]:
+    """``cell`` and its up to 26 neighbours in a ``c``³ grid, in
+    ``(dx, dy, dz)`` lexicographic order."""
+    cx, cy, cz = cell // (c * c), (cell // c) % c, cell % c
+    return [
+        (nx * c + ny) * c + nz
+        for nx in range(max(cx - 1, 0), min(cx + 2, c))
+        for ny in range(max(cy - 1, 0), min(cy + 2, c))
+        for nz in range(max(cz - 1, 0), min(cz + 2, c))
+    ]
+
+
+def cell_pairs(
+    members: dict[int, list[int]], cell: int, c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j > i)`` with ``i`` in ``cell`` and ``j`` in a
+    neighbouring cell: ``i`` in ``members`` order, then ``j`` in
+    neighbour order and ``members`` order within a cell."""
+    own = np.array(members.get(cell, ()), dtype=np.intp)
+    others = np.array(
+        [j for ncell in neighbour_cells(cell, c) for j in members.get(ncell, ())],
+        dtype=np.intp,
+    )
+    keep = others > own[:, None]
+    firsts = np.broadcast_to(own[:, None], keep.shape)[keep]
+    return firsts, np.broadcast_to(others, keep.shape)[keep]
+
+
 def sp_reference(positions: np.ndarray, cells_per_dim: int) -> np.ndarray:
     """Sequential force computation for WATER-SP (neighbour cells only)."""
     n = positions.shape[0]
-    cell_of = spatial_cells(positions, cells_per_dim)
     members: dict[int, list[int]] = {}
-    for mol in range(n):
-        members.setdefault(int(cell_of[mol]), []).append(mol)
+    for mol, cell in enumerate(spatial_cells(positions, cells_per_dim).tolist()):
+        members.setdefault(cell, []).append(mol)
     forces = np.zeros((n, 3))
-    c = cells_per_dim
-    for i in range(n):
-        ci = int(cell_of[i])
-        cx, cy, cz = ci // c**2, (ci // c) % c, ci % c
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    nx, ny, nz = cx + dx, cy + dy, cz + dz
-                    if not (0 <= nx < c and 0 <= ny < c and 0 <= nz < c):
-                        continue
-                    for j in members.get(nx * c**2 + ny * c + nz, ()):
-                        if j <= i:
-                            continue
-                        f = pair_force(positions[i], positions[j])
-                        forces[i] += f
-                        forces[j] -= f
+    # One cell's pairs per batch (see nsq_reference).
+    for cell in members:
+        pair_forces(positions, *cell_pairs(members, cell, cells_per_dim), forces)
     return forces
 
 
@@ -333,53 +344,35 @@ class WaterSpatial(AppBase):
                 # History-based prefetching: we know the traversal order
                 # from the previous step — prefetch straight through it.
                 yield self.mol.prefetch_row_list(recorded)
-            needed_cells: set[int] = set()
-            for cell in range(cell_lo, cell_hi):
-                cx, cy, cz = cell // c**2, (cell // c) % c, cell % c
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for dz in (-1, 0, 1):
-                            nx, ny, nz = cx + dx, cy + dy, cz + dz
-                            if 0 <= nx < c and 0 <= ny < c and 0 <= nz < c:
-                                needed_cells.add(nx * c**2 + ny * c + nz)
-            visited: list[int] = []
-            records: dict[int, np.ndarray] = {}
-            for cell in sorted(needed_cells):
+            needed_cells = sorted(
+                {ncell for cell in range(cell_lo, cell_hi) for ncell in neighbour_cells(cell, c)}
+            )
+            # cell -> its molecules in list order, as traversed
+            chains: dict[int, list[int]] = {}
+            records = np.zeros((self.n, self.RECORD_DOUBLES))
+            for cell in needed_cells:
+                chain = chains[cell] = []
                 mol = int(heads[cell])
                 while mol >= 0:
                     row = np.asarray((yield self.mol.read_row(mol)))
-                    records[mol] = row.copy()
-                    visited.append(mol)
+                    records[mol] = row
+                    chain.append(mol)
                     yield Compute(self.flops_us(4))
                     mol = int(row[6])
-            self._history[history_key] = visited
+            self._history[history_key] = [mol for chain in chains.values() for mol in chain]
 
             # Compute pair forces: each unordered pair (i, j>i) is
             # handled exactly once, by the thread owning cell(i), and
             # only across neighbouring cells — mirroring sp_reference.
-            local: dict[int, np.ndarray] = {}
+            positions = records[:, :3]
+            local = np.zeros((self.n, 3))
+            paired = np.zeros(self.n, dtype=bool)
             pair_count = 0
             for cell in range(cell_lo, cell_hi):
-                cx, cy, cz = cell // c**2, (cell // c) % c, cell % c
-                neighbours = [
-                    nx * c**2 + ny * c + nz
-                    for dx in (-1, 0, 1)
-                    for dy in (-1, 0, 1)
-                    for dz in (-1, 0, 1)
-                    if 0 <= (nx := cx + dx) < c
-                    and 0 <= (ny := cy + dy) < c
-                    and 0 <= (nz := cz + dz) < c
-                ]
-                for i in self._chain(records, heads, cell):
-                    pos_i = records[i][:3]
-                    for ncell in neighbours:
-                        for j in self._chain(records, heads, ncell):
-                            if j <= i:
-                                continue
-                            f = pair_force(pos_i, records[j][:3])
-                            local[i] = local.get(i, np.zeros(3)) + f
-                            local[j] = local.get(j, np.zeros(3)) - f
-                            pair_count += 1
+                firsts, seconds = cell_pairs(chains, cell, c)
+                pair_count += pair_forces(positions, firsts, seconds, local)
+                paired[firsts] = True
+                paired[seconds] = True
             yield Compute(self.flops_us(PAIR_FLOPS * pair_count))
 
             # Merge into the per-processor shared buffer, then one
@@ -389,12 +382,10 @@ class WaterSpatial(AppBase):
             tpn = runtime.config.threads_per_node
             node_id = tid // tpn
             acc = self._node_acc.setdefault((node_id, step), {})
-            for mol, contribution in local.items():
-                if mol in acc:
-                    acc[mol] = acc[mol] + contribution
-                else:
-                    acc[mol] = contribution
-            yield Compute(self.flops_us(3 * len(local)))
+            touched = np.flatnonzero(paired).tolist()
+            for mol in touched:
+                acc[mol] = acc[mol] + local[mol] if mol in acc else local[mol].copy()
+            yield Compute(self.flops_us(3 * len(touched)))
             yield Barrier(BARRIER_MAIN)
             # Re-bind after the barrier (recovery point) — see WATER-NSQ.
             acc = self._node_acc[(node_id, step)]
@@ -418,22 +409,13 @@ class WaterSpatial(AppBase):
             # recursive structure does not change — but the records are
             # rewritten, so the next step's traversal refetches them.
             for cell in range(cell_lo, cell_hi):
-                for mol in self._chain(records, heads, cell):
+                for mol in chains[cell]:
                     record = records[mol].copy()
                     record[3] = float(step + 1)
                     record[4] = float(mol)
                     yield Compute(self.flops_us(6))
                     yield self.mol.write_row(mol, record)
             yield Barrier(BARRIER_MAIN)
-
-    @staticmethod
-    def _chain(records: dict, heads: np.ndarray, cell: int) -> list[int]:
-        chain = []
-        mol = int(heads[cell])
-        while mol >= 0:
-            chain.append(mol)
-            mol = int(records[mol][6])
-        return chain
 
     def snapshot_local(self):
         # Accumulation buffers and traversal histories are node-local
@@ -457,4 +439,6 @@ class WaterSpatial(AppBase):
             worst = np.abs(actual - expected).max()
             raise AssertionError(f"WATER-SP force mismatch: {worst}")
         # Newton's third law: forces sum to ~zero.
-        assert np.abs(actual.sum(axis=0)).max() < 1e-6
+        drift = np.abs(actual.sum(axis=0)).max()
+        if not drift < 1e-6:
+            raise AssertionError(f"WATER-SP forces do not sum to zero: {drift}")

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ProtocolError
 from repro.memory.diff import Diff
 from repro.sim import Event
 
@@ -107,30 +106,23 @@ class PageCoherence:
 
         A word is written only if no LATER interval's diff already
         supplied it, whatever order the diffs arrive in.  One stamp per
-        8-byte word is enough: ``make_diff``, the only diff producer,
-        emits whole words, so the bytes of a word are always stamped
-        together, and page, twin and run are handled as ``uint64`` views.
+        8-byte word is enough: a diff is made of whole words, so the
+        bytes of a word are always stamped together, and page and twin
+        are handled as ``uint64`` views.  The whole diff is one gather,
+        one mask and one scatter per target, however many runs it has.
         """
         if self.word_lamports is None:
             self.word_lamports = np.zeros(len(page) // 8, dtype=np.int64)
         marks = self.word_lamports
-        targets = [page.view(np.uint64)]
+        index = diff.word_index(len(marks))
+        words = diff.words
+        newer = marks[index] <= lamport
+        if not newer.all():
+            index, words = index[newer], words[newer]
+        marks[index] = lamport
+        page.view(np.uint64)[index] = words
         if self.dirty and self.twin is not None:
-            targets.append(self.twin.view(np.uint64))
-        for offset, data in diff.runs:
-            if offset & 7:
-                raise ProtocolError(f"diff run at byte {offset} is not word-aligned")
-            words = data.view(np.uint64)
-            window = slice(offset >> 3, (offset >> 3) + len(words))
-            stamps = marks[window]
-            mask = stamps <= lamport
-            if mask.all():
-                for target in targets:
-                    target[window] = words
-            else:
-                for target in targets:
-                    target[window][mask] = words[mask]
-            np.maximum(stamps, lamport, out=stamps)
+            self.twin.view(np.uint64)[index] = words
 
     # -- checkpoint / recovery -------------------------------------------
 

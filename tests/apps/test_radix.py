@@ -61,3 +61,46 @@ def test_radix_rejects_bad_params():
         Radix(num_keys=10)
     with pytest.raises(ValueError):
         Radix(digit_bits=0)
+
+
+_CORRUPTED_VERIFY = """
+from repro import DsmRuntime, RunConfig
+from repro.apps.radix import Radix
+
+runtime = DsmRuntime(RunConfig(num_nodes=2))
+app = Radix(num_keys=256, max_key=1 << 12, digit_bits=6)
+runtime.execute(app, verify=False)
+read = runtime.read_vector
+
+def corrupted(vector):
+    result = read(vector).copy()
+    result[[0, -1]] = result[[-1, 0]]  # smallest and largest key swap places
+    return result
+
+runtime.read_vector = corrupted
+try:
+    app.verify(runtime)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_verify_raises_under_python_O():
+    """Verification is an explicit ``raise``: ``python -O`` strips ``assert``s,
+    and a stripped check would pass a corrupted result silently."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_VERIFY],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "raised: RADIX output not sorted"

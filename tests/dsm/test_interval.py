@@ -3,11 +3,12 @@
 import numpy as np
 
 from repro.dsm import DiffStore, IntervalManager, IntervalRecord, StoredDiff
-from repro.memory import Diff
+from repro.memory import make_diff
 
 
 def stored(proc, covers, lamport, page=0):
-    return StoredDiff(proc, covers, lamport, Diff(page, runs=[(0, np.ones(4, dtype=np.uint8))]))
+    twin = np.zeros(8, dtype=np.uint8)
+    return StoredDiff(proc, covers, lamport, make_diff(page, twin, twin + 1))
 
 
 def test_interval_dirty_tracking():

@@ -114,8 +114,12 @@ def test_stale_count_tracks_the_scan_under_any_interleaving():
 def _apply_per_byte(page, twin, marks, diff, lamport):
     """The per-byte stamps ``apply_diff`` replaced: an ``int64`` for every
     byte of the page, compared and raised run by run."""
-    for offset, data in diff.runs:
-        window = slice(offset, offset + len(data))
+    values = diff.words.view(np.uint8)
+    taken = 0
+    for start, end in diff.runs.tolist():
+        window = slice(start * 8, end * 8)
+        data = values[taken : taken + (end - start) * 8]
+        taken += (end - start) * 8
         mask = marks[window] <= lamport
         page[window][mask] = data[mask]
         if twin is not None:
@@ -177,13 +181,14 @@ def test_word_stamps_match_per_byte_stamps_under_out_of_order_diffs():
                 assert ckpt.size_bytes == page_bytes + twin_bytes + ref_marks.nbytes + 16
 
 
-def test_unaligned_diff_run_is_rejected():
+def test_diff_run_outside_the_page_is_rejected():
     import pytest
 
-    from repro.errors import ProtocolError
+    from repro.errors import PagedMemoryError
     from repro.memory import Diff
 
     state = PageCoherence(0, 2)
     page = np.zeros(64, dtype=np.uint8)
-    with pytest.raises(ProtocolError, match="not word-aligned"):
-        state.apply_diff(page, Diff(0, [(12, np.ones(8, dtype=np.uint8))]), 1)
+    outside = Diff(0, words=np.ones(2, dtype=np.uint64), runs=np.array([[7, 9]]))
+    with pytest.raises(PagedMemoryError, match="outside page"):
+        state.apply_diff(page, outside, 1)

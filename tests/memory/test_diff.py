@@ -15,6 +15,26 @@ from repro.memory import Diff, apply_diff, make_diff
 from repro.memory.diff import DIFF_HEADER_BYTES, RUN_HEADER_BYTES
 
 
+# The run-list encoder the word arrays replaced: a list of ``(byte offset,
+# bytes)`` runs.  Kept as the reference for run counts, sizes and contents.
+
+
+def run_list_diff(twin, current):
+    changed_words = twin.view(np.uint64) != current.view(np.uint64)
+    if not changed_words.any():
+        return []
+    idx = np.flatnonzero(changed_words)
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
+    ends = np.concatenate((idx[breaks], [idx[-1]]))
+    return [(int(s) * 8, current[s * 8 : (e + 1) * 8].copy()) for s, e in zip(starts, ends)]
+
+
+def run_list_apply(page, runs):
+    for offset, data in runs:
+        page[offset : offset + len(data)] = data
+
+
 def test_identical_pages_give_empty_diff():
     page = np.arange(64, dtype=np.uint8)
     diff = make_diff(0, page.copy(), page.copy())
@@ -27,11 +47,8 @@ def test_single_byte_change_ships_its_word():
     current = twin.copy()
     current[10] = 7
     diff = make_diff(0, twin, current)
-    assert len(diff.runs) == 1
-    offset, data = diff.runs[0]
-    assert offset == 8  # the containing word
-    assert len(data) == 8
-    assert data[2] == 7
+    assert diff.runs.tolist() == [[1, 2]]  # the containing word
+    assert diff.words.view(np.uint8).tolist() == [0, 0, 7, 0, 0, 0, 0, 0]
 
 
 def test_adjacent_word_changes_coalesce_into_one_run():
@@ -50,8 +67,7 @@ def test_separate_words_make_separate_runs():
     current[32] = 2   # word 4
     current[63] = 3   # word 7
     diff = make_diff(0, twin, current)
-    assert len(diff.runs) == 3
-    assert all(off % 8 == 0 for off, _ in diff.runs)
+    assert diff.runs.tolist() == [[0, 1], [4, 5], [7, 8]]
 
 
 def test_size_bytes_counts_headers():
@@ -81,7 +97,7 @@ def test_apply_diff_reconstructs_page():
 
 def test_apply_out_of_range_run_rejected():
     page = np.zeros(16, dtype=np.uint8)
-    bad = Diff(0, runs=[(12, np.ones(8, dtype=np.uint8))])
+    bad = Diff(0, words=np.ones(1, dtype=np.uint64), runs=np.array([[2, 3]]))
     with pytest.raises(PagedMemoryError):
         apply_diff(page, bad)
 
@@ -160,9 +176,38 @@ def test_property_runs_are_word_aligned_sorted_disjoint(data):
     for pos in data.draw(st.lists(st.integers(0, 95), max_size=30)):
         current[pos] = 1
     diff = make_diff(0, twin, current)
+    # Runs are word index pairs, so aligned by construction; they are
+    # ascending, non-empty and maximal (a gap of at least one word).
     last_end = -1
-    for offset, run in diff.runs:
-        assert offset % 8 == 0
-        assert len(run) % 8 == 0
-        assert offset > last_end
-        last_end = offset + len(run) - 1
+    for start, end in diff.runs.tolist():
+        assert start > last_end
+        assert end > start
+        last_end = end
+    assert sum(end - start for start, end in diff.runs.tolist()) == len(diff.words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_property_word_arrays_match_the_run_list_encoder(num_words, data):
+    """Run count, ``modified_bytes``, ``size_bytes`` and the applied page
+    are the run-list encoder's, on any twin/page pair."""
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    twin = gen.integers(0, 256, num_words * 8, dtype=np.uint8)
+    current = twin.copy()
+    for pos in data.draw(st.lists(st.integers(0, num_words * 8 - 1), max_size=40)):
+        current[pos] = data.draw(st.integers(0, 255))
+    diff = make_diff(5, twin, current)
+    runs = run_list_diff(twin, current)
+    assert [(start * 8, (end - start) * 8) for start, end in diff.runs.tolist()] == [
+        (offset, len(run)) for offset, run in runs
+    ]
+    assert diff.modified_bytes == sum(len(run) for _, run in runs)
+    assert diff.size_bytes == DIFF_HEADER_BYTES + sum(
+        RUN_HEADER_BYTES + len(run) for _, run in runs
+    )
+    assert diff.is_empty == (not runs)
+    page = gen.integers(0, 256, num_words * 8, dtype=np.uint8)
+    expected = page.copy()
+    run_list_apply(expected, runs)
+    apply_diff(page, diff)
+    assert np.array_equal(page, expected)
