@@ -6,12 +6,13 @@
     python3 benchmarks/contract/run.py numbers [--check FILE]
     python3 benchmarks/contract/run.py rebaseline
 
-``digest`` runs ROOT's simulator with trace, profile, telemetry, critpath and
-sanitizer on and writes one line per cell: sha256 of ``RunReport.to_dict()``,
-sha256 of the JSONL trace, event count.  Run it on two checkouts and ``diff``
-the two files; ``diff`` also takes two ledger result files.  ``numbers`` reads
-``src/`` under the current directory, so it measures whichever checkout it is
-run from.  ``rebaseline`` rewrites this checkout's five committed baselines.
+``digest`` runs ROOT's simulator, mostly with trace, profile, telemetry,
+critpath and sanitizer on, and writes one line per cell: sha256 of
+``RunReport.to_dict()``, sha256 of the JSONL trace, event count.  Run it on two
+checkouts and ``diff`` the two files; ``diff`` also takes two ledger result
+files.  ``numbers`` reads ``src/`` under the current directory, so it measures
+whichever checkout it is run from.  ``rebaseline`` rewrites this checkout's two
+committed baselines: ``contract.txt`` and the tier-1 fixture.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ import subprocess
 import sys
 import tempfile
 import tokenize
+import traceback
+from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-BASELINES = REPO / "benchmarks" / "baselines"
+CONTRACT = REPO / "benchmarks" / "baselines" / "contract.txt"
 SEED = 42
 PLANE_LABELS = ("O", "P", "4T", "4TP")
 #: The trailer: how often the fault-plan cells emitted each loss- or
@@ -46,6 +49,8 @@ LOSS_EVENTS = (
     "cpu/memory_idle cpu/sync_idle cpu/checkpoint cpu/recovery cpu/downtime"
 ).split()
 END_TO_END = ("host_s", "peak_rss_mb", "setup_s", "sim_wall_ms")
+#: A smoke cell handles at most ~7 000 events; past this one it is a livelock.
+SMOKE_MAX_EVENTS = 1_000_000
 HOOK_SITE = re.compile(r"trace_on|sanitizer_on|telemetry_on|tr\.enabled|san\.enabled")
 NOT_CODE = {
     tokenize.COMMENT,
@@ -58,9 +63,11 @@ NOT_CODE = {
 
 
 def digest(root: str, out_file: str, seed: int = SEED) -> None:
-    # ROOT's simulator; this checkout's fault plans and ledger cell list.
+    # ROOT's simulator; this checkout's fault plans and ledger cells, configs and seeds.
     sys.path[:0] = [os.path.join(root, "src"), str(REPO), str(REPO / "benchmarks" / "ledger")]
-    from hostledger.spec import WORKLOADS
+    from hostledger.spec import WORKLOADS, smoke
+    from hostledger.worker import build_app, build_config, cell_seeds
+    from repro import DsmRuntime
     from repro.apps import APP_ORDER
     from repro.dsm.backend import BACKEND_NAMES
     from repro.network import FaultPlan
@@ -70,10 +77,12 @@ def digest(root: str, out_file: str, seed: int = SEED) -> None:
 
     lines = []
 
-    def cell(name, app_name, label, protocol, **overrides):
-        runtime, report = traced_run(app_name, label, protocol, **overrides)
+    def line(name, runtime, report):
         lines.append(f"{name}  " + "  ".join(map(str, run_digests(runtime, report))))
         return runtime, report
+
+    def cell(name, app_name, label, protocol, **overrides):
+        return line(name, *traced_run(app_name, label, protocol, **overrides))
 
     # 111 small 8-node cells: every app and technique on every backend, loss
     # on both transports and one crash recovery per backend.
@@ -107,6 +116,29 @@ def digest(root: str, out_file: str, seed: int = SEED) -> None:
     for spec in observed.cells:
         size = {"preset": spec.preset, "num_nodes": spec.nodes, "seed": seed}
         cell(spec.id, spec.app, spec.label, spec.protocol, **size)
+    # The ledger's smoke cells (`benchmarks/ledger/run.py --smoke`) on the
+    # config and seed the ledger gives each, so all but `observed` run
+    # planes-off: the path every benchmark and user run takes.  A lossy
+    # cell's seed is its rank within the workload, hence the workload name.
+    # Unverified, as in the ledger's timed region (its smoke run verifies
+    # them), and a cell that raises or livelocks says so in its line: on a
+    # broken tree every other cell still shows whether it moved.
+    ran = set()
+    for workload in map(smoke, WORKLOADS):
+        for spec, cell_seed in cell_seeds(workload, seed).items():
+            if (spec, cell_seed) in ran:
+                continue
+            ran.add((spec, cell_seed))
+            name = f"{workload.name}/{spec.id}"
+            config = replace(build_config(spec, cell_seed), max_events=SMOKE_MAX_EVENTS)
+            runtime = DsmRuntime(config)
+            try:
+                report = runtime.execute(build_app(spec), verify=False)
+            except Exception as exc:  # the cell boundary, as in the ledger's worker
+                traceback.print_exc()
+                lines.append(f"{name}  raised {type(exc).__name__}")
+            else:
+                line(name, runtime, report)
     cells = len(lines)
     lines.append("")
     lines.extend(f"{name:32s} {emitted[name]:6d}" for name in LOSS_EVENTS)
@@ -241,37 +273,17 @@ def numbers(check: str | None = None) -> int:
 
 
 def rebaseline() -> None:
-    """Rewrite the five committed baselines from this checkout."""
-    sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    """Rewrite the two committed baselines from this checkout and say which changed."""
+    before = {CONTRACT: CONTRACT.read_text(encoding="utf-8")}
+    digest(str(REPO), str(CONTRACT))
     from tests.dsm.fixtures.record import CELLS, FIXTURE, cell_digests, cell_key
 
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    with tempfile.TemporaryDirectory() as scratch:
-
-        def produce(*command):
-            out = os.path.join(scratch, "out.json")
-            command = [sys.executable, *command, out]
-            subprocess.run(command, cwd=REPO, env=env, check=True, stdout=subprocess.DEVNULL)
-            return Path(out).read_text(encoding="utf-8")
-
-        bench = ("-m", "repro.bench", "--quick", "--jobs", "2")
-        sor = ("-m", "repro.apps", "SOR", "--preset", "small", "--nodes", "4")
-        ledger = produce("benchmarks/ledger/run.py", "--smoke", "--seconds", "2", "--out")
-        digests = {k: v["report_digest"] for k, v in json.loads(ledger)["workloads"].items()}
-        fixture = {cell_key(*cell): cell_digests(*cell) for cell in CELLS}
-        texts = {
-            BASELINES / "bench-smoke.json": produce(*bench, "--apps", "sor,fft", "--out"),
-            BASELINES / "protocol-smoke-lrc.json": produce(*bench, "--apps", "sor,radix", "--out"),
-            BASELINES / "ledger-smoke-digests.json": json.dumps(digests, indent=2) + "\n",
-            BASELINES / "critpath-smoke-sor.json": produce(*sor, "--critpath"),
-            Path(FIXTURE): json.dumps(fixture, indent=1, sort_keys=True) + "\n",
-        }
-    for path, text in texts.items():
-        # A bench document is stamped with the day it was made: the stamp alone is no change.
-        old, new = json.loads(path.read_text(encoding="utf-8")), json.loads(text)
-        same = {**old, "created": None} == {**new, "created": None}
-        if not same:
-            path.write_text(text, encoding="utf-8")
+    fixture = Path(FIXTURE)
+    before[fixture] = fixture.read_text(encoding="utf-8")
+    digests = {cell_key(*cell): cell_digests(*cell) for cell in CELLS}
+    fixture.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for path, text in before.items():
+        same = path.read_text(encoding="utf-8") == text
         print(f"{'unchanged' if same else 'REWRITTEN'}  {path.relative_to(REPO)}")
 
 

@@ -5,10 +5,10 @@ Sweeps applications across the paper's technique configurations — base
 on, and emits one machine-readable ``BENCH_<date>.json``: wall time,
 category breakdowns, and latency-histogram quantiles per (app, config)
 cell.  The files seed the repo's performance trajectory; two of them
-(or a file and a checked-in baseline) diff with
-``python -m repro.profile.compare``, which is how CI's bench-smoke job
-catches perf/behaviour drift.  The simulation is deterministic, so on
-one code revision the same sweep always produces the same numbers.
+diff with ``python -m repro.profile.compare``.  The simulation is
+deterministic, so on one code revision the same sweep always produces the
+same numbers; the byte-level gate on them is ``contract.txt``
+(``benchmarks/contract/``), not a bench document.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ BENCH_SCHEMA = "repro-bench-1"
 
 #: base, prefetch, multithreading, combined — the paper's four schemes.
 DEFAULT_CONFIGS = ("O", "P", "4T", "4TP")
-#: CI variant: fewer threads, fewer nodes (set by --quick).
+#: The --quick variant: fewer threads (and 4 nodes).
 QUICK_CONFIGS = ("O", "P", "2T", "2TP")
 
 #: Histogram stats embedded per quantile row (compare gates on these).

@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.bench                          # 8 apps x O,P,4T,4TP
-    python -m repro.bench --apps sor,fft --quick   # the CI smoke matrix
+    python -m repro.bench --apps sor,fft --quick   # 4 nodes x O,P,2T,2TP
     python -m repro.bench --out BENCH_baseline.json --nodes 4
 """
 
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI preset: 4 nodes and 2-thread configs unless overridden",
+        help="quick preset: 4 nodes and 2-thread configs unless overridden",
     )
     parser.add_argument("--no-verify", action="store_true")
     parser.add_argument(

@@ -5,8 +5,8 @@ Examples::
     python -m repro.experiments fig1
     python -m repro.experiments tab1 fig3
     python -m repro.experiments all --preset small --nodes 4
-    python -m repro.experiments --crash
-    python -m repro.experiments --crash --crash-node 5 --crash-at 0.6 --crash-loss 0.05
+    python -m repro.experiments crash
+    python -m repro.experiments crash --crash-node 5 --crash-at 0.6 --crash-loss 0.05
 """
 
 from __future__ import annotations
@@ -27,23 +27,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiments",
         nargs="*",
         help=f"experiment ids ({', '.join(ALL_EXPERIMENTS)}) or 'all'",
-    )
-    parser.add_argument(
-        "--crash",
-        action="store_true",
-        help="run the crash-recovery matrix (shorthand for the 'crash' id)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="run the static-vs-adaptive transport matrix (shorthand for "
-        "the 'adaptive' id)",
-    )
-    parser.add_argument(
-        "--protocol",
-        action="store_true",
-        help="run the coherence-protocol comparison matrix, lrc vs hlrc "
-        "vs sc (shorthand for the 'protocol' id)",
     )
     parser.add_argument(
         "--crash-node",
@@ -113,16 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     wanted = list(ALL_EXPERIMENTS) if "all" in args.experiments else list(args.experiments)
-    if args.crash and "crash" not in wanted:
-        wanted.append("crash")
-    if args.adaptive and "adaptive" not in wanted:
-        wanted.append("adaptive")
-    if args.protocol and "protocol" not in wanted:
-        wanted.append("protocol")
     if args.critpath and not wanted:
         wanted.append("critpath")
     if not wanted:
-        parser.error("no experiments requested (give ids, 'all', --crash, or --adaptive)")
+        parser.error("no experiments requested (give ids, 'all', or --critpath)")
     unknown = [e for e in wanted if e not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment(s): {unknown}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.apps.registry import APP_ORDER
 from repro.experiments import (
@@ -156,9 +155,7 @@ def generate(runner: ExperimentRunner, path: str) -> dict:
     sections = []
     outcomes = {}
     for artifact_id, fn in ARTIFACTS.items():
-        started = time.time()
         text, data = fn(runner)
-        elapsed = time.time() - started
         claims = []
         for description, check in PAPER_CLAIMS.get(artifact_id, []):
             try:
@@ -173,8 +170,7 @@ def generate(runner: ExperimentRunner, path: str) -> dict:
         )
         sections.append(
             f"## {artifact_id}\n\n```text\n{text}\n```\n\n"
-            f"**Paper-shape checks:**\n\n{claim_lines}\n\n"
-            f"_(regenerated in {elapsed:.1f}s)_\n"
+            f"**Paper-shape checks:**\n\n{claim_lines}\n"
         )
     header = (
         "# EXPERIMENTS — paper vs. measured\n\n"

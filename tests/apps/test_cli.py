@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 from repro.apps.__main__ import main
 
 
@@ -16,3 +18,15 @@ def test_crash_baseline_is_the_configured_program(capsys):
     (baseline_ms,) = re.findall(r"baseline wall time ([\d.]+) ms", crashed)
     assert baseline_ms == clean_ms
     assert "1 crash(es), 1 detected, 1 recovered" in crashed
+
+
+@pytest.mark.parametrize("app", ["SOR", "FFT"])
+def test_adaptive_wall_clock_within_2pct_of_static_under_loss(app, capsys):
+    """Both runs verify, and adaptation costs at most 2 % of wall time."""
+    walls = []
+    for transport in ([], ["--adaptive"]):
+        assert main([app, "--preset", "small", "--nodes", "4", "--loss", "0.05", *transport]) == 0
+        (wall_ms,) = re.findall(r"wall time: +([\d.]+) ms", capsys.readouterr().out)
+        walls.append(float(wall_ms))
+    static, adaptive = walls
+    assert adaptive <= 1.02 * static

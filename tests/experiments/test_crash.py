@@ -26,10 +26,8 @@ def test_crash_matrix_entries():
         assert entry["heartbeats"] > 0
 
 
-def test_cli_crash_flag(capsys):
-    code = experiments_main(
-        ["--crash", "--nodes", "4", "--preset", "small", "--crash-node", "1"]
-    )
+def test_cli_crash_id(capsys):
+    code = experiments_main(["crash", "--nodes", "4", "--preset", "small", "--crash-node", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "Crash matrix" in out

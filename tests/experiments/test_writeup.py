@@ -1,5 +1,10 @@
 """Structural tests for the EXPERIMENTS.md generator."""
 
+import itertools
+import time
+from types import SimpleNamespace
+
+from repro.experiments import writeup
 from repro.experiments.writeup import ARTIFACTS, PAPER_CLAIMS
 
 
@@ -22,3 +27,16 @@ def test_claim_checks_are_defensive():
                 check({})
             except Exception:
                 pass  # allowed: generate() catches these
+
+
+def test_document_depends_on_the_runs_alone(tmp_path, monkeypatch):
+    """Two writeups of the same runs are the same bytes, however long each took."""
+    clock = itertools.accumulate(itertools.count(1.0))  # 1, 3, 6, 10, ...: every gap longer
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    monkeypatch.setattr(writeup, "ARTIFACTS", {"fig1": lambda runner: ("table", {})})
+    runner = SimpleNamespace(num_nodes=4, preset="small", seed=42)
+    texts = []
+    for name in ("a.md", "b.md"):
+        writeup.generate(runner, str(tmp_path / name))
+        texts.append((tmp_path / name).read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]

@@ -1,6 +1,8 @@
 """The bench harness: schema validity and compare interoperability."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -85,14 +87,26 @@ def test_bench_is_deterministic(tiny_bench):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_checked_in_baseline_matches_schema():
-    from pathlib import Path
+def run_command(monkeypatch, module, *args):
+    """``python -m MODULE ARGS...`` in-process: its exit code."""
+    monkeypatch.setattr(sys, "argv", [module, *args])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module(module, run_name="__main__")
+    return exited.value.code
 
-    path = Path(__file__).resolve().parents[2] / "benchmarks/baselines/bench-smoke.json"
-    baseline = json.loads(path.read_text())
-    assert baseline["schema"] == BENCH_SCHEMA
-    assert {run["app"] for run in baseline["runs"]} == {"SOR", "FFT"}
-    assert flatten(baseline)  # flattens without error
+
+# runpy warns that repro.profile.compare was imported before it ran as __main__.
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_sor_fft_document_matches_schema(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "bench.json")
+    assert run_command(monkeypatch, "repro.bench", "--apps", "sor,fft", "--quick", "--out", out) == 0
+    assert "wrote 8 runs" in capsys.readouterr().out
+    with open(out) as handle:
+        doc = json.load(handle)
+    assert doc["schema"] == BENCH_SCHEMA
+    assert {run["app"] for run in doc["runs"]} == {"SOR", "FFT"}
+    assert flatten(doc)  # flattens without error
+    assert run_command(monkeypatch, "repro.profile.compare", out, out, "--tolerance", "0") == 0
 
 
 def test_bench_records_the_protocol(tiny_bench):

@@ -1,7 +1,7 @@
 """``benchmarks/contract/run.py``: the verbs that need no simulator run.
 
-``digest`` and ``rebaseline`` are held by CI (the committed
-``benchmarks/baselines/contract.txt`` and the five baselines they write).
+``digest`` is held by CI to the committed ``benchmarks/baselines/contract.txt``;
+``rebaseline`` rewrites that file and the tier-1 fixture.
 """
 
 import importlib.util
