@@ -61,11 +61,10 @@ class RunConfig:
     seed: int = 42
     costs: CostModel = field(default_factory=CostModel)
     link: LinkConfig = field(default_factory=LinkConfig)
-    #: Reliable transport under the DSM protocol (on by default): seq
-    #: numbers, acks, timeout/retry/backoff, duplicate suppression.
-    #: ``None`` reverts to the legacy "reliable messages are never
-    #: lost" link-model magic.
-    transport: Optional[TransportConfig] = field(default_factory=TransportConfig)
+    #: Timer policy of the reliable transport under the DSM protocol
+    #: (seq numbers, acks, timeout/retry/backoff, duplicate
+    #: suppression); every node runs one, and every datagram can drop.
+    transport: TransportConfig = field(default_factory=TransportConfig)
     #: Seed-driven fault injection (drops, duplicates, reordering,
     #: degradation and stall windows); ``None`` = pristine network.
     fault_plan: Optional[FaultPlan] = None
@@ -122,6 +121,8 @@ class RunConfig:
             )
         if self.num_nodes < 2:
             raise ConfigError("num_nodes must be >= 2")
+        if not isinstance(self.transport, TransportConfig):
+            raise ConfigError(f"transport must be a TransportConfig, got {self.transport!r}")
         if self.ft is None and self.fault_plan is not None and (
             self.fault_plan.crashes or self.fault_plan.partitions
         ):
@@ -305,7 +306,7 @@ class DsmRuntime:
             critpath = analyze_events(self.tracer.events).to_dict()
         transport_health = None
         transports = self.cluster.transports
-        if transports and transports[0].adaptive:
+        if self.config.transport.adaptive:
             network = self.cluster.network
             per_node = {}
             parked_live = 0

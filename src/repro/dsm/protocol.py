@@ -100,18 +100,17 @@ class DsmNode:
         size_bytes: int,
         payload: dict,
         role: Optional[str] = None,
-        reliable: bool = True,
         **entity,
     ):
         """The one way a protocol message leaves this node: build it,
         label its causal edge, return ``node.send_message``'s generator.
 
-        Source and backpressure class (the kind's default) are not the
+        Source, backpressure class and tracking (the kind's) are not the
         caller's business; ``role``/``entity`` go to :meth:`label_edge`
         (``None``: no label).  The order is load-bearing: message ids
         are allocated at construction, the label precedes the send charge.
         """
-        out = Message(self.node_id, dst, kind, size_bytes, payload, reliable)
+        out = Message(self.node_id, dst, kind, size_bytes, payload)
         if role is not None:
             self.label_edge(out, role, **entity)
         return self.node.send_message(out)
@@ -580,15 +579,13 @@ class LrcBackend(CoherenceBackend):
         # ahead of any notice/prefetch backlog on the link.
         return self.serve_diffs(msg, MessageKind.DIFF_REPLY, "reply")
 
-    def serve_diffs(
-        self, msg: Message, kind: MessageKind, role: str, reliable: bool = True
-    ) -> Generator:
+    def serve_diffs(self, msg: Message, kind: MessageKind, role: str) -> Generator:
         """The diff server: answer ``msg`` with the page's diffs past its
         ``t_have`` and the interval records that go with them.
 
         One server for demand and prefetch requests, sub-interval
         machinery included: the paper's prefetch (Section 3.1) *is* the
-        diff request, its reply a droppable datagram (``reliable=False``).
+        diff request, its reply an untracked ``PREFETCH_REPLY``.
         """
         page_id = msg.payload["page_id"]
         t_have = msg.payload["t_have"]
@@ -617,7 +614,6 @@ class LrcBackend(CoherenceBackend):
                 "notices": notices,
             },
             role,
-            reliable,
             page=page_id,
             request_id=request_id,
         )

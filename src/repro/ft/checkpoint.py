@@ -46,9 +46,8 @@ class NodeCheckpoint:
     #: page contents, twins, vector clock, interval/write-notice/diff
     #: archives, lock and barrier state.
     dsm: dict
-    #: ``ReliableTransport.snapshot_state`` result (``None`` when the
-    #: run has no transport layer).
-    transport: Any
+    #: ``ReliableTransport.snapshot_state`` result.
+    transport: dict
     #: ``(tid, value_log_copy)`` per local thread, in tid order.
     thread_logs: list
     #: Approximate bytes written to stable storage for this node.

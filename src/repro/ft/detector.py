@@ -201,7 +201,6 @@ class FailureDetector:
                     dst=COORDINATOR,
                     kind=MessageKind.HEARTBEAT,
                     size_bytes=16,
-                    reliable=False,
                 )
             )
 

@@ -146,7 +146,7 @@ class FtManager:
             transport.on_give_up = (
                 lambda dst, msg, _src=reporter: self.detector.on_give_up(_src, dst, msg)
             )
-        if self.cluster.transports and self.cluster.transports[0].adaptive:
+        if runtime.config.transport.adaptive:
             # Suspicion must key off when transports actually stop
             # trying.  The adaptive give-up is a wall deadline
             # (GIVE_UP_US), not the static retry ladder the suspicion
@@ -288,7 +288,6 @@ class FtManager:
                 kind=kind,
                 size_bytes=_ANNOUNCE_BYTES,
                 payload=payload,
-                reliable=False,
             )
         )
 
@@ -316,13 +315,11 @@ class FtManager:
         mark(self.sim, "rejoin", COORDINATOR, member=node_id, fenced_us=round(fenced_for, 3))
         self._announce(MessageKind.FT_UP, node_id)
         self._tell(node_id, MessageKind.FT_REJOIN, {"down": sorted(self.detector.down)})
-        transports = self.cluster.transports
-        if transports:
-            for transport in transports:
-                if transport.node.node_id == node_id:
-                    self.messages_revived += transport.revive_all()
-                else:
-                    self.messages_revived += transport.revive(node_id)
+        for transport in self.cluster.transports:
+            if transport.node.node_id == node_id:
+                self.messages_revived += transport.revive_all()
+            else:
+                self.messages_revived += transport.revive(node_id)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -434,7 +431,7 @@ class FtManager:
                 NodeCheckpoint(
                     node_id=node_id,
                     dsm=dsm.snapshot_state(),
-                    transport=transports[node_id].snapshot_state() if transports else None,
+                    transport=transports[node_id].snapshot_state(),
                     thread_logs=thread_logs,
                 )
             )
@@ -543,8 +540,7 @@ class FtManager:
                     stale.body.close()
             node.reset_cpu()
             self.runtime.dsm_nodes[node_id].restore_state(node_ckpt.dsm)
-            if transports:
-                transports[node_id].restore_state(node_ckpt.transport)
+            transports[node_id].restore_state(node_ckpt.transport)
             if self.runtime.prefetch_engines:
                 self.runtime.prefetch_engines[node_id].reset_volatile()
             # Downtime: the crashed machine was dead from the crash

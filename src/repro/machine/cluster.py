@@ -3,10 +3,10 @@
 The cluster also owns the robustness wiring: with a
 :class:`~repro.network.faults.FaultPlan` the interconnect is built as a
 :class:`~repro.network.faults.FaultyNetwork` (seed-driven loss,
-duplication, reordering, degradation and stall windows), and with a
-:class:`~repro.network.transport.TransportConfig` every node gets a
-:class:`~repro.network.transport.ReliableTransport` so protocol traffic
-survives whatever the plan injects.
+duplication, reordering, degradation and stall windows), and every node
+runs a :class:`~repro.network.transport.ReliableTransport` (the timer
+policy its :class:`~repro.network.transport.TransportConfig` names) so
+protocol traffic survives whatever the plan and the queues drop.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class Cluster:
         costs: Optional[CostModel] = None,
         link_config: Optional[LinkConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        transport: Optional[TransportConfig] = None,
+        transport: TransportConfig = TransportConfig(),
         rng: Optional[RandomSource] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -69,15 +69,10 @@ class Cluster:
         else:
             self.network = Network(self.sim, num_nodes, link_config=link_config)
         self.nodes: list[Node] = [
-            Node(self.sim, node_id, self.network, self.costs, page_size)
+            Node(self.sim, node_id, self.network, self.costs, page_size, transport, self.random)
             for node_id in range(num_nodes)
         ]
-        self.transports: list[ReliableTransport] = []
-        if transport is not None:
-            for node in self.nodes:
-                layer = ReliableTransport(node, transport, self.random)
-                node.install_transport(layer)
-                self.transports.append(layer)
+        self.transports: list[ReliableTransport] = [node.transport for node in self.nodes]
 
     def node(self, node_id: int) -> Node:
         if not 0 <= node_id < self.num_nodes:

@@ -16,16 +16,13 @@ case of the single-threaded DSM).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.machine.timing import CostModel
 from repro.memory import PageStore
 from repro.metrics.counters import Category, EventCounters, TimeBreakdown
-from repro.network import Message, Network
-from repro.sim import Event, Resource, Simulator, spawn
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.transport import ReliableTransport
+from repro.network import Message, Network, ReliableTransport, TransportConfig
+from repro.sim import Event, RandomSource, Resource, Simulator, spawn
 
 __all__ = ["Node", "HANDLER_PRIORITY", "THREAD_PRIORITY"]
 
@@ -43,6 +40,8 @@ class Node:
         network: Network,
         costs: CostModel,
         page_size: int,
+        transport: TransportConfig,
+        rng: RandomSource,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -65,14 +64,10 @@ class Node:
         #: piggybacks on it: any delivered traffic proves the sender was
         #: recently alive, so explicit heartbeats only fill silences.
         self.message_observer: Optional[Callable[[Message], None]] = None
-        #: Reliable transport layer (installed by the cluster when on).
-        #: With it, reliable protocol messages become tracked datagrams:
+        #: The reliable transport: messages of a tracked kind are
         #: retransmitted on timeout, acked and deduplicated on receipt.
-        self.transport: Optional["ReliableTransport"] = None
+        self.transport = ReliableTransport(self, transport, rng)
         network.attach(node_id, self._on_message)
-
-    def install_transport(self, transport: "ReliableTransport") -> None:
-        self.transport = transport
 
     def reset_cpu(self) -> None:
         """Replace the CPU resource (crash rollback).
@@ -145,14 +140,14 @@ class Node:
     def send_message(self, message: Message) -> Generator[Event, Any, bool]:
         """Charge the send cost, then inject the message into the network.
 
-        Reliable messages go through the transport when one is installed
-        (the transport owns retransmission; the call returns once the
-        first copy is in flight).  Returns whether the network accepted
-        the datagram (False = dropped before the wire, meaningful only
-        for untracked unreliable messages).
+        A message of a tracked kind goes through the transport (which
+        owns retransmission; the call returns once the first copy is in
+        flight).  Returns whether the network accepted the datagram
+        (False = dropped before the wire, meaningful only for untracked
+        kinds).
         """
         yield from self.occupy(self.costs.msg_send_cpu, Category.DSM)
-        if self.transport is not None and message.reliable:
+        if message.kind.is_tracked:
             return self.transport.send_tracked(message)
         return self.network.send(message)
 
@@ -196,10 +191,7 @@ class Node:
 
     def _handle(self, message: Message) -> Generator[Event, Any, None]:
         yield from self._charge_receive()
-        if self.transport is not None:
-            deliver = yield from self.transport.on_receive(message)
-            if not deliver:
-                return  # an ack, or a suppressed duplicate
-        if self._dispatch is None:
-            return
+        deliver = yield from self.transport.on_receive(message)
+        if not deliver or self._dispatch is None:
+            return  # an ack, a suppressed duplicate, or no protocol attached
         yield from self._dispatch(message)

@@ -15,8 +15,8 @@ according to a :class:`FaultPlan` —
 - timed **per-node stall windows**: a node's NIC goes quiet — nothing
   leaves it and nothing is delivered to it until the window ends;
 - timed **link partitions**: a set of links (or everything crossing a
-  node-group boundary) is severed — all traffic on it vanishes,
-  including magically reliable messages, with no random draw;
+  node-group boundary) is severed — all traffic on it vanishes, with
+  no random draw;
 - timed **bit-corruption windows**: a transmission arrives with
   ``Message.corrupted`` set; the receiver's end-to-end checksum
   discards it before protocol code can apply it as a garbage diff, and
@@ -27,11 +27,8 @@ Every decision draws from one named stream of the experiment's
 bit-for-bit.  Every injected fault is recorded in
 :class:`~repro.network.stats.TrafficStats` by message kind.
 
-Magically reliable messages (``Message.reliable`` without a transport
-layer) are exempt from drops and duplication — they model a lossless
-channel — but still suffer delay faults, which any channel can.  With
-:class:`~repro.network.transport.ReliableTransport` installed, protocol
-messages travel as droppable datagrams and nothing is exempt.
+No message is exempt: protocol messages arrive because
+:class:`~repro.network.transport.ReliableTransport` retransmits them.
 """
 
 from __future__ import annotations
@@ -189,11 +186,9 @@ class LinkPartition:
 
     Severed traffic vanishes without consuming a single random draw:
     partitions are window-deterministic, so adding one to a plan can
-    never perturb the fault stream any other link sees.  Unlike
-    probabilistic loss, a partition severs *everything* — including
-    magically reliable messages, because there is no wire left to be
-    lossless on.  The :mod:`repro.ft` layer is what must tell this
-    apart from a crash: heartbeats stop exactly as if the peer died.
+    never perturb the fault stream any other link sees.  The
+    :mod:`repro.ft` layer is what must tell this apart from a crash:
+    heartbeats stop exactly as if the peer died.
     """
 
     start_us: float
@@ -584,21 +579,15 @@ class FaultyNetwork(Network):
         plan = self.plan
         now = self.sim.now
         if plan.partitions and plan.severed(message.src, message.dst, now):
-            # A severed link loses everything, reliable or not, and
-            # consumes no random draw: the fate of other links' traffic
-            # (and of this link's traffic outside the window) is
-            # byte-identical with and without the partition.
+            # A severed link consumes no random draw: the fate of other
+            # links' traffic (and of this link's traffic outside the
+            # window) is byte-identical with and without the partition.
             self.stats.record_injected("partition", message)
             self._drop(message, "partition")
             return False
         in_scope = plan.only_links is None or (message.src, message.dst) in plan.only_links
         rng = self._link_rng(message.src, message.dst) if in_scope else None
-        if (
-            in_scope
-            and not message.reliable
-            and plan.drop_prob > 0
-            and rng.random() < plan.drop_prob
-        ):
+        if in_scope and plan.drop_prob > 0 and rng.random() < plan.drop_prob:
             self.stats.record_injected("drop", message)
             self._drop(message, "fault")
             return False
@@ -616,7 +605,7 @@ class FaultyNetwork(Network):
         if hold > 0:
             self.stats.record_injected("stall", message)
             delay += hold
-        if in_scope and not message.reliable and plan.corruptions:
+        if in_scope and plan.corruptions:
             # Draw only while a window covers this link, so plans
             # without corruption consume the same stream positions as
             # before this fault type existed.
@@ -624,12 +613,7 @@ class FaultyNetwork(Network):
             if prob > 0 and rng.random() < prob:
                 message.corrupted = True
                 self._inject_fault("corrupt", message)
-        if (
-            in_scope
-            and not message.reliable
-            and plan.duplicate_prob > 0
-            and rng.random() < plan.duplicate_prob
-        ):
+        if in_scope and plan.duplicate_prob > 0 and rng.random() < plan.duplicate_prob:
             self._inject_fault("duplicate", message)
             ghost_delay = delay + float(rng.uniform(0.0, max(plan.jitter_us, 1.0)))
             self.sim.schedule(ghost_delay, self._inject, message.clone())

@@ -2,9 +2,9 @@
 
 A link transmits one message at a time at a fixed bandwidth.  Messages
 queue FIFO behind the transmitter.  The queue is finite in *bytes*; when
-it is full, unreliable messages are dropped (the ATM switch has no
-retransmission — TreadMarks' reliable channel retransmits above it, so
-reliable messages are modelled as never lost, only delayed).
+it is full, an arriving message is dropped (the ATM switch has no
+retransmission; the reliable transport above it retransmits whatever the
+DSM protocol needs to arrive).
 """
 
 from __future__ import annotations
@@ -133,17 +133,15 @@ class Link:
     def send(self, message: Message) -> bool:
         """Enqueue a message; returns False if it was dropped.
 
-        Unreliable messages are dropped when the queue (plus the message
-        itself) would exceed capacity.  Reliable messages always queue;
-        their delay simply grows — modelling the retransmitting
-        transport that TreadMarks layers over UDP.
+        A message is dropped when the queue (plus the message itself)
+        would exceed capacity.
         """
         config = self.config
         wire = config.wire_bytes(message.size_bytes)
         now = self.sim.now
         if self._pending:
             self._settle()
-        if not message.reliable and self._queued_bytes + wire > config.queue_capacity_bytes:
+        if self._queued_bytes + wire > config.queue_capacity_bytes:
             self.messages_dropped += 1
             return False
         serialization = wire * 8 / config.bandwidth_mbps  # = config.serialization_us(size)

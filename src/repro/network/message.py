@@ -51,7 +51,8 @@ class MessageKind(str, Enum):
 
     The split mirrors TreadMarks: everything is reliable except prefetch
     traffic, which the paper deliberately leaves droppable (Section 3.1,
-    footnote 3).
+    footnote 3), and the transport's and the failure detector's own
+    datagrams (see :attr:`is_tracked`).
     """
 
     DIFF_REQUEST = "diff_request"
@@ -67,7 +68,8 @@ class MessageKind(str, Enum):
     ACK = "ack"
     #: Failure-detector liveness datagram (unreliable, see repro.ft).
     HEARTBEAT = "heartbeat"
-    #: Coordinator's membership announcements (reliable).
+    #: Coordinator's membership announcements (datagrams: a lost one is
+    #: repaired by the next verdict).
     FT_DOWN = "ft_down"
     FT_UP = "ft_up"
     #: Coordinator -> healed node: partition is over, here is the
@@ -99,6 +101,13 @@ class MessageKind(str, Enum):
         return self in (MessageKind.PREFETCH_REQUEST, MessageKind.PREFETCH_REPLY)
 
     @property
+    def is_tracked(self) -> bool:
+        """Whether the reliable transport owns this kind: a sequence
+        number, an ack, retransmission until acked.  The other kinds
+        (:data:`UNTRACKED`) are bare datagrams that a drop loses."""
+        return self not in UNTRACKED
+
+    @property
     def is_control(self) -> bool:
         """Membership/liveness/ack traffic that a *fenced* node may still
         exchange: fencing rejects a suspect's data-plane writes but must
@@ -111,6 +120,14 @@ class MessageKind(str, Enum):
             MessageKind.FT_UP,
             MessageKind.FT_REJOIN,
         )
+
+
+#: Kinds the reliable transport leaves alone: prefetch traffic (the paper
+#: drops it rather than retransmit it), acks, and the failure detector's
+#: heartbeats and membership verdicts (a lost one is repaired by the next).
+UNTRACKED = frozenset(
+    kind for kind in MessageKind if kind.is_prefetch or kind.is_control
+)
 
 
 #: Default backpressure class per message kind.  Demand faults, diffs
@@ -158,13 +175,11 @@ class Message:
         kind: protocol message type.
         size_bytes: payload size (headers added by the link model).
         payload: protocol-specific content (diff lists, vector clocks...).
-        reliable: the message must arrive.  Without a transport layer the
-            link model honours this magically (never dropped, only
-            delayed); with :class:`~repro.network.transport.ReliableTransport`
-            installed, reliable messages travel as droppable datagrams
-            (``seq >= 0``) and reliability comes from retransmission.
         seq: transport sequence number; ``-1`` for untracked datagrams
-            (prefetch traffic, acks, magically reliable messages).
+            (kinds that are not :attr:`MessageKind.is_tracked`).  Every
+            message can drop on the wire; a tracked one arrives because
+            :class:`~repro.network.transport.ReliableTransport`
+            retransmits it.
         incarnation: the cluster incarnation the message was sent in,
             stamped by the network at send time.  Recovery bumps the
             cluster incarnation; deliveries from an older incarnation
@@ -186,7 +201,6 @@ class Message:
     kind: MessageKind
     size_bytes: int
     payload: dict[str, Any] = field(default_factory=dict)
-    reliable: bool = True
     seq: int = -1
     incarnation: int = 0
     msg_id: int = field(default_factory=lambda: next(_message_ids))
@@ -225,7 +239,6 @@ class Message:
             kind=self.kind,
             size_bytes=self.size_bytes,
             payload=self.payload,
-            reliable=self.reliable,
             seq=self.seq,
             incarnation=self.incarnation,
             priority=self.priority,

@@ -5,7 +5,8 @@ DSM is correct anyway because a retransmitting transport sits between
 the protocol and the wire (paper, Section 3).  This module is that
 layer.  One :class:`ReliableTransport` per node:
 
-- **sender side** — every reliable protocol message gets a per
+- **sender side** — every message of a tracked kind
+  (:attr:`~repro.network.message.MessageKind.is_tracked`) gets a per
   (sender, destination) sequence number and goes out as a droppable
   datagram; a timer retransmits it with exponential backoff plus
   deterministic jitter until the destination acknowledges, up to a
@@ -17,11 +18,11 @@ layer.  One :class:`ReliableTransport` per node:
   and duplicates — from retransmission races or injected faults — are
   suppressed before the protocol ever sees them.
 
-The DSM protocol above is therefore unchanged: diff requests/replies,
-write-notice propagation, lock grants and barrier messages simply stop
-relying on the link model's "reliable messages are never lost" magic.
-Prefetch traffic (``reliable=False``) deliberately bypasses the
-transport — the paper drops prefetches rather than retransmit them.
+The DSM protocol above therefore never sees a loss: diff
+requests/replies, write-notice propagation, lock grants and barrier
+messages arrive although every datagram on the wire can drop.  Prefetch
+traffic deliberately bypasses the transport — the paper drops
+prefetches rather than retransmit them.
 
 Adaptive mode (``TransportConfig.adaptive``) replaces the static
 timeout/retry policy with a feedback-driven one, per peer:
@@ -73,7 +74,7 @@ from repro.network.message import (
 )
 from repro.metrics.counters import Category
 from repro.network.stats import TransportExtremes
-from repro.sim import spawn
+from repro.sim import RandomSource, spawn
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.node import Node
@@ -252,7 +253,7 @@ class TransportStats:
 
 @dataclass
 class _Pending:
-    """One in-flight reliable message awaiting its ack."""
+    """One in-flight tracked message awaiting its ack."""
 
     message: Message
     attempts: int = 1
@@ -345,7 +346,7 @@ class _ReceiveWindow:
 class ReliableTransport:
     """Sequence numbers, acks, timeouts and retries for one node."""
 
-    def __init__(self, node: "Node", config: TransportConfig, rng) -> None:
+    def __init__(self, node: "Node", config: TransportConfig, rng: RandomSource) -> None:
         self.node = node
         self.sim = node.sim
         self.network = node.network
@@ -354,12 +355,10 @@ class ReliableTransport:
         # Timeout jitter must be deterministic *per endpoint pair*: with
         # one stream per node, destination A's retry count would shift
         # which draws destination B's timers see, coupling unrelated
-        # links.  Given a RandomSource, each destination gets its own
-        # named stream; a bare numpy Generator (direct construction in
-        # tests) falls back to node-wide draws.
+        # links.  Each destination gets its own named stream.
         self._rng_source = rng
         #: destination -> its jitter generator (a timer is armed per
-        #: reliable send; naming the stream each time costs an f-string).
+        #: tracked send; naming the stream each time costs an f-string).
         self._jitter_rngs: dict[int, np.random.Generator] = {}
         self._adaptive = config.adaptive
         self._next_seq: dict[int, int] = {}  # destination -> next seq
@@ -396,7 +395,7 @@ class ReliableTransport:
     # -- sender side -------------------------------------------------------
 
     def send_tracked(self, message: Message) -> bool:
-        """Take ownership of a reliable message and transmit it.
+        """Take ownership of a tracked message and transmit it.
 
         Called by :meth:`Node.send_message` after the send CPU cost has
         been charged.  The message leaves as a droppable datagram; the
@@ -407,7 +406,6 @@ class ReliableTransport:
         seq = self._next_seq.get(message.dst, 0)
         self._next_seq[message.dst] = seq + 1
         message.seq = seq
-        message.reliable = False
         pending = _Pending(message)
         self._pending[(message.dst, seq)] = pending
         self.stats.data_sent += 1
@@ -508,9 +506,7 @@ class ReliableTransport:
     def _jitter_rng(self, dst: int) -> np.random.Generator:
         rng = self._jitter_rngs.get(dst)
         if rng is None:
-            rng = self._rng_source
-            if not isinstance(rng, np.random.Generator):
-                rng = rng.stream(f"transport[{self.node.node_id}->{dst}]")
+            rng = self._rng_source.stream(f"transport[{self.node.node_id}->{dst}]")
             self._jitter_rngs[dst] = rng
         return rng
 
@@ -903,7 +899,7 @@ class ReliableTransport:
         # evidence for its sender (see _on_peer_evidence).
         self._on_peer_evidence(message.src)
         if message.seq < 0:
-            return True  # untracked datagram (prefetch traffic)
+            return True  # an untracked kind (prefetch traffic, heartbeats)
         window = self._windows.setdefault(message.src, _ReceiveWindow())
         first = window.accept(message.seq, DEDUP_WINDOW)
         if not first:
@@ -930,7 +926,6 @@ class ReliableTransport:
                 dst=message.src,
                 kind=MessageKind.ACK,
                 size_bytes=ACK_BYTES,
-                reliable=False,
                 payload=ack_payload,
             )
         )

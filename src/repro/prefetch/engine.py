@@ -194,7 +194,7 @@ class PrefetchEngine:
             yield from self.dsm.node.occupy(costs.prefetch_issue_local, Category.PREFETCH)
             return
         transport = self.dsm.node.transport
-        if transport is not None and transport.adaptive:
+        if transport.adaptive:
             # Closed-loop backpressure: the transport's RTT/window state
             # replaces the hand-tuned drop cool-off.  Writers whose link
             # shows congestion (pacing backlog or inflated SRTT) are
@@ -238,7 +238,6 @@ class PrefetchEngine:
                 dst=writer,
                 kind=MessageKind.PREFETCH_REQUEST,
                 size_bytes=36 + backend.vc.size_bytes,
-                reliable=False,
                 payload={
                     "page_id": page_id,
                     "t_have": t_have,
@@ -285,8 +284,7 @@ class PrefetchEngine:
 
     def _note_drop(self) -> None:
         self.stats.drops_observed += 1
-        transport = self.dsm.node.transport
-        if transport is not None and transport.adaptive:
+        if self.dsm.node.transport.adaptive:
             # Closed-loop mode: drops feed the transport's own RTT and
             # window signals; no hand-tuned cool-off on top.
             self._mark("prefetch_drop", streak=0, cooloff_us=0.0)
@@ -372,9 +370,7 @@ class PrefetchEngine:
     def _handle_request(self, msg: Message) -> Generator:
         """Server side: the ordinary diff server, minus any reliability —
         the reply is a droppable datagram."""
-        return self.dsm.backend.serve_diffs(
-            msg, MessageKind.PREFETCH_REPLY, "prefetch_reply", reliable=False
-        )
+        return self.dsm.backend.serve_diffs(msg, MessageKind.PREFETCH_REPLY, "prefetch_reply")
 
     def _handle_reply(self, msg: Message) -> Generator:
         """Client side: file the diffs in the prefetch heap (not applied)."""

@@ -107,9 +107,6 @@ PEER_METRICS = (
 #: Cluster-wide integer traffic deltas.
 NETWORK_METRICS = ("net.messages", "net.bytes", "net.drops", "net.retransmits")
 
-#: ``ReliableTransport.gauges()`` of a run without a transport.
-_NO_TRANSPORT = {"unacked": 0, "backlog": 0, "parked": 0}
-
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -190,7 +187,6 @@ class TelemetrySampler:
     def _sample(self, boundary: float) -> None:
         self._window_ts.append(boundary)
         runtime = self._runtime
-        transports = runtime.cluster.transports
         num_nodes = runtime.config.num_nodes
         for node_id in range(num_nodes):
             series = self._nodes[node_id]
@@ -223,9 +219,8 @@ class TelemetrySampler:
             gauges["dsm.wn_backlog"].append(dsm.backend.wn_log.total())
             gauges["dsm.diff_bytes_stored"].append(dsm.backend.diff_store.total_diff_bytes)
             gauges["dsm.intervals"].append(dsm.backend.vc[dsm.node_id])
-            transport = transports[node_id] if transports else None
-            queues = transport.gauges() if transport is not None else _NO_TRANSPORT
-            for name, value in queues.items():
+            transport = node.transport
+            for name, value in transport.gauges().items():
                 gauges["transport." + name].append(value)
             engine = None
             if runtime.prefetch_engines:
@@ -248,7 +243,7 @@ class TelemetrySampler:
             for name in DELTA_METRICS:
                 series.deltas[name].append(current[name] - last[name])
             series.last = current
-            if transport is not None and transport.adaptive:
+            if transport.adaptive:
                 self._sample_peers(series, transport, node_id, num_nodes)
         net = runtime.cluster.network.stats
         current_net = {

@@ -27,15 +27,14 @@ def _capture_at(runtime, node_id):
 
 
 def test_post_builds_labels_and_sends_once():
-    # transport=None: a reliable message stays ``reliable`` on the wire
-    # and draws no ack, so every span below is a post.
-    runtime = DsmRuntime(RunConfig(num_nodes=2, trace=True, transport=None))
+    # Two untracked kinds: no ack follows, so every span below is a post.
+    runtime = DsmRuntime(RunConfig(num_nodes=2, trace=True))
     dsm = runtime.dsm_nodes[0]
     arrived = _capture_at(runtime, 1)
 
     def sender():
         yield from dsm.post(1, MessageKind.HEARTBEAT, 16, {"n": 1}, "probe", page=3)
-        yield from dsm.post(1, MessageKind.PREFETCH_REPLY, 24, {"n": 2}, reliable=False)
+        yield from dsm.post(1, MessageKind.PREFETCH_REPLY, 24, {"n": 2})
 
     spawn(dsm.sim, sender())
     dsm.sim.run()
@@ -44,8 +43,7 @@ def test_post_builds_labels_and_sends_once():
     assert (labelled.src, labelled.dst, labelled.size_bytes) == (0, 1, 16)
     assert labelled.payload == {"n": 1} and bare.payload == {"n": 2}
     # Source and class are not the caller's business: the kind's default.
-    assert (labelled.priority, labelled.reliable) == (PRIORITY_NOTICE, True)
-    assert (bare.priority, bare.reliable) == (PRIORITY_PREFETCH, False)
+    assert (labelled.priority, bare.priority) == (PRIORITY_NOTICE, PRIORITY_PREFETCH)
 
     events = list(runtime.tracer.events)
     spans = [e for e in events if e.name.startswith("msg:") and e.ph == "b"]
@@ -81,7 +79,7 @@ def test_every_posted_kind_defaults_to_demand(kind):
 
 
 def test_demand_and_prefetch_requests_share_one_diff_server():
-    runtime = DsmRuntime(RunConfig(num_nodes=2, prefetch=True, transport=None))
+    runtime = DsmRuntime(RunConfig(num_nodes=2, prefetch=True))
     dsm = runtime.dsm_nodes[0]
     replies = _capture_at(runtime, 1)
     page_id = 5
@@ -111,14 +109,15 @@ def test_demand_and_prefetch_requests_share_one_diff_server():
     assert prefetch.payload["diffs"][0] is demand.payload["diffs"][0]
     assert len(prefetch.payload["diffs"]) == 1
     assert prefetch.size_bytes == demand.size_bytes
-    # They differ in kind, reliability and class, and in nothing else.
-    assert (demand.kind, demand.reliable, demand.priority) == (
+    # They differ in kind, tracking (the demand reply got a sequence
+    # number from the transport) and class, and in nothing else.
+    assert (demand.kind, demand.seq, demand.priority) == (
         MessageKind.DIFF_REPLY,
-        True,
+        0,
         PRIORITY_DEMAND,
     )
-    assert (prefetch.kind, prefetch.reliable, prefetch.priority) == (
+    assert (prefetch.kind, prefetch.seq, prefetch.priority) == (
         MessageKind.PREFETCH_REPLY,
-        False,
+        -1,
         PRIORITY_PREFETCH,
     )

@@ -172,7 +172,7 @@ def test_word_stamps_match_per_byte_stamps_under_out_of_order_diffs():
                 ckpt = NodeCheckpoint(
                     node_id=0,
                     dsm={"pages": {3: page}, "coherence": {3: snap}, "vc": [0] * 4},
-                    transport=None,
+                    transport={},
                     thread_logs=[],
                 )
                 twin_bytes = page_bytes if snap["twin"] is not None else 0

@@ -21,7 +21,7 @@ def test_node_checkpoint_measures_pages_twins_and_logs():
     ckpt = NodeCheckpoint(
         node_id=0,
         dsm=_dsm_snapshot(),
-        transport=None,
+        transport={},
         thread_logs=[(0, [1.5, np.zeros(16, dtype=np.uint8)])],
     )
     # page + twin + vc (4 bytes/entry) + scalar log value (8) + array log value
@@ -30,7 +30,7 @@ def test_node_checkpoint_measures_pages_twins_and_logs():
 
 def test_cluster_checkpoint_sums_nodes():
     nodes = [
-        NodeCheckpoint(node_id=i, dsm=_dsm_snapshot(), transport=None, thread_logs=[])
+        NodeCheckpoint(node_id=i, dsm=_dsm_snapshot(), transport={}, thread_logs=[])
         for i in range(2)
     ]
     cluster = ClusterCheckpoint(

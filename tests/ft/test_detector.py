@@ -37,9 +37,7 @@ def make_detector():
 
 
 def heartbeat(src):
-    return Message(
-        src=src, dst=COORDINATOR, kind=MessageKind.HEARTBEAT, size_bytes=16, reliable=False
-    )
+    return Message(src=src, dst=COORDINATOR, kind=MessageKind.HEARTBEAT, size_bytes=16)
 
 
 def test_any_delivered_traffic_is_liveness_evidence():
@@ -155,11 +153,11 @@ def test_membership_views_follow_broadcasts():
     ft, det = make_detector()
     down = Message(
         src=COORDINATOR, dst=1, kind=MessageKind.FT_DOWN, size_bytes=32,
-        reliable=False, payload={"node": 3},
+        payload={"node": 3},
     )
     up = Message(
         src=COORDINATOR, dst=1, kind=MessageKind.FT_UP, size_bytes=32,
-        reliable=False, payload={"node": 3},
+        payload={"node": 3},
     )
     det.handle_membership(1, down)
     assert det.views[1] == {3}
@@ -167,7 +165,7 @@ def test_membership_views_follow_broadcasts():
     assert det.views[1] == set()
     rejoin = Message(
         src=COORDINATOR, dst=1, kind=MessageKind.FT_REJOIN, size_bytes=32,
-        reliable=False, payload={"down": [2, 3]},
+        payload={"down": [2, 3]},
     )
     det.handle_membership(1, rejoin)
     assert det.views[1] == {2, 3}

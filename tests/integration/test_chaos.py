@@ -12,6 +12,7 @@ import pytest
 
 from repro import DsmRuntime, RunConfig
 from repro.apps import APP_ORDER, make_app
+from repro.errors import ConfigError
 from repro.network import FaultPlan, TransportConfig
 from repro.network import transport as reliable
 
@@ -91,11 +92,17 @@ def test_different_seeds_draw_different_faults():
     assert a.injected_faults != b.injected_faults or a.wall_time_us != b.wall_time_us
 
 
-def test_transport_disabled_still_works_on_clean_network():
-    """Legacy mode: no transport, magically reliable links."""
-    _, report = run("SOR", transport=None)
+def test_clean_network_never_retransmits():
+    """Without faults every datagram arrives in time: acks, no resends."""
+    _, report = run("SOR")
     assert report.retransmissions == 0
-    assert report.events.acks_sent == 0
+    assert report.events.acks_sent > 0
+
+
+def test_transport_none_is_rejected():
+    """Every run has the transport; only its timer policy is a choice."""
+    with pytest.raises(ConfigError, match="TransportConfig"):
+        RunConfig(transport=None)
 
 
 def test_prefetch_chaos_loses_requests_but_stays_correct(monkeypatch):

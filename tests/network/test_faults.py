@@ -38,8 +38,8 @@ def build(plan, num_nodes=4, seed=11, **link_kwargs):
     return sim, net, inboxes
 
 
-def msg(src, dst, size=64, kind=MessageKind.PREFETCH_REQUEST, reliable=False):
-    return Message(src=src, dst=dst, kind=kind, size_bytes=size, reliable=reliable)
+def msg(src, dst, size=64, kind=MessageKind.PREFETCH_REQUEST):
+    return Message(src=src, dst=dst, kind=kind, size_bytes=size)
 
 
 # -- plan validation -------------------------------------------------------
@@ -106,14 +106,20 @@ def test_drops_hit_roughly_the_configured_rate():
     )
 
 
-def test_reliable_messages_exempt_from_drop_and_duplicate():
-    plan = FaultPlan(drop_prob=1.0, duplicate_prob=1.0)
-    sim, net, inboxes = build(plan)
-    for _ in range(10):
-        assert net.send(msg(0, 1, kind=MessageKind.DIFF_REQUEST, reliable=True))
+def test_tracked_kinds_drop_and_duplicate_too():
+    """No kind is exempt: the transport above the fabric, not the
+    fabric, makes a diff request arrive."""
+    sim, net, inboxes = build(FaultPlan(drop_prob=1.0))
+    assert [net.send(msg(0, 1, kind=MessageKind.DIFF_REQUEST)) for _ in range(10)] == [False] * 10
     sim.run()
-    assert len(inboxes[1]) == 10
-    assert net.stats.total_injected_faults == 0
+    assert not inboxes[1]
+    assert net.stats.injected_count("drop") == 10
+    sim, net, inboxes = build(FaultPlan(duplicate_prob=1.0))
+    for _ in range(10):
+        assert net.send(msg(0, 1, kind=MessageKind.DIFF_REQUEST))
+    sim.run()
+    assert len(inboxes[1]) == 20
+    assert net.stats.injected_count("duplicate") == 10
 
 
 def test_duplicates_delivered_as_extra_copies():
@@ -322,9 +328,8 @@ def test_partition_severs_even_reliable_messages_within_window_only():
     cut = LinkPartition(start_us=1_000.0, end_us=2_000.0, nodes={1})
     plan = FaultPlan(partitions=(cut,))
     sim, net, inboxes = build(plan)
-    sim.schedule(500.0, net.send, msg(0, 1, reliable=True))
-    sim.schedule(1_500.0, net.send, msg(0, 1, reliable=True))
-    sim.schedule(2_500.0, net.send, msg(0, 1, reliable=True))
+    for when in (500.0, 1_500.0, 2_500.0):
+        sim.schedule(when, net.send, msg(0, 1, kind=MessageKind.DIFF_REQUEST))
     sim.run()
     assert len(inboxes[1]) == 2  # only the in-window send vanished
 
@@ -346,10 +351,10 @@ def test_corruption_marks_transmissions_inside_window():
     plan = FaultPlan(corruptions=(window,))
     sim, net, inboxes = build(plan)
     net.send(msg(0, 1))
-    net.send(msg(0, 1, reliable=True))  # magic-reliable: exempt
+    net.send(msg(0, 1, kind=MessageKind.DIFF_REQUEST))  # no kind is exempt
     sim.run()
-    assert [m.corrupted for m in inboxes[1]] == [True, False]
-    assert net.stats.injected_count("corrupt") == 1
+    assert [m.corrupted for m in inboxes[1]] == [True, True]
+    assert net.stats.injected_count("corrupt") == 2
 
 
 def test_corruption_scoped_to_links():

@@ -11,9 +11,9 @@ from repro.network.link import ATM_CELL_PAYLOAD, ATM_CELL_SIZE, Link
 from repro.sim import Simulator, spawn
 
 
-def make_msg(size, reliable=True):
-    kind = MessageKind.DIFF_REQUEST if reliable else MessageKind.PREFETCH_REQUEST
-    return Message(src=0, dst=1, kind=kind, size_bytes=size, reliable=reliable)
+def make_msg(size, tracked=True):
+    kind = MessageKind.DIFF_REQUEST if tracked else MessageKind.PREFETCH_REQUEST
+    return Message(src=0, dst=1, kind=kind, size_bytes=size)
 
 
 def test_wire_bytes_accounts_for_headers_and_cells():
@@ -68,29 +68,31 @@ def test_unreliable_dropped_when_queue_full():
     sim = Simulator()
     cfg = LinkConfig(queue_capacity_bytes=1000, header_bytes=0)
     link = Link(sim, cfg, lambda m: None)
-    # Fill the queue with one large reliable message (never dropped).
-    assert link.send(make_msg(900, reliable=True))
-    assert not link.send(make_msg(500, reliable=False))
+    # Fill the queue with one large message.
+    assert link.send(make_msg(800))
+    assert not link.send(make_msg(500, tracked=False))
     assert link.messages_dropped == 1
 
 
-def test_reliable_never_dropped_even_when_full():
+def test_tracked_kinds_drop_when_full_too():
+    """The link knows no kind: a full queue drops a diff request as it
+    drops a prefetch (the transport above retransmits the former)."""
     sim = Simulator()
     cfg = LinkConfig(queue_capacity_bytes=1000, header_bytes=0)
     link = Link(sim, cfg, lambda m: None)
-    for _ in range(10):
-        assert link.send(make_msg(900, reliable=True))
-    assert link.messages_dropped == 0
+    accepted = [link.send(make_msg(800)) for _ in range(10)]
+    assert accepted == [True] + [False] * 9
+    assert link.messages_dropped == 9
 
 
 def test_queue_drains_allowing_later_unreliable_sends():
     sim = Simulator()
     cfg = LinkConfig(queue_capacity_bytes=2000, header_bytes=0, propagation_us=0.0)
     link = Link(sim, cfg, lambda m: None)
-    assert link.send(make_msg(1500, reliable=True))
-    assert not link.send(make_msg(1000, reliable=False))
+    assert link.send(make_msg(1500))
+    assert not link.send(make_msg(1000, tracked=False))
     sim.run()  # drain
-    assert link.send(make_msg(1000, reliable=False))
+    assert link.send(make_msg(1000, tracked=False))
 
 
 def test_link_statistics():
@@ -171,7 +173,7 @@ class ReferenceLink:
 
     def send(self, message):
         wire = self.config.wire_bytes(message.size_bytes)
-        if not message.reliable and self.queued_bytes + wire > self.config.queue_capacity_bytes:
+        if self.queued_bytes + wire > self.config.queue_capacity_bytes:
             self.messages_dropped += 1
             return False
         self.queued_bytes += wire
@@ -203,7 +205,7 @@ class ReferenceLink:
 @pytest.mark.parametrize("latency", [0.0, 10.0])
 @pytest.mark.parametrize("seed", range(12))
 def test_closed_form_link_matches_reference_fifo(seed, latency):
-    """Random traffic (mixed sizes, reliable and not, bursts into a small
+    """Random traffic (mixed sizes and kinds, bursts into a small
     queue, sends at exactly a departure timestamp) through the reference
     model, then the recorded script through ``Link``: delivery times must
     be bit-equal, and drops, occupancy and final statistics equal."""
@@ -224,7 +226,7 @@ def test_closed_form_link_matches_reference_fifo(seed, latency):
     script, ref_seen, ties = [], [], []
 
     def step(remaining):
-        msg = make_msg(rng.choice([0, 1, 40, 48, 400, 1500, 4096]), reliable=rng.random() < 0.4)
+        msg = make_msg(rng.choice([0, 1, 40, 48, 400, 1500, 4096]), tracked=rng.random() < 0.4)
         script.append((sim.now, msg))
         ref_seen.append((ref.queued_bytes, ref.send(msg)))
         if remaining == 0:

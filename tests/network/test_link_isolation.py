@@ -43,7 +43,6 @@ def _run_traffic(plan: FaultPlan, num_messages: int = 40):
                 kind=MessageKind.DIFF_REQUEST,
                 size_bytes=256,
                 payload={"i": i},
-                reliable=False,
             )
         )
 
@@ -135,7 +134,6 @@ def test_legacy_shared_generator_still_accepted():
                 kind=MessageKind.DIFF_REQUEST,
                 size_bytes=64,
                 payload={},
-                reliable=False,
             ),
         )
     sim.run()

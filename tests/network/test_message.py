@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import Message, MessageKind
+from repro.network.message import UNTRACKED
 
 
 def test_message_ids_are_unique():
@@ -35,3 +36,12 @@ def test_prefetch_kinds_flagged():
     assert MessageKind.PREFETCH_REPLY.is_prefetch
     assert not MessageKind.DIFF_REQUEST.is_prefetch
     assert not MessageKind.BARRIER_ARRIVE.is_prefetch
+
+
+def test_kind_says_whether_tracked():
+    """The transport owns every kind but prefetch traffic and the
+    control plane (acks, heartbeats, membership verdicts)."""
+    untracked = {kind for kind in MessageKind if kind.is_prefetch or kind.is_control}
+    assert UNTRACKED == untracked
+    assert {kind for kind in MessageKind if not kind.is_tracked} == untracked
+    assert MessageKind.DIFF_REPLY.is_tracked and MessageKind.SC_GRANT.is_tracked

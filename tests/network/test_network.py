@@ -23,8 +23,8 @@ def build(num_nodes=4, **link_kwargs):
     return sim, net, inboxes
 
 
-def msg(src, dst, size=64, kind=MessageKind.DIFF_REQUEST, reliable=True):
-    return Message(src=src, dst=dst, kind=kind, size_bytes=size, reliable=reliable)
+def msg(src, dst, size=64, kind=MessageKind.DIFF_REQUEST):
+    return Message(src=src, dst=dst, kind=kind, size_bytes=size)
 
 
 def test_message_routed_to_destination():
@@ -83,7 +83,7 @@ def test_hot_spot_queueing_grows_latency():
     """All nodes blast the same destination: later messages queue at the
     destination downlink, so per-message latency grows — the paper's
     hot-spotting effect."""
-    sim, net, inboxes = build(num_nodes=8)
+    sim, net, inboxes = build(num_nodes=8, queue_capacity_bytes=1 << 20)
     for src in range(1, 8):
         for _ in range(10):
             net.send(msg(src, 0, size=4096))
@@ -95,19 +95,18 @@ def test_hot_spot_queueing_grows_latency():
 
 
 def test_unreliable_dropped_under_hot_spot_congestion():
-    """Prefetch traffic into a congested port gets dropped once the
-    downlink queue fills; reliable traffic never does."""
+    """Traffic into a congested port gets dropped once the queues fill,
+    whatever its kind: making a diff request arrive anyway is the
+    transport's job, above the fabric."""
     sim, net, inboxes = build(num_nodes=4, queue_capacity_bytes=16 * 1024)
     for _ in range(30):
-        net.send(msg(1, 0, size=4096, kind=MessageKind.PREFETCH_REQUEST, reliable=False))
+        net.send(msg(1, 0, size=4096, kind=MessageKind.PREFETCH_REQUEST))
         net.send(msg(2, 0, size=4096))
     sim.run()
-    assert net.total_drops() > 0
     assert net.stats.drops_by_kind[MessageKind.PREFETCH_REQUEST] > 0
-    assert net.stats.drops_by_kind.get(MessageKind.DIFF_REQUEST, 0) == 0
-    # Every reliable message arrived.
-    reliable = [m for m in inboxes[0] if m.reliable]
-    assert len(reliable) == 30
+    assert net.stats.drops_by_kind[MessageKind.DIFF_REQUEST] > 0
+    # Every message either arrived or was counted as a drop.
+    assert len(inboxes[0]) + net.total_drops() == 60
 
 
 def test_bidirectional_traffic_is_independent():
@@ -131,9 +130,9 @@ def test_uplink_rejected_message_not_counted_as_sent():
     """Regression: a message the uplink refuses (queue full) must be
     recorded as a drop, never as a send."""
     sim, net, inboxes = build(num_nodes=2, queue_capacity_bytes=1000)
-    # One reliable message fills the source uplink queue.
-    assert net.send(msg(0, 1, size=900))
-    assert not net.send(msg(0, 1, size=900, kind=MessageKind.PREFETCH_REQUEST, reliable=False))
+    # One message fills the source uplink queue.
+    assert net.send(msg(0, 1, size=800))
+    assert not net.send(msg(0, 1, size=900, kind=MessageKind.PREFETCH_REQUEST))
     assert net.stats.messages_by_kind.get(MessageKind.PREFETCH_REQUEST, 0) == 0
     assert net.stats.drops_by_kind[MessageKind.PREFETCH_REQUEST] == 1
     assert net.stats.total_messages == 1
@@ -160,7 +159,7 @@ def test_switch_downlink_drop_recorded_and_invisible_to_sender():
             sim.schedule(
                 i * gap,
                 lambda src=src: accepted.append(
-                    net.send(msg(src, 0, size=4096, kind=MessageKind.PREFETCH_REPLY, reliable=False))
+                    net.send(msg(src, 0, size=4096, kind=MessageKind.PREFETCH_REPLY))
                 ),
             )
     sim.run()
@@ -214,7 +213,7 @@ def test_kind_breakdown_reconciles_sent_delivered_dropped():
             sim.schedule(
                 i * gap,
                 lambda src=src: net.send(
-                    msg(src, 0, size=4096, kind=MessageKind.PREFETCH_REPLY, reliable=False)
+                    msg(src, 0, size=4096, kind=MessageKind.PREFETCH_REPLY)
                 ),
             )
     sim.run()

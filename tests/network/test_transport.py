@@ -116,9 +116,7 @@ def test_unreliable_messages_bypass_the_transport():
     send_from(
         cluster,
         0,
-        Message(
-            src=0, dst=1, kind=MessageKind.PREFETCH_REQUEST, size_bytes=64, reliable=False
-        ),
+        Message(src=0, dst=1, kind=MessageKind.PREFETCH_REQUEST, size_bytes=64),
     )
     cluster.run()
     assert len(inboxes[1]) == 1
