@@ -29,8 +29,8 @@ from repro.api.program import Program
 from repro.api.shared import SharedMatrix, SharedVector
 from repro.dsm.backend import BACKEND_NAMES
 from repro.dsm.protocol import DsmNode
-from repro.errors import ConfigError
-from repro.ft import FtConfig, FtManager, ProtocolSanitizer
+from repro.errors import ConfigError, ProtocolError
+from repro.ft import FtConfig, FtManager, check_events
 from repro.machine import Cluster, CostModel
 from repro.memory import SharedAddressSpace, Segment
 from repro.metrics.report import RunReport
@@ -41,7 +41,7 @@ from repro.profile import ProfileConfig, profile_from_events
 from repro.sim import RandomSource
 from repro.telemetry import NULL_TELEMETRY, TelemetryConfig, TelemetrySampler
 from repro.threads import DsmThread, NodeScheduler, SchedulingPolicy
-from repro.trace import NULL_TRACER, TraceConfig, Tracer
+from repro.trace import NULL_TRACER, Tracer
 
 __all__ = ["RunConfig", "DsmRuntime"]
 
@@ -68,17 +68,18 @@ class RunConfig:
     #: Seed-driven fault injection (drops, duplicates, reordering,
     #: degradation and stall windows); ``None`` = pristine network.
     fault_plan: Optional[FaultPlan] = None
-    #: Structured event tracing (``repro.trace``): ``None`` (default)
-    #: disables collection entirely; a :class:`TraceConfig` (or ``True``
-    #: for the defaults) records every instrumented event for export and
-    #: for the ``PhaseTimeline`` accounting audit.
-    trace: Optional[TraceConfig] = None
+    #: Structured event tracing (``repro.trace``): ``True`` records
+    #: every instrumented event of the run in memory, for export and for
+    #: the ``PhaseTimeline`` accounting audit.
+    trace: bool = False
     #: Fault tolerance (``repro.ft``): failure detection, coordinated
     #: barrier checkpoints, and crash recovery.  Auto-enabled with the
     #: defaults whenever the fault plan schedules node crashes.
     ft: Optional[FtConfig] = None
-    #: Runtime protocol-invariant checking (``repro.ft.sanitizer``).
-    #: Off by default: when off the hook sites cost one attribute check.
+    #: Protocol-invariant checking (``repro.ft.sanitizer``): a fold over
+    #: the run's events, run after the run (and over the partial trace
+    #: when the run raised).  Implies event collection, as ``critpath``
+    #: does; off, it costs nothing.
     sanitizer: bool = False
     #: Deep profiling (``repro.profile``): latency histograms and
     #: hot-entity attribution.  ``None`` (default) collects nothing; a
@@ -131,19 +132,17 @@ class RunConfig:
             # nodes: both need the FT layer.
             object.__setattr__(self, "ft", FtConfig())
         # ``True`` means the plane's default config, ``False`` means off.
-        for name, cls in (
-            ("trace", TraceConfig),
-            ("profile", ProfileConfig),
-            ("telemetry", TelemetryConfig),
-        ):
+        for name, cls in (("profile", ProfileConfig), ("telemetry", TelemetryConfig)):
             value = getattr(self, name)
             if value is None or isinstance(value, cls):
                 continue
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be a {cls.__name__} or bool, got {value!r}")
             object.__setattr__(self, name, cls() if value else None)
-        if not isinstance(self.critpath, bool):
-            object.__setattr__(self, "critpath", bool(self.critpath))
+        if self.trace not in (True, False, None):
+            raise ConfigError(f"trace must be a bool, got {self.trace!r}")
+        for name in ("trace", "critpath"):
+            object.__setattr__(self, name, bool(getattr(self, name)))
 
     @property
     def total_threads(self) -> int:
@@ -175,9 +174,10 @@ class DsmRuntime:
         self.random = RandomSource(config.seed)
         #: The run's tracer: a collecting Tracer when config.trace is
         #: set, else the shared null tracer (zero collection overhead).
-        #: The profile and critical-path analysis read the event stream,
-        #: so either forces an internal tracer when none was requested.
-        if config.trace is not None or config.profile is not None or config.critpath:
+        #: The profile, the critical-path analysis and the sanitizer read
+        #: the event stream, so each forces an internal tracer when none
+        #: was requested.
+        if config.trace or config.profile is not None or config.critpath or config.sanitizer:
             self.tracer: Tracer = Tracer()
         else:
             self.tracer = NULL_TRACER
@@ -210,10 +210,6 @@ class DsmRuntime:
 
             for scheduler, engine in zip(self.schedulers, self.prefetch_engines):
                 scheduler.history = HistoryPrefetcher(engine, config.page_size)
-        if config.sanitizer:
-            self.cluster.sim.sanitizer = ProtocolSanitizer(
-                config.num_nodes, protocol=config.protocol
-            )
         #: The run's telemetry sampler: collecting when config.telemetry
         #: is set, else the shared null sampler (one cached-boolean check
         #: in the run loop).
@@ -263,21 +259,36 @@ class DsmRuntime:
             self.ft.start(program)
         for scheduler in self.schedulers:
             scheduler.start()
-        self.cluster.run(max_events=self.config.max_events)
-        # Recovery replaces scheduler processes, so consult the *current*
-        # done_event, not the one start() returned before any rollback.
-        for scheduler in self.schedulers:
-            done = scheduler.done_event
-            if done is None or not done.triggered:
-                raise ConfigError(
-                    f"node {scheduler.node.node_id} never finished — deadlock?"
-                )
-            done.value  # re-raise any thread exception
+        try:
+            self.cluster.run(max_events=self.config.max_events)
+            # Recovery replaces scheduler processes, so consult the *current*
+            # done_event, not the one start() returned before any rollback.
+            for scheduler in self.schedulers:
+                done = scheduler.done_event
+                if done is None or not done.triggered:
+                    raise ConfigError(
+                        f"node {scheduler.node.node_id} never finished — deadlock?"
+                    )
+                done.value  # re-raise any thread exception
+        except Exception as failure:
+            # A violation that derailed the run is the finding, not the
+            # deadlock or crash it led to.
+            self._sanitize(cause=failure)
+            raise
+        self._sanitize()
         wall = max(s.finished_at for s in self.schedulers if s.finished_at is not None)
         report = self._build_report(program, wall)
         if verify:
             program.verify(self)
         return report
+
+    def _sanitize(self, cause: Optional[Exception] = None) -> None:
+        """Fold the trace through the protocol sanitizer, if configured."""
+        if self.config.sanitizer:
+            try:
+                check_events(self.tracer.events, self.config.num_nodes, self.config.protocol)
+            except ProtocolError as violation:
+                raise violation from cause
 
     def _build_report(self, program: Program, wall: float) -> RunReport:
         stats = self.cluster.network.stats

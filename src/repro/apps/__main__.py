@@ -22,7 +22,7 @@ from repro.experiments.runner import make_configured_app, parse_label
 from repro.network.faults import FaultPlan, NodeCrash
 from repro.network.transport import TransportConfig
 from repro.telemetry import TelemetryConfig
-from repro.trace import PhaseTimeline, TraceConfig
+from repro.trace import PhaseTimeline
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sanitizer",
         action="store_true",
-        help="check the selected protocol's invariants at every transition",
+        help="check the selected protocol's invariants over the run's trace",
     )
     parser.add_argument(
         "--adaptive",
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             protocol=args.protocol,
             fault_plan=fault_plan,
             sanitizer=sanitizer,
-            trace=TraceConfig() if trace else None,
+            trace=trace,
             profile=profile,
             critpath=critpath,
             telemetry=(

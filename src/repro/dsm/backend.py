@@ -210,23 +210,29 @@ class CoherenceBackend:
         span_id = f"n{self.node_id}:{tag}{request_id}"
         edge(self.sim.now, "protocol", name, self.node_id, span_id, **args)
 
-    def _mark(self, name: str, page_id: int, **args: Any) -> None:
-        """Trace one page fact that only the profile reads: a twin made,
-        a whole page served or installed, a home update, a diff request
-        served.  It holds the tracer's guard for its six callers; each
-        sits next to a CPU charge for a page-sized copy, diff or twin,
-        so the call costs an untraced run nothing it would notice."""
+    def _mark(self, name: str, **args: Any) -> None:
+        """Trace one protocol fact that only the analysis planes read: a
+        twin made, an interval closed, a whole page served or installed,
+        a home update, a diff request served, an SC directory
+        transaction begun or ended, an SC restore.  It holds the
+        tracer's guard for its callers; each sits next to a CPU charge
+        (a page-sized copy, a diff, a twin, an interval close, a
+        directory admission) or runs once per SC transaction or
+        rollback, so the call costs an untraced run nothing it would
+        notice."""
         if self.sim.trace_on:
             tr = self.sim.trace
-            tr.instant(self.sim.now, "protocol", name, self.node_id, page=page_id, **args)
+            tr.instant(self.sim.now, "protocol", name, self.node_id, **args)
 
     # -- whole-page transfer ----------------------------------------------------
 
-    def copy_page_out(self, page_id: int, source: "np.ndarray") -> Generator:
+    def copy_page_out(self, page_id: int, source: "np.ndarray", **facts: Any) -> Generator:
         """Copy a page (or its twin) for the wire; returns the copy.
-        Charged as a diff creation that finds nothing modified."""
+        Charged as a diff creation that finds nothing modified.
+        ``facts`` ride the ``page_serve`` event (HLRC's home and
+        coverage, which the sanitizer checks)."""
         data = source.copy()
-        self._mark("page_serve", page_id)
+        self._mark("page_serve", page=page_id, **facts)
         yield from self.node.occupy(self.node.costs.diff_create_us(len(data), 0), Category.DSM)
         return data
 
@@ -239,7 +245,7 @@ class CoherenceBackend:
         page[:] = data
         if keep is not None:
             apply_diff(page, keep)
-        self._mark("page_install", page_id, bytes=len(data))
+        self._mark("page_install", page=page_id, bytes=len(data))
         yield from self.node.occupy(self.node.costs.diff_apply_us(len(data)), Category.DSM)
 
     # -- page access (scheduler-facing) ------------------------------------

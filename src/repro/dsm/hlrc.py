@@ -128,7 +128,7 @@ class HlrcBackend(LrcBackend):
             if home == self.node_id:
                 # The home's own copy of the page IS current; the local
                 # close already raised the coverage it certifies.
-                self._mark("home_update", page_id)
+                self._mark("home_update", page=page_id)
                 continue
             request_id, ack = self.open_request("homeack")
             acks.append(ack)
@@ -169,10 +169,9 @@ class HlrcBackend(LrcBackend):
     def handle_home_update(self, msg: Message) -> Generator:
         page_id = msg.payload["page_id"]
         stored: StoredDiff = msg.payload["stored"]
-        home = self.home_of(page_id)
-        if self.sim.sanitizer_on:
-            self.sim.sanitizer.on_home_update(self.node_id, page_id, home)
-        self._mark("home_update", page_id)
+        # ``home`` marks a remote update, which the sanitizer checks
+        # landed on the page's home.
+        self._mark("home_update", page=page_id, home=self.home_of(page_id))
         # The shared LRC applier does everything the home needs: charge
         # the apply, update page AND twin, advance applied_upto, and
         # order conflicting arrivals by per-byte lamport watermark.
@@ -225,14 +224,12 @@ class HlrcBackend(LrcBackend):
         """
         state = self.coherence(page_id)
         covers = self._home_covers(page_id)
-        if self.sim.sanitizer_on:
-            self.sim.sanitizer.on_page_served(
-                self.node_id, page_id, self.home_of(page_id), covers
-            )
         source = state.twin if (state.dirty and state.twin is not None) else None
         if source is None:
             source = self.node.pages.page(page_id)
-        data = yield from self.copy_page_out(page_id, source)
+        data = yield from self.copy_page_out(
+            page_id, source, home=self.home_of(page_id), covers=covers
+        )
         yield from self.post(
             requester,
             MessageKind.PAGE_REPLY,

@@ -248,9 +248,7 @@ class LrcBackend(CoherenceBackend):
         if not pages:
             return ()
         new_idx = self.vc.advance_own()
-        if self.sim.sanitizer_on:
-            san = self.sim.sanitizer
-            san.on_interval_closed(self.node_id, new_idx)
+        self._mark("interval_close", index=new_idx)
         self.intervals.lamport += 1
         self._flushed_in_open.clear()
         stamp = self.intervals.lamport
@@ -291,13 +289,18 @@ class LrcBackend(CoherenceBackend):
                     self.node_id,
                     count=count,
                     full=advance_vc,
+                    # What the sanitizer replays (ft.sanitizer.check_events).
+                    notices=[
+                        (record.proc, record.interval_idx, record.pages)
+                        for record in records
+                        if record.proc != self.node_id
+                    ],
+                    vc=self.vc.snapshot(),
                 )
         # Hot loop (104 k records naming 142 k pages per SOR/64 run): log
         # insertion and clocks are per record, and a page this node does
         # not hold costs one failed lookup here and one in ``merge``.
         node_id = self.node_id
-        san = self.sim.sanitizer
-        san_on = san.enabled
         vc = self.vc
         observe_lamport = self.intervals.observe_lamport
         # A filtered record answers a request about its page, which is
@@ -312,16 +315,7 @@ class LrcBackend(CoherenceBackend):
             if proc == node_id:
                 continue
             interval_idx = record.interval_idx
-            if san_on:
-                # Per notice, so the check count and the transition ring
-                # read as they always have.
-                for page_id in record.pages:
-                    san.on_write_notice(node_id, proc, interval_idx, page_id)
-                    if advance_vc:
-                        old = vc[proc]
-                        vc.observe(proc, interval_idx)
-                        san.on_vc_update(node_id, proc, old, vc[proc])
-            elif advance_vc:
+            if advance_vc:
                 vc.observe(proc, interval_idx)
             observe_lamport(record.lamport)
             for page_id in record.pages:
@@ -350,10 +344,7 @@ class LrcBackend(CoherenceBackend):
         yield from self.node.occupy(self.node.costs.twin_create, Category.DSM)
         state.twin = self.node.pages.snapshot(page_id)
         state.dirty = True
-        self._mark("twin_create", page_id)
-        if self.sim.sanitizer_on:
-            san = self.sim.sanitizer
-            san.on_twin_created(self.node_id, page_id)
+        self._mark("twin_create", page=page_id)
         self.intervals.record_write(page_id)
 
     # -- fault / fetch path ------------------------------------------------------
@@ -444,15 +435,23 @@ class LrcBackend(CoherenceBackend):
         """Apply incoming diffs in happened-before (lamport) order."""
         state = self.coherence(page_id)
         page = self.node.pages.page(page_id)
-        san = self.sim.sanitizer
         for item in sorted(stored, key=lambda s: (s.lamport, s.proc)):
             if item.covers_through <= state.applied_upto[item.proc]:
                 # Already covered (e.g. a stale prefetch-heap entry);
                 # re-applying could revert newer data.
                 continue
-            if san.enabled:
-                san.on_diff_applied(
-                    self.node_id, page_id, item.proc, item.covers_through, item.lamport
+            if self.sim.trace_on:
+                # Taken for applying here, a CPU charge before diff_apply.
+                tr = self.sim.trace
+                tr.instant(
+                    self.sim.now,
+                    "protocol",
+                    "diff_admit",
+                    self.node_id,
+                    page=page_id,
+                    writer=item.proc,
+                    covers=item.covers_through,
+                    lamport=item.lamport,
                 )
             cost = self.node.costs.diff_apply_us(item.diff.modified_bytes)
             yield from self.node.occupy(cost, Category.DSM)
@@ -521,12 +520,19 @@ class LrcBackend(CoherenceBackend):
     def _seal_twin(self, state: PageCoherence) -> Diff:
         """Turn a dirty page's twin into its diff; the page is clean
         after (no yields: see the callers for why that matters)."""
-        if self.sim.sanitizer_on:
-            san = self.sim.sanitizer
-            san.on_flush(self.node_id, state.page_id, had_twin=state.twin is not None)
         diff = make_diff(state.page_id, state.twin, self.node.pages.page(state.page_id))
         state.dirty = False
         state.twin = None
+        if self.sim.trace_on:
+            tr = self.sim.trace
+            tr.instant(
+                self.sim.now,
+                "protocol",
+                "diff_create",
+                self.node_id,
+                page=diff.page_id,
+                bytes=diff.modified_bytes,
+            )
         return diff
 
     def _archive_diff(self, diff: Diff) -> StoredDiff:
@@ -538,16 +544,6 @@ class LrcBackend(CoherenceBackend):
             diff=diff,
         )
         self.diff_store.add(stored)
-        if self.sim.trace_on:
-            tr = self.sim.trace
-            tr.instant(
-                self.sim.now,
-                "protocol",
-                "diff_create",
-                self.node_id,
-                page=diff.page_id,
-                bytes=diff.modified_bytes,
-            )
         return stored
 
     def reply_notices(
@@ -574,7 +570,7 @@ class LrcBackend(CoherenceBackend):
 
     def handle_diff_request(self, msg: Message) -> Generator:
         self.host.diff_requests_served += 1
-        self._mark("diff_serve", msg.payload["page_id"])
+        self._mark("diff_serve", page=msg.payload["page_id"])
         # The requester's fault is blocked on this reply: demand class,
         # ahead of any notice/prefetch backlog on the link.
         return self.serve_diffs(msg, MessageKind.DIFF_REPLY, "reply")

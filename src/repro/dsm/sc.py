@@ -268,9 +268,8 @@ class ScBackend(CoherenceBackend):
                 state.mode = EXCLUSIVE
             elif state.mode == INVALID:
                 state.mode = SHARED
-            if self.sim.sanitizer_on:
-                self.sim.sanitizer.on_sc_install(self.node_id, page_id, mode)
             if tr.enabled:
+                # The page is installed: the sanitizer reads this end.
                 tr.async_end(self.sim.now, *txn)
             # Fire-and-forget completion notice releases the directory.
             if manager == self.node_id:
@@ -308,8 +307,6 @@ class ScBackend(CoherenceBackend):
         if state.mode == INVALID:
             return
         state.mode = INVALID
-        if self.sim.sanitizer_on:
-            self.sim.sanitizer.on_sc_invalidate(self.node_id, page_id)
         if self.sim.trace_on:
             self.sim.trace.instant(
                 self.sim.now, "protocol", "sc_invalidate", self.node_id, page=page_id
@@ -370,8 +367,7 @@ class ScBackend(CoherenceBackend):
         costs = self.node.costs
         while entry.queue:
             requester, mode, grant = entry.queue.popleft()
-            if self.sim.sanitizer_on:
-                self.sim.sanitizer.on_sc_txn_start(self.node_id, page_id, requester, mode)
+            self._mark("sc_dir_start", page=page_id, requester=requester, mode=mode)
             # Armed BEFORE the grant can fire: a local requester resumes
             # synchronously inside grant.succeed and reports completion
             # before this generator runs again.
@@ -385,8 +381,7 @@ class ScBackend(CoherenceBackend):
             # admitting the next transaction (serialization).
             yield entry.done_event
             entry.done_event = None
-            if self.sim.sanitizer_on:
-                self.sim.sanitizer.on_sc_txn_end(self.node_id, page_id)
+            self._mark("sc_dir_end", page=page_id)
         entry.busy = False
 
     def _txn_read(
@@ -571,13 +566,12 @@ class ScBackend(CoherenceBackend):
             entry = _Directory(owner=entry_snap["owner"], num_nodes=self.num_nodes)
             entry.copyset = set(entry_snap["copyset"])
             self._directory[pid] = entry
-        if self.sim.sanitizer_on:
-            # Re-seed the sanitizer's copy mirror (cleared on rollback)
-            # from the restored page modes — see on_sc_restore.
-            self.sim.sanitizer.on_sc_restore(
-                self.node_id,
-                [pid for pid, state in self._pages.items() if state.mode == INVALID],
-            )
+        # Re-seeds the sanitizer's copy mirror (cleared at ``recover``)
+        # from the restored page modes — see on_sc_restore.
+        self._mark(
+            "sc_restore",
+            invalid=[pid for pid, state in self._pages.items() if state.mode == INVALID],
+        )
 
     # -- verification --------------------------------------------------------
 

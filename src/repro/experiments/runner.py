@@ -12,7 +12,7 @@ from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps.registry import APP_ORDER, make_app
 from repro.errors import ConfigError
 from repro.metrics.report import RunReport
-from repro.trace import PhaseTimeline, TraceConfig
+from repro.trace import PhaseTimeline
 
 __all__ = ["CONFIG_LABELS", "ExperimentRunner", "make_configured_app", "parse_label"]
 
@@ -129,7 +129,7 @@ class ExperimentRunner:
         """The config of a cached (app, label) cell: the runner's planes on."""
         return self.config(
             label,
-            trace=TraceConfig() if self.trace_template else None,
+            trace=bool(self.trace_template),
             profile=bool(self.profile_template),
             critpath=self.critpath,
         )

@@ -12,7 +12,7 @@ from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
 from repro.ft.config import FtConfig
 from repro.ft.detector import FailureDetector
 from repro.ft.manager import FtManager
-from repro.ft.sanitizer import NULL_SANITIZER, NullSanitizer, ProtocolSanitizer
+from repro.ft.sanitizer import ProtocolSanitizer, check_events
 
 __all__ = [
     "ClusterCheckpoint",
@@ -20,7 +20,6 @@ __all__ = [
     "FtConfig",
     "FtManager",
     "NodeCheckpoint",
-    "NULL_SANITIZER",
-    "NullSanitizer",
     "ProtocolSanitizer",
+    "check_events",
 ]

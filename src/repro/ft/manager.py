@@ -475,6 +475,12 @@ class FtManager:
             checkpoint=ckpt.kind,
             barrier=ckpt.barrier_id,
             episode=ckpt.episode,
+            # The sanitizer's interval ceilings rewind to each node's vc
+            # at the cut as *snapshotted* — not the vcs the barrier
+            # arrivals carried: a node can close one more interval after
+            # its own arrival (serving a mid-interval flush) and before
+            # the cut.
+            vcs=[list(node_ckpt.dsm["vc"]) for node_ckpt in ckpt.nodes],
         )
         self._rollback(ckpt, dead, sim.now)
         # The slowest node's state restore gates the resume.
@@ -518,12 +524,6 @@ class FtManager:
         # against half-restored structures (two-phase, see cancel_groups).
         sim.cancel_groups([f"node{n}" for n in range(self.num_nodes)])
         transports = self.cluster.transports
-        # Interval ceilings rewind to each node's vc at the cut as
-        # *snapshotted* — not the vcs the barrier arrivals carried: a
-        # node can close one more interval after its own arrival
-        # (serving a mid-interval flush) and before the cut.  (Once per
-        # rollback, so unguarded: the null sanitizer's is a no-op.)
-        sim.sanitizer.on_rollback([list(nc.dsm["vc"]) for nc in ckpt.nodes])
         for node_ckpt in ckpt.nodes:
             node_id = node_ckpt.node_id
             node = self.cluster.nodes[node_id]

@@ -1,15 +1,17 @@
 """Runtime protocol-invariant sanitizer, gated per coherence backend.
 
-The sanitizer is a passive observer attached to the simulator
-(``sim.sanitizer``), mirroring the ``NULL_TRACER`` pattern: the default
-is :data:`NULL_SANITIZER` whose ``enabled`` is False, so un-sanitized
-runs pay one attribute check per hook site and nothing else.
+The sanitizer is a reader of the trace (DESIGN.md §6.15):
+:func:`check_events` replays a run's events through the ``on_*`` checks
+of a fresh :class:`ProtocolSanitizer`.  ``RunConfig(sanitizer=True)``
+records an in-memory trace for it, and ``DsmRuntime.execute`` folds it
+after the run, before the report and verification (over the partial
+trace, if the run raised).
 
 Invariants are **protocol-gated**: the LRC family's assertions are
 meaningless under the SC-invalidate backend (no twins, diffs, intervals
 or vector clocks exist), and would raise false ``ProtocolError``s if an
 SC run ever tripped them.  They are not silently skipped either — under
-``sc`` any LRC-machinery hook firing at all IS the violation (the inert
+``sc`` any LRC-machinery event at all IS the violation (the inert
 vector clock must never advance, no interval may ever close), and SC
 gets its own invariants in exchange.
 
@@ -50,19 +52,20 @@ SC-invalidate invariants (``protocol == "sc"``):
 Violations raise :class:`~repro.errors.ProtocolError` carrying a dump of
 the most recent protocol transitions for diagnosis.
 
-The sanitizer deliberately keeps *no* RNG, sends no messages, and
-charges no time, so enabling it cannot perturb a run: sanitizer-on and
-sanitizer-off runs produce bit-identical reports.
+The fold reads the trace after the run, so enabling it cannot perturb
+the run: sanitizer-on and sanitizer-off runs produce bit-identical
+reports and traces.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Any, Iterable, Optional
 
+from repro.dsm.vclock import VectorClock
 from repro.errors import ProtocolError
 
-__all__ = ["ProtocolSanitizer", "NullSanitizer", "NULL_SANITIZER"]
+__all__ = ["ProtocolSanitizer", "check_events"]
 
 #: How many recent transitions the diagnostic ring buffer keeps.
 _RING_CAPACITY = 64
@@ -70,8 +73,6 @@ _RING_CAPACITY = 64
 
 class ProtocolSanitizer:
     """Checks protocol invariants at transitions, gated per backend."""
-
-    enabled = True
 
     def __init__(self, num_nodes: int, protocol: str = "lrc") -> None:
         self.num_nodes = num_nodes
@@ -91,8 +92,6 @@ class ProtocolSanitizer:
         self._served_covers: dict[tuple[int, int], tuple[int, ...]] = {}
         #: Recent transitions, newest last, for the diagnostic dump.
         self._ring: deque[str] = deque(maxlen=_RING_CAPACITY)
-        self.checks = 0
-        self.violations = 0
 
     # -- recording -------------------------------------------------------
 
@@ -100,7 +99,6 @@ class ProtocolSanitizer:
         self._ring.append(f"node{node_id} {kind}: {detail}")
 
     def _violate(self, node_id: int, invariant: str, detail: str) -> None:
-        self.violations += 1
         recent = "\n    ".join(self._ring) or "<none>"
         raise ProtocolError(
             f"sanitizer: {invariant} violated on node {node_id}: {detail}\n"
@@ -139,7 +137,6 @@ class ProtocolSanitizer:
     # -- hooks (LRC family) ----------------------------------------------
 
     def on_vc_update(self, node_id: int, proc: int, old: int, new: int) -> None:
-        self.checks += 1
         self._lrc_only(node_id, "on_vc_update")
         self.note(node_id, "vc", f"proc {proc}: {old} -> {new}")
         if new < old:
@@ -150,7 +147,6 @@ class ProtocolSanitizer:
             )
 
     def on_interval_closed(self, node_id: int, index: int) -> None:
-        self.checks += 1
         self._lrc_only(node_id, "on_interval_closed")
         self.note(node_id, "interval", f"closed own interval {index}")
         expected = self._created[node_id] + 1
@@ -164,7 +160,6 @@ class ProtocolSanitizer:
         self._created[node_id] = index
 
     def on_write_notice(self, node_id: int, proc: int, interval_idx: int, page_id: int) -> None:
-        self.checks += 1
         self._lrc_only(node_id, "on_write_notice")
         self.note(
             node_id, "notice", f"page {page_id} proc {proc} interval {interval_idx}"
@@ -180,7 +175,6 @@ class ProtocolSanitizer:
     def on_diff_applied(
         self, node_id: int, page_id: int, proc: int, covers_through: int, lamport: int
     ) -> None:
-        self.checks += 1
         self._lrc_only(node_id, "on_diff_applied")
         key = (node_id, page_id, proc, covers_through, lamport)
         self.note(
@@ -198,7 +192,6 @@ class ProtocolSanitizer:
         self._applied.add(key)
 
     def on_twin_created(self, node_id: int, page_id: int) -> None:
-        self.checks += 1
         self._lrc_only(node_id, "on_twin_created")
         key = (node_id, page_id)
         self.note(node_id, "twin", f"create twin for page {page_id}")
@@ -211,7 +204,6 @@ class ProtocolSanitizer:
         self._twinned.add(key)
 
     def on_flush(self, node_id: int, page_id: int, had_twin: bool) -> None:
-        self.checks += 1
         self._lrc_only(node_id, "on_flush")
         key = (node_id, page_id)
         self.note(node_id, "flush", f"flush dirty page {page_id} (twin={had_twin})")
@@ -227,7 +219,6 @@ class ProtocolSanitizer:
 
     def on_home_update(self, node_id: int, page_id: int, home: int) -> None:
         """A flushed diff arrived at ``node_id`` claiming ``home``."""
-        self.checks += 1
         self._hlrc_only(node_id, "on_home_update")
         self.note(node_id, "home", f"update for page {page_id} (home {home})")
         if node_id != home:
@@ -242,7 +233,6 @@ class ProtocolSanitizer:
         self, node_id: int, page_id: int, home: int, covers: tuple
     ) -> None:
         """The home served a whole-page fetch covering ``covers``."""
-        self.checks += 1
         self._hlrc_only(node_id, "on_page_served")
         self.note(node_id, "home", f"serve page {page_id} covers {covers}")
         if node_id != home:
@@ -267,7 +257,6 @@ class ProtocolSanitizer:
 
     def on_sc_txn_start(self, node_id: int, page_id: int, requester: int, mode: str) -> None:
         """The directory admitted a coherence transaction on a page."""
-        self.checks += 1
         self._sc_only(node_id, "on_sc_txn_start")
         self.note(node_id, "sc", f"txn start page {page_id} {mode} for {requester}")
         active = self._sc_active.get(page_id)
@@ -281,7 +270,6 @@ class ProtocolSanitizer:
         self._sc_active[page_id] = (requester, mode)
 
     def on_sc_txn_end(self, node_id: int, page_id: int) -> None:
-        self.checks += 1
         self._sc_only(node_id, "on_sc_txn_end")
         self.note(node_id, "sc", f"txn end page {page_id}")
         self._sc_active.pop(page_id, None)
@@ -303,7 +291,6 @@ class ProtocolSanitizer:
 
     def on_sc_install(self, node_id: int, page_id: int, mode: str) -> None:
         """``node_id`` gained a valid copy (``read``/``write``)."""
-        self.checks += 1
         self._sc_only(node_id, "on_sc_install")
         self.note(node_id, "sc", f"install page {page_id} ({mode})")
         copies = self._sc_copyset(page_id)
@@ -318,7 +305,6 @@ class ProtocolSanitizer:
 
     def on_sc_invalidate(self, node_id: int, page_id: int) -> None:
         """``node_id``'s copy of the page was invalidated."""
-        self.checks += 1
         self._sc_only(node_id, "on_sc_invalidate")
         self.note(node_id, "sc", f"invalidate page {page_id}")
         copies = self._sc_copyset(page_id)
@@ -334,7 +320,7 @@ class ProtocolSanitizer:
     def on_sc_restore(self, node_id: int, invalid_pages) -> None:
         """Rebuild the copy mirror from one node's restored page modes.
 
-        Called by each node's backend restore after :meth:`on_rollback`
+        Each node's backend restore reports this after :meth:`on_rollback`
         cleared the mirror.  Only *invalid* pages are reported: a page
         can lose a node's copy only through an invalidation, which
         materializes that node's page record — so any page a node does
@@ -364,14 +350,58 @@ class ProtocolSanitizer:
         self.note(-1, "rollback", f"ceilings reset to {self._created}")
 
 
-class NullSanitizer:
-    """Inert stand-in: ``enabled`` is False so hook sites skip the call."""
+def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -> None:
+    """Fold a run's trace events, in stream order, through the checks;
+    raise the first violation's :class:`~repro.errors.ProtocolError`.
 
-    enabled = False
-
-    def on_rollback(self, node_vcs: Optional[list] = None) -> None:
-        pass
-
-
-#: Shared inert sanitizer attached to every new :class:`Simulator`.
-NULL_SANITIZER = NullSanitizer()
+    Each ``on_*`` call is taken at the event emitted where its fact
+    happens, no yield apart.  ``write_notices`` carries the other
+    writers' ``(proc, interval, pages)`` and the receiver's clock before
+    them, replayed notice by notice through :class:`VectorClock` as the
+    backend applies them; ``home`` marks HLRC's remote ``home_update``
+    and whole-page ``page_serve``; ``sc_txn``'s end is the requester's
+    install, in the mode its begin names; a ``diff_create`` is a sealed
+    twin, so the flush had one.
+    """
+    san = ProtocolSanitizer(num_nodes, protocol)
+    txns: dict = {}  # open requester transactions: sc_txn id -> (page, mode)
+    for event in events:
+        name, node, args = event.name, event.node, event.args or {}
+        if name == "interval_close":
+            san.on_interval_closed(node, args["index"])
+        elif name == "write_notices":
+            clock = VectorClock(num_nodes, owner=node)
+            clock.restore(args["vc"])
+            for proc, interval_idx, pages in args["notices"]:
+                for page_id in pages:
+                    san.on_write_notice(node, proc, interval_idx, page_id)
+                    if args["full"]:
+                        old = clock[proc]
+                        clock.observe(proc, interval_idx)
+                        san.on_vc_update(node, proc, old, clock[proc])
+        elif name == "twin_create":
+            san.on_twin_created(node, args["page"])
+        elif name == "diff_admit":
+            san.on_diff_applied(
+                node, args["page"], args["writer"], args["covers"], args["lamport"]
+            )
+        elif name == "diff_create":
+            san.on_flush(node, args["page"], had_twin=True)
+        elif name == "home_update" and "home" in args:
+            san.on_home_update(node, args["page"], args["home"])
+        elif name == "page_serve" and "home" in args:
+            san.on_page_served(node, args["page"], args["home"], args["covers"])
+        elif name == "sc_txn" and event.ph == "b":
+            txns[event.id] = (args["page"], args["mode"])
+        elif name == "sc_txn":
+            san.on_sc_install(node, *txns.pop(event.id))
+        elif name == "sc_invalidate":
+            san.on_sc_invalidate(node, args["page"])
+        elif name == "sc_dir_start":
+            san.on_sc_txn_start(node, args["page"], args["requester"], args["mode"])
+        elif name == "sc_dir_end":
+            san.on_sc_txn_end(node, args["page"])
+        elif name == "sc_restore":
+            san.on_sc_restore(node, args["invalid"])
+        elif name == "recover":
+            san.on_rollback(args["vcs"])

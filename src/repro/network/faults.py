@@ -42,7 +42,7 @@ from repro.errors import FaultConfigError
 from repro.network.link import LinkConfig
 from repro.network.message import Message
 from repro.network.network import Network
-from repro.sim import Simulator
+from repro.sim import RandomSource, Simulator
 
 __all__ = [
     "LinkDegradation",
@@ -545,7 +545,7 @@ class FaultyNetwork(Network):
         sim: Simulator,
         num_nodes: int,
         plan: FaultPlan,
-        rng: np.random.Generator,
+        rng: RandomSource,
         link_config: Optional[LinkConfig] = None,
         switch_latency_us: float = 10.0,
     ) -> None:
@@ -556,19 +556,10 @@ class FaultyNetwork(Network):
         self.plan = plan
         # Fault decisions draw from a *per-directed-link* stream so one
         # link's traffic volume cannot shift the draws another link
-        # sees: given a RandomSource, each (src, dst) pair lazily gets
-        # its own named stream; a bare numpy Generator (legacy/direct
-        # construction) keeps the old fabric-wide behaviour.
-        if isinstance(rng, np.random.Generator):
-            self._random = None
-            self._shared_rng = rng
-        else:
-            self._random = rng
-            self._shared_rng = None
+        # sees: each (src, dst) pair lazily gets its own named stream.
+        self._random = rng
 
     def _link_rng(self, src: int, dst: int) -> np.random.Generator:
-        if self._random is None:
-            return self._shared_rng
         return self._random.stream(f"network.faults[{src}->{dst}]")
 
     # -- send path ---------------------------------------------------------

@@ -11,8 +11,8 @@ layer.  One :class:`ReliableTransport` per node:
   datagram; a timer retransmits it with exponential backoff plus
   deterministic jitter until the destination acknowledges, up to a
   bounded retry count (then the message is abandoned: the give-up is
-  counted in :class:`TransportStats` and reported to ``on_give_up`` so
-  a failure detector can suspect the peer);
+  counted in the node's ``EventCounters`` and reported to
+  ``on_give_up`` so a failure detector can suspect the peer);
 - **receiver side** — every tracked datagram is acknowledged (acks are
   themselves unreliable: a lost ack just provokes a retransmission),
   and duplicates — from retransmission races or injected faults — are
@@ -212,26 +212,12 @@ class TransportConfig:
 
 @dataclass
 class TransportStats:
-    """Per-node transport counters (aggregated into the run report)."""
+    """Per-node adaptive-layer counters, read by :meth:`ReliableTransport.
+    health_snapshot` (all zero with adaptive off).  What every transport
+    counts (retransmissions, timeouts, acks, duplicates, give-ups) the
+    node's ``EventCounters`` and the network's ``TrafficStats`` hold,
+    and the trace carries."""
 
-    data_sent: int = 0
-    retransmissions: int = 0
-    timeouts: int = 0
-    acks_sent: int = 0
-    acks_received: int = 0
-    duplicates_suppressed: int = 0
-    #: Messages abandoned after MAX_RETRIES, by message kind.  The
-    #: transport no longer raises out of the sim loop on exhaustion: it
-    #: records the give-up here and notifies ``on_give_up`` (the failure
-    #: detector, when FT is on) so the peer can be suspected.  The
-    #: message itself is *parked*, not destroyed: if the membership
-    #: layer later decides the peer was merely partitioned and rejoins
-    #: it, :meth:`ReliableTransport.revive` puts parked messages back in
-    #: flight.
-    retries_exhausted: dict[str, int] = field(default_factory=dict)
-    #: Parked messages put back in flight after a peer rejoined.
-    revived: int = 0
-    # Adaptive-layer counters (all zero with adaptive off).
     #: Sends deferred into the pacing queue by a full AIMD window.
     paced: int = 0
     #: Clean (Karn-admissible) RTT samples folded into the estimator.
@@ -408,7 +394,6 @@ class ReliableTransport:
         message.seq = seq
         pending = _Pending(message)
         self._pending[(message.dst, seq)] = pending
-        self.stats.data_sent += 1
         if self._adaptive:
             pending.deadline_at = self.sim.now + GIVE_UP_US
             peer = self._peer(message.dst)
@@ -488,7 +473,6 @@ class ReliableTransport:
                 # its timestamps, and Karn's rule already excludes it
                 # from sampling (first_sent_at stays -1).
                 message = message.clone()
-                self.stats.retransmissions += 1
                 self.node.events.retransmissions += 1
                 self.network.stats.record_retransmit(message)
             else:
@@ -540,7 +524,6 @@ class ReliableTransport:
         pending = self._pending.get((dst, seq))
         if pending is None or pending.epoch != epoch:
             return  # acked (or resent) in the meantime
-        self.stats.timeouts += 1
         self.node.events.transport_timeouts += 1
         self._mark(
             "transport_timeout",
@@ -562,7 +545,6 @@ class ReliableTransport:
             self._parked[(dst, seq)] = pending
             message = pending.message
             kind = message.kind.value
-            self.stats.retries_exhausted[kind] = self.stats.retries_exhausted.get(kind, 0) + 1
             self.node.events.retries_exhausted += 1
             self._mark("retries_exhausted", dst=dst, seq=seq, attempts=pending.attempts, kind=kind)
             if self._adaptive:
@@ -622,7 +604,6 @@ class ReliableTransport:
         )
         if (dst, seq) not in self._pending:
             return  # acked while waiting for the CPU
-        self.stats.retransmissions += 1
         self.node.events.retransmissions += 1
         copy = pending.message.clone()
         self._mark(
@@ -739,9 +720,7 @@ class ReliableTransport:
         re-acks the ones that did land before the partition.
         """
         keys = sorted(key for key in self._parked if key[0] == dst)
-        revived = self._revive_keys(dst, keys)
-        self.stats.revived += revived
-        return revived
+        return self._revive_keys(dst, keys)
 
     def revive_all(self) -> int:
         """Revive every parked message (the parking node itself rejoined:
@@ -903,7 +882,6 @@ class ReliableTransport:
         window = self._windows.setdefault(message.src, _ReceiveWindow())
         first = window.accept(message.seq, DEDUP_WINDOW)
         if not first:
-            self.stats.duplicates_suppressed += 1
             self.node.events.duplicates_suppressed += 1
             self._mark(
                 "duplicate_suppressed", src=message.src, seq=message.seq, kind=message.kind.value
@@ -913,7 +891,6 @@ class ReliableTransport:
         yield from self.node.occupy(
             self.node.costs.msg_send_cpu, Category.DSM, priority=_HANDLER_PRIORITY
         )
-        self.stats.acks_sent += 1
         self.node.events.acks_sent += 1
         ack_payload: dict = {"seq": message.seq}
         if message.attempt:
@@ -932,7 +909,6 @@ class ReliableTransport:
         return first
 
     def _on_ack(self, message: Message) -> None:
-        self.stats.acks_received += 1
         key = (message.src, message.payload["seq"])
         pending = self._pending.pop(key, None)
         # A very late ack can land after the give-up: the peer did

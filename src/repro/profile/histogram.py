@@ -7,7 +7,7 @@ chain that serializes shows up at p99 long before it moves the mean).
 run can report p50/p90/p99/max for page-fault service time, diff-fetch
 round trips, lock waits, and so on.
 
-Design constraints, mirroring the tracer/sanitizer:
+Design constraints, mirroring the tracer:
 
 - **Deterministic.**  Bucket indices come from :func:`math.frexp`
   (exact binary decomposition), never from ``log`` rounding, so the

@@ -21,9 +21,11 @@ cannot buy back —
   entries, preserving exact global (time, seq) ordering;
 - :class:`Event` and its subclasses are ``__slots__``-based, and
   ``triggered`` is a plain attribute rather than a property;
-- the run's tracer, sanitizer and telemetry sampler hang off the
-  simulator behind cached ``*_on`` booleans, so a disabled instrument
-  costs one attribute read per hook site.
+- the run's tracer and telemetry sampler hang off the simulator
+  behind cached ``*_on`` booleans, so a disabled instrument costs one
+  attribute read per hook site.  Every other analysis plane (profile,
+  critical path, protocol sanitizer) reads the tracer's events after
+  the run and takes no hook of its own.
 """
 
 from __future__ import annotations
@@ -244,16 +246,15 @@ class Simulator:
     (time, sequence) order — a pure O(1) fast path for the kernel's most
     common scheduling pattern (process starts and same-tick callbacks).
 
-    The simulator also carries the run's tracer (``self.trace``),
-    sanitizer and telemetry sampler: every layer owns a ``sim``
-    reference, so attaching them here gives the whole stack an
-    instrumentation point without extra plumbing.  Each is paired with a cached ``*_on``
+    The simulator also carries the run's tracer (``self.trace``) and
+    telemetry sampler: every layer owns a ``sim`` reference, so
+    attaching them here gives the whole stack an instrumentation point
+    without extra plumbing.  Each is paired with a cached ``*_on``
     boolean (kept in sync by the property setters), so the shared null
     defaults cost hook sites a single attribute read.
     """
 
     def __init__(self) -> None:
-        from repro.ft.sanitizer import NULL_SANITIZER  # deferred: keep sim dep-free
         from repro.telemetry.sampler import NULL_TELEMETRY  # deferred: keep sim dep-free
         from repro.trace.tracer import NULL_TRACER  # deferred: keep sim dep-free
 
@@ -264,7 +265,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._handled = 0
         self.trace = NULL_TRACER
-        self.sanitizer = NULL_SANITIZER
         self.telemetry = NULL_TELEMETRY
         #: Live (spawned, not yet finished/cancelled) processes, in spawn
         #: order.  Powers group cancellation and the deadlock watchdog.
@@ -281,15 +281,6 @@ class Simulator:
     def trace(self, tracer) -> None:
         self._trace = tracer
         self.trace_on = bool(tracer.enabled)
-
-    @property
-    def sanitizer(self):
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, sanitizer) -> None:
-        self._sanitizer = sanitizer
-        self.sanitizer_on = bool(sanitizer.enabled)
 
     @property
     def telemetry(self):

@@ -6,7 +6,7 @@ per-node time series into the RunReport, watchdog monitors
 (:func:`run_watchdogs`) that grade those series for mid-run pathologies
 the end-of-run aggregates hide, and offline renderers
 (``python -m repro.telemetry``) for self-contained dashboards.  Like
-the tracer and sanitizer, the default is a NULL object
+the tracer, the default is a NULL object
 (:data:`NULL_TELEMETRY`) whose cost is one cached-boolean check in the
 run loop — disabled runs are byte-identical to a build without the
 plane at all.

@@ -1,6 +1,6 @@
 """Structured event tracing, timeline reconstruction, and exporters.
 
-Enable with ``RunConfig(trace=TraceConfig())`` (or ``trace=True``), or
+Enable with ``RunConfig(trace=True)``, or
 ``--trace out.json`` on the ``repro.apps`` / ``repro.experiments``
 CLIs; open the exported JSON in https://ui.perfetto.dev or
 ``chrome://tracing``.
@@ -11,7 +11,6 @@ from repro.trace.timeline import PhaseSegment, PhaseTimeline
 from repro.trace.tracer import (
     NULL_TRACER,
     NullTracer,
-    TraceConfig,
     TraceEvent,
     Tracer,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "NullTracer",
     "PhaseSegment",
     "PhaseTimeline",
-    "TraceConfig",
     "TraceEvent",
     "Tracer",
     "chrome_trace",

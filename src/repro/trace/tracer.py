@@ -36,18 +36,11 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
 __all__ = [
-    "TraceConfig",
     "TraceEvent",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
 ]
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """``RunConfig(trace=TraceConfig())`` (or ``trace=True``) records
-    every instrumented event of the run in memory."""
 
 
 @dataclass(slots=True)

@@ -1,13 +1,21 @@
-"""Unit tests for the protocol-invariant sanitizer, plus an end-to-end
-corruption test showing it firing with a useful diagnostic."""
+"""Unit tests for the protocol-invariant sanitizer, plus end-to-end
+tests of its fold over the trace: a corruption firing with a useful
+diagnostic, a violation that derails the run, and a trace that does not
+depend on the sanitizer."""
 
 import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
+from repro.chaos.search import ChaosSample, evaluate_sample
 from repro.dsm.pagestate import PageCoherence
-from repro.errors import ProtocolError
+from repro.dsm.sc import ScBackend
+from repro.errors import ProtocolError, SimulationError
+from repro.experiments.runner import make_configured_app, parse_label
 from repro.ft import ProtocolSanitizer
+from repro.network import FaultPlan
+from repro.sim import spawn
+from repro.trace.export import jsonl_lines
 
 
 @pytest.fixture
@@ -194,3 +202,54 @@ def test_sc_restore_rebuilds_the_copy_mirror(sc_san):
         sc_san.on_sc_restore(node, [5])
     sc_san.on_sc_restore(1, [])
     sc_san.on_sc_install(1, page_id=5, mode="write")  # still the sole holder
+
+
+# -- the fold over the trace ---------------------------------------------------
+
+
+def _admit_without_serializing(self, page_id, requester, mode, grant):
+    """A directory bug: every request starts its own pump, busy or not."""
+    entry = self._dir(page_id)
+    entry.queue.append((requester, mode, grant))
+    entry.busy = True
+    spawn(self.sim, self._run_transactions(page_id), group=f"node{self.node_id}")
+
+
+def test_a_violation_that_derails_the_run_is_still_named(monkeypatch):
+    """Two transactions on one page trip serialization, then the pumps
+    deadlock on a shared completion event: the fold over the partial
+    trace names the violation and chains the deadlock, and chaos grades
+    the sample ``sanitizer``, not ``liveness``."""
+    monkeypatch.setattr(ScBackend, "_admit", _admit_without_serializing)
+    with pytest.raises(ProtocolError, match="transaction serialization") as excinfo:
+        DsmRuntime(RunConfig(num_nodes=4, protocol="sc", sanitizer=True)).execute(
+            make_app("SOR", "small")
+        )
+    assert isinstance(excinfo.value.__cause__, SimulationError)
+    assert "deadlock" in str(excinfo.value.__cause__)
+    sample = ChaosSample(0, "SOR", "small", 4, 42, FaultPlan().to_dict(), protocol="sc")
+    result = evaluate_sample(sample)
+    assert result.failures == ["sanitizer"]
+    assert "transaction serialization" in result.error
+
+
+@pytest.mark.parametrize(
+    "app_name, label, protocol",
+    [("SOR", "P", "lrc"), ("WATER-NSQ", "4T", "hlrc"), ("RADIX", "4TP", "sc")],
+)
+def test_the_trace_does_not_depend_on_the_sanitizer(app_name, label, protocol):
+    def jsonl(sanitizer):
+        threads_per_node, prefetch = parse_label(label)
+        config = RunConfig(
+            num_nodes=4,
+            threads_per_node=threads_per_node,
+            prefetch=prefetch,
+            protocol=protocol,
+            trace=True,
+            sanitizer=sanitizer,
+        )
+        runtime = DsmRuntime(config)
+        runtime.execute(make_configured_app(app_name, "small", label))
+        return "\n".join(jsonl_lines(runtime.tracer.events))
+
+    assert jsonl(True) == jsonl(False)

@@ -29,7 +29,7 @@ def build(plan, num_nodes=4, seed=11, **link_kwargs):
         sim,
         num_nodes,
         plan,
-        RandomSource(seed).stream("network.faults"),
+        RandomSource(seed),
         link_config=LinkConfig(**link_kwargs),
     )
     inboxes = {n: [] for n in range(num_nodes)}
@@ -287,10 +287,10 @@ def test_partition_topology_validated_against_cluster_size():
     sim = Simulator()
     plan = FaultPlan(partitions=(LinkPartition(start_us=0.0, end_us=10.0, nodes={9}),))
     with pytest.raises(FaultConfigError, match="unknown node 9"):
-        FaultyNetwork(sim, 4, plan, RandomSource(1).stream("network.faults"))
+        FaultyNetwork(sim, 4, plan, RandomSource(1))
     plan = FaultPlan(corruptions=(BitCorruption(start_us=0.0, end_us=10.0, prob=0.5, links={(0, 9)}),))
     with pytest.raises(FaultConfigError, match=r"unknown link \(0, 9\)"):
-        FaultyNetwork(sim, 4, plan, RandomSource(1).stream("network.faults"))
+        FaultyNetwork(sim, 4, plan, RandomSource(1))
 
 
 def test_node_partition_severs_boundary_both_ways_only():

@@ -116,30 +116,6 @@ def test_transport_jitter_draws_are_per_endpoint():
     assert jitter_sequence(interleave=False) == jitter_sequence(interleave=True)
 
 
-def test_legacy_shared_generator_still_accepted():
-    import numpy as np
-
-    sim = Simulator()
-    net = FaultyNetwork(sim, 2, FaultPlan(drop_prob=0.5), np.random.default_rng(0))
-    net.attach(0, lambda m: None)
-    got = []
-    net.attach(1, got.append)
-    for i in range(30):
-        sim.schedule(
-            100.0 * (i + 1),
-            net.send,
-            Message(
-                src=0,
-                dst=1,
-                kind=MessageKind.DIFF_REQUEST,
-                size_bytes=64,
-                payload={},
-            ),
-        )
-    sim.run()
-    assert 0 < len(got) < 30  # drops happened, some got through
-
-
 def test_partition_of_one_link_leaves_other_links_schedule_identical():
     from repro.network.faults import LinkPartition
 

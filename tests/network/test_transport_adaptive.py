@@ -59,7 +59,7 @@ def test_rto_converges_near_link_latency_on_clean_link(monkeypatch):
     cluster.run()
     assert payloads(inboxes[1]) == list(range(60))
     transport = cluster.transports[0]
-    assert transport.stats.retransmissions == 0
+    assert cluster.node(0).events.retransmissions == 0
     peer = transport._peers[1]
     # One round trip is wire time (serialization + propagation, both
     # ways) plus the responder's receive/ack CPU; the converged SRTT
@@ -85,9 +85,9 @@ def test_clean_burst_has_no_spurious_retransmits_with_default_floor():
         send_from(cluster, 0, msg(0, 1, payload={"i": i}))
     cluster.run()
     assert payloads(inboxes[1]) == list(range(200))
-    stats = cluster.transports[0].stats
-    assert stats.retransmissions == 0
-    assert stats.timeouts == 0
+    events = cluster.node(0).events
+    assert events.retransmissions == 0
+    assert events.transport_timeouts == 0
 
 
 def test_window_bounds_in_flight_and_paces_excess(monkeypatch):
@@ -122,7 +122,7 @@ def test_acks_grow_window_and_timeouts_halve_it(monkeypatch):
     assert payloads(inboxes[1]) == list(range(40))
     stats = cluster.transports[0].stats
     assert stats.cwnd_halvings > 0
-    assert stats.retransmissions > 0
+    assert cluster.node(0).events.retransmissions > 0
 
 
 def test_karn_backoff_retained_until_clean_sample(monkeypatch):
@@ -169,7 +169,7 @@ def test_eifel_undo_reverts_spurious_halvings():
     # Once the estimator has learned the shifted RTT, later messages
     # stop timing out: the retransmit count stays near the spike, not
     # one per message.
-    assert stats.retransmissions <= 6
+    assert cluster.node(0).events.retransmissions <= 6
     peer = cluster.transports[0]._peers[1]
     assert peer.srtt > 20_000.0  # learned the degraded round trip
 
@@ -200,12 +200,12 @@ def test_combined_hazards_on_one_link_stay_bounded():
     cluster.run()
     assert payloads(inboxes[1]) == list(range(60))
     assert len(inboxes[1]) == 60  # exactly once: dedup caught the rest
-    stats = cluster.transports[0].stats
-    assert stats.retransmissions > 0  # the hazards actually bit
+    retransmissions = cluster.node(0).events.retransmissions
+    assert retransmissions > 0  # the hazards actually bit
     # ~26% of transmissions vanish (drop or checksum discard); a
     # bounded recovery needs a small constant factor, not a storm.
-    assert stats.retransmissions <= 3 * 60
-    assert stats.max_in_flight <= reliable.CWND_MAX
+    assert retransmissions <= 3 * 60
+    assert cluster.transports[0].stats.max_in_flight <= reliable.CWND_MAX
 
 
 def test_give_up_parks_then_probe_delivers_after_heal(monkeypatch):
@@ -228,9 +228,8 @@ def test_give_up_parks_then_probe_delivers_after_heal(monkeypatch):
     assert payloads(inboxes[1]) == [0]
     delivered_at = inboxes[1][0][0]
     assert 50_000.0 <= delivered_at < 62_000.0  # a probe cycle after heal
-    stats = cluster.transports[0].stats
-    assert stats.retries_exhausted.get("diff_request", 0) >= 1
-    assert stats.park_probes >= 1
+    assert cluster.node(0).events.retries_exhausted >= 1
+    assert cluster.transports[0].stats.park_probes >= 1
     assert suspected and set(suspected) == {1}
     assert cluster.transports[0]._parked == {}
     assert cluster.transports[0]._pending == {}
@@ -349,7 +348,7 @@ def test_adaptive_determinism_under_combined_hazards():
         return (
             wall,
             cluster.sim.events_handled,
-            stats.retransmissions,
+            cluster.node(0).events.retransmissions,
             stats.cwnd_halvings,
             stats.rtt_samples,
             [(t, m.payload["i"]) for t, m in inboxes[1]],
@@ -384,7 +383,7 @@ def test_restore_state_readmits_an_unacked_message_with_fresh_peer_state(monkeyp
     assert payloads(inboxes[1]) == [0]
     # The pre-cut copy's ack retires the restored pending before its
     # re-armed timer fires, and its send time is unknown: no sample.
-    assert transport.stats.retransmissions == 0
+    assert cluster.node(0).events.retransmissions == 0
     assert transport.stats.rtt_samples == 0
     assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 0}
     assert transport.peer_gauges(1)["in_flight"] == 0
@@ -412,7 +411,6 @@ def test_parked_messages_show_in_health_and_revive_all_reflights_them(monkeypatc
     cluster.run()
     assert payloads(inboxes[1]) == [0, 1]
     assert payloads(inboxes[2]) == [2]
-    assert transport.stats.revived == 3
     assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 0}
 
 
@@ -433,7 +431,7 @@ def test_late_ack_retires_a_revival_still_in_the_pacing_queue(monkeypatch):
     assert transport.stats.park_probes == 1
     cluster.run()
     assert payloads(inboxes[1]) == [0, 1]
-    assert transport.stats.retransmissions == 1  # the 10 ms timeout's copy only
+    assert cluster.node(0).events.retransmissions == 1  # the 10 ms timeout's copy only
     assert transport.gauges() == {"unacked": 0, "backlog": 0, "parked": 0}
     # The queued revival never held a window slot, so its ack neither
     # freed one nor grew the window: only message 1's ack did (1 -> 2).

@@ -19,7 +19,6 @@ from repro.telemetry.render import (
     render_text,
     section_from_trace,
 )
-from repro.trace import TraceConfig
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +27,7 @@ def traced_run():
         RunConfig(
             num_nodes=2,
             threads_per_node=1,
-            trace=TraceConfig(),
+            trace=True,
             telemetry=TelemetryConfig(interval_us=2000.0),
         )
     )
@@ -45,7 +44,7 @@ def test_counter_rows_emitted_and_tagged(traced_run):
     assert all(isinstance(e["args"], dict) and e["args"] for e in counters)
     assert trace["otherData"]["telemetry_version"] == report.telemetry["version"]
     # Without the section, no counter rows and no marker.
-    runtime2 = DsmRuntime(RunConfig(num_nodes=2, trace=TraceConfig()))
+    runtime2 = DsmRuntime(RunConfig(num_nodes=2, trace=True))
     runtime2.execute(Sor(rows=24, cols=24, iterations=2))
     bare = runtime2.tracer.chrome_trace()
     assert not any(e.get("ph") == "C" for e in bare["traceEvents"])

@@ -13,7 +13,7 @@ from repro.network import transport as reliable
 from repro.network.faults import FaultyNetwork
 from repro.network.transport import ReliableTransport
 from repro.prefetch.engine import PrefetchEngine
-from repro.trace import PhaseTimeline, TraceConfig, validate_chrome_trace
+from repro.trace import PhaseTimeline, validate_chrome_trace
 
 CHAOS_PLAN = FaultPlan(drop_prob=0.05, duplicate_prob=0.02, reorder_prob=0.2, jitter_us=200.0)
 
@@ -174,8 +174,8 @@ def test_tracing_is_deterministic_itself():
 def test_runconfig_coerces_and_rejects_trace_values():
     from repro.errors import ConfigError
 
-    assert RunConfig(trace=True).trace == TraceConfig()
-    assert RunConfig(trace=False).trace is None
-    assert RunConfig(trace=None).trace is None
+    assert RunConfig(trace=True).trace is True
+    assert RunConfig(trace=False).trace is False
+    assert RunConfig(trace=None).trace is False
     with pytest.raises(ConfigError):
         RunConfig(trace="yes")

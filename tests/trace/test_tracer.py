@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.trace import NULL_TRACER, NullTracer, TraceConfig, TraceEvent, Tracer
+from repro.api.runtime import RunConfig
+from repro.errors import ConfigError
+from repro.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 
 def test_default_tracer_collects_everything():
@@ -36,11 +38,12 @@ def test_async_pair_shares_id():
 
 
 def test_config_rejects_bad_sink_capacity_and_categories():
-    """The tracer keeps every event (the profile and the critical path
-    fold the whole stream): a bounded or filtered sink is not an option."""
+    """The tracer keeps every event (the profile, the critical path and
+    the sanitizer fold the whole stream): a bounded or filtered sink is
+    not an option, and ``trace`` takes a bool only."""
     for option in ({"sink": "ring"}, {"ring_capacity": 100}, {"categories": frozenset({"cpu"})}):
-        with pytest.raises(TypeError):
-            TraceConfig(**option)
+        with pytest.raises(ConfigError):
+            RunConfig(trace=option)
 
 
 def test_null_tracer_is_disabled_and_collects_nothing():
