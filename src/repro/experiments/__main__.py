@@ -5,6 +5,7 @@ Examples::
     python -m repro.experiments fig1
     python -m repro.experiments tab1 fig3
     python -m repro.experiments all --preset small --nodes 4
+    python -m repro.experiments all --jobs 2 --out EXPERIMENTS.md
     python -m repro.experiments crash
     python -m repro.experiments crash --crash-node 5 --crash-at 0.6 --crash-loss 0.05
 """
@@ -16,6 +17,7 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS, CONFIG_LABELS, GRID_LABELS, ExperimentRunner
+from repro.experiments.writeup import write_blocks
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,6 +95,12 @@ def main(argv: list[str] | None = None) -> int:
         "to every run (shorthand for the 'critpath' experiment when no "
         "ids are given)",
     )
+    parser.add_argument(
+        "--out",
+        metavar="PATH",
+        help="rewrite each experiment's generated block of the markdown file "
+        "PATH (table + shape checks), leaving the prose around the blocks as it is",
+    )
     args = parser.parse_args(argv)
 
     wanted = list(ALL_EXPERIMENTS) if "all" in args.experiments else list(args.experiments)
@@ -124,13 +132,16 @@ def main(argv: list[str] | None = None) -> int:
     runner.prefetch_grid(
         [label for label in CONFIG_LABELS if any(label in GRID_LABELS[e] for e in wanted)]
     )
+    results = {}
     for experiment_id in wanted:
         started = time.time()
-        text, _data = ALL_EXPERIMENTS[experiment_id](runner)
+        results[experiment_id] = ALL_EXPERIMENTS[experiment_id](runner)
         elapsed = time.time() - started
         print()
-        print(text)
+        print(results[experiment_id][0])
         print(f"\n[{experiment_id} regenerated in {elapsed:.1f}s]\n")
+    if args.out:
+        write_blocks(args.out, results)
     return 0
 
 

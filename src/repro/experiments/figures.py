@@ -42,20 +42,16 @@ def figure2(runner: ExperimentRunner):
             "O": breakdown_column(baseline, baseline),
             "P": breakdown_column(prefetched, baseline),
         }
-        data[app_name] = {
-            "columns": columns,
-            "speedup": prefetched.speedup_over(baseline),
-            "memory_stall_reduction": 1.0
-            - (
-                columns["P"]["Memory Idle"] / columns["O"]["Memory Idle"]
-                if columns["O"]["Memory Idle"]
-                else 0.0
-            ),
-        }
+        data[app_name] = {"columns": columns, "speedup": prefetched.speedup_over(baseline)}
         sections.append(
             render_breakdown_table(f"{app_name} (speedup {data[app_name]['speedup']:.2f}x)", columns)
         )
-    text = "Figure 2: impact of prefetching (normalized to O = 100)\n\n" + "\n\n".join(sections)
+    low, high = (pick(data, key=lambda app: data[app]["speedup"]) for pick in (min, max))
+    text = (
+        "Figure 2: impact of prefetching (normalized to O = 100); speed-ups from "
+        f"{data[low]['speedup']:.2f}x ({low}) to {data[high]['speedup']:.2f}x ({high})\n\n"
+        + "\n\n".join(sections)
+    )
     return text, data
 
 

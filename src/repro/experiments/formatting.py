@@ -32,18 +32,18 @@ def breakdown_column(report: RunReport, baseline: RunReport) -> dict[str, float]
     return column
 
 
-def render_rows(headers: list[str], rows: list[list[str]], indent: str = "") -> str:
+def render_rows(headers: list[str], rows: list[list[str]]) -> str:
     """Simple fixed-width table."""
     widths = [
         max(len(str(headers[i])), *(len(str(row[i])) for row in rows)) if rows else len(headers[i])
         for i in range(len(headers))
     ]
     lines = [
-        indent + "  ".join(str(headers[i]).rjust(widths[i]) for i in range(len(headers))),
-        indent + "  ".join("-" * widths[i] for i in range(len(headers))),
+        "  ".join(str(headers[i]).rjust(widths[i]) for i in range(len(headers))),
+        "  ".join("-" * widths[i] for i in range(len(headers))),
     ]
     for row in rows:
-        lines.append(indent + "  ".join(str(row[i]).rjust(widths[i]) for i in range(len(row))))
+        lines.append("  ".join(str(row[i]).rjust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
 
 

@@ -97,16 +97,9 @@ class ExperimentRunner:
         self.jobs = jobs
         self._cache: dict[tuple[str, str], RunReport] = {}
 
-    def trace_path(self, app_name: str, label: str) -> Path:
-        """Per-run output path derived from the trace template."""
-        return self._derived_path(self.trace_template, app_name, label)
-
-    def profile_path(self, app_name: str, label: str) -> Path:
-        """Per-run report path derived from the profile template."""
-        return self._derived_path(self.profile_template, app_name, label)
-
     @staticmethod
     def _derived_path(template_str: str, app_name: str, label: str) -> Path:
+        """Per-run path from a template: ``fig1.json`` -> ``fig1.FFT-O.json``."""
         template = Path(template_str)
         return template.with_name(
             f"{template.stem}.{app_name}-{label}{template.suffix or '.json'}"
@@ -151,7 +144,7 @@ class ExperimentRunner:
     def _store(self, key: tuple[str, str], report: RunReport) -> None:
         """Cache a grid cell, writing its profile dump when one is asked for."""
         if self.profile_template and self.profile_template != "-":
-            path = self.profile_path(*key)
+            path = self._derived_path(self.profile_template, *key)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(report.to_json(indent=2) + "\n")
             if self.verbose:
@@ -162,7 +155,7 @@ class ExperimentRunner:
         self, runtime: DsmRuntime, report: RunReport, app_name: str, label: str
     ) -> None:
         tracer = runtime.tracer
-        path = self.trace_path(app_name, label)
+        path = self._derived_path(self.trace_template, app_name, label)
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.suffix == ".jsonl":
             tracer.write_jsonl(path)
