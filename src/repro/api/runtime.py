@@ -29,8 +29,8 @@ from repro.api.program import Program
 from repro.api.shared import SharedMatrix, SharedVector
 from repro.dsm.backend import BACKEND_NAMES
 from repro.dsm.protocol import DsmNode
-from repro.errors import ConfigError, ProtocolError
-from repro.ft import FtConfig, FtManager, check_events
+from repro.errors import ConfigError, ProtocolError, SimulationError
+from repro.ft import FtManager, check_events
 from repro.machine import Cluster, CostModel
 from repro.memory import SharedAddressSpace, Segment
 from repro.metrics.report import RunReport
@@ -73,9 +73,10 @@ class RunConfig:
     #: the ``PhaseTimeline`` accounting audit.
     trace: bool = False
     #: Fault tolerance (``repro.ft``): failure detection, coordinated
-    #: barrier checkpoints, and crash recovery.  Auto-enabled with the
-    #: defaults whenever the fault plan schedules node crashes.
-    ft: Optional[FtConfig] = None
+    #: barrier checkpoints, and crash recovery.  Turned on whenever the
+    #: fault plan schedules node crashes or partitions; its timings are
+    #: module constants of ``repro.ft.detector`` and ``repro.ft.manager``.
+    ft: bool = False
     #: Protocol-invariant checking (``repro.ft.sanitizer``): a fold over
     #: the run's events, run after the run (and over the partial trace
     #: when the run raised).  Implies event collection, as ``critpath``
@@ -124,13 +125,13 @@ class RunConfig:
             raise ConfigError("num_nodes must be >= 2")
         if not isinstance(self.transport, TransportConfig):
             raise ConfigError(f"transport must be a TransportConfig, got {self.transport!r}")
-        if self.ft is None and self.fault_plan is not None and (
+        if self.fault_plan is not None and (
             self.fault_plan.crashes or self.fault_plan.partitions
         ):
             # A crash schedule without recovery would hang the run, and
             # a partition without membership would strand the cut-off
             # nodes: both need the FT layer.
-            object.__setattr__(self, "ft", FtConfig())
+            object.__setattr__(self, "ft", True)
         # ``True`` means the plane's default config, ``False`` means off.
         for name, cls in (("profile", ProfileConfig), ("telemetry", TelemetryConfig)):
             value = getattr(self, name)
@@ -139,9 +140,10 @@ class RunConfig:
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be a {cls.__name__} or bool, got {value!r}")
             object.__setattr__(self, name, cls() if value else None)
-        if self.trace not in (True, False, None):
-            raise ConfigError(f"trace must be a bool, got {self.trace!r}")
-        for name in ("trace", "critpath"):
+        for name in ("trace", "ft"):
+            if getattr(self, name) not in (True, False, None):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("trace", "critpath", "ft"):
             object.__setattr__(self, name, bool(getattr(self, name)))
 
     @property
@@ -220,9 +222,7 @@ class DsmRuntime:
             self.telemetry = NULL_TELEMETRY
         self.cluster.sim.telemetry = self.telemetry
         #: Fault-tolerance layer (failure detection, checkpoint/recovery).
-        self.ft: Optional[FtManager] = (
-            FtManager(self, config.ft) if config.ft is not None else None
-        )
+        self.ft: Optional[FtManager] = FtManager(self) if config.ft else None
 
     # -- allocation helpers -------------------------------------------------
 
@@ -266,7 +266,7 @@ class DsmRuntime:
             for scheduler in self.schedulers:
                 done = scheduler.done_event
                 if done is None or not done.triggered:
-                    raise ConfigError(
+                    raise SimulationError(
                         f"node {scheduler.node.node_id} never finished — deadlock?"
                     )
                 done.value  # re-raise any thread exception

@@ -6,7 +6,7 @@ any fails — failing plans are shrunk and written to ``--out``)::
     python -m repro.chaos --seed 7 --budget 50 --jobs 2
 
 Replay a reproducer written by a previous search (exit 1 while it
-still reproduces, 0 once fixed)::
+still reproduces, 0 once fixed, 2 when the file is malformed)::
 
     python -m repro.chaos --replay chaos-reproducers/sample-0013.json
 """
@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from repro.dsm.backend import BACKEND_NAMES
+from repro.errors import ConfigError
 
 from repro.chaos.search import (
     DEFAULT_APPS,
@@ -51,7 +52,6 @@ def _run_search(args: argparse.Namespace) -> int:
         num_nodes=args.nodes,
         preset=args.preset,
         jobs=args.jobs,
-        split_brain_bug=args.split_brain_bug,
         adaptive=args.adaptive,
         protocol=args.protocol,
     )
@@ -91,7 +91,11 @@ def _run_search(args: argparse.Namespace) -> int:
 
 
 def _run_replay(args: argparse.Namespace) -> int:
-    sample = load_reproducer(args.replay)
+    try:
+        sample = load_reproducer(args.replay)
+    except ConfigError as exc:
+        print(f"malformed reproducer {args.replay}: {exc}", file=sys.stderr)
+        return 2
     result = evaluate_sample(sample)
     print(_describe(result))
     return 0 if result.ok else 1
@@ -131,11 +135,6 @@ def main(argv=None) -> int:
         type=int,
         default=3,
         help="shrink at most this many failing samples (each costs runs)",
-    )
-    parser.add_argument(
-        "--split-brain-bug",
-        action="store_true",
-        help="arm the deliberately seeded split-brain hole (harness validation only)",
     )
     parser.add_argument(
         "--adaptive",

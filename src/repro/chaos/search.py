@@ -24,7 +24,6 @@ from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import available_apps, make_app
 from repro.dsm.backend import BACKEND_NAMES
 from repro.errors import ConfigError, ProtocolError, SimulationError
-from repro.ft import FtConfig
 from repro.network.faults import FaultPlan
 from repro.network.transport import TransportConfig
 from repro.parallel import fan_out
@@ -66,10 +65,6 @@ class ChaosConfig:
     #: protocol-independent; the sanitizer checks the backend-specific
     #: invariant set for whichever protocol is selected.
     protocol: str = "lrc"
-    #: TEST-ONLY: arm :attr:`FtConfig.split_brain_bug` in every sample,
-    #: to demonstrate the search catches (and shrinks) a real protocol
-    #: hole.  Never set outside the harness's own validation.
-    split_brain_bug: bool = False
     #: Liveness bound: a sample exceeding this many simulation events is
     #: declared livelocked (clean small runs take well under a tenth).
     max_events: int = 5_000_000
@@ -117,7 +112,6 @@ class ChaosSample:
     num_nodes: int
     seed: int
     plan: dict
-    split_brain_bug: bool = False
     max_events: int = 5_000_000
     adaptive: bool = False
     protocol: str = "lrc"
@@ -128,14 +122,13 @@ class SampleResult:
     """The verdict on one sample: which invariants failed, if any."""
 
     sample: ChaosSample
-    #: Failed invariants, each one of: ``sanitizer`` (a protocol
-    #: invariant tripped), ``liveness`` (event bound exceeded or the
-    #: run deadlocked), ``determinism`` (re-run differed), ``verify``
-    #: (the app's answer was wrong), ``split-brain`` (a checkpoint
-    #: committed across a membership split), and — adaptive arm only —
-    #: ``inflight`` (a peer exceeded the AIMD window bound) and
-    #: ``livelock`` (a run ended with unsent/unacked/parked traffic
-    #: toward live peers).
+    #: Failed invariants, each one of the base four: ``sanitizer`` (a
+    #: protocol or checkpoint-cut invariant tripped), ``liveness``
+    #: (event bound exceeded or the run deadlocked), ``determinism``
+    #: (re-run differed), ``verify`` (the app's answer was wrong); or,
+    #: adaptive arm only, ``inflight`` (a peer exceeded the AIMD window
+    #: bound) and ``livelock`` (a run ended with unsent/unacked/parked
+    #: traffic toward live peers).
     failures: list[str] = field(default_factory=list)
     error: str = ""
     wall_time_us: float = 0.0
@@ -245,7 +238,6 @@ def generate_samples(
                 num_nodes=config.num_nodes,
                 seed=config.seed + index,
                 plan=sample_plan(rng, walls[app_name], config.num_nodes),
-                split_brain_bug=config.split_brain_bug,
                 max_events=config.max_events,
                 adaptive=config.adaptive,
                 protocol=config.protocol,
@@ -261,8 +253,8 @@ def _execute(sample: ChaosSample):
     """One full run of a sample: (report, verify error or None).
 
     Verification runs *after* the report is built so a wrong answer
-    (the usual blast radius of a split-brain cut) still leaves the
-    FT counters and the determinism fingerprint inspectable.
+    still leaves the FT counters and the determinism fingerprint
+    inspectable.
     """
     config = RunConfig(
         num_nodes=sample.num_nodes,
@@ -271,8 +263,8 @@ def _execute(sample: ChaosSample):
         fault_plan=FaultPlan.from_dict(sample.plan),
         sanitizer=True,
         # FT always on: stalls and give-ups park messages that only the
-        # membership layer revives, and invariant 4 needs its summary.
-        ft=FtConfig(split_brain_bug=sample.split_brain_bug),
+        # membership layer revives.
+        ft=True,
         max_events=sample.max_events,
         transport=TransportConfig(adaptive=True) if sample.adaptive else TransportConfig(),
     )
@@ -293,7 +285,7 @@ def evaluate_sample(sample: ChaosSample) -> SampleResult:
         first, verify_error = _execute(sample)
     except ProtocolError as exc:
         return SampleResult(sample, ["sanitizer"], error=str(exc))
-    except (SimulationError, ConfigError) as exc:
+    except SimulationError as exc:
         # max_events exceeded, or the run drained its event queue with
         # schedulers unfinished: either way, it did not stay live.
         return SampleResult(sample, ["liveness"], error=str(exc))
@@ -301,8 +293,6 @@ def evaluate_sample(sample: ChaosSample) -> SampleResult:
         return SampleResult(sample, ["verify"], error=f"{type(exc).__name__}: {exc}")
     failures: list[str] = []
     error = ""
-    if first.extra.get("ft", {}).get("split_brain_checkpoints", 0):
-        failures.append("split-brain")
     health = first.transport_health
     if health is not None:
         # Adaptive invariant 1: the AIMD window bounds in-flight
@@ -427,6 +417,11 @@ def shrink(
 # -- reproducers on disk ----------------------------------------------------
 
 
+_REPRODUCER_KEYS = frozenset(
+    "version app preset num_nodes seed max_events adaptive protocol failures error plan".split()
+)
+
+
 def reproducer_dict(result: SampleResult) -> dict:
     sample = result.sample
     return {
@@ -435,7 +430,6 @@ def reproducer_dict(result: SampleResult) -> dict:
         "preset": sample.preset,
         "num_nodes": sample.num_nodes,
         "seed": sample.seed,
-        "split_brain_bug": sample.split_brain_bug,
         "max_events": sample.max_events,
         "adaptive": sample.adaptive,
         "protocol": sample.protocol,
@@ -455,22 +449,36 @@ def write_reproducer(result: SampleResult, path: Path) -> Path:
 
 
 def load_reproducer(path: Path) -> ChaosSample:
+    """Read a reproducer; a file that cannot replay what it names raises
+    :class:`ConfigError` instead of being graded."""
     data = json.loads(Path(path).read_text())
     if data.get("version") != 1:
         raise ConfigError(f"unknown reproducer version: {data.get('version')!r}")
-    plan = FaultPlan.from_dict(data["plan"]).to_dict()  # validate before running
+    # A switched-on field this loader does not know (an older build's
+    # test-only bug switch, say) would be dropped, and the file would
+    # replay clean and report the failure fixed.
+    unknown = sorted(key for key, value in data.items() if key not in _REPRODUCER_KEYS and value)
+    if unknown:
+        raise ConfigError(f"reproducer sets unknown fields: {', '.join(unknown)}")
     try:
-        return ChaosSample(
+        sample = ChaosSample(
             index=0,
             app_name=data["app"],
             preset=data["preset"],
             num_nodes=int(data["num_nodes"]),
             seed=int(data["seed"]),
-            plan=plan,
-            split_brain_bug=bool(data.get("split_brain_bug", False)),
+            plan=FaultPlan.from_dict(data["plan"]).to_dict(),  # validated before running
             max_events=int(data.get("max_events", 5_000_000)),
             adaptive=bool(data.get("adaptive", False)),
             protocol=str(data.get("protocol", "lrc")),
         )
     except KeyError as exc:
         raise ConfigError(f"reproducer missing field: {exc}") from exc
+    # ChaosConfig's own checks: a known app and protocol, sane bounds.
+    ChaosConfig(
+        apps=(sample.app_name,),
+        num_nodes=sample.num_nodes,
+        protocol=sample.protocol,
+        max_events=sample.max_events,
+    )
+    return sample

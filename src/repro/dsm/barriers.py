@@ -56,11 +56,6 @@ class BarrierSubsystem:
         self._manager: dict[tuple[int, int], _ManagerEpisode] = {}
         #: highest own interval index already shipped to the manager.
         self._own_sent_upto = 0
-        #: (split_brain_bug only) episodes completed without their full
-        #: attendance, mapping to the nodes that were skipped — their
-        #: late arrivals are answered with a direct release instead of
-        #: being counted toward an episode that no longer exists.
-        self._bug_skipped: dict[tuple[int, int], set[int]] = {}
 
     @property
     def is_manager(self) -> bool:
@@ -142,18 +137,6 @@ class BarrierSubsystem:
         if not self.is_manager:
             raise ProtocolError(f"node {self.dsm.node_id} received a barrier arrival")
         key = (barrier_id, episode)
-        skipped = self._bug_skipped.get(key)
-        if skipped is not None and src in skipped:
-            # (split_brain_bug only) this episode already completed
-            # without the arriving node; the buggy manager papers over
-            # the stale arrival by handing it its release directly.
-            skipped.discard(src)
-            if not skipped:
-                del self._bug_skipped[key]
-            wn_log = self.dsm.backend.wn_log
-            wn_log.merge(notices)
-            yield from self._post_release(src, barrier_id, episode, wn_log.unseen_by(vc_snapshot))
-            return
         state = self._manager.setdefault(key, _ManagerEpisode())
         if src in state.node_vcs:
             raise ProtocolError(f"duplicate barrier arrival from node {src}")
@@ -178,42 +161,17 @@ class BarrierSubsystem:
         self.dsm.backend.wn_log.merge(notices)
         if state.arrivals < self.dsm.num_nodes:
             return
-        yield from self._complete(barrier_id, episode, state)
-
-    def _complete(self, barrier_id, episode, state):
-        """Checkpoint (maybe) and fan out the release for a full episode.
-
-        The first instant this emits (the checkpoint's or its stand-down's,
-        else ``barrier_release``) closes the episode's arrival-skew window;
-        a recovery replay re-enters via :meth:`resume_release`, never here.
-        """
         # Everyone is (provably) blocked at the barrier, cluster-wide:
         # this is the one globally quiescent instant, which makes it the
-        # consistent cut for coordinated checkpoints.
+        # consistent cut for coordinated checkpoints.  The first instant
+        # emitted from here (the checkpoint's or its stand-down's, else
+        # ``barrier_release``) closes the episode's arrival-skew window;
+        # a recovery replay re-enters via :meth:`resume_release`, never
+        # here.
         ft = self.dsm.ft
         if ft is not None and ft.wants_checkpoint(barrier_id, episode):
             yield from ft.coordinated_checkpoint(barrier_id, episode, dict(state.node_vcs))
         yield from self._release_all(barrier_id, episode, state)
-
-    def bug_release_without(self, fenced: set):
-        """(split_brain_bug only) complete episodes missing only fenced nodes.
-
-        This is the seeded membership/barrier hole the chaos harness
-        must catch: the buggy manager treats a fenced node as having
-        arrived, so the barrier — and its checkpoint, a cut spanning the
-        membership split — commits while the excluded node is still
-        computing on the other side of the fence.
-        """
-        for key in sorted(self._manager):
-            state = self._manager.get(key)
-            if state is None:
-                continue
-            missing = set(range(self.dsm.num_nodes)) - set(state.node_vcs)
-            if not missing or not missing <= fenced:
-                continue
-            self._bug_skipped[key] = missing | self._bug_skipped.get(key, set())
-            barrier_id, episode = key
-            yield from self._complete(barrier_id, episode, state)
 
     def _release_all(self, barrier_id, episode, state):
         """Fan the release (and unseen notices) out to every node.

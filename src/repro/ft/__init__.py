@@ -9,7 +9,6 @@ model.
 """
 
 from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
-from repro.ft.config import FtConfig
 from repro.ft.detector import FailureDetector
 from repro.ft.manager import FtManager
 from repro.ft.sanitizer import ProtocolSanitizer, check_events
@@ -17,7 +16,6 @@ from repro.ft.sanitizer import ProtocolSanitizer, check_events
 __all__ = [
     "ClusterCheckpoint",
     "FailureDetector",
-    "FtConfig",
     "FtManager",
     "NodeCheckpoint",
     "ProtocolSanitizer",

@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.errors import CheckpointError, ConfigError, FailureError
 from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
-from repro.ft.config import FtConfig
 from repro.ft.detector import COORDINATOR, FailureDetector, mark
 from repro.metrics.counters import Category
 from repro.network import transport as reliable
@@ -89,9 +88,8 @@ RESTORE_CPU_PER_BYTE = 0.001
 class FtManager:
     """Owns crash injection, the checkpoint store, and recovery."""
 
-    def __init__(self, runtime: "DsmRuntime", config: FtConfig) -> None:
+    def __init__(self, runtime: "DsmRuntime") -> None:
         self.runtime = runtime
-        self.config = config
         self.cluster = runtime.cluster
         self.sim = runtime.cluster.sim
         self.num_nodes = runtime.cluster.num_nodes
@@ -113,7 +111,6 @@ class FtManager:
         self.stand_downs = 0
         self.checkpoints = 0
         self.checkpoints_stood_down = 0
-        self.split_brain_checkpoints = 0
         self.checkpoint_bytes = 0
         self.messages_revived = 0
         self.downtime_us = 0.0
@@ -232,12 +229,6 @@ class FtManager:
             return
         for node_id in dead:
             self.fence(node_id)
-        if self.config.split_brain_bug and self.fenced_at:
-            # The seeded bug the chaos harness must catch: the barrier
-            # manager treats fenced nodes as arrived, completing
-            # barriers — and committing checkpoint cuts — without them.
-            barriers = self.runtime.dsm_nodes[COORDINATOR].barriers
-            yield from barriers.bug_release_without(set(self.fenced_at))
         now = self.sim.now
         healed = [
             node_id
@@ -350,33 +341,22 @@ class FtManager:
         The cut is *refused* while any node is fenced or the coordinator
         lacks a quorum: a committed checkpoint must never span a split
         brain.  Refusal keeps the previous rollback target; the barrier
-        release proceeds and the next clean barrier checkpoints.  (The
-        seeded ``split_brain_bug`` skips this guard so the chaos
-        harness has something to catch.)
+        release proceeds and the next clean barrier checkpoints.  The
+        sanitizer checks the outcome from the trace: every committed
+        cut holds a barrier arrival from every node.
         """
         if self.fenced_at or not self.detector.has_quorum():
-            if not self.config.split_brain_bug:
-                self.checkpoints_stood_down += 1
-                mark(
-                    self.sim,
-                    "checkpoint_stood_down",
-                    COORDINATOR,
-                    barrier=barrier_id,
-                    episode=episode,
-                    fenced=sorted(self.fenced_at),
-                )
-                return
-            if self.fenced_at:
-                self.split_brain_checkpoints += 1
-        # Under the seeded bug a fenced node never arrived, so its vc is
-        # missing from the cut; the buggy coordinator snapshots the
-        # node's *current* (mid-flight, inconsistent) clock instead.
-        vcs = [
-            list(node_vcs[n])
-            if n in node_vcs
-            else list(self.runtime.dsm_nodes[n].backend.vc.snapshot())
-            for n in range(self.num_nodes)
-        ]
+            self.checkpoints_stood_down += 1
+            mark(
+                self.sim,
+                "checkpoint_stood_down",
+                COORDINATOR,
+                barrier=barrier_id,
+                episode=episode,
+                fenced=sorted(self.fenced_at),
+            )
+            return
+        vcs = [list(node_vcs[n]) for n in range(self.num_nodes)]
         ckpt = self._build_checkpoint("barrier", barrier_id, episode, vcs)
         self.checkpoint = ckpt
         self.checkpoints += 1
@@ -595,7 +575,6 @@ class FtManager:
             "suspicions_cleared": self.detector.suspicions_cleared,
             "checkpoints": self.checkpoints,
             "checkpoints_stood_down": self.checkpoints_stood_down,
-            "split_brain_checkpoints": self.split_brain_checkpoints,
             "checkpoint_bytes": self.checkpoint_bytes,
             "messages_revived": self.messages_revived,
             "heartbeats": self.detector.heartbeats_sent,

@@ -49,6 +49,15 @@ SC-invalidate invariants (``protocol == "sc"``):
   to a node that actually holds a copy (a miss means the directory's
   copyset drifted from reality).
 
+Fault-tolerance invariant (every protocol):
+
+- **checkpoint cut spans every node** — a committed checkpoint's barrier
+  episode holds an arrival from every node, gathered since the last
+  rollback: a cut never spans a membership split.  Read from the
+  manager's ``barrier_gather`` instants and the ``ft`` ``checkpoint``
+  and ``recover`` instants, so it checks what the coordinator
+  committed, not how its guard decided.
+
 Violations raise :class:`~repro.errors.ProtocolError` carrying a dump of
 the most recent protocol transitions for diagnosis.
 
@@ -90,6 +99,9 @@ class ProtocolSanitizer:
         self._sc_active: dict[int, tuple[int, str]] = {}
         #: HLRC: per-(home, page) last served applied-vector.
         self._served_covers: dict[tuple[int, int], tuple[int, ...]] = {}
+        #: Nodes whose barrier arrival the manager gathered since the
+        #: last rollback, per (barrier, episode).
+        self._gathered: dict[tuple[int, int], set[int]] = {}
         #: Recent transitions, newest last, for the diagnostic dump.
         self._ring: deque[str] = deque(maxlen=_RING_CAPACITY)
 
@@ -330,15 +342,31 @@ class ProtocolSanitizer:
         for page_id in invalid_pages:
             self._sc_copyset(page_id).discard(node_id)
 
+    # -- checkpoint cuts (every protocol) --------------------------------
+
+    def on_barrier_gather(self, barrier_id: int, episode: int, src: int) -> None:
+        self._gathered.setdefault((barrier_id, episode), set()).add(src)
+
+    def on_checkpoint(self, node_id: int, barrier_id: int, episode: int) -> None:
+        arrivals = sorted(self._gathered.get((barrier_id, episode), ()))
+        if len(arrivals) < self.num_nodes:
+            self._violate(
+                node_id,
+                "checkpoint cut spans every node",
+                f"barrier {barrier_id} episode {episode} arrivals {arrivals}",
+            )
+
     # -- recovery --------------------------------------------------------
 
     def on_rollback(self, node_vcs: Optional[list] = None) -> None:
         """Reset derived state after a coordinated rollback.
 
-        Diff applications and twins from the discarded execution are
-        forgotten; interval ceilings rewind to the checkpoint's vector
-        clocks (each proc's own component counts its created intervals).
+        Diff applications, twins and barrier arrivals from the discarded
+        execution are forgotten; interval ceilings rewind to the
+        checkpoint's vector clocks (each proc's own component counts its
+        created intervals).
         """
+        self._gathered.clear()
         self._applied.clear()
         self._twinned.clear()
         self._sc_copies.clear()
@@ -361,7 +389,8 @@ def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -
     backend applies them; ``home`` marks HLRC's remote ``home_update``
     and whole-page ``page_serve``; ``sc_txn``'s end is the requester's
     install, in the mode its begin names; a ``diff_create`` is a sealed
-    twin, so the flush had one.
+    twin, so the flush had one; ``checkpoint`` is the ``ft`` instant,
+    not the ``cpu`` slice of its cost.
     """
     san = ProtocolSanitizer(num_nodes, protocol)
     txns: dict = {}  # open requester transactions: sc_txn id -> (page, mode)
@@ -403,5 +432,9 @@ def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -
             san.on_sc_txn_end(node, args["page"])
         elif name == "sc_restore":
             san.on_sc_restore(node, args["invalid"])
+        elif name == "barrier_gather":
+            san.on_barrier_gather(args["barrier"], args["episode"], args["src"])
+        elif name == "checkpoint" and event.cat == "ft":
+            san.on_checkpoint(node, args["barrier"], args["episode"])
         elif name == "recover":
             san.on_rollback(args["vcs"])

@@ -2,13 +2,14 @@
 shrinking to minimal reproducers, and replay.
 
 The expensive guarantee lives in ``test_seeded_bug_is_caught_and_shrunk``:
-with ``FtConfig.split_brain_bug`` armed, a single long stall makes the
-buggy coordinator complete barriers without the fenced node and commit
-an inconsistent checkpoint — the harness must flag it, shrink the plan
-to <= 3 fault entries, and the written reproducer must replay to the
-same failure."""
+with the split-brain plant applied (``tests/plants.py``), a single long
+stall makes the coordinator complete barriers without the fenced node
+and commit a checkpoint across the split — the sanitizer must flag it,
+the harness must shrink the plan to <= 3 fault entries, and the written
+reproducer must replay to the same failure."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from repro.chaos import (
     shrink,
     write_reproducer,
 )
+from repro.chaos.__main__ import main as chaos_main
 from repro.errors import ConfigError
 from repro.network.faults import FaultPlan
+from tests.plants import PLANTS, split_brain
 
 # Plausible small-preset wall clocks (µs); passing them skips the
 # baseline calibration runs the CLI would do.
@@ -40,8 +43,8 @@ def make_config(**overrides):
 
 
 def bug_sample(seed=11):
-    """A hand-built 1-entry sample that tickles the seeded split-brain
-    bug: a 135 ms stall fences node 1 long enough for the buggy barrier
+    """A hand-built 1-entry sample that tickles the split-brain plant: a
+    135 ms stall fences node 1 long enough for the planted barrier
     manager to complete episodes without it."""
     return ChaosSample(
         index=0,
@@ -49,8 +52,7 @@ def bug_sample(seed=11):
         preset="small",
         num_nodes=4,
         seed=seed,
-        plan={"stalls": [{"node": 1, "start_us": 10_000.0, "end_us": 145_000.0}]},
-        split_brain_bug=True,
+        plan=PLANTS["split_brain"].plan,
     )
 
 
@@ -104,20 +106,24 @@ def test_clean_sample_passes_all_invariants():
     assert result.wall_time_us > 0
 
 
-def test_seeded_bug_is_caught_and_shrunk(tmp_path):
+def test_seeded_bug_is_caught_and_shrunk(tmp_path, monkeypatch):
+    # Without the plant the same sample passes: the stall alone is survivable.
+    assert evaluate_sample(bug_sample()).ok
+
+    split_brain(monkeypatch)
     result = evaluate_sample(bug_sample())
-    assert not result.ok
-    assert "split-brain" in result.failures
+    assert result.failures == ["sanitizer"]
+    assert "checkpoint cut spans every node" in result.error
 
     shrunk = shrink(result)
-    assert not shrunk.ok
+    assert shrunk.failures == ["sanitizer"]
     assert fault_entry_count(shrunk.sample.plan) <= 3
 
     # The written reproducer replays to the same failure.
     path = write_reproducer(shrunk, tmp_path / "repro.json")
     replayed = evaluate_sample(load_reproducer(path))
-    assert not replayed.ok
-    assert "split-brain" in replayed.failures
+    assert replayed.failures == ["sanitizer"]
+    assert "checkpoint cut spans every node" in replayed.error
 
 
 def test_reproducer_round_trip(tmp_path):
@@ -125,10 +131,26 @@ def test_reproducer_round_trip(tmp_path):
     result = evaluate_sample(sample)
     path = write_reproducer(result, tmp_path / "out" / "r.json")
     loaded = load_reproducer(path)
-    assert loaded.app_name == sample.app_name
-    assert loaded.seed == sample.seed
-    assert loaded.split_brain_bug
+    assert replace(loaded, plan=sample.plan) == sample
     assert FaultPlan.from_dict(loaded.plan) == FaultPlan.from_dict(sample.plan)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("protocol", "lrcx"), ("app", "NOPE"), ("num_nodes", 1), ("split_brain_bug", True)],
+)
+def test_malformed_reproducer_is_rejected_not_graded(tmp_path, capsys, field, value):
+    """A file that cannot replay what it names must not be graded: a
+    bad app or protocol used to run as a deadlock and grade ``liveness``,
+    and an unknown bug switch would replay clean and read as fixed."""
+    path = write_reproducer(evaluate_sample(bug_sample()), tmp_path / "r.json")
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError):
+        load_reproducer(path)
+    assert chaos_main(["--replay", str(path)]) == 2
+    assert "malformed reproducer" in capsys.readouterr().err
 
 
 def test_load_reproducer_rejects_unknown_version(tmp_path):

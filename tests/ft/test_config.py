@@ -5,9 +5,9 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.errors import ConfigError, FailureError, FaultConfigError
-from repro.ft import FtConfig, detector, manager
+from repro.ft import detector, manager
 from repro.network import transport
-from repro.network.faults import FaultPlan, NodeCrash
+from repro.network.faults import FaultPlan, LinkPartition, NodeCrash
 
 
 def test_defaults_are_valid():
@@ -49,7 +49,7 @@ def test_crash_of_unknown_node_rejected():
 def test_crash_plan_auto_enables_ft():
     plan = FaultPlan(crashes=(NodeCrash(node=1, at_us=1000.0),))
     config = RunConfig(num_nodes=2, fault_plan=plan)
-    assert config.ft == FtConfig()
+    assert config.ft is True
     runtime = DsmRuntime(config)
     assert runtime.ft is not None
 
@@ -57,3 +57,14 @@ def test_crash_plan_auto_enables_ft():
 def test_no_crashes_means_no_ft_layer():
     runtime = DsmRuntime(RunConfig(num_nodes=2, fault_plan=FaultPlan(drop_prob=0.01)))
     assert runtime.ft is None
+
+
+def test_partition_plan_auto_enables_ft():
+    cut = LinkPartition(start_us=1000.0, end_us=2000.0, nodes={1})
+    assert RunConfig(num_nodes=2, fault_plan=FaultPlan(partitions=(cut,))).ft is True
+
+
+def test_ft_is_a_switch():
+    assert DsmRuntime(RunConfig(num_nodes=2, ft=True)).ft is not None
+    with pytest.raises(ConfigError, match="ft must be a bool"):
+        RunConfig(ft="on")

@@ -8,19 +8,18 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
-from repro.ft import FtConfig
 from repro.network.faults import FaultPlan, LinkPartition, NodeStall
 
 NODES = 4
 
 
-def run_once(app_name="SOR", plan=None, seed=11, ft=None):
+def run_once(app_name="SOR", plan=None, seed=11):
     config = RunConfig(
         num_nodes=NODES,
         seed=seed,
         fault_plan=plan,
         sanitizer=True,
-        ft=ft or FtConfig(),
+        ft=True,
     )
     return DsmRuntime(config).execute(make_app(app_name, "small"))
 

@@ -1,5 +1,5 @@
 """Unit tests for the protocol-invariant sanitizer, plus end-to-end
-tests of its fold over the trace: a corruption firing with a useful
+tests of its fold over the trace: every planted bug caught with a useful
 diagnostic, a violation that derails the run, and a trace that does not
 depend on the sanitizer."""
 
@@ -8,14 +8,13 @@ import pytest
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
 from repro.chaos.search import ChaosSample, evaluate_sample
-from repro.dsm.pagestate import PageCoherence
-from repro.dsm.sc import ScBackend
 from repro.errors import ProtocolError, SimulationError
 from repro.experiments.runner import make_configured_app, parse_label
-from repro.ft import ProtocolSanitizer
+from repro.ft import ProtocolSanitizer, check_events
 from repro.network import FaultPlan
-from repro.sim import spawn
+from repro.trace import TraceEvent
 from repro.trace.export import jsonl_lines
+from tests.plants import PLANTS, unserialized_directory
 
 
 @pytest.fixture
@@ -87,21 +86,61 @@ def test_rollback_resets_derived_state(san):
     san.on_twin_created(1, 2)
 
 
-def test_sanitizer_catches_corrupted_diff_bookkeeping(monkeypatch):
-    """A node that forgets which diffs it has applied will re-apply one;
-    the sanitizer must fire with an actionable diagnostic."""
-    monkeypatch.setattr(
-        PageCoherence, "note_diffs_applied", lambda self, proc, upto: None
+@pytest.mark.parametrize("name", sorted(PLANTS))
+def test_sanitizer_catches_planted_bug(monkeypatch, name):
+    """Each planted bug trips the invariant it breaks, end to end, with
+    an actionable diagnostic."""
+    plant = PLANTS[name]
+    plant.apply(monkeypatch)
+    plan = FaultPlan.from_dict(plant.plan) if plant.plan else None
+    config = RunConfig(
+        num_nodes=4, protocol=plant.protocol, sanitizer=True, fault_plan=plan, ft=plan is not None
     )
     with pytest.raises(ProtocolError) as excinfo:
-        DsmRuntime(RunConfig(num_nodes=4, sanitizer=True)).execute(
-            make_app("SOR", "small"), verify=False
-        )
+        DsmRuntime(config).execute(make_app(plant.app, "small"), verify=False)
     message = str(excinfo.value)
-    assert "no diff applied twice" in message
+    assert f"sanitizer: {plant.invariant} violated" in message
     assert "recent protocol transitions" in message
-    # The dump names the offending page/writer so the state is findable.
-    assert "apply page" in message
+    if name == "diff_applied_twice":
+        # The dump names the offending page/writer so the state is findable.
+        assert "apply page" in message
+
+
+# -- the checkpoint cut, on hand-built event streams ---------------------------
+
+
+def gather(barrier, episode, src):
+    args = {"barrier": barrier, "episode": episode, "src": src}
+    return TraceEvent(0.0, "i", "protocol", "barrier_gather", 0, args=args)
+
+
+def checkpoint(barrier, episode):
+    args = {"barrier": barrier, "episode": episode, "bytes": 64}
+    return TraceEvent(0.0, "i", "ft", "checkpoint", 0, args=args)
+
+
+RECOVER = TraceEvent(0.0, "i", "ft", "recover", 0, args={"vcs": [[0] * 4] * 4})
+
+
+def test_checkpoint_cut_needs_every_arrival():
+    every = [gather(0, 1, src) for src in range(4)]
+    check_events(every + [checkpoint(0, 1)], num_nodes=4)
+    with pytest.raises(ProtocolError, match="checkpoint cut spans every node") as excinfo:
+        check_events(every[:1] + every[2:] + [checkpoint(0, 1)], num_nodes=4)
+    assert "barrier 0 episode 1 arrivals [0, 2, 3]" in str(excinfo.value)
+
+
+def test_recover_forgets_the_discarded_arrivals():
+    every = [gather(0, 2, src) for src in range(4)]
+    with pytest.raises(ProtocolError, match=r"arrivals \[\]"):
+        check_events(every + [RECOVER, checkpoint(0, 2)], num_nodes=4)
+    check_events(every + [RECOVER] + every + [checkpoint(0, 2)], num_nodes=4)
+
+
+def test_checkpoint_cost_slice_is_not_a_cut():
+    """The ``cpu`` slice of a checkpoint's cost shares the instant's name."""
+    cost = TraceEvent(0.0, "X", "cpu", "checkpoint", 1, dur=5.0)
+    check_events([cost], num_nodes=4)
 
 
 # -- per-protocol gating -----------------------------------------------------
@@ -207,20 +246,12 @@ def test_sc_restore_rebuilds_the_copy_mirror(sc_san):
 # -- the fold over the trace ---------------------------------------------------
 
 
-def _admit_without_serializing(self, page_id, requester, mode, grant):
-    """A directory bug: every request starts its own pump, busy or not."""
-    entry = self._dir(page_id)
-    entry.queue.append((requester, mode, grant))
-    entry.busy = True
-    spawn(self.sim, self._run_transactions(page_id), group=f"node{self.node_id}")
-
-
 def test_a_violation_that_derails_the_run_is_still_named(monkeypatch):
     """Two transactions on one page trip serialization, then the pumps
     deadlock on a shared completion event: the fold over the partial
     trace names the violation and chains the deadlock, and chaos grades
     the sample ``sanitizer``, not ``liveness``."""
-    monkeypatch.setattr(ScBackend, "_admit", _admit_without_serializing)
+    unserialized_directory(monkeypatch)
     with pytest.raises(ProtocolError, match="transaction serialization") as excinfo:
         DsmRuntime(RunConfig(num_nodes=4, protocol="sc", sanitizer=True)).execute(
             make_app("SOR", "small")
