@@ -53,10 +53,6 @@ class RunConfig:
     num_nodes: int = 8
     threads_per_node: int = 1
     prefetch: bool = False
-    #: Extension (related work, Bianchini et al.): let the DSM runtime
-    #: issue prefetches automatically from per-synchronization fault
-    #: histories, instead of explicit program insertion.
-    history_prefetch: bool = False
     page_size: int = 4096
     seed: int = 42
     costs: CostModel = field(default_factory=CostModel)
@@ -199,7 +195,7 @@ class DsmRuntime:
             for node in self.cluster.nodes
         ]
         self.prefetch_engines: list[PrefetchEngine] = []
-        if config.prefetch or config.history_prefetch:
+        if config.prefetch:
             self.prefetch_engines = [PrefetchEngine(dsm) for dsm in self.dsm_nodes]
         self.schedulers: list[NodeScheduler] = [
             NodeScheduler(node, dsm, policy=config.policy)
@@ -207,11 +203,6 @@ class DsmRuntime:
         ]
         for scheduler, engine in zip(self.schedulers, self.prefetch_engines):
             scheduler.prefetch = engine
-        if config.history_prefetch:
-            from repro.prefetch.history import HistoryPrefetcher
-
-            for scheduler, engine in zip(self.schedulers, self.prefetch_engines):
-                scheduler.history = HistoryPrefetcher(engine, config.page_size)
         #: The run's telemetry sampler: collecting when config.telemetry
         #: is set, else the shared null sampler (one cached-boolean check
         #: in the run loop).

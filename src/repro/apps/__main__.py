@@ -51,11 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--no-verify", action="store_true")
     parser.add_argument(
-        "--history-prefetch",
-        action="store_true",
-        help="runtime-driven prefetching instead of explicit insertion",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         help="record an event trace; writes Chrome/Perfetto JSON "
@@ -152,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             num_nodes=args.nodes,
             threads_per_node=threads_per_node,
             prefetch=prefetch,
-            history_prefetch=args.history_prefetch,
             seed=args.seed,
             protocol=args.protocol,
             fault_plan=fault_plan,

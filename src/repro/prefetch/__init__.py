@@ -1,7 +1,5 @@
-"""Software-controlled non-binding prefetching (+ the history-based
-runtime alternative from the paper's related work)."""
+"""Software-controlled non-binding prefetching."""
 
 from repro.prefetch.engine import CachedPage, PrefetchEngine, PrefetchStats
-from repro.prefetch.history import HistoryPrefetcher
 
-__all__ = ["CachedPage", "HistoryPrefetcher", "PrefetchEngine", "PrefetchStats"]
+__all__ = ["CachedPage", "PrefetchEngine", "PrefetchStats"]

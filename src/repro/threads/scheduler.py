@@ -88,8 +88,6 @@ class NodeScheduler:
         self.policy = policy
         self.threads: list[DsmThread] = []
         self.prefetch: Optional["PrefetchEngine"] = None
-        #: optional runtime-driven prefetcher (Bianchini-style ablation).
-        self.history = None
         #: Log every value sent into thread bodies (fault tolerance on):
         #: the logs are what checkpointing a generator-based thread means.
         self.record_values = False
@@ -402,8 +400,6 @@ class NodeScheduler:
                 guard += 1
                 if guard > 128:
                     raise ProgramError(f"page {page_id} never becomes valid")
-                if self.history is not None:
-                    self.history.on_fault(page_id)
                 yield WaitRequest(fetch, StallKind.MEMORY)
 
     def _execute_read(self, thread: DsmThread, op: Read) -> Generator:
@@ -442,8 +438,6 @@ class NodeScheduler:
         wait = yield from self.dsm.locks.op_acquire(op.lock_id)
         if wait is not None:
             yield WaitRequest(wait, StallKind.LOCK)
-        if self.history is not None:
-            yield from self.history.on_sync_complete(("lock", op.lock_id))
 
     def _execute_release(self, thread: DsmThread, op: Release) -> Generator:
         yield from self.dsm.locks.op_release(op.lock_id)
@@ -451,8 +445,6 @@ class NodeScheduler:
     def _execute_barrier(self, thread: DsmThread, op: Barrier) -> Generator:
         wait = yield from self.dsm.barriers.op_arrive(op.barrier_id, self.local_thread_count)
         yield WaitRequest(wait, StallKind.BARRIER)
-        if self.history is not None:
-            yield from self.history.on_sync_complete(("barrier", op.barrier_id))
 
     def _execute_prefetch(self, thread: DsmThread, op: Prefetch) -> Generator:
         if self.prefetch is None:
@@ -494,13 +486,11 @@ class NodeScheduler:
                     "not at a barrier — the cut is not consistent"
                 )
             wake = self.dsm.barriers.register_restored_waiter(op.barrier_id)
-            thread.op_continuation = self._restored_barrier_continuation(op.barrier_id, wake)
+            thread.op_continuation = self._restored_barrier_continuation(wake)
         return thread
 
-    def _restored_barrier_continuation(self, barrier_id: int, wake: Event) -> Generator:
+    def _restored_barrier_continuation(self, wake: Event) -> Generator:
         """The tail of ``_execute_barrier`` for a restored thread: the
         arrival already happened (it is part of the checkpointed barrier
-        state), only the wait — and the post-barrier hook — remain."""
+        state), only the wait remains."""
         yield WaitRequest(wake, StallKind.BARRIER)
-        if self.history is not None:
-            yield from self.history.on_sync_complete(("barrier", barrier_id))
