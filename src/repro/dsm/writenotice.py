@@ -16,10 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
-__all__ = ["IntervalRecord", "WriteNoticeLog", "WIRE_BYTES_PER_NOTICE"]
-
-# Encoded as (proc, interval_idx, lamport, page_id): four 4-byte fields.
-WIRE_BYTES_PER_NOTICE = 16
+__all__ = ["IntervalRecord", "WriteNoticeLog"]
 
 _interval_idx = attrgetter("interval_idx")
 
@@ -46,7 +43,9 @@ def notice_count(records: list[IntervalRecord]) -> int:
 
 
 def wire_bytes(records: list[IntervalRecord]) -> int:
-    return WIRE_BYTES_PER_NOTICE * notice_count(records)
+    """A record's encoding: a (proc, interval_idx, lamport) header of
+    4-byte fields, then a 4-byte id per page named."""
+    return 12 * len(records) + 4 * notice_count(records)
 
 
 class WriteNoticeLog:

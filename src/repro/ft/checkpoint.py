@@ -25,8 +25,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.dsm.writenotice import WIRE_BYTES_PER_NOTICE
-
 __all__ = ["NodeCheckpoint", "ClusterCheckpoint"]
 
 
@@ -79,7 +77,9 @@ class NodeCheckpoint:
                 total += sum(d.diff.size_bytes for d in diffs)
         wn_log = self.dsm.get("wn_log")
         if wn_log is not None:
-            total += WIRE_BYTES_PER_NOTICE * wn_log["total"]
+            # Stable storage keeps the flat form: one 16-byte (proc,
+            # interval, lamport, page) entry per write notice.
+            total += 16 * wn_log["total"]
         # SC: one byte per recorded page mode, one word per directory
         # owner plus one per copyset member.
         total += len(self.dsm.get("page_modes", ()))

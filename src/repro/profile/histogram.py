@@ -16,7 +16,9 @@ Design constraints, mirroring the tracer:
 - **Mergeable.**  Buckets are sparse ``index -> count`` maps; merging
   is field-wise addition, so per-node histograms can be combined into a
   cluster-wide distribution in any grouping (merge is associative and
-  commutative — there is a test for this).
+  commutative — there is a test for this).  A merged total is the
+  exactly rounded sum (``math.fsum``) of the recorded totals, since
+  float addition alone is not associative.
 - **Cheap.**  Recording is one ``frexp``, one dict increment and four
   scalar updates; no allocation beyond the first hit of a bucket.
 
@@ -66,7 +68,7 @@ def _bucket_upper(index: int) -> float:
 class Histogram:
     """A sparse log-bucketed histogram of non-negative samples."""
 
-    __slots__ = ("count", "total", "min", "max", "buckets")
+    __slots__ = ("count", "total", "min", "max", "buckets", "_addends")
 
     def __init__(self) -> None:
         self.count: int = 0
@@ -74,6 +76,9 @@ class Histogram:
         self.min: float = math.inf
         self.max: float = 0.0
         self.buckets: dict[int, int] = {}
+        #: A merge's recorded totals; its ``total`` is their exactly
+        #: rounded sum, whatever the order and grouping of the merges.
+        self._addends: tuple[float, ...] = ()
 
     # -- recording ---------------------------------------------------------
 
@@ -82,6 +87,7 @@ class Histogram:
             raise ValueError(f"histogram sample must be non-negative, got {value}")
         self.count += 1
         self.total += value
+        self._addends = ()
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -137,13 +143,17 @@ class Histogram:
         """Field-wise sum; associative and commutative."""
         merged = Histogram()
         merged.count = self.count + other.count
-        merged.total = self.total + other.total
+        merged._addends = self._sums() + other._sums()
+        merged.total = math.fsum(merged._addends)
         merged.min = min(self.min, other.min)
         merged.max = max(self.max, other.max)
         merged.buckets = dict(self.buckets)
         for index, bucket_count in other.buckets.items():
             merged.buckets[index] = merged.buckets.get(index, 0) + bucket_count
         return merged
+
+    def _sums(self) -> tuple[float, ...]:
+        return self._addends or ((self.total,) if self.count else ())
 
     @staticmethod
     def merge(histograms: Iterable["Histogram"]) -> "Histogram":

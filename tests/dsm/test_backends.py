@@ -6,6 +6,8 @@ every protocol."""
 import numpy as np
 import pytest
 
+from repro import Compute, Program
+from repro.api.ops import Acquire, Read, Release, Write
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
 from repro.dsm.backend import BACKEND_NAMES, CoherenceBackend
@@ -134,16 +136,48 @@ def test_all_protocols_compute_the_same_answer(sor_reports):
 
 # -- HLRC fetch parking ------------------------------------------------------
 # A fetch that reaches the home before the ``HOME_UPDATE`` it needs waits
-# there.  The 4-node cells never lose that race; these two 8-node ones do.
+# there.  The 4-node cells never lose that race; the 8-node OCEAN one
+# does, and ``GrantOvertakesUpdate`` loses it by construction.
 
 
-def traced_hlrc_events(app_name, preset):
-    runtime, _ = run(make_app(app_name, preset), "hlrc", num_nodes=8, trace=True)
+def traced_hlrc_events(app, **config):
+    runtime, _ = run(app, "hlrc", **{"num_nodes": 8, "trace": True, **config})
     return list(runtime.tracer.events)  # execute() verified the answer
 
 
+class GrantOvertakesUpdate(Program):
+    """Node 1 grants lock 1 while its release of lock 3 is still flushing
+    page 0 to its home, node 0: the grant announces the interval, and
+    the home reads page 0 before the ``HOME_UPDATE`` has been applied."""
+
+    name = "grant-overtakes-update"
+
+    def __init__(self, start0):
+        self.start0 = start0
+
+    def setup(self, runtime):
+        self.page0 = runtime.alloc("page0", runtime.config.page_size).base
+
+    def thread_body(self, runtime, tid):
+        if tid == 1:
+            yield Acquire(1)  # lock 1's token now rests on node 1
+            yield Release(1)
+            yield Compute(1000.0)
+            yield Acquire(3)
+            yield Write(self.page0, np.arange(512, dtype=np.int64))
+            yield Release(3)
+        else:
+            yield Compute(self.start0)
+            yield Acquire(1)
+            yield Read(self.page0, 8, dtype=np.int64)
+            yield Release(1)
+
+    def verify(self, runtime):
+        pass  # a race by design: the test reads the trace
+
+
 def test_hlrc_home_parks_a_remote_fetch_until_the_update_lands():
-    events = traced_hlrc_events("OCEAN", "small")
+    events = traced_hlrc_events(make_app("OCEAN", "small"))
     parked = [e for e in events if e.name == "fetch_parked"]
     assert parked
     # Each parked request was pumped and served: its requester's fault closed.
@@ -154,9 +188,9 @@ def test_hlrc_home_parks_a_remote_fetch_until_the_update_lands():
 
 
 def test_hlrc_home_waits_on_its_own_stale_page():
-    events = traced_hlrc_events("WATER-SP", "default")
+    events = traced_hlrc_events(GrantOvertakesUpdate(850.0), num_nodes=2)
     faults = [e for e in events if e.name == "page_fault"]
-    own = {e.id for e in faults if e.ph == "b" and e.args["page"] % 8 == e.node}
+    own = {e.id for e in faults if e.ph == "b" and e.args["page"] % 2 == e.node}
     assert own
     # Nothing to fetch: the home's copy turns valid when the updates apply.
     assert all(e.args["remote"] is False for e in faults if e.ph == "e" and e.id in own)

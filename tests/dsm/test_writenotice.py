@@ -11,7 +11,7 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.dsm import IntervalRecord, PageCoherence, WriteNoticeLog
-from repro.dsm.writenotice import WIRE_BYTES_PER_NOTICE, wire_bytes
+from repro.dsm.writenotice import wire_bytes
 
 #: One write notice, as the wire and the old log knew it.
 Notice = namedtuple("Notice", "proc interval_idx lamport page_id")
@@ -63,8 +63,9 @@ def test_own_notices_after():
 
 
 def test_wire_bytes():
-    # Counted per page named, as when a notice was an object.
-    assert wire_bytes([rec(0, 1, 5), rec(1, 2, 6, 7)]) == 3 * WIRE_BYTES_PER_NOTICE
+    # A 12-byte (proc, interval, lamport) header per record, 4 bytes per page.
+    assert wire_bytes([rec(0, 1, 5), rec(1, 2, 6, 7)]) == 2 * 12 + 3 * 4
+    assert wire_bytes([]) == 0
 
 
 def test_merge_keeps_new_intervals_only():
