@@ -183,6 +183,7 @@ class HlrcBackend(LrcBackend):
             16,
             {"request_id": msg.payload["request_id"]},
             "home_ack",
+            answering=msg,
             page=page_id,
         )
 
@@ -207,21 +208,24 @@ class HlrcBackend(LrcBackend):
         if still:
             self._parked[page_id] = still
 
-    def _spawn_serve(self, page_id: int, requester: int, request_id: int) -> None:
+    def _spawn_serve(self, msg: Message) -> None:
         spawn(
             self.sim,
-            self._serve_page(page_id, requester, request_id),
+            self._serve_page(msg),
             name=f"homeserve[{self.node_id}]",
             group=f"node{self.node_id}",
         )
 
-    def _serve_page(self, page_id: int, requester: int, request_id: int) -> Generator:
-        """Ship the whole page, certifying the coverage it carries.
+    def _serve_page(self, msg: Message) -> Generator:
+        """Answer the page request ``msg`` with the whole page,
+        certifying the coverage it carries.
 
         A dirty home copy serves its *twin*: the twin holds every
         committed write (ours through the last close, every applied
         update) without the still-open interval's uncommitted stores.
         """
+        page_id = msg.payload["page_id"]
+        request_id = msg.payload["request_id"]
         state = self.coherence(page_id)
         covers = self._home_covers(page_id)
         source = state.twin if (state.dirty and state.twin is not None) else None
@@ -231,7 +235,7 @@ class HlrcBackend(LrcBackend):
             page_id, source, home=self.home_of(page_id), covers=covers
         )
         yield from self.post(
-            requester,
+            msg.src,
             MessageKind.PAGE_REPLY,
             24 + len(data) + 4 * self.num_nodes,
             {
@@ -242,6 +246,7 @@ class HlrcBackend(LrcBackend):
                 "lamport": self.intervals.lamport,
             },
             "reply",
+            answering=msg,
             page=page_id,
             request_id=request_id,
         )
@@ -254,16 +259,15 @@ class HlrcBackend(LrcBackend):
                 f"home is {self.home_of(page_id)}"
             )
         needed = tuple(msg.payload["needed"])
-        request_id = msg.payload["request_id"]
         if self._covers_dominates(self._home_covers(page_id), needed):
-            yield from self._serve_page(page_id, msg.src, request_id)
+            yield from self._serve_page(msg)
         else:
             # Park until the missing writers' updates land.  The writers
             # flushed (or will flush, blocking their release) at the
             # interval close that minted the notices the requester saw,
             # so the updates are already committed or en route.
             self._parked.setdefault(page_id, []).append(
-                (needed, partial(self._spawn_serve, page_id, msg.src, request_id))
+                (needed, partial(self._spawn_serve, msg))
             )
             if self.sim.trace_on:
                 self.sim.trace.instant(

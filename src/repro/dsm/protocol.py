@@ -100,6 +100,7 @@ class DsmNode:
         size_bytes: int,
         payload: dict,
         role: Optional[str] = None,
+        answering: Optional[Message] = None,
         **entity,
     ):
         """The one way a protocol message leaves this node: build it,
@@ -107,10 +108,15 @@ class DsmNode:
 
         Source, backpressure class and tracking (the kind's) are not the
         caller's business; ``role``/``entity`` go to :meth:`label_edge`
-        (``None``: no label).  The order is load-bearing: message ids
-        are allocated at construction, the label precedes the send charge.
+        (``None``: no label).  ``answering``: the request this message
+        replies to, which its arrival acknowledges (the request's kind is
+        in ``ANSWERED``, so the transport sends no ``ACK`` for it).  The
+        order is load-bearing: message ids are allocated at
+        construction, the label precedes the send charge.
         """
         out = Message(self.node_id, dst, kind, size_bytes, payload)
+        if answering is not None:
+            out.reply_to, out.echo = answering.seq, answering.attempt
         if role is not None:
             self.label_edge(out, role, **entity)
         return self.node.send_message(out)
@@ -610,6 +616,7 @@ class LrcBackend(CoherenceBackend):
                 "notices": notices,
             },
             role,
+            answering=msg,
             page=page_id,
             request_id=request_id,
         )

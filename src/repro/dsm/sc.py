@@ -498,7 +498,11 @@ class ScBackend(CoherenceBackend):
     def _send_inval_ack(self, msg: Message) -> Generator:
         """Tell the manager our copy of the page it named is gone."""
         return self.post(
-            msg.src, MessageKind.SC_INVAL_ACK, 16, {"page_id": msg.payload["page_id"]}
+            msg.src,
+            MessageKind.SC_INVAL_ACK,
+            16,
+            {"page_id": msg.payload["page_id"]},
+            answering=msg,
         )
 
     def handle_inval_ack(self, msg: Message) -> None:

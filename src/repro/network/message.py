@@ -64,7 +64,8 @@ class MessageKind(str, Enum):
     BARRIER_RELEASE = "barrier_release"
     PREFETCH_REQUEST = "prefetch_request"
     PREFETCH_REPLY = "prefetch_reply"
-    #: Transport-level acknowledgement (see repro.network.transport).
+    #: Transport-level acknowledgement: a reply with no body (see
+    #: repro.network.transport).
     ACK = "ack"
     #: Failure-detector liveness datagram (unreliable, see repro.ft).
     HEARTBEAT = "heartbeat"
@@ -127,6 +128,19 @@ class MessageKind(str, Enum):
 #: heartbeats and membership verdicts (a lost one is repaired by the next).
 UNTRACKED = frozenset(
     kind for kind in MessageKind if kind.is_prefetch or kind.is_control
+)
+
+
+#: Kinds whose handler answers the sender directly: the answer carries
+#: the acknowledgement (``Message.reply_to``), so the transport sends no
+#: ``ACK`` for their first arrival.
+ANSWERED = frozenset(
+    {
+        MessageKind.DIFF_REQUEST,
+        MessageKind.PAGE_REQUEST,
+        MessageKind.HOME_UPDATE,
+        MessageKind.SC_INVAL,
+    }
 )
 
 
@@ -212,11 +226,17 @@ class Message:
     priority: int = -1
     #: Which transmission attempt this wire copy is (1 = first flight).
     #: Stamped per copy by the adaptive transport and echoed back in
-    #: the ack, pinning the ack to one copy — TCP timestamps in
+    #: the answer, pinning it to one copy — TCP timestamps in
     #: miniature, so retransmitted messages still yield unambiguous
     #: round-trip samples.  0 = untagged (static transport, untracked
     #: datagrams); :meth:`clone` resets it, each copy stamps its own.
     attempt: int = 0
+    #: The ``seq`` of the tracked message from ``dst`` this one answers
+    #: (an ``ACK``, or a reply posted with ``answering=``); its arrival
+    #: acknowledges that message.  -1 = answers nothing.
+    reply_to: int = -1
+    #: The ``attempt`` of the answered message's copy that arrived.
+    echo: int = 0
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
@@ -242,6 +262,8 @@ class Message:
             seq=self.seq,
             incarnation=self.incarnation,
             priority=self.priority,
+            reply_to=self.reply_to,
+            echo=self.echo,
         )
 
     @property

@@ -75,15 +75,15 @@ def test_message_send_charges_dsm_and_delivers():
 
     def work():
         accepted = yield from sender.send_message(
-            Message(src=0, dst=1, kind=MessageKind.DIFF_REQUEST, size_bytes=64)
+            Message(src=0, dst=1, kind=MessageKind.LOCK_REQUEST, size_bytes=64)
         )
         assert accepted
 
     spawn(cluster.sim, work())
     cluster.run()
     assert len(seen) == 1
-    # A diff request is tracked: the receiver acks it, so each side pays
-    # one send and one receive.
+    # A lock request is tracked and one-way: the receiver acks it, so
+    # each side pays one send and one receive.
     costs = sender.costs
     for node in (sender, receiver):
         assert node.breakdown.times[Category.DSM] == pytest.approx(
@@ -98,7 +98,7 @@ def test_mt_mode_adds_async_arrival_cost():
     def send(cluster):
         def work():
             yield from cluster.node(0).send_message(
-                Message(src=0, dst=1, kind=MessageKind.DIFF_REQUEST, size_bytes=64)
+                Message(src=0, dst=1, kind=MessageKind.LOCK_REQUEST, size_bytes=64)
             )
 
         spawn(cluster.sim, work())

@@ -44,7 +44,7 @@ def test_health_snapshot_carries_extremes_under_loss():
                 Message(
                     src=0,
                     dst=1,
-                    kind=MessageKind.DIFF_REQUEST,
+                    kind=MessageKind.LOCK_REQUEST,
                     size_bytes=64,
                     payload={"i": i},
                 )
@@ -76,7 +76,7 @@ def test_health_snapshot_carries_extremes_under_loss():
                     Message(
                         src=0,
                         dst=1,
-                        kind=MessageKind.DIFF_REQUEST,
+                        kind=MessageKind.LOCK_REQUEST,
                         size_bytes=64,
                         payload={"i": i},
                     )

@@ -31,7 +31,7 @@ def send_from(cluster, node_id, message):
     spawn(cluster.sim, cluster.node(node_id).send_message(message))
 
 
-def msg(src, dst, size=64, kind=MessageKind.DIFF_REQUEST, payload=None):
+def msg(src, dst, size=64, kind=MessageKind.LOCK_REQUEST, payload=None):
     return Message(src=src, dst=dst, kind=kind, size_bytes=size, payload=payload or {})
 
 

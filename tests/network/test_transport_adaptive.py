@@ -6,13 +6,17 @@ and evidence-driven fast re-flight — exercised on a real cluster with
 the fault-injection layer underneath, like tests/network/test_transport.
 """
 
+import pytest
+
 from repro import Compute, DsmRuntime, Program, RunConfig
 from repro.machine import Cluster
+from repro.metrics.counters import Category
 from repro.network import FaultPlan, Message, MessageKind, TransportConfig
 from repro.network import transport as reliable
 from repro.network.faults import BitCorruption, LinkDegradation, LinkPartition, NodeStall
 from repro.network.link import LinkConfig
 from repro.sim import RandomSource, spawn
+from repro.trace import Tracer
 
 
 def build(plan=None, transport=None, seed=7, num_nodes=2, link_config=None):
@@ -39,7 +43,7 @@ def send_at(cluster, when_us, node_id, message):
     cluster.sim.schedule(when_us, send_from, cluster, node_id, message)
 
 
-def msg(src, dst, size=64, kind=MessageKind.DIFF_REQUEST, payload=None):
+def msg(src, dst, size=64, kind=MessageKind.LOCK_REQUEST, payload=None):
     return Message(src=src, dst=dst, kind=kind, size_bytes=size, payload=payload or {})
 
 
@@ -437,6 +441,45 @@ def test_late_ack_retires_a_revival_still_in_the_pacing_queue(monkeypatch):
     # freed one nor grew the window: only message 1's ack did (1 -> 2).
     assert transport.peer_gauges(1)["in_flight"] == 0
     assert transport.peer_gauges(1)["cwnd"] == 2.0
+
+
+def test_a_queued_revival_pays_for_its_send_and_is_traced(monkeypatch):
+    # Message 0 parks toward a fenced peer.  After the unfence, message
+    # 1 holds the one-slot window when message 0 is revived, so the
+    # revival queues and leaves when message 1's ack drains the queue:
+    # a retransmission, charged and traced like every other.
+    monkeypatch.setattr(reliable, "GIVE_UP_US", 20_000.0)
+    monkeypatch.setattr(reliable, "CWND_INIT", 1)
+    tracer = Tracer()
+    cluster = Cluster(
+        num_nodes=2,
+        transport=TransportConfig(adaptive=True),
+        rng=RandomSource(7),
+        tracer=tracer,
+    )
+    inbox = []
+    cluster.node(1).set_message_handler(lambda m: iter(inbox.append(m.payload["i"]) or ()))
+    transport, sender = cluster.transports[0], cluster.node(0)
+    cluster.network.fence_node(1)
+    send_from(cluster, 0, msg(0, 1, payload={"i": 0}))
+    cluster.run()
+    assert transport.parked_by_peer() == {1: 1}
+    cluster.network.unfence_node(1)
+    send_from(cluster, 0, msg(0, 1, payload={"i": 1}))
+    cluster.sim.schedule(100.0, transport.revive, 1)
+    cluster.run(until=cluster.sim.now + 150.0)
+    assert transport.gauges()["backlog"] == 1  # the revival waits for the window
+    cluster.run()
+    assert sorted(inbox) == [0, 1]
+    retransmits = [e for e in tracer.events if e.name == "retransmit" and e.node == 0]
+    assert len(retransmits) == sender.events.retransmissions
+    assert retransmits[-1].args["seq"] == 0  # the revival, on its way out of the queue
+    # Two first sends and every retransmission paid msg_send_cpu; two
+    # acks came back.
+    costs = sender.costs
+    assert sender.breakdown.times[Category.DSM] == pytest.approx(
+        (2 + sender.events.retransmissions) * costs.msg_send_cpu + 2 * costs.msg_recv_cpu
+    )
 
 
 class _Idle(Program):
