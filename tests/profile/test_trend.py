@@ -98,9 +98,12 @@ def test_cli_runs_over_committed_bench_files(capsys):
     import glob
 
     files = sorted(glob.glob("BENCH_*.json"))
-    assert len(files) >= 2, "the repo commits its bench history"
+    assert len(files) >= 3, "the repo commits its bench history"
     assert main(files) == 0
-    out = capsys.readouterr().out
-    # A deterministic simulator's history is flat: every wall-time net
-    # change across the committed points is exactly +0.0%.
-    assert "+0.0%" in out
+    capsys.readouterr()
+    # A deterministic simulator's history is flat between declared
+    # re-baselines: the first two committed points agree on every wall
+    # time (BENCH_2026-10-17.json is the first re-baseline).
+    assert main(files[:2]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows and all(row[-1] == "+0.0%" for row in rows)
