@@ -4,8 +4,8 @@ Sweeps applications across the paper's technique configurations — base
 (O), prefetch (P), multithreading (nT), combined (nTP) — with profiling
 on, and emits one machine-readable ``BENCH_<date>.json``: wall time,
 category breakdowns, and latency-histogram quantiles per (app, config)
-cell.  The files seed the repo's performance trajectory; two of them
-diff with ``python -m repro.profile.compare``.  The simulation is
+cell.  The files seed the repo's performance trajectory, which
+``python -m repro.explain BENCH_*.json`` tabulates.  The simulation is
 deterministic, so on one code revision the same sweep always produces the
 same numbers; the byte-level gate on them is ``contract.txt``
 (``benchmarks/contract/``), not a bench document.

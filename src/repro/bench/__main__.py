@@ -28,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Benchmark sweep emitting a machine-readable BENCH_<date>.json "
-        "(diff two with python -m repro.profile.compare).",
+        "(tabulate what moved with python -m repro.explain).",
     )
     parser.add_argument(
         "--apps",

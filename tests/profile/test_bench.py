@@ -1,4 +1,4 @@
-"""The bench harness: schema validity and compare interoperability."""
+"""The bench harness: schema validity and repro.explain interoperability."""
 
 import json
 import runpy
@@ -14,7 +14,7 @@ from repro.bench import (
     normalize_app,
     run_bench,
 )
-from repro.profile.compare import compare, flatten
+from repro.explain import explain, flatten
 
 
 def test_normalize_app():
@@ -75,7 +75,7 @@ def test_bench_output_feeds_compare(tiny_bench):
     assert "SOR/P/hist.page_fault_us.p99" in flat
     import io
 
-    assert compare(flat, dict(flat), out=io.StringIO()) == 0
+    assert explain(["a", "b"], [flat, dict(flat)], tolerance=0.0, out=io.StringIO()) == 0
 
 
 def test_bench_is_deterministic(tiny_bench):
@@ -95,7 +95,7 @@ def run_command(monkeypatch, module, *args):
     return exited.value.code
 
 
-# runpy warns that repro.profile.compare was imported before it ran as __main__.
+# runpy warns that repro.explain was imported before it ran as __main__.
 @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
 def test_sor_fft_document_matches_schema(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "bench.json")
@@ -106,7 +106,7 @@ def test_sor_fft_document_matches_schema(tmp_path, monkeypatch, capsys):
     assert doc["schema"] == BENCH_SCHEMA
     assert {run["app"] for run in doc["runs"]} == {"SOR", "FFT"}
     assert flatten(doc)  # flattens without error
-    assert run_command(monkeypatch, "repro.profile.compare", out, out, "--tolerance", "0") == 0
+    assert run_command(monkeypatch, "repro.explain", out, out, "--tolerance", "0") == 0
 
 
 def test_bench_records_the_protocol(tiny_bench):
@@ -124,4 +124,4 @@ def test_bench_on_another_protocol_compares_against_itself():
     import io
 
     flat = flatten(doc)
-    assert compare(flat, dict(flat), tolerance=0.0, out=io.StringIO()) == 0
+    assert explain(["a", "b"], [flat, dict(flat)], tolerance=0.0, out=io.StringIO()) == 0

@@ -1,17 +1,11 @@
-"""The compare CLI: flattening, tolerance rules, and exit codes."""
+"""repro.explain between two files: flattening, the two-sided gate, and exit codes."""
 
 import io
 import json
 
 import pytest
 
-from repro.profile.compare import (
-    _parse_tolerance_rules,
-    _tolerance_for,
-    compare,
-    flatten,
-    main,
-)
+from repro.explain import explain, flatten, main
 
 REPORT = {
     "wall_time_us": 1000.0,
@@ -51,6 +45,11 @@ BENCH = {
 }
 
 
+def gate(old, new, tolerance=0.0, out=None):
+    """``explain`` over one OLD/NEW pair: the failing-metric count."""
+    return explain(["old", "new"], [old, new], tolerance=tolerance, out=out or io.StringIO())
+
+
 # -- flatten ------------------------------------------------------------------
 
 
@@ -77,92 +76,56 @@ def test_flatten_rejects_unknown_shape():
         flatten({"something": "else"})
 
 
-# -- tolerance rules ----------------------------------------------------------
-
-
-def test_rule_parsing_and_first_match_wins():
-    rules = _parse_tolerance_rules(["*/p99=0.5", "*=0.1"])
-    assert rules == [("*/p99", 0.5), ("*", 0.1)]
-    assert _tolerance_for("SOR/O/p99", rules, 0.0) == 0.5
-    assert _tolerance_for("SOR/O/wall_time_us", rules, 0.0) == 0.1
-    assert _tolerance_for("anything", [], 0.25) == 0.25
-
-
-def test_rule_without_pattern_rejected():
-    with pytest.raises(ValueError):
-        _parse_tolerance_rules(["0.5"])
-
-
-# -- compare ------------------------------------------------------------------
+# -- the gate -----------------------------------------------------------------
 
 
 def test_identical_inputs_no_regressions():
     flat = flatten(REPORT)
     out = io.StringIO()
-    assert compare(flat, dict(flat), out=out) == 0
-    assert "0 regression(s)" in out.getvalue()
+    assert gate(flat, dict(flat), out=out) == 0
+    assert out.getvalue().startswith(f"0 of {len(flat)} metric(s) moved across 2 file(s)\n")
+    assert "0 metric(s) moved by more than 0%" in out.getvalue()
 
 
 def test_growth_past_tolerance_is_a_regression():
     old = {"wall_time_us": 100.0}
-    assert compare(old, {"wall_time_us": 125.0}, tolerance=0.2, out=io.StringIO()) == 1
-    assert compare(old, {"wall_time_us": 115.0}, tolerance=0.2, out=io.StringIO()) == 0
-    # Improvements never regress.
-    assert compare(old, {"wall_time_us": 10.0}, out=io.StringIO()) == 0
+    assert gate(old, {"wall_time_us": 125.0}, tolerance=0.2) == 1
+    assert gate(old, {"wall_time_us": 115.0}, tolerance=0.2) == 0
+    # The gate is two-sided: a fall past tolerance fails like a rise.
+    assert gate(old, {"wall_time_us": 75.0}, tolerance=0.2) == 1
+    assert gate(old, {"wall_time_us": 85.0}, tolerance=0.2) == 0
+    assert gate(old, {"wall_time_us": 10.0}) == 1
 
 
-def test_slack_floor_suppresses_tiny_absolute_jitter():
-    old = {"tiny_us": 1.0}
-    new = {"tiny_us": 3.0}  # +200% but only +2 absolute
-    assert compare(old, new, tolerance=0.0, slack=5.0, out=io.StringIO()) == 0
-    assert compare(old, new, tolerance=0.0, slack=0.0, out=io.StringIO()) == 1
-
-
-def test_negative_tolerance_skips_metric():
-    old = {"noisy": 1.0, "steady": 1.0}
-    new = {"noisy": 99.0, "steady": 1.0}
-    rules = _parse_tolerance_rules(["noisy=-1"])
-    assert compare(old, new, rules=rules, out=io.StringIO()) == 0
+def test_a_zero_base_shows_the_absolute_delta():
+    out = io.StringIO()
+    assert gate({"message_drops": 0.0}, {"message_drops": 176.0}, out=out) == 1
+    text = out.getvalue()
+    assert "+176  FAIL" in text
+    assert "%" not in text.splitlines()[-2]  # the row itself has no percentage
+    # Any fraction of a zero base is zero: a move off zero fails at every tolerance.
+    assert gate({"message_drops": 0.0}, {"message_drops": 176.0}, tolerance=0.5) == 1
 
 
 def test_unmatched_metrics_fail_under_exact_gate():
-    # Under the default tolerance 0 the comparison is exact: a metric
-    # that appeared or vanished is a difference, not a footnote.
+    # Under tolerance 0 the comparison is exact: a metric that appeared
+    # or vanished is a difference, not a footnote.
     out = io.StringIO()
-    count = compare({"a": 1.0, "gone": 5.0}, {"a": 1.0, "fresh": 5.0}, out=out)
+    count = gate({"a": 1.0, "gone": 5.0}, {"a": 1.0, "fresh": 5.0}, out=out)
     assert count == 2
-    text = out.getvalue()
-    assert "REMOVED gone" in text and "ADDED fresh" in text
-    assert "2 unmatched" in text
+    rows = {line.split()[0]: line.split()[1:] for line in out.getvalue().splitlines()}
+    assert rows["gone"] == ["5", "-", "-", "FAIL"]
+    assert rows["fresh"] == ["-", "5", "-", "FAIL"]
+    assert "2 of 3 metric(s) moved" in out.getvalue()
 
 
 def test_unmatched_metrics_are_notes_with_slop():
     out = io.StringIO()
-    count = compare(
-        {"a": 1.0, "gone": 5.0}, {"a": 1.0, "fresh": 5.0}, tolerance=0.1, out=out
-    )
+    count = gate({"a": 1.0, "gone": 5.0}, {"a": 1.0, "fresh": 5.0}, tolerance=0.1, out=out)
     assert count == 0
     text = out.getvalue()
-    assert "missing from NEW" in text and "new in NEW" in text
-    assert "2 unmatched" in text
-
-
-def test_unmatched_metrics_respect_per_metric_rules():
-    # A -1 rule skips a one-sided metric entirely; a 0 rule makes just
-    # that metric exact even when the default tolerance is loose.
-    rules = _parse_tolerance_rules(["gone=-1"])
-    assert (
-        compare({"gone": 5.0, "a": 1.0}, {"a": 1.0}, rules=rules, out=io.StringIO())
-        == 0
-    )
-    rules = _parse_tolerance_rules(["fresh=0"])
-    assert (
-        compare(
-            {"a": 1.0}, {"a": 1.0, "fresh": 5.0}, tolerance=0.5, rules=rules,
-            out=io.StringIO(),
-        )
-        == 1
-    )
+    assert "2 of 3 metric(s) moved" in text
+    assert "FAIL" not in text
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -173,17 +136,34 @@ def write(path, data):
     return str(path)
 
 
+def test_a_metric_that_only_falls_fails_the_exact_gate(tmp_path, capsys):
+    # Halving one wall time is not a mechanical change: --tolerance 0
+    # exits 0 only when no simulated metric moved at all.
+    with open("BENCH_2026-10-17.json") as handle:
+        doc = json.load(handle)
+    for run in doc["runs"]:
+        if (run["app"], run["config"]) == ("FFT", "O"):
+            run["metrics"]["wall_time_us"] /= 2
+    faster = write(tmp_path / "faster.json", doc)
+    assert main(["BENCH_2026-10-17.json", faster, "--tolerance", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 1948 metric(s) moved across 2 file(s)" in out
+    assert "-50.0%  FAIL" in out
+
+
 def test_main_exit_codes(tmp_path):
     old = write(tmp_path / "old.json", REPORT)
     same = write(tmp_path / "same.json", REPORT)
     assert main([old, same]) == 0
+    assert main([old, same, "--tolerance", "0"]) == 0
 
     worse = json.loads(json.dumps(REPORT))
     worse["wall_time_us"] = 1500.0
     worse_path = write(tmp_path / "worse.json", worse)
     assert main([old, worse_path, "--tolerance", "0.2"]) == 1
-    # Per-metric rule can waive exactly that metric.
-    assert main([old, worse_path, "--tol", "wall_time_us=-1"]) == 0
+    assert main([old, worse_path, "--tolerance", "0.6"]) == 0
+    # Without --tolerance it only reports.
+    assert main([old, worse_path]) == 0
 
 
 def test_main_usage_errors_exit_2(tmp_path):
@@ -192,5 +172,7 @@ def test_main_usage_errors_exit_2(tmp_path):
     bad = write(tmp_path / "bad.json", {"nope": 1})
     assert main([ok, bad]) == 2
     disjoint = write(tmp_path / "disjoint.json", {"wall_time_us": "not-a-number"})
-    assert main([ok, disjoint]) == 2  # no metrics in common
-    assert main([ok, ok, "--tol", "broken"]) == 2
+    assert main([ok, disjoint, "--tolerance", "0"]) == 2  # no metrics in common
+    with pytest.raises(SystemExit) as exited:
+        main([ok, ok, "--tolerance", "-1"])  # compare's old "skip" value
+    assert exited.value.code == 2

@@ -1,9 +1,9 @@
-"""Trajectory tables across bench points (repro.profile.trend)."""
+"""repro.explain across N files: the table over the bench history."""
 
-import io
+import glob
 import json
 
-from repro.profile.trend import main, render_trend, trend_table
+from repro.explain import main
 
 
 def bench_doc(created, wall_a, wall_b=None, extra=None):
@@ -25,7 +25,12 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
-def test_trend_table_aligns_metrics_across_points(tmp_path):
+def table(out):
+    """The printed rows after the summary line, keyed by metric name."""
+    return {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+
+
+def test_trend_table_aligns_metrics_across_points(tmp_path, capsys):
     paths = [
         write(tmp_path, "BENCH_2026-01-01.json", bench_doc("2026-01-01", 100.0)),
         write(
@@ -34,54 +39,34 @@ def test_trend_table_aligns_metrics_across_points(tmp_path):
             bench_doc("2026-01-02", 110.0, wall_b=50.0),
         ),
     ]
-    labels, table = trend_table(paths)
+    assert main(paths) == 0
+    rows = table(capsys.readouterr().out)
     # Filename stamps label the columns (unique even when dates repeat).
-    assert labels == ["2026-01-01", "2026-01-02"]
-    assert table["SOR/O/wall_time_us"] == [100.0, 110.0]
-    # A metric absent from the older point shows None there.
-    assert table["FFT/O/wall_time_us"] == [None, 50.0]
+    assert rows["metric"] == ["2026-01-01", "2026-01-02", "net"]
+    assert rows["SOR/O/wall_time_us"] == ["100", "110", "+10.0%"]
+    # A metric absent from the older point shows "-" there, and has no net.
+    assert rows["FFT/O/wall_time_us"] == ["-", "50", "-"]
 
 
-def test_trend_table_pattern_filter(tmp_path):
-    path = write(
-        tmp_path,
-        "BENCH_2026-01-01.json",
-        bench_doc("2026-01-01", 100.0, extra={"total_messages": 7}),
-    )
-    _labels, table = trend_table([path], ["*/wall_time_us"])
-    assert list(table) == ["SOR/O/wall_time_us"]
-    _labels, everything = trend_table([path], None)
-    assert set(everything) == {"SOR/O/wall_time_us", "SOR/O/total_messages"}
-
-
-def test_render_trend_net_column_and_tsv(tmp_path):
-    labels, table = (
-        ["a", "b"],
-        {"SOR/O/wall_time_us": [100.0, 110.0], "FFT/O/wall_time_us": [None, 50.0]},
-    )
-    out = io.StringIO()
-    render_trend(labels, table, out=out)
-    text = out.getvalue()
-    assert "+10.0%" in text  # 100 -> 110
-    assert "-" in text  # single-point metric has no net
-    tsv = io.StringIO()
-    render_trend(labels, table, out=tsv, tsv=True)
-    lines = tsv.getvalue().splitlines()
-    assert lines[0] == "metric\ta\tb\tnet"
-    assert "SOR/O/wall_time_us\t100\t110\t+10.0%" in lines
-
-
-def test_cli_default_selection_and_out(tmp_path, capsys):
+def test_trend_table_pattern_filter(tmp_path, capsys):
     paths = [
-        write(tmp_path, "BENCH_2026-01-01.json", bench_doc("2026-01-01", 100.0)),
-        write(tmp_path, "BENCH_2026-01-02.json", bench_doc("2026-01-02", 90.0)),
+        write(
+            tmp_path,
+            name,
+            bench_doc(name, wall, extra={"total_messages": messages}),
+        )
+        for name, wall, messages in (("a.json", 100.0, 7), ("b.json", 90.0, 8))
     ]
-    tsv_out = tmp_path / "trend.tsv"
-    assert main([*paths, "--out", str(tsv_out)]) == 0
+    assert main([*paths, "--metric", "*/wall_time_us"]) == 0
     out = capsys.readouterr().out
-    assert "1 metric(s) across 2 bench point(s)" in out
-    assert "-10.0%" in out
-    assert tsv_out.read_text().startswith("metric\t")
+    assert out.startswith("1 of 1 metric(s) moved across 2 file(s)\n")
+    assert list(table(out)) == ["metric", "SOR/O/wall_time_us"]
+    assert table(out)["SOR/O/wall_time_us"] == ["100", "90", "-10.0%"]
+    # The default selection is every metric; only the moved ones print.
+    assert main(paths) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("2 of 2 metric(s) moved across 2 file(s)\n")
+    assert set(table(out)) == {"metric", "SOR/O/wall_time_us", "SOR/O/total_messages"}
 
 
 def test_cli_exit_2_on_empty_selection_and_bad_file(tmp_path, capsys):
@@ -95,15 +80,20 @@ def test_cli_exit_2_on_empty_selection_and_bad_file(tmp_path, capsys):
 
 
 def test_cli_runs_over_committed_bench_files(capsys):
-    import glob
-
     files = sorted(glob.glob("BENCH_*.json"))
     assert len(files) >= 3, "the repo commits its bench history"
     assert main(files) == 0
     capsys.readouterr()
     # A deterministic simulator's history is flat between declared
-    # re-baselines: the first two committed points agree on every wall
-    # time (BENCH_2026-10-17.json is the first re-baseline).
-    assert main(files[:2]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    assert rows and all(row[-1] == "+0.0%" for row in rows)
+    # re-baselines: the first two committed points agree on every
+    # flattened metric (BENCH_2026-10-17.json is the first re-baseline).
+    assert files[:3] == [
+        "BENCH_2026-08-06.json", "BENCH_2026-09-28c.json", "BENCH_2026-10-17.json",
+    ]
+    assert main([*files[:2], "--tolerance", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 1948 metric(s) moved across 2 file(s)",
+        "0 metric(s) moved by more than 0% of their first value",
+    ]
+    # The re-baseline moved simulated metrics, so the exact gate fails there.
+    assert main([*files[1:3], "--tolerance", "0"]) == 1
