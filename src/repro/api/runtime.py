@@ -39,7 +39,7 @@ from repro.network import transport as reliable
 from repro.prefetch.engine import PrefetchEngine, PrefetchStats
 from repro.profile import ProfileConfig, profile_from_events
 from repro.sim import RandomSource
-from repro.telemetry import NULL_TELEMETRY, TelemetryConfig, TelemetrySampler
+from repro.telemetry import TelemetryConfig, section_from_events
 from repro.threads import DsmThread, NodeScheduler, SchedulingPolicy
 from repro.trace import NULL_TRACER, Tracer
 
@@ -99,9 +99,10 @@ class RunConfig:
     #: gauges and counter deltas across the stack, with watchdog
     #: findings, as a versioned ``telemetry`` report section.  ``None``
     #: (default) samples nothing; a :class:`TelemetryConfig` (or ``True``
-    #: for the defaults) enables the flight recorder.  Pure observation:
-    #: the simulation schedule and the report core are byte-identical
-    #: with it on or off.
+    #: for the defaults) adds the section, folded from the run's events
+    #: after the run (an internal tracer is created when none is
+    #: configured, as for ``profile``), so the report core is
+    #: byte-identical with it on or off.
     telemetry: Optional[TelemetryConfig] = None
     #: Safety valve for runaway simulations (events, not microseconds).
     max_events: Optional[int] = 50_000_000
@@ -172,10 +173,16 @@ class DsmRuntime:
         self.random = RandomSource(config.seed)
         #: The run's tracer: a collecting Tracer when config.trace is
         #: set, else the shared null tracer (zero collection overhead).
-        #: The profile, the critical-path analysis and the sanitizer read
-        #: the event stream, so each forces an internal tracer when none
-        #: was requested.
-        if config.trace or config.profile is not None or config.critpath or config.sanitizer:
+        #: The profile, the critical-path analysis, the telemetry and the
+        #: sanitizer read the event stream, so each forces an internal
+        #: tracer when none was requested.
+        if (
+            config.trace
+            or config.profile is not None
+            or config.critpath
+            or config.telemetry is not None
+            or config.sanitizer
+        ):
             self.tracer: Tracer = Tracer()
         else:
             self.tracer = NULL_TRACER
@@ -203,15 +210,6 @@ class DsmRuntime:
         ]
         for scheduler, engine in zip(self.schedulers, self.prefetch_engines):
             scheduler.prefetch = engine
-        #: The run's telemetry sampler: collecting when config.telemetry
-        #: is set, else the shared null sampler (one cached-boolean check
-        #: in the run loop).
-        if config.telemetry is not None:
-            self.telemetry = TelemetrySampler(config.telemetry)
-            self.telemetry.attach(self)
-        else:
-            self.telemetry = NULL_TELEMETRY
-        self.cluster.sim.telemetry = self.telemetry
         #: Fault-tolerance layer (failure detection, checkpoint/recovery).
         self.ft: Optional[FtManager] = FtManager(self) if config.ft else None
 
@@ -306,6 +304,11 @@ class DsmRuntime:
             from repro.critpath import analyze_events
 
             critpath = analyze_events(self.tracer.events).to_dict()
+        telemetry = None
+        if self.config.telemetry is not None:
+            telemetry = section_from_events(
+                self.tracer.events, self.config, wall, self.cluster.sim.now
+            )
         transport_health = None
         transports = self.cluster.transports
         if self.config.transport.adaptive:
@@ -375,9 +378,7 @@ class DsmRuntime:
             profile=profile,
             critpath=critpath,
             transport_health=transport_health,
-            telemetry=(
-                self.telemetry.finalize(wall) if self.telemetry.enabled else None
-            ),
+            telemetry=telemetry,
         )
 
     # -- verification support ------------------------------------------------------

@@ -140,6 +140,15 @@ class BarrierSubsystem:
         state = self._manager.setdefault(key, _ManagerEpisode())
         if src in state.node_vcs:
             raise ProtocolError(f"duplicate barrier arrival from node {src}")
+        state.arrivals += 1
+        state.node_vcs[src] = vc_snapshot
+        # Merge the arriving notices into the manager's log (free of
+        # charge beyond the handler cost already paid).  The manager's
+        # own vector clock must NOT advance here: these notices are only
+        # *applied* (clock + invalidations) by its own release, so its
+        # release computation below still sees them as unseen.
+        wn_log = self.dsm.backend.wn_log
+        wn_log.merge(notices)
         if self.dsm.sim.trace_on:
             # The episode's first gather opens its arrival-skew window.
             self.dsm.sim.trace.instant(
@@ -150,15 +159,8 @@ class BarrierSubsystem:
                 barrier=barrier_id,
                 episode=episode,
                 src=src,
+                backlog=wn_log.total(),
             )
-        state.arrivals += 1
-        state.node_vcs[src] = vc_snapshot
-        # Merge the arriving notices into the manager's log (free of
-        # charge beyond the handler cost already paid).  The manager's
-        # own vector clock must NOT advance here: these notices are only
-        # *applied* (clock + invalidations) by its own release, so its
-        # release computation below still sees them as unseen.
-        self.dsm.backend.wn_log.merge(notices)
         if state.arrivals < self.dsm.num_nodes:
             return
         # Everyone is (provably) blocked at the barrier, cluster-wide:
@@ -258,12 +260,6 @@ class BarrierSubsystem:
             )
         for wake in waiters:
             wake.succeed(None)
-        if self.dsm.sim.telemetry_on:
-            # Per-node epoch boundary for the flight recorder: the
-            # closed episode's stall/switch accounting ends here.
-            self.dsm.sim.telemetry.on_barrier_epoch(
-                self.dsm.node_id, barrier_id, episode
-            )
 
     # -- checkpoint / recovery ----------------------------------------------
 

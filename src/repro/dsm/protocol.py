@@ -254,12 +254,12 @@ class LrcBackend(CoherenceBackend):
         if not pages:
             return ()
         new_idx = self.vc.advance_own()
-        self._mark("interval_close", index=new_idx)
         self.intervals.lamport += 1
         self._flushed_in_open.clear()
         stamp = self.intervals.lamport
         record = IntervalRecord(self.node_id, new_idx, stamp, tuple(sorted(pages)))
         self.wn_log.merge([record])
+        self._mark("interval_close", index=new_idx, backlog=self.wn_log.total())
         # TreadMarks write-protects dirty pages at interval creation: a
         # later write to a still-dirty page must announce itself under a
         # NEW write notice, or its modifications would be invisible to
@@ -286,23 +286,6 @@ class LrcBackend(CoherenceBackend):
             count = notice_count(records)
             cost = self.node.costs.write_notice_apply * count
             yield from self.node.occupy(cost, Category.DSM)
-            if self.sim.trace_on:
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "protocol",
-                    "write_notices",
-                    self.node_id,
-                    count=count,
-                    full=advance_vc,
-                    # What the sanitizer replays (ft.sanitizer.check_events).
-                    notices=[
-                        (record.proc, record.interval_idx, record.pages)
-                        for record in records
-                        if record.proc != self.node_id
-                    ],
-                    vc=self.vc.snapshot(),
-                )
         # Hot loop (104 k records naming 142 k pages per SOR/64 run): log
         # insertion and clocks are per record, and a page this node does
         # not hold costs one failed lookup here and one in ``merge``.
@@ -316,6 +299,24 @@ class LrcBackend(CoherenceBackend):
         held = self._coherence.get if advance_vc else self.coherence
         prefetch = self.prefetch
         self.wn_log.merge(records, full=advance_vc, skip_proc=node_id)
+        if records and self.sim.trace_on:
+            self.sim.trace.instant(
+                self.sim.now,
+                "protocol",
+                "write_notices",
+                node_id,
+                count=count,
+                full=advance_vc,
+                # What the sanitizer replays (ft.sanitizer.check_events):
+                # the clock as it was before these records advance it.
+                notices=[
+                    (record.proc, record.interval_idx, record.pages)
+                    for record in records
+                    if record.proc != node_id
+                ],
+                vc=vc.snapshot(),
+                backlog=self.wn_log.total(),
+            )
         for record in records:
             proc = record.proc
             if proc == node_id:
@@ -538,6 +539,8 @@ class LrcBackend(CoherenceBackend):
                 self.node_id,
                 page=diff.page_id,
                 bytes=diff.modified_bytes,
+                # Its encoded size, which the diff store archives.
+                size=diff.size_bytes,
             )
         return diff
 
@@ -679,6 +682,12 @@ class LrcBackend(CoherenceBackend):
         # Any in-flight request/flush belongs to the discarded execution.
         self._pending_requests.clear()
         self._flush_events.clear()
+        self._mark(
+            "lrc_restore",
+            index=self.vc[self.node_id],
+            backlog=self.wn_log.total(),
+            stored=self.diff_store.total_diff_bytes,
+        )
 
     # -- verification ---------------------------------------------------------
 

@@ -61,7 +61,7 @@ class RunReport:
     #: paced/shed/parked totals) when the run used an adaptive
     #: transport, else None — static runs carry no trace of the layer.
     transport_health: Optional[dict] = None
-    #: Versioned telemetry section (TelemetrySampler.finalize: windowed
+    #: Versioned telemetry section (``section_from_events``: windowed
     #: time series, barrier epochs, watchdog findings) when the run had
     #: ``telemetry=`` on, else None.  Same contract as profile/critpath:
     #: not part of the core, reports are otherwise byte-identical.

@@ -372,13 +372,28 @@ class ReliableTransport:
     def adaptive(self) -> bool:
         return self._adaptive
 
-    def _mark(self, name: str, **args) -> None:
-        """Trace one loss-driven transport fact: a timeout, give-up,
-        retransmission, park probe or suppressed duplicate.  It holds
-        the tracer's guard because those run once per datagram the
-        fabric lost or doubled; ``rto_update`` and ``transport_paced``
-        grow with the traffic and keep theirs at the site."""
+    def _mark(self, name: str, queues: bool = False, **args) -> None:
+        """Trace one transport fact.  It holds the tracer's guard for
+        the loss-driven ones (a timeout, give-up, retransmission, park
+        probe or suppressed duplicate), which run once per datagram the
+        fabric lost or doubled; the ones that grow with the traffic
+        (``track``, ``settle``, ``rto_update``, ``transport_paced``)
+        keep theirs at the site.
+
+        ``queues=True`` marks a change of what the message queues hold:
+        the event also carries ``gauges`` (:meth:`gauges`' values) and,
+        adaptive, ``peer`` (:meth:`peer_gauges` toward its ``dst`` plus
+        the messages parked for it), which the telemetry fold reads.
+        Every such change is traced so: a tracked send (``track``), an
+        ack or reply (``settle``), a timeout's window halving, a
+        give-up, a revival (``unpark``), a rollback (``restore``).
+        """
         if self.sim.trace_on:
+            if queues:
+                args["gauges"] = tuple(self.gauges().values())
+                if self._adaptive:
+                    parked = self.parked_by_peer().get(args["dst"], 0)
+                    args["peer"] = (*self.peer_gauges(args["dst"]).values(), parked)
             self.sim.trace.instant(self.sim.now, "transport", name, self.node.node_id, **args)
 
     # -- sender side -------------------------------------------------------
@@ -397,18 +412,23 @@ class ReliableTransport:
         message.seq = seq
         pending = _Pending(message)
         self._pending[(message.dst, seq)] = pending
+        queued = False
         if self._adaptive:
             pending.deadline_at = self.sim.now + GIVE_UP_US
             peer = self._peer(message.dst)
-            if peer.in_flight >= int(peer.cwnd):
+            queued = peer.in_flight >= int(peer.cwnd)
+            if queued:
                 self._enqueue(peer, message.dst, seq, pending)
-                return True
-            self._admit(peer)
-            message.attempt = 1
-            pending.send_times[1] = self.sim.now
-        pending.first_sent_at = self.sim.now
-        self.network.send(message)
-        self._arm_timer(message.dst, seq, pending)
+            else:
+                self._admit(peer)
+                message.attempt = 1
+                pending.send_times[1] = self.sim.now
+        if self.sim.trace_on:
+            self._mark("track", queues=True, dst=message.dst, seq=seq)
+        if not queued:
+            pending.first_sent_at = self.sim.now
+            self.network.send(message)
+            self._arm_timer(message.dst, seq, pending)
         return True
 
     def _peer(self, dst: int) -> _PeerState:
@@ -545,9 +565,7 @@ class ReliableTransport:
             del self._pending[(dst, seq)]
             self._parked[(dst, seq)] = pending
             message = pending.message
-            kind = message.kind.value
             self.node.events.retries_exhausted += 1
-            self._mark("retries_exhausted", dst=dst, seq=seq, attempts=pending.attempts, kind=kind)
             if self._adaptive:
                 peer = self._peer(dst)
                 peer.in_flight = max(0, peer.in_flight - 1)
@@ -559,6 +577,14 @@ class ReliableTransport:
                 # probe re-flights it if the peer still looks alive;
                 # crashed/fenced peers are left to rollback/rejoin.
                 self.sim.schedule(PARK_PROBE_US, self._probe_parked, dst, seq)
+            self._mark(
+                "retries_exhausted",
+                queues=True,
+                dst=dst,
+                seq=seq,
+                attempts=pending.attempts,
+                kind=message.kind.value,
+            )
             if self.on_give_up is not None:
                 self.on_give_up(dst, message)
             return
@@ -578,7 +604,7 @@ class ReliableTransport:
             # and its sample re-seeds the estimator at the true value.
             peer.rto = min(MAX_RTO_US, peer.rto * BACKOFF)
             self.extremes.observe_rto(peer.rto)
-            self._mark("cwnd_halved", dst=dst, cwnd=round(peer.cwnd, 3))
+            self._mark("cwnd_halved", queues=True, dst=dst, cwnd=round(peer.cwnd, 3))
         pending.attempts += 1
         self._resend(dst, seq, pending, "rexmit")
 
@@ -707,6 +733,8 @@ class ReliableTransport:
                     continue
                 self._admit(peer)
             self._resend(dst, key[1], pending, "revive")
+        if keys:
+            self._mark("unpark", queues=True, dst=dst, count=len(keys))
         return len(keys)
 
     def revive(self, dst: int) -> int:
@@ -912,48 +940,49 @@ class ReliableTransport:
         pending = self._pending.pop(key, None)
         # A very late ack can land after the give-up: the peer did
         # receive the message, so the parked copy is obsolete.
-        self._parked.pop(key, None)
-        if not self._adaptive or pending is None:
-            return
-        dst = message.src
-        peer = self._peer(dst)
-        if key in peer.queued:
-            # Acked while still pacing-queued: only possible for a
-            # revived message whose pre-park transmission was acked
-            # very late.  It never consumed a window slot.
-            peer.queued.discard(key)
-        else:
-            peer.in_flight = max(0, peer.in_flight - 1)
-            sent = pending.send_times.get(message.echo)
-            if sent is not None:
-                # The attempt echo pins this ack to one wire copy, so
-                # the round trip is unambiguous even for retransmitted
-                # messages (where Karn's rule alone must discard the
-                # measurement).  The sample carries the disambiguation
-                # for free: a fast ack of the latest copy re-derives
-                # the RTO from the estimator after a loss episode,
-                # while a slow ack of the *first* copy measures the
-                # post-jump RTT directly and hoists the RTO past it in
-                # one update — no spurious-retransmission ladder walk.
-                self._rtt_sample(dst, peer, self.sim.now - sent)
-                if message.echo < pending.attempts and pending.halved:
-                    # Eifel-style undo: the ack is for an *earlier* copy
-                    # than the latest retransmission, so the message was
-                    # never lost — the timeout was spurious (an RTT jump,
-                    # not congestion) and its multiplicative decreases
-                    # are reverted.  The sample above already re-derived
-                    # the RTO from the new round trip.
-                    self.stats.spurious_timeouts += pending.halved
-                    peer.cwnd = min(float(CWND_MAX), peer.cwnd * (2.0 ** pending.halved))
-            elif pending.attempts == 1 and pending.first_sent_at >= 0:
-                # Echo-less ack (e.g. for a copy predating a checkpoint
-                # rollback): fall back to Karn's rule — only frames
-                # transmitted exactly once yield an unambiguous sample.
-                self._rtt_sample(dst, peer, self.sim.now - pending.first_sent_at)
-            if peer.cwnd < CWND_MAX:
-                # Additive increase: ~one window per RTT of clean acks.
-                peer.cwnd = min(float(CWND_MAX), peer.cwnd + 1.0 / peer.cwnd)
-        self._drain(dst, peer)
+        parked = self._parked.pop(key, None)
+        if self._adaptive and pending is not None:
+            dst = message.src
+            peer = self._peer(dst)
+            if key in peer.queued:
+                # Acked while still pacing-queued: only possible for a
+                # revived message whose pre-park transmission was acked
+                # very late.  It never consumed a window slot.
+                peer.queued.discard(key)
+            else:
+                peer.in_flight = max(0, peer.in_flight - 1)
+                sent = pending.send_times.get(message.echo)
+                if sent is not None:
+                    # The attempt echo pins this ack to one wire copy, so
+                    # the round trip is unambiguous even for retransmitted
+                    # messages (where Karn's rule alone must discard the
+                    # measurement).  The sample carries the disambiguation
+                    # for free: a fast ack of the latest copy re-derives
+                    # the RTO from the estimator after a loss episode,
+                    # while a slow ack of the *first* copy measures the
+                    # post-jump RTT directly and hoists the RTO past it in
+                    # one update — no spurious-retransmission ladder walk.
+                    self._rtt_sample(dst, peer, self.sim.now - sent)
+                    if message.echo < pending.attempts and pending.halved:
+                        # Eifel-style undo: the ack is for an *earlier* copy
+                        # than the latest retransmission, so the message was
+                        # never lost — the timeout was spurious (an RTT jump,
+                        # not congestion) and its multiplicative decreases
+                        # are reverted.  The sample above already re-derived
+                        # the RTO from the new round trip.
+                        self.stats.spurious_timeouts += pending.halved
+                        peer.cwnd = min(float(CWND_MAX), peer.cwnd * (2.0 ** pending.halved))
+                elif pending.attempts == 1 and pending.first_sent_at >= 0:
+                    # Echo-less ack (e.g. for a copy predating a checkpoint
+                    # rollback): fall back to Karn's rule — only frames
+                    # transmitted exactly once yield an unambiguous sample.
+                    self._rtt_sample(dst, peer, self.sim.now - pending.first_sent_at)
+                if peer.cwnd < CWND_MAX:
+                    # Additive increase: ~one window per RTT of clean acks.
+                    peer.cwnd = min(float(CWND_MAX), peer.cwnd + 1.0 / peer.cwnd)
+            self._drain(dst, peer)
+        if self.sim.trace_on and (pending or parked):
+            self._mark("settle", queues=True, dst=key[0], seq=key[1])
 
     # -- checkpoint/recovery ----------------------------------------------
 
@@ -1004,3 +1033,5 @@ class ReliableTransport:
                 self._admit(self._peer(dst))
             self._pending[(dst, seq)] = pending
             self._arm_timer(dst, seq, pending)
+        for dst in sorted({dst for dst, _seq in self._pending}):
+            self._mark("restore", queues=True, dst=dst)

@@ -151,6 +151,8 @@ class PrefetchEngine:
 
     def _prefetch_page(self, page_id: int) -> Generator:
         self.stats.issued += 1
+        if self.dsm.sim.trace_on:
+            self._mark("prefetch_page", page=page_id)
         costs = self.dsm.node.costs
         backend = self.dsm.backend
         if not backend.supports_diff_prefetch:
@@ -273,10 +275,11 @@ class PrefetchEngine:
         self._mark("prefetch_shed", page=page_id, writer=writer)
 
     def _mark(self, name: str, **args) -> None:
-        """Trace one loss-driven prefetch fact (throttled, shed, drop):
-        each follows a request the fabric refused or a peer under
-        pressure, so the emitter holds the tracer's guard; issues and
-        outcomes grow with the work and keep theirs at the site."""
+        """Trace one prefetch fact that carries no message.  It holds the
+        tracer's guard for the loss-driven ones (throttled, shed, drop),
+        each following a request the fabric refused or a peer under
+        pressure; pages taken up, issues and outcomes grow with the work
+        and keep theirs at the site."""
         if self.dsm.sim.trace_on:
             self.dsm.sim.trace.instant(
                 self.dsm.sim.now, "prefetch", name, self.dsm.node_id, **args

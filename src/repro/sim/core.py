@@ -21,11 +21,11 @@ cannot buy back —
   entries, preserving exact global (time, seq) ordering;
 - :class:`Event` and its subclasses are ``__slots__``-based, and
   ``triggered`` is a plain attribute rather than a property;
-- the run's tracer and telemetry sampler hang off the simulator
-  behind cached ``*_on`` booleans, so a disabled instrument costs one
-  attribute read per hook site.  Every other analysis plane (profile,
-  critical path, protocol sanitizer) reads the tracer's events after
-  the run and takes no hook of its own.
+- the run's tracer hangs off the simulator behind a cached
+  ``*_on`` boolean, so a disabled tracer costs one attribute read per
+  hook site.  Every analysis plane (profile, critical path,
+  telemetry, protocol sanitizer) reads the tracer's events after the
+  run and takes no hook of its own.
 """
 
 from __future__ import annotations
@@ -246,16 +246,15 @@ class Simulator:
     (time, sequence) order — a pure O(1) fast path for the kernel's most
     common scheduling pattern (process starts and same-tick callbacks).
 
-    The simulator also carries the run's tracer (``self.trace``) and
-    telemetry sampler: every layer owns a ``sim`` reference, so
-    attaching them here gives the whole stack an instrumentation point
-    without extra plumbing.  Each is paired with a cached ``*_on``
-    boolean (kept in sync by the property setters), so the shared null
-    defaults cost hook sites a single attribute read.
+    The simulator also carries the run's tracer (``self.trace``): every
+    layer owns a ``sim`` reference, so attaching it here gives the whole
+    stack an instrumentation point without extra plumbing.  It is paired
+    with a cached ``*_on`` boolean (kept in sync by the property
+    setter), so the shared null default costs hook sites a single
+    attribute read.  The run loop itself observes nothing.
     """
 
     def __init__(self) -> None:
-        from repro.telemetry.sampler import NULL_TELEMETRY  # deferred: keep sim dep-free
         from repro.trace.tracer import NULL_TRACER  # deferred: keep sim dep-free
 
         #: Current simulated time in microseconds (read-only for users).
@@ -265,13 +264,12 @@ class Simulator:
         self._sequence = itertools.count()
         self._handled = 0
         self.trace = NULL_TRACER
-        self.telemetry = NULL_TELEMETRY
         #: Live (spawned, not yet finished/cancelled) processes, in spawn
         #: order.  Powers group cancellation and the deadlock watchdog.
         self._processes: dict[int, Any] = {}
         self._process_ids = itertools.count()
 
-    # -- instrumentation attachment (cached enabled flags) ---------------
+    # -- instrumentation attachment (cached enabled flag) ----------------
 
     @property
     def trace(self):
@@ -281,15 +279,6 @@ class Simulator:
     def trace(self, tracer) -> None:
         self._trace = tracer
         self.trace_on = bool(tracer.enabled)
-
-    @property
-    def telemetry(self):
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, sampler) -> None:
-        self._telemetry = sampler
-        self.telemetry_on = bool(sampler.enabled)
 
     @property
     def events_handled(self) -> int:
@@ -403,14 +392,6 @@ class Simulator:
                     time, _seq, fn, args = pop(heap)
                     if time < self.now:
                         raise SimulationError("event heap produced a time in the past")
-                    # Sample telemetry windows *before* time advances
-                    # past their boundaries: a sample at boundary W must
-                    # see the world with every event before W executed
-                    # and none at/after W.  One cached-boolean check on
-                    # the heap path only — the _nowq fast path cannot
-                    # advance time.
-                    if self.telemetry_on and time >= self._telemetry.next_due:
-                        self._telemetry.advance_to(time)
                     self.now = time
                 else:
                     _seq, fn, args = nowq.popleft()

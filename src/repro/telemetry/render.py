@@ -56,22 +56,16 @@ def section_from_trace(trace: dict) -> Optional[dict]:
     """
     samples: dict[int, dict[str, list]] = {}
     peer_samples: dict[int, dict[str, dict[str, list]]] = {}
-    windows: list[float] = []
-    seen_ts: set[float] = set()
-    interval = None
+    #: Window boundaries in first-seen order (a dict keeps it).
+    seen: dict[float, None] = {}
     for event in trace["traceEvents"]:
-        if not isinstance(event, dict) or event.get("ph") != "C":
-            continue
-        if event.get("cat") != "telemetry":
+        if not isinstance(event, dict) or event.get("cat") != "telemetry":
             continue
         name = event.get("name")
         args = event.get("args")
-        if not isinstance(args, dict):
+        if event.get("ph") != "C" or not isinstance(args, dict):
             continue
-        ts = float(event["ts"])
-        if ts not in seen_ts:
-            seen_ts.add(ts)
-            windows.append(ts)
+        seen[float(event["ts"])] = None
         pid = int(event["pid"])
         if name in GAUGE_METRICS or name in DELTA_METRICS:
             samples.setdefault(pid, {}).setdefault(name, []).append(args["value"])
@@ -81,6 +75,7 @@ def section_from_trace(trace: dict) -> Optional[dict]:
                 by_peer = peer_samples.setdefault(pid, {})
                 for peer_key, value in args.items():
                     by_peer.setdefault(peer_key, {}).setdefault(metric, []).append(value)
+    windows = list(seen)
     if not windows:
         return None
     nodes: dict[str, dict] = {}
@@ -96,10 +91,13 @@ def section_from_trace(trace: dict) -> Optional[dict]:
                 key: peers[key] for key in sorted(peers, key=int)
             }
         nodes[str(pid)] = entry
+    other = trace.get("otherData", {})
     section = {
-        "version": int(trace.get("otherData", {}).get("telemetry_version", 1)),
-        "interval_us": interval if interval is not None else (
-            windows[1] - windows[0] if len(windows) > 1 else 0.0
+        "version": int(other.get("telemetry_version", 1)),
+        # Traces exported before the width was recorded: the first
+        # window's width, which is exact unless the run had one window.
+        "interval_us": other.get(
+            "telemetry_interval_us", windows[1] - windows[0] if len(windows) > 1 else 0.0
         ),
         "windows": windows,
         "nodes": nodes,
@@ -133,16 +131,8 @@ def _sparkline(values: list, width: int = 60) -> str:
 
 
 def _node_metrics(entry: dict) -> list[tuple[str, list]]:
-    rows: list[tuple[str, list]] = []
-    for name in GAUGE_METRICS:
-        series = entry.get("gauges", {}).get(name)
-        if series:
-            rows.append((name, series))
-    for name in DELTA_METRICS:
-        series = entry.get("deltas", {}).get(name)
-        if series:
-            rows.append((name, series))
-    return rows
+    series = {**entry.get("gauges", {}), **entry.get("deltas", {})}
+    return [(name, series[name]) for name in GAUGE_METRICS + DELTA_METRICS if series.get(name)]
 
 
 def render_text(section: dict, node: Optional[int] = None) -> str:
@@ -166,19 +156,13 @@ def render_text(section: dict, node: Optional[int] = None) -> str:
                 f"min {min(numeric):g} max {max(numeric):g} last {numeric[-1]:g}"
             )
         for peer_key in sorted(entry.get("peers", {}), key=int):
-            track = entry["peers"][peer_key]
-            cwnd = track.get("cwnd", [])
-            rto = track.get("rto_us", [])
-            if cwnd:
-                lines.append(
-                    f"  peer {peer_key} cwnd{' ':15s}{_sparkline(cwnd)}  "
-                    f"min {min(cwnd):g} last {cwnd[-1]:g}"
-                )
-            if rto:
-                lines.append(
-                    f"  peer {peer_key} rto_us{' ':13s}{_sparkline(rto)}  "
-                    f"max {max(rto):g} last {rto[-1]:g}"
-                )
+            for metric, label, extreme in (("cwnd", "min", min), ("rto_us", "max", max)):
+                series = entry["peers"][peer_key].get(metric)
+                if series:
+                    lines.append(
+                        f"  peer {peer_key} {metric:19s}{_sparkline(series)}  "
+                        f"{label} {extreme(series):g} last {series[-1]:g}"
+                    )
         epochs = entry.get("epochs", [])
         if epochs:
             worst = max(epochs, key=lambda e: e.get("stall_ratio", 0.0))

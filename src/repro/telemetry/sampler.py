@@ -1,25 +1,25 @@
-"""The sim-time flight recorder: deterministic windowed sampling.
+"""The sim-time flight recorder: windowed series folded from the trace.
 
-A :class:`TelemetrySampler` rides the simulation clock: every
-``interval_us`` of *simulated* time it snapshots gauges and counter
-deltas across the whole stack — scheduler occupancy, DSM protocol
-state, prefetch activity, and the adaptive transport's live estimator —
-into per-node time series.  The sampler is a pure observer (no RNG, no
-scheduling, no protocol mutation), so the simulation schedule and the
-RunReport core are byte-identical with it on or off; with it on, the
-series are identical across repeated runs and ``--jobs N``.
+:func:`section_from_events` reads a run's trace once, in stream order,
+and samples every ``interval_us`` of *simulated* time the gauges and
+counter deltas across the whole stack — scheduler occupancy, DSM
+protocol state, prefetch activity, and the adaptive transport's
+estimator — into per-node time series.  Like the profile and the
+critical path it is a reader of the trace: the simulator holds no
+telemetry hook, ``RunConfig(telemetry=...)`` records an in-memory trace
+for it, and the series are identical across repeated runs and
+``--jobs N``.
 
-Mechanically the sampler does **not** schedule events: a perpetual
-sampling process would keep the event heap alive forever.  Instead the
-:class:`~repro.sim.Simulator` run loop consults ``next_due`` whenever
-simulated time is about to advance (one cached-boolean check per heap
-pop, the same cost model as the tracer) and calls :meth:`advance_to`,
-which emits one sample per crossed window boundary.  A sample at
-boundary ``W`` covers ``[W - interval, W)``: every event strictly
-before ``W`` has executed, no event at or after ``W`` has.  The final
-(usually partial) window is flushed by :meth:`finalize` at end of run,
-so summing a delta series always reconciles exactly with the end-of-run
-counter totals.
+A sample at boundary ``W`` covers ``[W - interval, W)``: the state
+after every event that happened strictly before ``W`` and none at or
+after it.  The events carry what changes the state where it changes —
+a stall span says whether its memory stall counted as a remote miss,
+the write-notice instants carry the log's size, each change of the
+transport's queues carries the queues, and after a ``recover`` each
+layer traces what the rollback restored — so a window's values are the
+stream's, not an estimate.  The final (usually partial) window closes
+at the drained clock, so summing a delta series always reconciles
+exactly with the end-of-run counter totals.
 
 Series taxonomy (one list per metric per node, one entry per window):
 
@@ -33,24 +33,22 @@ Series taxonomy (one list per metric per node, one entry per window):
 - *peers* — per-destination adaptive estimator state (srtt, rttvar,
   rto, cwnd, in-flight, pacing backlog, parked), present only on
   adaptive runs.
-- *epochs* — per-barrier-episode stall/switch accounting, closed by the
-  barrier-release hook rather than the sampling clock.
+- *epochs* — per-barrier-episode stall/switch accounting, closed by each
+  node's barrier release (once it has woken its waiters) rather than the
+  sampling clock.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
-from repro.metrics.counters import Category
-from repro.threads.thread import ThreadState
+from repro.network.message import MessageKind
 
 __all__ = [
     "TelemetryConfig",
-    "TelemetrySampler",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
+    "section_from_events",
     "TELEMETRY_SCHEMA_VERSION",
     "GAUGE_METRICS",
     "DELTA_METRICS",
@@ -116,272 +114,245 @@ class TelemetryConfig:
     interval_us: float = 5_000.0
 
     def __post_init__(self) -> None:
-        if self.interval_us <= 0:
-            raise ConfigError(f"telemetry interval_us must be > 0, got {self.interval_us}")
-
-
-class _NodeSeries:
-    """Collected series for one node."""
-
-    __slots__ = ("gauges", "deltas", "peers", "epochs", "last")
-
-    def __init__(self) -> None:
-        self.gauges: dict[str, list] = {name: [] for name in GAUGE_METRICS}
-        self.deltas: dict[str, list] = {name: [] for name in DELTA_METRICS}
-        #: peer id (str) -> metric -> series.
-        self.peers: dict[str, dict[str, list]] = {}
-        self.epochs: list[dict] = []
-        #: Previous counter snapshot (dict metric -> value).
-        self.last: dict[str, int] = {name: 0 for name in DELTA_METRICS}
-
-
-class TelemetrySampler:
-    """Collects the time series; attach to a runtime, then to the sim."""
-
-    enabled = True
-
-    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
-        self.config = config or TelemetryConfig()
-        #: Next window boundary in simulated microseconds.  The run loop
-        #: checks this before every time advance.
-        self.next_due: float = self.config.interval_us
-        self._windows_done = 0
-        self._window_ts: list[float] = []
-        self._runtime = None
-        self._nodes: list[_NodeSeries] = []
-        self._net_last = {name: 0 for name in NETWORK_METRICS}
-        self._net_deltas: dict[str, list] = {name: [] for name in NETWORK_METRICS}
-        #: Per-node open barrier-epoch snapshot.
-        self._epoch_open: list[dict] = []
-        self._finalized: Optional[dict] = None
-
-    # -- wiring ----------------------------------------------------------
-
-    def attach(self, runtime) -> None:
-        """Bind to a DsmRuntime's nodes/schedulers/transports."""
-        self._runtime = runtime
-        count = runtime.config.num_nodes
-        self._nodes = [_NodeSeries() for _ in range(count)]
-        self._epoch_open = [
-            {"start": 0.0, "barrier": None, "stall0": 0.0, "switches0": 0, "busy0": 0.0}
-            for _ in range(count)
-        ]
-
-    # -- sampling --------------------------------------------------------
-
-    def advance_to(self, time: float) -> None:
-        """Emit one sample per window boundary in ``(last, time]``.
-
-        Called by the simulator run loop just before simulated time
-        advances past ``next_due``; events at exactly the boundary have
-        *not* run yet, so a window cleanly covers ``[W - interval, W)``.
-        """
-        interval = self.config.interval_us
-        while self.next_due <= time:
-            self._sample(self.next_due)
-            self._windows_done += 1
-            # Multiply, don't accumulate: repeated float addition would
-            # drift the boundaries across long runs.
-            self.next_due = interval * (self._windows_done + 1)
-
-    def _sample(self, boundary: float) -> None:
-        self._window_ts.append(boundary)
-        runtime = self._runtime
-        num_nodes = runtime.config.num_nodes
-        for node_id in range(num_nodes):
-            series = self._nodes[node_id]
-            scheduler = runtime.schedulers[node_id]
-            node = runtime.cluster.nodes[node_id]
-            dsm = runtime.dsm_nodes[node_id]
-            events = node.events
-            runnable = 0
-            blocked = 0
-            for thread in scheduler.threads:
-                state = thread.state
-                if state is ThreadState.BLOCKED:
-                    blocked += 1
-                elif state is ThreadState.READY or state is ThreadState.RUNNING:
-                    runnable += 1
-            gauges = series.gauges
-            gauges["sched.runnable"].append(runnable)
-            gauges["sched.blocked"].append(blocked)
-            gauges["sched.busy_us_total"].append(
-                round(node.breakdown.times[Category.BUSY], 6)
+        # The chained comparison is false for NaN too; an infinite width
+        # would close one window and is not standard JSON either.
+        if not 0 < self.interval_us < math.inf:
+            raise ConfigError(
+                f"telemetry interval_us must be finite and > 0, got {self.interval_us}"
             )
-            gauges["sched.stall_us_total"].append(
-                round(
-                    events.remote_miss_stall
-                    + events.remote_lock_stall
-                    + events.barrier_stall,
-                    6,
-                )
-            )
-            gauges["dsm.wn_backlog"].append(dsm.backend.wn_log.total())
-            gauges["dsm.diff_bytes_stored"].append(dsm.backend.diff_store.total_diff_bytes)
-            gauges["dsm.intervals"].append(dsm.backend.vc[dsm.node_id])
-            transport = node.transport
-            for name, value in transport.gauges().items():
-                gauges["transport." + name].append(value)
-            engine = None
-            if runtime.prefetch_engines:
-                engine = runtime.prefetch_engines[node_id]
-            current = {
-                "sched.ctx_switches": events.context_switches,
-                "mem.remote_misses": events.remote_misses,
-                "sync.lock_misses": events.remote_lock_misses,
-                "sync.barrier_waits": events.barrier_waits,
-                "dsm.faults": dsm.faults,
-                "dsm.diff_requests": dsm.diff_requests_served,
-                "transport.retransmissions": events.retransmissions,
-                "transport.timeouts": events.transport_timeouts,
-                "transport.paced": events.messages_paced,
-                "prefetch.issued": engine.stats.issued if engine else 0,
-                "prefetch.hits": engine.stats.hits if engine else 0,
-                "prefetch.shed": engine.stats.shed if engine else 0,
-            }
-            last = series.last
-            for name in DELTA_METRICS:
-                series.deltas[name].append(current[name] - last[name])
-            series.last = current
-            if transport.adaptive:
-                self._sample_peers(series, transport, node_id, num_nodes)
-        net = runtime.cluster.network.stats
-        current_net = {
-            "net.messages": net.total_messages,
-            "net.bytes": net.total_bytes,
-            "net.drops": net.total_drops,
-            "net.retransmits": net.total_retransmits,
+
+
+#: A peer's values before its first tracked send (``peer_gauges``'
+#: placeholders, nothing parked).
+_NO_PEER = (-1.0, 0.0, 0.0, 0.0, 0, 0, 0)
+#: The counter of each stall kind, in the order its stall accumulators
+#: (``remote_miss_stall``, ``remote_lock_stall``, ``barrier_stall``) add.
+_STALLS = {
+    "memory": "mem.remote_misses",
+    "lock": "sync.lock_misses",
+    "barrier": "sync.barrier_waits",
+}
+#: The events that move a sampled value, by name (each name belongs to
+#: one category): an instant that only counts maps to its counter.
+_ROUTES = {
+    "context_switch": "sched.ctx_switches",
+    "diff_serve": "dsm.diff_requests",
+    "transport_timeout": "transport.timeouts",
+    "transport_paced": "transport.paced",
+    "prefetch_page": "prefetch.issued",
+    "prefetch_hit": "prefetch.hits",
+    "prefetch_shed": "prefetch.shed",
+    "msg_drop": "net.drops",
+    "interval_close": "notices",
+    "write_notices": "notices",
+    "barrier_gather": "notices",
+    "busy": "busy",
+    "thread_exit": "thread_exit",
+    "page_fault": "page_fault",
+    "diff_create": "diff_create",
+    "lrc_restore": "notices",
+    "barrier_resume": "barrier_resume",
+    "retransmit": "retransmit",
+    "recover": "recover",
+    **{f"stall:{kind}": "stall" for kind in _STALLS},
+    **{f"msg:{kind.value}": "message" for kind in MessageKind},
+    **dict.fromkeys(
+        ("track", "settle", "cwnd_halved", "retries_exhausted", "unpark", "restore"), "queues"
+    ),
+}
+
+
+class _Node:
+    """One node's state after the events read so far, and its series."""
+
+    def __init__(self, peers: list[int]) -> None:
+        self.blocked = self.done = 0
+        self.busy = 0.0
+        self.stalls = dict.fromkeys(_STALLS, 0.0)
+        self.counts = dict.fromkeys(DELTA_METRICS, 0)
+        self.last = dict(self.counts)
+        #: The gauges events set outright, in GAUGE_METRICS order.
+        self.state = dict.fromkeys(GAUGE_METRICS[4:], 0)
+        self.peers = dict.fromkeys(peers, _NO_PEER)
+        #: (start, stall, switches, busy) when the open epoch began.
+        self.epoch = (0.0, 0.0, 0, 0.0)
+        #: [barrier, episode, wakes to go] of a release still waking.
+        self.releasing = None
+        self.series: dict = {
+            "gauges": {name: [] for name in GAUGE_METRICS},
+            "deltas": {name: [] for name in DELTA_METRICS},
         }
-        for name in NETWORK_METRICS:
-            self._net_deltas[name].append(current_net[name] - self._net_last[name])
-        self._net_last = current_net
+        if peers:
+            self.series["peers"] = {str(dst): {name: [] for name in PEER_METRICS} for dst in peers}
+        self.series["epochs"] = []
 
-    def _sample_peers(self, series, transport, node_id: int, num_nodes: int) -> None:
-        parked = transport.parked_by_peer()
-        for dst in range(num_nodes):
-            if dst == node_id:
-                continue
-            # Every peer's track opens at the first sample, so all of
-            # them stay window-aligned.
-            track = series.peers.get(str(dst))
-            if track is None:
-                track = series.peers[str(dst)] = {name: [] for name in PEER_METRICS}
-            # ``peer_gauges`` lists its values in PEER_METRICS order
-            # (its ``queued`` is our ``backlog``); ``parked`` comes last.
-            values = (*transport.peer_gauges(dst).values(), parked.get(dst, 0))
-            for name, value in zip(PEER_METRICS, values):
-                track[name].append(value)
+    def stall(self) -> float:
+        miss, lock, barrier = self.stalls.values()
+        return miss + lock + barrier
 
-    # -- barrier epochs --------------------------------------------------
-
-    def on_barrier_epoch(self, node_id: int, barrier_id: int, episode: int) -> None:
-        """Close the node's open epoch at a barrier release.
-
-        Called from the barrier subsystem's release path (behind the
-        sim's cached ``telemetry_on`` flag); pure observation.
-        """
-        self._close_epoch(node_id, self._runtime.cluster.sim.now, barrier_id, episode)
-
-    def _close_epoch(self, node_id: int, now: float, barrier_id, episode) -> None:
-        node = self._runtime.cluster.nodes[node_id]
-        events = node.events
-        open_ = self._epoch_open[node_id]
-        stall = (
-            events.remote_miss_stall + events.remote_lock_stall + events.barrier_stall
+    def sample(self, threads: int) -> None:
+        gauges = (
+            threads - self.blocked - self.done,
+            self.blocked,
+            round(self.busy, 6),
+            round(self.stall(), 6),
+            *self.state.values(),
         )
-        busy = node.breakdown.times[Category.BUSY]
-        duration = now - open_["start"]
-        record = {
-            "barrier": barrier_id,
-            "episode": episode,
-            "start_us": round(open_["start"], 6),
-            "end_us": round(now, 6),
-            "stall_us": round(stall - open_["stall0"], 6),
-            "switches": events.context_switches - open_["switches0"],
-            "busy_us": round(busy - open_["busy0"], 6),
-        }
-        if duration > 0:
-            record["stall_ratio"] = round((stall - open_["stall0"]) / duration, 6)
-            record["switch_rate_per_ms"] = round(
-                1000.0 * (events.context_switches - open_["switches0"]) / duration, 6
-            )
-        else:
-            record["stall_ratio"] = 0.0
-            record["switch_rate_per_ms"] = 0.0
-        self._nodes[node_id].epochs.append(record)
-        self._epoch_open[node_id] = {
-            "start": now,
-            "barrier": None,
-            "stall0": stall,
-            "switches0": events.context_switches,
-            "busy0": busy,
-        }
+        for series, value in zip(self.series["gauges"].values(), gauges):
+            series.append(value)
+        for name, value in self.counts.items():
+            self.series["deltas"][name].append(value - self.last[name])
+        self.last = dict(self.counts)
+        for dst, peer in self.peers.items():
+            for series, value in zip(self.series["peers"][str(dst)].values(), peer):
+                series.append(value)
 
-    # -- report section --------------------------------------------------
-
-    def finalize(self, wall: float) -> dict:
-        """Flush the tail window, grade the run, return the section.
-
-        Idempotent: repeated calls return the same dict (the runtime
-        builds the report once, but tests re-enter freely).
-        """
-        if self._finalized is not None:
-            return self._finalized
-        # The tail sample must cover everything through the *final*
-        # simulated instant, not just the last scheduler's finish time:
-        # trailing acks and timer pops after ``wall`` still move
-        # counters that the report totals include.  Sampling at the
-        # drained clock keeps the delta sums telescoping to the
-        # end-of-run totals with no gap.
-        tail = max(wall, self._runtime.cluster.sim.now)
-        self._sample(tail)
-        for node_id in range(len(self._nodes)):
-            self._close_epoch(node_id, tail, -1, -1)
-        nodes = {}
-        for node_id, series in enumerate(self._nodes):
-            entry: dict = {
-                "gauges": series.gauges,
-                "deltas": series.deltas,
+    def close_epoch(self, now: float, barrier: int, episode: int) -> None:
+        start, stall0, switches0, busy0 = self.epoch
+        stall, switches = self.stall(), self.counts["sched.ctx_switches"]
+        stalled, switched, duration = stall - stall0, switches - switches0, now - start
+        self.series["epochs"].append(
+            {
+                "barrier": barrier,
+                "episode": episode,
+                "start_us": round(start, 6),
+                "end_us": round(now, 6),
+                "stall_us": round(stalled, 6),
+                "switches": switched,
+                "busy_us": round(self.busy - busy0, 6),
+                "stall_ratio": round(stalled / duration, 6) if duration > 0 else 0.0,
+                "switch_rate_per_ms": (
+                    round(1000.0 * switched / duration, 6) if duration > 0 else 0.0
+                ),
             }
-            if series.peers:
-                entry["peers"] = {
-                    key: series.peers[key] for key in sorted(series.peers, key=int)
-                }
-            entry["epochs"] = series.epochs
-            nodes[str(node_id)] = entry
-        section = {
-            "version": TELEMETRY_SCHEMA_VERSION,
-            "interval_us": self.config.interval_us,
-            "windows": self._window_ts,
-            "nodes": nodes,
-            "network": {"deltas": self._net_deltas},
-        }
-        from repro.telemetry.watchdog import run_watchdogs
-
-        section["findings"] = run_watchdogs(section)
-        self._finalized = section
-        return section
+        )
+        self.epoch = (now, stall, switches, self.busy)
 
 
-class NullTelemetry:
-    """Shared no-op default: ``enabled`` is False, so the simulator's
-    cached ``telemetry_on`` flag keeps the run loop check to a single
-    attribute read."""
+def section_from_events(events, config, wall: float, end: float) -> dict:
+    """The ``telemetry`` report section of a run, folded from its trace.
 
-    enabled = False
-    config = TelemetryConfig()
-    #: Never due: the run loop's guard short-circuits on telemetry_on
-    #: before reading this, but keep it safe anyway.
-    next_due = float("inf")
+    ``config`` is the run's :class:`~repro.api.runtime.RunConfig`,
+    ``wall`` its wall time and ``end`` the simulated clock once drained.
+    An event happens at its timestamp, a cpu slice at its end (where
+    ``occupy`` charges it).  The tail window closes at ``max(wall,
+    end)``: trailing acks and timers after ``wall`` still move counters
+    the report totals include.
+    """
+    count, threads = config.num_nodes, config.threads_per_node
+    adaptive = config.transport.adaptive
+    nodes = [_Node([dst for dst in range(count) if dst != n and adaptive]) for n in range(count)]
+    # A stall blocks its thread exactly when the scheduler switches on
+    # it; otherwise the thread waits inline, still runnable.
+    blocks = dict.fromkeys(_STALLS, threads > 1 and config.policy.switch_on_sync)
+    blocks["memory"] = threads > 1 and config.policy.switch_on_memory
+    opened: dict = {}  # open stall spans: (node, tid) -> begin
+    net = dict.fromkeys(NETWORK_METRICS, 0)
+    last = dict(net)
+    network = {name: [] for name in NETWORK_METRICS}
+    windows: list[float] = []
+    interval = config.telemetry.interval_us
 
-    def advance_to(self, time: float) -> None:  # pragma: no cover - defensive
-        pass
+    def sample(boundary: float) -> None:
+        windows.append(boundary)
+        for node in nodes:
+            node.sample(threads)
+        for name, value in net.items():
+            network[name].append(value - last[name])
+        last.update(net)
 
-    def on_barrier_epoch(self, node_id, barrier_id, episode):  # pragma: no cover
-        pass
+    def advance(at: float) -> None:
+        # Multiply, don't accumulate: repeated float addition would
+        # drift the boundaries across long runs.
+        while interval * (len(windows) + 1) <= at:
+            sample(interval * (len(windows) + 1))
 
-    def finalize(self, wall: float) -> None:  # pragma: no cover - defensive
-        return None
+    for event in events:
+        route = _ROUTES.get(event.name)
+        if route is None:
+            continue
+        advance(event.ts + event.dur)
+        node, args = nodes[event.node], event.args
+        # Most frequent first: message spans, then queue changes.
+        if route == "message":
+            if event.ph == "b":  # the span's begin: the wire accepted it
+                net["net.messages"] += 1
+                net["net.bytes"] += args["bytes"]
+        elif route == "queues":
+            node.state.update(zip(GAUGE_METRICS[7:], args["gauges"]))
+            if node.peers:
+                node.peers[args["dst"]] = args["peer"]
+        elif route in node.counts:
+            node.counts[route] += 1
+        elif route in net:
+            net[route] += 1
+        elif route == "busy":
+            node.busy += event.dur
+        elif route == "stall":
+            kind = event.name[6:]
+            if event.ph == "B":
+                opened[event.node, event.tid] = event.ts
+                node.blocked += blocks[kind]
+                continue
+            begun = opened.pop((event.node, event.tid), None)
+            if begun is None:
+                continue  # closed by the restart after ``recover``: counts nothing
+            node.blocked -= blocks[kind]
+            if not args["miss"]:
+                continue  # a memory stall the prefetch heap or a shared fetch served
+            node.counts[_STALLS[kind]] += 1
+            node.stalls[kind] += event.ts - begun
+            # A barrier release closes the epoch once it has woken its
+            # waiters: each wake ends one barrier stall at its instant.
+            if kind == "barrier" and node.releasing is not None:
+                node.releasing[2] -= 1
+                if not node.releasing[2]:
+                    node.close_epoch(event.ts, *node.releasing[:2])
+                    node.releasing = None
+        elif route == "notices":
+            # The log's size after a change, with the interval count and
+            # the stored diff bytes when those changed too.
+            node.state["dsm.wn_backlog"] = args["backlog"]
+            if "index" in args:
+                node.state["dsm.intervals"] = args["index"]
+            if "stored" in args:
+                node.state["dsm.diff_bytes_stored"] = args["stored"]
+        elif route == "diff_create":
+            node.state["dsm.diff_bytes_stored"] += args["size"]
+        elif route == "page_fault" and event.ph == "b":
+            node.counts["dsm.faults"] += 1
+        elif route == "barrier_resume":
+            if args["waiters"]:
+                node.releasing = [args["barrier"], args["episode"], args["waiters"]]
+            else:
+                node.close_epoch(event.ts, args["barrier"], args["episode"])
+        elif route == "retransmit":
+            node.counts["transport.retransmissions"] += 1
+            net["net.retransmits"] += 1
+        elif route == "thread_exit":
+            node.done += 1
+        elif route == "recover":
+            # The rollback rebuilds every thread runnable and empties
+            # every queue; each transport and LRC log then traces what
+            # it restored (``restore``, ``lrc_restore``).
+            opened.clear()
+            for node in nodes:
+                node.blocked = node.done = 0
+                node.state.update(dict.fromkeys(GAUGE_METRICS[7:], 0))
+                node.peers = dict.fromkeys(node.peers, _NO_PEER)
+    advance(end)
+    tail = max(wall, end)
+    sample(tail)
+    for node in nodes:
+        node.close_epoch(tail, -1, -1)
+    section = {
+        "version": TELEMETRY_SCHEMA_VERSION,
+        "interval_us": interval,
+        "windows": windows,
+        "nodes": {str(index): node.series for index, node in enumerate(nodes)},
+        "network": {"deltas": network},
+    }
+    from repro.telemetry.watchdog import run_watchdogs
 
-
-NULL_TELEMETRY = NullTelemetry()
+    section["findings"] = run_watchdogs(section)
+    return section

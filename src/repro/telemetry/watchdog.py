@@ -29,6 +29,8 @@ flagged windows coalesce into one finding; findings are sorted by
 
 from __future__ import annotations
 
+import statistics
+
 __all__ = ["run_watchdogs"]
 
 #: cwnd values at or below this count as "at the floor" (the AIMD
@@ -73,39 +75,33 @@ def _coalesce(flags: list[bool], min_run: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _median(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _finding(monitor, node, ts, start, end, value, detail, peer=None):
-    record = {
-        "monitor": monitor,
-        "node": node,
-        "window_start": start,
-        "window_end": end,
-        "t_start_us": ts[start],
-        "t_end_us": ts[end],
-        "value": value,
-        "detail": detail,
-    }
-    if peer is not None:
-        record["peer"] = peer
-    return record
-
-
 def run_watchdogs(section: dict) -> list[dict]:
     """Grade a telemetry section; returns the (possibly empty) findings."""
     ts = section.get("windows") or []
-    if not ts:
-        return []
     findings: list[dict] = []
-    for node_key in sorted(section.get("nodes", {}), key=int):
+
+    def report(monitor, node, flags, min_run, value, detail, peer=None) -> None:
+        """One finding per coalesced run of flagged windows; ``value``
+        and ``detail`` are functions of the run's (start, end)."""
+        for start, end in _coalesce(flags, min_run):
+            record = {
+                "monitor": monitor,
+                "node": node,
+                "window_start": start,
+                "window_end": end,
+                "t_start_us": ts[start],
+                "t_end_us": ts[end],
+                "value": value(start, end),
+                "detail": detail(start, end),
+            }
+            if peer is not None:
+                record["peer"] = peer
+            findings.append(record)
+
+    def windowed(total: list) -> list:
+        return [value - before for before, value in zip([0.0, *total], total)]
+
+    for node_key in sorted(section.get("nodes", {}) if ts else (), key=int):
         node = int(node_key)
         entry = section["nodes"][node_key]
         gauges = entry.get("gauges", {})
@@ -114,115 +110,84 @@ def run_watchdogs(section: dict) -> list[dict]:
         # cwnd pinned at the AIMD floor for N consecutive windows.
         for peer_key in sorted(entry.get("peers", {}), key=int):
             cwnd = entry["peers"][peer_key].get("cwnd", [])
-            flags = [0.0 < value <= CWND_FLOOR for value in cwnd]
-            for start, end in _coalesce(flags, CWND_FLOOR_WINDOWS):
-                findings.append(
-                    _finding(
-                        "cwnd_pinned",
-                        node,
-                        ts,
-                        start,
-                        end,
-                        end - start + 1,
-                        f"cwnd <= {CWND_FLOOR:g} toward peer {peer_key} "
-                        f"for {end - start + 1} windows",
-                        peer=int(peer_key),
-                    )
-                )
+            report(
+                "cwnd_pinned",
+                node,
+                [0.0 < value <= CWND_FLOOR for value in cwnd],
+                CWND_FLOOR_WINDOWS,
+                lambda start, end: end - start + 1,
+                lambda start, end: (
+                    f"cwnd <= {CWND_FLOOR:g} toward peer {peer_key} for {end - start + 1} windows"
+                ),
+                peer=int(peer_key),
+            )
 
         # Monotone pacing-backlog growth: the queue is not draining.
         backlog = gauges.get("transport.backlog", [])
-        flags = [False] * len(backlog)
-        for index in range(1, len(backlog)):
-            flags[index] = backlog[index] > backlog[index - 1]
-        for start, end in _coalesce(flags, BACKLOG_GROWTH_WINDOWS):
-            findings.append(
-                _finding(
-                    "backlog_growth",
-                    node,
-                    ts,
-                    start,
-                    end,
-                    backlog[end],
-                    f"pacing backlog grew every window for "
-                    f"{end - start + 1} windows (now {backlog[end]})",
-                )
-            )
+        report(
+            "backlog_growth",
+            node,
+            [bool(i) and backlog[i] > backlog[i - 1] for i in range(len(backlog))],
+            BACKLOG_GROWTH_WINDOWS,
+            lambda start, end: backlog[end],
+            lambda start, end: (
+                f"pacing backlog grew every window for "
+                f"{end - start + 1} windows (now {backlog[end]})"
+            ),
+        )
 
         # Stall-ratio spikes vs the node's own median window.
-        stall_total = gauges.get("sched.stall_us_total", [])
-        stall_windows = [
-            stall_total[i] - (stall_total[i - 1] if i else 0.0)
-            for i in range(len(stall_total))
-        ]
-        median = _median([value for value in stall_windows if value > 0])
+        stall = windowed(gauges.get("sched.stall_us_total", []))
+        positive = [value for value in stall if value > 0]
+        median = statistics.median(positive) if positive else 0.0
         threshold = max(STALL_SPIKE_MIN_US, median * STALL_SPIKE_FACTOR)
-        flags = [value >= threshold and median > 0 for value in stall_windows]
-        for start, end in _coalesce(flags, 1):
-            peak = max(stall_windows[start : end + 1])
-            findings.append(
-                _finding(
-                    "stall_spike",
-                    node,
-                    ts,
-                    start,
-                    end,
-                    round(peak, 3),
-                    f"window stall {peak:.0f} us vs median {median:.0f} us "
-                    f"(threshold {threshold:.0f} us)",
-                )
-            )
+        report(
+            "stall_spike",
+            node,
+            [value >= threshold and median > 0 for value in stall],
+            1,
+            lambda start, end: round(max(stall[start : end + 1]), 3),
+            lambda start, end: (
+                f"window stall {max(stall[start : end + 1]):.0f} us vs median "
+                f"{median:.0f} us (threshold {threshold:.0f} us)"
+            ),
+        )
 
         # Prefetch-shed storms.
         shed = deltas.get("prefetch.shed", [])
-        flags = [value >= SHED_STORM for value in shed]
-        for start, end in _coalesce(flags, 1):
-            peak = max(shed[start : end + 1])
-            findings.append(
-                _finding(
-                    "shed_storm",
-                    node,
-                    ts,
-                    start,
-                    end,
-                    peak,
-                    f"{peak} prefetches shed in one window "
-                    f"(storm threshold {SHED_STORM})",
-                )
-            )
+        report(
+            "shed_storm",
+            node,
+            [value >= SHED_STORM for value in shed],
+            1,
+            lambda start, end: max(shed[start : end + 1]),
+            lambda start, end: (
+                f"{max(shed[start : end + 1])} prefetches shed in one window "
+                f"(storm threshold {SHED_STORM})"
+            ),
+        )
 
         # Zero-progress windows: no busy time while the transport churns.
-        busy_total = gauges.get("sched.busy_us_total", [])
-        busy_windows = [
-            busy_total[i] - (busy_total[i - 1] if i else 0.0)
-            for i in range(len(busy_total))
-        ]
+        busy = windowed(gauges.get("sched.busy_us_total", []))
         timeouts = deltas.get("transport.timeouts", [])
         rexmits = deltas.get("transport.retransmissions", [])
-        flags = [
-            busy_windows[i] <= 0
-            and (
-                (timeouts[i] if i < len(timeouts) else 0)
-                + (rexmits[i] if i < len(rexmits) else 0)
-            )
-            > 0
-            for i in range(len(busy_windows))
+        churn = [
+            (timeouts[i] if i < len(timeouts) else 0) + (rexmits[i] if i < len(rexmits) else 0)
+            for i in range(len(busy))
         ]
-        for start, end in _coalesce(flags, ZERO_PROGRESS_WINDOWS):
-            churn = sum(timeouts[start : end + 1]) + sum(rexmits[start : end + 1])
-            findings.append(
-                _finding(
-                    "zero_progress",
-                    node,
-                    ts,
-                    start,
-                    end,
-                    end - start + 1,
-                    f"no busy progress for {end - start + 1} windows while the "
-                    f"transport timed out/retransmitted {churn} times — "
-                    f"livelock evidence",
-                )
-            )
+        report(
+            "zero_progress",
+            node,
+            [busy[i] <= 0 and churn[i] > 0 for i in range(len(busy))],
+            ZERO_PROGRESS_WINDOWS,
+            lambda start, end: end - start + 1,
+            lambda start, end: (
+                f"no busy progress for {end - start + 1} windows while the transport "
+                f"timed out/retransmitted "
+                f"{sum(timeouts[start : end + 1]) + sum(rexmits[start : end + 1])} times "
+                f"— livelock evidence"
+            ),
+        )
     findings.sort(
         key=lambda f: (f["monitor"], f["node"], f.get("peer", -1), f["window_start"])
     )

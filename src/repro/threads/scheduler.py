@@ -138,7 +138,8 @@ class NodeScheduler:
         """
         # Close the stall spans the discarded threads left open (their
         # wake callbacks will never fire), so exported traces keep
-        # balanced begin/end pairs.  None is open unless tracing is on.
+        # balanced begin/end pairs.  None is open unless tracing is on,
+        # and these ends count nothing.
         # These ends follow the rollback's ``recover`` instant, and the
         # profile never samples a stall still open there.
         for kind, tid in list(self._open_stalls):
@@ -217,19 +218,21 @@ class NodeScheduler:
 
     def _end_stall(
         self, thread: DsmThread, kind: StallKind, started: float, event: Optional[Event] = None
-    ) -> None:
+    ) -> bool:
+        """Count the stall that ends now; False for a memory stall that
+        was no remote miss (the closing trace span says which)."""
         stall = self.node.sim.now - started
         events = self.node.events
         if kind is StallKind.MEMORY:
             if event is not None and not getattr(event, "needed_remote", False):
                 # Satisfied locally (prefetch heap): a fault, not a miss.
                 events.cache_faults += 1
-                return
+                return False
             if event is not None and getattr(event, "miss_counted", False):
                 # Several local threads sharing one fetch (request
                 # combining) are ONE remote miss, as in the paper's
                 # Table 2 accounting.
-                return
+                return False
             if event is not None:
                 event.miss_counted = True
             events.remote_misses += 1
@@ -240,31 +243,32 @@ class NodeScheduler:
         else:
             events.barrier_waits += 1
             events.barrier_stall += stall
+        return True
 
-    def _trace_stall(self, begin: bool, kind: StallKind, tid: int) -> None:
+    def _trace_stall(self, begin: bool, kind: StallKind, tid: int, **args) -> None:
         """Open or close thread ``tid``'s ``stall:<kind>`` span, keeping
-        ``_open_stalls`` in step (callers hold the tracer's guard)."""
+        ``_open_stalls`` in step; the tracer's guard for all of them."""
         sim = self.node.sim
+        if not sim.trace_on:
+            return
         emit, track = (
             (sim.trace.begin, self._open_stalls.append)
             if begin
             else (sim.trace.end, self._open_stalls.remove)
         )
-        emit(sim.now, "sched", f"stall:{kind.value}", self.node.node_id, tid=tid)
+        emit(sim.now, "sched", f"stall:{kind.value}", self.node.node_id, tid=tid, **args)
         track((kind, tid))
 
     def _block(self, thread: DsmThread, request: WaitRequest) -> None:
         self._begin_stall(thread)
         thread.block(request.event, request.kind, self.node.sim.now)
-        if self.node.sim.trace_on:
-            self._trace_stall(True, request.kind, thread.tid)
+        self._trace_stall(True, request.kind, thread.tid)
 
         def on_wake(_event: Event) -> None:
             started = thread.block_start
             thread.unblock()
-            self._end_stall(thread, request.kind, started, request.event)
-            if self.node.sim.trace_on:
-                self._trace_stall(False, request.kind, thread.tid)
+            miss = self._end_stall(thread, request.kind, started, request.event)
+            self._trace_stall(False, request.kind, thread.tid, miss=miss)
             if self._ready_signal is not None and not self._ready_signal.triggered:
                 self._last_woken = thread
                 self._ready_signal.succeed(None)
@@ -277,12 +281,10 @@ class NodeScheduler:
         sim = self.node.sim
         t_start = sim.now
         charged_start = self.node.breakdown.charged_cpu
-        if sim.trace_on:
-            self._trace_stall(True, request.kind, thread.tid)
+        self._trace_stall(True, request.kind, thread.tid)
         yield request.event
-        self._end_stall(thread, request.kind, t_start, request.event)
-        if sim.trace_on:
-            self._trace_stall(False, request.kind, thread.tid)
+        miss = self._end_stall(thread, request.kind, t_start, request.event)
+        self._trace_stall(False, request.kind, thread.tid, miss=miss)
         self._charge_idle(t_start, charged_start, request.kind)
 
     def _should_switch(self, kind: StallKind) -> bool:
@@ -333,6 +335,10 @@ class NodeScheduler:
                     op = thread.body.send(thread.pending_value)
                 except StopIteration:
                     thread.state = ThreadState.DONE
+                    sim = self.node.sim
+                    if sim.trace_on:
+                        node_id = self.node.node_id
+                        sim.trace.instant(sim.now, "sched", "thread_exit", node_id, tid=thread.tid)
                     return
                 thread.pending_value = None
                 continuation = self._execute(thread, op)

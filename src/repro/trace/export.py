@@ -66,23 +66,9 @@ def _telemetry_rows(
     for node_key, entry in section.get("nodes", {}).items():
         pid = int(node_key)
         threads.setdefault((pid, TELEMETRY_TID), "telemetry")
-        for name in GAUGE_METRICS:
-            series = entry.get("gauges", {}).get(name, [])
-            for ts, value in zip(windows, series):
-                rows.append(
-                    {
-                        "name": name,
-                        "cat": "telemetry",
-                        "ph": "C",
-                        "ts": ts,
-                        "pid": pid,
-                        "tid": TELEMETRY_TID,
-                        "args": {"value": value},
-                    }
-                )
-        for name in DELTA_METRICS:
-            series = entry.get("deltas", {}).get(name, [])
-            for ts, value in zip(windows, series):
+        series_by_name = {**entry.get("gauges", {}), **entry.get("deltas", {})}
+        for name in GAUGE_METRICS + DELTA_METRICS:
+            for ts, value in zip(windows, series_by_name.get(name, [])):
                 rows.append(
                     {
                         "name": name,
@@ -131,8 +117,9 @@ def chrome_trace(
     cross-node hops become ``s``/``f`` flow events linking the tracks,
     so Perfetto draws the critical path as arrows through the run.
     ``telemetry`` is a telemetry report section
-    (``repro.telemetry.TelemetrySampler.finalize``): its windowed
-    series become counter tracks overlaid on the same timeline.
+    (``repro.telemetry.section_from_events``): its windowed series
+    become counter tracks overlaid on the same timeline, and its
+    version and window width go to ``otherData``.
     """
     rows: list[dict[str, Any]] = []
     #: (pid, tid) -> thread name, discovered from the event stream.
@@ -237,6 +224,7 @@ def chrome_trace(
     other: dict[str, Any] = {"producer": "repro.trace", "time_unit": "us"}
     if telemetry is not None:
         other["telemetry_version"] = telemetry.get("version", 1)
+        other["telemetry_interval_us"] = telemetry["interval_us"]
     return {
         "traceEvents": meta + rows,
         "displayTimeUnit": "ms",

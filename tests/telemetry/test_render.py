@@ -61,6 +61,20 @@ def test_trace_round_trips_series_and_findings(traced_run):
         assert rebuilt["nodes"][node_key]["deltas"] == entry["deltas"]
     # Identical series re-grade to identical findings.
     assert rebuilt["findings"] == original["findings"]
+    assert rebuilt["interval_us"] == original["interval_us"]
+
+
+def test_one_window_trace_keeps_its_interval():
+    """The window width rides ``otherData``: a run that fits in one
+    window has no second boundary to infer it from."""
+    runtime = DsmRuntime(
+        RunConfig(num_nodes=2, telemetry=TelemetryConfig(interval_us=1e9))
+    )
+    report = runtime.execute(Sor(rows=24, cols=24, iterations=2))
+    assert len(report.telemetry["windows"]) == 1
+    trace = runtime.tracer.chrome_trace(telemetry=report.telemetry)
+    assert trace["otherData"]["telemetry_interval_us"] == 1e9
+    assert section_from_trace(trace)["interval_us"] == 1e9
 
 
 def test_render_text_and_html_cover_the_section(traced_run):

@@ -1,10 +1,10 @@
 """The flight recorder's house invariants.
 
-Telemetry off must be free (reports byte-identical to a build that has
-never heard of the plane); telemetry on must be a pure observer (the
-report core unchanged, the series identical across repeats and job
-counts) whose integer delta series reconcile *exactly* with the
-end-of-run counter totals.
+Telemetry is a fold over the run's trace: off, it adds nothing to the
+report; on, it only turns event collection on (the report core
+unchanged, the series identical across repeats, job counts and whichever
+other planes share the tracer), and its integer delta series reconcile
+*exactly* with the end-of-run counter totals.
 """
 
 import json
@@ -49,6 +49,12 @@ def test_config_rejects_nonpositive_interval():
         TelemetryConfig(interval_us=-5.0)
 
 
+@pytest.mark.parametrize("width", [float("nan"), float("inf")])
+def test_config_rejects_nan_and_infinite_interval(width):
+    with pytest.raises(ConfigError):
+        TelemetryConfig(interval_us=width)
+
+
 def test_runconfig_coerces_bool_telemetry():
     assert RunConfig(num_nodes=2, telemetry=True).telemetry == TelemetryConfig()
     assert RunConfig(num_nodes=2, telemetry=False).telemetry is None
@@ -56,14 +62,17 @@ def test_runconfig_coerces_bool_telemetry():
         RunConfig(num_nodes=2, telemetry="yes")
 
 
-def test_disabled_run_has_no_section_and_null_sampler():
+def test_disabled_run_has_no_section_and_telemetry_alone_traces():
     runtime = DsmRuntime(RunConfig(num_nodes=2))
-    assert runtime.cluster.sim.telemetry_on is False
+    assert runtime.tracer.enabled is False
     report = runtime.execute(Sor(rows=24, cols=24, iterations=2))
     assert report.telemetry is None
+    # The section is folded from the events, so asking for it alone
+    # records them.
+    assert DsmRuntime(RunConfig(num_nodes=2, telemetry=True)).tracer.enabled is True
 
 
-def test_report_core_byte_identical_with_telemetry_on_or_off():
+def test_report_core_byte_identical_with_or_without_telemetry():
     """The plane is a pure observer: apart from the telemetry section
     itself, the on/off reports serialize identically."""
     on = run_sor(telemetry=TelemetryConfig(interval_us=2000.0)).to_dict()
@@ -77,6 +86,15 @@ def test_series_identical_across_repeats(sampled):
     _runtime, first = sampled
     second = run_sor(telemetry=TelemetryConfig(interval_us=2000.0))
     assert first.to_json() == second.to_json()
+    # The other planes share the tracer and add no event of their own.
+    every_plane = run_sor(
+        telemetry=TelemetryConfig(interval_us=2000.0),
+        trace=True,
+        profile=True,
+        critpath=True,
+        sanitizer=True,
+    )
+    assert every_plane.telemetry == first.telemetry
 
 
 def test_window_boundaries_are_monotone_multiples(sampled):
