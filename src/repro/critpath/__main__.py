@@ -17,21 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
-
 from repro.critpath.analyze import analyze_events
 from repro.critpath.format import format_critpath
+from repro.trace.tracer import TraceEvent
 
 __all__ = ["main", "load_trace"]
 
 
-def load_trace(path: str) -> tuple[list[dict[str, Any]], int]:
-    """Read a trace file; returns (event rows, events_dropped).
+def load_trace(path: str) -> tuple[list[TraceEvent], int]:
+    """Read a trace file; returns (its events, events_dropped).
 
-    Chrome trace rows carry the node id as ``pid`` and may include
-    metadata (``ph == "M"``) rows; both are normalized here.  The Chrome
-    exporter sorts by timestamp with a stable sort, which preserves the
-    equal-timestamp emission order the PAG builder relies on.
+    Each row becomes a :class:`~repro.trace.TraceEvent` here, once.  A
+    Chrome row names its node ``pid`` (its ``tid`` is a track, not a
+    thread), and the metadata (``ph == "M"``) rows are skipped.  The
+    Chrome exporter sorts by timestamp with a stable sort, which
+    preserves the equal-timestamp emission order the PAG builder relies
+    on.
     """
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
@@ -43,18 +44,15 @@ def load_trace(path: str) -> tuple[list[dict[str, Any]], int]:
         # A pretty-printed Chrome file splits its object across lines.
         is_jsonl = False
     if is_jsonl:
-        rows = [json.loads(line) for line in [first, *rest.splitlines()] if line.strip()]
-        return rows, 0
+        lines = [first, *rest.splitlines()]
+        return [TraceEvent.from_row(json.loads(line)) for line in lines if line.strip()], 0
     doc = json.loads(first + rest)
-    rows = []
-    for row in doc.get("traceEvents", []):
-        if row.get("ph") == "M":
-            continue
-        if "node" not in row:
-            row = dict(row, node=row.get("pid", 0))
-        rows.append(row)
-    dropped = int((doc.get("otherData") or {}).get("events_dropped", 0))
-    return rows, dropped
+    events = [
+        TraceEvent.from_row(dict(row, node=row.get("pid", 0), tid=None))
+        for row in doc.get("traceEvents", [])
+        if row.get("ph") != "M"
+    ]
+    return events, int((doc.get("otherData") or {}).get("events_dropped", 0))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,20 +68,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        rows, dropped = load_trace(args.trace)
+        events, dropped = load_trace(args.trace)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
         return 2
-    if not rows:
+    if not events:
         print(f"error: {args.trace!r} contains no trace events", file=sys.stderr)
         return 2
 
-    result = analyze_events(rows, events_dropped=dropped)
+    result = analyze_events(events, events_dropped=dropped)
     section = result.to_dict()
     print(format_critpath(section, label=args.trace))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(section, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         print(f"\nreport written to {args.json}")
     return 0 if section["identity_exact"] else 1
 

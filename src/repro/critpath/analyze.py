@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.critpath.pag import ProgramActivityGraph, Slice, WireEdge, build_pag
 from repro.critpath.ticks import TickScale
+from repro.trace.tracer import TraceEvent
 
 __all__ = ["PathSegment", "CritpathResult", "analyze_events", "analyze_pag"]
 
@@ -511,7 +512,7 @@ def _contiguous(segments: list[PathSegment], wall: float) -> bool:
 
 
 def analyze_events(
-    events: Iterable[Any], events_dropped: int = 0
+    events: Iterable[TraceEvent], events_dropped: int = 0
 ) -> CritpathResult:
-    """Build the PAG from trace events (or JSONL rows) and analyze it."""
+    """Build the PAG from trace events and analyze it."""
     return analyze_pag(build_pag(events, events_dropped=events_dropped))

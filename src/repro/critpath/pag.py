@@ -30,9 +30,13 @@ deliberately NOT part of the occupancy chain: they are emitted per
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Optional
+
+from repro.trace.tracer import TraceEvent
 
 __all__ = [
     "IDLE_NAMES",
@@ -184,66 +188,58 @@ def _entity_of(args: dict) -> Optional[str]:
     return None
 
 
-def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivityGraph:
-    """Rebuild the PAG from trace events (objects or JSONL dict rows).
+def build_pag(events: Iterable[TraceEvent], events_dropped: int = 0) -> ProgramActivityGraph:
+    """Rebuild the PAG from trace events (a file's rows become events in
+    :func:`repro.critpath.__main__.load_trace`).
 
     One pass in stream order (the tracer appends in simulation order,
-    which every exactness argument leans on), then a per-node
-    classification sweep for fault-service attribution.
+    which every exactness argument leans on), then a per-node sweep over
+    the start-sorted chain and fault intervals for fault-service
+    attribution.
     """
     pag = ProgramActivityGraph(events_dropped=events_dropped)
-    #: message id -> partially built record.
-    recs: dict[str, dict[str, Any]] = {}
+    #: message id -> (kind, src, send_ts) of its latest begin.
+    sends: dict[str, tuple[str, Any, float]] = {}
     labels: dict[str, str] = {}
     retransmit_ids: set[str] = set()
-    #: per-node open page faults: id -> (start, page).
-    open_faults: dict[int, dict[str, tuple[float, Any]]] = {}
-    #: per-node closed fault intervals (start, end, page).
+    #: open page faults: (node, fault id) -> (start, page).
+    open_faults: dict[tuple[int, str], tuple[float, Any]] = {}
+    #: per-node fault intervals (start, end, page), in the order they closed.
     faults: dict[int, list[tuple[float, float, Any]]] = {}
     deliveries: list[tuple[int, float, str]] = []
     max_node = -1
 
-    for ev in events:
-        if isinstance(ev, dict):  # a JSONL row: absent keys take the defaults
-            get = ev.get
-            ph, name, cat = get("ph"), get("name"), get("cat")
-            node, ts, dur = get("node", 0), get("ts", 0.0), get("dur", 0.0)
-            eid, args = get("id"), get("args") or {}
-        else:  # a TraceEvent
-            ph, name, cat = ev.ph, ev.name, ev.cat
-            node, ts, dur = ev.node, ev.ts, ev.dur
-            eid, args = ev.id, ev.args or {}
+    for ts, ph, cat, name, node, _tid, dur, eid, args in events:
         if node > max_node:
             max_node = node
         if ph == "X" and cat == "cpu":
             if name in IDLE_NAMES:
                 pag.idle_us[node] = pag.idle_us.get(node, 0.0) + dur
-                continue
-            chain = pag.slices.setdefault(node, [])
-            chain.append(
-                Slice(ts, ts + dur, name, SLICE_CATEGORY.get(name, "cpu"))
-            )
-        elif ph == "b" and cat == "network" and name.startswith("msg:"):
-            rec = recs.setdefault(eid, {})
-            rec.update(
-                kind=name[4:], src=node, send=ts,
-                dst=args.get("dst"), seq=args.get("seq", -1),
-            )
-            seq = args.get("seq", -1)
-            if seq is not None and seq >= 0 and args.get("dst") is not None:
-                insort(pag.sends_by_key.setdefault((node, args["dst"], seq), []), ts)
-        elif ph == "e" and cat == "network" and name.startswith("msg:"):
-            rec = recs.setdefault(eid, {})
-            rec.setdefault("kind", name[4:])
-            rec["deliver"] = ts
-            rec["dst"] = node
-            if "send" not in rec:
+            else:
+                pag.slices.setdefault(node, []).append(
+                    Slice(ts, ts + dur, name, SLICE_CATEGORY.get(name, "cpu"))
+                )
+            continue
+        args = args or {}
+        if ph == "b":
+            if name == "page_fault":
+                open_faults[node, eid] = (ts, args.get("page"))
+            elif cat == "network" and name.startswith("msg:"):
+                sends[eid] = (name[4:], node, ts)
+                seq, dst = args.get("seq", -1), args.get("dst")
+                if seq is not None and seq >= 0 and dst is not None:
+                    insort(pag.sends_by_key.setdefault((node, dst, seq), []), ts)
+        elif ph == "e":
+            if name == "page_fault":
+                opened = open_faults.pop((node, eid), None)
+                if opened is not None:
+                    faults.setdefault(node, []).append((opened[0], ts, opened[1]))
+            elif cat == "network" and name.startswith("msg:"):
                 # A truncated trace lost the begin; fall back to the
                 # redundant sent_at/src stamped on the end event.
-                if "sent_at" in args and args["sent_at"] >= 0 and "src" in args:
-                    rec["send"] = args["sent_at"]
-                    rec["src"] = args["src"]
-            deliveries.append((node, ts, eid))
+                if eid not in sends and args.get("sent_at", -1) >= 0 and "src" in args:
+                    sends[eid] = (name[4:], args["src"], args["sent_at"])
+                deliveries.append((node, ts, eid))
         elif ph == "i":
             if name == "pag_edge":
                 entity = _entity_of(args)
@@ -262,75 +258,52 @@ def build_pag(events: Iterable[Any], events_dropped: int = 0) -> ProgramActivity
                 prev = pag.finish_ts.get(node)
                 if prev is None or ts > prev:
                     pag.finish_ts[node] = ts
-        elif ph == "b" and name == "page_fault":
-            open_faults.setdefault(node, {})[eid] = (ts, args.get("page"))
-        elif ph == "e" and name == "page_fault":
-            opened = open_faults.get(node, {}).pop(eid, None)
-            if opened is not None:
-                faults.setdefault(node, []).append((opened[0], ts, opened[1]))
 
     # Faults still open at the end of the trace extend to +inf.
-    for node, pending in open_faults.items():
-        for start, page in pending.values():
-            faults.setdefault(node, []).append((start, float("inf"), page))
+    for (node, _eid), (start, page) in open_faults.items():
+        faults.setdefault(node, []).append((start, math.inf, page))
+    pag.num_nodes = max_node + 1
 
-    pag.num_nodes = max_node + 1 if max_node >= 0 else 0
-
-    # -- per-node classification sweep ------------------------------------
+    # -- per-node sweep -----------------------------------------------------
     for node, chain in pag.slices.items():
-        chain.sort(key=lambda s: (s.start, s.end))
-        prev_end = None
+        chain.sort(key=attrgetter("start", "end"))
+        # A dsm charge that starts while a local page fault is open
+        # (start <= slice.start <= end) is fault *service* and inherits
+        # the page of the innermost such fault: the latest opened, and
+        # of faults opened at one instant the last in ``faults`` order.
+        # ``active`` stacks the opened faults in that order, and a closed
+        # one on top is popped: with starts sorted, it covers no later slice.
+        intervals = sorted(faults.get(node, ()), key=itemgetter(0))
+        active: list[tuple[float, float, Any]] = []
+        opened = 0
+        prev_end = -math.inf
         for sl in chain:
-            if prev_end is not None and sl.start < prev_end:
-                pag.overlap_us += min(prev_end, sl.end) - sl.start
-            prev_end = sl.end if prev_end is None else max(prev_end, sl.end)
-        # Merge fault intervals with slice starts: a dsm charge that
-        # runs while a local page fault is open is fault *service* and
-        # inherits the page entity (innermost fault wins).
-        intervals = sorted(faults.get(node, []), key=lambda iv: iv[0])
-        if intervals:
-            marks: list[tuple[float, int, tuple]] = []
-            for iv in intervals:
-                marks.append((iv[0], 0, iv))  # open before same-ts slices
-                marks.append((iv[1], 2, iv))  # close after same-ts slices
-            for idx, sl in enumerate(chain):
-                marks.append((sl.start, 1, (idx,)))
-            marks.sort(key=lambda m: (m[0], m[1]))
-            active: list[tuple] = []
-            for _ts, order, payload in marks:
-                if order == 0:
-                    active.append(payload)
-                elif order == 2:
-                    try:
-                        active.remove(payload)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                else:
-                    sl = chain[payload[0]]
-                    if sl.name == "dsm_overhead" and active:
-                        sl.category = "fault_service"
-                        page = active[-1][2]
-                        if page is not None:
-                            sl.entity = f"page:{page}"
+            start = sl.start
+            if start < prev_end:
+                pag.overlap_us += min(prev_end, sl.end) - start
+            prev_end = max(prev_end, sl.end)
+            while opened < len(intervals) and intervals[opened][0] <= start:
+                active.append(intervals[opened])
+                opened += 1
+            while active and active[-1][1] < start:
+                active.pop()
+            if active and sl.name == "dsm_overhead":
+                sl.category = "fault_service"
+                page = active[-1][2]
+                if page is not None:
+                    sl.entity = f"page:{page}"
         pag.starts[node] = [sl.start for sl in chain]
         pag.ends_index[node] = {sl.end: i for i, sl in enumerate(chain)}
 
     # -- finalize wire edges ----------------------------------------------
     for node, ts, mid in deliveries:
-        rec = recs[mid]
-        if "send" not in rec or rec.get("src") is None:
+        sent = sends.get(mid)
+        if sent is None or sent[1] is None:
             pag.dangling_arrivals += 1
             continue
-        kind = rec["kind"]
-        if mid in retransmit_ids:
-            category = "retransmit"
-        else:
-            category = WIRE_CATEGORY.get(kind, "network")
-        wire = WireEdge(
-            msg=mid, kind=kind, src=rec["src"], dst=node,
-            send_ts=rec["send"], deliver_ts=ts,
-            category=category, entity=labels.get(mid),
-        )
+        kind, src, send_ts = sent
+        category = "retransmit" if mid in retransmit_ids else WIRE_CATEGORY.get(kind, "network")
+        wire = WireEdge(mid, kind, src, node, send_ts, ts, category, labels.get(mid))
         pag.wires.append(wire)
         pag.arrivals.setdefault(node, {}).setdefault(ts, []).append(wire)
 

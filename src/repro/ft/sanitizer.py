@@ -378,6 +378,15 @@ class ProtocolSanitizer:
         self.note(-1, "rollback", f"ceilings reset to {self._created}")
 
 
+#: Every name a branch of :func:`check_events` reads (a new branch adds
+#: its name here); the fold drops every other event before it reads ``args``.
+_READS = frozenset(
+    ("interval_close", "write_notices", "twin_create", "diff_admit", "diff_create",
+     "home_update", "page_serve", "sc_txn", "sc_invalidate", "sc_dir_start", "sc_dir_end",
+     "sc_restore", "barrier_gather", "checkpoint", "recover")
+)
+
+
 def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -> None:
     """Fold a run's trace events, in stream order, through the checks;
     raise the first violation's :class:`~repro.errors.ProtocolError`.
@@ -395,7 +404,10 @@ def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -
     san = ProtocolSanitizer(num_nodes, protocol)
     txns: dict = {}  # open requester transactions: sc_txn id -> (page, mode)
     for event in events:
-        name, node, args = event.name, event.node, event.args or {}
+        if event.name not in _READS:
+            continue
+        _ts, ph, cat, name, node, _tid, _dur, eid, args = event
+        args = args or {}
         if name == "interval_close":
             san.on_interval_closed(node, args["index"])
         elif name == "write_notices":
@@ -420,10 +432,10 @@ def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -
             san.on_home_update(node, args["page"], args["home"])
         elif name == "page_serve" and "home" in args:
             san.on_page_served(node, args["page"], args["home"], args["covers"])
-        elif name == "sc_txn" and event.ph == "b":
-            txns[event.id] = (args["page"], args["mode"])
+        elif name == "sc_txn" and ph == "b":
+            txns[eid] = (args["page"], args["mode"])
         elif name == "sc_txn":
-            san.on_sc_install(node, *txns.pop(event.id))
+            san.on_sc_install(node, *txns.pop(eid))
         elif name == "sc_invalidate":
             san.on_sc_invalidate(node, args["page"])
         elif name == "sc_dir_start":
@@ -434,7 +446,7 @@ def check_events(events: Iterable[Any], num_nodes: int, protocol: str = "lrc") -
             san.on_sc_restore(node, args["invalid"])
         elif name == "barrier_gather":
             san.on_barrier_gather(args["barrier"], args["episode"], args["src"])
-        elif name == "checkpoint" and event.cat == "ft":
+        elif name == "checkpoint" and cat == "ft":
             san.on_checkpoint(node, args["barrier"], args["episode"])
         elif name == "recover":
             san.on_rollback(args["vcs"])

@@ -111,7 +111,9 @@ class Node:
                 # as ``now - duration``: float subtraction would not
                 # round-trip, and the critical-path builder matches slice
                 # boundaries against message timestamps bit-exactly.
-                tr.slice(started, duration, "cpu", category.value, self.node_id)
+                # ``_value_`` is the member's string without the
+                # descriptor call ``Enum.value`` makes.
+                tr.slice(started, duration, "cpu", category._value_, self.node_id)
         finally:
             cpu.release()
 
@@ -125,7 +127,7 @@ class Node:
         """
         self.breakdown.charge(category, duration)
         if duration > 0 and self.sim.trace_on:
-            self.sim.trace.slice(started, duration, "cpu", category.value, self.node_id)
+            self.sim.trace.slice(started, duration, "cpu", category._value_, self.node_id)
 
     # -- messaging ---------------------------------------------------------
 

@@ -134,7 +134,7 @@ class Network:
                 tr.async_begin(
                     self.sim.now,
                     "network",
-                    f"msg:{message.kind.value}",
+                    f"msg:{message.kind._value_}",
                     message.src,
                     f"m{message.msg_id}",
                     dst=message.dst,
@@ -195,7 +195,7 @@ class Network:
             tr.async_end(
                 self.sim.now,
                 "network",
-                f"msg:{message.kind.value}",
+                f"msg:{message.kind._value_}",
                 message.dst,
                 f"m{message.msg_id}",
                 src=message.src,

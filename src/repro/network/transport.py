@@ -390,7 +390,9 @@ class ReliableTransport:
         """
         if self.sim.trace_on:
             if queues:
-                args["gauges"] = tuple(self.gauges().values())
+                # :meth:`gauges`' values, without building its dict.
+                backlog = sum(len(p.queued) for p in self._peers.values())
+                args["gauges"] = (len(self._pending), backlog, len(self._parked))
                 if self._adaptive:
                     parked = self.parked_by_peer().get(args["dst"], 0)
                     args["peer"] = (*self.peer_gauges(args["dst"]).values(), parked)

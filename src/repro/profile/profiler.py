@@ -188,6 +188,14 @@ _PAGE_COUNTS = {
 }
 #: A barrier episode's completion instants: the first closes its skew window.
 _COMPLETIONS = ("barrier_release", "checkpoint", "checkpoint_stood_down")
+#: Every name a branch of :func:`fold_events` reads (a new branch adds its
+#: name here); the fold drops every other event before it reads ``args``.
+_READS = frozenset(
+    (*_SPANS, *_SINCE, *_PAGE_COUNTS, *_COMPLETIONS, "stall:memory", "stall:lock",
+     "stall:barrier", "diff_apply", "page_install", "sc_txn", "lock_wait", "lock_handoff",
+     "barrier_arrive", "barrier_resume", "barrier_gather", "recover", "transport_paced",
+     "prefetch_shed", "retries_exhausted", "rto_update")
+)
 
 
 def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
@@ -204,23 +212,24 @@ def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
         stats[metric] = stats.get(metric, 0.0) + amount
 
     for event in events:
-        if event.ph == "X":  # CPU slices: the profile reads none
+        if event.name not in _READS or event.ph == "X":  # a CPU slice (one is ``checkpoint``)
             continue
-        ph, name, ts, args = event.ph, event.name, event.ts, event.args or {}
-        registry = profile.registries[event.node]
+        ts, ph, _cat, name, node, tid, _dur, eid, args = event
+        args = args or {}
+        registry = profile.registries[node]
         if name in _SPANS and ph == "b":
-            opened[event.id] = (ts, args)
+            opened[eid] = (ts, args)
             if name != "diff_rtt":
                 add("page", args["page"], "faults" if name == "page_fault" else "home_fetches")
         elif name in _SPANS:
-            begun, begin_args = opened.pop(event.id)
+            begun, begin_args = opened.pop(eid)
             registry.observe(f"{name}_us", ts - begun)
             if name == "page_fault":
                 add("page", begin_args["page"], "stall_us", ts - begun)
                 if args["remote"]:
                     add("page", begin_args["page"], "remote_faults")
         elif name.startswith("stall:"):
-            key = (event.node, event.tid)
+            key = (node, tid)
             if ph == "B":
                 stalls[key] = ts
             elif key in stalls:  # else closed by the restart after ``recover``
@@ -248,9 +257,9 @@ def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
             if name == "lock_handoff":
                 add("lock", args["lock"], "handoffs")
         elif name == "barrier_arrive":
-            arrivals.setdefault((event.node, args["barrier"], args["episode"]), []).append(ts)
+            arrivals.setdefault((node, args["barrier"], args["episode"]), []).append(ts)
         elif name == "barrier_resume":
-            for arrived in arrivals.pop((event.node, args["barrier"], args["episode"]), ()):
+            for arrived in arrivals.pop((node, args["barrier"], args["episode"]), ()):
                 registry.observe("barrier_wait_us", ts - arrived)
                 add("barrier", args["barrier"], "wait_us", ts - arrived)
                 add("barrier", args["barrier"], "waits")

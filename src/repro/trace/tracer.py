@@ -14,6 +14,9 @@ Design constraints:
   module-level :data:`NULL_TRACER` whose ``enabled`` is ``False``, so
   an untraced run pays one boolean load per potential event and builds
   no event objects.
+- **Cheap when on.**  An event is a tuple (:class:`TraceEvent` is a
+  ``NamedTuple``), and each helper appends one through the list's bound
+  ``append`` without running the tuple's generated ``__new__``.
 - **Observe, never perturb.**  Emitting an event appends to a Python
   list; no RNG draws, no simulator scheduling, no shared mutable
   protocol state.  A traced run must produce a bit-identical
@@ -32,8 +35,7 @@ arrows/spans in Perfetto).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "TraceEvent",
@@ -43,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One structured event, stamped with simulated time.
 
     Attributes:
@@ -94,6 +95,19 @@ class TraceEvent:
             row["args"] = self.args
         return row
 
+    @classmethod
+    def from_row(cls, row: dict[str, Any]) -> TraceEvent:
+        """The event a trace file's row describes (:meth:`as_dict`'s
+        inverse); absent keys take the defaults."""
+        get = row.get
+        return cls(
+            get("ts", 0.0), get("ph"), get("cat"), get("name"), get("node", 0),
+            get("tid"), get("dur", 0.0), get("id"), get("args"),
+        )
+
+
+_new = tuple.__new__
+
 
 class Tracer:
     """Collects :class:`TraceEvent` records from instrumentation hooks.
@@ -108,6 +122,10 @@ class Tracer:
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
+        #: Records one event.  The helpers below pass it a tuple built
+        #: by ``tuple.__new__``, which skips :class:`TraceEvent`'s
+        #: generated keyword-handling ``__new__``.
+        self.emit = self._events.append
 
     # -- collection --------------------------------------------------------
 
@@ -121,80 +139,41 @@ class Tracer:
     def events(self) -> Iterable[TraceEvent]:
         return self._events
 
-    def emit(self, event: TraceEvent) -> None:
-        self._events.append(event)
-
     # -- typed emit helpers ------------------------------------------------
 
     def instant(
-        self,
-        ts: float,
-        cat: str,
-        name: str,
-        node: int,
-        tid: Optional[int] = None,
-        **args: Any,
+        self, ts: float, cat: str, name: str, node: int, tid: Optional[int] = None, **args: Any
     ) -> None:
-        self.emit(TraceEvent(ts, "i", cat, name, node, tid=tid, args=args or None))
+        self.emit(_new(TraceEvent, (ts, "i", cat, name, node, tid, 0.0, None, args or None)))
 
     def slice(
-        self,
-        ts: float,
-        dur: float,
-        cat: str,
-        name: str,
-        node: int,
-        tid: Optional[int] = None,
-        **args: Any,
+        self, ts: float, dur: float, cat: str, name: str, node: int,
+        tid: Optional[int] = None, **args: Any,
     ) -> None:
         """A complete (``X``) slice starting at ``ts`` lasting ``dur``."""
-        self.emit(TraceEvent(ts, "X", cat, name, node, tid=tid, dur=dur, args=args or None))
+        self.emit(_new(TraceEvent, (ts, "X", cat, name, node, tid, dur, None, args or None)))
 
     def begin(
-        self,
-        ts: float,
-        cat: str,
-        name: str,
-        node: int,
-        tid: Optional[int] = None,
-        **args: Any,
+        self, ts: float, cat: str, name: str, node: int, tid: Optional[int] = None, **args: Any
     ) -> None:
-        self.emit(TraceEvent(ts, "B", cat, name, node, tid=tid, args=args or None))
+        self.emit(_new(TraceEvent, (ts, "B", cat, name, node, tid, 0.0, None, args or None)))
 
     def end(
-        self,
-        ts: float,
-        cat: str,
-        name: str,
-        node: int,
-        tid: Optional[int] = None,
-        **args: Any,
+        self, ts: float, cat: str, name: str, node: int, tid: Optional[int] = None, **args: Any
     ) -> None:
-        self.emit(TraceEvent(ts, "E", cat, name, node, tid=tid, args=args or None))
+        self.emit(_new(TraceEvent, (ts, "E", cat, name, node, tid, 0.0, None, args or None)))
 
     def async_begin(
-        self,
-        ts: float,
-        cat: str,
-        name: str,
-        node: int,
-        id: str,
-        tid: Optional[int] = None,
-        **args: Any,
+        self, ts: float, cat: str, name: str, node: int, id: str,
+        tid: Optional[int] = None, **args: Any,
     ) -> None:
-        self.emit(TraceEvent(ts, "b", cat, name, node, tid=tid, id=id, args=args or None))
+        self.emit(_new(TraceEvent, (ts, "b", cat, name, node, tid, 0.0, id, args or None)))
 
     def async_end(
-        self,
-        ts: float,
-        cat: str,
-        name: str,
-        node: int,
-        id: str,
-        tid: Optional[int] = None,
-        **args: Any,
+        self, ts: float, cat: str, name: str, node: int, id: str,
+        tid: Optional[int] = None, **args: Any,
     ) -> None:
-        self.emit(TraceEvent(ts, "e", cat, name, node, tid=tid, id=id, args=args or None))
+        self.emit(_new(TraceEvent, (ts, "e", cat, name, node, tid, 0.0, id, args or None)))
 
     # -- export convenience (implemented in repro.trace.export) ------------
 
@@ -238,14 +217,19 @@ class NullTracer(Tracer):
             tr.instant(...)
 
     so with the null tracer installed the per-event cost is a single
-    boolean load and branch.  The emit methods are still no-ops (not
-    errors) as a second line of defence.
+    boolean load and branch.  The helpers are still no-ops (not errors)
+    as a second line of defence: ``emit`` discards what they build.
     """
 
     enabled = False
 
-    def emit(self, event: TraceEvent) -> None:  # pragma: no cover - defensive
-        pass
+    def __init__(self) -> None:
+        super().__init__()
+        self.emit = _discard
+
+
+def _discard(event: TraceEvent) -> None:
+    """The null tracer's ``emit`` (a function, so the tracer still pickles)."""
 
 
 #: Shared do-nothing tracer; installed on every Simulator by default.

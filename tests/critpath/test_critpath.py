@@ -10,6 +10,7 @@ from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps.registry import make_app
 from repro.critpath import analyze_events, build_pag
 from repro.experiments.runner import make_configured_app, parse_label
+from repro.network import FaultPlan, TransportConfig
 
 LABELS = ("O", "P", "4T", "4TP")
 
@@ -209,20 +210,29 @@ def test_pag_health_metrics_clean_on_full_trace(sor_runs):
 
 def test_offline_cli_round_trip(tmp_path, capsys):
     """python -m repro.critpath reproduces the in-process analysis from
-    a written trace file (both JSONL and Chrome forms)."""
-    from repro.critpath.__main__ import main
+    a written trace file, in both the JSONL and the Chrome form: its
+    ``--json`` file is byte for byte what ``repro.apps --critpath``
+    writes.  A lossy adaptive run, so the rows the loader turns into
+    events carry timeout and retransmit edges."""
+    from repro.critpath.__main__ import load_trace, main
 
-    runtime, report = run_once(trace=True)
+    runtime, report = run_once(
+        trace=True,
+        fault_plan=FaultPlan(drop_prob=0.05),
+        transport=TransportConfig(adaptive=True),
+    )
+    # What ``python -m repro.apps ... --critpath PATH`` writes.
+    online = json.dumps(report.critpath, indent=2, sort_keys=True) + "\n"
     jsonl = tmp_path / "run.jsonl"
     chrome = tmp_path / "run.json"
     runtime.tracer.write_jsonl(str(jsonl))
-    runtime.tracer.write_chrome(str(chrome))
-    out_json = tmp_path / "section.json"
-    assert main([str(jsonl), "--json", str(out_json)]) == 0
-    offline = json.loads(out_json.read_text())
-    online = json.loads(json.dumps(report.critpath))  # normalize via JSON
-    assert offline == online
-    assert main([str(chrome)]) == 0
+    runtime.tracer.write_chrome(str(chrome), critpath=report.critpath)
+    for trace in (jsonl, chrome):
+        out_json = tmp_path / f"{trace.name}.section.json"
+        assert main([str(trace), "--json", str(out_json)]) == 0
+        assert out_json.read_text() == online, trace.name
+        pag = build_pag(load_trace(str(trace))[0])
+        assert pag.timeouts and any(wire.category == "retransmit" for wire in pag.wires)
     text = capsys.readouterr().out
     assert "identity exact" in text
     assert "what-if projections" in text

@@ -15,6 +15,7 @@ import pytest
 
 from repro.critpath import analyze_events, analyze_pag, build_pag
 from repro.critpath.ticks import TickScale
+from repro.trace import TraceEvent
 from tests.critpath.reference import analyze_pag as reference_analyze_pag
 
 #: Durations and gaps spanning the whole float range, plus ints.
@@ -81,9 +82,9 @@ def test_non_finite_stamp_is_an_error(bad):
 
 
 def hand_built_trace(rng, nodes=3):
-    """JSONL-style rows: per-node occupancy chains from wild floats, wires
-    between charge boundaries, a retransmitted send with its timeout,
-    barrier releases and finish markers."""
+    """Events made from JSONL-style rows: per-node occupancy chains from
+    wild floats, wires between charge boundaries, a retransmitted send
+    with its timeout, barrier releases and finish markers."""
     rows = []
     bounds = {}
     for node in range(nodes):
@@ -153,19 +154,19 @@ def hand_built_trace(rng, nodes=3):
             {"ph": "i", "cat": "sync", "name": "barrier_release", "node": node,
              "ts": rng.choice(bounds[node])[0]}
         )
-    return rows
+    return [TraceEvent.from_row(row) for row in rows]
 
 
 @pytest.mark.parametrize("seed", range(150))
 def test_hand_built_pags_match_the_fraction_analyzer(seed):
-    rows = hand_built_trace(random.Random(seed))
-    pag = build_pag(rows)
+    events = hand_built_trace(random.Random(seed))
+    pag = build_pag(events)
     new, ref = analyze_pag(pag), reference_analyze_pag(pag)
     assert new.to_dict() == ref.to_dict()
     assert new.blame == ref.blame and new.what_if == ref.what_if
     assert sum(new.blame.values(), Fraction(0)) == new.path_length == ref.path_length
-    # The rows survive the JSONL round trip the offline CLI reads them through.
-    reread = [json.loads(json.dumps(row)) for row in rows]
+    # The events survive the JSONL round trip the offline CLI reads them through.
+    reread = [TraceEvent.from_row(json.loads(json.dumps(ev.as_dict()))) for ev in events]
     assert analyze_events(reread).to_dict() == new.to_dict()
 
 
@@ -184,7 +185,7 @@ def test_hand_built_traces_reach_large_shifts():
 
 
 def test_trace_whose_only_timestamp_is_zero():
-    rows = [{"ph": "i", "cat": "sched", "name": "sched_finish", "node": 0, "ts": 0.0}]
+    rows = [TraceEvent(0.0, "i", "sched", "sched_finish", 0)]
     result = analyze_events(rows)
     section = result.to_dict()
     assert section == reference_analyze_pag(build_pag(rows)).to_dict()
@@ -206,7 +207,7 @@ def test_non_finite_slice_raises(field, bad):
     row = {"ph": "X", "cat": "cpu", "name": "busy", "node": 0, "ts": 1.0, "dur": 2.0}
     row[field] = bad
     with pytest.raises(ValueError, match="non-finite timestamp"):
-        analyze_events([row])
+        analyze_events([TraceEvent.from_row(row)])
 
 
 def test_non_finite_wire_raises():
@@ -218,5 +219,5 @@ def test_non_finite_wire_raises():
          "id": "m1", "args": {}},
     ]
     with pytest.raises(ValueError, match="non-finite timestamp"):
-        analyze_events(rows)
+        analyze_events([TraceEvent.from_row(row) for row in rows])
 

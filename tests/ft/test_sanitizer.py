@@ -10,11 +10,13 @@ from repro.apps import make_app
 from repro.chaos.search import ChaosSample, evaluate_sample
 from repro.errors import ProtocolError, SimulationError
 from repro.experiments.runner import make_configured_app, parse_label
-from repro.ft import ProtocolSanitizer, check_events
+from repro.ft import ProtocolSanitizer, check_events, sanitizer
 from repro.network import FaultPlan
 from repro.trace import TraceEvent
 from repro.trace.export import jsonl_lines
+from tests.dsm.fixtures.record import fault_overrides, traced_run
 from tests.plants import PLANTS, unserialized_directory
+from tests.profile.test_from_trace import EveryName
 
 
 @pytest.fixture
@@ -141,6 +143,44 @@ def test_checkpoint_cost_slice_is_not_a_cut():
     """The ``cpu`` slice of a checkpoint's cost shares the instant's name."""
     cost = TraceEvent(0.0, "X", "cpu", "checkpoint", 1, dur=5.0)
     check_events([cost], num_nodes=4)
+
+
+def recorded_checks(monkeypatch, events, protocol):
+    """Every ``on_*`` call ``check_events`` makes over ``events``, in order."""
+    calls = []
+
+    class Recording(ProtocolSanitizer):
+        pass
+
+    for hook in (name for name in dir(ProtocolSanitizer) if name.startswith("on_")):
+        def record(self, *args, _hook=hook, **kwargs):
+            calls.append((_hook, args, kwargs))
+            return getattr(ProtocolSanitizer, _hook)(self, *args, **kwargs)
+
+        setattr(Recording, hook, record)
+    with monkeypatch.context() as patch:
+        patch.setattr(sanitizer, "ProtocolSanitizer", Recording)
+        check_events(events, 4, protocol)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "protocol, fault",
+    [("hlrc", "crashloss-static"), ("sc", "crashloss-static"), ("lrc", "partition120-static")],
+)
+def test_the_fold_drops_only_events_it_never_reads(monkeypatch, protocol, fault):
+    """``check_events`` skips every event whose name is not in ``_READS``;
+    widening the set to every name makes the same checks in the same order."""
+    planes = {"profile": False, "telemetry": False, "critpath": False, "sanitizer": False}
+    runtime, _ = traced_run("SOR", "P", protocol, **planes, **fault_overrides(fault))
+    events = list(runtime.tracer.events)
+    shipped = recorded_checks(monkeypatch, events, protocol)
+    monkeypatch.setattr(sanitizer, "_READS", EveryName())
+    assert recorded_checks(monkeypatch, events, protocol) == shipped
+    # Not vacuous: every run checks its checkpoint cuts, and a crash rolls back.
+    hooks = {hook for hook, _, _ in shipped}
+    assert {"on_barrier_gather", "on_checkpoint"} <= hooks
+    assert ("on_rollback" in hooks) == fault.startswith("crash")
 
 
 # -- per-protocol gating -----------------------------------------------------

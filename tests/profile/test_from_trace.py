@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from tests.profile.fixtures.record import CELLS, FIXTURE, cell_key, profile_section
+from repro.profile import profiler
+from tests.dsm.fixtures.record import fault_overrides, traced_run
+from tests.profile.fixtures.record import CELLS, FIXTURE, PROFILE_ONLY, cell_key, profile_section
 
 with open(FIXTURE, encoding="utf-8") as _handle:
     RECORDED = json.load(_handle)
@@ -72,3 +74,25 @@ def test_a_requested_trace_folds_to_the_same_profile():
     trace too changes nothing in the section."""
     cell = ("WATER-NSQ", "4TP", "lrc", "")
     assert profile_section(*cell) == profile_section(*cell, trace=True)
+
+
+class EveryName:
+    """A name set that holds every name: a fold filter widened to drop nothing."""
+
+    def __contains__(self, name):
+        return True
+
+
+def test_the_fold_drops_only_events_it_never_reads(monkeypatch):
+    """``fold_events`` skips every event whose name is not in ``_READS``;
+    widening the set to every name changes no profile, so no branch reads
+    a name the set leaves out."""
+    for app_name, label, protocol, fault in CELLS:
+        planes = {**PROFILE_ONLY, "trace": True, **(fault_overrides(fault) if fault else {})}
+        runtime, _ = traced_run(app_name, label, protocol, **planes)
+        events = list(runtime.tracer.events)
+        shipped = profiler.fold_events(events, 4).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(profiler, "_READS", EveryName())
+            widened = profiler.fold_events(events, 4).to_dict()
+        assert shipped == widened, cell_key(app_name, label, protocol, fault)

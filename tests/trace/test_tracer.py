@@ -28,6 +28,29 @@ def test_slice_carries_duration_and_args():
     assert event.as_dict()["dur"] == 2.5
 
 
+def test_helpers_build_the_events_the_constructor_builds():
+    """The helpers skip ``TraceEvent``'s keyword handling: each must
+    still put every field in its place, and a row read back from a
+    trace file is the same event."""
+    tracer = Tracer()
+    tracer.instant(1.0, "protocol", "pag_edge", 3, tid=2, msg="m1")
+    tracer.slice(2.0, 0.5, "cpu", "busy", 1)
+    tracer.begin(3.0, "sched", "stall:lock", 0, tid=4)
+    tracer.end(4.0, "sched", "stall:lock", 0, tid=4, miss=True)
+    tracer.async_begin(5.0, "network", "msg:ack", 0, "m7", dst=1)
+    tracer.async_end(6.0, "network", "msg:ack", 1, "m7", tid=None, src=0)
+    assert list(tracer) == [
+        TraceEvent(1.0, "i", "protocol", "pag_edge", 3, tid=2, args={"msg": "m1"}),
+        TraceEvent(2.0, "X", "cpu", "busy", 1, dur=0.5),
+        TraceEvent(3.0, "B", "sched", "stall:lock", 0, tid=4),
+        TraceEvent(4.0, "E", "sched", "stall:lock", 0, tid=4, args={"miss": True}),
+        TraceEvent(5.0, "b", "network", "msg:ack", 0, id="m7", args={"dst": 1}),
+        TraceEvent(6.0, "e", "network", "msg:ack", 1, id="m7", args={"src": 0}),
+    ]
+    assert all(type(event) is TraceEvent for event in tracer)
+    assert [TraceEvent.from_row(event.as_dict()) for event in tracer] == list(tracer)
+
+
 def test_async_pair_shares_id():
     tracer = Tracer()
     tracer.async_begin(1.0, "protocol", "diff_rtt", node=0, id="n0:dr5")
@@ -50,8 +73,15 @@ def test_null_tracer_is_disabled_and_collects_nothing():
     assert NULL_TRACER.enabled is False
     assert isinstance(NULL_TRACER, NullTracer)
     NULL_TRACER.emit(TraceEvent(0.0, "i", "cpu", "busy", 0))
+    # Every helper records through ``emit``; none may reach the list.
     NULL_TRACER.instant(0.0, "cpu", "busy", node=0)
+    NULL_TRACER.slice(0.0, 1.0, "cpu", "busy", node=0, page=1)
+    NULL_TRACER.begin(0.0, "sched", "stall:lock", node=0, tid=1)
+    NULL_TRACER.end(1.0, "sched", "stall:lock", node=0, tid=1)
+    NULL_TRACER.async_begin(0.0, "network", "msg:ack", node=0, id="m1", dst=1)
+    NULL_TRACER.async_end(1.0, "network", "msg:ack", node=1, id="m1")
     assert len(NULL_TRACER) == 0
+    assert list(NULL_TRACER.events) == []
 
 
 def test_simulator_defaults_to_null_tracer():
