@@ -18,7 +18,7 @@ synchronization, and (optionally) prefetch calls::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,8 @@ class Compute:
     us: float
 
     def __post_init__(self) -> None:
-        if self.us < 0:
-            raise ValueError(f"negative compute time {self.us}")
+        if not 0 <= self.us < float("inf"):
+            raise ValueError(f"compute time must be finite and >= 0, got {self.us}")
 
 
 @dataclass(frozen=True)

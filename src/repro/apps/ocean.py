@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.ops import Acquire, Barrier, Compute, Prefetch, Read, Release, Write
+from repro.api.ops import Acquire, Barrier, Compute, Release
 from repro.apps.base import BARRIER_MAIN, AppBase, block_range
 
 __all__ = ["Ocean", "ocean_reference"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.ops import Barrier, Compute, Prefetch, Read, Write
+from repro.api.ops import Barrier, Compute
 from repro.apps.base import BARRIER_MAIN, AppBase, block_range
 
 __all__ = ["Sor", "sor_reference"]

@@ -27,8 +27,8 @@ Transaction protocol (manager M, requester R, owner O):
 - Directory bookkeeping (owner/copyset) happens when the fetch/grant is
   *issued*, not at ``SC_DONE`` — so the directory is consistent at any
   barrier cut even while a fire-and-forget DONE is still in flight (the
-  busy flag alone straddles the cut, and restore clears it; a
-  post-rollback stale DONE is discarded by the incarnation check).
+  busy flag alone straddles the cut, and restore clears it; a DONE names
+  its grant, so one the transport re-sends after a rollback ends nothing).
 
 Interactions where both ends are the same node (R==M, O==M, M holding a
 copy) are local calls — the :class:`~repro.network.message.Message`
@@ -89,13 +89,16 @@ class _ScPage:
 class _Directory:
     """Manager-side per-page directory entry."""
 
-    __slots__ = ("owner", "copyset", "busy", "queue", "done_event", "acks_pending", "ack_event")
+    __slots__ = (
+        "owner", "copyset", "busy", "queue", "grant", "done_event", "acks_pending", "ack_event"
+    )
 
     def __init__(self, owner: int, num_nodes: int) -> None:
         self.owner = owner
         self.copyset = set(range(num_nodes))
         self.busy = False
         self.queue: deque = deque()
+        self.grant: Optional[Event] = None
         self.done_event: Optional[Event] = None
         self.acks_pending = 0
         self.ack_event: Optional[Event] = None
@@ -273,13 +276,13 @@ class ScBackend(CoherenceBackend):
                 tr.async_end(self.sim.now, *txn)
             # Fire-and-forget completion notice releases the directory.
             if manager == self.node_id:
-                self._txn_done(page_id)
+                self._txn_done(page_id, grant)
             else:
                 yield from self.post(
                     manager,
                     MessageKind.SC_DONE,
                     16,
-                    {"page_id": page_id},
+                    {"page_id": page_id, "grant": grant},
                     "done",
                     page=page_id,
                     request_id=request_id,
@@ -371,6 +374,7 @@ class ScBackend(CoherenceBackend):
             # Armed BEFORE the grant can fire: a local requester resumes
             # synchronously inside grant.succeed and reports completion
             # before this generator runs again.
+            entry.grant = grant
             entry.done_event = Event(self.sim, name=f"scdone(p{page_id})@{self.node_id}")
             yield from self.node.occupy(costs.lock_handler, Category.DSM)
             if mode == "read":
@@ -380,7 +384,6 @@ class ScBackend(CoherenceBackend):
             # Wait for the requester's completion notice before
             # admitting the next transaction (serialization).
             yield entry.done_event
-            entry.done_event = None
             self._mark("sc_dir_end", page=page_id)
         entry.busy = False
 
@@ -452,9 +455,9 @@ class ScBackend(CoherenceBackend):
         payload = {"page_id": page_id, "requester": requester, "mode": mode}
         return self.post(owner, MessageKind.SC_FETCH, 24, payload, "fetch", page=page_id)
 
-    def _txn_done(self, page_id: int) -> None:
+    def _txn_done(self, page_id: int, grant: Event) -> None:
         entry = self._dir(page_id)
-        if entry.done_event is not None and not entry.done_event.triggered:
+        if entry.grant is grant and not entry.done_event.triggered:
             entry.done_event.succeed(None)
 
     # -- consistency actions -----------------------------------------------
@@ -515,7 +518,7 @@ class ScBackend(CoherenceBackend):
         msg.payload["grant"].succeed({"data_sent": msg.payload["data_sent"]})
 
     def handle_done(self, msg: Message) -> None:
-        self._txn_done(msg.payload["page_id"])
+        self._txn_done(msg.payload["page_id"], msg.payload["grant"])
 
     handlers = {
         MessageKind.SC_REQ: handle_req,
@@ -536,8 +539,8 @@ class ScBackend(CoherenceBackend):
         *queued* or mid-flight anywhere — at most a fire-and-forget
         SC_DONE is still on the wire, which the issue-time directory
         bookkeeping already accounts for (busy is deliberately not
-        snapshotted; restore clears it and the incarnation bump
-        discards the stale DONE).
+        snapshotted; restore clears it, and the DONE the transport
+        re-sends names a grant no restored transaction holds).
         """
         for entry in self._directory.values():
             if entry.queue:

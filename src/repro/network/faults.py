@@ -33,7 +33,7 @@ No message is exempt: protocol messages arrive because
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

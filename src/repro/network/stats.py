@@ -138,10 +138,6 @@ class TrafficStats:
         return sum(self.retransmits_by_kind.values())
 
     @property
-    def total_injected_faults(self) -> int:
-        return sum(sum(by_kind.values()) for by_kind in self.injected_by_fault.values())
-
-    @property
     def total_shed(self) -> int:
         return sum(self.shed_by_kind.values())
 

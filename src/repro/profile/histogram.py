@@ -30,7 +30,7 @@ any reported quantile, which is ample for "did p99 regress by 2x".
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = ["Histogram", "SUBBUCKETS"]
 

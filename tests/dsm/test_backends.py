@@ -68,9 +68,7 @@ def test_producer_consumer_verifies(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_locked_counter_verifies(protocol):
-    program = LockedCounter(increments=4)
-    program.expected_total = 4 * 4  # nodes x increments, 1 thread/node
-    _, report = run(program, protocol)  # execute() verifies
+    _, report = run(LockedCounter(increments=4), protocol)  # execute() verifies
     assert report.wall_time_us > 0
 
 

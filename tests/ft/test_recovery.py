@@ -11,6 +11,7 @@ from repro.apps import make_app
 from repro.dsm.backend import BACKEND_NAMES
 from repro.metrics.counters import Category
 from repro.network.faults import FaultPlan, NodeCrash
+from tests.drf import Replay
 
 NODES = 4
 
@@ -125,3 +126,32 @@ def test_span_ids_stay_unique_across_a_rollback(protocol, frac):
     begun = Counter((event.name, event.id) for event in events if event.ph == "b")
     assert [key for key, count in begun.items() if count > 1] == []
     assert traced(plan)[0].to_json() == report.to_json()
+
+
+def test_sc_done_resent_after_a_rollback_ends_no_later_transaction():
+    """DESIGN.md §8 bug 8, the first a generated program found.
+
+    The checkpoint cut catches an ``SC_DONE`` in flight.  After the
+    rollback the transport re-sends it, the restored receive window has
+    never seen it, and it used to end whatever transaction the page's
+    directory was running then: two writers overlapped, lock adds were
+    lost (counters 17, 16, 15 for 20) and barrier cells came out one
+    phase stale.
+    """
+    cells, locks, table = 8, 3, [[] for _ in range(NODES)]
+    for phase in range(5):
+        for tid, ops in enumerate(table):
+            ops += [("barrier",)] * bool(phase) + [("compute", 1000.0)]
+            ops += [("add", cells + lock, lock, 1) for lock in range(locks)]
+            for cell in range((tid - phase) % NODES, cells, NODES):
+                ops += [("read", cell), ("write", cell, 1000 * (phase + 1) + cell)]
+    plan = {
+        "crashes": [{"node": 1, "at_us": 60347.3}],
+        "corruptions": [{"start_us": 16433.5, "end_us": 86669.1, "prob": 0.052}],
+        "duplicate_prob": 0.0284,
+        "reorder_prob": 0.1394,
+        "jitter_us": 464.7,
+    }
+    config = RunConfig(num_nodes=NODES, protocol="sc", seed=5, fault_plan=FaultPlan.from_dict(plan))
+    report = DsmRuntime(config).execute(Replay(table, cells + locks))  # verify=True inside
+    assert report.extra["ft"]["recoveries"] == 1

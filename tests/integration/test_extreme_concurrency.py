@@ -38,7 +38,6 @@ class DenseLockMesh(Program):
         self.vec = runtime.alloc_vector("mesh", np.float64, self.slices * self.cells)
 
     def thread_body(self, runtime, tid):
-        threads = runtime.config.total_threads
         yield Barrier(0)
         for round_no in range(self.rounds):
             for step in range(self.slices):
@@ -55,7 +54,7 @@ class DenseLockMesh(Program):
             yield Barrier(0)
 
     def verify(self, runtime):
-        threads_sum = sum(range(1, self.expected_threads + 1))
+        threads_sum = sum(range(1, runtime.config.total_threads + 1))
         expected = threads_sum * np.pi * self.rounds
         values = runtime.read_vector(self.vec)
         assert np.allclose(values, expected, rtol=1e-12), (
@@ -63,14 +62,10 @@ class DenseLockMesh(Program):
             expected,
         )
 
-    expected_threads = 0
-
 
 @pytest.mark.parametrize("num_nodes,tpn", [(8, 2), (4, 4), (8, 4)])
 def test_dense_lock_mesh_high_concurrency(num_nodes, tpn):
-    program = DenseLockMesh()
-    program.expected_threads = num_nodes * tpn
-    DsmRuntime(RunConfig(num_nodes=num_nodes, threads_per_node=tpn)).execute(program)
+    DsmRuntime(RunConfig(num_nodes=num_nodes, threads_per_node=tpn)).execute(DenseLockMesh())
 
 
 def test_water_sp_default_at_8x4():

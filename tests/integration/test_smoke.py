@@ -61,9 +61,8 @@ class LockedCounter(Program):
 
     def verify(self, runtime):
         total = runtime.read_vector(self.counter)[0]
-        assert total == self.expected_total, f"counter={total}, want {self.expected_total}"
-
-    expected_total = 0  # set by the test
+        expected = self.increments * runtime.config.total_threads
+        assert total == expected, f"counter={total}, want {expected}"
 
 
 def run(program, **config_kwargs):
@@ -89,25 +88,17 @@ def test_producer_consumer_multithreaded():
 
 
 def test_locked_counter_sequentially_consistent():
-    program = LockedCounter(increments=4)
-    program.expected_total = 4 * 2  # 2 nodes x 1 thread
-    run(program, num_nodes=2)
+    run(LockedCounter(increments=4), num_nodes=2)
 
 
 def test_locked_counter_eight_nodes():
-    program = LockedCounter(increments=3)
-    program.expected_total = 3 * 8
-    report = run(program, num_nodes=8)
+    report = run(LockedCounter(increments=3), num_nodes=8)
     assert report.events.remote_lock_misses > 0
 
 
 def test_locked_counter_multithreaded_combining():
-    program = LockedCounter(increments=2)
-    program.expected_total = 2 * 4 * 2
-    report = run(program, num_nodes=4, threads_per_node=2)
-    program2 = LockedCounter(increments=2)
-    program2.expected_total = 2 * 4 * 2
-    run(program2, num_nodes=4, threads_per_node=2)
+    report = run(LockedCounter(increments=2), num_nodes=4, threads_per_node=2)
+    run(LockedCounter(increments=2), num_nodes=4, threads_per_node=2)
     assert report.events.remote_misses >= 0  # smoke: completed + verified
 
 

@@ -14,10 +14,8 @@ These encode the failure scenarios found while building the protocol:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import Barrier, Compute, DsmRuntime, Program, Read, RunConfig, Write
+from repro import Barrier, Compute, DsmRuntime, Program, RunConfig
 from repro.api.ops import Acquire, Release
 
 
@@ -41,7 +39,6 @@ class MultiChainAccumulator(Program):
         self.vec = runtime.alloc_vector("acc", np.float64, self.slices * self.cells)
 
     def thread_body(self, runtime, tid):
-        threads = runtime.config.total_threads
         yield Barrier(0)
         for round_no in range(self.rounds):
             for step in range(self.slices):
@@ -55,32 +52,27 @@ class MultiChainAccumulator(Program):
             yield Barrier(0)
 
     def verify(self, runtime):
-        threads_sum = sum(range(1, self.expected_threads + 1))
+        threads_sum = sum(range(1, runtime.config.total_threads + 1))
         expected = threads_sum * self.rounds
         values = runtime.read_vector(self.vec)
         assert np.all(values == expected), (
             f"lost updates: {values[values != expected]} != {expected}"
         )
 
-    expected_threads = 0
-
 
 @pytest.mark.parametrize("num_nodes,tpn", [(2, 1), (4, 1), (8, 1), (4, 2), (2, 4)])
 def test_multi_chain_accumulator(num_nodes, tpn):
     program = MultiChainAccumulator()
-    program.expected_threads = num_nodes * tpn
     DsmRuntime(RunConfig(num_nodes=num_nodes, threads_per_node=tpn)).execute(program)
 
 
 def test_multi_chain_with_prefetch():
     program = MultiChainAccumulator()
-    program.expected_threads = 4
     DsmRuntime(RunConfig(num_nodes=4, prefetch=True)).execute(program)
 
 
 def test_multi_chain_combined():
     program = MultiChainAccumulator(rounds=2)
-    program.expected_threads = 8
     DsmRuntime(RunConfig(num_nodes=4, threads_per_node=2, prefetch=True)).execute(program)
 
 
@@ -109,66 +101,9 @@ class StraddlingChain(Program):
 
     def verify(self, runtime):
         values = runtime.read_vector(self.vec)[self.idx : self.idx + 3]
-        assert np.all(values == 4.0 * self.expected_threads), values
-
-    expected_threads = 0
+        assert np.all(values == 4.0 * runtime.config.total_threads), values
 
 
 @pytest.mark.parametrize("num_nodes", [2, 4, 8])
 def test_straddling_chain(num_nodes):
-    program = StraddlingChain()
-    program.expected_threads = num_nodes
-    DsmRuntime(RunConfig(num_nodes=num_nodes)).execute(program)
-
-
-class RandomSharing(Program):
-    """Barrier-phased random disjoint writes, then global read-back."""
-
-    name = "random-sharing"
-
-    def __init__(self, cells, assignments):
-        self.cells = cells
-        self.assignments = assignments  # list of dicts cell -> writer tid
-
-    def setup(self, runtime):
-        self.vec = runtime.alloc_vector("r", np.float64, self.cells)
-        self.observed = {}
-
-    def thread_body(self, runtime, tid):
-        yield Barrier(0)
-        for phase, assignment in enumerate(self.assignments):
-            mine = sorted(c for c, w in assignment.items() if w == tid)
-            for cell in mine:
-                yield self.vec.write(cell, np.array([float(phase * 1000 + cell)]))
-            yield Barrier(0)
-        data = np.asarray((yield self.vec.read(0, self.cells)))
-        self.observed[tid] = data.copy()
-        yield Barrier(0)
-
-    def verify(self, runtime):
-        expected = np.zeros(self.cells)
-        for phase, assignment in enumerate(self.assignments):
-            for cell in assignment:
-                expected[cell] = phase * 1000 + cell
-        for tid, seen in self.observed.items():
-            assert np.array_equal(seen, expected), f"thread {tid} diverged"
-        assert np.array_equal(runtime.read_vector(self.vec), expected)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.data())
-def test_property_random_disjoint_sharing(data):
-    """Any race-free assignment of cells to writers converges to the
-    same state on every node — sequential consistency at sync points."""
-    num_nodes = data.draw(st.sampled_from([2, 4]))
-    cells = data.draw(st.integers(min_value=32, max_value=700))
-    phases = data.draw(st.integers(min_value=1, max_value=3))
-    assignments = []
-    for _ in range(phases):
-        assignment = {}
-        for cell in range(cells):
-            if data.draw(st.booleans()):
-                assignment[cell] = data.draw(st.integers(0, num_nodes - 1))
-        assignments.append(assignment)
-    program = RandomSharing(cells, assignments)
-    DsmRuntime(RunConfig(num_nodes=num_nodes)).execute(program)
+    DsmRuntime(RunConfig(num_nodes=num_nodes)).execute(StraddlingChain())

@@ -54,7 +54,12 @@ def notice_from_dead_interval(monkeypatch):
 
 
 def home_misrouted(monkeypatch):
-    """An HLRC home update goes to the node after the page's home."""
+    """An HLRC home update goes to the node after the page's home.
+
+    The skip past the sender makes it a no-op on 2 nodes: the node after
+    the home is the sender, so the update lands back on the home.  A run
+    that shows it needs 3 nodes or more.
+    """
     post = DsmNode.post
 
     def misrouting_post(self, dst, kind, *args, **kwargs):
