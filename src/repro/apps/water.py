@@ -49,7 +49,7 @@ def pair_forces(
 
     Adds ``+f`` to ``out[first]`` and then ``-f`` to ``out[second]``,
     pair by pair, and returns the number of pairs.  Bit-equal to a loop
-    of scalar evaluations (DESIGN.md §6.16): the stacked ``matmul``
+    of scalar evaluations (DESIGN.md §6.22): the stacked ``matmul``
     takes the ``ddot`` path a scalar ``delta @ delta`` takes, and
     ``np.add.at`` over interleaved targets adds in the loop's order.
     """

@@ -23,7 +23,7 @@ import numpy as np
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import available_apps, make_app
 from repro.dsm.backend import BACKEND_NAMES
-from repro.errors import ConfigError, ProtocolError, SimulationError
+from repro.errors import ConfigError, FailureError, ProtocolError, SimulationError
 from repro.network.faults import FaultPlan
 from repro.network.transport import TransportConfig
 from repro.parallel import fan_out
@@ -146,8 +146,8 @@ def sample_plan(rng: np.random.Generator, wall_us: float, num_nodes: int) -> dic
 
     Bounds keep every sample inside the fault model the FT layer claims
     to survive: at most one crash and at most one isolated node per
-    plan (simultaneously losing a majority is a CP-blocking scenario —
-    the coordinator *should* stall until it heals), node 0 is never
+    plan (a majority lost to a partition stalls the coordinator until
+    it heals; one lost to crashes raises ``FailureError``), node 0 is never
     crashed, stalled or isolated (it hosts the barrier manager and the
     detection coordinator), and a crashed node is never also
     partitioned (the plan validator rejects that as ambiguous).  Fault
@@ -163,15 +163,16 @@ def sample_plan(rng: np.random.Generator, wall_us: float, num_nodes: int) -> dic
         plan["crashes"] = [
             {"node": crash_node, "at_us": round(float(rng.uniform(0.2, 0.9)) * wall_us, 1)}
         ]
+    # At 2 nodes a crash leaves no peer to isolate or stall.
     peers = [n for n in range(1, num_nodes) if n != crash_node]
-    if rng.random() < 0.35:
+    if rng.random() < 0.35 and peers:
         node = int(peers[int(rng.integers(len(peers)))])
         start = float(rng.uniform(0.1, 0.8)) * wall_us
         duration = float(rng.uniform(40_000.0, 240_000.0))
         plan["partitions"] = [
             {"start_us": round(start, 1), "end_us": round(start + duration, 1), "nodes": [node]}
         ]
-    if rng.random() < 0.3:
+    if rng.random() < 0.3 and peers:
         node = int(peers[int(rng.integers(len(peers)))])
         start = float(rng.uniform(0.05, 0.7)) * wall_us
         duration = float(rng.uniform(20_000.0, 160_000.0))
@@ -289,6 +290,10 @@ def evaluate_sample(sample: ChaosSample) -> SampleResult:
         # max_events exceeded, or the run drained its event queue with
         # schedulers unfinished: either way, it did not stay live.
         return SampleResult(sample, ["liveness"], error=str(exc))
+    except FailureError as exc:
+        # Crashes left no majority (any crash at 2 nodes): failing fast
+        # is the FT layer's answer, so the sample passes.
+        return SampleResult(sample, error=str(exc))
     except Exception as exc:  # anything else is still a failed sample
         return SampleResult(sample, ["verify"], error=f"{type(exc).__name__}: {exc}")
     failures: list[str] = []

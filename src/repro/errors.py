@@ -19,16 +19,8 @@ class NetworkError(ReproError):
     """The network model was used incorrectly (bad node id, bad size...)."""
 
 
-class TransportError(ReproError):
-    """The reliable transport exhausted its retries for a message."""
-
-
 class PagedMemoryError(ReproError):
     """Paged-memory misuse (out-of-range address, bad allocation...)."""
-
-
-#: Deprecated alias; the trailing underscore shadowed the builtin name.
-MemoryError_ = PagedMemoryError
 
 
 class ProtocolError(ReproError):

@@ -247,8 +247,7 @@ class FailureDetector:
     def mark_alive(self, node: int) -> None:
         self.down.discard(node)
         self.suspects.pop(node, None)
-        if node != COORDINATOR:
-            self.last_heard[node] = self.sim.now
+        self.last_heard[node] = self.sim.now
 
     def reset_liveness(self) -> None:
         """Post-rollback: every node just restarted, silence clocks reset."""

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigError, FailureError
+from repro.errors import ConfigError, FailureError
 from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
 from repro.ft.detector import COORDINATOR, FailureDetector, mark
 from repro.metrics.counters import Category
@@ -179,9 +179,7 @@ class FtManager:
         spawn(self.sim, self.detector.watch_loop(), name="ft.watch", group="ft", daemon=True)
 
     def _spawn_heartbeats(self) -> None:
-        for node_id in range(self.num_nodes):
-            if node_id == COORDINATOR:
-                continue
+        for node_id in self.detector.last_heard:
             spawn(
                 self.sim,
                 self.detector.heartbeat_loop(node_id),
@@ -212,12 +210,25 @@ class FtManager:
         *fenced*, not executed: a fenced node that speaks again (the
         partition healed, the stall ended) rejoins with a targeted
         re-sync, and only a fence left silent past
-        ``PARTITION_GRACE_US`` becomes a real recovery.  Everything is
-        gated on the coordinator holding a quorum — stranded in a
-        minority partition it stands down and waits for the heal
-        instead of fencing the healthy majority.
+        ``PARTITION_GRACE_US`` becomes a real recovery.  A fenced node
+        heard again rejoins first: a rejoin only grows the membership.
+        Everything else is gated on the coordinator holding a quorum —
+        stranded in a minority partition it stands down and waits for
+        the heal instead of fencing the healthy majority, and when
+        crashes leave no majority possible it raises
+        :class:`FailureError` rather than wait forever.
         """
+        for node_id, at in sorted(self.fenced_at.items()):
+            if self.detector.last_heard[node_id] > at:
+                self._rejoin(node_id)
         if (dead or self.fenced_at) and not self.detector.has_quorum():
+            # No majority can ever form once the crashed members are as
+            # many as the live nodes plus the coordinator: only a
+            # recovery restarts a crashed node, and a recovery needs a
+            # majority (a fenced live node rejoins once heard).
+            crashed = self._crash_time.keys()
+            if len(crashed - self.detector.down) >= self.num_nodes - len(crashed):
+                raise FailureError("crashes leave no majority to recover with")
             self.stand_downs += 1
             mark(
                 self.sim,
@@ -229,18 +240,10 @@ class FtManager:
             return
         for node_id in dead:
             self.fence(node_id)
-        now = self.sim.now
-        healed = [
-            node_id
-            for node_id, at in sorted(self.fenced_at.items())
-            if self.detector.last_heard[node_id] > at
-        ]
-        for node_id in healed:
-            self._rejoin(node_id)
         expired = [
             node_id
             for node_id, at in sorted(self.fenced_at.items())
-            if now - at >= PARTITION_GRACE_US
+            if self.sim.now - at >= PARTITION_GRACE_US
         ]
         if expired:
             yield from self.recover(expired)
@@ -430,8 +433,6 @@ class FtManager:
         expiring in one tick recover together in a single rollback.
         """
         ckpt = self.checkpoint
-        if ckpt is None:  # pragma: no cover - start() guarantees one
-            raise CheckpointError("failure detected with no checkpoint to roll back to")
         sim = self.sim
         t_detect = sim.now
         for node_id in dead:
@@ -552,11 +553,10 @@ class FtManager:
         """DSM dispatch route for HEARTBEAT / FT_DOWN / FT_UP / FT_REJOIN.
 
         Heartbeat liveness is already absorbed by the coordinator's
-        ``message_observer`` before any handler runs; membership
-        announcements update the receiving node's view.
+        ``message_observer`` before any handler runs, so only membership
+        announcements change anything: the receiving node's view.
         """
-        if msg.kind in (MessageKind.FT_DOWN, MessageKind.FT_UP, MessageKind.FT_REJOIN):
-            self.detector.handle_membership(node_id, msg)
+        self.detector.handle_membership(node_id, msg)
         return
         yield  # pragma: no cover - makes this a generator for dispatch
 

@@ -1,6 +1,6 @@
 """Runtime protocol-invariant sanitizer, gated per coherence backend.
 
-The sanitizer is a reader of the trace (DESIGN.md §6.15):
+The sanitizer is a reader of the trace (DESIGN.md §6.19):
 :func:`check_events` replays a run's events through the ``on_*`` checks
 of a fresh :class:`ProtocolSanitizer`.  ``RunConfig(sanitizer=True)``
 records an in-memory trace for it, and ``DsmRuntime.execute`` folds it

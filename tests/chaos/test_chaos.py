@@ -223,3 +223,19 @@ def test_reproducer_round_trips_the_protocol(tmp_path):
     del data["protocol"]
     path.write_text(json.dumps(data))
     assert load_reproducer(path).protocol == "lrc"
+
+
+def test_a_crash_that_leaves_no_majority_is_graded_as_expected():
+    # One node of two is no majority: the FT layer raises FailureError at
+    # once, and that is the right answer, not a liveness failure.
+    sample = ChaosSample(
+        index=0,
+        app_name="SOR",
+        preset="small",
+        num_nodes=2,
+        seed=42,
+        plan={"crashes": [{"node": 1, "at_us": 30_000.0}]},
+    )
+    result = evaluate_sample(sample)
+    assert result.ok
+    assert "no majority" in result.error

@@ -1,6 +1,6 @@
 """Per-page notice state is demand-driven: a node keeps it for the pages
-it holds, however many pages the notices it receives name (DESIGN.md §6
-item 13).  The equivalence to the eager design is
+it holds, however many pages the notices it receives name (DESIGN.md
+§6.11).  The equivalence to the eager design is
 ``test_writenotice.py``'s; here whole runs are held to two things: a page
 first touched after its notices arrived still reads invalid, and the
 nodes² × pages growth cannot come back unnoticed."""

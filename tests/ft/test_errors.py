@@ -3,10 +3,8 @@
 import repro.errors as errors
 
 
-def test_paged_memory_error_renamed_with_alias():
+def test_paged_memory_error_in_hierarchy():
     assert issubclass(errors.PagedMemoryError, errors.ReproError)
-    # The old underscore-suffixed name remains importable for callers.
-    assert errors.MemoryError_ is errors.PagedMemoryError
 
 
 def test_ft_errors_in_hierarchy():

@@ -8,7 +8,8 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
-from repro.network.faults import FaultPlan, LinkPartition, NodeStall
+from repro.errors import FailureError
+from repro.network.faults import FaultPlan, LinkPartition, NodeCrash, NodeStall
 
 NODES = 4
 
@@ -105,3 +106,46 @@ def test_partition_heal_verifies_across_apps(app_name):
     )
     report = run_once(app_name=app_name, plan=plan)
     assert report.extra["ft"]["recoveries"] == 0
+
+
+#: A crash of node 2 while node 1 is isolated: at 3 nodes the coordinator
+#: fences node 1 and is left hearing no one, so it stands down until the
+#: heal; the healed node 1 must rejoin before that quorum gate, or the
+#: stand-down never ends.
+CRASH_WHILE_ISOLATED = FaultPlan(
+    crashes=(NodeCrash(node=2, at_us=66_400.0),),
+    partitions=(LinkPartition(start_us=35_600.0, end_us=210_900.0, nodes={1}),),
+)
+
+
+@pytest.mark.parametrize("protocol", ["lrc", "hlrc", "sc"])
+def test_healed_partition_restores_the_quorum_at_three_nodes(protocol):
+    config = RunConfig(
+        num_nodes=3,
+        seed=42,
+        protocol=protocol,
+        fault_plan=CRASH_WHILE_ISOLATED,
+        sanitizer=True,
+        ft=True,
+        max_events=300_000,
+    )
+    report = DsmRuntime(config).execute(make_app("SOR", "small"))
+    ft = report.extra["ft"]
+    assert ft["stand_downs"] > 0
+    assert ft["rejoins"] == 1
+    assert ft["recoveries"] == 1
+
+
+def test_a_crash_that_leaves_no_majority_fails_fast():
+    """One node of two is no majority, and only a recovery (which needs
+    one) restarts the crashed node: the run raises at the first
+    stand-down instead of running to ``max_events``."""
+    config = RunConfig(
+        num_nodes=2,
+        seed=42,
+        fault_plan=FaultPlan(crashes=(NodeCrash(node=1, at_us=30_000.0),)),
+        ft=True,
+        max_events=300_000,
+    )
+    with pytest.raises(FailureError, match="no majority"):
+        DsmRuntime(config).execute(make_app("SOR", "small"))

@@ -2,7 +2,7 @@
 show that a check catches it.
 
 A plant is a monkeypatch applied from the test tree, never a switch in
-``src/`` (DESIGN.md §6.14).  ``PLANTS`` maps a name to a :class:`Plant`:
+``src/`` (DESIGN.md §6.21).  ``PLANTS`` maps a name to a :class:`Plant`:
 the function that applies the bug through a ``pytest.MonkeyPatch``, the
 run that shows it (protocol, app, fault plan), and the invariant the
 sanitizer names when it catches it.  ``split_brain`` needs its fault

@@ -122,7 +122,7 @@ def test_tracing_does_not_perturb_the_simulation():
 
 @pytest.mark.parametrize("loss", [0.0, 0.05])
 def test_emitters_that_hold_the_guard_run_once_per_loss_not_per_message(loss, monkeypatch):
-    """The guard rule (DESIGN.md, reporting): a site may leave its
+    """The guard rule (DESIGN.md §6.18): a site may leave its
     ``trace_on`` check to a shared emitter only if it runs per datagram
     the fabric lost or doubled, or per membership change.  With tracing
     off, a clean run therefore never enters one, and a lossy run enters
