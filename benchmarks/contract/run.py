@@ -60,6 +60,9 @@ NOT_CODE = {
     tokenize.DEDENT,
     tokenize.ENDMARKER,
 }
+#: Python 3.12 splits an f-string into parts (PEP 701); earlier versions have no such tokens.
+FSTRING_START = getattr(tokenize, "FSTRING_START", -1)
+FSTRING_END = getattr(tokenize, "FSTRING_END", -1)
 
 
 def digest(root: str, out_file: str, seed: int = SEED) -> None:
@@ -231,12 +234,20 @@ def pairs(parent_root, change_root, workload: str, count: int = 10, seed: int = 
 
 
 def code_tokens(source: str) -> int:
-    """Tokens that are code: no comments, layout or docstrings, so re-wrapping moves nothing."""
-    count = 0
+    """Tokens that are code: no comments, layout or docstrings, so re-wrapping moves nothing.
+
+    An f-string is one token, from its start to its matching end, under every Python.
+    """
+    count = depth = 0
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if depth:
+            depth += (token.type == FSTRING_START) - (token.type == FSTRING_END)
+            continue
         text = token.string.lstrip("rRbBuUfF")
-        docstring = token.type == tokenize.STRING and text[:3] in ('"""', "'''")
+        string = token.type in (tokenize.STRING, FSTRING_START)
+        docstring = string and text[:3] in ('"""', "'''")
         count += token.type not in NOT_CODE and not docstring
+        depth = int(token.type == FSTRING_START)
     return count
 
 

@@ -15,14 +15,17 @@ import argparse
 import sys
 import time
 
-from repro.api.runtime import DsmRuntime, RunConfig
+from repro.api.runtime import DsmRuntime
 from repro.apps.registry import APP_ORDER
-from repro.dsm.backend import BACKEND_NAMES
-from repro.experiments.runner import make_configured_app, parse_label
+from repro.experiments.runner import (
+    ExperimentRunner,
+    add_run_arguments,
+    export_trace,
+    make_configured_app,
+)
 from repro.network.faults import FaultPlan, NodeCrash
 from repro.network.transport import TransportConfig
 from repro.telemetry import TelemetryConfig
-from repro.trace import PhaseTimeline
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,20 +39,9 @@ def main(argv: list[str] | None = None) -> int:
         default="O",
         help="paper configuration label: O, P, 2T, 4T, 8T, 2TP, 4TP, 8TP",
     )
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument(
-        "--preset", default="default", choices=["small", "default", "paper"]
+    add_run_arguments(
+        parser, nodes=8, preset="default", seed=42, protocol="lrc", no_verify=False, adaptive=False
     )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--protocol",
-        default="lrc",
-        choices=sorted(BACKEND_NAMES),
-        help="coherence backend: lrc (TreadMarks-style lazy release "
-        "consistency), hlrc (home-based LRC), sc (single-writer "
-        "sequentially-consistent invalidate)",
-    )
-    parser.add_argument("--no-verify", action="store_true")
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -93,12 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         help="check the selected protocol's invariants over the run's trace",
     )
     parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="use the adaptive transport (RTT-estimated RTO, AIMD "
-        "window, backpressure) instead of the static timeout/retry policy",
-    )
-    parser.add_argument(
         "--profile",
         nargs="?",
         const="-",
@@ -132,39 +118,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry_strict and args.telemetry is None:
         args.telemetry = "-"  # strict grading implies collection
 
-    threads_per_node, prefetch = parse_label(args.config)
     app = make_configured_app(args.app, args.preset, args.config)
-
-    def build_config(
-        fault_plan=None,
-        trace=False,
-        sanitizer=False,
-        profile=False,
-        critpath=False,
-        telemetry=False,
-    ):
-        return RunConfig(
-            num_nodes=args.nodes,
-            threads_per_node=threads_per_node,
-            prefetch=prefetch,
-            seed=args.seed,
-            protocol=args.protocol,
-            fault_plan=fault_plan,
-            sanitizer=sanitizer,
-            trace=trace,
-            profile=profile,
-            critpath=critpath,
-            telemetry=(
-                TelemetryConfig(interval_us=args.telemetry_interval)
-                if telemetry
-                else None
-            ),
-            transport=TransportConfig(adaptive=args.adaptive),
-        )
-
+    runner = ExperimentRunner(args.nodes, args.preset, args.seed)
+    run = dict(protocol=args.protocol, transport=TransportConfig(adaptive=args.adaptive))
     plan = None
     if args.crash is not None:
-        baseline = DsmRuntime(build_config()).execute(
+        baseline = DsmRuntime(runner.config(args.config, **run)).execute(
             make_configured_app(args.app, args.preset, args.config), verify=False
         )
         crash_at = baseline.wall_time_us * args.crash
@@ -178,13 +137,19 @@ def main(argv: list[str] | None = None) -> int:
         )
     elif args.loss > 0:
         plan = FaultPlan(drop_prob=args.loss)
-    config = build_config(
+    config = runner.config(
+        args.config,
         fault_plan=plan,
         trace=bool(args.trace),
         sanitizer=args.sanitizer,
         profile=args.profile is not None,
         critpath=args.critpath is not None,
-        telemetry=args.telemetry is not None,
+        telemetry=(
+            TelemetryConfig(interval_us=args.telemetry_interval)
+            if args.telemetry is not None
+            else None
+        ),
+        **run,
     )
 
     started = time.time()
@@ -295,25 +260,10 @@ def main(argv: list[str] | None = None) -> int:
             print("  critpath: IDENTITY VIOLATION (path length != wall clock)")
             critpath_ok = False
     if args.trace:
-        tracer = runtime.tracer
-        if args.trace.endswith(".jsonl"):
-            tracer.write_jsonl(args.trace)
-        else:
-            # When the run was analyzed, the Perfetto export overlays
-            # the critical path (dwell slices plus flow arrows) and the
-            # telemetry series (counter tracks) on the same timeline.
-            tracer.write_chrome(
-                args.trace, critpath=report.critpath, telemetry=report.telemetry
-            )
-        print(f"  trace: {len(tracer)} events -> {args.trace}")
-        # The accounting audit: the event stream must reproduce the
-        # aggregate breakdown exactly.
-        mismatches = PhaseTimeline.from_events(tracer.events).verify_against(report)
-        if mismatches:
-            print("  trace: TIMELINE MISMATCH vs TimeBreakdown accounting:")
-            for line in mismatches:
-                print(f"    {line}")
-            return 1
+        # The accounting audit raises unless the event stream reproduces
+        # the aggregate breakdown exactly.
+        export_trace(runtime, report, args.trace)
+        print(f"  trace: {len(runtime.tracer)} events -> {args.trace}")
         print("  trace: PhaseTimeline agrees with TimeBreakdown accounting")
     return 0 if (critpath_ok and telemetry_ok) else 1
 

@@ -21,14 +21,12 @@ from repro.experiments.runner import ExperimentRunner
 from repro.metrics.report import RunReport
 from repro.profile import ProfileConfig
 
-__all__ = ["BENCH_SCHEMA", "DEFAULT_CONFIGS", "QUICK_CONFIGS", "run_bench", "bench_filename"]
+__all__ = ["BENCH_SCHEMA", "DEFAULT_CONFIGS", "run_bench", "bench_filename"]
 
 BENCH_SCHEMA = "repro-bench-1"
 
 #: base, prefetch, multithreading, combined — the paper's four schemes.
 DEFAULT_CONFIGS = ("O", "P", "4T", "4TP")
-#: The --quick variant: fewer threads (and 4 nodes).
-QUICK_CONFIGS = ("O", "P", "2T", "2TP")
 
 #: Histogram stats embedded per quantile row (compare gates on these).
 _STATS = ("count", "mean", "p50", "p90", "p99", "max")

@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.bench                          # 8 apps x O,P,4T,4TP
-    python -m repro.bench --apps sor,fft --quick   # 4 nodes x O,P,2T,2TP
+    python -m repro.bench --apps sor,fft --nodes 4
     python -m repro.bench --out BENCH_baseline.json --nodes 4
 """
 
@@ -13,15 +13,9 @@ import argparse
 import json
 import sys
 
-from repro.bench import (
-    DEFAULT_CONFIGS,
-    QUICK_CONFIGS,
-    bench_filename,
-    normalize_app,
-    run_bench,
-)
 from repro.apps.registry import APP_ORDER
-from repro.dsm.backend import BACKEND_NAMES
+from repro.bench import DEFAULT_CONFIGS, bench_filename, normalize_app, run_bench
+from repro.experiments.runner import add_run_arguments
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,72 +29,32 @@ def main(argv: list[str] | None = None) -> int:
         default=",".join(APP_ORDER),
         help="comma-separated app names, case-insensitive (default: all 8)",
     )
-    parser.add_argument(
-        "--configs",
-        default=None,
-        help=f"comma-separated paper labels (default {','.join(DEFAULT_CONFIGS)}; "
-        f"{','.join(QUICK_CONFIGS)} under --quick)",
-    )
-    parser.add_argument("--nodes", type=int, default=None, help="cluster size (default 8)")
-    parser.add_argument(
-        "--preset", default="small", choices=["small", "default", "paper"]
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--protocol",
-        default="lrc",
-        choices=sorted(BACKEND_NAMES),
-        help="coherence backend for every cell (default lrc)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="quick preset: 4 nodes and 2-thread configs unless overridden",
-    )
-    parser.add_argument("--no-verify", action="store_true")
-    parser.add_argument(
-        "--top-n", type=int, default=5, help="hot-page entries per run (default 5)"
+    add_run_arguments(
+        parser, nodes=8, preset="small", seed=42, protocol="lrc", no_verify=False, jobs=1
     )
     parser.add_argument(
         "--out", metavar="PATH", help="output path (default BENCH_<date>.json)"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N (app, config) cells in parallel worker processes "
-        "(0 = one per CPU core); output is identical for any N",
-    )
     args = parser.parse_args(argv)
 
-    nodes = args.nodes if args.nodes is not None else (4 if args.quick else 8)
-    if args.configs is not None:
-        configs = [label.strip() for label in args.configs.split(",") if label.strip()]
-    else:
-        configs = list(QUICK_CONFIGS if args.quick else DEFAULT_CONFIGS)
     try:
         apps = [normalize_app(name) for name in args.apps.split(",") if name.strip()]
     except ValueError as exc:
         parser.error(str(exc))
 
-    from repro.parallel import default_jobs
-
-    jobs = default_jobs() if args.jobs == 0 else max(1, args.jobs)
     print(
-        f"bench: {len(apps)} app(s) x {len(configs)} config(s) on {nodes} nodes "
+        f"bench: {len(apps)} app(s) x {len(DEFAULT_CONFIGS)} config(s) on {args.nodes} nodes "
         f"({args.preset} preset, seed {args.seed}, {args.protocol} protocol, "
-        f"{jobs} job(s))"
+        f"{args.jobs} job(s))"
     )
     document = run_bench(
         apps,
-        configs,
-        num_nodes=nodes,
+        DEFAULT_CONFIGS,
+        num_nodes=args.nodes,
         preset=args.preset,
         seed=args.seed,
         verify=not args.no_verify,
-        top_n=args.top_n,
-        jobs=jobs,
+        jobs=args.jobs,
         protocol=args.protocol,
     )
     out_path = args.out or bench_filename()

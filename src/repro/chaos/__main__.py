@@ -1,7 +1,8 @@
 """Command-line chaos search and reproducer replay.
 
 Search (exit 0 when every sample passes all invariants, 1 when
-any fails — failing plans are shrunk and written to ``--out``)::
+any fails — the first three failing plans are shrunk and written to
+``--out``; ``--adaptive`` also grades bounded in-flight and no-livelock)::
 
     python -m repro.chaos --seed 7 --budget 50 --jobs 2
 
@@ -18,8 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.dsm.backend import BACKEND_NAMES
 from repro.errors import ConfigError
+from repro.experiments.runner import add_run_arguments
 
 from repro.chaos.search import (
     DEFAULT_APPS,
@@ -32,6 +33,9 @@ from repro.chaos.search import (
     shrink,
     write_reproducer,
 )
+
+#: Failing samples a search shrinks at most (each shrink costs runs).
+MAX_SHRINK = 3
 
 
 def _describe(result: SampleResult) -> str:
@@ -73,7 +77,7 @@ def _run_search(args: argparse.Namespace) -> int:
     if not failures:
         return 0
     out_dir = Path(args.out)
-    for result in failures[: args.max_shrink]:
+    for result in failures[:MAX_SHRINK]:
         print(f"shrinking {_describe(result)} ...", flush=True)
         minimal = shrink(result)
         path = write_reproducer(
@@ -84,9 +88,9 @@ def _run_search(args: argparse.Namespace) -> int:
             f"{'y' if fault_entry_count(minimal.sample.plan) == 1 else 'ies'}, "
             f"failures={'+'.join(minimal.failures)}, wrote {path}"
         )
-    skipped = len(failures) - min(len(failures), args.max_shrink)
+    skipped = len(failures) - min(len(failures), MAX_SHRINK)
     if skipped:
-        print(f"  ({skipped} further failing sample(s) not shrunk; raise --max-shrink)")
+        print(f"  ({skipped} further failing sample(s) not shrunk)")
     return 1
 
 
@@ -105,42 +109,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos", description=__doc__.splitlines()[0]
     )
-    parser.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
-    parser.add_argument(
-        "--budget", type=int, default=50, help="number of fault plans to sample"
+    add_run_arguments(
+        parser, seed=0, jobs=1, preset="small", nodes=4, protocol="lrc", adaptive=False
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (results identical for any N)"
+        "--budget", type=int, default=50, help="number of fault plans to sample"
     )
     parser.add_argument(
         "--apps",
         default=",".join(DEFAULT_APPS),
         help="comma-separated app names (default %(default)s)",
     )
-    parser.add_argument("--preset", default="small", help="app size preset")
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument(
-        "--protocol",
-        default="lrc",
-        choices=sorted(BACKEND_NAMES),
-        help="coherence backend every sample runs on (default lrc)",
-    )
     parser.add_argument(
         "--out",
         default="chaos-reproducers",
         help="directory for minimal reproducers of failing samples",
-    )
-    parser.add_argument(
-        "--max-shrink",
-        type=int,
-        default=3,
-        help="shrink at most this many failing samples (each costs runs)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="run every sample on the adaptive transport and grade the "
-        "bounded-in-flight and no-livelock invariants",
     )
     parser.add_argument(
         "--replay", metavar="FILE", help="replay one reproducer instead of searching"

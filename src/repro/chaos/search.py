@@ -49,6 +49,10 @@ __all__ = [
 #: exercise different protocol paths without blowing the CI budget.
 DEFAULT_APPS = ("SOR", "FFT", "LU-CONT")
 
+#: Liveness bound: a sample exceeding this many simulation events is
+#: declared livelocked (clean small runs take well under a tenth).
+MAX_EVENTS = 5_000_000
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -65,9 +69,6 @@ class ChaosConfig:
     #: protocol-independent; the sanitizer checks the backend-specific
     #: invariant set for whichever protocol is selected.
     protocol: str = "lrc"
-    #: Liveness bound: a sample exceeding this many simulation events is
-    #: declared livelocked (clean small runs take well under a tenth).
-    max_events: int = 5_000_000
     #: Run every sample on the adaptive transport (RTT-estimated RTO,
     #: AIMD window, backpressure) and grade the two adaptive
     #: invariants: bounded in-flight growth and no-livelock.
@@ -89,8 +90,6 @@ class ChaosConfig:
             raise ConfigError(f"num_nodes must be >= 2, got {self.num_nodes}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.max_events < 1:
-            raise ConfigError(f"max_events must be >= 1, got {self.max_events}")
         if self.protocol not in BACKEND_NAMES:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r} (choose from {sorted(BACKEND_NAMES)})"
@@ -112,7 +111,6 @@ class ChaosSample:
     num_nodes: int
     seed: int
     plan: dict
-    max_events: int = 5_000_000
     adaptive: bool = False
     protocol: str = "lrc"
 
@@ -239,7 +237,6 @@ def generate_samples(
                 num_nodes=config.num_nodes,
                 seed=config.seed + index,
                 plan=sample_plan(rng, walls[app_name], config.num_nodes),
-                max_events=config.max_events,
                 adaptive=config.adaptive,
                 protocol=config.protocol,
             )
@@ -266,7 +263,7 @@ def _execute(sample: ChaosSample):
         # FT always on: stalls and give-ups park messages that only the
         # membership layer revives.
         ft=True,
-        max_events=sample.max_events,
+        max_events=MAX_EVENTS,
         transport=TransportConfig(adaptive=True) if sample.adaptive else TransportConfig(),
     )
     runtime = DsmRuntime(config)
@@ -287,7 +284,7 @@ def evaluate_sample(sample: ChaosSample) -> SampleResult:
     except ProtocolError as exc:
         return SampleResult(sample, ["sanitizer"], error=str(exc))
     except SimulationError as exc:
-        # max_events exceeded, or the run drained its event queue with
+        # MAX_EVENTS exceeded, or the run drained its event queue with
         # schedulers unfinished: either way, it did not stay live.
         return SampleResult(sample, ["liveness"], error=str(exc))
     except FailureError as exc:
@@ -435,7 +432,6 @@ def reproducer_dict(result: SampleResult) -> dict:
         "preset": sample.preset,
         "num_nodes": sample.num_nodes,
         "seed": sample.seed,
-        "max_events": sample.max_events,
         "adaptive": sample.adaptive,
         "protocol": sample.protocol,
         "failures": list(result.failures),
@@ -465,6 +461,10 @@ def load_reproducer(path: Path) -> ChaosSample:
     unknown = sorted(key for key, value in data.items() if key not in _REPRODUCER_KEYS and value)
     if unknown:
         raise ConfigError(f"reproducer sets unknown fields: {', '.join(unknown)}")
+    # Files from older builds carry the liveness bound; another value
+    # would replay under a bound the file does not name.
+    if data.get("max_events", MAX_EVENTS) != MAX_EVENTS:
+        raise ConfigError(f"reproducer sets max_events {data['max_events']}, not {MAX_EVENTS}")
     try:
         sample = ChaosSample(
             index=0,
@@ -473,7 +473,6 @@ def load_reproducer(path: Path) -> ChaosSample:
             num_nodes=int(data["num_nodes"]),
             seed=int(data["seed"]),
             plan=FaultPlan.from_dict(data["plan"]).to_dict(),  # validated before running
-            max_events=int(data.get("max_events", 5_000_000)),
             adaptive=bool(data.get("adaptive", False)),
             protocol=str(data.get("protocol", "lrc")),
         )
@@ -484,6 +483,5 @@ def load_reproducer(path: Path) -> ChaosSample:
         apps=(sample.app_name,),
         num_nodes=sample.num_nodes,
         protocol=sample.protocol,
-        max_events=sample.max_events,
     )
     return sample

@@ -331,7 +331,12 @@ class HlrcBackend(LrcBackend):
                 request_id=request_id,
             )
             data, covers, lamport = yield reply
-            yield from self._install_page(page_id, data, covers, lamport)
+            # A release flush of this page while the request was out
+            # raised the watermark past what the home had applied when
+            # it served: installing would revert that flushed write, so
+            # ask again for a copy that carries it.
+            if covers[self.node_id] >= self._flushed_upto.get(page_id, 0):
+                yield from self._install_page(page_id, data, covers, lamport)
 
     def _install_page(
         self, page_id: int, data: np.ndarray, covers: tuple, lamport: int

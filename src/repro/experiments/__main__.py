@@ -7,7 +7,6 @@ Examples::
     python -m repro.experiments all --preset small --nodes 4
     python -m repro.experiments all --jobs 2 --out EXPERIMENTS.md
     python -m repro.experiments crash
-    python -m repro.experiments crash --crash-node 5 --crash-at 0.6 --crash-loss 0.05
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS, CONFIG_LABELS, GRID_LABELS, ExperimentRunner
+from repro.experiments.runner import add_run_arguments
 from repro.experiments.writeup import write_blocks
 
 
@@ -30,54 +30,14 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         help=f"experiment ids ({', '.join(ALL_EXPERIMENTS)}) or 'all'",
     )
-    parser.add_argument(
-        "--crash-node",
-        type=int,
-        default=3,
-        metavar="N",
-        help="which node crashes (default 3; node 0 cannot crash)",
-    )
-    parser.add_argument(
-        "--crash-at",
-        type=float,
-        default=0.45,
-        metavar="FRAC",
-        help="crash time as a fraction of the fault-free wall time (default 0.45)",
-    )
-    parser.add_argument(
-        "--crash-loss",
-        type=float,
-        default=0.0,
-        metavar="PROB",
-        help="datagram loss probability during the crashed run (default 0)",
-    )
-    parser.add_argument("--nodes", type=int, default=8, help="cluster size (default 8)")
-    parser.add_argument(
-        "--preset",
-        default="default",
-        choices=["small", "default", "paper"],
-        help="problem-size preset",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--no-verify", action="store_true", help="skip result verification (faster)"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan every experiment's runs across up to N worker processes "
-        "(0 = one per CPU core); results are identical for any N. "
-        "Under --trace the (app, config) grid stays serial (the timeline "
-        "audit is in-process)",
-    )
+    add_run_arguments(parser, nodes=8, preset="default", seed=42, no_verify=False, jobs=1)
     parser.add_argument(
         "--trace",
         metavar="PATH",
         help="record per-run event traces; PATH is a template — each "
         "(app, config) run writes PATH with '.APP-LABEL' inserted before "
-        "the suffix (Chrome/Perfetto JSON, or flat logs if .jsonl)",
+        "the suffix (Chrome/Perfetto JSON, or flat logs if .jsonl). The "
+        "(app, config) grid then runs serially: the timeline audit is in-process",
     )
     parser.add_argument(
         "--profile",
@@ -112,9 +72,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {unknown}")
 
-    from repro.parallel import default_jobs
-
-    jobs = default_jobs() if args.jobs == 0 else max(1, args.jobs)
     runner = ExperimentRunner(
         num_nodes=args.nodes,
         preset=args.preset,
@@ -123,10 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         verbose=True,
         trace_template=args.trace,
         profile_template=args.profile,
-        crash_node=args.crash_node,
-        crash_frac=args.crash_at,
-        crash_loss=args.crash_loss,
-        jobs=jobs,
+        jobs=args.jobs,
         critpath=args.critpath,
     )
     runner.prefetch_grid(

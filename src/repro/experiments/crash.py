@@ -20,17 +20,19 @@ from repro.network.faults import FaultPlan, NodeCrash
 
 __all__ = ["crash_matrix"]
 
+#: The node that dies (node 0 hosts the barrier manager and never crashes).
+CRASH_NODE = 3
+#: When it dies, as a fraction of the fault-free wall time.
+CRASH_FRAC = 0.45
+
 
 def crash_matrix(runner: ExperimentRunner):
     """Crash matrix: recovery overhead per application.
 
-    The crash is scheduled at ``crash_frac`` of the baseline's wall
+    The crash is scheduled at ``CRASH_FRAC`` of the baseline's wall
     time, so it lands mid-computation for every application regardless
-    of problem size.
+    of problem size.  No datagram is lost.
     """
-    node = runner.crash_node
-    frac = runner.crash_frac
-    loss = runner.crash_loss
     headers = [
         "app",
         "base(ms)",
@@ -48,11 +50,12 @@ def crash_matrix(runner: ExperimentRunner):
     baselines = {app_name: runner.run(app_name, "O") for app_name in APP_ORDER}
     crashed = runner.run_cells(
         {
-            (app_name, f"crash n{node}@{frac:.0%}"): runner.config(
+            (app_name, f"crash n{CRASH_NODE}@{CRASH_FRAC:.0%}"): runner.config(
                 "O",
                 fault_plan=FaultPlan(
-                    drop_prob=loss,
-                    crashes=(NodeCrash(node=node, at_us=baseline.wall_time_us * frac),),
+                    crashes=(
+                        NodeCrash(node=CRASH_NODE, at_us=baseline.wall_time_us * CRASH_FRAC),
+                    ),
                 ),
                 sanitizer=True,
             )
@@ -92,8 +95,8 @@ def crash_matrix(runner: ExperimentRunner):
             ]
         )
     text = (
-        f"Crash matrix: node {node} crashes at {frac:.0%} of the fault-free wall "
-        f"time (loss={loss:.0%}); recovery from the last barrier checkpoint\n"
+        f"Crash matrix: node {CRASH_NODE} crashes at {CRASH_FRAC:.0%} of the fault-free wall "
+        "time (loss=0%); recovery from the last barrier checkpoint\n"
         + render_rows(headers, rows)
     )
     return text, data

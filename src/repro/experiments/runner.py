@@ -5,16 +5,25 @@ since several figures/tables share the same runs.
 
 from __future__ import annotations
 
+import argparse
 from pathlib import Path
 from typing import Optional
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps.registry import APP_ORDER, make_app
+from repro.dsm.backend import BACKEND_NAMES
 from repro.errors import ConfigError
 from repro.metrics.report import RunReport
 from repro.trace import PhaseTimeline
 
-__all__ = ["CONFIG_LABELS", "ExperimentRunner", "make_configured_app", "parse_label"]
+__all__ = [
+    "CONFIG_LABELS",
+    "ExperimentRunner",
+    "add_run_arguments",
+    "export_trace",
+    "make_configured_app",
+    "parse_label",
+]
 
 #: Every configuration Figure 5 uses, in its presentation order.
 CONFIG_LABELS = ["O", "2T", "4T", "8T", "P", "2TP", "4TP", "8TP"]
@@ -51,6 +60,67 @@ def make_configured_app(app_name: str, preset: str, label: str):
     return app
 
 
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: worker processes, 0 meaning one per CPU core."""
+    # Imported here: repro.parallel imports this module.
+    from repro.parallel import default_jobs
+
+    return default_jobs() if int(text) == 0 else max(1, int(text))
+
+
+#: The options every run CLI may share, by ``add_run_arguments`` keyword.
+_RUN_ARGUMENTS = {
+    "nodes": dict(type=int, metavar="N", help="cluster size (default %(default)s)"),
+    "preset": dict(
+        choices=["small", "default", "paper"], help="problem-size preset (default %(default)s)"
+    ),
+    "seed": dict(type=int, help="seed (default %(default)s)"),
+    "protocol": dict(
+        choices=sorted(BACKEND_NAMES),
+        help="coherence backend (default %(default)s): lrc (TreadMarks-style "
+        "lazy release consistency), hlrc (home-based LRC), sc (single-writer "
+        "sequentially-consistent invalidate)",
+    ),
+    "adaptive": dict(
+        action="store_true",
+        help="use the adaptive transport (RTT-estimated RTO, AIMD window, "
+        "backpressure) instead of the static timeout/retry policy",
+    ),
+    "jobs": dict(
+        type=_jobs,
+        metavar="N",
+        help="fan the runs across up to N worker processes (0 = one per "
+        "CPU core); results are identical for any N",
+    ),
+    "no_verify": dict(action="store_true", help="skip result verification (faster)"),
+}
+
+
+def add_run_arguments(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Declare the shared run options a CLI takes, each keyword (``nodes``,
+    ``preset``, ``seed``, ``protocol``, ``adaptive``, ``jobs``,
+    ``no_verify``) with the CLI's default for it."""
+    for name, default in defaults.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"), default=default, **_RUN_ARGUMENTS[name]
+        )
+
+
+def export_trace(runtime: DsmRuntime, report: RunReport, path) -> None:
+    """Write a run's trace to ``path``: a flat event log if it ends in
+    ``.jsonl``, else Chrome/Perfetto JSON with the run's critical path and
+    telemetry overlaid.  Then audit it: the events must rebuild the
+    report's time breakdown exactly, or :class:`ConfigError` says where not."""
+    tracer = runtime.tracer
+    if str(path).endswith(".jsonl"):
+        tracer.write_jsonl(path)
+    else:
+        tracer.write_chrome(path, critpath=report.critpath, telemetry=report.telemetry)
+    mismatches = PhaseTimeline.from_events(tracer.events).verify_against(report)
+    if mismatches:
+        raise ConfigError(f"trace/accounting mismatch in {path}: " + "; ".join(mismatches))
+
+
 class ExperimentRunner:
     """Runs (app, configuration) pairs on demand and caches the reports."""
 
@@ -63,9 +133,6 @@ class ExperimentRunner:
         verbose: bool = False,
         trace_template: Optional[str] = None,
         profile_template: Optional[str] = None,
-        crash_node: int = 3,
-        crash_frac: float = 0.45,
-        crash_loss: float = 0.0,
         jobs: int = 1,
         critpath: bool = False,
     ) -> None:
@@ -74,12 +141,6 @@ class ExperimentRunner:
         self.seed = seed
         self.verify = verify
         self.verbose = verbose
-        #: Crash-matrix knobs (see ``repro.experiments.crash``): which
-        #: node dies, when (as a fraction of the fault-free wall time),
-        #: and the datagram loss probability during the crashed run.
-        self.crash_node = crash_node
-        self.crash_frac = crash_frac
-        self.crash_loss = crash_loss
         #: When set, every run records a trace written to a path derived
         #: from this template: ``figure1.json`` -> ``figure1.FFT-O.json``.
         self.trace_template = trace_template
@@ -137,7 +198,11 @@ class ExperimentRunner:
         runtime = DsmRuntime(self._grid_config(label))
         report = runtime.execute(app, verify=self.verify)
         if self.trace_template:
-            self._export_trace(runtime, report, app_name, label)
+            path = self._derived_path(self.trace_template, app_name, label)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            export_trace(runtime, report, path)
+            if self.verbose:
+                print(f"    trace: {len(runtime.tracer)} events -> {path}", flush=True)
         self._store(key, report)
         return report
 
@@ -150,25 +215,6 @@ class ExperimentRunner:
             if self.verbose:
                 print(f"    profile report -> {path}", flush=True)
         self._cache[key] = report
-
-    def _export_trace(
-        self, runtime: DsmRuntime, report: RunReport, app_name: str, label: str
-    ) -> None:
-        tracer = runtime.tracer
-        path = self._derived_path(self.trace_template, app_name, label)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.suffix == ".jsonl":
-            tracer.write_jsonl(path)
-        else:
-            tracer.write_chrome(path)
-        if self.verbose:
-            print(f"    trace: {len(tracer)} events -> {path}", flush=True)
-        mismatches = PhaseTimeline.from_events(tracer.events).verify_against(report)
-        if mismatches:
-            raise ConfigError(
-                f"trace/accounting mismatch for {app_name} [{label}]: "
-                + "; ".join(mismatches)
-            )
 
     def run_cells(self, cells: dict[tuple, RunConfig]) -> dict[tuple, RunReport]:
         """Run a matrix of cells across ``jobs`` workers: the one place a

@@ -138,6 +138,35 @@ PAPER_CLAIMS = {
             lambda d: all(0 <= e["downtime_ms"] - 195 < 5 for e in d.values()),
         ),
     ],
+    "critpath": [
+        ("FFT's top wait is diff_rtt", lambda d: d["FFT"]["top_wait"] == "diff_rtt"),
+        (
+            "RADIX's P is slower than its O",
+            lambda d: d["RADIX"]["measured_us"]["P"] > d["RADIX"]["measured_us"]["O"],
+        ),
+        (
+            "every application's critical path is its wall clock exactly",
+            lambda d: all(e["identity_exact"] for e in d.values()),
+        ),
+    ],
+    "protocol": [
+        (
+            "hlrc beats lrc on RADIX and FFT in every scheme",
+            lambda d: all(
+                cell["hlrc"]["vs_lrc"] < 1 for app in ("RADIX", "FFT") for cell in d[app].values()
+            ),
+        ),
+        (
+            "hlrc loses to lrc on SOR and OCEAN in every scheme",
+            lambda d: all(
+                cell["hlrc"]["vs_lrc"] > 1 for app in ("SOR", "OCEAN") for cell in d[app].values()
+            ),
+        ),
+        (
+            "sc is slower than lrc in every cell",
+            lambda d: all(cell["sc"]["vs_lrc"] > 1 for app in d.values() for cell in app.values()),
+        ),
+    ],
     "adaptive": [
         (
             "the adaptive arm beats the static one under 5% loss on every application",

@@ -17,6 +17,7 @@ import pytest
 from repro.chaos import (
     ChaosConfig,
     ChaosSample,
+    SampleResult,
     evaluate_sample,
     fault_entry_count,
     generate_samples,
@@ -27,6 +28,7 @@ from repro.chaos import (
     write_reproducer,
 )
 from repro.chaos.__main__ import main as chaos_main
+from repro.chaos.search import MAX_EVENTS
 from repro.errors import ConfigError
 from repro.network.faults import FaultPlan
 from tests.plants import PLANTS, split_brain
@@ -137,12 +139,19 @@ def test_reproducer_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("protocol", "lrcx"), ("app", "NOPE"), ("num_nodes", 1), ("split_brain_bug", True)],
+    [
+        ("protocol", "lrcx"),
+        ("app", "NOPE"),
+        ("num_nodes", 1),
+        ("split_brain_bug", True),
+        ("max_events", 1_000),
+    ],
 )
 def test_malformed_reproducer_is_rejected_not_graded(tmp_path, capsys, field, value):
     """A file that cannot replay what it names must not be graded: a
     bad app or protocol used to run as a deadlock and grade ``liveness``,
-    and an unknown bug switch would replay clean and read as fixed."""
+    an unknown bug switch would replay clean and read as fixed, and an
+    event bound other than ``MAX_EVENTS`` would be graded against ours."""
     path = write_reproducer(evaluate_sample(bug_sample()), tmp_path / "r.json")
     data = json.loads(path.read_text())
     data[field] = value
@@ -151,6 +160,13 @@ def test_malformed_reproducer_is_rejected_not_graded(tmp_path, capsys, field, va
         load_reproducer(path)
     assert chaos_main(["--replay", str(path)]) == 2
     assert "malformed reproducer" in capsys.readouterr().err
+
+
+def test_reproducer_carrying_the_event_bound_still_loads(tmp_path):
+    """Older builds wrote the liveness bound into every reproducer."""
+    path = write_reproducer(SampleResult(bug_sample()), tmp_path / "r.json")
+    path.write_text(json.dumps({**json.loads(path.read_text()), "max_events": MAX_EVENTS}))
+    assert replace(load_reproducer(path), plan=bug_sample().plan) == bug_sample()
 
 
 def test_load_reproducer_rejects_unknown_version(tmp_path):

@@ -84,3 +84,18 @@ def test_the_corpus_catches_each_single_run_plant(name, monkeypatch):
 
     with pytest.raises((AssertionError, ReproError)):
         corpus()
+
+
+@pytest.mark.parametrize("scheme", ["O", "P"])
+def test_hlrc_keeps_a_write_flushed_while_its_fetch_was_out(scheme):
+    """Regression: node 1 flushes its write of cell 1 at a release while
+    its fetch of the same page is out.  The home served the fetch before
+    it applied that flush, and installing the copy reverted the write:
+    thread 1 read 0, not 1001."""
+    table = [
+        [("read", 0), ("write", 0, 1000)],
+        [("write", 1, 1001), ("add", 2, 0, 1), ("read", 1), ("add", 2, 0, 1)],
+        [("compute", 300.0), ("add", 3, 1, 1)],
+    ]
+    config = RunConfig(num_nodes=3, prefetch=scheme == "P", protocol="hlrc", page_size=32)
+    DsmRuntime(config).execute(Replay(table, 4))

@@ -12,11 +12,9 @@ def test_crash_matrix_registered():
 
 
 def test_crash_matrix_entries():
-    runner = ExperimentRunner(
-        num_nodes=4, preset="small", verify=True, crash_node=2, crash_frac=0.5
-    )
+    runner = ExperimentRunner(num_nodes=4, preset="small", verify=True)
     text, data = crash_matrix(runner)
-    assert "Crash matrix" in text
+    assert "Crash matrix: node 3 crashes at 45% of the fault-free wall time (loss=0%)" in text
     assert set(data) == set(APP_ORDER)
     for entry in data.values():
         assert entry["recoveries"] == 1
@@ -27,7 +25,7 @@ def test_crash_matrix_entries():
 
 
 def test_cli_crash_id(capsys):
-    code = experiments_main(["crash", "--nodes", "4", "--preset", "small", "--crash-node", "1"])
+    code = experiments_main(["crash", "--nodes", "4", "--preset", "small"])
     assert code == 0
     out = capsys.readouterr().out
     assert "Crash matrix" in out

@@ -63,7 +63,7 @@ def test_runner_unknown_app():
 @pytest.fixture(scope="module")
 def grid():
     """Every (app, label) cell of the grid, run once for the module."""
-    runner = ExperimentRunner(num_nodes=4, preset="small", crash_node=1)
+    runner = ExperimentRunner(num_nodes=4, preset="small")
     return {
         (app_name, label): runner.run(app_name, label)
         for app_name in APP_ORDER
@@ -84,7 +84,7 @@ def test_declared_grid_labels_cover_every_grid_read(experiment_id, grid):
     """The CLI fans out only what ``GRID_LABELS`` declares: a label an
     experiment reads without declaring would still run, but serially,
     one cell at a time, whatever ``--jobs`` says."""
-    runner = DeclaredGridOnly(num_nodes=4, preset="small", crash_node=1)
+    runner = DeclaredGridOnly(num_nodes=4, preset="small")
     runner._cache = {
         key: report for key, report in grid.items() if key[1] in GRID_LABELS[experiment_id]
     }

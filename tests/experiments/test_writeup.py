@@ -67,19 +67,21 @@ def test_experiments_md_has_one_block_per_experiment():
 def test_text_outside_the_blocks_survives_byte_for_byte(tmp_path):
     path = tmp_path / "doc.md"
     path.write_text(tiny_document({"fig1": "stale\n", "crash": "kept\n"}), encoding="utf-8")
-    outcomes = write_blocks(str(path), {"fig1": ("T1", {}), "protocol": ("TP", {})})
+    # hlrc slower and sc faster than lrc: every protocol check deviates.
+    protocol = {"RADIX": {"O": {"hlrc": {"vs_lrc": 1.1}, "sc": {"vs_lrc": 0.9}}}}
+    outcomes = write_blocks(str(path), {"fig1": ("T1", {}), "protocol": ("TP", protocol)})
     expected = tiny_document(
         {
-            "fig1": "\n```text\nT1\n```\n\n**Shape checks:**\n\n"
-            + "".join(f"- DEVIATES: {what}\n" for what, _check in PAPER_CLAIMS["fig1"])
-            + "\n",
-            "crash": "kept\n",
-            "protocol": "\n```text\nTP\n```\n\n",
+            ident: f"\n```text\n{text}\n```\n\n**Shape checks:**\n\n"
+            + "".join(f"- DEVIATES: {what}\n" for what, _check in PAPER_CLAIMS[ident])
+            + "\n"
+            for ident, text in (("fig1", "T1"), ("protocol", "TP"))
         }
+        | {"crash": "kept\n"}
     )
     assert path.read_text(encoding="utf-8") == expected
-    assert outcomes["protocol"] == []
-    assert [held for _what, held in outcomes["fig1"]] == [False] * len(PAPER_CLAIMS["fig1"])
+    for ident in ("fig1", "protocol"):
+        assert [held for _what, held in outcomes[ident]] == [False] * len(PAPER_CLAIMS[ident])
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ import pytest
 from repro.bench import (
     BENCH_SCHEMA,
     DEFAULT_CONFIGS,
-    QUICK_CONFIGS,
     bench_filename,
     normalize_app,
     run_bench,
@@ -33,7 +32,6 @@ def test_bench_filename():
 
 def test_config_sets_cover_the_papers_schemes():
     assert DEFAULT_CONFIGS == ("O", "P", "4T", "4TP")
-    assert QUICK_CONFIGS == ("O", "P", "2T", "2TP")
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +97,7 @@ def run_command(monkeypatch, module, *args):
 @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
 def test_sor_fft_document_matches_schema(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "bench.json")
-    assert run_command(monkeypatch, "repro.bench", "--apps", "sor,fft", "--quick", "--out", out) == 0
+    assert run_command(monkeypatch, "repro.bench", "--apps", "sor,fft", "--nodes", "4", "--out", out) == 0
     assert "wrote 8 runs" in capsys.readouterr().out
     with open(out) as handle:
         doc = json.load(handle)

@@ -128,6 +128,8 @@ def test_numbers_definitions(tmp_path, monkeypatch, capsys):
         "    def __init__(self, c=1, d=2, e=3):\n"
         "        if sim.trace_on and tr.enabled:  # one line, one site\n"
         "            pass\n"
+        "x = f\"{a!r:>{w}} and {f'{b}'}\"  # one token, nested fields and all\n"
+        'y = f"""{c}"""  # triple-quoted: not counted, as a docstring is not\n'
     )
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "m.py").write_text(source, encoding="utf-8")
@@ -135,8 +137,8 @@ def test_numbers_definitions(tmp_path, monkeypatch, capsys):
     assert contract.main(["numbers"]) == 0
     printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     assert printed == {
-        "src_py_lines": "12",
-        "code_tokens": "50",
+        "src_py_lines": "14",
+        "code_tokens": "55",
         "hook_sites": "1",
         "config_fields": "5",
     }
