@@ -73,7 +73,7 @@ class RunConfig:
     #: fault plan schedules node crashes or partitions; its timings are
     #: module constants of ``repro.ft.detector`` and ``repro.ft.manager``.
     ft: bool = False
-    #: Protocol-invariant checking (``repro.ft.sanitizer``): a fold over
+    #: The checkpoint-cut check (``repro.ft.sanitizer``): a fold over
     #: the run's events, run after the run (and over the partial trace
     #: when the run raised).  Implies event collection, as ``critpath``
     #: does; off, it costs nothing.
@@ -272,10 +272,10 @@ class DsmRuntime:
         return report
 
     def _sanitize(self, cause: Optional[Exception] = None) -> None:
-        """Fold the trace through the protocol sanitizer, if configured."""
+        """Fold the trace through the sanitizer, if configured."""
         if self.config.sanitizer:
             try:
-                check_events(self.tracer.events, self.config.num_nodes, self.config.protocol)
+                check_events(self.tracer.events, self.config.num_nodes)
             except ProtocolError as violation:
                 raise violation from cause
 

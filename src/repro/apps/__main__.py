@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sanitizer",
         action="store_true",
-        help="check the selected protocol's invariants over the run's trace",
+        help="check every committed checkpoint cut over the run's trace",
     )
     parser.add_argument(
         "--profile",

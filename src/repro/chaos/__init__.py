@@ -8,10 +8,10 @@ turns the combination space into a search problem:
 - :func:`sample_plan` draws one bounded, valid :class:`FaultPlan` from
   a seeded generator (at most one crash and one isolated node per plan;
   windows scaled to the app's clean wall time);
-- :func:`evaluate_sample` runs it and checks four invariants — the
-  protocol sanitizer stays clean, the run stays live within an event
-  bound, a re-run of the same (seed, plan) is byte-identical, and no
-  committed checkpoint spans a membership split;
+- :func:`evaluate_sample` runs it and checks four invariants — no
+  committed checkpoint spans a membership split (the sanitizer), the
+  run stays live within an event bound, a re-run of the same (seed,
+  plan) is byte-identical, and the app verifies;
 - :func:`search` fans a budget of samples out across cores
   (deterministically: same seed + budget ⇒ same samples and verdicts,
   for every ``--jobs``);

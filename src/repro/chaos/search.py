@@ -66,8 +66,7 @@ class ChaosConfig:
     jobs: int = 1
     #: Coherence backend every sample runs on.  The four standing
     #: invariants (sanitizer, liveness, determinism, verify) are
-    #: protocol-independent; the sanitizer checks the backend-specific
-    #: invariant set for whichever protocol is selected.
+    #: protocol-independent.
     protocol: str = "lrc"
     #: Run every sample on the adaptive transport (RTT-estimated RTO,
     #: AIMD window, backpressure) and grade the two adaptive
@@ -121,7 +120,7 @@ class SampleResult:
 
     sample: ChaosSample
     #: Failed invariants, each one of the base four: ``sanitizer`` (a
-    #: protocol or checkpoint-cut invariant tripped), ``liveness``
+    #: committed checkpoint cut lacks a node's arrival), ``liveness``
     #: (event bound exceeded or the run deadlocked), ``determinism``
     #: (re-run differed), ``verify`` (the app's answer was wrong); or,
     #: adaptive arm only, ``inflight`` (a peer exceeded the AIMD window

@@ -226,13 +226,11 @@ class CoherenceBackend:
 
     # -- whole-page transfer ----------------------------------------------------
 
-    def copy_page_out(self, page_id: int, source: "np.ndarray", **facts: Any) -> Generator:
+    def copy_page_out(self, page_id: int, source: "np.ndarray") -> Generator:
         """Copy a page (or its twin) for the wire; returns the copy.
-        Charged as a diff creation that finds nothing modified.
-        ``facts`` ride the ``page_serve`` event (HLRC's home and
-        coverage, which the sanitizer checks)."""
+        Charged as a diff creation that finds nothing modified."""
         data = source.copy()
-        self._mark("page_serve", page=page_id, **facts)
+        self._mark("page_serve", page=page_id)
         yield from self.node.occupy(self.node.costs.diff_create_us(len(data), 0), Category.DSM)
         return data
 

@@ -169,9 +169,7 @@ class HlrcBackend(LrcBackend):
     def handle_home_update(self, msg: Message) -> Generator:
         page_id = msg.payload["page_id"]
         stored: StoredDiff = msg.payload["stored"]
-        # ``home`` marks a remote update, which the sanitizer checks
-        # landed on the page's home.
-        self._mark("home_update", page=page_id, home=self.home_of(page_id))
+        self._mark("home_update", page=page_id)
         # The shared LRC applier does everything the home needs: charge
         # the apply, update page AND twin, advance applied_upto, and
         # order conflicting arrivals by per-byte lamport watermark.
@@ -231,9 +229,7 @@ class HlrcBackend(LrcBackend):
         source = state.twin if (state.dirty and state.twin is not None) else None
         if source is None:
             source = self.node.pages.page(page_id)
-        data = yield from self.copy_page_out(
-            page_id, source, home=self.home_of(page_id), covers=covers
-        )
+        data = yield from self.copy_page_out(page_id, source)
         yield from self.post(
             msg.src,
             MessageKind.PAGE_REPLY,

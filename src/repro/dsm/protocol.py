@@ -306,15 +306,6 @@ class LrcBackend(CoherenceBackend):
                 "write_notices",
                 node_id,
                 count=count,
-                full=advance_vc,
-                # What the sanitizer replays (ft.sanitizer.check_events):
-                # the clock as it was before these records advance it.
-                notices=[
-                    (record.proc, record.interval_idx, record.pages)
-                    for record in records
-                    if record.proc != node_id
-                ],
-                vc=vc.snapshot(),
                 backlog=self.wn_log.total(),
             )
         for record in records:
@@ -447,19 +438,6 @@ class LrcBackend(CoherenceBackend):
                 # Already covered (e.g. a stale prefetch-heap entry);
                 # re-applying could revert newer data.
                 continue
-            if self.sim.trace_on:
-                # Taken for applying here, a CPU charge before diff_apply.
-                tr = self.sim.trace
-                tr.instant(
-                    self.sim.now,
-                    "protocol",
-                    "diff_admit",
-                    self.node_id,
-                    page=page_id,
-                    writer=item.proc,
-                    covers=item.covers_through,
-                    lamport=item.lamport,
-                )
             cost = self.node.costs.diff_apply_us(item.diff.modified_bytes)
             yield from self.node.occupy(cost, Category.DSM)
             if self.sim.trace_on:

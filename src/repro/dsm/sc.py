@@ -272,7 +272,6 @@ class ScBackend(CoherenceBackend):
             elif state.mode == INVALID:
                 state.mode = SHARED
             if tr.enabled:
-                # The page is installed: the sanitizer reads this end.
                 tr.async_end(self.sim.now, *txn)
             # Fire-and-forget completion notice releases the directory.
             if manager == self.node_id:
@@ -370,7 +369,6 @@ class ScBackend(CoherenceBackend):
         costs = self.node.costs
         while entry.queue:
             requester, mode, grant = entry.queue.popleft()
-            self._mark("sc_dir_start", page=page_id, requester=requester, mode=mode)
             # Armed BEFORE the grant can fire: a local requester resumes
             # synchronously inside grant.succeed and reports completion
             # before this generator runs again.
@@ -384,7 +382,6 @@ class ScBackend(CoherenceBackend):
             # Wait for the requester's completion notice before
             # admitting the next transaction (serialization).
             yield entry.done_event
-            self._mark("sc_dir_end", page=page_id)
         entry.busy = False
 
     def _txn_read(
@@ -573,12 +570,6 @@ class ScBackend(CoherenceBackend):
             entry = _Directory(owner=entry_snap["owner"], num_nodes=self.num_nodes)
             entry.copyset = set(entry_snap["copyset"])
             self._directory[pid] = entry
-        # Re-seeds the sanitizer's copy mirror (cleared at ``recover``)
-        # from the restored page modes — see on_sc_restore.
-        self._mark(
-            "sc_restore",
-            invalid=[pid for pid, state in self._pages.items() if state.mode == INVALID],
-        )
 
     # -- verification --------------------------------------------------------
 

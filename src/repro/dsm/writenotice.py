@@ -3,7 +3,7 @@
 At each synchronization point a node closes its current interval and
 emits one :class:`IntervalRecord` naming every page dirtied during it; a
 *write notice* is one ``(record, page)`` pair, the unit the wire, the CPU
-charge, the trace and the sanitizer count in.  Records travel piggybacked
+charge and the trace count in.  Records travel piggybacked
 on lock grants and barrier releases, shared by reference; the receiver
 invalidates the named pages it holds.  :class:`WriteNoticeLog` is the
 per-node archive of every record seen, supporting the "what does node X

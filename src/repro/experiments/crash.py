@@ -6,8 +6,8 @@ run, detected by heartbeat timeout, and recovered from the last
 coordinated barrier checkpoint.  The columns show where the extra wall
 time went — checkpointing, dead time before the rollback, state
 restoration — plus the checkpoint footprint.  Every crashed run
-executes with the protocol sanitizer on, so the matrix doubles as an
-invariant sweep of the recovery path.
+executes with the sanitizer on, so each committed checkpoint cut on the
+recovery path is checked.
 """
 
 from __future__ import annotations

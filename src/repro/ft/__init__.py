@@ -1,6 +1,6 @@
 """Fault tolerance for the DSM: crash-stop failures, failure detection,
-coordinated barrier-epoch checkpointing, recovery, and the protocol
-invariant sanitizer.
+coordinated barrier-epoch checkpointing, recovery, and the checkpoint-cut
+sanitizer.
 
 The package layers *above* the message-level fault injection in
 :mod:`repro.network.faults`: that module loses and delays messages, this
@@ -11,13 +11,12 @@ model.
 from repro.ft.checkpoint import ClusterCheckpoint, NodeCheckpoint
 from repro.ft.detector import FailureDetector
 from repro.ft.manager import FtManager
-from repro.ft.sanitizer import ProtocolSanitizer, check_events
+from repro.ft.sanitizer import check_events
 
 __all__ = [
     "ClusterCheckpoint",
     "FailureDetector",
     "FtManager",
     "NodeCheckpoint",
-    "ProtocolSanitizer",
     "check_events",
 ]

@@ -456,12 +456,6 @@ class FtManager:
             checkpoint=ckpt.kind,
             barrier=ckpt.barrier_id,
             episode=ckpt.episode,
-            # The sanitizer's interval ceilings rewind to each node's vc
-            # at the cut as *snapshotted* — not the vcs the barrier
-            # arrivals carried: a node can close one more interval after
-            # its own arrival (serving a mid-interval flush) and before
-            # the cut.
-            vcs=[list(node_ckpt.dsm["vc"]) for node_ckpt in ckpt.nodes],
         )
         self._rollback(ckpt, dead, sim.now)
         # The slowest node's state restore gates the resume.

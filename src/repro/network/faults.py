@@ -306,12 +306,7 @@ class FaultPlan:
         if self.reorder_prob > 0 and self.jitter_us == 0:
             raise FaultConfigError("reorder_prob > 0 requires jitter_us > 0")
         if self.only_links is not None:
-            links = frozenset((int(src), int(dst)) for src, dst in self.only_links)
-            if not links:
-                raise FaultConfigError("only_links must name at least one link")
-            if any(src < 0 or dst < 0 for src, dst in links):
-                raise FaultConfigError(f"negative node id in only_links: {links}")
-            object.__setattr__(self, "only_links", links)
+            object.__setattr__(self, "only_links", _normalize_links("only_links", self.only_links))
         object.__setattr__(self, "degradations", tuple(self.degradations))
         object.__setattr__(self, "stalls", tuple(self.stalls))
         object.__setattr__(self, "crashes", tuple(self.crashes))

@@ -24,7 +24,7 @@ cannot buy back —
 - the run's tracer hangs off the simulator behind a cached
   ``*_on`` boolean, so a disabled tracer costs one attribute read per
   hook site.  Every analysis plane (profile, critical path,
-  telemetry, protocol sanitizer) reads the tracer's events after the
+  telemetry, sanitizer) reads the tracer's events after the
   run and takes no hook of its own.
 """
 

@@ -66,7 +66,10 @@ def tables(draw, threads: int):
             if us:
                 table[tid].append(("compute", us))
             table[tid] += draw(st.permutations(ops))
-    return table, cells + locks
+    # Part of the programs start late, so a fault that begins at 10 ms
+    # (SPLIT_BRAIN_PLAN's stall) still finds them running.
+    prefix = draw(st.sampled_from((0.0, 12_000.0)))
+    return [[("compute", prefix)] + ops if prefix else ops for ops in table], cells + locks
 
 
 def interpret(table: list[list[tuple]], cells: int) -> tuple[list[int], dict]:

@@ -33,8 +33,9 @@ BATCH = (
 )
 
 
-def run_drawn(data, protocol, scheme, nodes):
-    """Draw one program and configuration, run it clean, then maybe under a fault plan."""
+def run_drawn(data, protocol, scheme, nodes, plan=None):
+    """Draw one program and configuration, run it clean, then under ``plan``
+    or, for part of the examples, a drawn fault plan."""
     threads_per_node, prefetch = parse_label(scheme)
     num_nodes = data.draw(nodes)
     table, cells = data.draw(tables(num_nodes * threads_per_node))
@@ -48,9 +49,10 @@ def run_drawn(data, protocol, scheme, nodes):
         seed=data.draw(st.integers(0, 2**16)),
     )
     clean = DsmRuntime(RunConfig(**config)).execute(Replay(table, cells))
-    if data.draw(st.booleans()):
+    if plan is None and data.draw(st.booleans()):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         plan = sample_plan(rng, clean.wall_time_us, num_nodes)
+    if plan is not None:
         config.update(fault_plan=FaultPlan.from_dict(plan), ft=True)
         try:
             DsmRuntime(RunConfig(**config)).execute(Replay(table, cells))
@@ -70,20 +72,30 @@ def test_generated_programs_get_sc_results(protocol, scheme, data):
     run_drawn(data, protocol, scheme, st.sampled_from(NODES[k:] + NODES[:k]))
 
 
-@pytest.mark.parametrize("name", sorted(set(PLANTS) - {"split_brain"}))
-def test_the_corpus_catches_each_single_run_plant(name, monkeypatch):
+def corpus_catches(name, monkeypatch, nodes):
     plant = PLANTS[name]
     plant.apply(monkeypatch)
-    # A home update misrouted past its sender lands back on the home at 2 nodes.
-    nodes = st.sampled_from(NODES[1:4] if name == "home_misrouted" else NODES[:3])
 
     @settings(max_examples=6, derandomize=True, database=None, deadline=None, phases=[Phase.generate])
     @given(data=st.data())
     def corpus(data):
-        run_drawn(data, plant.protocol, data.draw(st.sampled_from(("O", "2T"))), nodes)
+        run_drawn(data, plant.protocol, data.draw(st.sampled_from(("O", "2T"))), nodes, plant.plan)
 
     with pytest.raises((AssertionError, ReproError)):
         corpus()
+
+
+@pytest.mark.parametrize("name", sorted(set(PLANTS) - {"split_brain"}))
+def test_the_corpus_catches_each_single_run_plant(name, monkeypatch):
+    # A home update misrouted past its sender lands back on the home at 2 nodes.
+    corpus_catches(name, monkeypatch, st.sampled_from(NODES[1:4] if name == "home_misrouted" else NODES[:3]))
+
+
+def test_the_corpus_catches_the_split_brain_plant(monkeypatch):
+    """With the sanitizer off: the programs that start late are still
+    running when the stall fences node 1.  A fenced node leaves no
+    quorum at 2 nodes."""
+    corpus_catches("split_brain", monkeypatch, st.sampled_from(NODES[1:4]))
 
 
 @pytest.mark.parametrize("scheme", ["O", "P"])

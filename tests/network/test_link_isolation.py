@@ -95,6 +95,8 @@ def test_only_links_validation():
         FaultPlan(drop_prob=0.1, only_links=frozenset())
     with pytest.raises(FaultConfigError):
         FaultPlan(drop_prob=0.1, only_links=frozenset({(-1, 2)}))
+    with pytest.raises(FaultConfigError, match="self-link"):
+        FaultPlan(drop_prob=0.1, only_links={(1, 1)})
     plan = FaultPlan(drop_prob=0.1, only_links={(0, 1)})
     assert plan.only_links == frozenset({(0, 1)})
     assert not plan.is_noop

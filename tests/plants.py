@@ -4,9 +4,21 @@ show that a check catches it.
 A plant is a monkeypatch applied from the test tree, never a switch in
 ``src/`` (DESIGN.md §6.21).  ``PLANTS`` maps a name to a :class:`Plant`:
 the function that applies the bug through a ``pytest.MonkeyPatch``, the
-run that shows it (protocol, app, fault plan), and the invariant the
-sanitizer names when it catches it.  ``split_brain`` needs its fault
-plan and the FT layer; the other six need only a small clean run.
+protocol it breaks and the fault plan it needs, if any.  The checks that
+catch each (``benchmarks/results/mutants/`` has the whole kill matrix):
+
+- ``diff_applied_twice``, ``notice_from_dead_interval``: the run itself
+  ("fetch of page N cannot converge"), the DRF corpus and the litmus
+  tables;
+- ``twin_over_twin``: the run ("write to N cannot stabilize") and the
+  DRF corpus;
+- ``home_misrouted``, ``unserialized_directory``: deadlock detection and
+  the DRF corpus;
+- ``single_writer``: app verification, the DRF corpus and the litmus
+  tables;
+- ``split_brain`` (``SPLIT_BRAIN_PLAN`` and the FT layer): the
+  sanitizer's checkpoint-cut check, the DRF corpus under that plan, and
+  the chaos search (a ``CheckpointError`` on the cut).
 """
 
 from __future__ import annotations
@@ -147,9 +159,6 @@ def split_brain(monkeypatch):
 class Plant(NamedTuple):
     apply: Callable
     protocol: str
-    app: str
-    #: The name the sanitizer's violation gives.
-    invariant: str
     #: Fault plan (``FaultPlan.to_dict`` form) the bug needs, if any.
     plan: Optional[dict] = None
 
@@ -158,17 +167,11 @@ class Plant(NamedTuple):
 SPLIT_BRAIN_PLAN = {"stalls": [{"node": 1, "start_us": 10_000.0, "end_us": 145_000.0}]}
 
 PLANTS = {
-    "diff_applied_twice": Plant(diff_applied_twice, "lrc", "SOR", "no diff applied twice"),
-    "twin_over_twin": Plant(twin_over_twin, "lrc", "SOR", "twin/diff lifecycle discipline"),
-    "notice_from_dead_interval": Plant(
-        notice_from_dead_interval, "lrc", "SOR", "no write notice from a dead interval"
-    ),
-    "home_misrouted": Plant(home_misrouted, "hlrc", "SOR", "home routing"),
-    "single_writer": Plant(single_writer, "sc", "RADIX", "single writer"),
-    "unserialized_directory": Plant(
-        unserialized_directory, "sc", "SOR", "transaction serialization"
-    ),
-    "split_brain": Plant(
-        split_brain, "lrc", "SOR", "checkpoint cut spans every node", SPLIT_BRAIN_PLAN
-    ),
+    "diff_applied_twice": Plant(diff_applied_twice, "lrc"),
+    "twin_over_twin": Plant(twin_over_twin, "lrc"),
+    "notice_from_dead_interval": Plant(notice_from_dead_interval, "lrc"),
+    "home_misrouted": Plant(home_misrouted, "hlrc"),
+    "single_writer": Plant(single_writer, "sc"),
+    "unserialized_directory": Plant(unserialized_directory, "sc"),
+    "split_brain": Plant(split_brain, "lrc", SPLIT_BRAIN_PLAN),
 }
