@@ -197,8 +197,9 @@ class DsmRuntime:
             tracer=self.tracer,
         )
         self.space = SharedAddressSpace(config.page_size)
+        records = {}  # every node's interval records, by page
         self.dsm_nodes: list[DsmNode] = [
-            DsmNode(node, config.num_nodes, protocol=config.protocol)
+            DsmNode(node, config.num_nodes, records, protocol=config.protocol)
             for node in self.cluster.nodes
         ]
         self.prefetch_engines: list[PrefetchEngine] = []

@@ -80,9 +80,9 @@ def _run_search(args: argparse.Namespace) -> int:
     for result in failures[:MAX_SHRINK]:
         print(f"shrinking {_describe(result)} ...", flush=True)
         minimal = shrink(result)
-        path = write_reproducer(
-            minimal, out_dir / f"sample-{result.sample.index:04d}.json"
-        )
+        sample = result.sample
+        name = f"sample-{sample.index:04d}" if sample.index >= 0 else f"baseline-{sample.app_name}"
+        path = write_reproducer(minimal, out_dir / f"{name}.json")
         print(
             f"  -> {fault_entry_count(minimal.sample.plan)} entr"
             f"{'y' if fault_entry_count(minimal.sample.plan) == 1 else 'ies'}, "

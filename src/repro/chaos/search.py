@@ -125,7 +125,9 @@ class SampleResult:
     #: (re-run differed), ``verify`` (the app's answer was wrong); or,
     #: adaptive arm only, ``inflight`` (a peer exceeded the AIMD window
     #: bound) and ``livelock`` (a run ended with unsent/unacked/parked
-    #: traffic toward live peers).
+    #: traffic toward live peers); or ``baseline``: the app's fault-free
+    #: run, which scales its plans, raised (the sample is that run, index
+    #: -1, and no plan is drawn for the app).
     failures: list[str] = field(default_factory=list)
     error: str = ""
     wall_time_us: float = 0.0
@@ -205,28 +207,41 @@ def sample_plan(rng: np.random.Generator, wall_us: float, num_nodes: int) -> dic
     return plan
 
 
-def baseline_walls(config: ChaosConfig) -> dict[str, float]:
+def baseline_walls(config: ChaosConfig) -> tuple[dict[str, float], list[SampleResult]]:
     """Clean wall time per app, the sampler's time scale (run serially;
-    three small runs cost a fraction of the search itself)."""
+    three small runs cost a fraction of the search itself), and a failing
+    ``baseline`` result for each app whose clean run raised instead."""
     walls: dict[str, float] = {}
+    broken: list[SampleResult] = []
     for app_name in config.apps:
         run = RunConfig(
             num_nodes=config.num_nodes, seed=config.seed, protocol=config.protocol
         )
-        report = DsmRuntime(run).execute(make_app(app_name, config.preset))
-        walls[app_name] = report.wall_time_us
-    return walls
+        try:
+            report = DsmRuntime(run).execute(make_app(app_name, config.preset))
+            walls[app_name] = report.wall_time_us
+        except Exception as exc:
+            clean = ChaosSample(
+                -1, app_name, config.preset, config.num_nodes, config.seed, {},
+                config.adaptive, config.protocol,
+            )
+            error = f"clean {app_name} run raised {type(exc).__name__}: {exc}"
+            broken.append(SampleResult(clean, ["baseline"], error=error))
+    return walls, broken
 
 
 def generate_samples(
     config: ChaosConfig, walls: Optional[dict[str, float]] = None
 ) -> list[ChaosSample]:
-    """The search's full sample list (apps round-robin, seeded draws)."""
+    """The search's full sample list (apps round-robin, seeded draws),
+    without the samples of an app that has no wall."""
     if walls is None:
-        walls = baseline_walls(config)
+        walls = baseline_walls(config)[0]
     samples = []
     for index in range(config.budget):
         app_name = config.apps[index % len(config.apps)]
+        if app_name not in walls:
+            continue
         rng = np.random.default_rng([config.seed, index])
         samples.append(
             ChaosSample(
@@ -339,9 +354,11 @@ def search(
     on_progress: Optional[Callable[[int, SampleResult], None]] = None,
 ) -> list[SampleResult]:
     """Evaluate the whole budget; results in sample order regardless of
-    ``jobs`` (``on_progress`` fires in completion order)."""
-    samples = generate_samples(config)
-    return fan_out(samples, evaluate_sample, jobs=config.jobs, on_done=on_progress)
+    ``jobs`` (``on_progress`` fires in completion order), after a failing
+    ``baseline`` result per app whose clean run raised."""
+    walls, broken = baseline_walls(config)
+    samples = generate_samples(config, walls)
+    return broken + fan_out(samples, evaluate_sample, jobs=config.jobs, on_done=on_progress)
 
 
 # -- shrinking --------------------------------------------------------------

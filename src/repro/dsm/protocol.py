@@ -35,7 +35,9 @@ from repro.dsm.interval import DiffStore, IntervalManager, StoredDiff
 from repro.dsm.locks import LockSubsystem
 from repro.dsm.pagestate import PageCoherence
 from repro.dsm.vclock import VectorClock
-from repro.dsm.writenotice import IntervalRecord, WriteNoticeLog, notice_count, wire_bytes
+from repro.dsm.writenotice import (
+    IntervalRecord, RecordIndex, WriteNoticeLog, indexed, notice_count, wire_bytes,
+)
 from repro.errors import ProtocolError
 from repro.machine.node import Node
 from repro.memory import Diff, apply_diff, make_diff
@@ -52,11 +54,15 @@ __all__ = ["DsmNode", "LrcBackend"]
 class DsmNode:
     """The DSM protocol host for one node."""
 
-    def __init__(self, node: Node, num_nodes: int, protocol: str = "lrc") -> None:
+    def __init__(
+        self, node: Node, num_nodes: int, records: RecordIndex, protocol: str = "lrc"
+    ) -> None:
         self.node = node
         self.sim = node.sim
         self.node_id = node.node_id
         self.num_nodes = num_nodes
+        #: The run's interval records by page, shared by every node.
+        self.records = records
         #: optional prefetch engine (installed by the runtime when on).
         self.prefetch: Optional["PrefetchEngine"] = None
         #: optional fault-tolerance manager (installed by the runtime);
@@ -202,7 +208,7 @@ class LrcBackend(CoherenceBackend):
         super().__init__(host)
         self.vc = VectorClock(self.num_nodes, owner=self.node_id)
         self.intervals = IntervalManager(owner=self.node_id)
-        self.wn_log = WriteNoticeLog(self.num_nodes)
+        self.wn_log = WriteNoticeLog(self.num_nodes, host.records)
         self.diff_store = DiffStore()
         self._coherence: dict[int, PageCoherence] = {}
         #: pages flushed during the currently open interval (forces a
@@ -258,7 +264,7 @@ class LrcBackend(CoherenceBackend):
         self._flushed_in_open.clear()
         stamp = self.intervals.lamport
         record = IntervalRecord(self.node_id, new_idx, stamp, tuple(sorted(pages)))
-        self.wn_log.merge([record])
+        self.wn_log.merge([indexed(self.host.records, record)])
         self._mark("interval_close", index=new_idx, backlog=self.wn_log.total())
         # TreadMarks write-protects dirty pages at interval creation: a
         # later write to a still-dirty page must announce itself under a

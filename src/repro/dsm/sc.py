@@ -120,7 +120,7 @@ class ScBackend(CoherenceBackend):
         # identical message sizes and no per-protocol branches.
         self.vc = VectorClock(self.num_nodes, owner=self.node_id)
         self.intervals = IntervalManager(owner=self.node_id)
-        self.wn_log = WriteNoticeLog(self.num_nodes)
+        self.wn_log = WriteNoticeLog(self.num_nodes, host.records)
         self.diff_store = DiffStore()
         self._pages: dict[int, _ScPage] = {}
         #: Directory entries for pages this node manages (lazy).

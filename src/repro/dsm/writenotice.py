@@ -16,9 +16,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
-__all__ = ["IntervalRecord", "WriteNoticeLog"]
+__all__ = ["IntervalRecord", "RecordIndex", "WriteNoticeLog", "indexed"]
 
 _interval_idx = attrgetter("interval_idx")
+_proc_interval = attrgetter("proc", "interval_idx")
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +38,19 @@ class IntervalRecord:
         return IntervalRecord(self.proc, self.interval_idx, self.lamport, (page_id,))
 
 
+#: page -> every record of a run naming it, in creation order.  One per
+#: run, shared by every node's log: a record is indexed once, when its
+#: writer closes it (:func:`indexed`), never by the logs that merge it.
+RecordIndex = dict[int, list[IntervalRecord]]
+
+
+def indexed(index: RecordIndex, record: IntervalRecord) -> IntervalRecord:
+    """Enter a just-created ``record`` under each page it names."""
+    for page_id in record.pages:
+        index.setdefault(page_id, []).append(record)
+    return record
+
+
 def notice_count(records: list[IntervalRecord]) -> int:
     """Write notices in ``records``: one per page named."""
     return sum([len(record.pages) for record in records])
@@ -51,7 +65,7 @@ def wire_bytes(records: list[IntervalRecord]) -> int:
 class WriteNoticeLog:
     """Every interval record a node has seen, indexed for lazy propagation."""
 
-    def __init__(self, num_nodes: int) -> None:
+    def __init__(self, num_nodes: int, index: RecordIndex) -> None:
         # _by_proc[proc] is ordered by interval_idx, one record each, and
         # CONTAINS ONLY FULLY-TRANSFERRED RECORDS: it drives unseen_by and
         # (indirectly) vector clocks, which need per-proc prefix-closure —
@@ -64,6 +78,7 @@ class WriteNoticeLog:
         #: page-filtered), for reply closure; held pages only (:meth:`history`).
         self._by_page: dict[int, dict[tuple[int, int], IntervalRecord]] = {}
         self._total = 0  # write notices (pages named) in ``_by_proc``
+        self._index = index  # the run's, for a page's first history
 
     def merge(
         self, records: list[IntervalRecord], full: bool = True, skip_proc: int = -1
@@ -99,16 +114,23 @@ class WriteNoticeLog:
     def history(self, page_id: int) -> dict[tuple[int, int], IntervalRecord]:
         """Every record known to name one page (all writers), read-only.
         Asking makes the page *held*: the first call builds this from the
-        per-proc log (in per-proc, not arrival, order), ``merge`` keeps it."""
+        per-proc log's records among the run's index entries for the page
+        (in per-proc, not arrival, order), ``merge`` keeps it."""
         history = self._by_page.get(page_id)
         if history is None:
             history = self._by_page[page_id] = {
                 (record.proc, record.interval_idx): record
-                for known in self._by_proc
-                for record in known
-                if page_id in record.pages
+                for record in sorted(self._index.get(page_id, ()), key=_proc_interval)
+                if self._holds(record)
             }
         return history
+
+    def _holds(self, record: IntervalRecord) -> bool:
+        """Is ``record`` itself in the per-proc log?  By identity: a
+        rollback closes an interval again as a new record, same key."""
+        known = self._by_proc[record.proc]
+        at = bisect_left(known, record.interval_idx, key=_interval_idx)
+        return at < len(known) and known[at] is record
 
     def unseen_by(self, vc_snapshot: tuple[int, ...]) -> list[IntervalRecord]:
         """All records the holder of ``vc_snapshot`` has not yet seen."""

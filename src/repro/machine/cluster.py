@@ -69,7 +69,7 @@ class Cluster:
         else:
             self.network = Network(self.sim, num_nodes, link_config=link_config)
         self.nodes: list[Node] = [
-            Node(self.sim, node_id, self.network, self.costs, page_size, transport, self.random)
+            Node(self.sim, node_id, self.network, self.costs, page_size, transport, self.random.seed)
             for node_id in range(num_nodes)
         ]
         self.transports: list[ReliableTransport] = [node.transport for node in self.nodes]

@@ -22,7 +22,7 @@ from repro.machine.timing import CostModel
 from repro.memory import PageStore
 from repro.metrics.counters import Category, EventCounters, TimeBreakdown
 from repro.network import Message, Network, ReliableTransport, TransportConfig
-from repro.sim import Event, RandomSource, Resource, Simulator, spawn
+from repro.sim import Event, Resource, Simulator, spawn
 
 __all__ = ["Node", "HANDLER_PRIORITY", "THREAD_PRIORITY"]
 
@@ -41,7 +41,7 @@ class Node:
         costs: CostModel,
         page_size: int,
         transport: TransportConfig,
-        rng: RandomSource,
+        seed: int,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -65,8 +65,9 @@ class Node:
         #: recently alive, so explicit heartbeats only fill silences.
         self.message_observer: Optional[Callable[[Message], None]] = None
         #: The reliable transport: messages of a tracked kind are
-        #: retransmitted on timeout, acked and deduplicated on receipt.
-        self.transport = ReliableTransport(self, transport, rng)
+        #: retransmitted on timeout, acked and deduplicated on receipt;
+        #: ``seed`` (the run's) keys its timeout jitter.
+        self.transport = ReliableTransport(self, transport, seed)
         network.attach(node_id, self._on_message)
 
     def reset_cpu(self) -> None:

@@ -33,10 +33,9 @@ No message is exempt: protocol messages arrive because
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
-
-import numpy as np
 
 from repro.errors import FaultConfigError
 from repro.network.link import LinkConfig
@@ -270,6 +269,16 @@ class BitCorruption:
         return self.links is None or (src, dst) in self.links
 
 
+#: The plan's fault schedules: each field and the type of its entries.
+_SCHEDULES = (
+    ("degradations", LinkDegradation),
+    ("stalls", NodeStall),
+    ("crashes", NodeCrash),
+    ("partitions", LinkPartition),
+    ("corruptions", BitCorruption),
+)
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Everything the fault injector may do to traffic, in one place."""
@@ -307,26 +316,11 @@ class FaultPlan:
             raise FaultConfigError("reorder_prob > 0 requires jitter_us > 0")
         if self.only_links is not None:
             object.__setattr__(self, "only_links", _normalize_links("only_links", self.only_links))
-        object.__setattr__(self, "degradations", tuple(self.degradations))
-        object.__setattr__(self, "stalls", tuple(self.stalls))
-        object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "partitions", tuple(self.partitions))
-        object.__setattr__(self, "corruptions", tuple(self.corruptions))
-        for item in self.degradations:
-            if not isinstance(item, LinkDegradation):
-                raise FaultConfigError(f"not a LinkDegradation: {item!r}")
-        for item in self.stalls:
-            if not isinstance(item, NodeStall):
-                raise FaultConfigError(f"not a NodeStall: {item!r}")
-        for item in self.crashes:
-            if not isinstance(item, NodeCrash):
-                raise FaultConfigError(f"not a NodeCrash: {item!r}")
-        for item in self.partitions:
-            if not isinstance(item, LinkPartition):
-                raise FaultConfigError(f"not a LinkPartition: {item!r}")
-        for item in self.corruptions:
-            if not isinstance(item, BitCorruption):
-                raise FaultConfigError(f"not a BitCorruption: {item!r}")
+        for name, kind in _SCHEDULES:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            for item in getattr(self, name):
+                if not isinstance(item, kind):
+                    raise FaultConfigError(f"not a {kind.__name__}: {item!r}")
         # A node that is both crashed and partitioned is ambiguous: the
         # detector cannot fence what is already dead, and recovery could
         # revive a node into a still-severed fabric.  The crash "window"
@@ -348,11 +342,7 @@ class FaultPlan:
             self.drop_prob == 0.0
             and self.duplicate_prob == 0.0
             and self.reorder_prob == 0.0
-            and not self.degradations
-            and not self.stalls
-            and not self.crashes
-            and not self.partitions
-            and not self.corruptions
+            and not any(getattr(self, name) for name, _kind in _SCHEDULES)
         )
 
     def stall_hold_us(self, node: int, now: float) -> float:
@@ -416,107 +406,49 @@ class FaultPlan:
     # -- serialization (chaos reproducers live on disk as JSON) ------------
 
     def to_dict(self) -> dict:
-        def links_list(links):
-            return None if links is None else sorted([src, dst] for src, dst in links)
-
-        return {
-            "drop_prob": self.drop_prob,
-            "duplicate_prob": self.duplicate_prob,
-            "reorder_prob": self.reorder_prob,
-            "jitter_us": self.jitter_us,
-            "degradations": [
-                {
-                    "start_us": w.start_us,
-                    "end_us": w.end_us,
-                    "bandwidth_factor": w.bandwidth_factor,
-                    "extra_latency_us": w.extra_latency_us,
-                    "nodes": None if w.nodes is None else sorted(w.nodes),
-                }
-                for w in self.degradations
-            ],
-            "stalls": [
-                {"node": s.node, "start_us": s.start_us, "end_us": s.end_us}
-                for s in self.stalls
-            ],
-            "crashes": [{"node": c.node, "at_us": c.at_us} for c in self.crashes],
-            "partitions": [
-                {
-                    "start_us": p.start_us,
-                    "end_us": p.end_us,
-                    "nodes": None if p.nodes is None else sorted(p.nodes),
-                    "links": links_list(p.links),
-                }
-                for p in self.partitions
-            ],
-            "corruptions": [
-                {
-                    "start_us": w.start_us,
-                    "end_us": w.end_us,
-                    "prob": w.prob,
-                    "links": links_list(w.links),
-                }
-                for w in self.corruptions
-            ],
-            "only_links": links_list(self.only_links),
-        }
+        return {item.name: _plain(getattr(self, item.name)) for item in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        def links_set(raw):
-            if raw is None:
-                return None
-            return frozenset((int(src), int(dst)) for src, dst in raw)
+        return _parse(cls, data)
 
-        def nodes_set(raw):
-            return None if raw is None else frozenset(int(node) for node in raw)
 
-        return cls(
-            drop_prob=float(data.get("drop_prob", 0.0)),
-            duplicate_prob=float(data.get("duplicate_prob", 0.0)),
-            reorder_prob=float(data.get("reorder_prob", 0.0)),
-            jitter_us=float(data.get("jitter_us", 0.0)),
-            degradations=tuple(
-                LinkDegradation(
-                    start_us=float(w["start_us"]),
-                    end_us=float(w["end_us"]),
-                    bandwidth_factor=float(w.get("bandwidth_factor", 1.0)),
-                    extra_latency_us=float(w.get("extra_latency_us", 0.0)),
-                    nodes=nodes_set(w.get("nodes")),
-                )
-                for w in data.get("degradations", ())
-            ),
-            stalls=tuple(
-                NodeStall(
-                    node=int(s["node"]),
-                    start_us=float(s["start_us"]),
-                    end_us=float(s["end_us"]),
-                )
-                for s in data.get("stalls", ())
-            ),
-            crashes=tuple(
-                NodeCrash(node=int(c["node"]), at_us=float(c["at_us"]))
-                for c in data.get("crashes", ())
-            ),
-            partitions=tuple(
-                LinkPartition(
-                    start_us=float(p["start_us"]),
-                    end_us=float(p["end_us"]),
-                    nodes=nodes_set(p.get("nodes")),
-                    links=links_set(p.get("links")),
-                )
-                for p in data.get("partitions", ())
-            ),
-            corruptions=tuple(
-                BitCorruption(
-                    start_us=float(w["start_us"]),
-                    end_us=float(w["end_us"]),
-                    prob=float(w["prob"]),
-                    links=links_set(w.get("links")),
-                )
-                for w in data.get("corruptions", ())
-            ),
-            only_links=links_set(data.get("only_links")),
-        )
+def _plain(value):
+    """A plan field as JSON: a schedule as a list of dicts, an id set
+    sorted (a link as a ``[src, dst]`` list)."""
+    if isinstance(value, tuple):
+        return [
+            {item.name: _plain(getattr(entry, item.name)) for item in fields(entry)}
+            for entry in value
+        ]
+    if isinstance(value, frozenset):
+        return sorted(list(item) if isinstance(item, tuple) else item for item in value)
+    return value
+
+
+def _parse(kind: type, data: dict):
+    """:func:`_plain`'s inverse for a plan or one schedule entry: a field
+    left out takes its default, a required one left out raises KeyError."""
+    schedules = dict(_SCHEDULES)
+    args = {}
+    for item in fields(kind):
+        name = item.name
+        if name not in data and item.default is not MISSING:
+            continue
+        raw = data[name]
+        if name in schedules:
+            args[name] = tuple(_parse(schedules[name], entry) for entry in raw)
+        elif raw is None:
+            args[name] = None
+        elif name == "node":
+            args[name] = int(raw)
+        elif name == "nodes":
+            args[name] = frozenset(int(node) for node in raw)
+        elif name.endswith("links"):
+            args[name] = frozenset((int(src), int(dst)) for src, dst in raw)
+        else:
+            args[name] = float(raw)
+    return kind(**args)
 
 
 class FaultyNetwork(Network):
@@ -551,11 +483,11 @@ class FaultyNetwork(Network):
         self.plan = plan
         # Fault decisions draw from a *per-directed-link* stream so one
         # link's traffic volume cannot shift the draws another link
-        # sees: each (src, dst) pair lazily gets its own named stream.
-        self._random = rng
-
-    def _link_rng(self, src: int, dst: int) -> np.random.Generator:
-        return self._random.stream(f"network.faults[{src}->{dst}]")
+        # sees: each (src, dst) pair lazily gets its own named stream,
+        # looked up by name once.
+        self._link_rng = functools.cache(
+            lambda src, dst: rng.stream(f"network.faults[{src}->{dst}]")
+        )
 
     # -- send path ---------------------------------------------------------
 

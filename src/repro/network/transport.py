@@ -8,11 +8,12 @@ layer.  One :class:`ReliableTransport` per node:
 - **sender side** — every message of a tracked kind
   (:attr:`~repro.network.message.MessageKind.is_tracked`) gets a per
   (sender, destination) sequence number and goes out as a droppable
-  datagram; a timer retransmits it with exponential backoff plus
-  deterministic jitter until the destination acknowledges, up to a
-  bounded retry count (then the message is abandoned: the give-up is
-  counted in the node's ``EventCounters`` and reported to
-  ``on_give_up`` so a failure detector can suspect the peer);
+  datagram; one timer per destination, armed at its earliest deadline,
+  retransmits it with exponential backoff plus deterministic jitter
+  until the destination acknowledges, up to a bounded retry count (then
+  the message is abandoned: the give-up is counted in the node's
+  ``EventCounters`` and reported to ``on_give_up`` so a failure
+  detector can suspect the peer);
 - **receiver side** — every tracked datagram is acknowledged, and
   duplicates — from retransmission races or injected faults — are
   suppressed before the protocol ever sees them.  A request the
@@ -53,7 +54,7 @@ timeout/retry policy with a feedback-driven one, per peer:
   transient partition that never matured into a fence cannot strand
   them forever.
 
-With ``adaptive=False`` (the default) every code path, RNG draw and
+With ``adaptive=False`` (the default) every code path, jitter draw and
 timer computation is identical to the static transport, so reports are
 byte-identical to runs that predate the adaptive layer.
 
@@ -68,16 +69,15 @@ revival is a retransmission and pays like one.)
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional
-
-import numpy as np
 
 from repro.network.message import ANSWERED, Message, MessageKind, PRIORITY_NOTICE
 from repro.metrics.counters import Category
 from repro.network.stats import TransportExtremes
-from repro.sim import RandomSource, spawn
+from repro.sim import spawn
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.node import Node
@@ -114,8 +114,9 @@ BACKOFF = 2.0
 #: pendings whose original send time predates the rollback.)
 MAX_RETRIES = 10
 
-#: Timeout jitter: each timer is stretched by up to this fraction,
-#: drawn from the experiment's seeded RNG (decorrelates senders).
+#: Timeout jitter: each deadline is stretched by up to this fraction,
+#: hashed from the run seed and the copy's (src, dst, seq, attempt), so
+#: no endpoint pair's traffic can shift another pair's deadlines.
 JITTER_FRAC = 0.1
 
 #: Dedup horizon, in sequence numbers per peer: the receive window
@@ -202,6 +203,17 @@ PEAK_MARGIN = 1.25
 #: remembering the worst round trip forever.
 PEAK_DECAY = 0.95
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(word: int) -> int:
+    """splitmix64's finalizer: a bijection on 64-bit words in which
+    every output bit depends on every input bit."""
+    word = (word + 0x9E3779B97F4A7C15) & _MASK64
+    word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return word ^ (word >> 31)
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -246,8 +258,8 @@ class _Pending:
 
     message: Message
     attempts: int = 1
-    #: Bumped on every (re)send and on ack; stale timers check it.
-    epoch: int = 0
+    #: When the latest copy times out (inf: none on the wire).
+    timeout_at: float = math.inf
     #: First transmission time (profiling and RTT sampling; -1 for
     #: pendings never transmitted yet — pacing-queued — or restored
     #: from a checkpoint, whose original send predates the rollback,
@@ -268,8 +280,16 @@ class _Pending:
 
 @dataclass
 class _PeerState:
-    """Adaptive estimator + congestion state toward one destination."""
+    """Everything the transport keeps toward one destination: its
+    unacked and parked messages, its timer, and (adaptive) the RTT
+    estimator and congestion window."""
 
+    pending: dict[int, _Pending] = field(default_factory=dict)  # unacked, by seq
+    #: Given up on, by seq; :meth:`ReliableTransport.revive` re-flights them.
+    parked: dict[int, _Pending] = field(default_factory=dict)
+    #: Time (inf: none) and serial of the one live kernel entry.
+    timer_at: float = math.inf
+    timer: int = 0
     srtt: float = -1.0  # -1 until the first Karn-clean sample
     rttvar: float = 0.0
     rto: float = 0.0
@@ -280,11 +300,11 @@ class _PeerState:
     peak_rtt: float = 0.0
     cwnd: float = 1.0
     in_flight: int = 0
-    #: Pacing queues by priority class (demand, then notices).  Keys
-    #: are (dst, seq); ``queued`` is the membership set so an ack or a
-    #: park can lazily remove an entry without a deque scan.
+    #: Pacing queues of seqs by priority class (demand, then notices);
+    #: ``queued`` is the membership set so an ack or a park can lazily
+    #: remove an entry without a deque scan.
     queues: tuple[deque, deque] = field(default_factory=lambda: (deque(), deque()))
-    queued: set[tuple[int, int]] = field(default_factory=set)
+    queued: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -335,35 +355,19 @@ class _ReceiveWindow:
 class ReliableTransport:
     """Sequence numbers, acks, timeouts and retries for one node."""
 
-    def __init__(self, node: "Node", config: TransportConfig, rng: RandomSource) -> None:
+    def __init__(self, node: "Node", config: TransportConfig, seed: int) -> None:
         self.node = node
         self.sim = node.sim
         self.network = node.network
         self.stats = TransportStats()
         self.extremes = TransportExtremes()
-        # Timeout jitter must be deterministic *per endpoint pair*: with
-        # one stream per node, destination A's retry count would shift
-        # which draws destination B's timers see, coupling unrelated
-        # links.  Each destination gets its own named stream.
-        self._rng_source = rng
-        #: destination -> its jitter generator (a timer is armed per
-        #: tracked send; naming the stream each time costs an f-string).
-        self._jitter_rngs: dict[int, np.random.Generator] = {}
+        #: The jitter hash's key for this sender (see :meth:`_timeout_us`).
+        self._jitter_key = _mix(_mix(seed) ^ node.node_id)
         self._adaptive = config.adaptive
         self._next_seq: dict[int, int] = {}  # destination -> next seq
-        self._pending: dict[tuple[int, int], _Pending] = {}  # (dst, seq) -> state
-        #: Messages abandoned after MAX_RETRIES, keyed like _pending.
-        #: They keep their seq: on revive the receiver's dedup window
-        #: either delivers them (first arrival) or re-acks (the original
-        #: did land before the give-up).
-        self._parked: dict[tuple[int, int], _Pending] = {}
-        self._windows: dict[int, _ReceiveWindow] = {}  # source -> dedup state
-        #: Adaptive per-destination estimator/window state.
+        #: destination -> its messages, timer and (adaptive) estimator.
         self._peers: dict[int, _PeerState] = {}
-        #: Source of timer epochs.  Transport-wide and monotonic — never
-        #: rolled back — so timers armed before a crash rollback can
-        #: never match a pending restored after it.
-        self._timer_serial = 0
+        self._windows: dict[int, _ReceiveWindow] = {}  # source -> dedup state
         #: Called as ``on_give_up(dst, message)`` when retries run out
         #: (wired to the failure detector's suspicion path under FT).
         self.on_give_up = None
@@ -371,6 +375,16 @@ class ReliableTransport:
     @property
     def adaptive(self) -> bool:
         return self._adaptive
+
+    @property
+    def _pending(self) -> dict[tuple[int, int], _Pending]:
+        """Every unacked message, keyed (dst, seq)."""
+        return {(dst, seq): p for dst, q in self._peers.items() for seq, p in q.pending.items()}
+
+    @property
+    def _parked(self) -> dict[tuple[int, int], _Pending]:
+        """Every parked message, keyed (dst, seq)."""
+        return {(dst, seq): p for dst, q in self._peers.items() for seq, p in q.parked.items()}
 
     def _mark(self, name: str, queues: bool = False, **args) -> None:
         """Trace one transport fact.  It holds the tracer's guard for
@@ -390,12 +404,10 @@ class ReliableTransport:
         """
         if self.sim.trace_on:
             if queues:
-                # :meth:`gauges`' values, without building its dict.
-                backlog = sum(len(p.queued) for p in self._peers.values())
-                args["gauges"] = (len(self._pending), backlog, len(self._parked))
+                args["gauges"] = self._counts()
                 if self._adaptive:
-                    parked = self.parked_by_peer().get(args["dst"], 0)
-                    args["peer"] = (*self.peer_gauges(args["dst"]).values(), parked)
+                    dst = args["dst"]
+                    args["peer"] = (*self.peer_gauges(dst).values(), len(self._peers[dst].parked))
             self.sim.trace.instant(self.sim.now, "transport", name, self.node.node_id, **args)
 
     # -- sender side -------------------------------------------------------
@@ -409,28 +421,29 @@ class ReliableTransport:
         In adaptive mode a full congestion window defers the actual
         transmission into the pacing queue instead.
         """
-        seq = self._next_seq.get(message.dst, 0)
-        self._next_seq[message.dst] = seq + 1
+        dst = message.dst
+        seq = self._next_seq.get(dst, 0)
+        self._next_seq[dst] = seq + 1
         message.seq = seq
         pending = _Pending(message)
-        self._pending[(message.dst, seq)] = pending
+        peer = self._peer(dst)
+        peer.pending[seq] = pending
         queued = False
         if self._adaptive:
             pending.deadline_at = self.sim.now + GIVE_UP_US
-            peer = self._peer(message.dst)
             queued = peer.in_flight >= int(peer.cwnd)
             if queued:
-                self._enqueue(peer, message.dst, seq, pending)
+                self._enqueue(peer, pending)
             else:
                 self._admit(peer)
                 message.attempt = 1
                 pending.send_times[1] = self.sim.now
         if self.sim.trace_on:
-            self._mark("track", queues=True, dst=message.dst, seq=seq)
+            self._mark("track", queues=True, dst=dst, seq=seq)
         if not queued:
             pending.first_sent_at = self.sim.now
             self.network.send(message)
-            self._arm_timer(message.dst, seq, pending)
+            self._arm(peer, pending)
         return True
 
     def _peer(self, dst: int) -> _PeerState:
@@ -452,43 +465,40 @@ class ReliableTransport:
         if peer.in_flight > self.stats.max_in_flight:
             self.stats.max_in_flight = peer.in_flight
 
-    def _enqueue(self, peer: _PeerState, dst: int, seq: int, pending: _Pending) -> None:
+    def _enqueue(self, peer: _PeerState, pending: _Pending) -> None:
         """Defer a transmission until the AIMD window opens (adaptive)."""
-        prio = min(pending.message.priority, PRIORITY_NOTICE)
-        peer.queues[prio].append((dst, seq))
-        peer.queued.add((dst, seq))
+        message = pending.message
+        peer.queues[min(message.priority, PRIORITY_NOTICE)].append(message.seq)
+        peer.queued.add(message.seq)
         self.extremes.observe_backlog(len(peer.queued))
         self.stats.paced += 1
         self.node.events.messages_paced += 1
-        self.network.stats.record_paced(pending.message)
+        self.network.stats.record_paced(message)
         if self.sim.trace_on:
-            self.sim.trace.instant(
-                self.sim.now,
-                "transport",
+            self._mark(
                 "transport_paced",
-                self.node.node_id,
-                dst=dst,
-                seq=seq,
-                priority=pending.message.priority,
-                kind=pending.message.kind.value,
+                dst=message.dst,
+                seq=message.seq,
+                priority=message.priority,
+                kind=message.kind.value,
             )
 
-    def _dequeue(self, peer: _PeerState) -> Optional[tuple[int, int]]:
+    def _dequeue(self, peer: _PeerState) -> Optional[int]:
         for queue in peer.queues:
             while queue:
-                key = queue.popleft()
-                if key in peer.queued:
-                    peer.queued.discard(key)
-                    return key
+                seq = queue.popleft()
+                if seq in peer.queued:
+                    peer.queued.discard(seq)
+                    return seq
         return None
 
-    def _drain(self, dst: int, peer: _PeerState) -> None:
+    def _drain(self, peer: _PeerState) -> None:
         """Transmit paced messages while the window has room (adaptive)."""
         while peer.in_flight < int(peer.cwnd):
-            key = self._dequeue(peer)
-            if key is None:
+            seq = self._dequeue(peer)
+            if seq is None:
                 return
-            pending = self._pending.get(key)
+            pending = peer.pending.get(seq)
             if pending is None:
                 continue
             self._admit(peer)
@@ -502,25 +512,18 @@ class ReliableTransport:
                 # A revived re-flight that queued: a retransmission,
                 # charged and traced as one (Karn's rule already
                 # excludes it from sampling: first_sent_at stays -1).
-                self._resend(key[0], key[1], pending, "revive")
+                self._resend(peer, pending, "revive")
                 continue
             pending.first_sent_at = self.sim.now
             message.attempt = pending.attempts
             pending.send_times[pending.attempts] = self.sim.now
             self.network.send(message)
-            self._arm_timer(key[0], key[1], pending)
+            self._arm(peer, pending)
 
-    def _jitter_rng(self, dst: int) -> np.random.Generator:
-        rng = self._jitter_rngs.get(dst)
-        if rng is None:
-            rng = self._rng_source.stream(f"transport[{self.node.node_id}->{dst}]")
-            self._jitter_rngs[dst] = rng
-        return rng
-
-    def _timeout_us(self, dst: int, attempts: int) -> float:
+    def _timeout_us(self, dst: int, seq: int, attempts: int) -> float:
         if self._adaptive:
             # The peer RTO alone — every timeout already multiplies it
-            # by ``BACKOFF`` (Karn retention in :meth:`_on_timeout`), so
+            # by ``BACKOFF`` (Karn retention in :meth:`_timeout`), so
             # stacking an attempts exponent on top would back off
             # *doubly*: the ladder would blow past the give-up deadline
             # during an outage the singly-backed-off ladder (capped at
@@ -528,33 +531,55 @@ class ReliableTransport:
             base = min(MAX_RTO_US, self._peer(dst).rto)
         else:
             base = TIMEOUT_US * BACKOFF ** (attempts - 1)
-        jitter = 1.0 + JITTER_FRAC * float(self._jitter_rng(dst).random())
-        return base * jitter
+        # u in [0, 1): the top 53 bits of the copy's hash (the key holds
+        # seed and sender; below 2**16 nodes and attempts, 2**32 seqs).
+        word = _mix(self._jitter_key ^ (dst << 48) ^ (seq << 16) ^ attempts)
+        return base * (1.0 + JITTER_FRAC * ((word >> 11) * 2.0**-53))
 
-    def _arm_timer(self, dst: int, seq: int, pending: _Pending) -> None:
-        self._timer_serial += 1
-        pending.epoch = self._timer_serial
-        self.sim.schedule(
-            self._timeout_us(dst, pending.attempts), self._on_timeout, dst, seq, pending.epoch
-        )
+    def _arm(self, peer: _PeerState, pending: _Pending) -> None:
+        """Time out ``pending``'s latest copy; the peer's timer gets a new
+        kernel entry only if this is now its earliest deadline."""
+        timeout = self._timeout_us(pending.message.dst, pending.message.seq, pending.attempts)
+        pending.timeout_at = self.sim.now + timeout
+        if pending.timeout_at < peer.timer_at:
+            self._arm_at(peer, pending.timeout_at)
+
+    def _arm_at(self, peer: _PeerState, when: float) -> None:
+        peer.timer_at = when
+        peer.timer += 1
+        self.sim.schedule_at(when, self._on_timer, peer, peer.timer)
+
+    def _on_timer(self, peer: _PeerState, serial: int) -> None:
+        """Time out every unacked message due by now, then re-arm at the
+        earliest deadline left (an acked message has left the table)."""
+        if serial != peer.timer:
+            return  # superseded by an earlier deadline
+        now = self.sim.now
+        due = [pending for pending in peer.pending.values() if pending.timeout_at <= now]
+        peer.timer_at = -math.inf  # the timeouts' resends arm nothing ...
+        for pending in due:
+            self._timeout(peer, pending)
+        peer.timer_at = math.inf  # ... the earliest of all is armed once
+        earliest = min((pending.timeout_at for pending in peer.pending.values()), default=now)
+        if now < earliest < math.inf:
+            self._arm_at(peer, earliest)
 
     def _give_up_due(self, pending: _Pending) -> bool:
         if self._adaptive and pending.deadline_at >= 0:
             return self.sim.now >= pending.deadline_at
         return pending.attempts > MAX_RETRIES
 
-    def _on_timeout(self, dst: int, seq: int, epoch: int) -> None:
-        pending = self._pending.get((dst, seq))
-        if pending is None or pending.epoch != epoch:
-            return  # acked (or resent) in the meantime
+    def _timeout(self, peer: _PeerState, pending: _Pending) -> None:
+        message = pending.message
+        dst, seq = message.dst, message.seq
         self.node.events.transport_timeouts += 1
         self._mark(
             "transport_timeout",
             dst=dst,
             seq=seq,
             attempts=pending.attempts,
-            kind=pending.message.kind.value,
-            msg=f"m{pending.message.msg_id}",
+            kind=message.kind.value,
+            msg=f"m{message.msg_id}",
         )
         if self._give_up_due(pending):
             # Give up gracefully: the message is parked, the give-up is
@@ -564,16 +589,15 @@ class ReliableTransport:
             # failure detector (or the deadlock watchdog), not a crash.
             # If the peer turns out to be partitioned rather than dead,
             # revive() puts the parked message back in flight.
-            del self._pending[(dst, seq)]
-            self._parked[(dst, seq)] = pending
-            message = pending.message
+            del peer.pending[seq]
+            pending.timeout_at = math.inf
+            peer.parked[seq] = pending
             self.node.events.retries_exhausted += 1
             if self._adaptive:
-                peer = self._peer(dst)
                 peer.in_flight = max(0, peer.in_flight - 1)
                 # A give-up must never leave a fenced-in pacing backlog
                 # behind: the freed window slot re-flights the queue.
-                self._drain(dst, peer)
+                self._drain(peer)
                 # Self-healing probe: a partition can heal before any
                 # fence (so no rejoin ever revives this message).  The
                 # probe re-flights it if the peer still looks alive;
@@ -591,7 +615,6 @@ class ReliableTransport:
                 self.on_give_up(dst, message)
             return
         if self._adaptive:
-            peer = self._peer(dst)
             peer.cwnd = max(1.0, peer.cwnd / 2.0)
             pending.halved += 1
             self.stats.cwnd_halvings += 1
@@ -608,31 +631,29 @@ class ReliableTransport:
             self.extremes.observe_rto(peer.rto)
             self._mark("cwnd_halved", queues=True, dst=dst, cwnd=round(peer.cwnd, 3))
         pending.attempts += 1
-        self._resend(dst, seq, pending, "rexmit")
+        self._resend(peer, pending, "rexmit")
 
-    def _resend(self, dst: int, seq: int, pending: _Pending, name: str) -> None:
-        """Re-arm the timer, then spawn a ``name`` process that sends a copy.
-
-        The timer goes first: a retransmission stuck behind a busy CPU
-        must still be covered by a live timer.
-        """
-        self._arm_timer(dst, seq, pending)
+    def _resend(self, peer: _PeerState, pending: _Pending, name: str) -> None:
+        """Re-arm the deadline (first: a copy stuck behind a busy CPU must
+        stay covered), then spawn a ``name`` process that sends the copy."""
+        self._arm(peer, pending)
         spawn(
             self.sim,
-            self._retransmit(dst, seq),
+            self._retransmit(peer, pending.message.seq),
             name=f"{name}[{self.node.node_id}]",
             group=f"node{self.node.node_id}",
         )
 
-    def _retransmit(self, dst: int, seq: int) -> Generator:
-        pending = self._pending.get((dst, seq))
+    def _retransmit(self, peer: _PeerState, seq: int) -> Generator:
+        pending = peer.pending.get(seq)
         if pending is None:
             return
         yield from self.node.occupy(
             self.node.costs.msg_send_cpu, Category.DSM, priority=_HANDLER_PRIORITY
         )
-        if (dst, seq) not in self._pending:
-            return  # acked while waiting for the CPU
+        if seq not in peer.pending:
+            return  # acked while waiting for the CPU, or rolled back
+        dst = pending.message.dst
         self.node.events.retransmissions += 1
         copy = pending.message.clone()
         self._mark(
@@ -663,16 +684,17 @@ class ReliableTransport:
         between them: a peer that was unreachable long enough to burn
         the give-up deadline but came back before any fence.
         """
-        if (dst, seq) not in self._parked:
+        peer = self._peers.get(dst)
+        if peer is None or seq not in peer.parked:
             return
         if self.network.is_down(dst) or self.network.is_fenced(dst):
             return
         self.stats.park_probes += 1
         self._mark("park_probe", dst=dst, seq=seq)
-        self._revive_keys(dst, [(dst, seq)])
+        self._revive(dst, peer, [seq])
 
     def _on_peer_evidence(self, src: int) -> None:
-        """Adaptive fast re-flight: an arrival from ``src`` proves the
+        """Fast re-flight (adaptive): an arrival from ``src`` proves the
         path to it works *now*.
 
         During an outage the retained Karn backoff walks the peer RTO to
@@ -687,39 +709,32 @@ class ReliableTransport:
         no-op; after a re-flight the pending's fresh send time keeps
         subsequent arrivals from re-triggering, so there is no storm.
         """
-        if not self._adaptive:
-            return
-        if self.network.is_down(src) or self.network.is_fenced(src):
-            return  # revival of those belongs to rollback/rejoin
-        parked = sorted(key for key in self._parked if key[0] == src)
-        if parked:
-            self.stats.park_probes += len(parked)
-            self._revive_keys(src, parked)
         peer = self._peers.get(src)
-        if peer is None:
-            return
+        if peer is None or self.network.is_down(src) or self.network.is_fenced(src):
+            return  # revival toward down or fenced peers belongs to rollback/rejoin
+        if peer.parked:
+            self.stats.park_probes += len(peer.parked)
+            self._revive(src, peer, sorted(peer.parked))
         est = self._estimator_rto(peer)
         if peer.rto <= est:
             return  # no retained backoff to cut
-        for key in sorted(self._pending):
-            if key[0] != src:
-                continue
-            pending = self._pending[key]
-            if key in peer.queued:
+        for seq in sorted(peer.pending):
+            if seq in peer.queued:
                 continue  # pacing-queued, not on the wire
+            pending = peer.pending[seq]
             last = max(pending.send_times.values(), default=pending.first_sent_at)
             if last < 0 or self.sim.now - last < est:
                 continue
             self.stats.fast_reflights += 1
             pending.attempts += 1
-            self._resend(src, key[1], pending, "reflight")
+            self._resend(peer, pending, "reflight")
 
-    def _revive_keys(self, dst: int, keys: list[tuple[int, int]]) -> int:
+    def _revive(self, dst: int, peer: _PeerState, seqs: list[int]) -> int:
         """Re-flight parked messages (shared by revive and the probe)."""
-        for key in keys:
-            pending = self._parked.pop(key)
+        for seq in seqs:
+            pending = peer.parked.pop(seq)
             pending.attempts = 1
-            self._pending[key] = pending
+            peer.pending[seq] = pending
             if self._adaptive:
                 # A fresh give-up deadline and a clean attempt ledger:
                 # the revived flight re-numbers from attempt 1, and any
@@ -729,15 +744,14 @@ class ReliableTransport:
                 pending.send_times.clear()
                 pending.halved = 0
                 pending.deadline_at = self.sim.now + GIVE_UP_US
-                peer = self._peer(dst)
                 if peer.in_flight >= int(peer.cwnd):
-                    self._enqueue(peer, dst, key[1], pending)
+                    self._enqueue(peer, pending)
                     continue
                 self._admit(peer)
-            self._resend(dst, key[1], pending, "revive")
-        if keys:
-            self._mark("unpark", queues=True, dst=dst, count=len(keys))
-        return len(keys)
+            self._resend(peer, pending, "revive")
+        if seqs:
+            self._mark("unpark", queues=True, dst=dst, count=len(seqs))
+        return len(seqs)
 
     def revive(self, dst: int) -> int:
         """Put every message parked for ``dst`` back in flight.
@@ -750,16 +764,13 @@ class ReliableTransport:
         dedup window delivers exactly the messages it missed and
         re-acks the ones that did land before the partition.
         """
-        keys = sorted(key for key in self._parked if key[0] == dst)
-        return self._revive_keys(dst, keys)
+        peer = self._peers.get(dst)
+        return 0 if peer is None else self._revive(dst, peer, sorted(peer.parked))
 
     def revive_all(self) -> int:
         """Revive every parked message (the parking node itself rejoined:
         all its give-ups happened while it was cut off)."""
-        total = 0
-        for dst in sorted({key[0] for key in self._parked}):
-            total += self.revive(dst)
-        return total
+        return sum(self.revive(dst) for dst in sorted(self._peers))
 
     # -- adaptive estimator ------------------------------------------------
 
@@ -798,11 +809,8 @@ class ReliableTransport:
         peer.rto = self._estimator_rto(peer)
         self.extremes.observe_rto(peer.rto)
         if self.sim.trace_on:
-            self.sim.trace.instant(
-                self.sim.now,
-                "transport",
+            self._mark(
                 "rto_update",
-                self.node.node_id,
                 dst=dst,
                 sample_us=round(sample, 3),
                 srtt_us=round(peer.srtt, 3),
@@ -826,40 +834,31 @@ class ReliableTransport:
         Always False with the adaptive layer off (the legacy
         drop-streak throttle applies instead).
         """
-        if not self._adaptive:
-            return False
         peer = self._peers.get(dst)
-        if peer is None:
+        if not self._adaptive or peer is None:
             return False
-        if peer.queued:
-            return True
-        return peer.rto >= PRESSURE_RTT_FACTOR * self._estimator_rto(peer)
+        return bool(peer.queued) or peer.rto >= PRESSURE_RTT_FACTOR * self._estimator_rto(peer)
+
+    def _counts(self) -> tuple[int, int, int]:
+        unacked = backlog = parked = 0
+        for peer in self._peers.values():
+            unacked += len(peer.pending)
+            backlog += len(peer.queued)
+            parked += len(peer.parked)
+        return unacked, backlog, parked
 
     def gauges(self) -> dict[str, int]:
         """Messages unacked, waiting in a pacing queue, and parked, now."""
-        return {
-            "unacked": len(self._pending),
-            "backlog": sum(len(p.queued) for p in self._peers.values()),
-            "parked": len(self._parked),
-        }
+        return dict(zip(("unacked", "backlog", "parked"), self._counts()))
 
     def parked_by_peer(self) -> dict[int, int]:
         """Parked messages per destination, in destination order."""
-        return dict(sorted(Counter(dst for dst, _seq in self._parked).items()))
+        return {dst: len(peer.parked) for dst, peer in sorted(self._peers.items()) if peer.parked}
 
     def peer_gauges(self, dst: int) -> dict:
         """Adaptive estimator and window state toward ``dst``, rounded
         for reports (placeholders before the first send to it)."""
-        peer = self._peers.get(dst)
-        if peer is None:
-            return {
-                "srtt_us": -1.0,
-                "rttvar_us": 0.0,
-                "rto_us": 0.0,
-                "cwnd": 0.0,
-                "in_flight": 0,
-                "queued": 0,
-            }
+        peer = self._peers.get(dst) or _PeerState(cwnd=0.0)
         return {
             "srtt_us": round(peer.srtt, 3),
             "rttvar_us": round(peer.rttvar, 3),
@@ -903,9 +902,10 @@ class ReliableTransport:
         """
         if message.reply_to >= 0:
             self._settle(message)
-        # Every arrival — heartbeat, datagram, data — is liveness
-        # evidence for its sender (see _on_peer_evidence).
-        self._on_peer_evidence(message.src)
+        if self._adaptive:
+            # Every arrival — heartbeat, datagram, data — is liveness
+            # evidence for its sender (see _on_peer_evidence).
+            self._on_peer_evidence(message.src)
         if message.seq < 0:
             # An ack, or an untracked kind (prefetch traffic, heartbeats).
             return message.kind is not MessageKind.ACK
@@ -938,19 +938,20 @@ class ReliableTransport:
 
     def _settle(self, message: Message) -> None:
         """``message`` (an ack or a reply) acknowledges our ``reply_to``."""
-        key = (message.src, message.reply_to)
-        pending = self._pending.pop(key, None)
+        dst, seq = message.src, message.reply_to
+        peer = self._peers.get(dst)
+        if peer is None:
+            return
+        pending = peer.pending.pop(seq, None)
         # A very late ack can land after the give-up: the peer did
         # receive the message, so the parked copy is obsolete.
-        parked = self._parked.pop(key, None)
+        parked = peer.parked.pop(seq, None)
         if self._adaptive and pending is not None:
-            dst = message.src
-            peer = self._peer(dst)
-            if key in peer.queued:
+            if seq in peer.queued:
                 # Acked while still pacing-queued: only possible for a
                 # revived message whose pre-park transmission was acked
                 # very late.  It never consumed a window slot.
-                peer.queued.discard(key)
+                peer.queued.discard(seq)
             else:
                 peer.in_flight = max(0, peer.in_flight - 1)
                 sent = pending.send_times.get(message.echo)
@@ -982,9 +983,9 @@ class ReliableTransport:
                 if peer.cwnd < CWND_MAX:
                     # Additive increase: ~one window per RTT of clean acks.
                     peer.cwnd = min(float(CWND_MAX), peer.cwnd + 1.0 / peer.cwnd)
-            self._drain(dst, peer)
+            self._drain(peer)
         if self.sim.trace_on and (pending or parked):
-            self._mark("settle", queues=True, dst=key[0], seq=key[1])
+            self._mark("settle", queues=True, dst=dst, seq=seq)
 
     # -- checkpoint/recovery ----------------------------------------------
 
@@ -1008,13 +1009,13 @@ class ReliableTransport:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot and re-arm a timer per unacked message.
+        """Restore a snapshot and re-arm each peer's timer.
 
-        Timer epochs come from ``_timer_serial``, which is *not* rolled
-        back: any timer armed before the rollback can never match a
-        restored pending.  Adaptive estimator/window state is reset to
-        its initial values — it described the discarded execution — and
-        every restored pending re-enters the in-flight accounting.
+        The discarded execution's peer state goes: timers and resends
+        armed before the rollback find nothing, parked messages are
+        covered by the checkpointed pendings, and adaptive estimator
+        and window state restart from their initial values.  Every
+        restored pending re-enters the in-flight accounting.
         """
         self._next_seq = dict(state["next_seq"])
         self._windows = {
@@ -1023,17 +1024,15 @@ class ReliableTransport:
             )
             for src, (upto, above) in state["windows"].items()
         }
-        # Parked messages belong to the discarded execution: the
-        # checkpointed pendings below cover everything unacked at the cut.
-        self._parked = {}
-        self._pending = {}
+        for peer in self._peers.values():
+            peer.pending.clear()  # its timer and retransmissions find nothing
         self._peers = {}
         for (dst, seq), (message, attempts) in state["pending"].items():
-            pending = _Pending(message, attempts=attempts)
+            peer = self._peer(dst)
+            pending = peer.pending[seq] = _Pending(message, attempts=attempts)
             if self._adaptive:
                 pending.deadline_at = self.sim.now + GIVE_UP_US
-                self._admit(self._peer(dst))
-            self._pending[(dst, seq)] = pending
-            self._arm_timer(dst, seq, pending)
-        for dst in sorted({dst for dst, _seq in self._pending}):
+                self._admit(peer)
+            self._arm(peer, pending)
+        for dst in sorted(self._peers):
             self._mark("restore", queues=True, dst=dst)

@@ -8,6 +8,7 @@ and commit a checkpoint across the split — the sanitizer must flag it,
 the harness must shrink the plan to <= 3 fault entries, and the written
 reproducer must replay to the same failure."""
 
+import importlib
 import json
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from repro.chaos import (
 )
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.search import MAX_EVENTS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.network.faults import FaultPlan
 from tests.plants import PLANTS, split_brain
 
@@ -185,6 +186,26 @@ def test_search_is_deterministic_across_jobs():
         return [(r.sample.index, r.failures, r.error) for r in results]
 
     assert run(1) == run(2)
+
+
+def test_a_baseline_that_raises_is_a_failing_finding(monkeypatch):
+    """An app whose clean run raises is reported by name, not a traceback:
+    the search goes on with the other apps and draws no plan for it."""
+    # The module, which ``repro.chaos.search`` the function shadows.
+    chaos_search = importlib.import_module("repro.chaos.search")
+
+    def make_app(app_name, preset):
+        if app_name == "FFT":
+            raise ProtocolError("fetch of page 9 cannot converge")
+        return real_make_app(app_name, preset)
+
+    real_make_app = chaos_search.make_app
+    monkeypatch.setattr(chaos_search, "make_app", make_app)
+    broken, *rest = search(ChaosConfig(seed=5, budget=2, apps=("SOR", "FFT")))
+    assert (broken.sample.index, broken.sample.app_name, broken.sample.plan) == (-1, "FFT", {})
+    assert broken.failures == ["baseline"]
+    assert broken.error == "clean FFT run raised ProtocolError: fetch of page 9 cannot converge"
+    assert [(r.sample.index, r.sample.app_name) for r in rest] == [(0, "SOR")]
 
 
 # -- coherence-protocol threading --------------------------------------------

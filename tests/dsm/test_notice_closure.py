@@ -15,18 +15,18 @@ from repro.apps import APP_ORDER, make_app
 from repro.dsm import WriteNoticeLog
 from repro.network.faults import FaultPlan, NodeCrash
 
-from tests.dsm.test_writenotice import notices_for_page, rec
+from tests.dsm.test_writenotice import fresh_records, new_log, notices_for_page, rec  # noqa: F401
 
 
 def test_full_notices_enter_both_structures():
-    log = WriteNoticeLog(4)
+    log = new_log(4)
     log.merge([rec(1, 1, 7)], full=True)
     assert log.own_notices_after(1, 0) == [rec(1, 1, 7)]
     assert notices_for_page(log, 7) == [rec(1, 1, 7)]
 
 
 def test_page_filtered_notices_stay_out_of_proc_log():
-    log = WriteNoticeLog(4)
+    log = new_log(4)
     log.merge([rec(1, 5, 7)], full=False)
     assert log.own_notices_after(1, 0) == []          # not forwardable
     assert notices_for_page(log, 7) == [rec(1, 5, 7)]  # but reply-visible
@@ -37,7 +37,7 @@ def test_page_filtered_notices_stay_out_of_proc_log():
 def test_page_filtered_then_full_upgrade():
     """A notice first seen page-filtered must still enter the proc log
     when its whole interval later arrives via a full transfer."""
-    log = WriteNoticeLog(4)
+    log = new_log(4)
     log.merge([rec(1, 5, 7)], full=False)
     log.merge([rec(1, 5, 7, 8)], full=True)
     assert log.own_notices_after(1, 0) == [rec(1, 5, 7, 8)]
@@ -46,7 +46,7 @@ def test_page_filtered_then_full_upgrade():
 
 
 def test_full_then_page_filtered_is_deduped():
-    log = WriteNoticeLog(4)
+    log = new_log(4)
     log.merge([rec(1, 5, 7, 8)], full=True)
     log.merge([rec(1, 5, 7)], full=False)
     assert log.own_notices_after(1, 0) == [rec(1, 5, 7, 8)]
@@ -57,7 +57,7 @@ def test_unseen_by_never_exposes_holes():
     """unseen_by ships every full record above the threshold; a
     page-filtered one in between is invisible (the receiver's clock
     must not be advanced past it by proxy)."""
-    log = WriteNoticeLog(2)
+    log = new_log(2)
     log.merge([rec(1, 1, 0)], full=True)
     log.merge([rec(1, 2, 0)], full=False)  # hole at 2 in the full prefix
     log.merge([rec(1, 3, 0)], full=True)

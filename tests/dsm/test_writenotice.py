@@ -11,14 +11,30 @@ import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.dsm import IntervalRecord, PageCoherence, WriteNoticeLog
-from repro.dsm.writenotice import wire_bytes
+from repro.dsm.writenotice import indexed, wire_bytes
 
 #: One write notice, as the wire and the old log knew it.
 Notice = namedtuple("Notice", "proc interval_idx lamport page_id")
 
 
+#: The record index the logs below share, as a run's nodes share theirs:
+#: a record is indexed when it is created.
+RECORDS = {}
+
+
 def rec(proc, idx, *pages, lamport=None):
-    return IntervalRecord(proc, idx, lamport if lamport is not None else idx, pages)
+    record = IntervalRecord(proc, idx, lamport if lamport is not None else idx, pages)
+    return indexed(RECORDS, record)
+
+
+def new_log(num_nodes):
+    return WriteNoticeLog(num_nodes, RECORDS)
+
+
+@pytest.fixture(autouse=True)
+def fresh_records():
+    """Each test is one run: its records name only its own logs' procs."""
+    RECORDS.clear()
 
 
 def notices_for_page(log, page_id):
@@ -32,7 +48,7 @@ def flat(records):
 
 
 def test_add_and_duplicate_detection():
-    log = WriteNoticeLog(4)
+    log = new_log(4)
     log.merge([rec(1, 1, 7)])
     log.merge([rec(1, 1, 7)])  # exact duplicate
     assert log.total() == 1
@@ -40,14 +56,14 @@ def test_add_and_duplicate_detection():
 
 
 def test_out_of_order_insertion_keeps_sorted():
-    log = WriteNoticeLog(4)
+    log = new_log(4)
     log.merge([rec(1, 3, 7)])
     log.merge([rec(1, 1, 8, 9)])  # a missed older interval
     assert log.own_notices_after(1, 0) == [rec(1, 1, 8, 9), rec(1, 3, 7)]
 
 
 def test_unseen_by_filters_on_vector_clock():
-    log = WriteNoticeLog(3)
+    log = new_log(3)
     log.merge([rec(0, 1, 10), rec(0, 2, 11), rec(1, 1, 12)])
     missing = log.unseen_by((1, 0, 0))
     assert [(r.proc, r.interval_idx) for r in missing] == [(0, 2), (1, 1)]
@@ -55,7 +71,7 @@ def test_unseen_by_filters_on_vector_clock():
 
 
 def test_own_notices_after():
-    log = WriteNoticeLog(2)
+    log = new_log(2)
     for idx in (1, 2, 3):
         log.merge([rec(0, idx, idx * 10)])
     assert [r.interval_idx for r in log.own_notices_after(0, 1)] == [2, 3]
@@ -69,7 +85,7 @@ def test_wire_bytes():
 
 
 def test_merge_keeps_new_intervals_only():
-    log = WriteNoticeLog(2)
+    log = new_log(2)
     notices_for_page(log, 6)  # held from the start: its history is in arrival order
     log.merge([rec(0, 1, 5, 6)])
     log.merge([rec(0, 1, 5, 6), rec(1, 1, 6)])  # interval (0, 1) is held
@@ -78,7 +94,7 @@ def test_merge_keeps_new_intervals_only():
 
 
 def test_merge_skips_the_receivers_own_runs():
-    log = WriteNoticeLog(3)
+    log = new_log(3)
     log.merge([rec(0, 1, 5), rec(2, 1, 5, 6), rec(1, 4, 6)], skip_proc=2)
     assert log.own_notices_after(2, 0) == [] and log.total() == 2
     assert notices_for_page(log, 5) == [rec(0, 1, 5)]
@@ -86,13 +102,33 @@ def test_merge_skips_the_receivers_own_runs():
 
 
 def test_a_page_not_held_costs_no_history():
-    log = WriteNoticeLog(3)
+    log = new_log(3)
     log.merge([rec(0, 1, 5, 6, 7), rec(1, 1, 6)])
     assert log._by_page == {}
     assert notices_for_page(log, 6) == [rec(0, 1, 5, 6, 7), rec(1, 1, 6)]  # built on demand
     log.merge([rec(1, 2, 6, 7)])  # ... and kept current from then on
     assert list(log._by_page) == [6]
     assert notices_for_page(log, 6)[-1] == rec(1, 2, 6, 7)
+
+
+def test_a_first_history_is_in_per_proc_interval_order():
+    log = new_log(3)
+    log.merge([rec(2, 1, 4), rec(0, 2, 4), rec(1, 1, 4, 5), rec(0, 1, 4)])
+    assert [(r.proc, r.interval_idx) for r in notices_for_page(log, 4)] == [
+        (0, 1), (0, 2), (1, 1), (2, 1)
+    ]
+
+
+def test_a_first_history_holds_the_logged_record_not_its_key():
+    """A rollback closes an interval again as a new record under the same
+    key; a page only the discarded one named has no history entry."""
+    log = new_log(2)
+    discarded = rec(1, 1, 5, 6)
+    again = rec(1, 1, 5)
+    log.merge([again])
+    assert notices_for_page(log, 6) == []
+    assert [record is again for record in notices_for_page(log, 5)] == [True]
+    assert discarded.pages == (5, 6)
 
 
 def test_only_cuts_a_record_down_to_one_page():
@@ -170,16 +206,17 @@ class ReferenceLog:
 PROCS, PAGES, INTERVALS, ME = 5, 12, 9, 2
 
 
-def _world(rng):
+def _world(rng, records=RECORDS):
     """Every interval every proc ever closes: ``world[proc][idx]`` is the
-    interval's record, pages sorted, one lamport each."""
+    interval's record, pages sorted, one lamport each, entered in the
+    ``records`` index its logs read."""
     lamport = 0
     world = [{} for _ in range(PROCS)]
     for idx in range(1, INTERVALS + 1):
         for proc in range(PROCS):
             lamport += 1
             pages = sorted(rng.sample(range(PAGES), rng.randrange(1, 5)))
-            world[proc][idx] = IntervalRecord(proc, idx, lamport, tuple(pages))
+            world[proc][idx] = indexed(records, IntervalRecord(proc, idx, lamport, tuple(pages)))
     return world
 
 
@@ -225,7 +262,7 @@ def _assert_equal_views(log, ref, rng):
 def test_merge_matches_the_per_notice_log_on_whole_interval_traffic(seed):
     rng = random.Random(seed)
     world = _world(rng)
-    log, ref = WriteNoticeLog(PROCS), ReferenceLog(PROCS)
+    log, ref = new_log(PROCS), ReferenceLog(PROCS)
     _assert_equal_views(log, ref, rng)
     saved = None
     for step in range(60):
@@ -254,7 +291,7 @@ def test_merge_matches_the_per_notice_log_on_whole_interval_traffic(seed):
 
 
 def test_snapshot_round_trip_rebuilds_the_held_interval_index():
-    log = WriteNoticeLog(3)
+    log = new_log(3)
     log.merge([rec(0, 1, 4, 5), rec(1, 2, 4)])
     log.merge([rec(0, 3, 9)], full=False)
     snap = log.snapshot_state()
@@ -355,10 +392,10 @@ def _drive_both(seed):
     """Drive the real backend and :class:`EagerNode` with one seed's
     traffic, comparing after every step; returns the shapes it reached."""
     rng = random.Random(1000 + seed)
-    world = _world(rng)
     # Odd seeds run with the prefetch engine installed (``on_invalidation``).
     config = RunConfig(num_nodes=PROCS, prefetch=bool(seed % 2))
     backend = DsmRuntime(config).dsm_nodes[ME].backend
+    world = _world(rng, backend.host.records)
     ref = EagerNode(PROCS, ME)
     touched = set()
     own_closed = 0

@@ -1,17 +1,19 @@
 """Cross-link determinism of fault injection and transport jitter.
 
 One link's traffic (or one endpoint's retry count) must never perturb
-the random draws another link sees: fault decisions and retransmit
-jitter come from per-directed-link / per-endpoint streams of the
-experiment's RandomSource.
+the random draws another link sees: fault decisions come from
+per-directed-link streams of the experiment's RandomSource, and
+retransmit jitter from a hash of the copy's (seed, src, dst, seq,
+attempt).
 """
 
 from repro.machine.cluster import Cluster
 from repro.network.faults import FaultPlan, FaultyNetwork
 from repro.network.message import Message, MessageKind
-from repro.network.transport import TransportConfig
+from repro.network.transport import JITTER_FRAC, TIMEOUT_US, TransportConfig
 from repro.sim import RandomSource, Simulator
 
+import numpy as np
 import pytest
 
 from repro.errors import FaultConfigError
@@ -103,19 +105,34 @@ def test_only_links_validation():
 
 
 def test_transport_jitter_draws_are_per_endpoint():
-    def jitter_sequence(interleave: bool):
-        cluster = Cluster(num_nodes=3, transport=TransportConfig(), rng=RandomSource(7))
-        transport = cluster.transports[0]
+    def jitter_sequence(dst: int, interleave: bool, src: int = 0, seed: int = 7):
+        cluster = Cluster(num_nodes=3, transport=TransportConfig(), rng=RandomSource(seed))
+        transport = cluster.transports[src]
         draws = []
-        for _ in range(8):
+        for seq in range(400):
             if interleave:
-                # Retries against endpoint 2 must not shift endpoint 1's
-                # jitter stream.
-                transport._timeout_us(2, 1)
-            draws.append(transport._timeout_us(1, 1))
-        return draws
+                # Retries against another endpoint must not shift this
+                # endpoint's jitter.
+                transport._timeout_us(3 - dst, seq, 1)
+                transport._timeout_us(3 - dst, seq, 2)
+            draws.append(transport._timeout_us(dst, seq, 1) / TIMEOUT_US - 1.0)
+        return np.array(draws) / JITTER_FRAC
 
-    assert jitter_sequence(interleave=False) == jitter_sequence(interleave=True)
+    toward_1 = jitter_sequence(1, interleave=False)
+    assert np.array_equal(toward_1, jitter_sequence(1, interleave=True))
+    # Each draw stretches the base by a fraction in [0, JITTER_FRAC),
+    # spread over the whole range.
+    assert toward_1.min() >= 0.0 and toward_1.max() < 1.0
+    assert abs(toward_1.mean() - 0.5) < 0.05
+    # Another endpoint pair -- another destination, another sender, or
+    # the same pair under another seed -- draws an independent sequence.
+    for other in (
+        jitter_sequence(2, interleave=False),
+        jitter_sequence(1, interleave=False, src=2),
+        jitter_sequence(1, interleave=False, seed=8),
+    ):
+        assert not np.isin(toward_1, other).any()
+        assert abs(np.corrcoef(toward_1, other)[0, 1]) < 0.15
 
 
 def test_partition_of_one_link_leaves_other_links_schedule_identical():

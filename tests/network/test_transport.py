@@ -4,21 +4,30 @@ The transport is exercised on a two-node cluster with a FaultyNetwork
 underneath, so loss/duplication comes from the real injection layer.
 """
 
+import hashlib
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.machine import Cluster
 from repro.network import FaultPlan, Message, MessageKind, TransportConfig
 from repro.network import transport as reliable
+from repro.network.faults import LinkPartition
 from repro.network.transport import DEDUP_WINDOW, _ReceiveWindow
 from repro.sim import RandomSource, spawn
+from repro.trace import Tracer
 
 
-def build(plan=None, transport=TransportConfig(), seed=7, num_nodes=2):
+def build(plan=None, transport=TransportConfig(), seed=7, num_nodes=2, tracer=None):
     cluster = Cluster(
         num_nodes=num_nodes,
         fault_plan=plan,
         transport=transport,
         rng=RandomSource(seed),
+        tracer=tracer,
     )
     inboxes = {n: [] for n in range(num_nodes)}
     for n in range(num_nodes):
@@ -85,6 +94,83 @@ def test_retransmit_timing_uses_exponential_backoff(monkeypatch):
     assert cluster.node(0).events.retransmissions == 3
     # Timeouts at 1ms, 2ms, 4ms, 8ms: the give-up fires after ~15ms.
     assert cluster.sim.now == pytest.approx(15_000.0, rel=0.01)
+
+
+def test_a_dropped_request_is_retransmitted_at_its_jittered_deadline():
+    # The link is cut only while the first copy leaves.
+    plan = FaultPlan(partitions=(LinkPartition(start_us=0.0, end_us=1_000.0, links={(0, 1)}),))
+    cluster, inboxes = build(plan=plan, tracer=Tracer())
+    send_from(cluster, 0, msg(0, 1))
+    cluster.run()
+    assert len(inboxes[1]) == 1
+    assert cluster.node(0).events.retransmissions == 1
+    at = {event.name: event.ts for event in cluster.sim.trace.events if event.cat == "transport"}
+    timeout = cluster.transports[0]._timeout_us(1, 0, 1)
+    assert reliable.TIMEOUT_US < timeout < reliable.TIMEOUT_US * (1 + reliable.JITTER_FRAC)
+    assert at["transport_timeout"] == at["track"] + timeout
+    # The copy leaves once the handler has paid the send charge.
+    assert at["retransmit"] == at["transport_timeout"] + cluster.node(0).costs.msg_send_cpu
+
+
+def live_timer_entries(cluster, node_id):
+    """Per peer of ``node_id``: the kernel heap's timer entries that
+    would act when they fire (an entry with an older serial is a no-op)."""
+    transport = cluster.transports[node_id]
+    live = {id(peer): 0 for peer in transport._peers.values()}
+    for time, _seq, fn, args in cluster.sim._heap:
+        peer, serial = args if fn == transport._on_timer else (None, None)
+        if peer is not None and serial == peer.timer:
+            assert time == peer.timer_at
+            live[id(peer)] += 1
+    return transport, live
+
+
+def test_each_peer_has_at_most_one_live_timer_entry(monkeypatch):
+    monkeypatch.setattr(reliable, "TIMEOUT_US", 500.0)
+    monkeypatch.setattr(reliable, "MAX_RETRIES", 30)
+    cluster, inboxes = build(plan=FaultPlan(drop_prob=0.2), num_nodes=3)
+    for i in range(40):
+        for dst in (1, 2):
+            cluster.sim.schedule(60.0 * i + 1, send_from, cluster, 0, msg(0, dst, payload={"i": i}))
+    until = 0.0
+    while cluster.sim._heap or cluster.sim._nowq:
+        until += 50.0
+        cluster.sim.run(until=until)
+        transport, live = live_timer_entries(cluster, 0)
+        for peer in transport._peers.values():
+            assert live[id(peer)] <= 1
+            earliest = min((p.timeout_at for p in peer.pending.values()), default=math.inf)
+            if earliest < math.inf:
+                # An unacked copy on the wire is covered, never late.
+                assert live[id(peer)] == 1 and peer.timer_at <= earliest
+    assert [len(inboxes[n]) for n in (1, 2)] == [40, 40]
+    assert cluster.node(0).events.retransmissions > 0
+
+
+_REPORT_DIGEST = """
+import hashlib
+from repro import DsmRuntime, RunConfig
+from repro.experiments.runner import make_configured_app
+from repro.network import FaultPlan
+config = RunConfig(num_nodes=4, threads_per_node=4, prefetch=True, protocol="hlrc",
+                   fault_plan=FaultPlan(drop_prob=0.05), profile=True)
+report = DsmRuntime(config).execute(make_configured_app("RADIX", "small", "4TP"))
+assert report.retransmissions > 0
+print(hashlib.sha256(report.to_json().encode()).hexdigest())
+"""
+
+
+def test_a_lossy_run_reports_the_same_bytes_under_every_hash_seed():
+    """Nothing in the transport's timers or jitter reads ``hash()``."""
+    digests = set()
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run(
+            [sys.executable, "-c", _REPORT_DIGEST], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout)
+    assert len(digests) == 1
 
 
 def test_exhausted_retries_give_up_gracefully(monkeypatch):
