@@ -184,8 +184,8 @@ class BarrierSubsystem:
         """
         if self.dsm.sim.trace_on:
             tr = self.dsm.sim.trace
-            # The global release instant: PhaseTimeline uses these as
-            # barrier-epoch boundaries.
+            # The global release instant: the critical path's epoch
+            # boundaries.
             tr.instant(
                 self.dsm.sim.now,
                 "protocol",

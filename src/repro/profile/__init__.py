@@ -1,11 +1,10 @@
 """Deep profiling: latency histograms and hot-entity attribution.
 
 - :mod:`repro.profile.histogram` — deterministic log-bucketed
-  :class:`Histogram` (p50/p90/p99/max, mergeable across nodes);
-- :mod:`repro.profile.registry` — named histograms + counters per node;
+  :class:`Histogram` (p50/p90/p99/max);
 - :mod:`repro.profile.profiler` — :func:`profile_from_events`, a fold
-  over a run's trace into hot page/lock/barrier tables and the
-  RunReport ``profile`` section.
+  over a run's trace into cluster-wide histograms and counters, hot
+  page/lock/barrier tables and the RunReport ``profile`` section.
 
 Enable per run with ``RunConfig(profile=True)`` or ``--profile`` on the
 CLIs: the run records an in-memory trace and folds it at report time.
@@ -23,12 +22,10 @@ from repro.profile.profiler import (
     fold_events,
     profile_from_events,
 )
-from repro.profile.registry import MetricsRegistry
 
 __all__ = [
     "Histogram",
     "SUBBUCKETS",
-    "MetricsRegistry",
     "Profile",
     "ProfileConfig",
     "fold_events",

@@ -13,13 +13,13 @@ Design constraints, mirroring the tracer:
   (exact binary decomposition), never from ``log`` rounding, so the
   same value always lands in the same bucket on every platform, and two
   runs of the same seed serialize byte-identically.
-- **Mergeable.**  Buckets are sparse ``index -> count`` maps; merging
-  is field-wise addition, so per-node histograms can be combined into a
-  cluster-wide distribution in any grouping (merge is associative and
-  commutative — there is a test for this).  A merged total is the
-  exactly rounded sum (``math.fsum``) of the recorded totals, since
-  float addition alone is not associative.
-- **Cheap.**  Recording is one ``frexp``, one dict increment and four
+- **Order-free total.**  Each sample is recorded with the node it was
+  taken on, and the histogram keeps one float sum per node, added in
+  recording order.  ``total`` is the exactly rounded sum
+  (``math.fsum``) of those sums, so it does not depend on how the
+  nodes' samples interleave; counts, extremes and buckets are integer
+  or order-free already.
+- **Cheap.**  Recording is one ``frexp``, two dict increments and three
   scalar updates; no allocation beyond the first hit of a bucket.
 
 Resolution: :data:`SUBBUCKETS` buckets per power of two gives a worst
@@ -30,13 +30,12 @@ any reported quantile, which is ample for "did p99 regress by 2x".
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 __all__ = ["Histogram", "SUBBUCKETS"]
 
-#: Buckets per octave (power of two).  Part of the wire format: merging
-#: histograms with different resolutions is a hard error, so this is a
-#: module constant rather than a per-instance knob.
+#: Buckets per octave (power of two).  Part of the report format: a
+#: profile's bucket indices mean nothing without it, so this is a module
+#: constant rather than a per-instance knob.
 SUBBUCKETS = 8
 
 
@@ -68,26 +67,21 @@ def _bucket_upper(index: int) -> float:
 class Histogram:
     """A sparse log-bucketed histogram of non-negative samples."""
 
-    __slots__ = ("count", "total", "min", "max", "buckets", "_addends")
+    __slots__ = ("count", "min", "max", "buckets", "sums")
 
     def __init__(self) -> None:
         self.count: int = 0
-        self.total: float = 0.0
         self.min: float = math.inf
         self.max: float = 0.0
         self.buckets: dict[int, int] = {}
-        #: A merge's recorded totals; its ``total`` is their exactly
-        #: rounded sum, whatever the order and grouping of the merges.
-        self._addends: tuple[float, ...] = ()
+        #: node -> that node's samples summed in recording order.
+        self.sums: dict[int, float] = {}
 
-    # -- recording ---------------------------------------------------------
-
-    def record(self, value: float) -> None:
+    def record(self, value: float, node: int = 0) -> None:
         if value < 0:
             raise ValueError(f"histogram sample must be non-negative, got {value}")
         self.count += 1
-        self.total += value
-        self._addends = ()
+        self.sums[node] = self.sums.get(node, 0.0) + value
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -95,11 +89,9 @@ class Histogram:
         index = _bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
-    # -- queries -----------------------------------------------------------
-
     @property
-    def empty(self) -> bool:
-        return self.count == 0
+    def total(self) -> float:
+        return math.fsum(self.sums.values())
 
     @property
     def mean(self) -> float:
@@ -126,44 +118,6 @@ class Histogram:
                 return min(max(estimate, self.min), self.max)
         return self.max  # pragma: no cover - rank <= count always hits
 
-    def summary(self) -> dict[str, float]:
-        """The quantile row reports and benchmarks embed."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
-            "max": self.max if self.count else 0.0,
-        }
-
-    # -- merging -----------------------------------------------------------
-
-    def merged_with(self, other: "Histogram") -> "Histogram":
-        """Field-wise sum; associative and commutative."""
-        merged = Histogram()
-        merged.count = self.count + other.count
-        merged._addends = self._sums() + other._sums()
-        merged.total = math.fsum(merged._addends)
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        merged.buckets = dict(self.buckets)
-        for index, bucket_count in other.buckets.items():
-            merged.buckets[index] = merged.buckets.get(index, 0) + bucket_count
-        return merged
-
-    def _sums(self) -> tuple[float, ...]:
-        return self._addends or ((self.total,) if self.count else ())
-
-    @staticmethod
-    def merge(histograms: Iterable["Histogram"]) -> "Histogram":
-        merged = Histogram()
-        for histogram in histograms:
-            merged = merged.merged_with(histogram)
-        return merged
-
-    # -- serialization -----------------------------------------------------
-
     def to_dict(self) -> dict:
         """JSON-safe form; bucket keys sorted so output is canonical."""
         return {
@@ -173,32 +127,6 @@ class Histogram:
             "max": self.max,
             "buckets": {str(index): self.buckets[index] for index in sorted(self.buckets)},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Histogram":
-        histogram = cls()
-        histogram.count = int(data["count"])
-        histogram.total = float(data["total"])
-        histogram.min = float(data["min"]) if histogram.count else math.inf
-        histogram.max = float(data["max"])
-        histogram.buckets = {int(index): int(n) for index, n in data["buckets"].items()}
-        return histogram
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.count == 0:
-            return "<Histogram empty>"
-        return (
-            f"<Histogram n={self.count} mean={self.mean:.1f} "
-            f"p99={self.quantile(0.99):.1f} max={self.max:.1f}>"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("Histogram is mutable and unhashable")
 
 
 def bucket_bounds(index: int) -> tuple[float, float]:

@@ -11,12 +11,12 @@ It is a reader of the trace, like :mod:`repro.critpath`: the simulator
 holds no profiling hooks, and :func:`fold_events` reads a run's event
 stream once, in stream order, into
 
-- **per-node** :class:`~repro.profile.registry.MetricsRegistry` objects
-  holding log-bucketed latency histograms (page-fault service time,
-  diff-fetch and home-fetch round trips, stalls, lock acquire/hold/wait,
-  barrier arrival skew and waits, prefetch lead time, transport
-  retransmit delay, RTT and RTO) and named counters (transport pacing
-  and give-ups, shed prefetches);
+- **cluster-wide** log-bucketed latency histograms (page-fault service
+  time, diff-fetch and home-fetch round trips, stalls, lock
+  acquire/hold/wait, barrier arrival skew and waits, prefetch lead time,
+  transport retransmit delay, RTT and RTO), each sample tagged with the
+  node whose event it is, and named counters (transport pacing and
+  give-ups, shed prefetches);
 - **hot-entity tables** keyed by page id / lock id / barrier id:
   faults, diffs and bytes fetched, twin creations, and wait time per
   entity — the data behind the paper's per-application analyses (OCEAN
@@ -47,11 +47,12 @@ does to a sample in progress:
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.errors import ConfigError
-from repro.profile.registry import MetricsRegistry
+from repro.profile.histogram import Histogram
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
@@ -86,7 +87,10 @@ class Profile:
 
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
-        self.registries = [MetricsRegistry() for _ in range(num_nodes)]
+        #: name -> the cluster-wide distribution.
+        self.histograms: defaultdict[str, Histogram] = defaultdict(Histogram)
+        #: name -> the cluster-wide event count.
+        self.counters: Counter[str] = Counter()
         #: kind -> entity id -> metric -> value; kinds are "page",
         #: "lock", "barrier".
         self.entities: dict[str, dict[int, dict[str, float]]] = {
@@ -94,11 +98,6 @@ class Profile:
             "lock": {},
             "barrier": {},
         }
-
-    def merged(self) -> MetricsRegistry:
-        """Cluster-wide registry: the per-node registries folded in node
-        order (the result is order-independent; see the merge tests)."""
-        return MetricsRegistry.merge(self.registries)
 
     def top(self, kind: str, n: int = 10) -> list[tuple[int, dict[str, float]]]:
         """The top-n entities of a kind, ranked by the kind's primary
@@ -118,10 +117,8 @@ class Profile:
         of the segment they fall in — "which array is hot", not just
         "which page id".
         """
-        merged = self.merged()
         histograms: dict[str, dict] = {}
-        for name in sorted(merged.histograms):
-            histogram = merged.histograms[name]
+        for name, histogram in sorted(self.histograms.items()):
             entry: dict[str, Any] = histogram.to_dict()
             entry.update(
                 p50=histogram.quantile(0.50),
@@ -134,7 +131,7 @@ class Profile:
             "version": PROFILE_SCHEMA_VERSION,
             "num_nodes": self.num_nodes,
             "histograms": histograms,
-            "counters": merged.to_dict()["counters"],
+            "counters": dict(sorted(self.counters.items())),
             "hot_pages": [
                 {"page": page_id, "segment": _segment_name(space, page_id), **_rounded(stats)}
                 for page_id, stats in self.top("page", top_n)
@@ -201,7 +198,7 @@ _READS = frozenset(
 def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
     """Fold a run's trace events, in stream order."""
     profile = Profile(num_nodes)
-    tables = profile.entities
+    histograms, counters, tables = profile.histograms, profile.counters, profile.entities
     opened: dict = {}  # open async spans (faults, round trips): id -> (begin, args)
     stalls: dict = {}  # open stall spans: (node, tid) -> begin
     arrivals: dict = {}  # waiting barrier arrivals: (node, barrier, episode) -> instants
@@ -216,14 +213,13 @@ def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
             continue
         ts, ph, _cat, name, node, tid, _dur, eid, args = event
         args = args or {}
-        registry = profile.registries[node]
         if name in _SPANS and ph == "b":
             opened[eid] = (ts, args)
             if name != "diff_rtt":
                 add("page", args["page"], "faults" if name == "page_fault" else "home_fetches")
         elif name in _SPANS:
             begun, begin_args = opened.pop(eid)
-            registry.observe(f"{name}_us", ts - begun)
+            histograms[f"{name}_us"].record(ts - begun, node)
             if name == "page_fault":
                 add("page", begin_args["page"], "stall_us", ts - begun)
                 if args["remote"]:
@@ -233,7 +229,7 @@ def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
             if ph == "B":
                 stalls[key] = ts
             elif key in stalls:  # else closed by the restart after ``recover``
-                registry.observe(f"stall_{name[6:]}_us", ts - stalls.pop(key))
+                histograms[f"stall_{name[6:]}_us"].record(ts - stalls.pop(key), node)
         elif name in _PAGE_COUNTS:
             add("page", args["page"], _PAGE_COUNTS[name])
         elif name in ("diff_apply", "page_install"):
@@ -243,15 +239,15 @@ def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
             # A write fault runs exactly one ownership transaction.
             add("page", args["page"], "write_faults")
         elif name in _SINCE and args["since"] >= 0:
-            registry.observe(_SINCE[name], ts - args["since"])
+            histograms[_SINCE[name]].record(ts - args["since"], node)
             if name == "lock_acquire":
                 add("lock", args["lock"], "acquires")
             elif name == "lock_release":
                 add("lock", args["lock"], "hold_us", ts - args["since"])
         elif (name == "lock_wait" and ph == "e") or name == "lock_handoff":
             waited = ts - args["since"]
-            registry.observe("lock_wait_us", waited)
-            registry.observe("lock_acquire_us", waited)
+            histograms["lock_wait_us"].record(waited, node)
+            histograms["lock_acquire_us"].record(waited, node)
             add("lock", args["lock"], "wait_us", waited)
             add("lock", args["lock"], "acquires")
             if name == "lock_handoff":
@@ -260,27 +256,27 @@ def fold_events(events: Iterable[Any], num_nodes: int) -> Profile:
             arrivals.setdefault((node, args["barrier"], args["episode"]), []).append(ts)
         elif name == "barrier_resume":
             for arrived in arrivals.pop((node, args["barrier"], args["episode"]), ()):
-                registry.observe("barrier_wait_us", ts - arrived)
+                histograms["barrier_wait_us"].record(ts - arrived, node)
                 add("barrier", args["barrier"], "wait_us", ts - arrived)
                 add("barrier", args["barrier"], "waits")
         elif name == "barrier_gather":
             gathers.setdefault((args["barrier"], args["episode"]), ts)
         elif name in _COMPLETIONS and (args["barrier"], args["episode"]) in gathers:
             skew = ts - gathers.pop((args["barrier"], args["episode"]))
-            registry.observe("barrier_skew_us", skew)
+            histograms["barrier_skew_us"].record(skew, node)
             add("barrier", args["barrier"], "skew_us", skew)
             add("barrier", args["barrier"], "episodes")
         elif name == "recover":
             stalls.clear()
             arrivals.clear()
         elif name in ("transport_paced", "prefetch_shed"):
-            registry.count(name)
+            counters[name] += 1
         elif name == "retries_exhausted":
-            registry.count("transport_retries_exhausted")
-            registry.count(f"transport_retries_exhausted:{args['kind']}")
+            counters["transport_retries_exhausted"] += 1
+            counters[f"transport_retries_exhausted:{args['kind']}"] += 1
         elif name == "rto_update":
-            registry.observe("transport_rtt_us", args["sample"])
-            registry.observe("transport_rto_us", args["rto"])
+            histograms["transport_rtt_us"].record(args["sample"], node)
+            histograms["transport_rto_us"].record(args["rto"], node)
     return profile
 
 

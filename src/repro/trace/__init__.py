@@ -7,7 +7,7 @@ CLIs; open the exported JSON in https://ui.perfetto.dev or
 """
 
 from repro.trace.export import chrome_trace, write_chrome_trace, write_jsonl
-from repro.trace.timeline import PhaseSegment, PhaseTimeline
+from repro.trace.timeline import PhaseTimeline
 from repro.trace.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -19,7 +19,6 @@ from repro.trace.validate import validate_chrome_trace
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "PhaseSegment",
     "PhaseTimeline",
     "TraceEvent",
     "Tracer",

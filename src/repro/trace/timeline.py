@@ -1,9 +1,7 @@
 """Reconstruct time breakdowns from the event stream — and audit them.
 
 :class:`PhaseTimeline` rebuilds per-node, per-category time totals from
-the ``cpu`` trace events alone, plus a segmentation of the run into
-*barrier epochs* (the intervals between global barrier releases, the
-paper's natural phase boundary).  Because the instrumentation emits one
+the ``cpu`` trace events alone.  Because the instrumentation emits one
 ``cpu`` slice for exactly every ``TimeBreakdown.charge`` call, the
 reconstruction must agree with the aggregate counters **exactly** (the
 same float additions in the same order); :meth:`verify_against` is
@@ -13,7 +11,6 @@ means a charge path forgot its trace hook (or vice versa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.metrics.counters import Category
@@ -22,22 +19,9 @@ from repro.trace.tracer import TraceEvent
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.report import RunReport
 
-__all__ = ["PhaseSegment", "PhaseTimeline"]
+__all__ = ["PhaseTimeline"]
 
 _CATEGORY_BY_VALUE = {category.value: category for category in Category}
-
-
-@dataclass
-class PhaseSegment:
-    """One barrier epoch: the window between two global releases."""
-
-    start: float
-    end: float
-    #: (node, category) -> charged microseconds within the window.
-    times: dict[tuple[int, Category], float] = field(default_factory=dict)
-
-    def total(self, category: Category) -> float:
-        return sum(v for (_, cat), v in self.times.items() if cat is category)
 
 
 class PhaseTimeline:
@@ -46,15 +30,10 @@ class PhaseTimeline:
     def __init__(self) -> None:
         #: node -> category -> charged microseconds.
         self.per_node: dict[int, dict[Category, float]] = {}
-        #: global barrier release instants (epoch boundaries), sorted.
-        self.barrier_releases: list[float] = []
-        self.end_ts: float = 0.0
-        self._charges: list[tuple[int, Category, float, float]] = []
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "PhaseTimeline":
         timeline = cls()
-        releases: list[float] = []
         for event in events:
             if event.cat == "cpu" and event.ph == "X":
                 category = _CATEGORY_BY_VALUE.get(event.name)
@@ -67,62 +46,17 @@ class PhaseTimeline:
                 # sequence of float additions TimeBreakdown.charge made,
                 # so agreement is bit-exact, not merely within epsilon.
                 node_times[category] += event.dur
-                charge_ts = event.ts + event.dur
-                timeline._charges.append((event.node, category, event.dur, charge_ts))
-                timeline.end_ts = max(timeline.end_ts, charge_ts)
-            elif event.name == "barrier_release" and event.ph == "i":
-                releases.append(event.ts)
-            timeline.end_ts = max(timeline.end_ts, event.ts)
-        timeline.barrier_releases = sorted(set(releases))
         return timeline
-
-    # -- totals ------------------------------------------------------------
 
     def node_total(self, node: int) -> dict[Category, float]:
         return self.per_node.get(node, {category: 0.0 for category in Category})
 
-    def totals(self) -> dict[Category, float]:
-        out = {category: 0.0 for category in Category}
-        for times in self.per_node.values():
-            for category, value in times.items():
-                out[category] += value
-        return out
-
-    # -- epochs ------------------------------------------------------------
-
-    def epochs(self) -> list[PhaseSegment]:
-        """Barrier-epoch segmentation of the charged time.
-
-        A charge is attributed to the epoch containing the instant it
-        was recorded (the slice's end), matching how the aggregate
-        counters see it.  Runs without barriers yield one segment.
-        """
-        bounds = [b for b in self.barrier_releases if 0.0 < b < self.end_ts]
-        edges = [0.0] + bounds + [self.end_ts]
-        segments = [
-            PhaseSegment(start=edges[i], end=edges[i + 1]) for i in range(len(edges) - 1)
-        ]
-        for node, category, dur, charge_ts in self._charges:
-            index = 0
-            for i, segment in enumerate(segments):
-                # epoch i covers (start, end]; charges at exactly a
-                # release instant belong to the epoch the release closes.
-                if charge_ts <= segment.end or i == len(segments) - 1:
-                    index = i
-                    break
-            key = (node, category)
-            times = segments[index].times
-            times[key] = times.get(key, 0.0) + dur
-        return segments
-
-    # -- the audit ---------------------------------------------------------
-
-    def verify_against(self, report: "RunReport", tol: float = 1e-6) -> list[str]:
+    def verify_against(self, report: "RunReport") -> list[str]:
         """Cross-check the reconstruction against a RunReport.
 
         Returns a list of human-readable mismatches (empty = the event
-        stream and the aggregate accounting agree to within ``tol``
-        microseconds, per node and per category).
+        stream and the aggregate accounting agree exactly, per node and
+        per category).
         """
         mismatches: list[str] = []
         for node, breakdown in enumerate(report.node_breakdowns):
@@ -130,21 +64,9 @@ class PhaseTimeline:
             for category in Category:
                 expected = breakdown.times[category]
                 got = rebuilt[category]
-                if abs(expected - got) > tol:
+                if got != expected:
                     mismatches.append(
                         f"node {node} {category.value}: trace={got:.6f}us "
                         f"report={expected:.6f}us (delta {got - expected:+.6f}us)"
                     )
-        # Epoch segmentation must partition the totals exactly.
-        segment_sum = {category: 0.0 for category in Category}
-        for segment in self.epochs():
-            for (_, category), value in segment.times.items():
-                segment_sum[category] += value
-        totals = self.totals()
-        for category in Category:
-            if abs(segment_sum[category] - totals[category]) > tol:
-                mismatches.append(
-                    f"epochs lose {category.value}: "
-                    f"{segment_sum[category]:.6f} != {totals[category]:.6f}"
-                )
         return mismatches

@@ -1,4 +1,4 @@
-"""Histogram unit behaviour: bucketing, quantiles, merge algebra."""
+"""Histogram unit behaviour: bucketing, quantiles, the per-node total."""
 
 import math
 
@@ -52,8 +52,6 @@ def test_empty_histogram_quantiles_are_zero():
     assert histogram.quantile(0.99) == 0.0
     assert histogram.quantile(1.0) == 0.0
     assert histogram.mean == 0.0
-    summary = histogram.summary()
-    assert summary == {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
 
 
 def test_quantile_out_of_range_rejected():
@@ -75,56 +73,38 @@ def test_quantiles_are_monotone_in_q():
     assert quantiles == sorted(quantiles)
 
 
-# -- merge algebra ------------------------------------------------------------
+# -- the per-node total -------------------------------------------------------
 
 
-def test_merge_is_commutative_and_associative():
-    a = make([1.0, 2.0, 900.0])
-    b = make([0.2, 55.5])
-    c = make([17.0, 17.0, 17.0, 4.0])
-    ab_c = a.merged_with(b).merged_with(c)
-    a_bc = a.merged_with(b.merged_with(c))
-    b_a = b.merged_with(a).merged_with(c)
-    assert ab_c.to_dict() == a_bc.to_dict() == b_a.to_dict()
-    assert ab_c == make([1.0, 2.0, 900.0, 0.2, 55.5, 17.0, 17.0, 17.0, 4.0])
+def running_sum(values):
+    """Left-to-right float addition (``sum`` compensates on Python 3.12+)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
-def test_merge_with_empty_is_identity():
-    a = make([3.0, 14.0, 159.0])
-    assert a.merged_with(Histogram()) == a
-    assert Histogram().merged_with(a) == a
-
-
-def test_merge_static_over_iterable():
-    parts = [make([float(i)]) for i in range(1, 6)]
-    merged = Histogram.merge(parts)
-    assert merged.count == 5
-    assert merged.total == 15.0
-    assert merged.min == 1.0 and merged.max == 5.0
-
-
-def test_merge_does_not_mutate_inputs():
-    a, b = make([1.0]), make([2.0])
-    a.merged_with(b)
-    assert a.count == 1 and b.count == 1
+def test_total_is_independent_of_how_the_nodes_samples_interleave():
+    """A run's nodes emit their samples interleaved in whatever order the
+    simulation produced them; the histogram's total is the exactly
+    rounded sum of each node's stream-order sum, so two interleavings of
+    the same per-node samples serialize identically, although one
+    running sum over each stream would not."""
+    node0, node1 = [0.1, 0.7, 1e6 + 0.3, 2.5], [0.2, 3.3, 1e-3, 17.0]
+    by_node = [(v, 0) for v in node0] + [(v, 1) for v in node1]
+    round_robin = [pair for pairs in zip([(v, 1) for v in node1], [(v, 0) for v in node0])
+                   for pair in pairs]
+    first, second = Histogram(), Histogram()
+    for histogram, stream in ((first, by_node), (second, round_robin)):
+        for value, node in stream:
+            histogram.record(value, node)
+    assert first.to_dict() == second.to_dict()
+    assert first.total == math.fsum([running_sum(node0), running_sum(node1)])
+    streams = [[value for value, _ in stream] for stream in (by_node, round_robin)]
+    assert running_sum(streams[0]) != running_sum(streams[1])  # order-sensitive samples
 
 
 # -- serialization ------------------------------------------------------------
-
-
-def test_round_trip_preserves_everything():
-    histogram = make([0.0, 0.5, 1.0, 3.25, 888.0, 1e6])
-    clone = Histogram.from_dict(histogram.to_dict())
-    assert clone == histogram
-    assert clone.quantile(0.9) == histogram.quantile(0.9)
-    assert clone.min == histogram.min and clone.max == histogram.max
-
-
-def test_empty_round_trip():
-    clone = Histogram.from_dict(Histogram().to_dict())
-    assert clone.empty
-    assert clone.min == math.inf  # restored sentinel, not the serialized 0.0
-    assert clone == Histogram()
 
 
 def test_to_dict_is_canonical_and_json_safe():
@@ -134,40 +114,3 @@ def test_to_dict_is_canonical_and_json_safe():
     data = histogram.to_dict()
     assert list(data["buckets"]) == sorted(data["buckets"], key=int)
     json.dumps(data)  # no enum/float-key surprises
-
-
-# -- merge edge cases (PR 5) --------------------------------------------------
-
-
-def test_merge_empty_with_empty_is_empty():
-    merged = Histogram().merged_with(Histogram())
-    assert merged.count == 0
-    assert merged == Histogram()
-    assert merged.summary()["count"] == 0
-
-
-def test_merge_empty_with_nonempty_both_directions():
-    a = make([5.0, 7.0])
-    empty = Histogram()
-    assert empty.merged_with(a).to_dict() == a.to_dict()
-    assert a.merged_with(empty).to_dict() == a.to_dict()
-    # min/max survive the identity merge in both directions.
-    assert empty.merged_with(a).min == 5.0
-    assert a.merged_with(empty).max == 7.0
-
-
-def test_merge_associative_across_three_nodes_with_empty_node():
-    # Three per-node histograms, one node idle (empty): every merge
-    # order must agree — this is what makes parallel per-node
-    # aggregation order-independent.
-    node0 = make([1.0, 300.0])
-    node1 = Histogram()
-    node2 = make([42.0])
-    orders = [
-        node0.merged_with(node1).merged_with(node2),
-        node0.merged_with(node2).merged_with(node1),
-        node2.merged_with(node1.merged_with(node0)),
-        Histogram.merge([node0, node1, node2]),
-    ]
-    reference = orders[0].to_dict()
-    assert all(h.to_dict() == reference for h in orders)

@@ -51,6 +51,48 @@ def test_multithreading_overlaps_memory_stalls():
     assert multi_idle < single_idle
 
 
+class MissStorm(Program):
+    """Non-initializing nodes read 32 distinct remote pages."""
+
+    name = "miss-storm"
+
+    PAGES = 32
+    CELLS = 512  # one 4 KB page of float64
+
+    def setup(self, runtime):
+        self.vec = runtime.alloc_vector("v", np.float64, self.PAGES * self.CELLS)
+
+    def thread_body(self, runtime, tid):
+        tpn = runtime.config.threads_per_node
+        if tid == 0:
+            yield self.vec.write(0, np.ones(self.PAGES * self.CELLS))
+        yield Barrier(0)
+        if tid // tpn != 0:
+            for page in range(tid % tpn, self.PAGES, tpn):
+                _ = yield self.vec.read(page * self.CELLS, self.CELLS)
+        yield Barrier(0)
+
+    def verify(self, runtime):
+        assert np.all(runtime.read_vector(self.vec) == 1.0)
+
+
+def test_mt_overlaps_independent_misses():
+    """The mechanism behind Figure 4, isolated from the applications: in
+    a pure remote-miss storm the threads overlap each other's stalls, so
+    wall time drops from 1 to 4 threads per node while per-miss latency
+    rises (more outstanding requests share the same links) — the trade
+    the paper describes."""
+    walls = {}
+    latencies = {}
+    for tpn in (1, 2, 4):
+        report = DsmRuntime(RunConfig(num_nodes=2, threads_per_node=tpn)).execute(MissStorm())
+        walls[tpn] = report.wall_time_us
+        latencies[tpn] = report.events.avg_miss_stall
+    assert walls[2] < 0.8 * walls[1]
+    assert walls[4] < 0.6 * walls[1]
+    assert latencies[4] > latencies[1]
+
+
 def test_context_switches_charged_only_when_multithreaded():
     single = DsmRuntime(RunConfig(num_nodes=2)).execute(OverlapProbe())
     assert single.events.context_switches == 0

@@ -7,7 +7,6 @@ import pytest
 from repro import DsmRuntime, RunConfig
 from repro.apps import APP_ORDER, make_app
 from repro.ft import detector, manager
-from repro.metrics.counters import Category
 from repro.network import FaultPlan
 from repro.network import transport as reliable
 from repro.network.faults import FaultyNetwork
@@ -46,30 +45,6 @@ def test_timeline_agreement_is_exact_not_approximate():
     timeline = runtime.tracer.timeline()
     for node, breakdown in enumerate(report.node_breakdowns):
         assert timeline.node_total(node) == breakdown.times
-
-
-def test_epochs_segment_on_barrier_releases():
-    runtime, report = run("SOR")
-    timeline = runtime.tracer.timeline()
-    assert timeline.barrier_releases  # SOR is barrier-driven
-    epochs = timeline.epochs()
-    assert len(epochs) == len(
-        [b for b in timeline.barrier_releases if 0.0 < b < timeline.end_ts]
-    ) + 1
-    # Epochs tile the run with no gaps or overlap...
-    for left, right in zip(epochs, epochs[1:]):
-        assert left.end == right.start
-    assert epochs[0].start == 0.0
-    assert epochs[-1].end == timeline.end_ts
-    # ...and partition the charged time exactly.
-    for category in Category:
-        assert sum(s.total(category) for s in epochs) == pytest.approx(
-            timeline.totals()[category]
-        )
-    # Real work lands in every epoch except possibly the tail sliver
-    # after the final release.
-    busy_epochs = sum(1 for s in epochs if s.total(Category.BUSY) > 0)
-    assert busy_epochs >= len(epochs) - 1
 
 
 def test_multithreaded_prefetch_run_reconciles_too():
