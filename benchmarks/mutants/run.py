@@ -23,7 +23,7 @@ NAMED = {
     "bug1_duplicate_flush": ("dsm/protocol.py", "if in_flight is not None and not in_flight.triggered:", "if False:"),
     "bug2_store_races_flush": ("threads/scheduler.py", "ready = all(", "ready = guard > 0 or all("),
     "bug3_no_write_protect": ("dsm/protocol.py", "state.write_protected = True", "pass"),
-    "bug4_no_word_watermark": ("dsm/pagestate.py", "if not newer.all():", "if False:"),
+    "bug4_no_word_watermark": ("dsm/pagestate.py", "if lamport >= self.ceiling:", "if True:"),
     "bug6_filtered_notice_logged": ("dsm/protocol.py", "full=advance_vc, skip_proc", "full=True, skip_proc"),
 }
 FLIP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Eq: ast.NotEq,

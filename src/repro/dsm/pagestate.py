@@ -45,6 +45,9 @@ class PageCoherence:
     #: Per-word lamport watermark of applied remote diffs (lazy); see
     #: :meth:`apply_diff`.
     word_lamports: Optional[np.ndarray] = None
+    #: At least every stamp in ``word_lamports``: a diff stamped at or
+    #: above it is newer than every word it touches.
+    ceiling: int = field(default=0, init=False)
     #: In-flight fault/fetch completion event (shared by all local
     #: threads faulting on the page — request combining).
     fetch_event: Optional[Event] = None
@@ -108,17 +111,19 @@ class PageCoherence:
         supplied it, whatever order the diffs arrive in.  One stamp per
         8-byte word is enough: a diff is made of whole words, so the
         bytes of a word are always stamped together, and page and twin
-        are handled as ``uint64`` views.  The whole diff is one gather,
-        one mask and one scatter per target, however many runs it has.
+        are handled as ``uint64`` views.  A diff is one scatter per target,
+        after one gather and mask unless it is at or above :attr:`ceiling`.
         """
-        if self.word_lamports is None:
-            self.word_lamports = np.zeros(len(page) // 8, dtype=np.int64)
         marks = self.word_lamports
+        if marks is None:
+            marks = self.word_lamports = np.zeros(len(page) // 8, dtype=np.int64)
         index = diff.word_index(len(marks))
         words = diff.words
-        newer = marks[index] <= lamport
-        if not newer.all():
-            index, words = index[newer], words[newer]
+        if lamport >= self.ceiling:
+            self.ceiling = lamport
+        else:
+            newer = marks[index] <= lamport
+            index, words = np.arange(len(marks))[index][newer], words[newer]
         marks[index] = lamport
         page.view(np.uint64)[index] = words
         if self.dirty and self.twin is not None:
@@ -148,7 +153,8 @@ class PageCoherence:
         state.dirty = snap["dirty"]
         state.twin = None if snap["twin"] is None else snap["twin"].copy()
         state.write_protected = snap["write_protected"]
-        state.word_lamports = (
-            None if snap["word_lamports"] is None else snap["word_lamports"].copy()
-        )
+        marks = snap["word_lamports"]
+        if marks is not None:
+            state.word_lamports = marks.copy()
+            state.ceiling = int(marks.max())
         return state

@@ -292,12 +292,12 @@ class LrcBackend(CoherenceBackend):
             count = notice_count(records)
             cost = self.node.costs.write_notice_apply * count
             yield from self.node.occupy(cost, Category.DSM)
-        # Hot loop (104 k records naming 142 k pages per SOR/64 run): log
-        # insertion and clocks are per record, and a page this node does
-        # not hold costs one failed lookup here and one in ``merge``.
+        # Hot loop (104 k records naming 142 k pages per SOR/64 run): log and
+        # vector clock are per record, inline, the Lamport clock per batch; a
+        # page not held here costs one failed lookup here and one in ``merge``.
         node_id = self.node_id
-        vc = self.vc
-        observe_lamport = self.intervals.observe_lamport
+        clock = self.vc.clock
+        lamport = 0
         # A filtered record answers a request about its page, which is
         # thereby held (``coherence`` tracks it if need be); it stays out
         # of the per-proc log (see WriteNoticeLog.merge): it must not be
@@ -319,15 +319,17 @@ class LrcBackend(CoherenceBackend):
             if proc == node_id:
                 continue
             interval_idx = record.interval_idx
-            if advance_vc:
-                vc.observe(proc, interval_idx)
-            observe_lamport(record.lamport)
+            if advance_vc and interval_idx > clock[proc]:
+                clock[proc] = interval_idx
+            if record.lamport > lamport:
+                lamport = record.lamport
             for page_id in record.pages:
                 state = held(page_id)
                 if state is not None:
                     state.note_write_notice(proc, interval_idx)
                     if prefetch is not None:
                         prefetch.on_invalidation(page_id)
+        self.intervals.observe_lamport(lamport)
 
     # -- write path ------------------------------------------------------------
 

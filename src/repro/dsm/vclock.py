@@ -25,13 +25,15 @@ class VectorClock:
             raise ProtocolError(f"owner {owner} outside 0..{num_nodes - 1}")
         self.num_nodes = num_nodes
         self.owner = owner
-        self._clock = [0] * num_nodes
+        #: The components; the owner's moves only by :meth:`advance_own`, the
+        #: others as a notice batch raises them in place.
+        self.clock = [0] * num_nodes
 
     def __getitem__(self, node: int) -> int:
-        return self._clock[node]
+        return self.clock[node]
 
     def snapshot(self) -> tuple[int, ...]:
-        return tuple(self._clock)
+        return tuple(self.clock)
 
     def restore(self, snapshot: tuple[int, ...]) -> None:
         """Rewind to a checkpointed snapshot (coordinated recovery only)."""
@@ -39,7 +41,7 @@ class VectorClock:
             raise ProtocolError(
                 f"snapshot has {len(snapshot)} components, clock has {self.num_nodes}"
             )
-        self._clock = list(snapshot)
+        self.clock = list(snapshot)
 
     @property
     def size_bytes(self) -> int:
@@ -48,30 +50,8 @@ class VectorClock:
 
     def advance_own(self) -> int:
         """Close an interval: bump the owner's component; returns new index."""
-        self._clock[self.owner] += 1
-        return self._clock[self.owner]
-
-    def observe(self, node: int, interval_idx: int) -> bool:
-        """Record that ``(node, interval_idx)`` has been seen.
-
-        Returns True if this was news (idx above the current component).
-        """
-        if node == self.owner:
-            raise ProtocolError("a node never 'observes' its own intervals")
-        if interval_idx > self._clock[node]:
-            self._clock[node] = interval_idx
-            return True
-        return False
-
-    def dominates(self, other_snapshot: tuple[int, ...]) -> bool:
-        """True if this clock has seen everything in ``other_snapshot``."""
-        return all(mine >= theirs for mine, theirs in zip(self._clock, other_snapshot))
-
-    def merge(self, other_snapshot: tuple[int, ...]) -> None:
-        """Component-wise max with a received snapshot (except own slot)."""
-        for node, theirs in enumerate(other_snapshot):
-            if node != self.owner and theirs > self._clock[node]:
-                self._clock[node] = theirs
+        self.clock[self.owner] += 1
+        return self.clock[self.owner]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VC(owner={self.owner}, {self._clock})"
+        return f"VC(owner={self.owner}, {self.clock})"

@@ -32,15 +32,18 @@ class Diff:
         page_id: which page this diff modifies.
         words: the new values of the changed 8-byte words, in page
             order (``uint64``).
-        runs: ``(start, end)`` word indices of each maximal run of
-            changed words, ascending and disjoint; shape ``(runs, 2)``.
-            The wire format ships one header per run, so the run count
-            is part of the diff's size.
+        index: where ``words`` land: a ``slice`` if they are one run,
+            else each one's page word, ascending, in the smallest unsigned
+            dtype that addresses the page (4 KB: ``uint16``).
+        run_count: how many maximal runs of consecutive changed words
+            the diff holds.  The wire format ships one header per run,
+            so the run count is part of the diff's size.
     """
 
     page_id: int
     words: np.ndarray
-    runs: np.ndarray
+    index: slice | np.ndarray
+    run_count: int
 
     @property
     def is_empty(self) -> bool:
@@ -53,20 +56,20 @@ class Diff:
     @property
     def size_bytes(self) -> int:
         """Encoded size on the wire."""
-        return DIFF_HEADER_BYTES + RUN_HEADER_BYTES * len(self.runs) + 8 * len(self.words)
+        return DIFF_HEADER_BYTES + RUN_HEADER_BYTES * self.run_count + 8 * len(self.words)
 
-    def word_index(self, page_words: int) -> np.ndarray:
-        """The page word each entry of :attr:`words` lands on, checked
-        against a page of ``page_words`` words."""
-        runs = self.runs
-        if len(runs) and (runs[0, 0] < 0 or runs[-1, 1] > page_words):
-            raise PagedMemoryError(
-                f"diff runs [{runs[0, 0]}, {runs[-1, 1]}) outside page of {page_words} words"
-            )
-        starts, ends = runs.T
-        lengths = ends - starts
-        skipped = starts - (lengths.cumsum() - lengths)  # unchanged words before each run
-        return skipped.repeat(lengths) + np.arange(len(self.words))
+    def word_index(self, page_words: int) -> slice | np.ndarray:
+        """:attr:`index`, checked against a page of ``page_words`` words; word
+        numbers widened to ``intp`` (a narrow index scatters several times slower)."""
+        index = self.index
+        if isinstance(index, slice):
+            last = index.stop - 1
+        else:
+            last = index[-1] if len(index) else -1
+            index = index.astype(np.intp)
+        if last >= page_words:
+            raise PagedMemoryError(f"diff word {last} outside page of {page_words} words")
+        return index
 
 
 def make_diff(page_id: int, twin: np.ndarray, current: np.ndarray) -> Diff:
@@ -89,8 +92,12 @@ def make_diff(page_id: int, twin: np.ndarray, current: np.ndarray) -> Diff:
     padded = np.zeros(len(words) + 2, dtype=bool)
     changed = padded[1:-1]
     np.not_equal(twin.view(np.uint64), words, out=changed)
-    runs = (padded[1:] != padded[:-1]).nonzero()[0].reshape(-1, 2)
-    return Diff(page_id, words[changed], runs)
+    edges = np.flatnonzero(padded[1:] != padded[:-1])  # each run's start and end
+    if len(edges) == 2:
+        index = slice(int(edges[0]), int(edges[1]))
+    else:
+        index = np.flatnonzero(changed).astype(np.min_scalar_type(len(words)))
+    return Diff(page_id, words[changed], index, len(edges) >> 1)
 
 
 def apply_diff(page: np.ndarray, diff: Diff) -> None:

@@ -909,7 +909,9 @@ class ReliableTransport:
         if message.seq < 0:
             # An ack, or an untracked kind (prefetch traffic, heartbeats).
             return message.kind is not MessageKind.ACK
-        window = self._windows.setdefault(message.src, _ReceiveWindow())
+        window = self._windows.get(message.src)
+        if window is None:
+            window = self._windows[message.src] = _ReceiveWindow()
         first = window.accept(message.seq, DEDUP_WINDOW)
         if not first:
             self.node.events.duplicates_suppressed += 1

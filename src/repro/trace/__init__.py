@@ -3,7 +3,7 @@
 Enable with ``RunConfig(trace=True)``, or
 ``--trace out.json`` on the ``repro.apps`` / ``repro.experiments``
 CLIs; open the exported JSON in https://ui.perfetto.dev or
-``chrome://tracing``.
+``chrome://tracing``; ``python -m repro.trace.validate`` checks one.
 """
 
 from repro.trace.export import chrome_trace, write_chrome_trace, write_jsonl
@@ -14,7 +14,6 @@ from repro.trace.tracer import (
     TraceEvent,
     Tracer,
 )
-from repro.trace.validate import validate_chrome_trace
 
 __all__ = [
     "NULL_TRACER",
@@ -23,7 +22,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "chrome_trace",
-    "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -169,7 +169,7 @@ def test_parallel_workers_carry_the_section_identically():
 def test_critpath_works_with_explicit_tracer_and_flows_export(tmp_path):
     """--trace + --critpath together: the chrome export grows dwell
     slices and flow arrows, and still validates."""
-    from repro.trace import validate_chrome_trace
+    from repro.trace.validate import validate_chrome_trace
 
     runtime, report = run_once(trace=True)
     doc = runtime.tracer.chrome_trace(critpath=report.critpath)

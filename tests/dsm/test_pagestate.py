@@ -113,13 +113,11 @@ def test_stale_count_tracks_the_scan_under_any_interleaving():
 
 def _apply_per_byte(page, twin, marks, diff, lamport):
     """The per-byte stamps ``apply_diff`` replaced: an ``int64`` for every
-    byte of the page, compared and raised run by run."""
+    byte of the page, compared and raised word by word."""
     values = diff.words.view(np.uint8)
-    taken = 0
-    for start, end in diff.runs.tolist():
-        window = slice(start * 8, end * 8)
-        data = values[taken : taken + (end - start) * 8]
-        taken += (end - start) * 8
+    for taken, word in enumerate(np.arange(len(page) // 8)[diff.index].tolist()):
+        window = slice(word * 8, word * 8 + 8)
+        data = values[taken * 8 : taken * 8 + 8]
         mask = marks[window] <= lamport
         page[window][mask] = data[mask]
         if twin is not None:
@@ -137,6 +135,7 @@ def test_word_stamps_match_per_byte_stamps_under_out_of_order_diffs():
     from repro.memory import make_diff
 
     page_bytes = 256
+    below_ceiling = 0
     for seed in range(40):
         rng = random.Random(seed)
         gen = np.random.default_rng(seed)
@@ -158,8 +157,10 @@ def test_word_stamps_match_per_byte_stamps_under_out_of_order_diffs():
                 state.dirty = not state.dirty
                 state.twin = page.copy() if state.dirty else None
                 ref_twin = None if state.twin is None else state.twin.copy()
+            below_ceiling += lamport < state.ceiling
             state.apply_diff(page, diff, lamport)
             _apply_per_byte(ref_page, ref_twin, ref_marks, diff, lamport)
+            assert state.ceiling >= state.word_lamports.max()
             assert np.array_equal(page, ref_page)
             assert (state.twin is None) == (ref_twin is None)
             if ref_twin is not None:
@@ -169,6 +170,7 @@ def test_word_stamps_match_per_byte_stamps_under_out_of_order_diffs():
                 snap = state.snapshot_state()
                 state = PageCoherence.from_snapshot(3, 4, snap)
                 assert state.word_lamports is not snap["word_lamports"]
+                assert state.ceiling == snap["word_lamports"].max()
                 ckpt = NodeCheckpoint(
                     node_id=0,
                     dsm={"pages": {3: page}, "coherence": {3: snap}, "vc": [0] * 4},
@@ -179,6 +181,27 @@ def test_word_stamps_match_per_byte_stamps_under_out_of_order_diffs():
                 # page + twin + an int64 stamp per *byte* (the modelled
                 # stable-storage format) + the vector clock.
                 assert ckpt.size_bytes == page_bytes + twin_bytes + ref_marks.nbytes + 16
+    # Out-of-order batches: most diffs land below the ceiling, and take
+    # the gathered, masked path.
+    assert below_ceiling > 1000
+
+
+def test_restore_rebuilds_the_ceiling_that_keeps_newer_words():
+    """A diff older than a restored word must not take the straight
+    scatter: ``from_snapshot`` raises the ceiling to the restored stamps."""
+    from repro.memory import make_diff
+
+    state = PageCoherence(0, 2)
+    page = np.zeros(64, dtype=np.uint8)
+    newer = np.zeros(64, dtype=np.uint8)
+    newer[:8] = 5
+    state.apply_diff(page, make_diff(0, page.copy(), newer), 5)
+    state = PageCoherence.from_snapshot(0, 2, state.snapshot_state())
+    assert state.ceiling == 5
+    older = np.full(64, 3, dtype=np.uint8)
+    state.apply_diff(page, make_diff(0, np.zeros(64, dtype=np.uint8), older), 3)
+    assert page[:8].tolist() == [5] * 8 and page[8:].tolist() == [3] * 56
+    assert state.word_lamports.tolist() == [5] + [3] * 7
 
 
 def test_diff_run_outside_the_page_is_rejected():
@@ -189,6 +212,6 @@ def test_diff_run_outside_the_page_is_rejected():
 
     state = PageCoherence(0, 2)
     page = np.zeros(64, dtype=np.uint8)
-    outside = Diff(0, words=np.ones(2, dtype=np.uint64), runs=np.array([[7, 9]]))
+    outside = Diff(0, words=np.ones(2, dtype=np.uint64), index=np.array([7, 8], np.uint8), run_count=1)
     with pytest.raises(PagedMemoryError, match="outside page"):
         state.apply_diff(page, outside, 1)

@@ -30,6 +30,14 @@ def run_list_diff(twin, current):
     return [(int(s) * 8, current[s * 8 : (e + 1) * 8].copy()) for s, e in zip(starts, ends)]
 
 
+def reference_fields(runs):
+    """What a ``Diff`` stores, derived from the run-list encoder's runs:
+    the page word of each changed word, the run count and the encoded size."""
+    index = [offset // 8 + k for offset, data in runs for k in range(len(data) // 8)]
+    size = DIFF_HEADER_BYTES + sum(RUN_HEADER_BYTES + len(data) for _, data in runs)
+    return index, len(runs), size
+
+
 def run_list_apply(page, runs):
     for offset, data in runs:
         page[offset : offset + len(data)] = data
@@ -47,7 +55,7 @@ def test_single_byte_change_ships_its_word():
     current = twin.copy()
     current[10] = 7
     diff = make_diff(0, twin, current)
-    assert diff.runs.tolist() == [[1, 2]]  # the containing word
+    assert diff.index == slice(1, 2) and diff.run_count == 1  # the containing word
     assert diff.words.view(np.uint8).tolist() == [0, 0, 7, 0, 0, 0, 0, 0]
 
 
@@ -56,7 +64,7 @@ def test_adjacent_word_changes_coalesce_into_one_run():
     current = twin.copy()
     current[8:24] = 1  # words 1 and 2
     diff = make_diff(0, twin, current)
-    assert len(diff.runs) == 1
+    assert diff.run_count == 1
     assert diff.modified_bytes == 16
 
 
@@ -67,7 +75,7 @@ def test_separate_words_make_separate_runs():
     current[32] = 2   # word 4
     current[63] = 3   # word 7
     diff = make_diff(0, twin, current)
-    assert diff.runs.tolist() == [[0, 1], [4, 5], [7, 8]]
+    assert diff.index.tolist() == [0, 4, 7] and diff.run_count == 3
 
 
 def test_size_bytes_counts_headers():
@@ -97,7 +105,7 @@ def test_apply_diff_reconstructs_page():
 
 def test_apply_out_of_range_run_rejected():
     page = np.zeros(16, dtype=np.uint8)
-    bad = Diff(0, words=np.ones(1, dtype=np.uint64), runs=np.array([[2, 3]]))
+    bad = Diff(0, words=np.ones(1, dtype=np.uint64), index=np.array([2], np.uint8), run_count=1)
     with pytest.raises(PagedMemoryError):
         apply_diff(page, bad)
 
@@ -176,21 +184,29 @@ def test_property_runs_are_word_aligned_sorted_disjoint(data):
     for pos in data.draw(st.lists(st.integers(0, 95), max_size=30)):
         current[pos] = 1
     diff = make_diff(0, twin, current)
-    # Runs are word index pairs, so aligned by construction; they are
-    # ascending, non-empty and maximal (a gap of at least one word).
-    last_end = -1
-    for start, end in diff.runs.tolist():
-        assert start > last_end
-        assert end > start
-        last_end = end
-    assert sum(end - start for start, end in diff.runs.tolist()) == len(diff.words)
+    # The index names words, so runs are aligned by construction.  One run
+    # is a slice; more are one word number per changed word, in the
+    # smallest unsigned dtype that addresses the page's 12 words.
+    assert isinstance(diff.index, slice) == (diff.run_count == 1)
+    if not isinstance(diff.index, slice):
+        assert diff.index.dtype == np.uint8
+    landing = np.arange(12)[diff.word_index(12)].tolist()
+    assert len(landing) == len(diff.words)
+    runs = []
+    for word in landing:
+        if runs and runs[-1][1] == word:
+            runs[-1][1] += 1
+        else:
+            assert not runs or word > runs[-1][1]  # ascending, a gap before a new run
+            runs.append([word, word + 1])
+    assert diff.run_count == len(runs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=64), st.data())
 def test_property_word_arrays_match_the_run_list_encoder(num_words, data):
-    """Run count, ``modified_bytes``, ``size_bytes`` and the applied page
-    are the run-list encoder's, on any twin/page pair."""
+    """Word index, run count, ``modified_bytes``, ``size_bytes`` and the
+    applied page are the run-list encoder's, on any twin/page pair."""
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     twin = gen.integers(0, 256, num_words * 8, dtype=np.uint8)
     current = twin.copy()
@@ -198,13 +214,11 @@ def test_property_word_arrays_match_the_run_list_encoder(num_words, data):
         current[pos] = data.draw(st.integers(0, 255))
     diff = make_diff(5, twin, current)
     runs = run_list_diff(twin, current)
-    assert [(start * 8, (end - start) * 8) for start, end in diff.runs.tolist()] == [
-        (offset, len(run)) for offset, run in runs
-    ]
+    index, run_count, size = reference_fields(runs)
+    assert np.arange(num_words)[diff.word_index(num_words)].tolist() == index
+    assert diff.run_count == run_count
+    assert diff.size_bytes == size
     assert diff.modified_bytes == sum(len(run) for _, run in runs)
-    assert diff.size_bytes == DIFF_HEADER_BYTES + sum(
-        RUN_HEADER_BYTES + len(run) for _, run in runs
-    )
     assert diff.is_empty == (not runs)
     page = gen.integers(0, 256, num_words * 8, dtype=np.uint8)
     expected = page.copy()

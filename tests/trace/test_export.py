@@ -3,7 +3,8 @@ format checks CI runs against fresh traces."""
 
 import json
 
-from repro.trace import TraceEvent, Tracer, chrome_trace, validate_chrome_trace
+from repro.trace import TraceEvent, Tracer, chrome_trace
+from repro.trace.validate import validate_chrome_trace
 from repro.trace.export import (
     APP_TID_BASE,
     CPU_TID,

@@ -12,7 +12,8 @@ from repro.network import transport as reliable
 from repro.network.faults import FaultyNetwork
 from repro.network.transport import ReliableTransport
 from repro.prefetch.engine import PrefetchEngine
-from repro.trace import PhaseTimeline, validate_chrome_trace
+from repro.trace import PhaseTimeline
+from repro.trace.validate import validate_chrome_trace
 
 CHAOS_PLAN = FaultPlan(drop_prob=0.05, duplicate_prob=0.02, reorder_prob=0.2, jitter_us=200.0)
 
